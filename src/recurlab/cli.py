@@ -17,6 +17,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+import yaml
 
 from . import llm_eval, profiler, tasks, trainer
 from .llm_eval import (AuthError, EndpointConfig, EndpointTimeout, LLMEvalError,
@@ -131,7 +132,8 @@ def profile(ctx, archs, n_grid, d_model, n_layers, block_size, vocab_size, csv_p
 def train(ctx, config, out):
     """Train from a YAML CONFIG (kebab-case keys; see README), best-of-seeds."""
     tc = trainer.load_train_config(config)
-    if "seed" not in open(config).read():
+    # a top-level seed in the file wins; otherwise --seed applies
+    if "seed" not in yaml.safe_load(config.read_text()):
         tc.seed = ctx.obj["seed"]
     out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / f"metrics-{tc.task.key}-{tc.model.arch}.jsonl"

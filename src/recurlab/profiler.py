@@ -63,9 +63,9 @@ def _node_flops(v: Value) -> int:
     if v.op_kind == "matmul":
         inner = v.parents[0].shape[-1]
         return 2 * size * int(inner)
-    if v.op_kind in ("softmax", "exp", "log", "nonlinearity"):
+    if v.op_kind in ("softmax", "exp", "log") or v.op_kind.startswith("nonlinearity("):
         return 4 * size
-    if v.op_kind in ("concat", "reshape", "slice", "take_rows"):
+    if v.op_kind in ("concat", "reshape", "slice"):
         return 0
     return size
 

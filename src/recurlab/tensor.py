@@ -65,6 +65,7 @@ class GraphOverflowError(TensorError):
 
 
 _ids = itertools.count()
+_FLOAT64 = np.dtype(np.float64)
 
 # nonlinearity kinds: forward fn, derivative expressed from (x, y=f(x))
 NONLINEARITIES: dict[str, tuple[Callable, Callable]] = {
@@ -92,30 +93,39 @@ NONLINEARITIES: dict[str, tuple[Callable, Callable]] = {
 class Value:
     """One node of the computation graph.
 
-    ``data`` and ``grad`` always share a shape.  ``parents`` is the ordered
-    operand list; ``input`` and ``parameter`` nodes have no parents.
+    ``parents`` is the ordered operand list; ``input`` and ``parameter`` nodes
+    have no parents.  A node holds no gradient array until ``backward`` first
+    reaches it; until then ``grad`` reads as zeros of ``data``'s shape, so
+    forward-only graphs allocate no gradient memory.
     """
 
-    __slots__ = ("data", "grad", "op_kind", "parents", "id", "_backward", "_meta")
+    __slots__ = ("data", "_grad", "op_kind", "parents", "id", "_backward")
 
     def __init__(self, data, op_kind: str = "input", parents: Sequence["Value"] = (),
-                 _backward: Callable | None = None, _meta=None, check_finite: bool = True):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+                 _backward: Callable | None = None):
+        if type(data) is not np.ndarray or data.dtype is not _FLOAT64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
+        self._grad = None
         self.op_kind = op_kind
         self.parents = tuple(parents)
         self.id = next(_ids)
         self._backward = _backward
-        self._meta = _meta
-        if check_finite and not np.all(np.isfinite(self.data)):
+        if not np.isfinite(data).all():
             raise GraphOverflowError(op_kind, self.id)
 
     @property
     def shape(self):
         return self.data.shape
 
+    @property
+    def grad(self) -> np.ndarray:
+        """d(root)/d(self) summed over ``backward`` calls since the last
+        ``zero_grad``; zeros of ``data``'s shape if no call reached this node."""
+        return np.zeros_like(self.data) if self._grad is None else self._grad
+
     def zero_grad(self):
-        self.grad = np.zeros_like(self.data)
+        self._grad = None
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -173,6 +183,23 @@ def parameter(data) -> Value:
     return Value(data, op_kind="parameter")
 
 
+def _accumulate(v: Value, g) -> None:
+    """Add ``g`` (already of ``v``'s shape) into ``v``'s gradient, allocating
+    the array on the first contribution.  ``g`` may be another node's
+    gradient, so the first contribution is copied, never kept."""
+    if v._grad is None:
+        v._grad = np.array(g)
+    else:
+        v._grad += g
+
+
+def _grad_buffer(v: Value) -> np.ndarray:
+    """``v``'s gradient array, zero-filled on first use, for scatter-adds."""
+    if v._grad is None:
+        v._grad = np.zeros_like(v.data)
+    return v._grad
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum ``grad`` back down to ``shape`` after numpy broadcasting."""
     if grad.shape == shape:
@@ -193,34 +220,35 @@ def _elementwise(op_kind: str, a: Value, b: Value, fwd, da, db) -> Value:
         raise ShapeError(op_kind, a.shape, b.shape) from err
 
     def bwd(out):
-        a.grad += _unbroadcast(da(a.data, b.data, out), a.shape)
-        b.grad += _unbroadcast(db(a.data, b.data, out), b.shape)
+        g = out._grad
+        _accumulate(a, _unbroadcast(da(a.data, b.data, g), a.shape))
+        _accumulate(b, _unbroadcast(db(a.data, b.data, g), b.shape))
 
     return Value(data, op_kind, (a, b), bwd)
 
 
 def add(a: Value, b: Value) -> Value:
     return _elementwise("add", a, b, np.add,
-                        lambda x, y, o: o.grad,
-                        lambda x, y, o: o.grad)
+                        lambda x, y, g: g,
+                        lambda x, y, g: g)
 
 
 def sub(a: Value, b: Value) -> Value:
     return _elementwise("sub", a, b, np.subtract,
-                        lambda x, y, o: o.grad,
-                        lambda x, y, o: -o.grad)
+                        lambda x, y, g: g,
+                        lambda x, y, g: -g)
 
 
 def mul(a: Value, b: Value) -> Value:
     return _elementwise("mul", a, b, np.multiply,
-                        lambda x, y, o: o.grad * y,
-                        lambda x, y, o: o.grad * x)
+                        lambda x, y, g: g * y,
+                        lambda x, y, g: g * x)
 
 
 def divide(a: Value, b: Value) -> Value:
     return _elementwise("divide", a, b, np.divide,
-                        lambda x, y, o: o.grad / y,
-                        lambda x, y, o: -o.grad * x / (y * y))
+                        lambda x, y, g: g / y,
+                        lambda x, y, g: -g * x / (y * y))
 
 
 def matmul(a: Value, b: Value) -> Value:
@@ -237,7 +265,7 @@ def matmul(a: Value, b: Value) -> Value:
         # promote 1D operands to matrices so one transpose rule covers all cases
         ad2 = ad[None, :] if a1 else ad
         bd2 = bd[:, None] if b1 else bd
-        g = out.grad
+        g = out._grad
         if a1 and b1:
             g = g.reshape(1, 1)
         elif a1:
@@ -250,8 +278,8 @@ def matmul(a: Value, b: Value) -> Value:
             ga = ga[..., 0, :]
         if b1:
             gb = gb[..., :, 0]
-        a.grad += _reduce_to(ga, a.shape)
-        b.grad += _reduce_to(gb, b.shape)
+        _accumulate(a, _reduce_to(ga, a.shape))
+        _accumulate(b, _reduce_to(gb, b.shape))
 
     return Value(data, "matmul", (a, b), bwd)
 
@@ -270,20 +298,19 @@ def exp(a: Value) -> Value:
     data = np.exp(a.data)
 
     def bwd(out):
-        a.grad += out.grad * out.data
+        _accumulate(a, out._grad * out.data)
 
     return Value(data, "exp", (a,), bwd)
 
 
 def log(a: Value) -> Value:
-    with np.errstate(divide="raise", invalid="raise"):
-        try:
-            data = np.log(a.data)
-        except FloatingPointError:
-            raise GraphOverflowError("log", -1)
+    # log(0) and log(x < 0) yield -inf/nan; the node's finite check then
+    # raises GraphOverflowError with this node's id
+    with np.errstate(divide="ignore", invalid="ignore"):
+        data = np.log(a.data)
 
     def bwd(out):
-        a.grad += out.grad / a.data
+        _accumulate(a, out._grad / a.data)
 
     return Value(data, "log", (a,), bwd)
 
@@ -295,7 +322,7 @@ def nonlinearity(a: Value, kind: str) -> Value:
     data = fwd(a.data)
 
     def bwd(out):
-        a.grad += out.grad * deriv(a.data, out.data)
+        _accumulate(a, out._grad * deriv(a.data, out.data))
 
     return Value(data, f"nonlinearity({kind})", (a,), bwd)
 
@@ -309,8 +336,8 @@ def softmax(a: Value) -> Value:
     data = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(out):
-        y, g = out.data, out.grad
-        a.grad += y * (g - (g * y).sum(axis=-1, keepdims=True))
+        y, g = out.data, out._grad
+        _accumulate(a, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
     return Value(data, "softmax", (a,), bwd)
 
@@ -328,16 +355,29 @@ def concat(values: Sequence[Value], axis: int = 0) -> Value:
         for v, lo, hi in zip(values, offsets[:-1], offsets[1:]):
             idx = [slice(None)] * out.data.ndim
             idx[axis] = slice(lo, hi)
-            v.grad += out.grad[tuple(idx)]
+            _accumulate(v, out._grad[tuple(idx)])
 
     return Value(data, "concat", values, bwd)
 
 
+def _is_basic_key(key) -> bool:
+    """True for an index of slices, ints, ``...`` and ``None`` only: it selects
+    a view, in which no cell of the source appears twice."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, slice)
+               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+               for k in parts)
+
+
 def slice_(a: Value, key) -> Value:
     data = a.data[key]
-
-    def bwd(out):
-        np.add.at(a.grad, key, out.grad)
+    if _is_basic_key(key):
+        def bwd(out):
+            _grad_buffer(a)[key] += out._grad
+    else:
+        # fancy indices may repeat a cell; add.at sums every occurrence
+        def bwd(out):
+            np.add.at(_grad_buffer(a), key, out._grad)
 
     return Value(data, "slice", (a,), bwd)
 
@@ -348,7 +388,7 @@ def take_rows(a: Value, indices) -> Value:
     data = a.data[indices]
 
     def bwd(out):
-        np.add.at(a.grad, indices, out.grad)
+        np.add.at(_grad_buffer(a), indices, out._grad)
 
     return Value(data, "slice", (a,), bwd)
 
@@ -360,7 +400,7 @@ def reshape(a: Value, shape) -> Value:
         raise ShapeError("reshape", a.shape, shape) from err
 
     def bwd(out):
-        a.grad += out.grad.reshape(a.shape)
+        _accumulate(a, out._grad.reshape(a.shape))
 
     return Value(data, "reshape", (a,), bwd)
 
@@ -369,10 +409,10 @@ def vsum(a: Value, axis=None, keepdims: bool = False) -> Value:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bwd(out):
-        g = out.grad
+        g = out._grad
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a.grad += np.broadcast_to(g, a.shape)
+        _accumulate(a, np.broadcast_to(g, a.shape))
 
     return Value(data, "sum", (a,), bwd)
 
@@ -391,24 +431,26 @@ def topo_nodes(root: Value) -> list[Value]:
 
 
 def backward(root: Value) -> None:
-    """Fill ``grad`` of every node reachable from ``root`` with d(root)/d(node).
+    """Add d(root)/d(node) into ``grad`` of every node reachable from ``root``.
 
-    ``root`` must be scalar.  Calling twice without ``zero_grad`` accumulates.
+    ``root`` must be scalar.  Each node's gradient array is allocated the
+    first time this pass adds to it.  Calling twice without ``zero_grad``
+    accumulates exactly one more unit seed: gradients held from an earlier
+    call are set aside while this call's adjoints propagate, then added back.
     """
     if root.data.shape != ():
         raise ShapeError("backward", root.shape, ())
     order = topo_nodes(root)
-    # propagate this call's adjoints in isolation so repeated calls accumulate
-    # by exactly one unit seed each
-    saved = [node.grad for node in order]
-    for node in order:
-        node.grad = np.zeros_like(node.data)
-    root.grad = root.grad + 1.0
+    held = [(node, node._grad) for node in order if node._grad is not None]
+    for node, _ in held:
+        node._grad = None
+    root._grad = np.ones(())
     for node in reversed(order):
         if node._backward is not None:
             node._backward(node)
-    for node, prior in zip(order, saved):
-        node.grad = node.grad + prior
+    # every node reachable from root received an adjoint above
+    for node, prior in held:
+        node._grad += prior
 
 
 @dataclass

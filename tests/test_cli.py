@@ -122,6 +122,15 @@ def test_train_then_eval_round_trip(runner, tmp_path):
     assert "accuracy" in result.output
 
 
+def test_train_honours_seed_flag_without_seed_key(runner, tmp_path):
+    # the config keeps "n-seeds", whose name contains "seed"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(TRAIN_YAML.replace("seed: 0\n", ""))
+    result = runner.invoke(main, ["--seed", "7", "train", str(cfg), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert "best seed 7" in result.output
+
+
 def test_train_bad_config_exit_2(runner, tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(TRAIN_YAML + "mystery-knob: 1\n")

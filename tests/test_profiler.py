@@ -60,6 +60,14 @@ def test_matmul_counts_one_regardless_of_size():
     assert big.flops > small.flops  # width shows up only in the flop metric
 
 
+def test_flops_per_op_kind():
+    x = T.parameter(np.ones(10))
+    tanh = graph_profile([T.nonlinearity(x, "tanh")], 10, "hand")
+    exp = graph_profile([T.exp(x)], 10, "hand")
+    assert tanh.flops == exp.flops == 40
+    assert graph_profile([x.slice(slice(0, 5))], 10, "hand").flops == 0
+
+
 def test_invariants_enforced():
     with pytest.raises(ProfilerError):
         DepthProfile(total_ops=2, depth=5, n=1, arch="x")
@@ -107,9 +115,11 @@ def test_block_recurrent_depth_steps_with_block_count():
 
 
 def test_transformer_total_ops_superlinear():
-    ops = [p.total_ops for p in depths_over("transformer", [4, 8, 16, 32])]
-    second = np.diff(ops, 2)
-    assert np.all(np.diff(ops) > 0) and np.all(second > 0)
+    # slopes per token (divided differences, as the grid doubles) must rise;
+    # plain second differences would pass any increasing affine law too
+    ns = np.array([4, 8, 16, 32])
+    slopes = np.diff([p.total_ops for p in depths_over("transformer", ns)]) / np.diff(ns)
+    assert np.all(slopes > 0) and np.all(np.diff(slopes) > 0), slopes
 
 
 def test_universal_depth_linear_in_T():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recurlab import tensor as T
+from recurlab.models import ModelConfig, ParamGraph, init_params, model_forward
 
 
 def test_softmax_uniform_over_equal_logits():
@@ -31,6 +32,12 @@ def test_shape_mismatch_names_op_and_shapes():
 def test_nonfinite_output_raises_overflow():
     with pytest.raises(T.GraphOverflowError):
         T.exp(T.constant([1000.0]))
+
+
+def test_log_of_zero_raises_overflow_with_node_id():
+    with pytest.raises(T.GraphOverflowError) as err:
+        T.log(T.constant([0.0]))
+    assert err.value.op_kind == "log" and err.value.node_id >= 0
 
 
 def test_backward_sum():
@@ -69,6 +76,32 @@ def test_backward_accumulates_without_reset():
     T.backward(root2)
     T.backward(root2)
     np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+
+def test_backward_accumulates_through_inner_nodes():
+    # each call adds exactly one unit seed at every node, inner ones included
+    x = T.constant([1.0, 2.0])
+    y = x * T.constant(3.0)
+    root = (y * y).sum()
+    T.backward(root)
+    T.backward(root)
+    np.testing.assert_array_equal(root.grad, 2.0)
+    np.testing.assert_array_equal(y.grad, [12.0, 24.0])
+    np.testing.assert_array_equal(x.grad, [36.0, 72.0])
+    x.zero_grad()
+    np.testing.assert_array_equal(x.grad, [0.0, 0.0])
+    T.backward(root)
+    np.testing.assert_array_equal(x.grad, [18.0, 36.0])
+    np.testing.assert_array_equal(y.grad, [18.0, 36.0])
+
+
+def test_unreached_parameter_reads_zero_grad():
+    pg = ParamGraph({"w": np.ones(3), "spare": np.ones((2, 4))})
+    pg["spare"]                      # built, but the loss never reads it
+    T.backward((pg["w"] * pg["w"]).sum())
+    grads = pg.grads()
+    np.testing.assert_array_equal(grads["w"], [2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(grads["spare"], np.zeros((2, 4)))
 
 
 def test_grad_check_quadratic():
@@ -142,6 +175,31 @@ def test_take_rows_grad_scatter():
     picked = T.take_rows(table, [0, 0, 2])
     T.backward(picked.sum())
     np.testing.assert_array_equal(table.grad[:, 0], [2.0, 0.0, 1.0, 0.0])
+
+
+def test_overlapping_basic_slices_both_reach_grad():
+    x = T.parameter(np.arange(10.0).reshape(2, 5))
+    left = x.slice((slice(None), slice(0, 3)))
+    right = x.slice((Ellipsis, slice(1, 5)))
+    corner = x.slice((1, 2))
+    T.backward(left.sum() + (right * T.constant(2.0)).sum() + corner * T.constant(5.0))
+    np.testing.assert_array_equal(x.grad, [[1.0, 3.0, 3.0, 2.0, 2.0],
+                                           [1.0, 3.0, 8.0, 2.0, 2.0]])
+
+
+def test_fancy_slice_sums_repeated_cells():
+    x = T.parameter(np.arange(4.0))
+    T.backward(x.slice([1, 1, 3]).sum())
+    np.testing.assert_array_equal(x.grad, [0.0, 2.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("arch", ["transformer", "rwkv", "linear-transformer"])
+def test_forward_only_graph_allocates_no_grads(arch):
+    cfg = ModelConfig(arch=arch, vocab_size=5, d_model=8, n_layers=1)
+    res = model_forward(cfg, init_params(cfg), np.zeros((2, 4), dtype=int))
+    nodes = {n.id: n for lg in res.logits for n in T.topo_nodes(lg)}
+    assert len(nodes) > 20
+    assert all(n._grad is None for n in nodes.values())
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=8))
