@@ -43,8 +43,11 @@ class Dfa:
 
     def __post_init__(self):
         states = range(self.n_states)
-        assert self.start in states
-        assert all(q in states for q in self.accepting)
+        if self.start not in states:
+            raise AutomatonError(f"start state {self.start} outside 0..{self.n_states - 1}")
+        bad = sorted(q for q in self.accepting if q not in states)
+        if bad:
+            raise AutomatonError(f"accepting states {bad} outside 0..{self.n_states - 1}")
         for q in states:
             for sym in self.alphabet:
                 if (q, sym) not in self.delta:

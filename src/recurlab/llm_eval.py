@@ -164,6 +164,9 @@ def http_transport(cfg: EndpointConfig):
                                  headers={"Authorization": f"Bearer {key}"})
         except requests.Timeout as exc:
             raise EndpointTimeout(str(exc)) from exc
+        except requests.ConnectionError as exc:
+            # DNS failure or connection refused: as retryable as a 5xx
+            raise TransientFailure(f"connection failed: {exc}") from exc
         if resp.status_code == 401 or resp.status_code == 403:
             raise AuthError(f"endpoint returned {resp.status_code}")
         if resp.status_code == 429 or resp.status_code >= 500:
@@ -205,8 +208,8 @@ def query_endpoint(prompt: PromptSpec, cfg: EndpointConfig, trial: int,
     transcript before returning it.
 
     Auth failures are never retried; transient failures (HTTP 429/5xx,
-    timeouts) retry up to ``cfg.max_retries`` attempts with exponential
-    backoff.
+    connection errors, timeouts) retry up to ``cfg.max_retries`` attempts
+    with exponential backoff.
     """
     if transport is None:
         transport = http_transport(cfg)

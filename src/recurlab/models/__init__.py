@@ -103,44 +103,78 @@ def _step_route(cfg, pg, token_ids) -> list:
 
 # -- whole-sequence forward -------------------------------------------------
 
+def _check_positions(positions, length: int) -> list:
+    try:
+        positions = list(positions)
+    except TypeError:
+        raise ModelError(f"positions must be a sequence of ints, got {positions!r}") from None
+    for p in positions:
+        if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+            raise ModelError(f"position {p!r} is not an int")
+        if not 0 <= p < length:
+            raise ModelError(f"position {p} outside [0, {length})")
+    if len(set(positions)) != len(positions):
+        raise ModelError(f"duplicate positions in {positions}")
+    return [int(p) for p in positions]
+
+
+def _every_position(cfg, pg, token_ids, mode, T_steps) -> list:
+    """Routes that build logits at every position whatever is read."""
+    arch = cfg.arch
+    if arch == "mlp":
+        return recurrent.mlp_forward(cfg, pg, token_ids)
+    if arch in ("transformer", "recurrent-transformer", "feedback-transformer"):
+        return _step_route(cfg, pg, token_ids)
+    if arch == "block-recurrent-transformer":
+        return transformer.block_recurrent_forward(cfg, pg, token_ids)
+    if arch == "universal-transformer":
+        return transformer.universal_forward(
+            cfg, pg, token_ids, T_steps if T_steps is not None else cfg.max_halting_steps)
+    if arch == "rwkv":
+        return (linear.rwkv_forward_parallel(cfg, pg, token_ids)
+                if mode == "parallel" else _step_route(cfg, pg, token_ids))
+    if arch == "linear-transformer":
+        return (linear.linear_forward_parallel(cfg, pg, token_ids)
+                if mode == "parallel" else _step_route(cfg, pg, token_ids))
+    raise ModelError(f"unknown arch {arch!r}")
+
+
 def model_forward(cfg: ModelConfig, params: dict, token_ids: np.ndarray,
-                  mode: str = "parallel", T_steps: int | None = None) -> ForwardResult:
-    """Run ``cfg.arch`` over a (B, L) int batch, producing (B, vocab) logits
-    at every position.
+                  mode: str = "parallel", T_steps: int | None = None,
+                  positions=None) -> ForwardResult:
+    """Run ``cfg.arch`` over a (B, L) int batch, producing (B, vocab) logits.
 
     ``mode`` selects the evaluation route where an architecture has two:
     "parallel" evaluates attention sums directly, "recurrent" threads the
     constant-size state token by token.  Architectures with a single route
     accept either value.
+
+    ``positions=None`` returns logits at every position, and the graph is the
+    full one; the profiler relies on this, since its growth laws count the
+    work of producing every position.  A sequence of distinct ints in
+    [0, L) returns one logits Value per requested position, in the order
+    given, with values bit-identical to the full forward's at those positions.
+    The Transformer's parallel route then runs its last layer's per-query
+    work and the readout only there, and the RNN-family routes read out only
+    there; every other route builds all positions and picks the requested
+    ones.
     """
     if mode not in ("parallel", "recurrent"):
         raise ModelError(f"unknown mode {mode!r}")
     token_ids = np.asarray(token_ids)
     if token_ids.ndim != 2:
         raise ModelError(f"token_ids must be (batch, length), got {token_ids.shape}")
+    if positions is not None:
+        positions = _check_positions(positions, token_ids.shape[1])
     pg = ParamGraph(params)
     arch = cfg.arch
 
-    if arch == "mlp":
-        logits = recurrent.mlp_forward(cfg, pg, token_ids)
-    elif arch in ("rnn", "lstm", "stack-rnn", "tape-rnn"):
-        logits = recurrent.recurrent_forward(cfg, pg, token_ids)
-    elif arch == "transformer":
-        logits = (transformer.transformer_forward(cfg, pg, token_ids)
-                  if mode == "parallel" else _step_route(cfg, pg, token_ids))
-    elif arch in ("recurrent-transformer", "feedback-transformer"):
-        logits = _step_route(cfg, pg, token_ids)
-    elif arch == "block-recurrent-transformer":
-        logits = transformer.block_recurrent_forward(cfg, pg, token_ids)
-    elif arch == "universal-transformer":
-        logits = transformer.universal_forward(
-            cfg, pg, token_ids, T_steps if T_steps is not None else cfg.max_halting_steps)
-    elif arch == "rwkv":
-        logits = (linear.rwkv_forward_parallel(cfg, pg, token_ids)
-                  if mode == "parallel" else _step_route(cfg, pg, token_ids))
-    elif arch == "linear-transformer":
-        logits = (linear.linear_forward_parallel(cfg, pg, token_ids)
-                  if mode == "parallel" else _step_route(cfg, pg, token_ids))
+    if arch in ("rnn", "lstm", "stack-rnn", "tape-rnn"):
+        logits = recurrent.recurrent_forward(cfg, pg, token_ids, positions)
+    elif arch == "transformer" and mode == "parallel":
+        logits = transformer.transformer_forward(cfg, pg, token_ids, positions)
     else:
-        raise ModelError(f"unknown arch {arch!r}")
+        logits = _every_position(cfg, pg, token_ids, mode, T_steps)
+        if positions is not None:
+            logits = [logits[p] for p in positions]
     return ForwardResult(logits=logits, pgraph=pg)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -146,4 +146,7 @@ def load_checkpoint(path) -> tuple:
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ModelError(f"unsupported checkpoint version {meta.get('version')}")
         params = {k: data[k] for k in data.files if k != "__meta__"}
+    unknown = set(meta["config"]) - {f.name for f in fields(ModelConfig)}
+    if unknown:
+        raise ModelError(f"unknown config keys {sorted(unknown)} in checkpoint")
     return ModelConfig(**meta["config"]), params, meta.get("extra", {})

@@ -196,9 +196,11 @@ STEP_FUNCS = {
 }
 
 
-def recurrent_forward(cfg, pg: ParamGraph, token_ids: np.ndarray) -> list:
+def recurrent_forward(cfg, pg: ParamGraph, token_ids: np.ndarray,
+                      positions: list | None = None) -> list:
     """Run any step-based RC model over a whole sequence, reading out logits
-    at every position."""
+    at ``positions`` (every position when None), in that order.  The
+    recurrence steps through every token either way."""
     token_ids = np.asarray(token_ids)
     batch, length = token_ids.shape
     if cfg.arch == "tape-rnn":
@@ -207,9 +209,11 @@ def recurrent_forward(cfg, pg: ParamGraph, token_ids: np.ndarray) -> list:
     else:
         init, step = STEP_FUNCS[cfg.arch]
         state = init(cfg, batch)
-    logits = []
+    wanted = range(length) if positions is None else set(positions)
+    logits = {}
     for t in range(length):
         x_t = embed_one(pg, token_ids[:, t], t, use_positional=False)
         h, state = step(cfg, pg, state, x_t)
-        logits.append(readout(pg, h))
-    return logits
+        if t in wanted:
+            logits[t] = readout(pg, h)
+    return [logits[t] for t in (range(length) if positions is None else positions)]

@@ -50,25 +50,33 @@ def attn_cell(cfg, pg: ParamGraph, prefix: str, h_t: Value, cache: list) -> Valu
 
 # -- standard transformer ---------------------------------------------------
 
-def transformer_forward(cfg, pg: ParamGraph, token_ids: np.ndarray) -> list:
+def transformer_forward(cfg, pg: ParamGraph, token_ids: np.ndarray,
+                        positions: list | None = None) -> list:
     """Batch route: per-layer whole-sequence projections, causal per-position
-    attention."""
-    xs = embed_tokens(pg, token_ids, cfg.use_positional)
-    length = len(xs)
-    hs = xs
+    attention.
+
+    Returns logits at ``positions`` (every position when None), in that order.
+    The last layer projects keys and values at every position, but its
+    per-query attention, residual, FFN and the readout run only at the
+    requested positions, with the same ops in the same order as the full route.
+    """
+    hs = dict(enumerate(embed_tokens(pg, token_ids, cfg.use_positional)))
+    length = len(hs)
+    kept = range(length) if positions is None else sorted(positions)
     for layer in range(cfg.n_layers):
         prefix = f"l{layer}"
-        stacked = T.concat([as_row(h) for h in hs], axis=1)        # (B, L, d)
+        queries = kept if layer == cfg.n_layers - 1 else range(length)
+        stacked = T.concat([as_row(hs[t]) for t in range(length)], axis=1)   # (B, L, d)
         normed = layer_norm(pg, f"{prefix}.ln1", stacked) if cfg.use_residual else stacked
         q_all = T.matmul(normed, pg[f"{prefix}.wq"])
         k_all = T.matmul(normed, pg[f"{prefix}.wk"])
         v_all = T.matmul(normed, pg[f"{prefix}.wv"])
-        qh = [split_heads(q_all.slice((slice(None), t)), cfg.n_heads) for t in range(length)]
+        qh = {t: split_heads(q_all.slice((slice(None), t)), cfg.n_heads) for t in queries}
         kh = [split_heads(k_all.slice((slice(None), t)), cfg.n_heads) for t in range(length)]
         vh = [[as_row(x) for x in split_heads(v_all.slice((slice(None), t)), cfg.n_heads)]
               for t in range(length)]
-        new_hs = []
-        for t in range(length):
+        new_hs = {}
+        for t in queries:
             heads = []
             for head in range(cfg.n_heads):
                 keys = [kh[j][head] for j in range(t + 1)]
@@ -81,9 +89,10 @@ def transformer_forward(cfg, pg: ParamGraph, token_ids: np.ndarray) -> list:
                             cfg.nonlin)
             else:
                 h = attn
-            new_hs.append(h)
+            new_hs[t] = h
         hs = new_hs
-    return [readout(pg, h) for h in hs]
+    logits = {t: readout(pg, hs[t]) for t in kept}
+    return [logits[t] for t in (kept if positions is None else positions)]
 
 
 def transformer_init(cfg, batch: int) -> dict:

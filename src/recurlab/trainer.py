@@ -124,9 +124,9 @@ def encode_batch(instances, vocab):
 
 
 def _loss_and_correct(cfg_model, params, batch, slots, vocab_size):
-    """Build the forward graph once; CE averaged over all slots, plus exact
-    per-row correctness of argmax decoding."""
-    res = model_forward(cfg_model, params, batch)
+    """Build the forward graph once, reading logits only at the batch's
+    placeholder positions; CE averaged over all slots, plus exact per-row
+    correctness of argmax decoding."""
     by_position: dict[int, np.ndarray] = {}
     total_slots = 0
     for row, (positions, targets) in enumerate(slots):
@@ -136,9 +136,12 @@ def _loss_and_correct(cfg_model, params, batch, slots, vocab_size):
             onehot[row, tgt] = 1.0
             total_slots += 1
 
+    order = sorted(by_position)
+    res = model_forward(cfg_model, params, batch, positions=order)
+    logits = dict(zip(order, res.logits))
     loss = None
     for pos, onehot in sorted(by_position.items()):
-        x = res.logits[pos]                               # (B, V)
+        x = logits[pos]                                   # (B, V)
         c = T.constant(x.data.max(axis=-1, keepdims=True))
         lse = T.log(T.exp(x - c).sum(axis=-1, keepdims=True)) + c
         term = ((lse - x) * T.constant(onehot)).sum()
@@ -147,7 +150,7 @@ def _loss_and_correct(cfg_model, params, batch, slots, vocab_size):
 
     correct = []
     for row, (positions, targets) in enumerate(slots):
-        preds = [int(np.argmax(res.logits[pos].data[row])) for pos in positions]
+        preds = [int(np.argmax(logits[pos].data[row])) for pos in positions]
         correct.append(preds == targets)
     return loss, res.pgraph, correct
 
@@ -201,12 +204,15 @@ def train(tc: TrainConfig, log=None) -> TrainResult:
         instances = _instance_batch(tc.task, rng, tc.train_lengths, tc.batch_size)
         batch, slots = encode_batch(instances, vocab)
         try:
-            loss, pgraph, correct = _loss_and_correct(model_cfg, params, batch,
-                                                      slots, len(vocab))
-            loss_val = float(loss.data)
-            if not np.isfinite(loss_val):
-                raise DivergenceError(step_i, last_finite, history)
-            T.backward(loss)
+            # a diverging step is reported by the graph's finite checks and the
+            # loss check below, not by numpy's overflow warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, pgraph, correct = _loss_and_correct(model_cfg, params, batch,
+                                                          slots, len(vocab))
+                loss_val = float(loss.data)
+                if not np.isfinite(loss_val):
+                    raise DivergenceError(step_i, last_finite, history)
+                T.backward(loss)
         except T.GraphOverflowError as exc:
             # the graph layer flags non-finite values before the loss does
             raise DivergenceError(step_i, last_finite, history) from exc
@@ -275,9 +281,11 @@ def evaluate(model_cfg: ModelConfig, params: dict, task: TaskId, length_range,
     correct = 0
     for group in by_len.values():
         batch, slots = encode_batch(group, vocab)
-        res = model_forward(model_cfg, params, batch)
+        order = sorted({pos for positions, _ in slots for pos in positions})
+        res = model_forward(model_cfg, params, batch, positions=order)
+        logits = dict(zip(order, res.logits))
         for row, (positions, targets) in enumerate(slots):
-            preds = [int(np.argmax(res.logits[pos].data[row])) for pos in positions]
+            preds = [int(np.argmax(logits[pos].data[row])) for pos in positions]
             correct += preds == targets
     return 100.0 * correct / n_instances
 

@@ -136,3 +136,10 @@ def test_dfa_serialization_round_trip():
     assert back.accepting == dfa.accepting
     assert back.delta == dfa.delta
     assert am.dfa_to_lines(back) == text
+
+
+@pytest.mark.parametrize("start,accepting", [(2, frozenset({0})), (0, frozenset({0, 5}))])
+def test_dfa_rejects_states_outside_range(start, accepting):
+    delta = {(q, s): q for q in range(2) for s in ("a", "b")}
+    with pytest.raises(am.AutomatonError):
+        am.Dfa(2, ("a", "b"), delta, start, accepting)

@@ -1,13 +1,16 @@
 """CLI wiring: subcommands, determinism, exit codes, structured errors."""
 
 import json
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from recurlab.cli import main
-from recurlab.llm_eval import build_prompt, prompt_key, protocol_instances
-from recurlab.tasks import TaskId, from_json_line
+from recurlab.llm_eval import EndpointConfig, build_prompt, prompt_key, protocol_instances
+from recurlab.models import ModelConfig, init_params
+from recurlab.tasks import TaskId, from_json_line, task_vocab
 
 
 @pytest.fixture
@@ -131,6 +134,19 @@ def test_train_honours_seed_flag_without_seed_key(runner, tmp_path):
     assert "best seed 7" in result.output
 
 
+def test_eval_checkpoint_with_unknown_config_key_exit_2(runner, tmp_path):
+    cfg = ModelConfig(arch="rnn", vocab_size=len(task_vocab(TaskId.PARITY_CHECK)), d_model=4)
+    meta = {"version": 1, "config": {**asdict(cfg), "mystery_knob": 1}, "extra": {}}
+    ckpt = tmp_path / "model.npz"
+    np.savez(ckpt, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             **init_params(cfg))
+    result = runner.invoke(main, ["eval", str(ckpt), "--task", "parity-check",
+                                  "--lengths", "2,3", "--count", "2"])
+    assert result.exit_code == 2
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"] == "validation" and "mystery_knob" in err["message"]
+
+
 def test_train_bad_config_exit_2(runner, tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(TRAIN_YAML + "mystery-knob: 1\n")
@@ -168,6 +184,24 @@ def test_llm_offline_replay(runner, tmp_path):
 def test_llm_missing_fixture_and_url_exit_2(runner):
     result = runner.invoke(main, ["llm", "--task", "sorting", "--mode", "cot"])
     assert result.exit_code == 2
+
+
+def test_llm_connection_error_retried_then_exit_4(runner, tmp_path, monkeypatch):
+    import requests
+    attempts = []
+
+    def refuse(*args, **kwargs):
+        attempts.append(args)
+        raise requests.ConnectionError("connection refused")
+    monkeypatch.setattr(requests, "post", refuse)
+    monkeypatch.setenv(EndpointConfig().api_key_env, "test-key")
+    result = runner.invoke(main, ["llm", "--task", "parity-check", "--mode", "direct",
+                                  "--count", "1", "--url", "http://localhost:9/v1",
+                                  "--out", str(tmp_path / "o")])
+    assert result.exit_code == 4
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"] == "network" and "connection refused" in err["message"]
+    assert len(attempts) == EndpointConfig().max_retries
 
 
 def test_llm_incomplete_fixture_is_validation_error(runner, tmp_path):

@@ -1,5 +1,8 @@
 """Architecture zoo basics: shapes, gradients, causality, config handling."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,48 @@ def test_forward_shapes(arch):
     for lg in res.logits:
         assert lg.shape == (3, VOCAB)
         assert np.all(np.isfinite(lg.data))
+
+
+@pytest.mark.parametrize("mode", ["parallel", "recurrent"])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_positions_match_full_forward(arch, mode):
+    """Logits at requested positions, in the order given, equal the full
+    forward's bit for bit."""
+    cfg = tiny_cfg(arch, d_model=8, n_layers=2, n_heads=2)
+    params = init_params(cfg)
+    toks = np.random.default_rng(2).integers(0, VOCAB, size=(3, 6))
+    full = model_forward(cfg, params, toks, mode=mode).logits
+    for positions in ([5], [0], [3, 1, 4], list(range(6))):
+        picked = model_forward(cfg, params, toks, mode=mode, positions=positions).logits
+        assert len(picked) == len(positions)
+        for p, lg in zip(positions, picked):
+            assert np.array_equal(lg.data, full[p].data), (positions, p)
+
+
+def _nodes_built(build) -> int:
+    start = T.constant(0).id
+    build()
+    return T.constant(0).id - start - 1
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+def test_transformer_positions_build_fewer_nodes(n_layers):
+    cfg = tiny_cfg("transformer", d_model=8, n_layers=n_layers, n_heads=2)
+    params = init_params(cfg)
+    toks = np.random.default_rng(2).integers(0, VOCAB, size=(2, 8))
+    full = _nodes_built(lambda: model_forward(cfg, params, toks))
+    last = _nodes_built(lambda: model_forward(cfg, params, toks, positions=[7]))
+    assert last < full
+
+
+@pytest.mark.parametrize("positions", [[4], [-1], [1, 1], [0.0], [True], 2],
+                         ids=["past-end", "negative", "duplicate", "float", "bool", "scalar"])
+def test_bad_positions_rejected(positions):
+    cfg = tiny_cfg("transformer")
+    params = init_params(cfg)
+    toks = np.array([[1, 2, 3, 4]])
+    with pytest.raises(ModelError):
+        model_forward(cfg, params, toks, positions=positions)
 
 
 @pytest.mark.parametrize("arch", ARCHS)
@@ -154,6 +199,16 @@ def test_checkpoint_round_trip(tmp_path):
     toks = np.array([[1, 2, 3]])
     np.testing.assert_array_equal(model_forward(cfg, params, toks).logits[-1].data,
                                   model_forward(cfg2, params2, toks).logits[-1].data)
+
+
+def test_checkpoint_unknown_config_key_is_model_error(tmp_path):
+    cfg = tiny_cfg("rnn")
+    meta = {"version": 1, "config": {**asdict(cfg), "mystery_knob": 1}, "extra": {}}
+    path = tmp_path / "model.npz"
+    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+             **init_params(cfg))
+    with pytest.raises(ModelError, match="mystery_knob"):
+        load_checkpoint(path)
 
 
 def test_init_deterministic_per_seed():
