@@ -18,13 +18,11 @@ from .common import ModelError, ParamGraph, embed_one, readout
 from .config import (ARCHS, TRANSFORMER_FAMILY, ModelConfig, init_params,
                      load_checkpoint, save_checkpoint)
 from . import linear, recurrent, transformer
-from .linear import NonFiniteStateError
 
 __all__ = [
-    "ARCHS", "TRANSFORMER_FAMILY", "ModelConfig", "ModelError",
-    "NonFiniteStateError", "ParamGraph", "ForwardResult", "init_params",
-    "save_checkpoint", "load_checkpoint", "model_forward", "init_state",
-    "step", "STEP_CAPABLE",
+    "ARCHS", "TRANSFORMER_FAMILY", "ModelConfig", "ModelError", "ParamGraph",
+    "ForwardResult", "init_params", "save_checkpoint", "load_checkpoint",
+    "model_forward", "init_state", "step", "STEP_CAPABLE",
 ]
 
 

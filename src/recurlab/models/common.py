@@ -4,10 +4,12 @@ Everything here builds on the ``tensor`` graph, one node per operation, so the
 profiler's counts reflect exactly what each architecture computes.  Sequences
 are handled either as one ``Value`` of shape (batch, length, d_model) or as a
 list of per-position ``Value``s of shape (batch, d_model).  Only the softmax
-Transformer materializes per-pair attention scores as individual nodes (one
-dot product per attended position, via ``attend_one_head``); its reductions go
-through concat+sum so the dependency depth of one attention call stays
-constant.
+Transformer's parallel route materializes per-pair attention scores as
+individual nodes (one dot product per attended position, via
+``attend_one_head``); its reductions go through concat+sum so the dependency
+depth of one attention call stays constant.  The cached step cell scores its
+whole KV cache in one node per head (``attend_cached``), so its node count
+does not grow with the cache.
 """
 
 from __future__ import annotations
@@ -115,6 +117,16 @@ def split_heads(x: Value, n_heads: int) -> list:
     return [x.slice((Ellipsis, slice(h * dh, (h + 1) * dh))) for h in range(n_heads)]
 
 
+def _mix_values(scores: Value, value_rows: list) -> Value:
+    """Softmax over (B, t) scores, then the weighted sum of the (B, 1, dh)
+    value rows -> (B, dh)."""
+    weights = T.softmax(scores)
+    stacked = T.concat(value_rows, axis=1)                   # (B, t, dh)
+    b, t = weights.shape
+    out = T.matmul(weights.reshape((b, 1, t)), stacked)      # (B, 1, dh)
+    return out.reshape((b, stacked.shape[-1]))
+
+
 def attend_one_head(q_t: Value, keys: list, values_r: list, scale: float | None) -> Value:
     """Softmax attention of one query over an explicit key list.
 
@@ -128,11 +140,25 @@ def attend_one_head(q_t: Value, keys: list, values_r: list, scale: float | None)
         if scale is not None:
             s = s * T.constant(scale)
         scores.append(s)
-    weights = T.softmax(T.concat(scores, axis=-1))           # (B, t)
-    stacked = T.concat(values_r, axis=1)                     # (B, t, dh)
-    b, t = weights.shape
-    out = T.matmul(weights.reshape((b, 1, t)), stacked)      # (B, 1, dh)
-    return out.reshape((b, stacked.shape[-1]))
+    return _mix_values(T.concat(scores, axis=-1), values_r)
+
+
+def attend_cached(q_t: Value, key_rows: list, value_rows: list,
+                  scale: float | None) -> Value:
+    """Softmax attention of one query over a KV cache, in a node count that
+    does not depend on the cache length.
+
+    ``key_rows`` and ``value_rows`` are the cached keys and values reshaped to
+    (B, 1, dh).  The keys are stacked once and every key is scored in one
+    broadcast product; the scores equal ``attend_one_head``'s element for
+    element.
+    """
+    keys = T.concat(key_rows, axis=1)                        # (B, t, dh)
+    b, _, dh = keys.shape
+    scores = (q_t.reshape((b, 1, dh)) * keys).sum(axis=-1)   # (B, t)
+    if scale is not None:
+        scores = scores * T.constant(scale)
+    return _mix_values(scores, value_rows)
 
 
 def as_row(v: Value) -> Value:

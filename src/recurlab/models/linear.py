@@ -21,14 +21,8 @@ import numpy as np
 
 from .. import tensor as T
 from ..tensor import Value
-from .common import (ModelError, ParamGraph, embed_one, embed_sequence, ffn,
-                     layer_norm, readout, split_heads, unstack)
-
-
-class NonFiniteStateError(ModelError):
-    def __init__(self, t: int):
-        super().__init__(f"non-finite accumulator state at step {t}")
-        self.t = t
+from .common import (ParamGraph, embed_one, embed_sequence, ffn, layer_norm, readout,
+                     split_heads, unstack)
 
 
 def _decay(pg: ParamGraph, prefix: str) -> Value:
@@ -77,7 +71,7 @@ def rwkv_attn_masked(cfg, pg: ParamGraph, prefix: str, x: Value) -> Value:
 
 
 def rwkv_attn_recurrent(cfg, pg: ParamGraph, prefix: str, ab, k_t: Value,
-                        v_t: Value, t: int) -> tuple:
+                        v_t: Value) -> tuple:
     """(a, b) carry the decayed numerator/denominator sums over positions < t;
     state size is constant in t."""
     w = _decay(pg, prefix)
@@ -92,9 +86,6 @@ def rwkv_attn_recurrent(cfg, pg: ParamGraph, prefix: str, ab, k_t: Value,
         h = (a + bonus * v_t) / (b + bonus)
         ek = T.exp(k_t)
         state = (z * a + ek * v_t, z * b + ek)
-    for s in state:
-        if not np.all(np.isfinite(s.data)):
-            raise NonFiniteStateError(t)
     return h, state
 
 
@@ -116,7 +107,7 @@ def rwkv_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tupl
         def attend(x, _prefix=prefix, _ab=state["layers"][layer]):
             out, ab = rwkv_attn_recurrent(cfg, pg, _prefix, _ab,
                                           T.matmul(x, pg[f"{_prefix}.wk"]),
-                                          T.matmul(x, pg[f"{_prefix}.wv"]), t)
+                                          T.matmul(x, pg[f"{_prefix}.wv"]))
             new_layers.append(ab)
             return out
 
@@ -157,7 +148,7 @@ def linear_attn_masked(cfg, pg: ParamGraph, prefix: str, x: Value) -> Value:
     return _concat_heads(heads)
 
 
-def linear_attn_recurrent(cfg, ab, pq: Value, pk: Value, v_t: Value, t: int) -> tuple:
+def linear_attn_recurrent(cfg, ab, pq: Value, pk: Value, v_t: Value) -> tuple:
     """a accumulates rank-1 outer products phi(k) v^T; b accumulates phi(k).
     The current token's contribution is folded in before the read-out, so the
     result covers positions 1..t."""
@@ -166,9 +157,6 @@ def linear_attn_recurrent(cfg, ab, pq: Value, pk: Value, v_t: Value, t: int) -> 
     a, b = ab
     a = outer if a is None else a + outer
     b = pk if b is None else b + pk
-    for s in (a, b):
-        if not np.all(np.isfinite(s.data)):
-            raise NonFiniteStateError(t)
     num = T.matmul(pq.reshape((batch, 1, dh)), a).reshape((batch, dh))
     den = (pq * b).sum(axis=-1, keepdims=True)
     return num / den, (a, b)
@@ -194,7 +182,7 @@ def linear_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tu
         def attend(x, _prefix=prefix, _abs=state["layers"][layer]):
             heads, new_abs = [], []
             for ab, q, k, v in zip(_abs, *_linear_layer_heads(cfg, pg, _prefix, x)):
-                out, ab = linear_attn_recurrent(cfg, ab, q, k, v, t)
+                out, ab = linear_attn_recurrent(cfg, ab, q, k, v)
                 heads.append(out)
                 new_abs.append(ab)
             new_layers.append(new_abs)

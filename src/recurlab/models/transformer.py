@@ -4,6 +4,10 @@ universal.
 The standard model has two routes: a batch forward (whole-sequence weight
 multiplications) and a cached step decoder (per-token, KV cache).  They share
 the attention math but not the op order, so their agreement is a real check.
+The batch forward builds one score node per (query, key) pair, which is the
+O(n^2) node count the profiler measures; the cached cell (``attn_cell``,
+shared by the step decoder and the recurrent, block and universal variants)
+scores the whole cache in one node per head.
 """
 
 from __future__ import annotations
@@ -12,8 +16,9 @@ import numpy as np
 
 from .. import tensor as T
 from ..tensor import Value
-from .common import (ModelError, ParamGraph, as_row, attend_one_head, embed_one,
-                     embed_tokens, ffn, layer_norm, readout, scale_for, split_heads)
+from .common import (ModelError, ParamGraph, as_row, attend_cached, attend_one_head,
+                     embed_one, embed_tokens, ffn, layer_norm, readout, scale_for,
+                     split_heads)
 
 
 def _layer_cache(cfg) -> list:
@@ -28,7 +33,8 @@ def _copy_cache(cache: list) -> list:
 
 def attn_cell(cfg, pg: ParamGraph, prefix: str, h_t: Value, cache: list) -> Value:
     """One attention layer at one position; appends this position's key/value
-    to ``cache`` and returns the layer output."""
+    rows to ``cache`` and returns the layer output.  The node count does not
+    depend on how many positions the cache holds."""
     x = layer_norm(pg, f"{prefix}.ln1", h_t) if cfg.use_residual else h_t
     q = T.matmul(x, pg[f"{prefix}.wq"])
     k = T.matmul(x, pg[f"{prefix}.wk"])
@@ -37,10 +43,10 @@ def attn_cell(cfg, pg: ParamGraph, prefix: str, h_t: Value, cache: list) -> Valu
     for head, (qh, kh, vh) in enumerate(zip(split_heads(q, cfg.n_heads),
                                             split_heads(k, cfg.n_heads),
                                             split_heads(v, cfg.n_heads))):
-        cache[head]["k"].append(kh)
+        cache[head]["k"].append(as_row(kh))
         cache[head]["v"].append(as_row(vh))
-        heads.append(attend_one_head(qh, cache[head]["k"], cache[head]["v"],
-                                     scale_for(cfg)))
+        heads.append(attend_cached(qh, cache[head]["k"], cache[head]["v"],
+                                   scale_for(cfg)))
     attn = heads[0] if len(heads) == 1 else T.concat(heads, axis=-1)
     if not cfg.use_residual:
         return attn
@@ -188,28 +194,6 @@ def block_recurrent_forward(cfg, pg: ParamGraph, token_ids: np.ndarray,
             logits.append(readout(pg, h))
         carry = h
     return logits
-
-
-def block_recurrent_step(cfg, pg: ParamGraph, carry: Value | None,
-                         block_token_ids: np.ndarray, start: int) -> tuple:
-    """One block as a unit step: returns block logits and the new carry."""
-    xs = embed_tokens_offset(pg, block_token_ids, start, cfg.use_positional)
-    caches = [_layer_cache(cfg) for _ in range(cfg.n_layers)]
-    logits = []
-    h = None
-    for x in xs:
-        h = x if carry is None else x + carry
-        for layer in range(cfg.n_layers):
-            h = attn_cell(cfg, pg, f"l{layer}", h, caches[layer])
-        logits.append(readout(pg, h))
-    return logits, h
-
-
-def embed_tokens_offset(pg: ParamGraph, token_ids: np.ndarray, start: int,
-                        use_positional: bool) -> list:
-    token_ids = np.asarray(token_ids)
-    return [embed_one(pg, token_ids[:, t], start + t, use_positional)
-            for t in range(token_ids.shape[1])]
 
 
 # -- universal transformer --------------------------------------------------

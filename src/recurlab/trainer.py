@@ -221,8 +221,14 @@ def train(tc: TrainConfig, log=None) -> TrainResult:
 
         if step_i % tc.eval_every == 0 or step_i == tc.max_steps:
             train_acc = 100.0 * sum(correct) / len(correct)
-            test_acc = evaluate(model_cfg, params, tc.task, tc.test_lengths,
-                                tc.n_eval, seed=tc.seed + 1)
+            try:
+                # the update may have overflowed the parameters, and this is
+                # the first graph to read them
+                with np.errstate(over="ignore", invalid="ignore"):
+                    test_acc = evaluate(model_cfg, params, tc.task, tc.test_lengths,
+                                        tc.n_eval, seed=tc.seed + 1)
+            except T.GraphOverflowError as exc:
+                raise DivergenceError(step_i, last_finite, history) from exc
             m = Metrics(step_i, loss_val, train_acc, test_acc, tc.seed)
             history.append(m)
             if log is not None:

@@ -11,6 +11,7 @@ from recurlab.models import (ARCHS, STEP_CAPABLE, ModelConfig, ModelError,
                              ParamGraph, init_params, init_state,
                              load_checkpoint, model_forward, save_checkpoint,
                              step)
+from recurlab.models.common import as_row, attend_cached, attend_one_head
 
 VOCAB = 9
 
@@ -83,6 +84,36 @@ def test_bad_positions_rejected(positions):
     toks = np.array([[1, 2, 3, 4]])
     with pytest.raises(ModelError):
         model_forward(cfg, params, toks, positions=positions)
+
+
+@pytest.mark.parametrize("scale", [None, 0.35])
+@pytest.mark.parametrize("t", [1, 6])
+def test_attend_cached_matches_attend_one_head(t, scale):
+    """Scoring the stacked cache in one node gives the per-pair route's
+    attention output bit for bit."""
+    rng = np.random.default_rng(t)
+    b, dh = 3, 4
+    q = T.parameter(rng.normal(size=(b, dh)))
+    keys = [T.parameter(rng.normal(size=(b, dh))) for _ in range(t)]
+    values = [T.parameter(rng.normal(size=(b, 1, dh))) for _ in range(t)]
+    per_pair = attend_one_head(q, keys, values, scale)
+    cached = attend_cached(q, [as_row(k) for k in keys], values, scale)
+    assert cached.shape == (b, dh)
+    assert np.array_equal(cached.data, per_pair.data)
+
+
+@pytest.mark.parametrize("arch", ["transformer", "recurrent-transformer"])
+def test_cached_step_nodes_constant_in_cache_length(arch):
+    cfg = tiny_cfg(arch, d_model=8, n_layers=2, n_heads=2)
+    pg = ParamGraph(init_params(cfg))
+    toks = np.random.default_rng(3).integers(0, VOCAB, size=(2, 41))
+    state = init_state(cfg, pg, 2)
+    built = []
+    for t in range(41):
+        start = T.constant(0).id
+        _, state = step(cfg, pg, state, toks[:, t])
+        built.append(T.constant(0).id - start - 1)
+    assert built[8] == built[40], (built[8], built[40])
 
 
 @pytest.mark.parametrize("arch", ARCHS)

@@ -151,6 +151,19 @@ def test_ri_parallel_ops_affine_flops_superlinear():
         assert len({p.depth for p in ps}) == 1, arch
 
 
+def test_cached_attention_ops_affine_flops_superlinear():
+    """The cached attention cell scores its whole KV cache in one node per
+    head, so the step-built Transformers add the same number of nodes per
+    token; attending over a longer cache still shows in flops."""
+    ns = np.array([8, 16, 32, 64])
+    for arch in ("recurrent-transformer", "universal-transformer"):
+        ps = depths_over(arch, ns, n_heads=2)
+        ops_slopes = np.diff([p.total_ops for p in ps]) / np.diff(ns)
+        flops_slopes = np.diff([p.flops for p in ps]) / np.diff(ns)
+        assert len(set(ops_slopes)) == 1, (arch, ops_slopes)
+        assert np.all(np.diff(flops_slopes) > 0), (arch, flops_slopes)
+
+
 # -- fits -------------------------------------------------------------------
 
 def test_fit_constant():

@@ -183,6 +183,21 @@ def test_divergence_raises_with_last_finite_step():
     assert exc_info.value.step > exc_info.value.last_finite_step
 
 
+def test_overflow_in_closing_evaluate_is_divergence():
+    # the update after a finite step overflows the parameters, so the first
+    # graph to see them is the evaluate that closes the step; best_of_seeds
+    # must count that seed as diverged and go on to the next one
+    tc = parity_tc(optimizer="sgd", lr=1e6, grad_clip=None, eval_every=1,
+                   n_seeds=2,
+                   model=ModelConfig(arch="rnn", vocab_size=len(PARITY_VOCAB),
+                                     d_model=8, nonlin="relu"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TrainerError, match="all 2 seed runs diverged"):
+            best_of_seeds(tc)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 # -- evaluation -------------------------------------------------------------
 
 def oracle_predictor(task):
