@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..tensor import graph_scope
 from .common import ModelError, ParamGraph, embed_one, readout
 from .config import (ARCHS, TRANSFORMER_FAMILY, ModelConfig, init_params,
                      load_checkpoint, save_checkpoint)
@@ -137,6 +138,7 @@ def _every_position(cfg, pg, token_ids, mode, T_steps) -> list:
     raise ModelError(f"unknown arch {arch!r}")
 
 
+@graph_scope()
 def model_forward(cfg: ModelConfig, params: dict, token_ids: np.ndarray,
                   mode: str = "parallel", T_steps: int | None = None,
                   positions=None) -> ForwardResult:

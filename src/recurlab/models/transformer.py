@@ -158,10 +158,12 @@ def feedback_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> 
         q = T.matmul(x, pg[f"{prefix}.wq"])
         ks = [T.matmul(m, pg[f"{prefix}.wk"]) for m in sources]
         vs = [T.matmul(m, pg[f"{prefix}.wv"]) for m in sources]
+        kh = [split_heads(k, cfg.n_heads) for k in ks]
+        vh = [[as_row(part) for part in split_heads(v, cfg.n_heads)] for v in vs]
         heads = []
         for head, q_h in enumerate(split_heads(q, cfg.n_heads)):
-            keys = [split_heads(k, cfg.n_heads)[head] for k in ks]
-            vals = [as_row(split_heads(v, cfg.n_heads)[head]) for v in vs]
+            keys = [k[head] for k in kh]
+            vals = [v[head] for v in vh]
             heads.append(attend_one_head(q_h, keys, vals, scale_for(cfg)))
         attn = heads[0] if len(heads) == 1 else T.concat(heads, axis=-1)
         if cfg.use_residual:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Value
+from .tensor import Value, graph_scope, topo_nodes
 
 _LEAF_KINDS = frozenset({"input", "parameter"})
 
@@ -76,32 +76,25 @@ def graph_profile(sinks: list, n: int, arch: str) -> DepthProfile:
     sinks = [s for s in sinks if isinstance(s, Value)]
     if not sinks:
         raise ProfilerError("no sink nodes to profile")
-    seen: dict[int, Value] = {}
-    stack = list(sinks)
-    while stack:
-        v = stack.pop()
-        if v.id in seen:
-            continue
-        seen[v.id] = v
-        stack.extend(v.parents)
-    # node ids are globally monotonic, so parents always precede children
+    # topo_nodes orders by id, and ids are globally monotonic, so parents
+    # always precede children
     depth: dict[int, int] = {}
     total_ops = 0
     flops = 0
     max_depth = 0
-    for node_id in sorted(seen):
-        v = seen[node_id]
+    for v in topo_nodes(*sinks):
         if v.op_kind in _LEAF_KINDS:
-            depth[node_id] = 0
+            depth[v.id] = 0
             continue
         d = 1 + max((depth[p.id] for p in v.parents), default=0)
-        depth[node_id] = d
+        depth[v.id] = d
         total_ops += 1
         flops += _node_flops(v)
         max_depth = max(max_depth, d)
     return DepthProfile(total_ops=total_ops, depth=max_depth, n=n, arch=arch, flops=flops)
 
 
+@graph_scope()
 def profile(config, params, token_ids, mode: str = "parallel",
             T_steps: int | None = None) -> DepthProfile:
     """Build one forward graph for ``token_ids`` and measure it end to end

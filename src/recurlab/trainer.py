@@ -187,6 +187,10 @@ class _Optimizer:
 
 # -- train/evaluate ---------------------------------------------------------
 
+# one scope for the whole run, so every step's loss and backward and the
+# closing evaluates share it; a diverging step is reported by the graph's
+# finite checks and the loss check, not by numpy's overflow warnings
+@T.graph_scope()
 def train(tc: TrainConfig, log=None) -> TrainResult:
     vocab = task_vocab(tc.task)
     model_cfg = replace(tc.model, seed=tc.seed)
@@ -204,15 +208,12 @@ def train(tc: TrainConfig, log=None) -> TrainResult:
         instances = _instance_batch(tc.task, rng, tc.train_lengths, tc.batch_size)
         batch, slots = encode_batch(instances, vocab)
         try:
-            # a diverging step is reported by the graph's finite checks and the
-            # loss check below, not by numpy's overflow warnings
-            with np.errstate(over="ignore", invalid="ignore"):
-                loss, pgraph, correct = _loss_and_correct(model_cfg, params, batch,
-                                                          slots, len(vocab))
-                loss_val = float(loss.data)
-                if not np.isfinite(loss_val):
-                    raise DivergenceError(step_i, last_finite, history)
-                T.backward(loss)
+            loss, pgraph, correct = _loss_and_correct(model_cfg, params, batch,
+                                                      slots, len(vocab))
+            loss_val = float(loss.data)
+            if not np.isfinite(loss_val):
+                raise DivergenceError(step_i, last_finite, history)
+            T.backward(loss)
         except T.GraphOverflowError as exc:
             # the graph layer flags non-finite values before the loss does
             raise DivergenceError(step_i, last_finite, history) from exc
@@ -224,9 +225,8 @@ def train(tc: TrainConfig, log=None) -> TrainResult:
             try:
                 # the update may have overflowed the parameters, and this is
                 # the first graph to read them
-                with np.errstate(over="ignore", invalid="ignore"):
-                    test_acc = evaluate(model_cfg, params, tc.task, tc.test_lengths,
-                                        tc.n_eval, seed=tc.seed + 1)
+                test_acc = evaluate(model_cfg, params, tc.task, tc.test_lengths,
+                                    tc.n_eval, seed=tc.seed + 1)
             except T.GraphOverflowError as exc:
                 raise DivergenceError(step_i, last_finite, history) from exc
             m = Metrics(step_i, loss_val, train_acc, test_acc, tc.seed)

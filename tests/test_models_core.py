@@ -116,6 +116,22 @@ def test_cached_step_nodes_constant_in_cache_length(arch):
     assert built[8] == built[40], (built[8], built[40])
 
 
+def test_feedback_step_builds_only_read_nodes():
+    cfg = tiny_cfg("feedback-transformer", d_model=16, n_layers=2, n_heads=2)
+    pg = ParamGraph(init_params(cfg))
+    toks = np.random.default_rng(5).integers(0, VOCAB, size=(2, 4))
+    state = init_state(cfg, pg, 2)
+    for t in range(3):
+        _, state = step(cfg, pg, state, toks[:, t])
+    start = T.constant(0).id
+    logits, state = step(cfg, pg, state, toks[:, 3])
+    end = T.constant(0).id
+    reachable = {v.id for v in T.topo_nodes(logits, *state["memory"])}
+    unread = [i for i in range(start + 1, end) if i not in reachable]
+    assert end - start - 1 > 100
+    assert not unread, f"{len(unread)} of {end - start - 1} nodes unread"
+
+
 @pytest.mark.parametrize("arch", ARCHS)
 def test_gradients_match_finite_differences(arch):
     """Central differences, eps 1e-5, on a sample of coordinates of every

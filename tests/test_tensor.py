@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,8 +32,11 @@ def test_shape_mismatch_names_op_and_shapes():
 
 
 def test_nonfinite_output_raises_overflow():
-    with pytest.raises(T.GraphOverflowError):
-        T.exp(T.constant([1000.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(T.GraphOverflowError) as err:
+            T.exp(T.constant([1000.0]))
+    assert err.value.op_kind == "exp"
 
 
 def test_log_of_zero_raises_overflow_with_node_id():
