@@ -6,6 +6,9 @@ for every architecture that supports it; states are plain value-semantic
 containers (tuples/lists/dicts of graph Values), so a state can be kept, the
 model resumed from it later, and the results are bit-identical to an
 uninterrupted run.
+
+One step registry, ``_STEP_API``, holds every architecture's step form; the
+step API and every token-at-a-time route of ``model_forward`` go through it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..tensor import graph_scope
-from .common import ModelError, ParamGraph, embed_one, readout
+from .common import ModelError, ParamGraph, readout
 from .config import (ARCHS, TRANSFORMER_FAMILY, ModelConfig, init_params,
                      load_checkpoint, save_checkpoint)
 from . import linear, recurrent, transformer
@@ -33,45 +36,23 @@ class ForwardResult:
     pgraph: ParamGraph    # parameter nodes of this graph, for .grads()
 
 
-# -- uniform step API -------------------------------------------------------
-# Wrapped states carry the position counter; the inner layout is per-arch.
-
-def _rc_init(inner_init):
-    def init(cfg, pg, batch, length=None):
-        if cfg.arch == "tape-rnn":
-            if length is None:
-                raise ModelError("tape-rnn needs the sequence length up front")
-            inner = recurrent.tape_rnn_init(cfg, batch, length + cfg.tape_extra_cells)
-        else:
-            inner = inner_init(cfg, batch)
-        return {"t": 0, "inner": inner}
-    return init
-
-
-def _rc_step(inner_step):
-    def do_step(cfg, pg, state, token_ids_t):
-        t = state["t"]
-        x_t = embed_one(pg, token_ids_t, t, use_positional=False)
-        h, inner = inner_step(cfg, pg, state["inner"], x_t)
-        return readout(pg, h), {"t": t + 1, "inner": inner}
-    return do_step
-
-
-def _plain(init_fn, step_fn):
-    return (lambda cfg, pg, batch, length=None: init_fn(cfg, batch), step_fn)
-
+# -- one step registry -------------------------------------------------------
+# arch -> (init(cfg, batch, length) -> state,
+#          cell(cfg, pg, state, token_ids_t) -> (top hidden, new state)).
+# Only tape-rnn's init reads ``length``, which sizes its tape.  ``step`` adds
+# the readout; ``_step_route`` drives a cell over a sequence.
 
 _STEP_API = {
-    "rnn": (_rc_init(recurrent.rnn_init), _rc_step(recurrent.rnn_step)),
-    "lstm": (_rc_init(recurrent.lstm_init), _rc_step(recurrent.lstm_step)),
-    "stack-rnn": (_rc_init(recurrent.stack_rnn_init), _rc_step(recurrent.stack_rnn_step)),
-    "tape-rnn": (_rc_init(recurrent.tape_rnn_init), _rc_step(recurrent.tape_rnn_step)),
-    "transformer": _plain(transformer.transformer_init, transformer.transformer_step),
-    "recurrent-transformer": _plain(transformer.recurrent_transformer_init,
-                                    transformer.recurrent_transformer_step),
-    "feedback-transformer": _plain(transformer.feedback_init, transformer.feedback_step),
-    "rwkv": _plain(linear.rwkv_init, linear.rwkv_step),
-    "linear-transformer": _plain(linear.linear_init, linear.linear_step),
+    "rnn": (recurrent.rnn_init, recurrent.rnn_step),
+    "lstm": (recurrent.rnn_init, recurrent.lstm_step),
+    "stack-rnn": (recurrent.stack_rnn_init, recurrent.stack_rnn_step),
+    "tape-rnn": (recurrent.tape_rnn_init, recurrent.tape_rnn_step),
+    "transformer": (transformer.transformer_init, transformer.transformer_step),
+    "recurrent-transformer": (transformer.recurrent_transformer_init,
+                              transformer.recurrent_transformer_step),
+    "feedback-transformer": (transformer.feedback_init, transformer.feedback_step),
+    "rwkv": (linear.rwkv_init, linear.rwkv_step),
+    "linear-transformer": (linear.linear_init, linear.linear_step),
 }
 
 STEP_CAPABLE = frozenset(_STEP_API)
@@ -80,24 +61,29 @@ STEP_CAPABLE = frozenset(_STEP_API)
 def init_state(cfg: ModelConfig, pg: ParamGraph, batch: int, length: int | None = None):
     if cfg.arch not in _STEP_API:
         raise ModelError(f"{cfg.arch} has no token-level step form")
-    return _STEP_API[cfg.arch][0](cfg, pg, batch, length)
+    return _STEP_API[cfg.arch][0](cfg, batch, length)
 
 
 def step(cfg: ModelConfig, pg: ParamGraph, state, token_ids_t: np.ndarray):
     """Consume one token per sequence; returns (logits, new_state).  The input
     state is not mutated, so any retained copy stays resumable."""
-    return _STEP_API[cfg.arch][1](cfg, pg, state, np.asarray(token_ids_t))
+    h, state = _STEP_API[cfg.arch][1](cfg, pg, state, np.asarray(token_ids_t))
+    return readout(pg, h), state
 
 
-def _step_route(cfg, pg, token_ids) -> list:
-    token_ids = np.asarray(token_ids)
+def _step_route(cfg, pg, token_ids, positions) -> list:
+    """Step through every token, reading out logits only at ``positions``
+    (every position when None), in that order."""
     batch, length = token_ids.shape
+    cell = _STEP_API[cfg.arch][1]
     state = init_state(cfg, pg, batch, length)
-    logits = []
+    wanted = range(length) if positions is None else set(positions)
+    logits = {}
     for t in range(length):
-        out, state = step(cfg, pg, state, token_ids[:, t])
-        logits.append(out)
-    return logits
+        h, state = cell(cfg, pg, state, token_ids[:, t])
+        if t in wanted:
+            logits[t] = readout(pg, h)
+    return [logits[t] for t in (range(length) if positions is None else positions)]
 
 
 # -- whole-sequence forward -------------------------------------------------
@@ -117,25 +103,22 @@ def _check_positions(positions, length: int) -> list:
     return [int(p) for p in positions]
 
 
-def _every_position(cfg, pg, token_ids, mode, T_steps) -> list:
-    """Routes that build logits at every position whatever is read."""
-    arch = cfg.arch
-    if arch == "mlp":
-        return recurrent.mlp_forward(cfg, pg, token_ids)
-    if arch in ("transformer", "recurrent-transformer", "feedback-transformer"):
-        return _step_route(cfg, pg, token_ids)
-    if arch == "block-recurrent-transformer":
-        return transformer.block_recurrent_forward(cfg, pg, token_ids)
-    if arch == "universal-transformer":
-        return transformer.universal_forward(
-            cfg, pg, token_ids, T_steps if T_steps is not None else cfg.max_halting_steps)
-    if arch == "rwkv":
-        return (linear.rwkv_forward_parallel(cfg, pg, token_ids)
-                if mode == "parallel" else _step_route(cfg, pg, token_ids))
-    if arch == "linear-transformer":
-        return (linear.linear_forward_parallel(cfg, pg, token_ids)
-                if mode == "parallel" else _step_route(cfg, pg, token_ids))
-    raise ModelError(f"unknown arch {arch!r}")
+# Whole-sequence routes, (cfg, pg, token_ids, T_steps) -> logits at every
+# position.  An arch listed here and in the step registry uses this route in
+# parallel mode; the parallel Transformer, which reads ``positions``, is the
+# one route outside both tables.
+_SEQUENCE_ROUTES = {
+    "mlp": lambda cfg, pg, ids, T_steps: recurrent.mlp_forward(cfg, pg, ids),
+    "block-recurrent-transformer":
+        lambda cfg, pg, ids, T_steps: transformer.block_recurrent_forward(cfg, pg, ids),
+    "universal-transformer":
+        lambda cfg, pg, ids, T_steps: transformer.universal_forward(
+            cfg, pg, ids, cfg.max_halting_steps if T_steps is None else T_steps),
+    "rwkv": lambda cfg, pg, ids, T_steps: linear.parallel_forward(
+        cfg, pg, ids, linear.rwkv_attn_masked),
+    "linear-transformer": lambda cfg, pg, ids, T_steps: linear.parallel_forward(
+        cfg, pg, ids, linear.linear_attn_masked),
+}
 
 
 @graph_scope()
@@ -155,7 +138,7 @@ def model_forward(cfg: ModelConfig, params: dict, token_ids: np.ndarray,
     [0, L) returns one logits Value per requested position, in the order
     given, with values bit-identical to the full forward's at those positions.
     The Transformer's parallel route then runs its last layer's per-query
-    work and the readout only there, and the RNN-family routes read out only
+    work and the readout only there, and every step route reads out only
     there; every other route builds all positions and picks the requested
     ones.
     """
@@ -169,12 +152,12 @@ def model_forward(cfg: ModelConfig, params: dict, token_ids: np.ndarray,
     pg = ParamGraph(params)
     arch = cfg.arch
 
-    if arch in ("rnn", "lstm", "stack-rnn", "tape-rnn"):
-        logits = recurrent.recurrent_forward(cfg, pg, token_ids, positions)
-    elif arch == "transformer" and mode == "parallel":
+    if arch == "transformer" and mode == "parallel":
         logits = transformer.transformer_forward(cfg, pg, token_ids, positions)
+    elif arch in _STEP_API and (mode == "recurrent" or arch not in _SEQUENCE_ROUTES):
+        logits = _step_route(cfg, pg, token_ids, positions)
     else:
-        logits = _every_position(cfg, pg, token_ids, mode, T_steps)
+        logits = _SEQUENCE_ROUTES[arch](cfg, pg, token_ids, T_steps)
         if positions is not None:
             logits = [logits[p] for p in positions]
     return ForwardResult(logits=logits, pgraph=pg)

@@ -10,6 +10,12 @@ individual nodes (one dot product per attended position, via
 depth of one attention call stays constant.  The cached step cell scores its
 whole KV cache in one node per head (``attend_cached``), so its node count
 does not grow with the cache.
+
+Every cached, step or masked-parallel layer is one ``residual_block``:
+LN -> attention -> residual -> LN -> FFN -> residual, with the attention
+passed in as a closure.  The softmax Transformer's parallel route keeps its
+own layer loop, since it runs LN1 once on the whole sequence but the residual
+per query.
 """
 
 from __future__ import annotations
@@ -107,6 +113,15 @@ def ffn(pg: ParamGraph, prefix: str, x: Value, nonlin: str) -> Value:
     return T.matmul(hidden, pg[prefix + ".w2"]) + pg[prefix + ".b2"]
 
 
+def residual_block(cfg, pg: ParamGraph, prefix: str, h: Value, attend) -> Value:
+    """LN -> ``attend`` -> residual -> LN -> FFN -> residual, on (B, d) or
+    (B, L, d); without residuals the layer is ``attend`` alone."""
+    if not cfg.use_residual:
+        return attend(h)
+    h = h + attend(layer_norm(pg, f"{prefix}.ln1", h))
+    return h + ffn(pg, f"{prefix}.ffn", layer_norm(pg, f"{prefix}.ln2", h), cfg.nonlin)
+
+
 def split_heads(x: Value, n_heads: int) -> list:
     d = x.shape[-1]
     if d % n_heads:
@@ -115,6 +130,10 @@ def split_heads(x: Value, n_heads: int) -> list:
     if n_heads == 1:
         return [x]
     return [x.slice((Ellipsis, slice(h * dh, (h + 1) * dh))) for h in range(n_heads)]
+
+
+def concat_heads(heads: list) -> Value:
+    return heads[0] if len(heads) == 1 else T.concat(heads, axis=-1)
 
 
 def _mix_values(scores: Value, value_rows: list) -> Value:

@@ -21,8 +21,8 @@ import numpy as np
 
 from .. import tensor as T
 from ..tensor import Value
-from .common import (ParamGraph, embed_one, embed_sequence, ffn, layer_norm, readout,
-                     split_heads, unstack)
+from .common import (ParamGraph, concat_heads, embed_one, embed_sequence, readout,
+                     residual_block, split_heads, unstack)
 
 
 def _decay(pg: ParamGraph, prefix: str) -> Value:
@@ -30,22 +30,14 @@ def _decay(pg: ParamGraph, prefix: str) -> Value:
     return T.nonlinearity(pg[f"{prefix}.w_raw"], "elu_plus_one")
 
 
-def _layer(cfg, pg: ParamGraph, prefix: str, h: Value, attend) -> Value:
-    """LN -> ``attend`` -> residual -> LN -> FFN -> residual, on (B, d) or
-    (B, L, d); without residuals the layer is ``attend`` alone."""
-    if not cfg.use_residual:
-        return attend(h)
-    h = h + attend(layer_norm(pg, f"{prefix}.ln1", h))
-    return h + ffn(pg, f"{prefix}.ffn", layer_norm(pg, f"{prefix}.ln2", h), cfg.nonlin)
-
-
-def _parallel_forward(cfg, pg: ParamGraph, token_ids: np.ndarray, attend) -> list:
+def parallel_forward(cfg, pg: ParamGraph, token_ids: np.ndarray, attend) -> list:
     """Whole-sequence route: each layer runs once on (B, L, d); the readout is
     sliced into one (B, vocab) logits Value per position."""
     h = embed_sequence(pg, token_ids, cfg.use_positional)
     for layer in range(cfg.n_layers):
         prefix = f"l{layer}"
-        h = _layer(cfg, pg, prefix, h, lambda x, _prefix=prefix: attend(cfg, pg, _prefix, x))
+        h = residual_block(cfg, pg, prefix, h,
+                           lambda x, _prefix=prefix: attend(cfg, pg, _prefix, x))
     return unstack(readout(pg, h))
 
 
@@ -89,11 +81,7 @@ def rwkv_attn_recurrent(cfg, pg: ParamGraph, prefix: str, ab, k_t: Value,
     return h, state
 
 
-def rwkv_forward_parallel(cfg, pg: ParamGraph, token_ids: np.ndarray) -> list:
-    return _parallel_forward(cfg, pg, token_ids, rwkv_attn_masked)
-
-
-def rwkv_init(cfg, batch: int) -> dict:
+def rwkv_init(cfg, batch: int, length: int | None) -> dict:
     return {"t": 0, "layers": [(None, None) for _ in range(cfg.n_layers)]}
 
 
@@ -111,8 +99,8 @@ def rwkv_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tupl
             new_layers.append(ab)
             return out
 
-        h = _layer(cfg, pg, prefix, h, attend)
-    return readout(pg, h), {"t": t + 1, "layers": new_layers}
+        h = residual_block(cfg, pg, prefix, h, attend)
+    return h, {"t": t + 1, "layers": new_layers}
 
 
 # -- linear transformer -----------------------------------------------------
@@ -129,10 +117,6 @@ def _linear_layer_heads(cfg, pg, prefix, x):
             split_heads(v, cfg.n_heads))
 
 
-def _concat_heads(heads: list) -> Value:
-    return heads[0] if len(heads) == 1 else T.concat(heads, axis=-1)
-
-
 def linear_attn_masked(cfg, pg: ParamGraph, prefix: str, x: Value) -> Value:
     """sum_i (phi(q_t).phi(k_i)) v_i / sum_i phi(q_t).phi(k_i), i = 1..t, for
     every t at once: per head, the (B, L, L) scores phi(Q) phi(K)^T times a
@@ -145,7 +129,7 @@ def linear_attn_masked(cfg, pg: ParamGraph, prefix: str, x: Value) -> Value:
         scores = (q.reshape((batch, length, 1, dh)) * k.reshape((batch, 1, length, dh))
                   ).sum(axis=-1) * causal
         heads.append(T.matmul(scores, v) / scores.sum(axis=-1, keepdims=True))
-    return _concat_heads(heads)
+    return concat_heads(heads)
 
 
 def linear_attn_recurrent(cfg, ab, pq: Value, pk: Value, v_t: Value) -> tuple:
@@ -162,11 +146,7 @@ def linear_attn_recurrent(cfg, ab, pq: Value, pk: Value, v_t: Value) -> tuple:
     return num / den, (a, b)
 
 
-def linear_forward_parallel(cfg, pg: ParamGraph, token_ids: np.ndarray) -> list:
-    return _parallel_forward(cfg, pg, token_ids, linear_attn_masked)
-
-
-def linear_init(cfg, batch: int) -> dict:
+def linear_init(cfg, batch: int, length: int | None) -> dict:
     return {"t": 0,
             "layers": [[(None, None) for _ in range(cfg.n_heads)]
                        for _ in range(cfg.n_layers)]}
@@ -186,7 +166,7 @@ def linear_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tu
                 heads.append(out)
                 new_abs.append(ab)
             new_layers.append(new_abs)
-            return _concat_heads(heads)
+            return concat_heads(heads)
 
-        h = _layer(cfg, pg, prefix, h, attend)
-    return readout(pg, h), {"t": t + 1, "layers": new_layers}
+        h = residual_block(cfg, pg, prefix, h, attend)
+    return h, {"t": t + 1, "layers": new_layers}

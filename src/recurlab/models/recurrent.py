@@ -2,7 +2,8 @@
 
 All step functions are pure in (params, state, input): state objects hold
 per-position graph Values and can be saved, shipped across threads and
-resumed; re-running the same steps rebuilds bit-identical data.
+resumed; re-running the same steps rebuilds bit-identical data.  Each step
+embeds its token without positional encoding: the recurrence carries order.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import numpy as np
 
 from .. import tensor as T
 from ..tensor import Value
-from .common import ModelError, ParamGraph, as_row, embed_one, readout
+from .common import ModelError, ParamGraph, as_row, readout
 
 
 def _zeros(batch: int, d: int) -> Value:
@@ -38,13 +39,14 @@ def mlp_forward(cfg, pg: ParamGraph, token_ids: np.ndarray) -> list:
 
 # -- plain RNN --------------------------------------------------------------
 
-def rnn_init(cfg, batch: int) -> list:
+def rnn_init(cfg, batch: int, length: int | None) -> list:
     return [None] * cfg.n_layers  # lazy zeros, created at first step
 
 
-def rnn_step(cfg, pg: ParamGraph, state: list, x_t: Value) -> tuple:
+def rnn_step(cfg, pg: ParamGraph, state: list, token_ids_t: np.ndarray) -> tuple:
     """h_t = sigma(W1 h_{t-1} + W2 x_t + b), stacked over layers; layer i+1
     consumes layer i's hidden at the same step."""
+    x_t = T.take_rows(pg["embed"], token_ids_t)
     new_state = []
     inp = x_t
     for layer in range(cfg.n_layers):
@@ -61,11 +63,8 @@ def rnn_step(cfg, pg: ParamGraph, state: list, x_t: Value) -> tuple:
 
 # -- LSTM -------------------------------------------------------------------
 
-def lstm_init(cfg, batch: int) -> list:
-    return [None] * cfg.n_layers
-
-
-def lstm_step(cfg, pg: ParamGraph, state: list, x_t: Value) -> tuple:
+def lstm_step(cfg, pg: ParamGraph, state: list, token_ids_t: np.ndarray) -> tuple:
+    x_t = T.take_rows(pg["embed"], token_ids_t)
     d = cfg.d_model
     new_state = []
     inp = x_t
@@ -92,11 +91,12 @@ def lstm_step(cfg, pg: ParamGraph, state: list, x_t: Value) -> tuple:
 # controller emits a simplex over {push, pop, no-op}; the stack update is the
 # convex superposition of the three hard updates.
 
-def stack_rnn_init(cfg, batch: int) -> dict:
+def stack_rnn_init(cfg, batch: int, length: int | None) -> dict:
     return {"h": None, "stack": []}
 
 
-def stack_rnn_step(cfg, pg: ParamGraph, state: dict, x_t: Value) -> tuple:
+def stack_rnn_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:
+    x_t = T.take_rows(pg["embed"], token_ids_t)
     batch, d = x_t.shape[0], cfg.d_model
     h_prev = state["h"] if state["h"] is not None else _zeros(batch, d)
     stack = state["stack"]
@@ -127,7 +127,10 @@ def stack_rnn_step(cfg, pg: ParamGraph, state: dict, x_t: Value) -> tuple:
 # the write vector into cells by head mass; moves shift the head distribution
 # with boundary clamping (shifted-out mass stays at the edge cell).
 
-def tape_rnn_init(cfg, batch: int, tape_len: int) -> dict:
+def tape_rnn_init(cfg, batch: int, length: int | None) -> dict:
+    if length is None:
+        raise ModelError("tape-rnn needs the sequence length up front")
+    tape_len = length + cfg.tape_extra_cells
     return {"h": None, "tape": [None] * tape_len, "head": None, "len": tape_len}
 
 
@@ -147,7 +150,8 @@ def _shift_head(p: Value, direction: int) -> Value:
     return body + p * T.constant(edge_mask)
 
 
-def tape_rnn_step(cfg, pg: ParamGraph, state: dict, x_t: Value) -> tuple:
+def tape_rnn_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:
+    x_t = T.take_rows(pg["embed"], token_ids_t)
     batch, d = x_t.shape[0], cfg.d_model
     length = state["len"]
     h_prev = state["h"] if state["h"] is not None else _zeros(batch, d)
@@ -158,7 +162,9 @@ def tape_rnn_step(cfg, pg: ParamGraph, state: dict, x_t: Value) -> tuple:
         head = T.constant(start)
     tape = [c if c is not None else _zeros(batch, d) for c in state["tape"]]
 
-    read = stacked_read(head, tape)
+    # expected cell under the head distribution: (B, 1, C) x (B, C, d)
+    stacked = T.concat([as_row(c) for c in tape], axis=1)
+    read = T.matmul(head.reshape((batch, 1, length)), stacked).reshape((batch, d))
     pre = T.matmul(h_prev, pg["w1"]) + T.matmul(x_t, pg["w2"]) + T.matmul(read, pg["w3"]) \
         + pg["b"]
     h = T.nonlinearity(pre, cfg.nonlin)
@@ -177,43 +183,3 @@ def tape_rnn_step(cfg, pg: ParamGraph, state: dict, x_t: Value) -> tuple:
     new_head = m_left * _shift_head(head, -1) + m_stay * head \
         + m_right * _shift_head(head, +1)
     return h, {"h": h, "tape": new_tape, "head": new_head, "len": length}
-
-
-def stacked_read(head: Value, tape: list) -> Value:
-    """Expected cell under the head distribution: head (B, C) x tape C*(B, d)."""
-    batch, length = head.shape
-    stacked = T.concat([as_row(c) for c in tape], axis=1)   # (B, C, d)
-    out = T.matmul(head.reshape((batch, 1, length)), stacked)
-    return out.reshape((batch, stacked.shape[-1]))
-
-
-# -- shared sequence driver -------------------------------------------------
-
-STEP_FUNCS = {
-    "rnn": (rnn_init, rnn_step),
-    "lstm": (lstm_init, lstm_step),
-    "stack-rnn": (stack_rnn_init, stack_rnn_step),
-}
-
-
-def recurrent_forward(cfg, pg: ParamGraph, token_ids: np.ndarray,
-                      positions: list | None = None) -> list:
-    """Run any step-based RC model over a whole sequence, reading out logits
-    at ``positions`` (every position when None), in that order.  The
-    recurrence steps through every token either way."""
-    token_ids = np.asarray(token_ids)
-    batch, length = token_ids.shape
-    if cfg.arch == "tape-rnn":
-        state = tape_rnn_init(cfg, batch, length + cfg.tape_extra_cells)
-        step = tape_rnn_step
-    else:
-        init, step = STEP_FUNCS[cfg.arch]
-        state = init(cfg, batch)
-    wanted = range(length) if positions is None else set(positions)
-    logits = {}
-    for t in range(length):
-        x_t = embed_one(pg, token_ids[:, t], t, use_positional=False)
-        h, state = step(cfg, pg, state, x_t)
-        if t in wanted:
-            logits[t] = readout(pg, h)
-    return [logits[t] for t in (range(length) if positions is None else positions)]

@@ -17,8 +17,8 @@ import numpy as np
 from .. import tensor as T
 from ..tensor import Value
 from .common import (ModelError, ParamGraph, as_row, attend_cached, attend_one_head,
-                     embed_one, embed_tokens, ffn, layer_norm, readout, scale_for,
-                     split_heads)
+                     concat_heads, embed_one, embed_tokens, ffn, layer_norm, readout,
+                     residual_block, scale_for, split_heads)
 
 
 def _layer_cache(cfg) -> list:
@@ -35,23 +35,21 @@ def attn_cell(cfg, pg: ParamGraph, prefix: str, h_t: Value, cache: list) -> Valu
     """One attention layer at one position; appends this position's key/value
     rows to ``cache`` and returns the layer output.  The node count does not
     depend on how many positions the cache holds."""
-    x = layer_norm(pg, f"{prefix}.ln1", h_t) if cfg.use_residual else h_t
-    q = T.matmul(x, pg[f"{prefix}.wq"])
-    k = T.matmul(x, pg[f"{prefix}.wk"])
-    v = T.matmul(x, pg[f"{prefix}.wv"])
-    heads = []
-    for head, (qh, kh, vh) in enumerate(zip(split_heads(q, cfg.n_heads),
-                                            split_heads(k, cfg.n_heads),
-                                            split_heads(v, cfg.n_heads))):
-        cache[head]["k"].append(as_row(kh))
-        cache[head]["v"].append(as_row(vh))
-        heads.append(attend_cached(qh, cache[head]["k"], cache[head]["v"],
-                                   scale_for(cfg)))
-    attn = heads[0] if len(heads) == 1 else T.concat(heads, axis=-1)
-    if not cfg.use_residual:
-        return attn
-    h = h_t + attn
-    return h + ffn(pg, f"{prefix}.ffn", layer_norm(pg, f"{prefix}.ln2", h), cfg.nonlin)
+    def attend(x):
+        q = T.matmul(x, pg[f"{prefix}.wq"])
+        k = T.matmul(x, pg[f"{prefix}.wk"])
+        v = T.matmul(x, pg[f"{prefix}.wv"])
+        heads = []
+        for head, (qh, kh, vh) in enumerate(zip(split_heads(q, cfg.n_heads),
+                                                split_heads(k, cfg.n_heads),
+                                                split_heads(v, cfg.n_heads))):
+            cache[head]["k"].append(as_row(kh))
+            cache[head]["v"].append(as_row(vh))
+            heads.append(attend_cached(qh, cache[head]["k"], cache[head]["v"],
+                                       scale_for(cfg)))
+        return concat_heads(heads)
+
+    return residual_block(cfg, pg, prefix, h_t, attend)
 
 
 # -- standard transformer ---------------------------------------------------
@@ -88,7 +86,7 @@ def transformer_forward(cfg, pg: ParamGraph, token_ids: np.ndarray,
                 keys = [kh[j][head] for j in range(t + 1)]
                 vals = [vh[j][head] for j in range(t + 1)]
                 heads.append(attend_one_head(qh[t][head], keys, vals, scale_for(cfg)))
-            attn = heads[0] if len(heads) == 1 else T.concat(heads, axis=-1)
+            attn = concat_heads(heads)
             if cfg.use_residual:
                 h = hs[t] + attn
                 h = h + ffn(pg, f"{prefix}.ffn", layer_norm(pg, f"{prefix}.ln2", h),
@@ -101,12 +99,13 @@ def transformer_forward(cfg, pg: ParamGraph, token_ids: np.ndarray,
     return [logits[t] for t in (kept if positions is None else positions)]
 
 
-def transformer_init(cfg, batch: int) -> dict:
+def transformer_init(cfg, batch: int, length: int | None) -> dict:
     return {"t": 0, "layers": [_layer_cache(cfg) for _ in range(cfg.n_layers)]}
 
 
 def transformer_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:
-    """Cached step route; ``state['t']`` must equal tokens already consumed."""
+    """Cached step cell, returning the top hidden and the new state;
+    ``state['t']`` must equal tokens already consumed."""
     t = state["t"]
     consumed = len(state["layers"][0][0]["k"])
     if consumed != t:
@@ -115,13 +114,12 @@ def transformer_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) 
     layers = [_copy_cache(c) for c in state["layers"]]
     for layer in range(cfg.n_layers):
         h = attn_cell(cfg, pg, f"l{layer}", h, layers[layer])
-    state = {"t": t + 1, "layers": layers}
-    return readout(pg, h), state
+    return h, {"t": t + 1, "layers": layers}
 
 
 # -- standard recurrent transformer -----------------------------------------
 
-def recurrent_transformer_init(cfg, batch: int) -> dict:
+def recurrent_transformer_init(cfg, batch: int, length: int | None) -> dict:
     return {"t": 0, "h_top": None, "layers": [_layer_cache(cfg) for _ in range(cfg.n_layers)]}
 
 
@@ -135,13 +133,12 @@ def recurrent_transformer_step(cfg, pg: ParamGraph, state: dict,
     layers = [_copy_cache(c) for c in state["layers"]]
     for layer in range(cfg.n_layers):
         h = attn_cell(cfg, pg, f"l{layer}", h, layers[layer])
-    state = {"t": t + 1, "h_top": h, "layers": layers}
-    return readout(pg, h), state
+    return h, {"t": t + 1, "h_top": h, "layers": layers}
 
 
 # -- feedback transformer ---------------------------------------------------
 
-def feedback_init(cfg, batch: int) -> dict:
+def feedback_init(cfg, batch: int, length: int | None) -> dict:
     return {"t": 0, "memory": []}
 
 
@@ -153,38 +150,36 @@ def feedback_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> 
     h = embed_one(pg, token_ids_t, t, cfg.use_positional)
     for layer in range(cfg.n_layers):
         prefix = f"l{layer}"
-        x = layer_norm(pg, f"{prefix}.ln1", h) if cfg.use_residual else h
-        sources = memory + [x]
-        q = T.matmul(x, pg[f"{prefix}.wq"])
-        ks = [T.matmul(m, pg[f"{prefix}.wk"]) for m in sources]
-        vs = [T.matmul(m, pg[f"{prefix}.wv"]) for m in sources]
-        kh = [split_heads(k, cfg.n_heads) for k in ks]
-        vh = [[as_row(part) for part in split_heads(v, cfg.n_heads)] for v in vs]
-        heads = []
-        for head, q_h in enumerate(split_heads(q, cfg.n_heads)):
-            keys = [k[head] for k in kh]
-            vals = [v[head] for v in vh]
-            heads.append(attend_one_head(q_h, keys, vals, scale_for(cfg)))
-        attn = heads[0] if len(heads) == 1 else T.concat(heads, axis=-1)
-        if cfg.use_residual:
-            h = h + attn
-            h = h + ffn(pg, f"{prefix}.ffn", layer_norm(pg, f"{prefix}.ln2", h), cfg.nonlin)
-        else:
-            h = attn
+
+        def attend(x):
+            sources = memory + [x]
+            q = T.matmul(x, pg[f"{prefix}.wq"])
+            ks = [T.matmul(m, pg[f"{prefix}.wk"]) for m in sources]
+            vs = [T.matmul(m, pg[f"{prefix}.wv"]) for m in sources]
+            kh = [split_heads(k, cfg.n_heads) for k in ks]
+            vh = [[as_row(part) for part in split_heads(v, cfg.n_heads)] for v in vs]
+            heads = []
+            for head, q_h in enumerate(split_heads(q, cfg.n_heads)):
+                keys = [k[head] for k in kh]
+                vals = [v[head] for v in vh]
+                heads.append(attend_one_head(q_h, keys, vals, scale_for(cfg)))
+            return concat_heads(heads)
+
+        h = residual_block(cfg, pg, prefix, h, attend)
     memory = memory + [h]
     if cfg.feedback_window is not None:
         memory = memory[-cfg.feedback_window:]
-    return readout(pg, h), {"t": t + 1, "memory": memory}
+    return h, {"t": t + 1, "memory": memory}
 
 
 # -- block recurrent transformer --------------------------------------------
 
-def block_recurrent_forward(cfg, pg: ParamGraph, token_ids: np.ndarray,
-                            carry: Value | None = None) -> list:
+def block_recurrent_forward(cfg, pg: ParamGraph, token_ids: np.ndarray) -> list:
     """Attention strictly within blocks of ``cfg.block_size`` tokens; the last
     top hidden of a block is added to every embedding of the next block."""
     xs = embed_tokens(pg, token_ids, cfg.use_positional)
     logits = []
+    carry = None
     for start in range(0, len(xs), cfg.block_size):
         block = xs[start:start + cfg.block_size]
         caches = [_layer_cache(cfg) for _ in range(cfg.n_layers)]

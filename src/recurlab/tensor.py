@@ -278,8 +278,15 @@ def mul(a: Value, b: Value) -> Value:
                         lambda x, y, g: g * x)
 
 
+def _divide(x, y):
+    # x/0 and 0/0 yield inf/nan; the node's finite check then raises
+    # GraphOverflowError with this node's id
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(x, y)
+
+
 def divide(a: Value, b: Value) -> Value:
-    return _elementwise("divide", a, b, np.divide,
+    return _elementwise("divide", a, b, _divide,
                         lambda x, y, g: g / y,
                         lambda x, y, g: -g * x / (y * y))
 
@@ -311,20 +318,10 @@ def matmul(a: Value, b: Value) -> Value:
             ga = ga[..., 0, :]
         if b1:
             gb = gb[..., :, 0]
-        _accumulate(a, _reduce_to(ga, a.shape))
-        _accumulate(b, _reduce_to(gb, b.shape))
+        _accumulate(a, _unbroadcast(ga, a.shape))
+        _accumulate(b, _unbroadcast(gb, b.shape))
 
     return Value(data, "matmul", (a, b), bwd)
-
-
-def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Collapse broadcast batch axes of a matmul gradient down to ``shape``."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for i, (gs, ss) in enumerate(zip(g.shape, shape)):
-        if ss == 1 and gs != 1:
-            g = g.sum(axis=i, keepdims=True)
-    return g.reshape(shape)
 
 
 def exp(a: Value) -> Value:

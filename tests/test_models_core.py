@@ -66,13 +66,19 @@ def _nodes_built(build) -> int:
     return T.constant(0).id - start - 1
 
 
-@pytest.mark.parametrize("n_layers", [1, 2])
-def test_transformer_positions_build_fewer_nodes(n_layers):
-    cfg = tiny_cfg("transformer", d_model=8, n_layers=n_layers, n_heads=2)
+@pytest.mark.parametrize(
+    "arch, mode, n_layers",
+    [pytest.param("transformer", "parallel", n, id=str(n)) for n in (1, 2)]
+    + [pytest.param(arch, "recurrent", 2, id=f"{arch}-recurrent")
+       for arch in sorted(STEP_CAPABLE)])
+def test_transformer_positions_build_fewer_nodes(arch, mode, n_layers):
+    """The parallel Transformer and every step route build less when asked
+    for the last position only."""
+    cfg = tiny_cfg(arch, d_model=8, n_layers=n_layers, n_heads=2)
     params = init_params(cfg)
     toks = np.random.default_rng(2).integers(0, VOCAB, size=(2, 8))
-    full = _nodes_built(lambda: model_forward(cfg, params, toks))
-    last = _nodes_built(lambda: model_forward(cfg, params, toks, positions=[7]))
+    full = _nodes_built(lambda: model_forward(cfg, params, toks, mode=mode))
+    last = _nodes_built(lambda: model_forward(cfg, params, toks, mode=mode, positions=[7]))
     assert last < full
 
 

@@ -45,6 +45,20 @@ def test_log_of_zero_raises_overflow_with_node_id():
     assert err.value.op_kind == "log" and err.value.node_id >= 0
 
 
+@pytest.mark.parametrize("scoped", [False, True], ids=["bare", "in-scope"])
+@pytest.mark.parametrize("numerator", [1.0, 0.0], ids=["x/0", "0/0"])
+def test_divide_by_zero_raises_overflow(numerator, scoped):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(T.GraphOverflowError) as err:
+            if scoped:
+                with T.graph_scope():
+                    T.constant([numerator]) / T.constant([0.0])
+            else:
+                T.constant([numerator]) / T.constant([0.0])
+    assert err.value.op_kind == "divide"
+
+
 def test_backward_sum():
     x = T.constant([1.0, 2.0, 3.0])
     T.backward(x.sum())
