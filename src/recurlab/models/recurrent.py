@@ -12,7 +12,7 @@ import numpy as np
 
 from .. import tensor as T
 from ..tensor import Value
-from .common import ModelError, ParamGraph, as_row, readout
+from .common import ModelError, ParamGraph, readout
 
 
 def _zeros(batch: int, d: int) -> Value:
@@ -87,51 +87,55 @@ def lstm_step(cfg, pg: ParamGraph, state: list, token_ids_t: np.ndarray) -> tupl
 
 
 # -- stack-augmented RNN ----------------------------------------------------
-# One controller cell plus a soft stack of vectors (top = slot 0).  The
-# controller emits a simplex over {push, pop, no-op}; the stack update is the
-# convex superposition of the three hard updates.
+# One controller cell plus a soft stack, held as one (B, S, d) Value with the
+# top at slot 0.  The controller emits a simplex over {push, pop, no-op}; the
+# new stack is the convex blend of the three hard updates, each a shifted
+# concat of the whole stack, so a step builds the same nodes at every depth.
+# The stack grows one (zero) slot per step, so a push never drops a cell.
 
 def stack_rnn_init(cfg, batch: int, length: int | None) -> dict:
-    return {"h": None, "stack": []}
+    return {"h": _zeros(batch, cfg.d_model),
+            "stack": T.constant(np.zeros((batch, 1, cfg.d_model)))}
 
 
 def stack_rnn_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:
     x_t = T.take_rows(pg["embed"], token_ids_t)
     batch, d = x_t.shape[0], cfg.d_model
-    h_prev = state["h"] if state["h"] is not None else _zeros(batch, d)
     stack = state["stack"]
-    zero = _zeros(batch, d)
-    top = stack[0] if stack else zero
+    top = stack.slice((slice(None), 0))
 
-    pre = T.matmul(h_prev, pg["w1"]) + T.matmul(x_t, pg["w2"]) + T.matmul(top, pg["w3"]) \
-        + pg["b"]
+    pre = T.matmul(state["h"], pg["w1"]) + T.matmul(x_t, pg["w2"]) \
+        + T.matmul(top, pg["w3"]) + pg["b"]
     h = T.nonlinearity(pre, cfg.nonlin)
     action = T.softmax(T.matmul(h, pg["wa"]) + pg["ba"])  # (B, 3): push, pop, noop
-    p_push = action.slice((Ellipsis, slice(0, 1)))
-    p_pop = action.slice((Ellipsis, slice(1, 2)))
-    p_noop = action.slice((Ellipsis, slice(2, 3)))
+    # (B, 1, 1) each, to scale every slot of the stack
+    p_push, p_pop, p_noop = (action.slice((slice(None), slice(i, i + 1), None))
+                             for i in range(3))
     v = T.nonlinearity(T.matmul(h, pg["wv"]) + pg["bv"], cfg.nonlin)
 
-    old = list(stack) + [zero]  # one extra slot to grow into
-    new_stack = []
-    for i in range(len(stack) + 1):
-        pushed = v if i == 0 else old[i - 1]
-        popped = old[i + 1] if i + 1 < len(old) else zero
-        kept = old[i]
-        new_stack.append(p_push * pushed + p_pop * popped + p_noop * kept)
-    return h, {"h": h, "stack": new_stack}
+    zero = T.constant(np.zeros((batch, 1, d)))
+    pushed = T.concat([v.reshape((batch, 1, d)), stack], axis=1)
+    popped = T.concat([stack.slice((slice(None), slice(1, None))), zero, zero], axis=1)
+    kept = T.concat([stack, zero], axis=1)
+    return h, {"h": h, "stack": p_push * pushed + p_pop * popped + p_noop * kept}
 
 
 # -- tape-augmented RNN -----------------------------------------------------
-# Soft tape of n + c vector cells with a soft head distribution.  Writes blend
-# the write vector into cells by head mass; moves shift the head distribution
-# with boundary clamping (shifted-out mass stays at the edge cell).
+# Soft tape of n + c vector cells, held as one (B, C, d) Value, with a soft
+# head distribution over the cells.  A read is the head-weighted sum of the
+# cells; a write blends the write vector into every cell by its head mass.
+# Moves shift the head distribution with boundary clamping (shifted-out mass
+# stays at the edge cell).
 
 def tape_rnn_init(cfg, batch: int, length: int | None) -> dict:
     if length is None:
         raise ModelError("tape-rnn needs the sequence length up front")
-    tape_len = length + cfg.tape_extra_cells
-    return {"h": None, "tape": [None] * tape_len, "head": None, "len": tape_len}
+    cells = length + cfg.tape_extra_cells
+    head = np.zeros((batch, cells))
+    head[:, 0] = 1.0
+    return {"h": _zeros(batch, cfg.d_model),
+            "tape": T.constant(np.zeros((batch, cells, cfg.d_model))),
+            "head": T.constant(head)}
 
 
 def _shift_head(p: Value, direction: int) -> Value:
@@ -153,33 +157,20 @@ def _shift_head(p: Value, direction: int) -> Value:
 def tape_rnn_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:
     x_t = T.take_rows(pg["embed"], token_ids_t)
     batch, d = x_t.shape[0], cfg.d_model
-    length = state["len"]
-    h_prev = state["h"] if state["h"] is not None else _zeros(batch, d)
-    head = state["head"]
-    if head is None:
-        start = np.zeros((batch, length))
-        start[:, 0] = 1.0
-        head = T.constant(start)
-    tape = [c if c is not None else _zeros(batch, d) for c in state["tape"]]
+    tape, head = state["tape"], state["head"]
+    cells = tape.shape[1]
 
     # expected cell under the head distribution: (B, 1, C) x (B, C, d)
-    stacked = T.concat([as_row(c) for c in tape], axis=1)
-    read = T.matmul(head.reshape((batch, 1, length)), stacked).reshape((batch, d))
-    pre = T.matmul(h_prev, pg["w1"]) + T.matmul(x_t, pg["w2"]) + T.matmul(read, pg["w3"]) \
-        + pg["b"]
+    read = T.matmul(head.reshape((batch, 1, cells)), tape).reshape((batch, d))
+    pre = T.matmul(state["h"], pg["w1"]) + T.matmul(x_t, pg["w2"]) \
+        + T.matmul(read, pg["w3"]) + pg["b"]
     h = T.nonlinearity(pre, cfg.nonlin)
     write = T.nonlinearity(T.matmul(h, pg["ww"]) + pg["bw"], cfg.nonlin)
     move = T.softmax(T.matmul(h, pg["wm"]) + pg["bm"])  # (B, 3): left, stay, right
 
-    new_tape = []
-    for i in range(length):
-        p_i = head.slice((Ellipsis, slice(i, i + 1)))    # (B, 1)
-        one_minus = T.constant(np.ones((batch, 1))) - p_i
-        new_tape.append(one_minus * tape[i] + p_i * write)
-
-    m_left = move.slice((Ellipsis, slice(0, 1)))
-    m_stay = move.slice((Ellipsis, slice(1, 2)))
-    m_right = move.slice((Ellipsis, slice(2, 3)))
+    p = head.reshape((batch, cells, 1))
+    new_tape = (T.constant(1.0) - p) * tape + p * write.reshape((batch, 1, d))
+    m_left, m_stay, m_right = (move.slice((Ellipsis, slice(i, i + 1))) for i in range(3))
     new_head = m_left * _shift_head(head, -1) + m_stay * head \
         + m_right * _shift_head(head, +1)
-    return h, {"h": h, "tape": new_tape, "head": new_head, "len": length}
+    return h, {"h": h, "tape": new_tape, "head": new_head}
