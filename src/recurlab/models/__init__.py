@@ -58,7 +58,7 @@ _STEP_API = {
 STEP_CAPABLE = frozenset(_STEP_API)
 
 
-def init_state(cfg: ModelConfig, pg: ParamGraph, batch: int, length: int | None = None):
+def init_state(cfg: ModelConfig, batch: int, length: int | None = None):
     if cfg.arch not in _STEP_API:
         raise ModelError(f"{cfg.arch} has no token-level step form")
     return _STEP_API[cfg.arch][0](cfg, batch, length)
@@ -76,7 +76,7 @@ def _step_route(cfg, pg, token_ids, positions) -> list:
     (every position when None), in that order."""
     batch, length = token_ids.shape
     cell = _STEP_API[cfg.arch][1]
-    state = init_state(cfg, pg, batch, length)
+    state = init_state(cfg, batch, length)
     wanted = range(length) if positions is None else set(positions)
     logits = {}
     for t in range(length):

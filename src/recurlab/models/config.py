@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import asdict, dataclass, fields
 

@@ -1,9 +1,9 @@
 """Recurrence-complete baselines: MLP, RNN, LSTM, and memory-augmented RNNs.
 
 All step functions are pure in (params, state, input): state objects hold
-per-position graph Values and can be saved, shipped across threads and
-resumed; re-running the same steps rebuilds bit-identical data.  Each step
-embeds its token without positional encoding: the recurrence carries order.
+graph Values and can be saved, shipped across threads and resumed; re-running
+the same steps rebuilds bit-identical data.  Each step embeds its token
+without positional encoding: the recurrence carries order.
 """
 
 from __future__ import annotations

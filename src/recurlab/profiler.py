@@ -46,8 +46,8 @@ class DepthProfile:
 
 @dataclass(frozen=True)
 class ComplexityFit:
-    class_label: str          # constant | linear | linear_over_k
-    slope: float
+    class_label: str          # constant | linear | linear_over_k | quadratic
+    slope: float              # leading coefficient: of n, ceil(n/k) or n²
     intercept: float
     r_squared: float
 
@@ -105,22 +105,26 @@ def profile(config, params, token_ids, mode: str = "parallel",
     return graph_profile(result.logits, n=int(token_ids.shape[1]), arch=config.arch)
 
 
-def _least_squares(xs: np.ndarray, ys: np.ndarray) -> tuple:
-    slope, intercept = np.polyfit(xs, ys, 1)
-    pred = slope * xs + intercept
+def _least_squares(xs: np.ndarray, ys: np.ndarray, degree: int = 1) -> tuple:
+    """(leading coefficient, constant term, r²) of a polynomial fit."""
+    coef = np.polyfit(xs, ys, degree)
+    pred = np.polyval(coef, xs)
     ss_res = float(np.sum((ys - pred) ** 2))
     ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return float(slope), float(intercept), r2
+    return float(coef[0]), float(coef[-1]), r2
 
 
 def fit_complexity(samples, k: int | None = None) -> ComplexityFit:
-    """Classify (n, depth) samples as constant, linear, or linear in n/k.
+    """Classify (n, y) samples as constant, linear, linear in n/k, or
+    quadratic.
 
     ``constant`` means the fitted slope is within 1e-9 of zero (which for
     integer depths means the values are exactly flat).  With ``k`` given, the
     samples are refit against ceil(n/k); if that fit reaches r-squared above
-    0.999 the label is ``linear_over_k``.
+    0.999 the label is ``linear_over_k``.  ``quadratic`` needs a fit of
+    [n², n, 1] with r-squared above 0.999 and a positive n² coefficient, and
+    slopes per token that rise strictly from each sample to the next.
     """
     pairs = sorted(set((int(n), float(y)) for n, y in samples))
     if len({n for n, _ in pairs}) < 4:
@@ -135,6 +139,11 @@ def fit_complexity(samples, k: int | None = None) -> ComplexityFit:
         slope_k, intercept_k, r2_k = _least_squares(xk, ys)
         if r2_k > 0.999 and r2_k >= r2 - 1e-9:
             return ComplexityFit("linear_over_k", slope_k, intercept_k, r2_k)
+    a, c, r2_q = _least_squares(xs, ys, degree=2)
+    # slopes per token are undefined where n repeats
+    rising = len(set(xs)) == len(xs) and np.all(np.diff(np.diff(ys) / np.diff(xs)) > 0)
+    if r2_q > 0.999 and a > 0 and rising:
+        return ComplexityFit("quadratic", a, c, r2_q)
     return ComplexityFit("linear", slope, intercept, r2)
 
 

@@ -288,14 +288,14 @@ def test_criterion_8_prefix_state_resume(arch):
         toks = rng.integers(0, 9, size=(1, n))
 
         pg = ParamGraph(params)
-        state = init_state(cfg, pg, 1, length=n)
+        state = init_state(cfg, 1, length=n)
         straight = []
         for t in range(n):
             out, state = step(cfg, pg, state, toks[:, t])
             straight.append(out.data)
 
         pg2 = ParamGraph(params)
-        state = init_state(cfg, pg2, 1, length=n)
+        state = init_state(cfg, 1, length=n)
         for t in range(j):
             out, state = step(cfg, pg2, state, toks[:, t])
         for t in range(j, n):

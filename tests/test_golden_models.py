@@ -62,7 +62,7 @@ def golden_digests() -> dict:
     for arch in sorted(STEP_CAPABLE):
         cfg = _cfg(arch, "d8-l2-h2")
         pg = ParamGraph(init_params(cfg))
-        state = init_state(cfg, pg, toks.shape[0], length=toks.shape[1])
+        state = init_state(cfg, toks.shape[0], length=toks.shape[1])
         outs = []
         for t in range(toks.shape[1]):
             out, state = step(cfg, pg, state, toks[:, t])

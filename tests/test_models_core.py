@@ -108,25 +108,31 @@ def test_attend_cached_matches_attend_one_head(t, scale):
     assert np.array_equal(cached.data, per_pair.data)
 
 
-@pytest.mark.parametrize("arch", ["transformer", "recurrent-transformer"])
+@pytest.mark.parametrize("arch", ["transformer", "recurrent-transformer",
+                                  "stack-rnn", "tape-rnn"])
 def test_cached_step_nodes_constant_in_cache_length(arch):
+    """The last step of a length-9 and of a length-41 run build the same
+    number of nodes: a KV cache of 9 or 41 entries, a stack 9 or 41 slots
+    deep, or a tape sized for 9 or 41 tokens is read and updated whole."""
     cfg = tiny_cfg(arch, d_model=8, n_layers=2, n_heads=2)
     pg = ParamGraph(init_params(cfg))
     toks = np.random.default_rng(3).integers(0, VOCAB, size=(2, 41))
-    state = init_state(cfg, pg, 2)
-    built = []
-    for t in range(41):
-        start = T.constant(0).id
-        _, state = step(cfg, pg, state, toks[:, t])
-        built.append(T.constant(0).id - start - 1)
-    assert built[8] == built[40], (built[8], built[40])
+
+    def last_step_nodes(length):
+        state = init_state(cfg, 2, length=length)
+        for t in range(length):
+            start = T.constant(0).id
+            _, state = step(cfg, pg, state, toks[:, t])
+        return T.constant(0).id - start - 1
+
+    assert last_step_nodes(9) == last_step_nodes(41)
 
 
 def test_feedback_step_builds_only_read_nodes():
     cfg = tiny_cfg("feedback-transformer", d_model=16, n_layers=2, n_heads=2)
     pg = ParamGraph(init_params(cfg))
     toks = np.random.default_rng(5).integers(0, VOCAB, size=(2, 4))
-    state = init_state(cfg, pg, 2)
+    state = init_state(cfg, 2)
     for t in range(3):
         _, state = step(cfg, pg, state, toks[:, t])
     start = T.constant(0).id
@@ -227,7 +233,7 @@ def test_feedback_window_limits_memory():
     cfg = tiny_cfg("feedback-transformer", feedback_window=2)
     params = init_params(cfg)
     pg = ParamGraph(params)
-    state = init_state(cfg, pg, batch=1)
+    state = init_state(cfg, batch=1)
     for tok in (1, 2, 3, 4, 5):
         _, state = step(cfg, pg, state, np.array([tok]))
     assert len(state["memory"]) == 2

@@ -107,7 +107,7 @@ def test_linear_state_size_constant_in_t():
     cfg = cfg_for("linear-transformer")
     params = init_params(cfg)
     pg = ParamGraph(params)
-    state = init_state(cfg, pg, batch=1)
+    state = init_state(cfg, batch=1)
     sizes = []
     for tok in range(1, 7):
         _, state = step(cfg, pg, state, np.array([tok]))
@@ -120,7 +120,7 @@ def test_rwkv_state_size_constant_in_t():
     cfg = cfg_for("rwkv")
     params = init_params(cfg)
     pg = ParamGraph(params)
-    state = init_state(cfg, pg, batch=1)
+    state = init_state(cfg, batch=1)
     sizes = []
     for tok in range(1, 7):
         _, state = step(cfg, pg, state, np.array([tok]))
@@ -139,14 +139,14 @@ def test_prefix_state_resume_bit_identical(arch):
     n, j = 8, 3
 
     pg = ParamGraph(params)
-    state = init_state(cfg, pg, 2, length=n)
+    state = init_state(cfg, 2, length=n)
     straight = []
     for t in range(n):
         out, state = step(cfg, pg, state, toks[:, t])
         straight.append(out.data)
 
     pg2 = ParamGraph(params)
-    state = init_state(cfg, pg2, 2, length=n)
+    state = init_state(cfg, 2, length=n)
     for t in range(j):
         out, state = step(cfg, pg2, state, toks[:, t])
     kept = state                      # snapshot; steps never mutate input state
@@ -164,7 +164,7 @@ def test_step_state_not_mutated():
     cfg = cfg_for("transformer")
     params = init_params(cfg)
     pg = ParamGraph(params)
-    state0 = init_state(cfg, pg, 1)
+    state0 = init_state(cfg, 1)
     out1, _ = step(cfg, pg, state0, np.array([2]))
     out2, _ = step(cfg, pg, state0, np.array([2]))
     np.testing.assert_array_equal(out1.data, out2.data)

@@ -151,12 +151,13 @@ def test_ri_parallel_ops_affine_flops_superlinear():
         assert len({p.depth for p in ps}) == 1, arch
 
 
-def test_cached_attention_ops_affine_flops_superlinear():
+def test_whole_memory_step_ops_affine_flops_superlinear():
     """The cached attention cell scores its whole KV cache in one node per
-    head, so the step-built Transformers add the same number of nodes per
-    token; attending over a longer cache still shows in flops."""
+    head, and the stack- and tape-RNN update their whole memory in a fixed
+    set of nodes, so each adds the same number of nodes per token; reading
+    and writing a longer cache, stack or tape still shows in flops."""
     ns = np.array([8, 16, 32, 64])
-    for arch in ("recurrent-transformer", "universal-transformer"):
+    for arch in ("recurrent-transformer", "universal-transformer", "stack-rnn", "tape-rnn"):
         ps = depths_over(arch, ns, n_heads=2)
         ops_slopes = np.diff([p.total_ops for p in ps]) / np.diff(ns)
         flops_slopes = np.diff([p.flops for p in ps]) / np.diff(ns)
@@ -184,6 +185,20 @@ def test_fit_linear_over_k():
     assert abs(fit.slope - 10) < 1e-6
 
 
+def test_fit_quadratic():
+    fit = fit_complexity([(n, 1.5 * n * n + 35.5 * n + 2) for n in (4, 8, 16, 32)])
+    assert fit.class_label == "quadratic"
+    assert fit.r_squared > 0.999 and abs(fit.slope - 1.5) < 1e-9
+
+
+def test_fit_quadratic_needs_strictly_rising_slopes():
+    # slopes per token 83, 98, 98 rise, then hold: an affine law past a window
+    assert fit_complexity([(4, 236), (8, 568), (16, 1352), (32, 2920)]).class_label == "linear"
+    # slopes per token are undefined where n repeats
+    samples = [(4, 16), (4, 17), (8, 64), (16, 256), (32, 1024)]
+    assert fit_complexity(samples).class_label == "linear"
+
+
 def test_fit_needs_four_points():
     with pytest.raises(ProfilerError):
         fit_complexity([(1, 1), (2, 2), (3, 3)])
@@ -204,9 +219,12 @@ def test_profile_table_and_emitters():
     assert by_arch["transformer"]["depth_fit"].class_label == "constant"
     assert by_arch["rnn"]["depth_fit"].class_label == "linear"
     assert by_arch["block-recurrent-transformer"]["depth_fit"].class_label == "linear_over_k"
+    # the paper's contrast: constant depth, quadratic total_ops
+    assert by_arch["transformer"]["ops_fit"].class_label == "quadratic"
+    assert by_arch["rnn"]["ops_fit"].class_label == "linear"
 
     csv_text = table_to_csv(rows)
     assert csv_text.splitlines()[0] == "arch,n,total_ops,depth,flops"
     assert len(csv_text.splitlines()) == 1 + 3 * 5
     md = table_to_markdown(rows)
-    assert md.count("\n") == 2 + 3 and "| constant |" in md
+    assert md.count("\n") == 2 + 3 and "| constant |" in md and "| quadratic |" in md
