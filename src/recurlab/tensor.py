@@ -9,12 +9,15 @@ Elementwise ops follow numpy broadcasting; gradients are summed back over
 broadcast axes.  All data is float64 -- equivalence tests between recurrent and
 parallel model forms need the head-room.
 
-A graph holds no reference cycles either: a node's ``_backward`` closure holds
-its parents, never the node itself, so reference counting frees a graph as
-soon as its last node is dropped.  Python's cyclic collector has nothing to
-find in one, yet it would rescan the live graph after every 700 new container
-objects, which costs a large share of the time of building a graph one node
-at a time.  ``graph_scope`` therefore pauses the collector while a graph is
+A graph holds no reference cycles either.  Each op kind has one module-level
+backward function, such as ``_mul_bwd(out)``, that reads its operands from
+``out.parents`` and the one op argument it needs (a sum or concat axis, a
+slice key, a nonlinearity's derivative) from ``out._ctx``.  Neither holds the
+node itself, so reference counting frees a graph as soon as its last node is
+dropped, and a node is only two objects the cyclic collector tracks: itself
+and its parents tuple.  The collector has nothing to find in a graph, yet it
+would rescan the live graph after every 700 new container objects, which
+costs a large share of the time of building a graph one node at a time.  ``graph_scope`` therefore pauses the collector while a graph is
 built or walked; ``tests/test_graph_scope.py::test_graphs_hold_no_cycles``
 guards the premise on every architecture in both modes.
 """
@@ -129,13 +132,14 @@ class Value:
     ``parents`` is the ordered operand list; ``input`` and ``parameter`` nodes
     have no parents.  A node holds no gradient array until ``backward`` first
     reaches it; until then ``grad`` reads as zeros of ``data``'s shape, so
-    forward-only graphs allocate no gradient memory.
+    forward-only graphs allocate no gradient memory.  ``_backward`` is the op
+    kind's backward function and ``_ctx`` the op argument it reads.
     """
 
-    __slots__ = ("data", "_grad", "op_kind", "parents", "id", "_backward")
+    __slots__ = ("data", "_grad", "op_kind", "parents", "id", "_backward", "_ctx")
 
     def __init__(self, data, op_kind: str = "input", parents: Sequence["Value"] = (),
-                 _backward: Callable | None = None):
+                 _backward: Callable | None = None, _ctx=None):
         if type(data) is not np.ndarray or data.dtype is not _FLOAT64:
             data = np.asarray(data, dtype=np.float64)
         self.data = data
@@ -144,6 +148,7 @@ class Value:
         self.parents = tuple(parents)
         self.id = next(_ids)
         self._backward = _backward
+        self._ctx = _ctx
         if not np.isfinite(data).all():
             raise GraphOverflowError(op_kind, self.id)
 
@@ -246,36 +251,52 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _elementwise(op_kind: str, a: Value, b: Value, fwd, da, db) -> Value:
+def _elementwise(op_kind: str, a: Value, b: Value, fwd, bwd) -> Value:
     try:
         data = fwd(a.data, b.data)
     except ValueError as err:
         raise ShapeError(op_kind, a.shape, b.shape) from err
-
-    def bwd(out):
-        g = out._grad
-        _accumulate(a, _unbroadcast(da(a.data, b.data, g), a.shape))
-        _accumulate(b, _unbroadcast(db(a.data, b.data, g), b.shape))
-
     return Value(data, op_kind, (a, b), bwd)
 
 
+def _add_bwd(out):
+    a, b = out.parents
+    g = out._grad
+    _accumulate(a, _unbroadcast(g, a.shape))
+    _accumulate(b, _unbroadcast(g, b.shape))
+
+
+def _sub_bwd(out):
+    a, b = out.parents
+    g = out._grad
+    _accumulate(a, _unbroadcast(g, a.shape))
+    _accumulate(b, _unbroadcast(-g, b.shape))
+
+
+def _mul_bwd(out):
+    a, b = out.parents
+    g = out._grad
+    _accumulate(a, _unbroadcast(g * b.data, a.shape))
+    _accumulate(b, _unbroadcast(g * a.data, b.shape))
+
+
+def _divide_bwd(out):
+    a, b = out.parents
+    x, y, g = a.data, b.data, out._grad
+    _accumulate(a, _unbroadcast(g / y, a.shape))
+    _accumulate(b, _unbroadcast(-g * x / (y * y), b.shape))
+
+
 def add(a: Value, b: Value) -> Value:
-    return _elementwise("add", a, b, np.add,
-                        lambda x, y, g: g,
-                        lambda x, y, g: g)
+    return _elementwise("add", a, b, np.add, _add_bwd)
 
 
 def sub(a: Value, b: Value) -> Value:
-    return _elementwise("sub", a, b, np.subtract,
-                        lambda x, y, g: g,
-                        lambda x, y, g: -g)
+    return _elementwise("sub", a, b, np.subtract, _sub_bwd)
 
 
 def mul(a: Value, b: Value) -> Value:
-    return _elementwise("mul", a, b, np.multiply,
-                        lambda x, y, g: g * y,
-                        lambda x, y, g: g * x)
+    return _elementwise("mul", a, b, np.multiply, _mul_bwd)
 
 
 def _divide(x, y):
@@ -286,9 +307,31 @@ def _divide(x, y):
 
 
 def divide(a: Value, b: Value) -> Value:
-    return _elementwise("divide", a, b, _divide,
-                        lambda x, y, g: g / y,
-                        lambda x, y, g: -g * x / (y * y))
+    return _elementwise("divide", a, b, _divide, _divide_bwd)
+
+
+def _matmul_bwd(out):
+    a, b = out.parents
+    ad, bd = a.data, b.data
+    a1, b1 = ad.ndim == 1, bd.ndim == 1
+    # promote 1D operands to matrices so one transpose rule covers all cases
+    ad2 = ad[None, :] if a1 else ad
+    bd2 = bd[:, None] if b1 else bd
+    g = out._grad
+    if a1 and b1:
+        g = g.reshape(1, 1)
+    elif a1:
+        g = g[..., None, :]
+    elif b1:
+        g = g[..., :, None]
+    ga = np.matmul(g, np.swapaxes(bd2, -1, -2))
+    gb = np.matmul(np.swapaxes(ad2, -1, -2), g)
+    if a1:
+        ga = ga[..., 0, :]
+    if b1:
+        gb = gb[..., :, 0]
+    _accumulate(a, _unbroadcast(ga, a.shape))
+    _accumulate(b, _unbroadcast(gb, b.shape))
 
 
 def matmul(a: Value, b: Value) -> Value:
@@ -298,30 +341,11 @@ def matmul(a: Value, b: Value) -> Value:
         data = np.matmul(a.data, b.data)
     except ValueError as err:
         raise ShapeError("matmul", a.shape, b.shape) from err
+    return Value(data, "matmul", (a, b), _matmul_bwd)
 
-    def bwd(out):
-        ad, bd = a.data, b.data
-        a1, b1 = ad.ndim == 1, bd.ndim == 1
-        # promote 1D operands to matrices so one transpose rule covers all cases
-        ad2 = ad[None, :] if a1 else ad
-        bd2 = bd[:, None] if b1 else bd
-        g = out._grad
-        if a1 and b1:
-            g = g.reshape(1, 1)
-        elif a1:
-            g = g[..., None, :]
-        elif b1:
-            g = g[..., :, None]
-        ga = np.matmul(g, np.swapaxes(bd2, -1, -2))
-        gb = np.matmul(np.swapaxes(ad2, -1, -2), g)
-        if a1:
-            ga = ga[..., 0, :]
-        if b1:
-            gb = gb[..., :, 0]
-        _accumulate(a, _unbroadcast(ga, a.shape))
-        _accumulate(b, _unbroadcast(gb, b.shape))
 
-    return Value(data, "matmul", (a, b), bwd)
+def _exp_bwd(out):
+    _accumulate(out.parents[0], out._grad * out.data)
 
 
 def exp(a: Value) -> Value:
@@ -329,11 +353,12 @@ def exp(a: Value) -> Value:
     # GraphOverflowError with this node's id
     with np.errstate(over="ignore"):
         data = np.exp(a.data)
+    return Value(data, "exp", (a,), _exp_bwd)
 
-    def bwd(out):
-        _accumulate(a, out._grad * out.data)
 
-    return Value(data, "exp", (a,), bwd)
+def _log_bwd(out):
+    a = out.parents[0]
+    _accumulate(a, out._grad / a.data)
 
 
 def log(a: Value) -> Value:
@@ -341,23 +366,24 @@ def log(a: Value) -> Value:
     # raises GraphOverflowError with this node's id
     with np.errstate(divide="ignore", invalid="ignore"):
         data = np.log(a.data)
+    return Value(data, "log", (a,), _log_bwd)
 
-    def bwd(out):
-        _accumulate(a, out._grad / a.data)
 
-    return Value(data, "log", (a,), bwd)
+def _nonlinearity_bwd(out):
+    a = out.parents[0]
+    _accumulate(a, out._grad * out._ctx(a.data, out.data))
 
 
 def nonlinearity(a: Value, kind: str) -> Value:
     if kind not in NONLINEARITIES:
         raise TensorError(f"unknown nonlinearity {kind!r}")
     fwd, deriv = NONLINEARITIES[kind]
-    data = fwd(a.data)
+    return Value(fwd(a.data), f"nonlinearity({kind})", (a,), _nonlinearity_bwd, deriv)
 
-    def bwd(out):
-        _accumulate(a, out._grad * deriv(a.data, out.data))
 
-    return Value(data, f"nonlinearity({kind})", (a,), bwd)
+def _softmax_bwd(out):
+    y, g = out.data, out._grad
+    _accumulate(out.parents[0], y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
 
 def softmax(a: Value) -> Value:
@@ -367,30 +393,27 @@ def softmax(a: Value) -> Value:
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=-1, keepdims=True)
+    return Value(data, "softmax", (a,), _softmax_bwd)
 
-    def bwd(out):
-        y, g = out.data, out._grad
-        _accumulate(a, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
-    return Value(data, "softmax", (a,), bwd)
+def _concat_bwd(out):
+    axis = out._ctx
+    idx = [slice(None)] * out.data.ndim
+    lo = 0
+    for v in out.parents:
+        hi = lo + v.data.shape[axis]
+        idx[axis] = slice(lo, hi)
+        _accumulate(v, out._grad[tuple(idx)])
+        lo = hi
 
 
 def concat(values: Sequence[Value], axis: int = 0) -> Value:
-    values = [_lift(v) for v in values]
+    values = tuple(_lift(v) for v in values)
     try:
         data = np.concatenate([v.data for v in values], axis=axis)
     except ValueError as err:
         raise ShapeError("concat", *[v.shape for v in values]) from err
-    sizes = [v.data.shape[axis] for v in values]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(out):
-        for v, lo, hi in zip(values, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * out.data.ndim
-            idx[axis] = slice(lo, hi)
-            _accumulate(v, out._grad[tuple(idx)])
-
-    return Value(data, "concat", values, bwd)
+    return Value(data, "concat", values, _concat_bwd, axis)
 
 
 def _is_basic_key(key) -> bool:
@@ -402,28 +425,29 @@ def _is_basic_key(key) -> bool:
                for k in parts)
 
 
-def slice_(a: Value, key) -> Value:
-    data = a.data[key]
-    if _is_basic_key(key):
-        def bwd(out):
-            _grad_buffer(a)[key] += out._grad
-    else:
-        # fancy indices may repeat a cell; add.at sums every occurrence
-        def bwd(out):
-            np.add.at(_grad_buffer(a), key, out._grad)
+def _slice_bwd(out):
+    _grad_buffer(out.parents[0])[out._ctx] += out._grad
 
-    return Value(data, "slice", (a,), bwd)
+
+def _gather_bwd(out):
+    # fancy indices may repeat a cell; add.at sums every occurrence
+    np.add.at(_grad_buffer(out.parents[0]), out._ctx, out._grad)
+
+
+def slice_(a: Value, key) -> Value:
+    bwd = _slice_bwd if _is_basic_key(key) else _gather_bwd
+    return Value(a.data[key], "slice", (a,), bwd, key)
 
 
 def take_rows(a: Value, indices) -> Value:
     """Gather rows along axis 0 (embedding-table lookup)."""
     indices = np.asarray(indices)
-    data = a.data[indices]
+    return Value(a.data[indices], "slice", (a,), _gather_bwd, indices)
 
-    def bwd(out):
-        np.add.at(_grad_buffer(a), indices, out._grad)
 
-    return Value(data, "slice", (a,), bwd)
+def _reshape_bwd(out):
+    a = out.parents[0]
+    _accumulate(a, out._grad.reshape(a.shape))
 
 
 def reshape(a: Value, shape) -> Value:
@@ -431,23 +455,21 @@ def reshape(a: Value, shape) -> Value:
         data = a.data.reshape(shape)
     except ValueError as err:
         raise ShapeError("reshape", a.shape, shape) from err
+    return Value(data, "reshape", (a,), _reshape_bwd)
 
-    def bwd(out):
-        _accumulate(a, out._grad.reshape(a.shape))
 
-    return Value(data, "reshape", (a,), bwd)
+def _sum_bwd(out):
+    # _ctx is the summed axis when it was dropped, else None
+    a = out.parents[0]
+    g = out._grad
+    if out._ctx is not None:
+        g = np.expand_dims(g, out._ctx)
+    _accumulate(a, np.broadcast_to(g, a.shape))
 
 
 def vsum(a: Value, axis=None, keepdims: bool = False) -> Value:
     data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bwd(out):
-        g = out._grad
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        _accumulate(a, np.broadcast_to(g, a.shape))
-
-    return Value(data, "sum", (a,), bwd)
+    return Value(data, "sum", (a,), _sum_bwd, None if keepdims else axis)
 
 
 def topo_nodes(*roots: Value) -> list[Value]:

@@ -39,6 +39,30 @@ def test_graphs_hold_no_cycles(arch, mode):
     assert gc.collect() == 0
 
 
+@pytest.mark.parametrize("mode", ["parallel", "recurrent"])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_backward_functions_are_per_op_kind(arch, mode):
+    """Every node of a forward and backward graph shares its op kind's one
+    module-level backward function, which holds no closure; so the number of
+    distinct backward functions does not grow with the sequence length.
+    ``slice`` has two: the view form and the gather form."""
+    cfg = small_cfg(arch)
+    params = init_params(cfg)
+    rng = np.random.default_rng(1)
+    for length in (3, 7):
+        res = model_forward(cfg, params, rng.integers(0, VOCAB, size=(2, length)), mode=mode)
+        loss = T.concat([lg.sum(axis=-1) for lg in res.logits], axis=0).sum()
+        T.backward(loss)
+        per_kind = {}
+        for v in T.topo_nodes(loss):
+            if v._backward is not None:
+                assert v._backward.__closure__ is None, v
+                assert getattr(T, v._backward.__name__) is v._backward, v
+                per_kind.setdefault(v.op_kind, set()).add(v._backward)
+        for kind, fns in per_kind.items():
+            assert len(fns) <= (2 if kind == "slice" else 1), (kind, fns)
+
+
 @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
 def collector(request):
     was_enabled = gc.isenabled()

@@ -189,6 +189,47 @@ def test_concat_and_slice_grads():
     assert report.max_rel_err < 1e-8
 
 
+@pytest.mark.parametrize("keepdims", [False, True], ids=["dropped", "keepdims"])
+@pytest.mark.parametrize("axis", [0, -1])
+def test_grad_check_sum_over_axis(axis, keepdims):
+    def f(vs):
+        s = T.vsum(vs[0], axis=axis, keepdims=keepdims)
+        return (s * s * T.constant(np.arange(1.0, 1.0 + s.data.size).reshape(s.shape))).sum()
+
+    report = T.grad_check(f, [np.random.default_rng(0).normal(size=(3, 4))])
+    assert report.max_rel_err < 1e-6
+
+
+def test_grad_check_concat_three_along_last_axis():
+    rng = np.random.default_rng(1)
+    weights = T.constant(rng.normal(size=(2, 6)))
+    report = T.grad_check(
+        lambda vs: (T.concat(vs, axis=-1) * T.concat(vs, axis=-1) * weights).sum(),
+        [rng.normal(size=(2, 3)), rng.normal(size=(2, 1)), rng.normal(size=(2, 2))])
+    assert report.max_rel_err < 1e-6
+
+
+@pytest.mark.parametrize("shapes", [((3, 4), (4,)), ((3, 1), (3, 4))],
+                         ids=["broadcast-right", "broadcast-left"])
+@pytest.mark.parametrize("op", [T.sub, T.divide], ids=["sub", "divide"])
+def test_grad_check_broadcast_operand(op, shapes):
+    rng = np.random.default_rng(2)
+    # operands kept in [1, 2] so the divisor is well away from zero
+    point = [rng.uniform(1.0, 2.0, size=s) for s in shapes]
+    report = T.grad_check(lambda vs: (op(vs[0], vs[1]) * op(vs[0], vs[1])).sum(), point)
+    assert report.max_rel_err < 1e-6
+
+
+@pytest.mark.parametrize("shapes", [((4,), (4, 3)), ((3, 4), (4,)), ((4,), (4,)),
+                                    ((2, 3, 4), (4,)), ((4,), (2, 4, 3))],
+                         ids=["vec-mat", "mat-vec", "vec-vec", "batch-vec", "vec-batch"])
+def test_grad_check_matmul_with_1d_operand(shapes):
+    rng = np.random.default_rng(3)
+    report = T.grad_check(lambda vs: (T.matmul(*vs) * T.matmul(*vs)).sum(),
+                          [rng.normal(size=s) for s in shapes])
+    assert report.max_rel_err < 1e-6
+
+
 def test_take_rows_grad_scatter():
     table = T.parameter(np.arange(12.0).reshape(4, 3))
     picked = T.take_rows(table, [0, 0, 2])
