@@ -5,7 +5,7 @@ profiler's counts reflect exactly what each architecture computes.  Sequences
 are handled either as one ``Value`` of shape (batch, length, d_model) or as a
 list of per-position ``Value``s of shape (batch, d_model).  Only the softmax
 Transformer's parallel route materializes per-pair attention scores as
-individual nodes (one dot product per attended position, via
+individual nodes (a product and a sum per attended position, via
 ``attend_one_head``); its reductions go through concat+sum so the dependency
 depth of one attention call stays constant.  The cached step cell scores its
 whole KV cache in one node per head (``attend_cached``), so its node count
@@ -150,16 +150,15 @@ def attend_one_head(q_t: Value, keys: list, values_r: list, scale: float | None)
     """Softmax attention of one query over an explicit key list.
 
     ``values_r`` are the values reshaped to (B, 1, dh) (cached by the caller so
-    each value is reshaped once per layer, not once per query).  One score node
-    per attended position; reductions via concat keep the depth constant.
+    each value is reshaped once per layer, not once per query).  A product and
+    a sum per attended position, then one concat and one scale for the whole
+    (B, t) row; reductions via concat keep the depth constant.
     """
-    scores = []
-    for k_j in keys:
-        s = (q_t * k_j).sum(axis=-1, keepdims=True)  # (B, 1)
-        if scale is not None:
-            s = s * T.constant(scale)
-        scores.append(s)
-    return _mix_values(T.concat(scores, axis=-1), values_r)
+    scores = T.concat([(q_t * k_j).sum(axis=-1, keepdims=True) for k_j in keys],
+                      axis=-1)                               # (B, t)
+    if scale is not None:
+        scores = scores * T.constant(scale)
+    return _mix_values(scores, values_r)
 
 
 def attend_cached(q_t: Value, key_rows: list, value_rows: list,
