@@ -5,9 +5,9 @@ The standard model has two routes: a batch forward (whole-sequence weight
 multiplications) and a cached step decoder (per-token, KV cache).  They share
 the attention math but not the op order, so their agreement is a real check.
 The batch forward builds a product and a sum node per (query, key) pair,
-which is the O(n^2) node count the profiler measures; the cached cell (``attn_cell``,
-shared by the step decoder and the recurrent, block and universal variants)
-scores the whole cache in one node per head.
+which is the O(n^2) node count the profiler measures; the cached cell
+(``attn_cell``, shared by the step decoder and the recurrent, block and
+universal variants) scores the whole cache in one node per head.
 """
 
 from __future__ import annotations

@@ -12,14 +12,16 @@ parallel model forms need the head-room.
 A graph holds no reference cycles either.  Each op kind has one module-level
 backward function, such as ``_mul_bwd(out)``, that reads its operands from
 ``out.parents`` and the one op argument it needs (a sum or concat axis, a
-slice key, a nonlinearity's derivative) from ``out._ctx``.  Neither holds the
-node itself, so reference counting frees a graph as soon as its last node is
-dropped, and a node is only two objects the cyclic collector tracks: itself
-and its parents tuple.  The collector has nothing to find in a graph, yet it
-would rescan the live graph after every 700 new container objects, which
-costs a large share of the time of building a graph one node at a time.  ``graph_scope`` therefore pauses the collector while a graph is
-built or walked; ``tests/test_graph_scope.py::test_graphs_hold_no_cycles``
-guards the premise on every architecture in both modes.
+slice key or gather indices, a nonlinearity's derivative) from ``out._ctx``.
+Neither holds the node itself, so reference counting frees a graph as soon
+as its last node is dropped, and a node is two objects that the cyclic
+collector tracks: itself and its parents tuple.  The collector has nothing to
+find in a graph, yet it would rescan the live graph after every 700 new
+container objects, which costs a large share of the time of building a graph
+one node at a time.  ``graph_scope`` therefore pauses the collector while a
+graph is built or walked; ``tests/test_graph_scope.py`` guards the premise
+(``test_graphs_hold_no_cycles``) and the per-op-kind backward functions on
+every architecture in both modes.
 """
 
 from __future__ import annotations
