@@ -7,7 +7,7 @@ left-to-right over the input, and its depth equals its total operation count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 

@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 import yaml
 
 from . import llm_eval, profiler, tasks, trainer
@@ -29,7 +28,7 @@ from .tensor import GraphOverflowError, ShapeError
 from .trainer import DivergenceError, TrainerError
 
 _VALIDATION = (TaskError, ModelError, ProfilerError, TrainerError, ShapeError,
-               ValueError, KeyError, FileNotFoundError)
+               ValueError, KeyError, FileNotFoundError, yaml.YAMLError)
 _RUNTIME = (DivergenceError, GraphOverflowError, ArithmeticError)
 _NETWORK = (AuthError, EndpointTimeout, TransientFailure, MalformedResponse)
 
@@ -68,10 +67,6 @@ def main(ctx, seed):
     ctx.obj["seed"] = seed
 
 
-def _parse_task(name: str) -> TaskId:
-    return TaskId.from_key(name)
-
-
 @main.command()
 @click.argument("task")
 @click.option("--count", default=50, show_default=True)
@@ -82,7 +77,7 @@ def _parse_task(name: str) -> TaskId:
 def gen(ctx, task, count, out):
     """Write COUNT instances of TASK (or 'all') as JSONL, one file per task."""
     seed = ctx.obj["seed"]
-    chosen = list(TaskId) if task == "all" else [_parse_task(task)]
+    chosen = list(TaskId) if task == "all" else [TaskId.from_key(task)]
     out.mkdir(parents=True, exist_ok=True)
     for t in chosen:
         path = out / f"{t.key}.jsonl"
@@ -162,7 +157,7 @@ def train(ctx, config, out):
 @_guard
 def eval_cmd(ctx, checkpoint, task, lengths, count):
     """Exact-match accuracy of a CHECKPOINT on fresh instances."""
-    t = _parse_task(task)
+    t = TaskId.from_key(task)
     lo, hi = (int(x) for x in lengths.split(","))
     cfg, params, _extra = load_checkpoint(checkpoint)
     acc = trainer.evaluate(cfg, params, t, (lo, hi), count, seed=ctx.obj["seed"])
@@ -184,7 +179,7 @@ def eval_cmd(ctx, checkpoint, task, lengths, count):
 @_guard
 def llm(ctx, task, mode, count, fixture, url, model, temperature, out):
     """Run the CoT/direct protocol (3 trials, best-of-3 over COUNT instances)."""
-    t = _parse_task(task)
+    t = TaskId.from_key(task)
     cfg = EndpointConfig(url=url, model=model, temperature=temperature)
     if fixture is not None:
         transport = llm_eval.replay_transport(fixture)

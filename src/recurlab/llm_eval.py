@@ -22,7 +22,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import tasks
-from .tasks import CLASSIFICATION_TASKS, TaskId, TaskInstance
+from .tasks import TaskId, TaskInstance
 
 DIRECT_CLAUSE = "Give a direct answer without steps"
 ANSWER_TAG = "ANSWER:"

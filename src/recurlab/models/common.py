@@ -15,7 +15,10 @@ Every cached, step or masked-parallel layer is one ``residual_block``:
 LN -> attention -> residual -> LN -> FFN -> residual, with the attention
 passed in as a closure.  The softmax Transformer's parallel route keeps its
 own layer loop, since it runs LN1 once on the whole sequence but the residual
-per query.
+per query; it shares the second half, ``ffn_sublayer``, and calls it per
+query.  Running LN2, FFN and readout once on (B, L, d) there instead would
+change the logits' last bits, since BLAS takes another summation path for the
+batched products, and the golden gate checks those bytes.
 """
 
 from __future__ import annotations
@@ -118,7 +121,11 @@ def residual_block(cfg, pg: ParamGraph, prefix: str, h: Value, attend) -> Value:
     (B, L, d); without residuals the layer is ``attend`` alone."""
     if not cfg.use_residual:
         return attend(h)
-    h = h + attend(layer_norm(pg, f"{prefix}.ln1", h))
+    return ffn_sublayer(cfg, pg, prefix, h + attend(layer_norm(pg, f"{prefix}.ln1", h)))
+
+
+def ffn_sublayer(cfg, pg: ParamGraph, prefix: str, h: Value) -> Value:
+    """LN -> FFN -> residual: the second half of ``residual_block``."""
     return h + ffn(pg, f"{prefix}.ffn", layer_norm(pg, f"{prefix}.ln2", h), cfg.nonlin)
 
 

@@ -40,7 +40,7 @@ class ModelConfig:
     n_layers: int = 1
     n_heads: int = 1
     block_size: int = 4            # block-recurrent window
-    feedback_window: int = 8       # feedback memory length; None = unlimited
+    feedback_window: int | None = 8  # feedback memory length; None = unlimited
     max_halting_steps: int = 8     # universal-transformer iteration budget
     feature_map: str = "elu_plus_one"
     nonlin: str = "tanh"
@@ -54,14 +54,18 @@ class ModelConfig:
     def __post_init__(self):
         if self.arch not in ARCHS:
             raise ModelError(f"unknown arch {self.arch!r}")
-        if self.d_model % self.n_heads:
-            raise ModelError(f"d_model {self.d_model} not divisible by {self.n_heads} heads")
-        if self.block_size < 1:
-            raise ModelError("block_size must be >= 1")
-        if self.max_halting_steps < 1:
-            raise ModelError("max_halting_steps must be >= 1")
         if self.d_ff is None:
             self.d_ff = 2 * self.d_model
+        for name, least in (("vocab_size", 1), ("d_model", 1), ("n_layers", 1), ("n_heads", 1),
+                            ("d_ff", 1), ("block_size", 1), ("max_halting_steps", 1),
+                            ("tape_extra_cells", 0)):
+            if getattr(self, name) < least:
+                raise ModelError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        # memory[-0:] would be the whole memory, so 0 cannot mean "none"
+        if self.feedback_window is not None and self.feedback_window < 1:
+            raise ModelError(f"feedback_window must be >= 1 or None, got {self.feedback_window}")
+        if self.d_model % self.n_heads:
+            raise ModelError(f"d_model {self.d_model} not divisible by {self.n_heads} heads")
 
 
 def _attn_layer_params(rng, d, d_ff, prefix, params, with_query=True):

@@ -62,8 +62,7 @@ def rwkv_attn_masked(cfg, pg: ParamGraph, prefix: str, x: Value) -> Value:
     return num / den
 
 
-def rwkv_attn_recurrent(cfg, pg: ParamGraph, prefix: str, ab, k_t: Value,
-                        v_t: Value) -> tuple:
+def rwkv_attn_recurrent(pg: ParamGraph, prefix: str, ab, k_t: Value, v_t: Value) -> tuple:
     """(a, b) carry the decayed numerator/denominator sums over positions < t;
     state size is constant in t."""
     w = _decay(pg, prefix)
@@ -93,7 +92,7 @@ def rwkv_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tupl
         prefix = f"l{layer}"
 
         def attend(x, _prefix=prefix, _ab=state["layers"][layer]):
-            out, ab = rwkv_attn_recurrent(cfg, pg, _prefix, _ab,
+            out, ab = rwkv_attn_recurrent(pg, _prefix, _ab,
                                           T.matmul(x, pg[f"{_prefix}.wk"]),
                                           T.matmul(x, pg[f"{_prefix}.wv"]))
             new_layers.append(ab)
@@ -132,7 +131,7 @@ def linear_attn_masked(cfg, pg: ParamGraph, prefix: str, x: Value) -> Value:
     return concat_heads(heads)
 
 
-def linear_attn_recurrent(cfg, ab, pq: Value, pk: Value, v_t: Value) -> tuple:
+def linear_attn_recurrent(ab, pq: Value, pk: Value, v_t: Value) -> tuple:
     """a accumulates rank-1 outer products phi(k) v^T; b accumulates phi(k).
     The current token's contribution is folded in before the read-out, so the
     result covers positions 1..t."""
@@ -162,7 +161,7 @@ def linear_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tu
         def attend(x, _prefix=prefix, _abs=state["layers"][layer]):
             heads, new_abs = [], []
             for ab, q, k, v in zip(_abs, *_linear_layer_heads(cfg, pg, _prefix, x)):
-                out, ab = linear_attn_recurrent(cfg, ab, q, k, v)
+                out, ab = linear_attn_recurrent(ab, q, k, v)
                 heads.append(out)
                 new_abs.append(ab)
             new_layers.append(new_abs)

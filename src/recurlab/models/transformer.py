@@ -17,8 +17,8 @@ import numpy as np
 from .. import tensor as T
 from ..tensor import Value
 from .common import (ModelError, ParamGraph, as_row, attend_cached, attend_one_head,
-                     concat_heads, embed_one, embed_tokens, ffn, layer_norm, readout,
-                     residual_block, scale_for, split_heads)
+                     concat_heads, embed_one, embed_tokens, ffn_sublayer, layer_norm,
+                     readout, residual_block, scale_for, split_heads)
 
 
 def _layer_cache(cfg) -> list:
@@ -87,13 +87,7 @@ def transformer_forward(cfg, pg: ParamGraph, token_ids: np.ndarray,
                 vals = [vh[j][head] for j in range(t + 1)]
                 heads.append(attend_one_head(qh[t][head], keys, vals, scale_for(cfg)))
             attn = concat_heads(heads)
-            if cfg.use_residual:
-                h = hs[t] + attn
-                h = h + ffn(pg, f"{prefix}.ffn", layer_norm(pg, f"{prefix}.ln2", h),
-                            cfg.nonlin)
-            else:
-                h = attn
-            new_hs[t] = h
+            new_hs[t] = ffn_sublayer(cfg, pg, prefix, hs[t] + attn) if cfg.use_residual else attn
         hs = new_hs
     logits = {t: readout(pg, hs[t]) for t in kept}
     return [logits[t] for t in (kept if positions is None else positions)]

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import models
 from .tensor import Value, graph_scope, topo_nodes
 
 _LEAF_KINDS = frozenset({"input", "parameter"})
@@ -99,7 +99,6 @@ def profile(config, params, token_ids, mode: str = "parallel",
             T_steps: int | None = None) -> DepthProfile:
     """Build one forward graph for ``token_ids`` and measure it end to end
     (input embedding to final logits)."""
-    from . import models
     token_ids = np.asarray(token_ids)
     result = models.model_forward(config, params, token_ids, mode=mode, T_steps=T_steps)
     return graph_profile(result.logits, n=int(token_ids.shape[1]), arch=config.arch)
@@ -156,7 +155,6 @@ def profile_table(configs, n_grid, seed: int = 0,
     table.  Universal-transformer depth scales with its iteration budget, so
     its T is tied to n here (T = min(n, max_halting_steps)).
     """
-    from . import models
     rows = []
     rng = np.random.default_rng(seed)
     for cfg in configs:

@@ -209,17 +209,23 @@ def _gen_expression(rng: random.Random, n_ops: int, root: bool = False) -> list:
 # ---------------------------------------------------------------------------
 # oracles
 
+# the regular-language oracles run these reference DFAs, built once
+_PARITY_DFA = automata.parity_dfa()
+_CYCLE_DFA = automata.cycle_dfa()
+_MOD_ADD_DFA = automata.mod_add_dfa()
+
+
 def oracle(task: TaskId, input_tokens: Sequence[str]) -> list:
     if task is TaskId.MOD_ARITH_SIMPLE:
-        return [_mod_arith_simple(input_tokens)]
+        # the first digit is the start residue; each "op digit" pair is a symbol
+        steps = [op + d for op, d in zip(input_tokens[1::2], input_tokens[2::2])]
+        start = int(input_tokens[0]) % 5
+        return [str(automata.dfa_run_from(_MOD_ADD_DFA, start, steps).final)]
     if task is TaskId.PARITY_CHECK:
-        trace = automata.dfa_run(automata.parity_dfa(), input_tokens)
-        return [str(trace.accepted)]
+        return [str(automata.dfa_run(_PARITY_DFA, input_tokens).accepted)]
     if task is TaskId.CYCLE_NAVIGATION:
-        pos = 1
-        for tok in input_tokens:
-            pos = (pos - 1 + {"forward": 1, "backward": -1, "stay": 0}[tok]) % 5 + 1
-        return [str(pos)]
+        # state q is position q + 1
+        return [str(automata.dfa_run(_CYCLE_DFA, input_tokens).final + 1)]
     if task is TaskId.STACK_MANIPULATION:
         bar = list(input_tokens).index("|")
         stack, actions = list(input_tokens[:bar]), _parse_stack_actions(input_tokens[bar + 1:])
@@ -240,16 +246,6 @@ def oracle(task: TaskId, input_tokens: Sequence[str]) -> list:
     if task is TaskId.SORTING:
         return [str(v) for v in _insertion_sort([int(t) for t in input_tokens])]
     raise TaskError(f"unknown task {task}")
-
-
-def _mod_arith_simple(tokens) -> str:
-    result = int(tokens[0]) % 5
-    i = 1
-    while i < len(tokens):
-        op, d = tokens[i], int(tokens[i + 1])
-        result = (result + d) % 5 if op == "+" else (result - d) % 5
-        i += 2
-    return str(result)
 
 
 def _parse_stack_actions(tokens) -> list:

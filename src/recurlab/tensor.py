@@ -183,12 +183,6 @@ class Value:
     def __neg__(self):
         return mul(self, constant(-1.0))
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def exp(self):
-        return exp(self)
-
     def log(self):
         return log(self)
 
@@ -200,9 +194,6 @@ class Value:
 
     def softmax(self):
         return softmax(self)
-
-    def nonlin(self, kind: str):
-        return nonlinearity(self, kind)
 
     def slice(self, key):
         return slice_(self, key)

@@ -14,11 +14,10 @@ sequence, so the loss mask follows each row's own placeholder positions.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from . import tasks
 from . import tensor as T
 from .models import ModelConfig, init_params, model_forward
 from .tasks import PAD_ID, TaskId, encode, generate_with_length, placeholder_positions, task_vocab
@@ -48,8 +47,8 @@ class TrainConfig:
     adam_eps: float = 1e-8
     batch_size: int = 64
     max_steps: int = 20000
-    train_lengths: tuple = (1, 20)
-    test_lengths: tuple = (21, 40)
+    train_lengths: tuple[int, int] = (1, 20)
+    test_lengths: tuple[int, int] = (21, 40)
     n_seeds: int = 3
     patience: int = 20               # evals without test improvement before stopping
     eval_every: int = 200
@@ -123,36 +122,34 @@ def encode_batch(instances, vocab):
     return batch, slots
 
 
-def _loss_and_correct(cfg_model, params, batch, slots, vocab_size):
-    """Build the forward graph once, reading logits only at the batch's
-    placeholder positions; CE averaged over all slots, plus exact per-row
-    correctness of argmax decoding."""
-    by_position: dict[int, np.ndarray] = {}
-    total_slots = 0
-    for row, (positions, targets) in enumerate(slots):
-        for pos, tgt in zip(positions, targets):
-            onehot = by_position.setdefault(
-                pos, np.zeros((batch.shape[0], vocab_size)))
-            onehot[row, tgt] = 1.0
-            total_slots += 1
-
-    order = sorted(by_position)
+def _read_slots(cfg_model, params, batch, slots):
+    """Build the forward graph once, reading logits only at the sorted union
+    of the batch's placeholder positions; returns (logits by position, the
+    parameter graph, each row's exact-match flag under argmax decoding)."""
+    order = sorted({pos for positions, _ in slots for pos in positions})
     res = model_forward(cfg_model, params, batch, positions=order)
     logits = dict(zip(order, res.logits))
+    correct = [[int(np.argmax(logits[pos].data[row])) for pos in positions] == targets
+               for row, (positions, targets) in enumerate(slots)]
+    return logits, res.pgraph, correct
+
+
+def _loss_and_correct(cfg_model, params, batch, slots, vocab_size):
+    """CE averaged over all slots of the batch, plus ``_read_slots``'s
+    per-row correctness."""
+    logits, pgraph, correct = _read_slots(cfg_model, params, batch, slots)
+    onehots = {pos: np.zeros((batch.shape[0], vocab_size)) for pos in logits}
+    for row, (positions, targets) in enumerate(slots):
+        for pos, tgt in zip(positions, targets):
+            onehots[pos][row, tgt] = 1.0
     loss = None
-    for pos, onehot in sorted(by_position.items()):
-        x = logits[pos]                                   # (B, V)
+    for pos, x in logits.items():                         # x: (B, V)
         c = T.constant(x.data.max(axis=-1, keepdims=True))
         lse = T.log(T.exp(x - c).sum(axis=-1, keepdims=True)) + c
-        term = ((lse - x) * T.constant(onehot)).sum()
+        term = ((lse - x) * T.constant(onehots[pos])).sum()
         loss = term if loss is None else loss + term
-    loss = loss * T.constant(1.0 / total_slots)
-
-    correct = []
-    for row, (positions, targets) in enumerate(slots):
-        preds = [int(np.argmax(logits[pos].data[row])) for pos in positions]
-        correct.append(preds == targets)
-    return loss, res.pgraph, correct
+    loss = loss * T.constant(1.0 / sum(len(targets) for _, targets in slots))
+    return loss, pgraph, correct
 
 
 # -- optimizers -------------------------------------------------------------
@@ -258,10 +255,11 @@ def eval_instances(task: TaskId, length_range, n_instances: int, seed: int) -> l
 
 def evaluate_predictor(predict, task: TaskId, length_range, n_instances: int,
                        seed: int = 0) -> float:
-    """Exact-match accuracy of any predictor callable.
+    """Exact-match accuracy of any predictor callable, one instance at a time.
 
-    ``predict(input_ids, n_slots) -> list of predicted target ids``; this is
-    the seam used both by model evaluation and by oracle/random test doubles.
+    ``predict(input_ids, n_slots) -> list of predicted target ids``.
+    ``evaluate`` does not use it: it is the seam for the benchmark's
+    one-at-a-time reference and for the tests' oracle and random predictors.
     """
     vocab = task_vocab(task)
     correct = 0
@@ -279,20 +277,13 @@ def evaluate(model_cfg: ModelConfig, params: dict, task: TaskId, length_range,
     if model_cfg.vocab_size != len(vocab):
         raise TrainerError(f"model vocab {model_cfg.vocab_size} != "
                            f"task vocab {len(vocab)} for {task.key}")
-    instances = eval_instances(task, length_range, n_instances, seed)
     by_len: dict[int, list] = {}
-    for inst in instances:
-        ids, _ = encode(inst, vocab)
-        by_len.setdefault(len(ids), []).append(inst)
+    for inst in eval_instances(task, length_range, n_instances, seed):
+        by_len.setdefault(len(encode(inst, vocab)[0]), []).append(inst)
     correct = 0
     for group in by_len.values():
         batch, slots = encode_batch(group, vocab)
-        order = sorted({pos for positions, _ in slots for pos in positions})
-        res = model_forward(model_cfg, params, batch, positions=order)
-        logits = dict(zip(order, res.logits))
-        for row, (positions, targets) in enumerate(slots):
-            preds = [int(np.argmax(logits[pos].data[row])) for pos in positions]
-            correct += preds == targets
+        correct += sum(_read_slots(model_cfg, params, batch, slots)[2])
     return 100.0 * correct / n_instances
 
 
@@ -320,14 +311,35 @@ def best_of_seeds(tc: TrainConfig, log=None) -> TrainResult:
 
 # -- config files (kebab-case YAML) -----------------------------------------
 
-_KEBAB = {f: f.replace("_", "-") for f in (
-    "task", "optimizer", "lr", "beta1", "beta2", "adam_eps", "batch_size",
-    "max_steps", "train_lengths", "test_lengths", "n_seeds", "patience",
-    "eval_every", "n_eval", "seed", "stop_at_test_acc", "grad_clip")}
-_MODEL_KEBAB = {f: f.replace("_", "-") for f in (
-    "arch", "vocab_size", "d_model", "n_layers", "n_heads", "block_size",
-    "feedback_window", "max_halting_steps", "feature_map", "nonlin", "d_ff",
-    "scale_scores", "use_residual", "use_positional", "tape_extra_cells")}
+# the value types PyYAML builds that each field annotation takes
+_YAML_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float), "str": (str,),
+               "TaskId": (str,), "tuple[int, int]": (list,)}
+
+
+def _read_section(path, raw, cls, skip: str, section: str) -> dict:
+    """Keyword arguments for dataclass ``cls`` from a YAML mapping keyed by its
+    fields except ``skip`` in kebab case, each value checked against its type."""
+    if not isinstance(raw, dict):
+        raise TrainerError(f"{path}: {section} must be a mapping, got {raw!r}")
+    known = {f.name.replace("_", "-"): f for f in fields(cls) if f.name != skip}
+    unknown = sorted(str(key) for key in raw if key not in known)
+    if unknown:
+        raise TrainerError(f"{path}: unknown {section} keys {unknown}")
+    kw = {}
+    for key, value in raw.items():
+        annotation = known[key].type
+        base = annotation.removesuffix(" | None")
+        if base == "float" and type(value) is str:
+            try:   # PyYAML reads an exponent without a dot, as in 1e-3, as a string
+                value = float(value)
+            except ValueError:
+                pass
+        ok = type(value) in _YAML_TYPES[base] or value is None and base != annotation
+        if not ok or type(value) is list and [type(x) for x in value] != [int, int]:
+            raise TrainerError(f"{path}: {section} key {key!r} takes {annotation}, "
+                               f"got {value!r}")
+        kw[known[key].name] = tuple(value) if type(value) is list else value
+    return kw
 
 
 def load_train_config(path) -> TrainConfig:
@@ -339,23 +351,9 @@ def load_train_config(path) -> TrainConfig:
     model_raw = raw.pop("model", None)
     if model_raw is None:
         raise TrainerError(f"{path}: missing 'model' section")
-    kw = {}
-    for snake, kebab in _KEBAB.items():
-        if kebab in raw:
-            kw[snake] = raw.pop(kebab)
-    if raw:
-        raise TrainerError(f"{path}: unknown keys {sorted(raw)}")
-    mkw = {}
-    for snake, kebab in _MODEL_KEBAB.items():
-        if kebab in model_raw:
-            mkw[snake] = model_raw.pop(kebab)
-    if model_raw:
-        raise TrainerError(f"{path}: unknown model keys {sorted(model_raw)}")
-    task = TaskId.from_key(kw.get("task")) if "task" in kw else None
-    if task is None:
+    kw = _read_section(path, raw, TrainConfig, "model", "top-level")
+    mkw = _read_section(path, model_raw, ModelConfig, "seed", "model")
+    if "task" not in kw:
         raise TrainerError(f"{path}: missing 'task'")
-    mkw.setdefault("vocab_size", len(task_vocab(task)))
-    for name in ("train_lengths", "test_lengths"):
-        if name in kw:
-            kw[name] = tuple(kw[name])
+    mkw.setdefault("vocab_size", len(task_vocab(TaskId.from_key(kw["task"]))))
     return TrainConfig(model=ModelConfig(**mkw), **kw)

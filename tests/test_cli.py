@@ -154,6 +154,36 @@ def test_train_bad_config_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_train_reads_lr_exponent_without_dot(runner, tmp_path):
+    # PyYAML reads 1e-3 (no dot) as a string; the README writes lr that way
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(TRAIN_YAML.replace("lr: 0.005", "lr: 1e-3").replace("max-steps: 60",
+                                                                       "max-steps: 30"))
+    result = runner.invoke(main, ["train", str(cfg), "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert "best seed 0" in result.output
+
+
+@pytest.mark.parametrize("text, fragment", [
+    (TRAIN_YAML.split("model:")[0] + "model: 5\n", "model must be a mapping"),
+    (TRAIN_YAML.replace("batch-size: 8", 'batch-size: "8"'), "'batch-size' takes int"),
+    (TRAIN_YAML + "lr: [\n", "line"),
+    (TRAIN_YAML.replace("arch: rnn", "arch: feedback-transformer")
+     + "  feedback-window: 0\n", "feedback_window must be >= 1"),
+    (TRAIN_YAML + "  n-heads: 0\n", "n_heads must be >= 1"),
+    (TRAIN_YAML + "  n-layers: 0\n", "n_layers must be >= 1"),
+], ids=["model-not-a-mapping", "string-batch-size", "unparsable-yaml",
+        "feedback-window-0", "n-heads-0", "n-layers-0"])
+def test_train_malformed_config_exit_2_one_json_line(runner, tmp_path, text, fragment):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    result = runner.invoke(main, ["train", str(cfg), "--out", str(tmp_path)])
+    lines = result.stderr.strip().splitlines()
+    assert result.exit_code == 2 and len(lines) == 1, result.output
+    err = json.loads(lines[0])
+    assert err["error"] == "validation" and fragment in err["message"]
+
+
 # -- llm --------------------------------------------------------------------
 
 def _write_fixture(path, task, count, mode, seed=0):

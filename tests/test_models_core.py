@@ -246,6 +246,23 @@ def test_config_validation():
         ModelConfig(arch="transformer", vocab_size=4, d_model=6, n_heads=4)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("vocab_size", 0), ("d_model", 0), ("n_layers", 0), ("n_layers", -1), ("n_heads", 0),
+    ("d_ff", 0), ("block_size", 0), ("max_halting_steps", 0), ("tape_extra_cells", -1),
+    ("feedback_window", 0), ("feedback_window", -2)])
+def test_config_rejects_meaningless_sizes(field, value):
+    # feedback_window=0 used to read the whole memory (memory[-0:]), n_heads=0
+    # divided by zero, and n_layers=0 built a model with no layers
+    with pytest.raises(ModelError, match=field):
+        ModelConfig(**{"arch": "feedback-transformer", "vocab_size": 4, field: value})
+
+
+def test_config_keeps_unlimited_feedback_and_no_extra_cells():
+    assert ModelConfig(arch="feedback-transformer", vocab_size=4,
+                       feedback_window=None).feedback_window is None
+    assert ModelConfig(arch="tape-rnn", vocab_size=4, tape_extra_cells=0).tape_extra_cells == 0
+
+
 def test_checkpoint_round_trip(tmp_path):
     cfg = tiny_cfg("lstm", n_layers=2)
     params = init_params(cfg)

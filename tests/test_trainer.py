@@ -1,9 +1,11 @@
 """Training harness: determinism, optimization sanity, evaluation, selection."""
 
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
+import yaml
 
 from recurlab import tensor as T
 from recurlab import trainer
@@ -313,6 +315,91 @@ def test_load_train_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text(CONFIG_YAML + "warmup-steps: 5\n")
     with pytest.raises(TrainerError, match="warmup-steps"):
+        load_train_config(path)
+
+
+# one non-default value per settable field: TrainConfig's except ``model``,
+# ModelConfig's except ``seed`` (the run seed sets that)
+EVERY_TRAIN_FIELD = dict(
+    task="cycle-navigation", optimizer="sgd", lr=0.01, beta1=0.8, beta2=0.99,
+    adam_eps=1e-7, batch_size=5, max_steps=7, train_lengths=[2, 3], test_lengths=[4, 6],
+    n_seeds=2, patience=3, eval_every=4, n_eval=9, seed=11, stop_at_test_acc=90.5,
+    grad_clip=None)
+EVERY_MODEL_FIELD = dict(
+    arch="feedback-transformer", vocab_size=len(task_vocab(TaskId.CYCLE_NAVIGATION)),
+    d_model=8, n_layers=2, n_heads=2, block_size=3, feedback_window=5,
+    max_halting_steps=4, feature_map="relu", nonlin="relu", d_ff=12, scale_scores=False,
+    use_residual=False, use_positional=False, tape_extra_cells=2)
+
+
+def _kebab(values: dict) -> dict:
+    return {k.replace("_", "-"): v for k, v in values.items()}
+
+
+def test_every_config_field_settable_from_yaml(tmp_path):
+    assert set(EVERY_TRAIN_FIELD) == {f.name for f in fields(TrainConfig)} - {"model"}
+    assert set(EVERY_MODEL_FIELD) == {f.name for f in fields(ModelConfig)} - {"seed"}
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump({**_kebab(EVERY_TRAIN_FIELD),
+                                    "model": _kebab(EVERY_MODEL_FIELD)}))
+    tc = load_train_config(path)
+    for name, value in EVERY_TRAIN_FIELD.items():
+        want = {"task": TaskId.CYCLE_NAVIGATION}.get(name, value)
+        assert getattr(tc, name) == (tuple(want) if isinstance(want, list) else want), name
+    for name, value in EVERY_MODEL_FIELD.items():
+        assert getattr(tc.model, name) == value, name
+
+
+@pytest.mark.parametrize("text", ["lr: 1e-3", "lr: 1.0e-3", "lr: '1e-3'", "lr: 0.001"])
+def test_load_train_config_reads_float_notations(tmp_path, text):
+    # PyYAML reads an exponent without a dot (1e-3) as a string
+    path = tmp_path / "cfg.yaml"
+    path.write_text(CONFIG_YAML.replace("lr: 0.002", text))
+    assert load_train_config(path).lr == 0.001
+
+
+@pytest.mark.parametrize("old, new", [
+    ("n-seeds: 3", "n-seeds: 3\nwarmup-steps: 5"),
+    ("  arch: rnn", "  arch: rnn\n  seed: 3"),
+    ("  d-model: 32", "  d_model: 32"),
+], ids=["top-level", "model-seed", "model-snake-case"])
+def test_load_train_config_rejects_unknown_keys_in_each_section(tmp_path, old, new):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(CONFIG_YAML.replace(old, new))
+    key = new.split("\n")[-1].split(":")[0].strip()
+    with pytest.raises(TrainerError, match=f"unknown .*'{key}'"):
+        load_train_config(path)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("batch-size: 16", "batch-size: '16'"),
+    ("batch-size: 16", "batch-size: 16.0"),
+    ("batch-size: 16", "batch-size: true"),
+    ("lr: 0.002", "lr: fast"),
+    ("lr: 0.002", "lr: null"),
+    ("train-lengths: [1, 20]", "train-lengths: [1]"),
+    ("train-lengths: [1, 20]", "train-lengths: [1, 2.5]"),
+    ("train-lengths: [1, 20]", "train-lengths: 5"),
+    ("task: parity-check", "task: 5"),
+    ("optimizer: adam", "optimizer: null"),
+    ("d-model: 32", "d-model: '32'"),
+    ("n-layers: 1", "n-layers: [1]"),
+    ("  arch: rnn", "  arch: rnn\n  use-residual: 1"),
+    ("  arch: rnn", "  arch: rnn\n  feedback-window: '4'"),
+])
+def test_load_train_config_rejects_wrongly_typed_values(tmp_path, old, new):
+    path = tmp_path / "cfg.yaml"
+    assert old in CONFIG_YAML
+    path.write_text(CONFIG_YAML.replace(old, new))
+    key = new.split("\n")[-1].split(":")[0].strip()
+    with pytest.raises(TrainerError, match=f"key '{key}' takes"):
+        load_train_config(path)
+
+
+def test_load_train_config_rejects_a_model_that_is_no_mapping(tmp_path):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(CONFIG_YAML.split("model:")[0] + "model: 5\n")
+    with pytest.raises(TrainerError, match="model must be a mapping"):
         load_train_config(path)
 
 
