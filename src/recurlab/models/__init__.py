@@ -2,10 +2,12 @@
 
 ``model_forward`` builds one graph for a whole batch of sequences and returns
 per-position logits.  ``init_state``/``step`` expose token-at-a-time decoding
-for every architecture that supports it; states are plain value-semantic
-containers (tuples/lists/dicts of graph Values), so a state can be kept, the
-model resumed from it later, and the results are bit-identical to an
-uninterrupted run.
+for every architecture that supports it.  The layered cells (transformer,
+recurrent-transformer, rwkv, linear-transformer, rnn, lstm) share one state
+shape, ``common.init_layers``'s ``{"t", "layers"}`` with one immutable state
+per layer, and run their stacks through ``common.step_layers``.  No step
+mutates its input state, so a state can be kept, the model resumed from it
+later, and the results are bit-identical to an uninterrupted run.
 
 One step registry, ``_STEP_API``, holds every architecture's step form; the
 step API and every token-at-a-time route of ``model_forward`` go through it.
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..tensor import graph_scope
-from .common import ModelError, ParamGraph, readout
+from .common import ModelError, ParamGraph, init_layers, readout
 from .config import (ARCHS, TRANSFORMER_FAMILY, ModelConfig, init_params,
                      load_checkpoint, save_checkpoint)
 from . import linear, recurrent, transformer
@@ -43,16 +45,15 @@ class ForwardResult:
 # the readout; ``_step_route`` drives a cell over a sequence.
 
 _STEP_API = {
-    "rnn": (recurrent.rnn_init, recurrent.rnn_step),
-    "lstm": (recurrent.rnn_init, recurrent.lstm_step),
+    "rnn": (init_layers, recurrent.rnn_step),
+    "lstm": (init_layers, recurrent.lstm_step),
     "stack-rnn": (recurrent.stack_rnn_init, recurrent.stack_rnn_step),
     "tape-rnn": (recurrent.tape_rnn_init, recurrent.tape_rnn_step),
-    "transformer": (transformer.transformer_init, transformer.transformer_step),
-    "recurrent-transformer": (transformer.recurrent_transformer_init,
-                              transformer.recurrent_transformer_step),
+    "transformer": (init_layers, transformer.transformer_step),
+    "recurrent-transformer": (init_layers, transformer.recurrent_transformer_step),
     "feedback-transformer": (transformer.feedback_init, transformer.feedback_step),
-    "rwkv": (linear.rwkv_init, linear.rwkv_step),
-    "linear-transformer": (linear.linear_init, linear.linear_step),
+    "rwkv": (init_layers, linear.rwkv_step),
+    "linear-transformer": (init_layers, linear.linear_step),
 }
 
 STEP_CAPABLE = frozenset(_STEP_API)

@@ -11,12 +11,19 @@ depth of one attention call stays constant.  The cached step cell scores its
 whole KV cache in one node per head (``attend_cached``), so its node count
 does not grow with the cache.
 
+Every layered step cell is an RNN with one state per layer.  ``init_layers``
+gives the empty state, ``{"t": 0, "layers": (None,) * n_layers}``, and
+``step_layers`` runs a ``layer(prefix, h, layer_state) -> (h, layer_state)``
+function up the stack, returning the top hidden and a new state.  Layer states
+are immutable (Values and tuples of them, ``None`` while empty), so a step
+never changes a state the caller kept.
+
 Every cached, step or masked-parallel layer is one ``residual_block``:
 LN -> attention -> residual -> LN -> FFN -> residual, with the attention
-passed in as a closure.  The softmax Transformer's parallel route keeps its
-own layer loop, since it runs LN1 once on the whole sequence but the residual
-per query; it shares the second half, ``ffn_sublayer``, and calls it per
-query.  Running LN2, FFN and readout once on (B, L, d) there instead would
+passed in as a closure that returns ``(output, layer state)``.  The softmax
+Transformer's parallel route keeps its own layer loop, since it runs LN1 once
+on the whole sequence but the residual per query; it shares the second half,
+``ffn_sublayer``, and calls it per query.  Running LN2, FFN and readout once on (B, L, d) there instead would
 change the logits' last bits, since BLAS takes another summation path for the
 batched products, and the golden gate checks those bytes.
 """
@@ -116,12 +123,30 @@ def ffn(pg: ParamGraph, prefix: str, x: Value, nonlin: str) -> Value:
     return T.matmul(hidden, pg[prefix + ".w2"]) + pg[prefix + ".b2"]
 
 
-def residual_block(cfg, pg: ParamGraph, prefix: str, h: Value, attend) -> Value:
+def residual_block(cfg, pg: ParamGraph, prefix: str, h: Value, attend) -> tuple:
     """LN -> ``attend`` -> residual -> LN -> FFN -> residual, on (B, d) or
-    (B, L, d); without residuals the layer is ``attend`` alone."""
+    (B, L, d); without residuals the layer is ``attend`` alone.  ``attend``
+    returns (output, layer state); the block returns (h, that layer state)."""
     if not cfg.use_residual:
         return attend(h)
-    return ffn_sublayer(cfg, pg, prefix, h + attend(layer_norm(pg, f"{prefix}.ln1", h)))
+    out, layer_state = attend(layer_norm(pg, f"{prefix}.ln1", h))
+    return ffn_sublayer(cfg, pg, prefix, h + out), layer_state
+
+
+def init_layers(cfg, batch: int | None = None, length: int | None = None) -> dict:
+    """The state of a layered step cell before its first token: every layer
+    empty."""
+    return {"t": 0, "layers": (None,) * cfg.n_layers}
+
+
+def step_layers(state: dict, h: Value, layer) -> tuple:
+    """Run ``layer(prefix, h, layer_state) -> (h, layer_state)`` up the stack
+    from input ``h``; returns (top hidden, new state).  ``state`` is unchanged."""
+    layers = []
+    for i, layer_state in enumerate(state["layers"]):
+        h, layer_state = layer(f"l{i}", h, layer_state)
+        layers.append(layer_state)
+    return h, {**state, "t": state["t"] + 1, "layers": tuple(layers)}
 
 
 def ffn_sublayer(cfg, pg: ParamGraph, prefix: str, h: Value) -> Value:

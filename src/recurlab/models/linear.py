@@ -22,7 +22,7 @@ import numpy as np
 from .. import tensor as T
 from ..tensor import Value
 from .common import (ParamGraph, concat_heads, embed_one, embed_sequence, readout,
-                     residual_block, split_heads, unstack)
+                     residual_block, split_heads, step_layers, unstack)
 
 
 def _decay(pg: ParamGraph, prefix: str) -> Value:
@@ -36,8 +36,7 @@ def parallel_forward(cfg, pg: ParamGraph, token_ids: np.ndarray, attend) -> list
     h = embed_sequence(pg, token_ids, cfg.use_positional)
     for layer in range(cfg.n_layers):
         prefix = f"l{layer}"
-        h = residual_block(cfg, pg, prefix, h,
-                           lambda x, _prefix=prefix: attend(cfg, pg, _prefix, x))
+        h, _ = residual_block(cfg, pg, prefix, h, lambda x: (attend(cfg, pg, prefix, x), None))
     return unstack(readout(pg, h))
 
 
@@ -63,43 +62,29 @@ def rwkv_attn_masked(cfg, pg: ParamGraph, prefix: str, x: Value) -> Value:
 
 
 def rwkv_attn_recurrent(pg: ParamGraph, prefix: str, ab, k_t: Value, v_t: Value) -> tuple:
-    """(a, b) carry the decayed numerator/denominator sums over positions < t;
-    state size is constant in t."""
+    """(a, b) carry the decayed numerator/denominator sums over positions < t,
+    and are None before the first token; state size is constant in t."""
     w = _decay(pg, prefix)
     z = T.exp(-w)
-    a, b = ab
     bonus = T.exp(pg[f"{prefix}.u"] + k_t)
-    if a is None:
+    if ab is None:
         h = v_t  # empty history: bonus cancels
         ek = T.exp(k_t)
         state = (ek * v_t, ek)
     else:
+        a, b = ab
         h = (a + bonus * v_t) / (b + bonus)
         ek = T.exp(k_t)
         state = (z * a + ek * v_t, z * b + ek)
     return h, state
 
 
-def rwkv_init(cfg, batch: int, length: int | None) -> dict:
-    return {"t": 0, "layers": [(None, None) for _ in range(cfg.n_layers)]}
-
-
 def rwkv_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:
-    t = state["t"]
-    h = embed_one(pg, token_ids_t, t, cfg.use_positional)
-    new_layers = []
-    for layer in range(cfg.n_layers):
-        prefix = f"l{layer}"
+    def layer(prefix, h, ab):
+        return residual_block(cfg, pg, prefix, h, lambda x: rwkv_attn_recurrent(
+            pg, prefix, ab, T.matmul(x, pg[f"{prefix}.wk"]), T.matmul(x, pg[f"{prefix}.wv"])))
 
-        def attend(x, _prefix=prefix, _ab=state["layers"][layer]):
-            out, ab = rwkv_attn_recurrent(pg, _prefix, _ab,
-                                          T.matmul(x, pg[f"{_prefix}.wk"]),
-                                          T.matmul(x, pg[f"{_prefix}.wv"]))
-            new_layers.append(ab)
-            return out
-
-        h = residual_block(cfg, pg, prefix, h, attend)
-    return h, {"t": t + 1, "layers": new_layers}
+    return step_layers(state, embed_one(pg, token_ids_t, state["t"], cfg.use_positional), layer)
 
 
 # -- linear transformer -----------------------------------------------------
@@ -137,35 +122,20 @@ def linear_attn_recurrent(ab, pq: Value, pk: Value, v_t: Value) -> tuple:
     result covers positions 1..t."""
     batch, dh = pk.shape
     outer = T.matmul(pk.reshape((batch, dh, 1)), v_t.reshape((batch, 1, dh)))
-    a, b = ab
-    a = outer if a is None else a + outer
-    b = pk if b is None else b + pk
+    a, b = (outer, pk) if ab is None else (ab[0] + outer, ab[1] + pk)
     num = T.matmul(pq.reshape((batch, 1, dh)), a).reshape((batch, dh))
     den = (pq * b).sum(axis=-1, keepdims=True)
     return num / den, (a, b)
 
 
-def linear_init(cfg, batch: int, length: int | None) -> dict:
-    return {"t": 0,
-            "layers": [[(None, None) for _ in range(cfg.n_heads)]
-                       for _ in range(cfg.n_layers)]}
-
-
 def linear_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:
-    t = state["t"]
-    h = embed_one(pg, token_ids_t, t, cfg.use_positional)
-    new_layers = []
-    for layer in range(cfg.n_layers):
-        prefix = f"l{layer}"
+    """Layer states are one (a, b) pair per head, None while empty."""
+    def layer(prefix, h, abs_):
+        def attend(x):
+            outs = [linear_attn_recurrent(ab, q, k, v) for ab, q, k, v in
+                    zip(abs_ or (None,) * cfg.n_heads, *_linear_layer_heads(cfg, pg, prefix, x))]
+            return concat_heads([out for out, _ in outs]), tuple(ab for _, ab in outs)
 
-        def attend(x, _prefix=prefix, _abs=state["layers"][layer]):
-            heads, new_abs = [], []
-            for ab, q, k, v in zip(_abs, *_linear_layer_heads(cfg, pg, _prefix, x)):
-                out, ab = linear_attn_recurrent(ab, q, k, v)
-                heads.append(out)
-                new_abs.append(ab)
-            new_layers.append(new_abs)
-            return concat_heads(heads)
+        return residual_block(cfg, pg, prefix, h, attend)
 
-        h = residual_block(cfg, pg, prefix, h, attend)
-    return h, {"t": t + 1, "layers": new_layers}
+    return step_layers(state, embed_one(pg, token_ids_t, state["t"], cfg.use_positional), layer)

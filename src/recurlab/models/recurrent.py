@@ -12,7 +12,7 @@ import numpy as np
 
 from .. import tensor as T
 from ..tensor import Value
-from .common import ModelError, ParamGraph, readout
+from .common import ModelError, ParamGraph, readout, step_layers
 
 
 def _zeros(batch: int, d: int) -> Value:
@@ -39,51 +39,41 @@ def mlp_forward(cfg, pg: ParamGraph, token_ids: np.ndarray) -> list:
 
 # -- plain RNN --------------------------------------------------------------
 
-def rnn_init(cfg, batch: int, length: int | None) -> list:
-    return [None] * cfg.n_layers  # lazy zeros, created at first step
-
-
-def rnn_step(cfg, pg: ParamGraph, state: list, token_ids_t: np.ndarray) -> tuple:
+def rnn_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:
     """h_t = sigma(W1 h_{t-1} + W2 x_t + b), stacked over layers; layer i+1
-    consumes layer i's hidden at the same step."""
-    x_t = T.take_rows(pg["embed"], token_ids_t)
-    new_state = []
-    inp = x_t
-    for layer in range(cfg.n_layers):
-        h_prev = state[layer]
+    consumes layer i's hidden at the same step.  An empty layer starts from
+    zeros."""
+    def layer(prefix, inp, h_prev):
         if h_prev is None:
-            h_prev = _zeros(x_t.shape[0], cfg.d_model)
-        pre = T.matmul(h_prev, pg[f"l{layer}.w1"]) + T.matmul(inp, pg[f"l{layer}.w2"]) \
-            + pg[f"l{layer}.b"]
+            h_prev = _zeros(inp.shape[0], cfg.d_model)
+        pre = T.matmul(h_prev, pg[f"{prefix}.w1"]) + T.matmul(inp, pg[f"{prefix}.w2"]) \
+            + pg[f"{prefix}.b"]
         h = T.nonlinearity(pre, cfg.nonlin)
-        new_state.append(h)
-        inp = h
-    return inp, new_state
+        return h, h
+
+    return step_layers(state, T.take_rows(pg["embed"], token_ids_t), layer)
 
 
 # -- LSTM -------------------------------------------------------------------
 
-def lstm_step(cfg, pg: ParamGraph, state: list, token_ids_t: np.ndarray) -> tuple:
-    x_t = T.take_rows(pg["embed"], token_ids_t)
+def lstm_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:
     d = cfg.d_model
-    new_state = []
-    inp = x_t
-    for layer in range(cfg.n_layers):
-        hc = state[layer]
+
+    def layer(prefix, inp, hc):
         if hc is None:
-            hc = (_zeros(x_t.shape[0], d), _zeros(x_t.shape[0], d))
+            hc = (_zeros(inp.shape[0], d), _zeros(inp.shape[0], d))
         h_prev, c_prev = hc
-        gates = T.matmul(inp, pg[f"l{layer}.wx"]) + T.matmul(h_prev, pg[f"l{layer}.wh"]) \
-            + pg[f"l{layer}.b"]
+        gates = T.matmul(inp, pg[f"{prefix}.wx"]) + T.matmul(h_prev, pg[f"{prefix}.wh"]) \
+            + pg[f"{prefix}.b"]
         i = T.nonlinearity(gates.slice((Ellipsis, slice(0, d))), "sigmoid")
         f = T.nonlinearity(gates.slice((Ellipsis, slice(d, 2 * d))), "sigmoid")
         o = T.nonlinearity(gates.slice((Ellipsis, slice(2 * d, 3 * d))), "sigmoid")
         g = T.nonlinearity(gates.slice((Ellipsis, slice(3 * d, 4 * d))), "tanh")
         c = f * c_prev + i * g
         h = o * T.nonlinearity(c, "tanh")
-        new_state.append((h, c))
-        inp = h
-    return inp, new_state
+        return h, (h, c)
+
+    return step_layers(state, T.take_rows(pg["embed"], token_ids_t), layer)
 
 
 # -- stack-augmented RNN ----------------------------------------------------

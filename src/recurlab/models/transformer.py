@@ -12,42 +12,36 @@ universal variants) scores the whole cache in one node per head.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .. import tensor as T
 from ..tensor import Value
 from .common import (ModelError, ParamGraph, as_row, attend_cached, attend_one_head,
-                     concat_heads, embed_one, embed_tokens, ffn_sublayer, layer_norm,
-                     readout, residual_block, scale_for, split_heads)
+                     concat_heads, embed_one, embed_tokens, ffn_sublayer, init_layers,
+                     layer_norm, readout, residual_block, scale_for, split_heads,
+                     step_layers)
 
 
-def _layer_cache(cfg) -> list:
-    return [{"k": [], "v": []} for _ in range(cfg.n_heads)]
-
-
-def _copy_cache(cache: list) -> list:
-    # step states are value-semantic: copy the per-head lists so appending
-    # for this step never mutates a caller-retained state
-    return [{"k": list(h["k"]), "v": list(h["v"])} for h in cache]
-
-
-def attn_cell(cfg, pg: ParamGraph, prefix: str, h_t: Value, cache: list) -> Value:
-    """One attention layer at one position; appends this position's key/value
-    rows to ``cache`` and returns the layer output.  The node count does not
-    depend on how many positions the cache holds."""
+def attn_cell(cfg, pg: ParamGraph, prefix: str, h_t: Value, cache) -> tuple:
+    """One attention layer at one position.  ``cache`` holds one immutable
+    (key rows, value rows) pair of tuples per head, or is None while empty;
+    returns (layer output, cache with this position appended).  The node count
+    does not depend on how many positions the cache holds."""
     def attend(x):
         q = T.matmul(x, pg[f"{prefix}.wq"])
         k = T.matmul(x, pg[f"{prefix}.wk"])
         v = T.matmul(x, pg[f"{prefix}.wv"])
-        heads = []
-        for head, (qh, kh, vh) in enumerate(zip(split_heads(q, cfg.n_heads),
-                                                split_heads(k, cfg.n_heads),
-                                                split_heads(v, cfg.n_heads))):
-            cache[head]["k"].append(as_row(kh))
-            cache[head]["v"].append(as_row(vh))
-            heads.append(attend_cached(qh, cache[head]["k"], cache[head]["v"],
-                                       scale_for(cfg)))
-        return concat_heads(heads)
+        heads, new_cache = [], []
+        for (keys, vals), qh, kh, vh in zip(cache or (((), ()),) * cfg.n_heads,
+                                            split_heads(q, cfg.n_heads),
+                                            split_heads(k, cfg.n_heads),
+                                            split_heads(v, cfg.n_heads)):
+            keys, vals = keys + (as_row(kh),), vals + (as_row(vh),)
+            heads.append(attend_cached(qh, keys, vals, scale_for(cfg)))
+            new_cache.append((keys, vals))
+        return concat_heads(heads), tuple(new_cache)
 
     return residual_block(cfg, pg, prefix, h_t, attend)
 
@@ -93,41 +87,26 @@ def transformer_forward(cfg, pg: ParamGraph, token_ids: np.ndarray,
     return [logits[t] for t in (kept if positions is None else positions)]
 
 
-def transformer_init(cfg, batch: int, length: int | None) -> dict:
-    return {"t": 0, "layers": [_layer_cache(cfg) for _ in range(cfg.n_layers)]}
-
-
 def transformer_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:
     """Cached step cell, returning the top hidden and the new state;
     ``state['t']`` must equal tokens already consumed."""
-    t = state["t"]
-    consumed = len(state["layers"][0][0]["k"])
+    t, cache = state["t"], state["layers"][0]
+    consumed = 0 if cache is None else len(cache[0][0])
     if consumed != t:
         raise ModelError(f"cache holds {consumed} positions but t={t}")
-    h = embed_one(pg, token_ids_t, t, cfg.use_positional)
-    layers = [_copy_cache(c) for c in state["layers"]]
-    for layer in range(cfg.n_layers):
-        h = attn_cell(cfg, pg, f"l{layer}", h, layers[layer])
-    return h, {"t": t + 1, "layers": layers}
+    return step_layers(state, embed_one(pg, token_ids_t, t, cfg.use_positional),
+                       partial(attn_cell, cfg, pg))
 
 
 # -- standard recurrent transformer -----------------------------------------
 
-def recurrent_transformer_init(cfg, batch: int, length: int | None) -> dict:
-    return {"t": 0, "h_top": None, "layers": [_layer_cache(cfg) for _ in range(cfg.n_layers)]}
-
-
 def recurrent_transformer_step(cfg, pg: ParamGraph, state: dict,
                                token_ids_t: np.ndarray) -> tuple:
-    t = state["t"]
-    x = embed_one(pg, token_ids_t, t, cfg.use_positional)
-    if state["h_top"] is not None:
+    x = embed_one(pg, token_ids_t, state["t"], cfg.use_positional)
+    if state.get("h_top") is not None:
         x = x + state["h_top"]   # layer-1 input carries the previous top hidden
-    h = x
-    layers = [_copy_cache(c) for c in state["layers"]]
-    for layer in range(cfg.n_layers):
-        h = attn_cell(cfg, pg, f"l{layer}", h, layers[layer])
-    return h, {"t": t + 1, "h_top": h, "layers": layers}
+    h, state = step_layers(state, x, partial(attn_cell, cfg, pg))
+    return h, {**state, "h_top": h}
 
 
 # -- feedback transformer ---------------------------------------------------
@@ -157,9 +136,9 @@ def feedback_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> 
                 keys = [k[head] for k in kh]
                 vals = [v[head] for v in vh]
                 heads.append(attend_one_head(q_h, keys, vals, scale_for(cfg)))
-            return concat_heads(heads)
+            return concat_heads(heads), None
 
-        h = residual_block(cfg, pg, prefix, h, attend)
+        h, _ = residual_block(cfg, pg, prefix, h, attend)
     memory = memory + [h]
     if cfg.feedback_window is not None:
         memory = memory[-cfg.feedback_window:]
@@ -173,17 +152,13 @@ def block_recurrent_forward(cfg, pg: ParamGraph, token_ids: np.ndarray) -> list:
     top hidden of a block is added to every embedding of the next block."""
     xs = embed_tokens(pg, token_ids, cfg.use_positional)
     logits = []
-    carry = None
+    h = None
     for start in range(0, len(xs), cfg.block_size):
-        block = xs[start:start + cfg.block_size]
-        caches = [_layer_cache(cfg) for _ in range(cfg.n_layers)]
-        h = None
-        for x in block:
-            h = x if carry is None else x + carry
-            for layer in range(cfg.n_layers):
-                h = attn_cell(cfg, pg, f"l{layer}", h, caches[layer])
+        carry, state = h, init_layers(cfg)
+        for x in xs[start:start + cfg.block_size]:
+            h, state = step_layers(state, x if carry is None else x + carry,
+                                   partial(attn_cell, cfg, pg))
             logits.append(readout(pg, h))
-        carry = h
     return logits
 
 
@@ -197,6 +172,7 @@ def universal_forward(cfg, pg: ParamGraph, token_ids: np.ndarray, T_steps: int) 
         raise ModelError(f"T={T_steps} outside [1, {cfg.max_halting_steps}]")
     hs = embed_tokens(pg, token_ids, cfg.use_positional)
     for _ in range(T_steps):
-        cache = _layer_cache(cfg)
-        hs = [attn_cell(cfg, pg, "shared", h, cache) for h in hs]
+        cache = None
+        for i, h in enumerate(hs):
+            hs[i], cache = attn_cell(cfg, pg, "shared", h, cache)
     return [readout(pg, h) for h in hs]

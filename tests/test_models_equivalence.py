@@ -158,13 +158,18 @@ def test_prefix_state_resume_bit_identical(arch):
         np.testing.assert_array_equal(a, b)
 
 
-def test_step_state_not_mutated():
-    """A retained earlier state stays usable: stepping from it twice gives
-    identical results."""
-    cfg = cfg_for("transformer")
+@pytest.mark.parametrize("arch", sorted(STEP_CAPABLE))
+def test_step_state_not_mutated(arch):
+    """A retained state stays usable: stepping from it twice gives identical
+    results, both from the initial state and from one that has already
+    consumed two tokens."""
+    cfg = cfg_for(arch)
     params = init_params(cfg)
     pg = ParamGraph(params)
-    state0 = init_state(cfg, 1)
-    out1, _ = step(cfg, pg, state0, np.array([2]))
-    out2, _ = step(cfg, pg, state0, np.array([2]))
-    np.testing.assert_array_equal(out1.data, out2.data)
+    state = init_state(cfg, 1, length=4)
+    for tok in (3, 1, None):
+        first, _ = step(cfg, pg, state, np.array([2]))
+        second, _ = step(cfg, pg, state, np.array([2]))
+        np.testing.assert_array_equal(first.data, second.data)
+        if tok is not None:
+            _, state = step(cfg, pg, state, np.array([tok]))
