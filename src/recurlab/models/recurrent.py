@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import tensor as T
+from ..tasks import PAD_ID
 from ..tensor import Value
 from .common import ModelError, ParamGraph, readout, step_layers
 
@@ -24,13 +25,17 @@ def _zeros(batch: int, d: int) -> Value:
 def mlp_forward(cfg, pg: ParamGraph, token_ids: np.ndarray) -> list:
     """Mean-pooled bag of embeddings through m feed-forward layers.
 
-    The pooled input keeps the graph size independent of sequence length, so
-    the profiler sees the architecture's constant depth directly.
+    Each row pools over its non-PAD positions only, so a right-padded row
+    gives the logits of the same sequence alone (an all-PAD row pools to
+    zeros).  The pooled input keeps the graph size independent of sequence
+    length, so the profiler sees the architecture's constant depth directly.
     """
     token_ids = np.asarray(token_ids)
     length = token_ids.shape[1]
     emb = T.take_rows(pg["embed"], token_ids)            # (B, L, d)
-    h = emb.sum(axis=1) * T.constant(1.0 / length)       # (B, d)
+    keep = (token_ids != PAD_ID).astype(np.float64)      # (B, L)
+    weights = keep / np.maximum(keep.sum(axis=1, keepdims=True), 1.0)
+    h = (emb * T.constant(weights[:, :, None])).sum(axis=1)   # (B, d)
     for layer in range(cfg.n_layers):
         h = T.nonlinearity(T.matmul(h, pg[f"l{layer}.w"]) + pg[f"l{layer}.b"], cfg.nonlin)
     logits = readout(pg, h)

@@ -12,6 +12,8 @@ from recurlab.models import (ARCHS, STEP_CAPABLE, ModelConfig, ModelError,
                              load_checkpoint, model_forward, save_checkpoint,
                              step)
 from recurlab.models.common import as_row, attend_cached, attend_one_head
+from recurlab.tasks import PAD_ID, TaskId, generate_with_length, task_vocab
+from recurlab.trainer import encode_batch
 
 VOCAB = 9
 
@@ -205,6 +207,24 @@ def test_mlp_permutation_invariant():
     a = model_forward(cfg, params, np.array([[1, 2, 3, 4]])).logits[0].data
     b = model_forward(cfg, params, np.array([[4, 2, 1, 3]])).logits[0].data
     np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def test_mlp_pools_only_non_pad_positions():
+    """A right-padded row gives the logits of the same instance alone; pooling
+    the PAD positions too moved an addition row at n=3 by 7.8e-2."""
+    task = TaskId.ADDITION
+    vocab = task_vocab(task)
+    cfg = ModelConfig(arch="mlp", vocab_size=len(vocab), d_model=8)
+    params = init_params(cfg)
+    long_inst, short_inst = (generate_with_length(task, seed, 3) for seed in (0, 1))
+    batch, _ = encode_batch([long_inst, short_inst], vocab)
+    alone, _ = encode_batch([short_inst], vocab)
+    assert batch.shape[1] > alone.shape[1] and (batch[1] == PAD_ID).any()
+    padded = model_forward(cfg, params, batch).logits[0].data[1]
+    single = model_forward(cfg, params, alone).logits[0].data[0]
+    np.testing.assert_allclose(padded, single, rtol=0, atol=1e-12)
+    # an all-PAD row pools to zeros instead of dividing by zero
+    assert np.isfinite(model_forward(cfg, params, np.zeros((1, 4), int)).logits[0].data).all()
 
 
 def test_universal_iteration_budget_enforced():
