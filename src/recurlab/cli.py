@@ -126,10 +126,8 @@ def profile(ctx, archs, n_grid, d_model, n_layers, block_size, vocab_size, csv_p
 @_guard
 def train(ctx, config, out):
     """Train from a YAML CONFIG (kebab-case keys; see README), best-of-seeds."""
-    tc = trainer.load_train_config(config)
     # a top-level seed in the file wins; otherwise --seed applies
-    if "seed" not in yaml.safe_load(config.read_text()):
-        tc.seed = ctx.obj["seed"]
+    tc = trainer.load_train_config(config, seed=ctx.obj["seed"])
     out.mkdir(parents=True, exist_ok=True)
     metrics_path = out / f"metrics-{tc.task.key}-{tc.model.arch}.jsonl"
     with open(metrics_path, "w") as fh:

@@ -64,6 +64,12 @@ class TrainConfig:
             raise TrainerError("lr must be >= 0")
         if self.optimizer not in ("adam", "sgd"):
             raise TrainerError(f"unknown optimizer {self.optimizer!r}")
+        for name in ("batch_size", "max_steps", "eval_every", "n_eval", "n_seeds"):
+            if getattr(self, name) < 1:
+                raise TrainerError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # a negative clip would flip the gradient's sign
+        if self.grad_clip is not None and self.grad_clip <= 0:
+            raise TrainerError(f"grad_clip must be > 0 or None, got {self.grad_clip}")
         for name in ("train_lengths", "test_lengths"):
             lo, hi = getattr(self, name)
             if not 1 <= lo <= hi:
@@ -290,8 +296,6 @@ def evaluate(model_cfg: ModelConfig, params: dict, task: TaskId, length_range,
 def best_of_seeds(tc: TrainConfig, log=None) -> TrainResult:
     """Train ``tc.n_seeds`` runs (seeds tc.seed .. tc.seed+n-1) and return the
     best test accuracy; ties break toward the lower seed."""
-    if tc.n_seeds < 1:
-        raise TrainerError("n_seeds must be >= 1")
     best = None
     failures = []
     for offset in range(tc.n_seeds):
@@ -342,7 +346,9 @@ def _read_section(path, raw, cls, skip: str, section: str) -> dict:
     return kw
 
 
-def load_train_config(path) -> TrainConfig:
+def load_train_config(path, seed: int = 0) -> TrainConfig:
+    """Read a kebab-case YAML config; ``seed`` applies when the file sets no
+    top-level ``seed``."""
     import yaml
     with open(path) as fh:
         raw = yaml.safe_load(fh)
@@ -356,4 +362,5 @@ def load_train_config(path) -> TrainConfig:
     if "task" not in kw:
         raise TrainerError(f"{path}: missing 'task'")
     mkw.setdefault("vocab_size", len(task_vocab(TaskId.from_key(kw["task"]))))
+    kw.setdefault("seed", seed)
     return TrainConfig(model=ModelConfig(**mkw), **kw)

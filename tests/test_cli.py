@@ -172,8 +172,16 @@ def test_train_reads_lr_exponent_without_dot(runner, tmp_path):
      + "  feedback-window: 0\n", "feedback_window must be >= 1"),
     (TRAIN_YAML + "  n-heads: 0\n", "n_heads must be >= 1"),
     (TRAIN_YAML + "  n-layers: 0\n", "n_layers must be >= 1"),
+    (TRAIN_YAML.replace("batch-size: 8", "batch-size: 0"), "batch_size must be >= 1"),
+    (TRAIN_YAML.replace("max-steps: 60", "max-steps: 0"), "max_steps must be >= 1"),
+    (TRAIN_YAML.replace("eval-every: 30", "eval-every: 0"), "eval_every must be >= 1"),
+    (TRAIN_YAML.replace("n-eval: 10", "n-eval: 0"), "n_eval must be >= 1"),
+    (TRAIN_YAML.replace("n-seeds: 1", "n-seeds: 0"), "n_seeds must be >= 1"),
+    (TRAIN_YAML.replace("lr: 0.005", "lr: 0.005\ngrad-clip: -1.0"), "grad_clip must be > 0"),
+    (TRAIN_YAML.replace("lr: 0.005", "lr: 0.005\ngrad-clip: 0.0"), "grad_clip must be > 0"),
 ], ids=["model-not-a-mapping", "string-batch-size", "unparsable-yaml",
-        "feedback-window-0", "n-heads-0", "n-layers-0"])
+        "feedback-window-0", "n-heads-0", "n-layers-0", "batch-size-0", "max-steps-0",
+        "eval-every-0", "n-eval-0", "n-seeds-0", "grad-clip-negative", "grad-clip-0"])
 def test_train_malformed_config_exit_2_one_json_line(runner, tmp_path, text, fragment):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text)
