@@ -87,44 +87,6 @@ def dfa_run_from(dfa: Dfa, state: int, symbols: Iterable) -> RunTrace:
     return RunTrace(visited, len(visited) - 1, state in dfa.accepting)
 
 
-# -- serialization: one transition per line ---------------------------------
-# header:  states N / start Q / accept Q1 Q2 ...
-# body:    q symbol q'
-
-def dfa_to_lines(dfa: Dfa) -> str:
-    lines = [f"states {dfa.n_states}",
-             f"start {dfa.start}",
-             "accept " + " ".join(str(q) for q in sorted(dfa.accepting))]
-    for (q, sym), q2 in sorted(dfa.delta.items(), key=lambda kv: (kv[0][0], str(kv[0][1]))):
-        lines.append(f"{q} {sym} {q2}")
-    return "\n".join(lines) + "\n"
-
-
-def dfa_from_lines(text: str) -> Dfa:
-    n_states = start = None
-    accepting: frozenset = frozenset()
-    delta = {}
-    alphabet = []
-    for line in text.splitlines():
-        parts = line.split()
-        if not parts:
-            continue
-        if parts[0] == "states":
-            n_states = int(parts[1])
-        elif parts[0] == "start":
-            start = int(parts[1])
-        elif parts[0] == "accept":
-            accepting = frozenset(int(p) for p in parts[1:])
-        else:
-            q, sym, q2 = int(parts[0]), parts[1], int(parts[2])
-            delta[(q, sym)] = q2
-            if sym not in alphabet:
-                alphabet.append(sym)
-    if n_states is None or start is None:
-        raise AutomatonError("missing states/start header line")
-    return Dfa(n_states, tuple(alphabet), delta, start, accepting)
-
-
 # -- stack machine ----------------------------------------------------------
 # actions: ("push", token) or ("pop",) / ("pop", token).  A pop argument is
 # advisory: the machine pops the top unconditionally; generators only emit

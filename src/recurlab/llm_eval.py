@@ -369,13 +369,6 @@ def rescore_file(task: TaskId, path, oracle_targets: dict) -> ScoreReport:
     return score(task, transcripts, oracle_targets)
 
 
-def report_to_csv(reports: list) -> str:
-    lines = ["task,mode,n_instances,accuracy"]
-    for r in reports:
-        lines.append(f"{r.task_key},{r.mode},{r.n_instances},{r.accuracy}")
-    return "\n".join(lines) + "\n"
-
-
 def report_to_markdown(reports: list) -> str:
     lines = ["| task | mode | instances | accuracy |", "|---|---|---|---|"]
     for r in reports:

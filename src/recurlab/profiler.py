@@ -146,8 +146,7 @@ def fit_complexity(samples, k: int | None = None) -> ComplexityFit:
     return ComplexityFit("linear", slope, intercept, r2)
 
 
-def profile_table(configs, n_grid, seed: int = 0,
-                  mode: str = "parallel") -> list:
+def profile_table(configs, n_grid, seed: int = 0) -> list:
     """Profile each config across ``n_grid`` and fit depth/time growth.
 
     Returns one row dict per config: the per-n profiles plus depth and
@@ -164,7 +163,7 @@ def profile_table(configs, n_grid, seed: int = 0,
             toks = rng.integers(0, cfg.vocab_size, size=(1, int(n)))
             T_steps = min(int(n), cfg.max_halting_steps) \
                 if cfg.arch == "universal-transformer" else None
-            profiles.append(profile(cfg, params, toks, mode=mode, T_steps=T_steps))
+            profiles.append(profile(cfg, params, toks, T_steps=T_steps))
         k = cfg.block_size if cfg.arch == "block-recurrent-transformer" else None
         depth_fit = fit_complexity([(p.n, p.depth) for p in profiles], k=k)
         ops_fit = fit_complexity([(p.n, p.total_ops) for p in profiles], k=k)

@@ -127,17 +127,6 @@ def test_machine_profile_depth_equals_ops(n):
     assert profile.depth == n
 
 
-def test_dfa_serialization_round_trip():
-    dfa = am.mod_add_dfa()
-    text = am.dfa_to_lines(dfa)
-    back = am.dfa_from_lines(text)
-    assert back.n_states == dfa.n_states
-    assert back.start == dfa.start
-    assert back.accepting == dfa.accepting
-    assert back.delta == dfa.delta
-    assert am.dfa_to_lines(back) == text
-
-
 @pytest.mark.parametrize("start,accepting", [(2, frozenset({0})), (0, frozenset({0, 5}))])
 def test_dfa_rejects_states_outside_range(start, accepting):
     delta = {(q, s): q for q in range(2) for s in ("a", "b")}
