@@ -23,9 +23,10 @@ LN -> attention -> residual -> LN -> FFN -> residual, with the attention
 passed in as a closure that returns ``(output, layer state)``.  The softmax
 Transformer's parallel route keeps its own layer loop, since it runs LN1 once
 on the whole sequence but the residual per query; it shares the second half,
-``ffn_sublayer``, and calls it per query.  Running LN2, FFN and readout once on (B, L, d) there instead would
-change the logits' last bits, since BLAS takes another summation path for the
-batched products, and the golden gate checks those bytes.
+``ffn_sublayer``, and calls it per query.  Running LN2, FFN and readout once
+on (B, L, d) there instead would change the logits' last bits, since BLAS
+takes another summation path for the batched products, and the golden gate
+checks those bytes.
 """
 
 from __future__ import annotations
