@@ -167,9 +167,8 @@ def test_step_state_not_mutated(arch):
     params = init_params(cfg)
     pg = ParamGraph(params)
     state = init_state(cfg, 1, length=4)
-    for tok in (3, 1, None):
+    for _ in range(3):             # from states that consumed 0, 1 and 2 tokens
         first, _ = step(cfg, pg, state, np.array([2]))
         second, _ = step(cfg, pg, state, np.array([2]))
         np.testing.assert_array_equal(first.data, second.data)
-        if tok is not None:
-            _, state = step(cfg, pg, state, np.array([tok]))
+        _, state = step(cfg, pg, state, np.array([3]))
