@@ -2,20 +2,23 @@
 
 ``model_forward`` builds one graph for a whole batch of sequences and returns
 per-position logits.  ``init_state``/``step`` expose token-at-a-time decoding
-for every architecture that supports it.  The layered cells (transformer,
-recurrent-transformer, rwkv, linear-transformer, rnn, lstm) share one state
-shape, ``common.init_layers``'s ``{"t", "layers"}`` with one immutable state
-per layer, and run their stacks through ``common.step_layers``.  No step
-mutates its input state, so a state can be kept, the model resumed from it
-later, and the results are bit-identical to an uninterrupted run.
+for every architecture that supports it.  The layered step cells (all but
+stack-rnn and tape-rnn) share one state shape, ``common.init_layers``'s
+``{"t", "layers"}`` with one immutable state per layer, and run their stacks
+through ``common.step_layers``.  No step mutates its input state, so a state
+can be kept, the model resumed from it later, and the results are
+bit-identical to an uninterrupted run.
 
-One step registry, ``_STEP_API``, holds every architecture's step form; the
-step API and every token-at-a-time route of ``model_forward`` go through it.
+``model_forward`` has one dispatch: the step registry ``_STEP_API`` (also
+behind ``step``), the ``_SEQUENCE_ROUTES`` table, and the parallel
+Transformer.  Routes read every setting from the config; only
+``model_forward`` orders the logits by ``positions``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -51,7 +54,7 @@ _STEP_API = {
     "tape-rnn": (recurrent.tape_rnn_init, recurrent.tape_rnn_step),
     "transformer": (init_layers, transformer.transformer_step),
     "recurrent-transformer": (init_layers, transformer.recurrent_transformer_step),
-    "feedback-transformer": (transformer.feedback_init, transformer.feedback_step),
+    "feedback-transformer": (init_layers, transformer.feedback_step),
     "rwkv": (init_layers, linear.rwkv_step),
     "linear-transformer": (init_layers, linear.linear_step),
 }
@@ -72,19 +75,19 @@ def step(cfg: ModelConfig, pg: ParamGraph, state, token_ids_t: np.ndarray):
     return readout(pg, h), state
 
 
-def _step_route(cfg, pg, token_ids, positions) -> list:
-    """Step through every token, reading out logits only at ``positions``
-    (every position when None), in that order."""
+def _step_route(cfg, pg, token_ids, positions) -> dict:
+    """Step through every token; returns {position: logits}, read out only at
+    ``positions``."""
     batch, length = token_ids.shape
     cell = _STEP_API[cfg.arch][1]
     state = init_state(cfg, batch, length)
-    wanted = range(length) if positions is None else set(positions)
+    wanted = set(positions)
     logits = {}
     for t in range(length):
         h, state = cell(cfg, pg, state, token_ids[:, t])
         if t in wanted:
             logits[t] = readout(pg, h)
-    return [logits[t] for t in (range(length) if positions is None else positions)]
+    return logits
 
 
 # -- whole-sequence forward -------------------------------------------------
@@ -104,28 +107,22 @@ def _check_positions(positions, length: int) -> list:
     return [int(p) for p in positions]
 
 
-# Whole-sequence routes, (cfg, pg, token_ids, T_steps) -> logits at every
+# Whole-sequence routes, (cfg, pg, token_ids) -> the list of logits at every
 # position.  An arch listed here and in the step registry uses this route in
 # parallel mode; the parallel Transformer, which reads ``positions``, is the
 # one route outside both tables.
 _SEQUENCE_ROUTES = {
-    "mlp": lambda cfg, pg, ids, T_steps: recurrent.mlp_forward(cfg, pg, ids),
-    "block-recurrent-transformer":
-        lambda cfg, pg, ids, T_steps: transformer.block_recurrent_forward(cfg, pg, ids),
-    "universal-transformer":
-        lambda cfg, pg, ids, T_steps: transformer.universal_forward(
-            cfg, pg, ids, cfg.max_halting_steps if T_steps is None else T_steps),
-    "rwkv": lambda cfg, pg, ids, T_steps: linear.parallel_forward(
-        cfg, pg, ids, linear.rwkv_attn_masked),
-    "linear-transformer": lambda cfg, pg, ids, T_steps: linear.parallel_forward(
-        cfg, pg, ids, linear.linear_attn_masked),
+    "mlp": recurrent.mlp_forward,
+    "block-recurrent-transformer": transformer.block_recurrent_forward,
+    "universal-transformer": transformer.universal_forward,
+    "rwkv": partial(linear.parallel_forward, attend=linear.rwkv_attn_masked),
+    "linear-transformer": partial(linear.parallel_forward, attend=linear.linear_attn_masked),
 }
 
 
 @graph_scope()
 def model_forward(cfg: ModelConfig, params: dict, token_ids: np.ndarray,
-                  mode: str = "parallel", T_steps: int | None = None,
-                  positions=None) -> ForwardResult:
+                  mode: str = "parallel", positions=None) -> ForwardResult:
     """Run ``cfg.arch`` over a (B, L) int batch, producing (B, vocab) logits.
 
     ``mode`` selects the evaluation route where an architecture has two:
@@ -140,25 +137,23 @@ def model_forward(cfg: ModelConfig, params: dict, token_ids: np.ndarray,
     given, with values bit-identical to the full forward's at those positions.
     The Transformer's parallel route then runs its last layer's per-query
     work and the readout only there, and every step route reads out only
-    there; every other route builds all positions and picks the requested
-    ones.
+    there; every other route builds all positions.  Only this function puts
+    the logits in the requested order.
     """
     if mode not in ("parallel", "recurrent"):
         raise ModelError(f"unknown mode {mode!r}")
     token_ids = np.asarray(token_ids)
     if token_ids.ndim != 2:
         raise ModelError(f"token_ids must be (batch, length), got {token_ids.shape}")
-    if positions is not None:
-        positions = _check_positions(positions, token_ids.shape[1])
+    length = token_ids.shape[1]
+    order = range(length) if positions is None else _check_positions(positions, length)
     pg = ParamGraph(params)
     arch = cfg.arch
 
     if arch == "transformer" and mode == "parallel":
-        logits = transformer.transformer_forward(cfg, pg, token_ids, positions)
+        logits = transformer.transformer_forward(cfg, pg, token_ids, order)
     elif arch in _STEP_API and (mode == "recurrent" or arch not in _SEQUENCE_ROUTES):
-        logits = _step_route(cfg, pg, token_ids, positions)
+        logits = _step_route(cfg, pg, token_ids, order)
     else:
-        logits = _SEQUENCE_ROUTES[arch](cfg, pg, token_ids, T_steps)
-        if positions is not None:
-            logits = [logits[p] for p in positions]
-    return ForwardResult(logits=logits, pgraph=pg)
+        logits = _SEQUENCE_ROUTES[arch](cfg, pg, token_ids)
+    return ForwardResult(logits=[logits[t] for t in order], pgraph=pg)

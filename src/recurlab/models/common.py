@@ -4,19 +4,20 @@ Everything here builds on the ``tensor`` graph, one node per operation, so the
 profiler's counts reflect exactly what each architecture computes.  Sequences
 are handled either as one ``Value`` of shape (batch, length, d_model) or as a
 list of per-position ``Value``s of shape (batch, d_model).  Only the softmax
-Transformer's parallel route materializes per-pair attention scores as
-individual nodes (a product and a sum per attended position, via
-``attend_one_head``); its reductions go through concat+sum so the dependency
-depth of one attention call stays constant.  The cached step cell scores its
-whole KV cache in one node per head (``attend_cached``), so its node count
-does not grow with the cache.
+Transformer's parallel route and the feedback Transformer's step materialize
+per-pair attention scores as individual nodes (a product and a sum per
+attended position, via ``attend_heads`` -> ``attend_one_head``, whose
+reductions go through concat+sum so the dependency depth of one attention call
+stays constant).  The cached step cell scores its whole KV cache in one node
+per head (``attend_cached``), so its node count does not grow with the cache.
 
 Every layered step cell is an RNN with one state per layer.  ``init_layers``
 gives the empty state, ``{"t": 0, "layers": (None,) * n_layers}``, and
 ``step_layers`` runs a ``layer(prefix, h, layer_state) -> (h, layer_state)``
 function up the stack, returning the top hidden and a new state.  Layer states
 are immutable (Values and tuples of them, ``None`` while empty), so a step
-never changes a state the caller kept.
+never changes a state the caller kept.  State beside the layers (recurrent
+``h_top``, feedback ``memory``) is read with ``state.get``.
 
 Every cached, step or masked-parallel layer is one ``residual_block``:
 LN -> attention -> residual -> LN -> FFN -> residual, with the attention
@@ -192,6 +193,15 @@ def attend_one_head(q_t: Value, keys: list, values_r: list, scale: float | None)
     if scale is not None:
         scores = scores * T.constant(scale)
     return _mix_values(scores, values_r)
+
+
+def attend_heads(cfg, q_heads: list, key_heads: list, value_heads: list) -> Value:
+    """``attend_one_head`` per head, then ``concat_heads``; the keys and
+    values hold one per-head split per attended position."""
+    return concat_heads([
+        attend_one_head(q_h, [k[head] for k in key_heads], [v[head] for v in value_heads],
+                        scale_for(cfg))
+        for head, q_h in enumerate(q_heads)])
 
 
 def attend_cached(q_t: Value, key_rows: list, value_rows: list,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .. import tensor as T
 from ..tensor import Value
-from .common import (ModelError, ParamGraph, as_row, attend_cached, attend_one_head,
+from .common import (ModelError, ParamGraph, as_row, attend_cached, attend_heads,
                      concat_heads, embed_one, embed_tokens, ffn_sublayer, init_layers,
                      layer_norm, readout, residual_block, scale_for, split_heads,
                      step_layers)
@@ -48,19 +48,18 @@ def attn_cell(cfg, pg: ParamGraph, prefix: str, h_t: Value, cache) -> tuple:
 
 # -- standard transformer ---------------------------------------------------
 
-def transformer_forward(cfg, pg: ParamGraph, token_ids: np.ndarray,
-                        positions: list | None = None) -> list:
+def transformer_forward(cfg, pg: ParamGraph, token_ids: np.ndarray, positions) -> dict:
     """Batch route: per-layer whole-sequence projections, causal per-position
     attention.
 
-    Returns logits at ``positions`` (every position when None), in that order.
-    The last layer projects keys and values at every position, but its
-    per-query attention, residual, FFN and the readout run only at the
-    requested positions, with the same ops in the same order as the full route.
+    Returns {position: logits} for ``positions``.  The last layer projects
+    keys and values at every position, but its per-query attention, residual,
+    FFN and the readout run only at those positions, in increasing order, with
+    the same ops in the same order as the route over every position.
     """
     hs = dict(enumerate(embed_tokens(pg, token_ids, cfg.use_positional)))
     length = len(hs)
-    kept = range(length) if positions is None else sorted(positions)
+    kept = sorted(positions)
     for layer in range(cfg.n_layers):
         prefix = f"l{layer}"
         queries = kept if layer == cfg.n_layers - 1 else range(length)
@@ -75,16 +74,10 @@ def transformer_forward(cfg, pg: ParamGraph, token_ids: np.ndarray,
               for t in range(length)]
         new_hs = {}
         for t in queries:
-            heads = []
-            for head in range(cfg.n_heads):
-                keys = [kh[j][head] for j in range(t + 1)]
-                vals = [vh[j][head] for j in range(t + 1)]
-                heads.append(attend_one_head(qh[t][head], keys, vals, scale_for(cfg)))
-            attn = concat_heads(heads)
+            attn = attend_heads(cfg, qh[t], kh[:t + 1], vh[:t + 1])
             new_hs[t] = ffn_sublayer(cfg, pg, prefix, hs[t] + attn) if cfg.use_residual else attn
         hs = new_hs
-    logits = {t: readout(pg, hs[t]) for t in kept}
-    return [logits[t] for t in (kept if positions is None else positions)]
+    return {t: readout(pg, hs[t]) for t in kept}
 
 
 def transformer_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:
@@ -111,19 +104,12 @@ def recurrent_transformer_step(cfg, pg: ParamGraph, state: dict,
 
 # -- feedback transformer ---------------------------------------------------
 
-def feedback_init(cfg, batch: int, length: int | None) -> dict:
-    return {"t": 0, "memory": []}
-
-
 def feedback_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:
     """Every layer attends over the shared top-layer memory plus the current
-    position (single-position query)."""
-    t = state["t"]
-    memory = state["memory"]
-    h = embed_one(pg, token_ids_t, t, cfg.use_positional)
-    for layer in range(cfg.n_layers):
-        prefix = f"l{layer}"
+    position (single-position query); each layer's own state stays None."""
+    memory = state.get("memory", [])
 
+    def layer(prefix, h, _):
         def attend(x):
             sources = memory + [x]
             q = T.matmul(x, pg[f"{prefix}.wq"])
@@ -131,18 +117,16 @@ def feedback_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> 
             vs = [T.matmul(m, pg[f"{prefix}.wv"]) for m in sources]
             kh = [split_heads(k, cfg.n_heads) for k in ks]
             vh = [[as_row(part) for part in split_heads(v, cfg.n_heads)] for v in vs]
-            heads = []
-            for head, q_h in enumerate(split_heads(q, cfg.n_heads)):
-                keys = [k[head] for k in kh]
-                vals = [v[head] for v in vh]
-                heads.append(attend_one_head(q_h, keys, vals, scale_for(cfg)))
-            return concat_heads(heads), None
+            return attend_heads(cfg, split_heads(q, cfg.n_heads), kh, vh), None
 
-        h, _ = residual_block(cfg, pg, prefix, h, attend)
+        return residual_block(cfg, pg, prefix, h, attend)
+
+    h, state = step_layers(state, embed_one(pg, token_ids_t, state["t"], cfg.use_positional),
+                           layer)
     memory = memory + [h]
     if cfg.feedback_window is not None:
         memory = memory[-cfg.feedback_window:]
-    return h, {"t": t + 1, "memory": memory}
+    return h, {**state, "memory": memory}
 
 
 # -- block recurrent transformer --------------------------------------------
@@ -164,14 +148,12 @@ def block_recurrent_forward(cfg, pg: ParamGraph, token_ids: np.ndarray) -> list:
 
 # -- universal transformer --------------------------------------------------
 
-def universal_forward(cfg, pg: ParamGraph, token_ids: np.ndarray, T_steps: int) -> list:
-    """One shared attention layer applied ``T_steps`` times over the whole
-    sequence; available depth grows with the iteration budget, not with a
-    layer stack."""
-    if not 1 <= T_steps <= cfg.max_halting_steps:
-        raise ModelError(f"T={T_steps} outside [1, {cfg.max_halting_steps}]")
+def universal_forward(cfg, pg: ParamGraph, token_ids: np.ndarray) -> list:
+    """One shared attention layer applied ``cfg.max_halting_steps`` times over
+    the whole sequence; available depth grows with that iteration budget, not
+    with a layer stack."""
     hs = embed_tokens(pg, token_ids, cfg.use_positional)
-    for _ in range(T_steps):
+    for _ in range(cfg.max_halting_steps):
         cache = None
         for i, h in enumerate(hs):
             hs[i], cache = attn_cell(cfg, pg, "shared", h, cache)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,12 +95,11 @@ def graph_profile(sinks: list, n: int, arch: str) -> DepthProfile:
 
 
 @graph_scope()
-def profile(config, params, token_ids, mode: str = "parallel",
-            T_steps: int | None = None) -> DepthProfile:
-    """Build one forward graph for ``token_ids`` and measure it end to end
-    (input embedding to final logits)."""
+def profile(config, params, token_ids) -> DepthProfile:
+    """Build one parallel-mode forward graph for ``token_ids`` and measure it
+    end to end (input embedding to final logits)."""
     token_ids = np.asarray(token_ids)
-    result = models.model_forward(config, params, token_ids, mode=mode, T_steps=T_steps)
+    result = models.model_forward(config, params, token_ids)
     return graph_profile(result.logits, n=int(token_ids.shape[1]), arch=config.arch)
 
 
@@ -152,7 +151,7 @@ def profile_table(configs, n_grid, seed: int = 0) -> list:
     Returns one row dict per config: the per-n profiles plus depth and
     total_ops fits — a machine-readable analogue of a depth/time complexity
     table.  Universal-transformer depth scales with its iteration budget, so
-    its T is tied to n here (T = min(n, max_halting_steps)).
+    the budget is tied to n here: max_halting_steps = min(n, max_halting_steps).
     """
     rows = []
     rng = np.random.default_rng(seed)
@@ -161,9 +160,8 @@ def profile_table(configs, n_grid, seed: int = 0) -> list:
         profiles = []
         for n in n_grid:
             toks = rng.integers(0, cfg.vocab_size, size=(1, int(n)))
-            T_steps = min(int(n), cfg.max_halting_steps) \
-                if cfg.arch == "universal-transformer" else None
-            profiles.append(profile(cfg, params, toks, T_steps=T_steps))
+            budget = replace(cfg, max_halting_steps=min(int(n), cfg.max_halting_steps))
+            profiles.append(profile(budget, params, toks))
         k = cfg.block_size if cfg.arch == "block-recurrent-transformer" else None
         depth_fit = fit_complexity([(p.n, p.depth) for p in profiles], k=k)
         ops_fit = fit_complexity([(p.n, p.total_ops) for p in profiles], k=k)

@@ -6,6 +6,7 @@ gate can be audited from the log.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,8 +156,8 @@ def test_criterion_5_complexity_profile():
         out = []
         for n in ns:
             toks = rng.integers(0, cfg.vocab_size, size=(1, n))
-            out.append((n, profile(cfg, params, toks,
-                                   T_steps=None if T_of_n is None else T_of_n(n)).depth))
+            budget = cfg if T_of_n is None else replace(cfg, max_halting_steps=T_of_n(n))
+            out.append((n, profile(budget, params, toks).depth))
         return out
 
     tr = depths(ModelConfig(arch="transformer", vocab_size=8, d_model=8), ns)

@@ -114,7 +114,7 @@ def raising_calls():
         "model_forward": (ModelError, lambda: model_forward(cfg, params, toks, mode="bad")),
         "backward": (T.ShapeError,
                      lambda: T.backward(model_forward(cfg, params, toks).logits[0])),
-        "profile": (ModelError, lambda: profiler.profile(cfg, params, toks, mode="bad")),
+        "profile": (ModelError, lambda: profiler.profile(cfg, params, toks[0])),
         "train": (DivergenceError, lambda: train(diverging)),
     }
 

@@ -227,17 +227,6 @@ def test_mlp_pools_only_non_pad_positions():
     assert np.isfinite(model_forward(cfg, params, np.zeros((1, 4), int)).logits[0].data).all()
 
 
-def test_universal_iteration_budget_enforced():
-    cfg = tiny_cfg("universal-transformer", max_halting_steps=4)
-    params = init_params(cfg)
-    toks = np.array([[1, 2, 3]])
-    model_forward(cfg, params, toks, T_steps=4)
-    with pytest.raises(ModelError):
-        model_forward(cfg, params, toks, T_steps=5)
-    with pytest.raises(ModelError):
-        model_forward(cfg, params, toks, T_steps=0)
-
-
 def test_block_recurrent_depends_on_previous_block():
     cfg = tiny_cfg("block-recurrent-transformer", block_size=2)
     params = init_params(cfg)

@@ -1,5 +1,7 @@
 """Depth/time profiler: counting rules, fits, table emitters."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -126,7 +128,8 @@ def test_universal_depth_linear_in_T():
     cfg = cfg_for("universal-transformer", max_halting_steps=16)
     params = init_params(cfg)
     toks = np.random.default_rng(0).integers(0, VOCAB, size=(1, 4))
-    depths = [profile(cfg, params, toks, T_steps=t).depth for t in (1, 2, 3, 4)]
+    depths = [profile(replace(cfg, max_halting_steps=t), params, toks).depth
+              for t in (1, 2, 3, 4)]
     diffs = set(np.diff(depths))
     assert len(diffs) == 1 and diffs.pop() > 0
 
