@@ -58,8 +58,10 @@ class ComplexityFit:
 
 def _node_flops(v: Value) -> int:
     """Rough per-scalar cost of one node; elementwise ops count one flop per
-    output scalar, matmul counts the classic 2·m·n·k."""
-    size = int(np.prod(v.shape)) if v.shape else 1
+    output scalar, a sum one per input scalar, matmul the classic 2·m·n·k."""
+    size = v.data.size
+    if v.op_kind == "sum":
+        return v.parents[0].data.size
     if v.op_kind == "matmul":
         inner = v.parents[0].shape[-1]
         return 2 * size * int(inner)

@@ -68,6 +68,9 @@ def test_flops_per_op_kind():
     exp = graph_profile([T.exp(x)], 10, "hand")
     assert tanh.flops == exp.flops == 40
     assert graph_profile([x.slice(slice(0, 5))], 10, "hand").flops == 0
+    # a reduction costs one flop per input scalar, not per output scalar
+    rows = T.parameter(np.ones((8, 5)))
+    assert graph_profile([rows.sum(axis=0)], 8, "hand").flops == 40
 
 
 def test_invariants_enforced():
