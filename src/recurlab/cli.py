@@ -76,6 +76,8 @@ def main(ctx, seed):
 @_guard
 def gen(ctx, task, count, out):
     """Write COUNT instances of TASK (or 'all') as JSONL, one file per task."""
+    if count < 1:
+        raise TaskError(f"--count must be >= 1, got {count}")
     seed = ctx.obj["seed"]
     chosen = list(TaskId) if task == "all" else [TaskId.from_key(task)]
     out.mkdir(parents=True, exist_ok=True)

@@ -349,6 +349,8 @@ def run_protocol(task: TaskId, cfg: EndpointConfig, mode: str,
                  n_instances: int = 50, seed: int = 0, transport=None,
                  persist=None, sleep=time.sleep) -> ScoreReport:
     """Render, query 3 trials per instance, and score."""
+    if n_instances < 1:
+        raise LLMEvalError(f"n_instances must be >= 1, got {n_instances}")
     instances = protocol_instances(task, n_instances, seed)
     transcripts = []
     targets = {}

@@ -71,9 +71,7 @@ class TrainConfig:
         if self.grad_clip is not None and self.grad_clip <= 0:
             raise TrainerError(f"grad_clip must be > 0 or None, got {self.grad_clip}")
         for name in ("train_lengths", "test_lengths"):
-            lo, hi = getattr(self, name)
-            if not 1 <= lo <= hi:
-                raise TrainerError(f"{name} range ({lo}, {hi}) is empty")
+            _length_range(name, getattr(self, name))
         vocab = task_vocab(self.task)
         if self.model.vocab_size != len(vocab):
             raise TrainerError(f"model vocab {self.model.vocab_size} != "
@@ -249,8 +247,18 @@ def train(tc: TrainConfig, log=None) -> TrainResult:
     return TrainResult(tc, best_params, best_acc, best_step, history)
 
 
-def eval_instances(task: TaskId, length_range, n_instances: int, seed: int) -> list:
+def _length_range(name: str, length_range) -> tuple:
+    """(lo, hi) of a range of instance lengths; raises unless 1 <= lo <= hi."""
     lo, hi = length_range
+    if not 1 <= lo <= hi:
+        raise TrainerError(f"{name} ({lo}, {hi}) needs 1 <= lo <= hi")
+    return lo, hi
+
+
+def eval_instances(task: TaskId, length_range, n_instances: int, seed: int) -> list:
+    lo, hi = _length_range("length range", length_range)
+    if n_instances < 1:
+        raise TrainerError(f"n_instances must be >= 1, got {n_instances}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7A1]))
     out = []
     for _ in range(n_instances):

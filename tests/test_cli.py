@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from recurlab.cli import main
 from recurlab.llm_eval import EndpointConfig, build_prompt, prompt_key, protocol_instances
-from recurlab.models import ModelConfig, init_params
+from recurlab.models import ModelConfig, init_params, save_checkpoint
 from recurlab.tasks import TaskId, from_json_line, task_vocab
 
 
@@ -293,3 +293,24 @@ def test_help_lists_subcommands(runner):
     assert result.exit_code == 0
     for sub in ("gen", "profile", "train", "eval", "llm", "report"):
         assert sub in result.output
+
+
+# -- counts and lengths ------------------------------------------------------
+
+@pytest.mark.parametrize("args", [
+    "gen parity-check --count -1 --out {tmp}",
+    "eval {tmp}/model.npz --task parity-check --count 0",
+    "eval {tmp}/model.npz --task parity-check --count -3",
+    "eval {tmp}/model.npz --task parity-check --lengths 0,3",
+    "llm --task sorting --mode direct --count 0 --fixture {tmp}/fix.jsonl --out {tmp}",
+    "llm --task sorting --mode direct --count -2 --fixture {tmp}/fix.jsonl --out {tmp}",
+], ids=["gen-count-neg", "eval-count-0", "eval-count-neg", "eval-lengths-0",
+        "llm-count-0", "llm-count-neg"])
+def test_meaningless_count_or_length_exit_2_one_json_line(runner, tmp_path, args):
+    cfg = ModelConfig(arch="rnn", vocab_size=len(task_vocab(TaskId.PARITY_CHECK)), d_model=4)
+    save_checkpoint(tmp_path / "model.npz", cfg, init_params(cfg))
+    (tmp_path / "fix.jsonl").write_text("")
+    result = runner.invoke(main, args.format(tmp=tmp_path).split())
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "validation"
