@@ -1,14 +1,13 @@
 """Prompting, transport fault handling, answer parsing, best-of-3 scoring."""
 
 import json
-import os
 
 import pytest
 
 from recurlab import llm_eval as LE
 from recurlab.llm_eval import (ANSWER_TAG, DIRECT_CLAUSE, AuthError,
-                               EndpointConfig, LLMEvalError, PromptSpec,
-                               Transcript, TransientFailure, build_prompt,
+                               EndpointConfig, LLMEvalError, Transcript,
+                               TransientFailure, build_prompt,
                                extract_answer, http_transport, prompt_key,
                                protocol_instances, query_endpoint,
                                replay_transport, rescore_file, run_protocol,

@@ -9,8 +9,6 @@ import pytest
 
 from recurlab.models import (STEP_CAPABLE, ModelConfig, ParamGraph,
                              init_params, init_state, model_forward, step)
-from recurlab.models import linear as L
-from recurlab import tensor as T
 
 VOCAB = 9
 

@@ -8,9 +8,9 @@ import pytest
 from recurlab import tensor as T
 from recurlab.automata import dfa_run, parity_dfa, machine_profile
 from recurlab.models import ModelConfig, init_params
-from recurlab.profiler import (ComplexityFit, DepthProfile, ProfilerError,
-                               fit_complexity, graph_profile, profile,
-                               profile_table, table_to_csv, table_to_markdown)
+from recurlab.profiler import (DepthProfile, ProfilerError, fit_complexity,
+                               graph_profile, profile, profile_table,
+                               table_to_csv, table_to_markdown)
 
 VOCAB = 7
 
