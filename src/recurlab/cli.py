@@ -38,6 +38,19 @@ def _fail(kind: str, exc: BaseException, code: int):
     sys.exit(code)
 
 
+def _positive_ints(option: str, text: str, form: str, count: int | None = None) -> list:
+    """The comma-separated positive ints of ``option`` (blank items skipped),
+    ``count`` of them if given; a ``ValueError`` naming ``option`` and
+    ``form`` otherwise."""
+    try:
+        values = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        values = []
+    if not values or min(values) < 1 or (count is not None and len(values) != count):
+        raise ValueError(f"{option} takes {form}, got {text!r}")
+    return values
+
+
 def _guard(fn):
     import functools
 
@@ -105,10 +118,12 @@ def gen(ctx, task, count, out):
 def profile(ctx, archs, n_grid, d_model, n_layers, block_size, vocab_size, csv_path):
     """Depth/time profile for comma-separated ARCHS over an n grid."""
     names = [a.strip() for a in archs.split(",") if a.strip()]
+    if not names:
+        raise ProfilerError(f"ARCHS names no architecture, got {archs!r}")
     for a in names:
         if a not in ARCHS:
             raise ProfilerError(f"unknown arch {a!r} (choose from {', '.join(ARCHS)})")
-    ns = [int(x) for x in n_grid.split(",") if x.strip()]
+    ns = _positive_ints("--n", n_grid, "comma-separated positive ints such as 4,8,16,32")
     if len(set(ns)) < 4:
         raise ProfilerError("need at least 4 distinct n values to fit")
     cfgs = [ModelConfig(arch=a, vocab_size=vocab_size, d_model=d_model,
@@ -158,7 +173,8 @@ def train(ctx, config, out):
 def eval_cmd(ctx, checkpoint, task, lengths, count):
     """Exact-match accuracy of a CHECKPOINT on fresh instances."""
     t = TaskId.from_key(task)
-    lo, hi = (int(x) for x in lengths.split(","))
+    form = "two comma-separated positive ints LO,HI"
+    lo, hi = _positive_ints("--lengths", lengths, form, count=2)
     cfg, params, _extra = load_checkpoint(checkpoint)
     acc = trainer.evaluate(cfg, params, t, (lo, hi), count, seed=ctx.obj["seed"])
     click.echo(f"{t.key} accuracy over {count} instances (n in [{lo},{hi}]): {acc:.1f}")

@@ -22,6 +22,19 @@ one node at a time.  ``graph_scope`` therefore pauses the collector while a
 graph is built or walked; ``tests/test_graph_scope.py`` guards the premise
 (``test_graphs_hold_no_cycles``) and the per-op-kind backward functions on
 every architecture in both modes.
+
+Every node's data is checked for inf and nan, and the first non-finite node
+raises ``GraphOverflowError`` with its op kind and id.  Outside a scope a node
+is checked when it is built.  Inside one, checking each small node on its own
+would cost a large share of building it, so a node of at most
+``_DEFER_SIZE`` elements joins a pending list instead.  The list is checked in
+one numpy call when it holds ``_BATCH`` nodes, when any scope is entered or
+left (also by an exception), and before a larger node is checked; only if
+that call finds a non-finite value are its nodes walked in creation order.
+So a fault raises the same error for the same node as a check per node
+would, before the graph leaves its scope or a nested scope such as
+``backward`` reads it.  Like the collector switch, the list is process-wide:
+recurlab builds no graphs from threads.
 """
 
 from __future__ import annotations
@@ -81,25 +94,65 @@ class GraphOverflowError(TensorError):
         self.node_id = node_id
 
 
+# Nodes of at most _DEFER_SIZE elements built inside a graph_scope wait in
+# _pending for one joint finite check; _BATCH bounds how many wait.  Larger
+# nodes are checked at once, so the check never copies a big array.
+_BATCH = 256
+_DEFER_SIZE = 64
+_pending: list["Value"] = []
+_depth = 0          # graph_scopes open now
+
+
+def _check_pending() -> None:
+    """Finite-check every node of the non-empty pending list and empty it;
+    raise ``GraphOverflowError`` for the first non-finite node in creation
+    order."""
+    if np.isfinite(np.concatenate([v.data for v in _pending], axis=None)).all():
+        _pending.clear()
+        return
+    batch = _pending[:]
+    _pending.clear()
+    for v in batch:
+        if not np.isfinite(v.data).all():
+            raise GraphOverflowError(v.op_kind, v.id)
+
+
 @contextmanager
 def graph_scope():
     """Pause the cyclic collector and numpy's overflow and invalid-value
-    warnings while a graph is built or walked; use as ``with graph_scope():``
-    or as the decorator ``@graph_scope()``.
+    warnings while a graph is built or walked, and check small nodes' finite
+    values in batches; use as ``with graph_scope():`` or as the decorator
+    ``@graph_scope()``.
 
-    Every node's own finite check reports overflow as ``GraphOverflowError``,
-    so the warnings would only repeat it.  On exit the collector is enabled
-    again only if it was enabled on entry, so scopes nest and a caller who
-    turned it off keeps it off.
+    Every node's finite check reports overflow as ``GraphOverflowError``, so
+    the warnings would only repeat it.  Inside a scope small nodes are checked
+    in batches (see the module docstring), with the same error and node as a
+    check per node, before this scope is left or a nested one such as
+    ``backward`` starts; an error raised in the scope gives way to the
+    overflow of a node built before it.  An interrupt, or any other exception
+    outside ``Exception``, drops the unchecked nodes with its graph.  On exit
+    the collector is enabled again only if it was enabled on entry, so scopes
+    nest and a caller who turned it off keeps it off.
     """
+    global _depth
+    if _pending:
+        _check_pending()
     was_enabled = gc.isenabled()
     gc.disable()
+    _depth += 1
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             yield
+    except BaseException as exc:
+        if not isinstance(exc, Exception):
+            _pending.clear()
+        raise
     finally:
+        _depth -= 1
         if was_enabled:
             gc.enable()
+        if _pending:
+            _check_pending()
 
 
 _ids = itertools.count()
@@ -136,6 +189,10 @@ class Value:
     reaches it; until then ``grad`` reads as zeros of ``data``'s shape, so
     forward-only graphs allocate no gradient memory.  ``_backward`` is the op
     kind's backward function and ``_ctx`` the op argument it reads.
+
+    A node whose data holds inf or nan raises ``GraphOverflowError`` naming
+    its op kind and id: when it is built outside a ``graph_scope``, and by the
+    next batched check inside one (see the module docstring).
     """
 
     __slots__ = ("data", "_grad", "op_kind", "parents", "id", "_backward", "_ctx")
@@ -151,6 +208,13 @@ class Value:
         self.id = next(_ids)
         self._backward = _backward
         self._ctx = _ctx
+        if _depth and data.size <= _DEFER_SIZE:
+            _pending.append(self)
+            if len(_pending) >= _BATCH:
+                _check_pending()
+            return
+        if _pending:
+            _check_pending()
         if not np.isfinite(data).all():
             raise GraphOverflowError(op_kind, self.id)
 

@@ -138,6 +138,8 @@ def _read_slots(cfg_model, params, batch, slots):
     return logits, res.pgraph, correct
 
 
+# own scope: the loss nodes' batched finite check runs before train reads the loss
+@T.graph_scope()
 def _loss_and_correct(cfg_model, params, batch, slots, vocab_size):
     """CE averaged over all slots of the batch, plus ``_read_slots``'s
     per-row correctness."""

@@ -314,3 +314,24 @@ def test_meaningless_count_or_length_exit_2_one_json_line(runner, tmp_path, args
     assert result.exit_code == 2, result.output
     lines = result.stderr.strip().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "validation"
+
+
+@pytest.mark.parametrize("args, option", [
+    ("eval {tmp}/model.npz --task parity-check --lengths 5", "--lengths"),
+    ("eval {tmp}/model.npz --task parity-check --lengths 5,6,7", "--lengths"),
+    ("eval {tmp}/model.npz --task parity-check --lengths a,b", "--lengths"),
+    ("profile rnn --n 4,8,x,16", "--n"),
+    ("profile rnn --n 0,4,8,16", "--n"),
+    ("profile rnn --n -4,4,8,16", "--n"),
+    ("profile ,", "ARCHS"),
+], ids=["eval-lengths-one", "eval-lengths-three", "eval-lengths-letters",
+        "profile-n-letter", "profile-n-0", "profile-n-neg", "profile-no-arch"])
+def test_malformed_int_list_or_archs_exit_2_naming_option(runner, tmp_path, args, option):
+    cfg = ModelConfig(arch="rnn", vocab_size=len(task_vocab(TaskId.PARITY_CHECK)), d_model=4)
+    save_checkpoint(tmp_path / "model.npz", cfg, init_params(cfg))
+    result = runner.invoke(main, args.format(tmp=tmp_path).split())
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "validation" and option in err["message"]

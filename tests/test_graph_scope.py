@@ -119,6 +119,18 @@ def raising_calls():
     }
 
 
+def test_diverging_step_is_reported_from_the_graph():
+    """The overflow that the batched finite checks find inside the step's
+    forward becomes the step's ``DivergenceError``, at the step where a check
+    per node raised it."""
+    error, call = raising_calls()["train"]
+    with pytest.raises(error) as exc_info:
+        call()
+    assert (exc_info.value.step, exc_info.value.last_finite_step) == (2, 2)
+    cause = exc_info.value.__cause__
+    assert isinstance(cause, T.GraphOverflowError) and cause.op_kind == "matmul"
+
+
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_raising_entry_point_restores_collector(collector, entry):
     error, call = raising_calls()[entry]

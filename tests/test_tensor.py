@@ -1,4 +1,6 @@
+import contextlib
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -285,3 +287,121 @@ def test_forward_determinism_bit_identical():
         return T.softmax(T.matmul(v, v) + v).data
 
     assert np.array_equal(run(), run())
+
+
+# -- batched finite checks inside graph_scope --------------------------------
+
+# each builds one faulty small node, then finite nodes that read it
+OVERFLOWS = {
+    "exp": lambda: T.exp(T.constant([1000.0])),
+    "log": lambda: T.log(T.constant([0.0])),
+    "divide": lambda: T.constant([1.0]) / T.constant([0.0]),
+    "mul": lambda: T.constant([1e200]) * T.constant([1e200]),
+}
+
+
+def _overflow_offset(build, scoped):
+    """(op kind, node id less the id of a probe taken just before) of the
+    overflow ``build`` raises, with more nodes built after the faulty one."""
+    start = T.constant(0.0).id
+    with pytest.raises(T.GraphOverflowError) as err:
+        if scoped:
+            with T.graph_scope():
+                y = build()
+                (y + T.constant([1.0])).sum()
+        else:
+            with np.errstate(over="ignore"):
+                y = build()
+    return err.value.op_kind, err.value.node_id - start
+
+
+@pytest.mark.parametrize("op", sorted(OVERFLOWS))
+def test_scoped_overflow_names_the_same_op_and_node(op):
+    bare = _overflow_offset(OVERFLOWS[op], scoped=False)
+    assert bare[0] == op
+    assert _overflow_offset(OVERFLOWS[op], scoped=True) == bare
+
+
+def test_scoped_overflow_reports_the_earlier_of_two():
+    start = T.constant(0.0).id
+    with pytest.raises(T.GraphOverflowError) as err:
+        with T.graph_scope():
+            T.log(T.constant([0.0]))                # node start + 2
+            T.exp(T.constant([1000.0]))
+    assert (err.value.op_kind, err.value.node_id) == ("log", start + 2)
+
+
+@pytest.mark.parametrize("then", ["large-overflow", "shape-error"])
+def test_small_overflow_wins_over_a_later_error(then):
+    start = T.constant(0.0).id
+    with pytest.raises(T.GraphOverflowError) as err:
+        with T.graph_scope():
+            T.exp(T.constant([1000.0]))             # node start + 2
+            if then == "large-overflow":
+                T.exp(T.constant(np.full(4096, 1000.0)))
+            else:
+                T.matmul(T.constant(np.ones((2, 3))), T.constant(np.ones((2, 3))))
+    assert (err.value.op_kind, err.value.node_id) == ("exp", start + 2)
+
+
+def test_large_node_checks_pending_nodes_first():
+    # the error a large node raises is already the earlier small node's
+    start = T.constant(0.0).id
+    with T.graph_scope():
+        T.exp(T.constant([1000.0]))                 # node start + 2
+        with pytest.raises(T.GraphOverflowError) as err:
+            T.exp(T.constant(np.full(4096, 1000.0)))
+    assert (err.value.op_kind, err.value.node_id) == ("exp", start + 2)
+
+
+def test_large_node_is_checked_when_built_in_scope():
+    reached = False
+    with pytest.raises(T.GraphOverflowError) as err:
+        with T.graph_scope():
+            T.exp(T.constant(np.full(T._DEFER_SIZE + 1, 1000.0)))
+            reached = True
+    assert err.value.op_kind == "exp" and not reached
+
+
+def test_scoped_overflow_raises_within_one_batch():
+    built = 0
+    with pytest.raises(T.GraphOverflowError) as err:
+        with T.graph_scope():
+            T.exp(T.constant([1000.0]))
+            for _ in range(2 * T._BATCH):
+                T.constant([1.0])
+                built += 1
+    assert err.value.op_kind == "exp" and built < T._BATCH
+
+
+def test_backward_checks_pending_nodes_before_writing_gradients():
+    with T.graph_scope():
+        p = T.parameter(np.ones(3))
+        bad = T.exp(p * T.constant(np.full(3, 1000.0)))
+        loss = bad.sum()
+        with pytest.raises(T.GraphOverflowError) as err:
+            T.backward(loss)
+    assert (err.value.op_kind, err.value.node_id) == ("exp", bad.id)
+    assert p._grad is None and bad._grad is None and loss._grad is None
+
+
+def test_interrupt_drops_pending_nodes():
+    with pytest.raises(KeyboardInterrupt):
+        with T.graph_scope():
+            T.exp(T.constant([1000.0]))
+            raise KeyboardInterrupt
+    assert not T._pending
+
+
+@pytest.mark.parametrize("outer", [False, True], ids=["bare", "in-scope"])
+def test_model_forward_leaves_no_pending_node(outer):
+    cfg = ModelConfig(arch="transformer", vocab_size=5, d_model=8, n_layers=1)
+    params = init_params(cfg)
+    with T.graph_scope() if outer else contextlib.nullcontext():
+        res = model_forward(cfg, params, np.zeros((1, 3), dtype=int))
+        assert not T._pending
+        # the logits node is small, so it was pending until the scope closed
+        assert res.logits[-1].data.size <= T._DEFER_SIZE
+        ref = weakref.ref(res.logits[-1].data)
+        del res
+        assert ref() is None

@@ -200,6 +200,33 @@ def test_overflow_in_closing_evaluate_is_divergence():
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_overflow_in_loss_raises_before_train_reads_the_loss(monkeypatch):
+    # train calls _loss_and_correct inside its own scope and then reads the
+    # loss value; the loss's own faulty node must already have raised
+    logits = T.constant(np.array([[1e308, -1e308]]))
+    monkeypatch.setattr(trainer, "_read_slots", lambda *args: ({0: logits}, None, [True]))
+    start = T.constant(0.0).id
+    with T.graph_scope():
+        with pytest.raises(T.GraphOverflowError) as exc_info:
+            _loss_and_correct(None, None, np.zeros((1, 1), dtype=int), [([0], [1])], 2)
+    # nodes: the max constant c (start + 1), then x - c (start + 2)
+    assert (exc_info.value.op_kind, exc_info.value.node_id) == ("sub", start + 2)
+
+
+def test_all_seeds_diverged_message_names_each_step():
+    # the steps where a finite check per node found each seed's overflow
+    tc = parity_tc(optimizer="sgd", lr=1e6, grad_clip=None, eval_every=1,
+                   n_seeds=2,
+                   model=ModelConfig(arch="rnn", vocab_size=len(PARITY_VOCAB),
+                                     d_model=8, nonlin="relu"))
+    with pytest.raises(TrainerError) as exc_info:
+        best_of_seeds(tc)
+    assert str(exc_info.value) == (
+        "all 2 seed runs diverged: "
+        "seed 0: loss became non-finite at step 3 (last finite step 3), "
+        "seed 1: loss became non-finite at step 4 (last finite step 4)")
+
+
 # -- evaluation -------------------------------------------------------------
 
 def oracle_predictor(task):
