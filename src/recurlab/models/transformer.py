@@ -5,9 +5,10 @@ The standard model has two routes: a batch forward (whole-sequence weight
 multiplications) and a cached step decoder (per-token, KV cache).  They share
 the attention math but not the op order, so their agreement is a real check.
 The batch forward builds a product and a sum node per (query, key) pair,
-which is the O(n^2) node count the profiler measures; the cached cell
-(``attn_cell``, shared by the step decoder and the recurrent, block and
-universal variants) scores the whole cache in one node per head.
+which is the O(n^2) node count the profiler measures, and is the only route
+that does; the cached cell (``attn_cell``, shared by the step decoder and the
+recurrent, feedback, block and universal variants) scores the whole cache in
+one node per head.
 """
 
 from __future__ import annotations
@@ -18,30 +19,35 @@ import numpy as np
 
 from .. import tensor as T
 from ..tensor import Value
-from .common import (ModelError, ParamGraph, as_row, attend_cached, attend_heads,
+from .common import (ModelError, ParamGraph, as_row, attend_cached, attend_one_head,
                      concat_heads, embed_one, embed_tokens, ffn_sublayer, init_layers,
                      layer_norm, readout, residual_block, scale_for, split_heads,
                      step_layers)
 
 
+def append_kv(cfg, pg: ParamGraph, prefix: str, x: Value, cache, window=None) -> tuple:
+    """``cache`` with ``x``'s keys and values under layer ``prefix`` appended.
+    ``cache`` holds one immutable (key rows, value rows) pair of tuples per
+    head, or is None while empty; with a ``window``, only each head's last
+    ``window`` rows are kept."""
+    keep = slice(None) if window is None else slice(-window, None)
+    k = split_heads(T.matmul(x, pg[f"{prefix}.wk"]), cfg.n_heads)
+    v = split_heads(T.matmul(x, pg[f"{prefix}.wv"]), cfg.n_heads)
+    return tuple(((keys + (as_row(kh),))[keep], (vals + (as_row(vh),))[keep])
+                 for (keys, vals), kh, vh in zip(cache or (((), ()),) * cfg.n_heads, k, v))
+
+
 def attn_cell(cfg, pg: ParamGraph, prefix: str, h_t: Value, cache) -> tuple:
-    """One attention layer at one position.  ``cache`` holds one immutable
-    (key rows, value rows) pair of tuples per head, or is None while empty;
-    returns (layer output, cache with this position appended).  The node count
-    does not depend on how many positions the cache holds."""
+    """One attention layer at one position over ``cache`` (see ``append_kv``)
+    plus the position itself; returns (layer output, cache with this position
+    appended).  The node count does not depend on how many positions the
+    cache holds."""
     def attend(x):
         q = T.matmul(x, pg[f"{prefix}.wq"])
-        k = T.matmul(x, pg[f"{prefix}.wk"])
-        v = T.matmul(x, pg[f"{prefix}.wv"])
-        heads, new_cache = [], []
-        for (keys, vals), qh, kh, vh in zip(cache or (((), ()),) * cfg.n_heads,
-                                            split_heads(q, cfg.n_heads),
-                                            split_heads(k, cfg.n_heads),
-                                            split_heads(v, cfg.n_heads)):
-            keys, vals = keys + (as_row(kh),), vals + (as_row(vh),)
-            heads.append(attend_cached(qh, keys, vals, scale_for(cfg)))
-            new_cache.append((keys, vals))
-        return concat_heads(heads), tuple(new_cache)
+        new_cache = append_kv(cfg, pg, prefix, x, cache)
+        return concat_heads([attend_cached(qh, keys, vals, scale_for(cfg))
+                             for qh, (keys, vals) in zip(split_heads(q, cfg.n_heads),
+                                                         new_cache)]), new_cache
 
     return residual_block(cfg, pg, prefix, h_t, attend)
 
@@ -74,7 +80,9 @@ def transformer_forward(cfg, pg: ParamGraph, token_ids: np.ndarray, positions) -
               for t in range(length)]
         new_hs = {}
         for t in queries:
-            attn = attend_heads(cfg, qh[t], kh[:t + 1], vh[:t + 1])
+            attn = concat_heads([attend_one_head(q_h, [k[i] for k in kh[:t + 1]],
+                                                 [v[i] for v in vh[:t + 1]], scale_for(cfg))
+                                 for i, q_h in enumerate(qh[t])])
             new_hs[t] = ffn_sublayer(cfg, pg, prefix, hs[t] + attn) if cfg.use_residual else attn
         hs = new_hs
     return {t: readout(pg, hs[t]) for t in kept}
@@ -105,28 +113,20 @@ def recurrent_transformer_step(cfg, pg: ParamGraph, state: dict,
 # -- feedback transformer ---------------------------------------------------
 
 def feedback_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:
-    """Every layer attends over the shared top-layer memory plus the current
-    position (single-position query); each layer's own state stays None."""
-    memory = state.get("memory", [])
+    """Every layer attends over its cached keys and values of the last
+    ``cfg.feedback_window`` top-layer outputs plus the current position.  The
+    top output is kept at ``state['h_top']`` and enters every layer's cache at
+    the next step; a layer keeps its cache without the current position."""
+    h_top = state.get("h_top")
 
-    def layer(prefix, h, _):
-        def attend(x):
-            sources = memory + [x]
-            q = T.matmul(x, pg[f"{prefix}.wq"])
-            ks = [T.matmul(m, pg[f"{prefix}.wk"]) for m in sources]
-            vs = [T.matmul(m, pg[f"{prefix}.wv"]) for m in sources]
-            kh = [split_heads(k, cfg.n_heads) for k in ks]
-            vh = [[as_row(part) for part in split_heads(v, cfg.n_heads)] for v in vs]
-            return attend_heads(cfg, split_heads(q, cfg.n_heads), kh, vh), None
-
-        return residual_block(cfg, pg, prefix, h, attend)
+    def layer(prefix, h, cache):
+        if h_top is not None:
+            cache = append_kv(cfg, pg, prefix, h_top, cache, cfg.feedback_window)
+        return attn_cell(cfg, pg, prefix, h, cache)[0], cache
 
     h, state = step_layers(state, embed_one(pg, token_ids_t, state["t"], cfg.use_positional),
                            layer)
-    memory = memory + [h]
-    if cfg.feedback_window is not None:
-        memory = memory[-cfg.feedback_window:]
-    return h, {**state, "memory": memory}
+    return h, {**state, "h_top": h}
 
 
 # -- block recurrent transformer --------------------------------------------

@@ -140,7 +140,8 @@ def test_feedback_step_builds_only_read_nodes():
     start = T.constant(0).id
     logits, state = step(cfg, pg, state, toks[:, 3])
     end = T.constant(0).id
-    reachable = {v.id for v in T.topo_nodes(logits, *state["memory"])}
+    cached = [row for cache in state["layers"] for keys, vals in cache for row in keys + vals]
+    reachable = {v.id for v in T.topo_nodes(logits, state["h_top"], *cached)}
     unread = [i for i in range(start + 1, end) if i not in reachable]
     assert end - start - 1 > 100
     assert not unread, f"{len(unread)} of {end - start - 1} nodes unread"
@@ -239,13 +240,14 @@ def test_block_recurrent_depends_on_previous_block():
 
 
 def test_feedback_window_limits_memory():
-    cfg = tiny_cfg("feedback-transformer", feedback_window=2)
+    cfg = tiny_cfg("feedback-transformer", n_layers=2, n_heads=2, feedback_window=2)
     params = init_params(cfg)
     pg = ParamGraph(params)
     state = init_state(cfg, batch=1)
     for tok in (1, 2, 3, 4, 5):
         _, state = step(cfg, pg, state, np.array([tok]))
-    assert len(state["memory"]) == 2
+    rows = [[(len(keys), len(vals)) for keys, vals in cache] for cache in state["layers"]]
+    assert rows == [[(2, 2), (2, 2)], [(2, 2), (2, 2)]]
 
 
 def test_config_validation():
