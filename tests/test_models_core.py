@@ -130,6 +130,23 @@ def test_cached_step_nodes_constant_in_cache_length(arch):
     assert last_step_nodes(9) == last_step_nodes(41)
 
 
+def test_unlimited_feedback_step_nodes_constant_in_memory_length():
+    """Without a window every layer caches all past top outputs, yet step 20
+    builds as many nodes as step 3: each layer projects only the newest top
+    output and scores its whole cache in one node per head."""
+    cfg = tiny_cfg("feedback-transformer", d_model=16, n_layers=2, n_heads=2,
+                   feedback_window=None)
+    pg = ParamGraph(init_params(cfg))
+    toks = np.random.default_rng(3).integers(0, VOCAB, size=(2, 21))
+    state = init_state(cfg, 2)
+    counts = []
+    for t in range(21):
+        start = T.constant(0).id
+        _, state = step(cfg, pg, state, toks[:, t])
+        counts.append(T.constant(0).id - start - 1)
+    assert counts[20] == counts[3]
+
+
 def test_feedback_step_builds_only_read_nodes():
     cfg = tiny_cfg("feedback-transformer", d_model=16, n_layers=2, n_heads=2)
     pg = ParamGraph(init_params(cfg))
