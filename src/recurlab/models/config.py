@@ -7,6 +7,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from ..tensor import NONLINEARITIES
 from .common import ModelError
 
 ARCHS = (
@@ -66,6 +67,10 @@ class ModelConfig:
             raise ModelError(f"feedback_window must be >= 1 or None, got {self.feedback_window}")
         if self.d_model % self.n_heads:
             raise ModelError(f"d_model {self.d_model} not divisible by {self.n_heads} heads")
+        for name in ("nonlin", "feature_map"):
+            if getattr(self, name) not in NONLINEARITIES:
+                raise ModelError(f"{name} must be one of {sorted(NONLINEARITIES)}, "
+                                 f"got {getattr(self, name)!r}")
 
 
 def _attn_layer_params(rng, d, d_ff, prefix, params, with_query=True):

@@ -172,6 +172,8 @@ def test_train_reads_lr_exponent_without_dot(runner, tmp_path):
      + "  feedback-window: 0\n", "feedback_window must be >= 1"),
     (TRAIN_YAML + "  n-heads: 0\n", "n_heads must be >= 1"),
     (TRAIN_YAML + "  n-layers: 0\n", "n_layers must be >= 1"),
+    (TRAIN_YAML + "  nonlin: swish\n", "nonlin must be one of"),
+    (TRAIN_YAML + "  feature-map: relu2\n", "feature_map must be one of"),
     (TRAIN_YAML.replace("batch-size: 8", "batch-size: 0"), "batch_size must be >= 1"),
     (TRAIN_YAML.replace("max-steps: 60", "max-steps: 0"), "max_steps must be >= 1"),
     (TRAIN_YAML.replace("eval-every: 30", "eval-every: 0"), "eval_every must be >= 1"),
@@ -180,8 +182,9 @@ def test_train_reads_lr_exponent_without_dot(runner, tmp_path):
     (TRAIN_YAML.replace("lr: 0.005", "lr: 0.005\ngrad-clip: -1.0"), "grad_clip must be > 0"),
     (TRAIN_YAML.replace("lr: 0.005", "lr: 0.005\ngrad-clip: 0.0"), "grad_clip must be > 0"),
 ], ids=["model-not-a-mapping", "string-batch-size", "unparsable-yaml",
-        "feedback-window-0", "n-heads-0", "n-layers-0", "batch-size-0", "max-steps-0",
-        "eval-every-0", "n-eval-0", "n-seeds-0", "grad-clip-negative", "grad-clip-0"])
+        "feedback-window-0", "n-heads-0", "n-layers-0", "unknown-nonlin",
+        "unknown-feature-map", "batch-size-0", "max-steps-0", "eval-every-0", "n-eval-0",
+        "n-seeds-0", "grad-clip-negative", "grad-clip-0"])
 def test_train_malformed_config_exit_2_one_json_line(runner, tmp_path, text, fragment):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text)
