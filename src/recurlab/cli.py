@@ -19,16 +19,19 @@ import click
 import yaml
 
 from . import llm_eval, profiler, tasks, trainer
+from .automata import AutomatonError
 from .llm_eval import (AuthError, EndpointConfig, EndpointTimeout, LLMEvalError,
                        MalformedResponse, TransientFailure)
 from .models import ARCHS, ModelConfig, ModelError, load_checkpoint, save_checkpoint
 from .profiler import ProfilerError
 from .tasks import LEVEL_ORDER, TaskError, TaskId
-from .tensor import GraphOverflowError, ShapeError
+from .tensor import GraphOverflowError, TensorError
 from .trainer import DivergenceError, TrainerError
 
-_VALIDATION = (TaskError, ModelError, ProfilerError, TrainerError, ShapeError,
-               ValueError, KeyError, FileNotFoundError, yaml.YAMLError)
+# _guard matches _RUNTIME before _VALIDATION, so a GraphOverflowError (a
+# TensorError) exits 3
+_VALIDATION = (TaskError, ModelError, ProfilerError, TrainerError, TensorError,
+               AutomatonError, ValueError, KeyError, FileNotFoundError, yaml.YAMLError)
 _RUNTIME = (DivergenceError, GraphOverflowError, ArithmeticError)
 _NETWORK = (AuthError, EndpointTimeout, TransientFailure, MalformedResponse)
 

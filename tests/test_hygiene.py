@@ -1,7 +1,14 @@
-"""Source hygiene: no module under src/ or tests/ imports a name it never uses."""
+"""Source hygiene: no module under src/ or tests/ imports a name it never
+uses, and every exception recurlab defines maps to a CLI exit code."""
 
 import ast
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
+
+import recurlab
+from recurlab import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -41,3 +48,16 @@ def test_no_unused_imports():
              for path in sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")])
              for line, name in unused_imports(path.read_text())]
     assert not found, "imported but never used:\n" + "\n".join(found)
+
+
+def test_every_exception_maps_to_an_exit_code():
+    """``cli._guard`` turns each exception class defined under recurlab into
+    exit 2, 3 or 4 with one JSON line, so none ends a command in a traceback."""
+    covered = cli._NETWORK + cli._RUNTIME + cli._VALIDATION + (cli.LLMEvalError,)
+    modules = [importlib.import_module(info.name)
+               for info in pkgutil.walk_packages(recurlab.__path__, "recurlab.")]
+    defined = {cls for module in modules for _, cls in inspect.getmembers(module, inspect.isclass)
+               if issubclass(cls, Exception) and cls.__module__.startswith("recurlab.")}
+    unmapped = sorted(f"{cls.__module__}.{cls.__qualname__}" for cls in defined
+                      if not issubclass(cls, covered))
+    assert len(defined) > 10 and not unmapped, f"no exit code for {unmapped}"
