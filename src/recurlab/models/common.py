@@ -66,13 +66,14 @@ class ParamGraph:
 
 def sinusoidal_positions(length: int, d_model: int) -> np.ndarray:
     """Fixed sin/cos positional table; defined for any length, so length
-    generalization is never blocked by untrained position slots."""
+    generalization is never blocked by untrained position slots.  Columns
+    2i and 2i+1 hold sin and cos of angle i; an odd width ends on a sin."""
     pos = np.arange(length)[:, None].astype(np.float64)
-    dim = np.arange(d_model // 2)[None, :].astype(np.float64)
+    dim = np.arange((d_model + 1) // 2)[None, :].astype(np.float64)
     angle = pos / np.power(10000.0, 2.0 * dim / d_model)
     table = np.zeros((length, d_model))
     table[:, 0::2] = np.sin(angle)
-    table[:, 1::2] = np.cos(angle)
+    table[:, 1::2] = np.cos(angle[:, :d_model // 2])
     return table
 
 

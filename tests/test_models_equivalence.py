@@ -40,6 +40,12 @@ def test_kv_cache_routes_agree():
         assert route_gap("transformer", seed, n=10) < 1e-12
 
 
+def test_odd_width_transformer_routes_agree():
+    """An odd d_model gets a positional table (it ends on a sin column), and
+    the two routes agree within criterion 1's tolerance."""
+    assert route_gap("transformer", 0, n=10, d_model=5, n_heads=1) < 1e-8
+
+
 @pytest.mark.parametrize("arch", ["rwkv", "linear-transformer", "transformer"])
 def test_routes_agree_without_residual(arch):
     assert route_gap(arch, 0, n=8, use_residual=False) < 1e-10
