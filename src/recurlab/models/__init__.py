@@ -68,10 +68,20 @@ def init_state(cfg: ModelConfig, batch: int, length: int | None = None):
     return _STEP_API[cfg.arch][0](cfg, batch, length)
 
 
+def _check_tokens(cfg: ModelConfig, token_ids) -> np.ndarray:
+    """``token_ids`` as an array; a ``ModelError`` names the first id outside
+    [0, vocab_size), which the embedding lookup would wrap or fail on."""
+    token_ids = np.asarray(token_ids)
+    bad = token_ids[(token_ids < 0) | (token_ids >= cfg.vocab_size)]
+    if bad.size:
+        raise ModelError(f"token id {bad[0]} outside [0, {cfg.vocab_size})")
+    return token_ids
+
+
 def step(cfg: ModelConfig, pg: ParamGraph, state, token_ids_t: np.ndarray):
     """Consume one token per sequence; returns (logits, new_state).  The input
     state is not mutated, so any retained copy stays resumable."""
-    h, state = _STEP_API[cfg.arch][1](cfg, pg, state, np.asarray(token_ids_t))
+    h, state = _STEP_API[cfg.arch][1](cfg, pg, state, _check_tokens(cfg, token_ids_t))
     return readout(pg, h), state
 
 
@@ -142,7 +152,7 @@ def model_forward(cfg: ModelConfig, params: dict, token_ids: np.ndarray,
     """
     if mode not in ("parallel", "recurrent"):
         raise ModelError(f"unknown mode {mode!r}")
-    token_ids = np.asarray(token_ids)
+    token_ids = _check_tokens(cfg, token_ids)
     if token_ids.ndim != 2:
         raise ModelError(f"token_ids must be (batch, length), got {token_ids.shape}")
     length = token_ids.shape[1]

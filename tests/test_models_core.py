@@ -94,6 +94,19 @@ def test_bad_positions_rejected(positions):
         model_forward(cfg, params, toks, positions=positions)
 
 
+@pytest.mark.parametrize("token", [-1, VOCAB])
+def test_token_id_outside_vocab_rejected(token):
+    """-1 used to read the last embedding row and VOCAB to raise a bare
+    IndexError, in model_forward and in step."""
+    cfg = tiny_cfg("transformer")
+    params = init_params(cfg)
+    for mode in ("parallel", "recurrent"):
+        with pytest.raises(ModelError, match=rf"token id {token} outside \[0, {VOCAB}\)"):
+            model_forward(cfg, params, np.array([[1, token, 2]]), mode=mode)
+    with pytest.raises(ModelError, match=rf"token id {token} outside"):
+        step(cfg, ParamGraph(params), init_state(cfg, 2), np.array([3, token]))
+
+
 @pytest.mark.parametrize("scale", [None, 0.35])
 @pytest.mark.parametrize("t", [1, 6])
 def test_attend_cached_matches_attend_one_head(t, scale):
