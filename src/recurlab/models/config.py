@@ -62,7 +62,7 @@ class ModelConfig:
                             ("tape_extra_cells", 0)):
             if getattr(self, name) < least:
                 raise ModelError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        # memory[-0:] would be the whole memory, so 0 cannot mean "none"
+        # rows[-0:] would keep every cached row, so 0 cannot mean "none"
         if self.feedback_window is not None and self.feedback_window < 1:
             raise ModelError(f"feedback_window must be >= 1 or None, got {self.feedback_window}")
         if self.d_model % self.n_heads:
