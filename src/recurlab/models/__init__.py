@@ -69,9 +69,12 @@ def init_state(cfg: ModelConfig, batch: int, length: int | None = None):
 
 
 def _check_tokens(cfg: ModelConfig, token_ids) -> np.ndarray:
-    """``token_ids`` as an array; a ``ModelError`` names the first id outside
-    [0, vocab_size), which the embedding lookup would wrap or fail on."""
+    """``token_ids`` as an array; a ``ModelError`` names a non-integer dtype
+    or the first id outside [0, vocab_size), which the embedding lookup would
+    fail on or wrap."""
     token_ids = np.asarray(token_ids)
+    if not np.issubdtype(token_ids.dtype, np.integer):
+        raise ModelError(f"token ids must be integers, got dtype {token_ids.dtype}")
     bad = token_ids[(token_ids < 0) | (token_ids >= cfg.vocab_size)]
     if bad.size:
         raise ModelError(f"token id {bad[0]} outside [0, {cfg.vocab_size})")

@@ -94,16 +94,19 @@ def test_bad_positions_rejected(positions):
         model_forward(cfg, params, toks, positions=positions)
 
 
-@pytest.mark.parametrize("token", [-1, VOCAB])
-def test_token_id_outside_vocab_rejected(token):
-    """-1 used to read the last embedding row and VOCAB to raise a bare
-    IndexError, in model_forward and in step."""
+@pytest.mark.parametrize("token, message", [
+    (-1, rf"token id -1 outside \[0, {VOCAB}\)"),
+    (VOCAB, rf"token id {VOCAB} outside \[0, {VOCAB}\)"),
+    (1.5, "token ids must be integers, got dtype float64")])
+def test_bad_token_id_rejected(token, message):
+    """-1 used to read the last embedding row, and VOCAB or a float id to raise
+    a bare IndexError, in model_forward and in step."""
     cfg = tiny_cfg("transformer")
     params = init_params(cfg)
     for mode in ("parallel", "recurrent"):
-        with pytest.raises(ModelError, match=rf"token id {token} outside \[0, {VOCAB}\)"):
+        with pytest.raises(ModelError, match=message):
             model_forward(cfg, params, np.array([[1, token, 2]]), mode=mode)
-    with pytest.raises(ModelError, match=rf"token id {token} outside"):
+    with pytest.raises(ModelError, match=message):
         step(cfg, ParamGraph(params), init_state(cfg, 2), np.array([3, token]))
 
 
