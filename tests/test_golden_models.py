@@ -1,10 +1,14 @@
 """Golden-digest gate: every logits array and every parameter gradient of a
-fixed loss, for all architectures in both modes, must stay byte-identical.
+fixed loss, for all architectures in both modes, must stay byte-identical, and
+so must every architecture's profile table.
 
 ``tests/golden_models.json`` holds sha256 digests of the float64 bytes (and
-shapes) of those arrays.  The test only reads it; a refactor that changes any
-output bit fails here with the keys that differ.  Digests depend on numpy's
-float arithmetic, so the file records the numpy version that wrote it.
+shapes) of those arrays under ``digests``, and of ``table_to_csv`` of each
+architecture's ``profile_table`` (d16, n = 4/8/16/32, 1 layer and 1 head or 2
+layers and 2 heads) under ``profiles``.  The tests only read it; a refactor
+that changes any output bit or any profile number (total_ops, depth, flops)
+fails here with the keys that differ.  Digests depend on numpy's float
+arithmetic, so the file records the numpy version that wrote it.
 """
 
 import hashlib
@@ -14,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from recurlab import tensor as T
+from recurlab.profiler import profile_table, table_to_csv
 from recurlab.models import (ARCHS, STEP_CAPABLE, ModelConfig, ParamGraph, init_params,
                              init_state, model_forward, step)
 
@@ -22,6 +27,8 @@ VOCAB = 9
 CONFIGS = {"d8-l2-h2": dict(d_model=8, n_layers=2, n_heads=2),
            "d16-l1-h1": dict(d_model=16, n_layers=1, n_heads=1)}
 POSITIONS = {"all": None, "6,2": [6, 2]}
+PROFILE_LAYERS = (1, 2)          # n_layers == n_heads
+PROFILE_GRID = (4, 8, 16, 32)
 
 
 def _cfg(arch, shape):
@@ -71,10 +78,28 @@ def golden_digests() -> dict:
     return digests
 
 
-def test_golden_digests_unchanged():
+def profile_digests() -> dict:
+    digests = {}
+    for arch in ARCHS:
+        for n in PROFILE_LAYERS:
+            cfg = ModelConfig(arch=arch, vocab_size=8, d_model=16, n_layers=n, n_heads=n)
+            csv = table_to_csv(profile_table([cfg], PROFILE_GRID))
+            digests[f"{arch}/d16-l{n}-h{n}/profile"] = hashlib.sha256(csv.encode()).hexdigest()
+    return digests
+
+
+def _assert_unchanged(section: str, got: dict):
     golden = json.loads(GOLDEN.read_text())
-    got = golden_digests()
-    want = golden["digests"]
+    want = golden[section]
     differ = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
-    assert not differ, (f"{len(differ)} of {len(want)} digests differ (golden written with "
-                        f"numpy {golden['numpy']}, running {np.__version__}): {differ}")
+    assert not differ, (f"{len(differ)} of {len(want)} {section} digests differ (golden "
+                        f"written with numpy {golden['numpy']}, running {np.__version__}): "
+                        f"{differ}")
+
+
+def test_golden_digests_unchanged():
+    _assert_unchanged("digests", golden_digests())
+
+
+def test_profile_table_digests_unchanged():
+    _assert_unchanged("profiles", profile_digests())
