@@ -1,9 +1,11 @@
 """Shared graph-building blocks for the architecture zoo.
 
 Everything here builds on the ``tensor`` graph, one node per operation, so the
-profiler's counts reflect exactly what each architecture computes.  Sequences
-are handled either as one ``Value`` of shape (batch, length, d_model) or as a
-list of per-position ``Value``s of shape (batch, d_model).  Only the softmax
+profiler's counts reflect exactly what each architecture computes.  A layer
+norm (``layer_norm``) is one fused ``tensor.layer_norm`` node, which the
+profiler counts as the 13 elementary ops it replaces.  Sequences are handled
+either as one ``Value`` of shape (batch, length, d_model) or as a list of
+per-position ``Value``s of shape (batch, d_model).  Only the softmax
 Transformer's parallel route materializes per-pair attention scores as
 individual nodes (a product and a sum per attended position, via
 ``attend_one_head``, whose reductions go through concat+sum so the dependency
@@ -112,13 +114,7 @@ def readout(pg: ParamGraph, h: Value) -> Value:
 
 
 def layer_norm(pg: ParamGraph, prefix: str, x: Value, eps: float = 1e-6) -> Value:
-    d = x.shape[-1]
-    mean = x.sum(axis=-1, keepdims=True) * T.constant(1.0 / d)
-    centered = x - mean
-    var = (centered * centered).sum(axis=-1, keepdims=True) * T.constant(1.0 / d)
-    # 1/sqrt computed as exp(-log(var+eps)/2); keeps the op vocabulary small
-    inv_std = T.exp(T.log(var + T.constant(eps)) * T.constant(-0.5))
-    return centered * inv_std * pg[prefix + "_g"] + pg[prefix + "_b"]
+    return T.layer_norm(x, pg[prefix + "_g"], pg[prefix + "_b"], eps)
 
 
 def ffn(pg: ParamGraph, prefix: str, x: Value, nonlin: str) -> Value:

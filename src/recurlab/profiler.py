@@ -5,7 +5,9 @@ tensor size (a matmul of any shape counts 1).  ``depth`` is the length of the
 longest dependency chain from any input/parameter leaf to a logit node;
 ``total_ops`` is the number of distinct operation nodes reachable from the
 logits.  Both are measured on the graph an architecture actually builds, so
-the numbers reflect the implementation, not an idealized formula.
+the numbers reflect the implementation, not an idealized formula.  A fused
+node counts as the elementary ops it replaces, in total ops, depth and
+flops: a ``layer_norm`` node is 13 ops, on a chain 13 long from its input.
 
 Per-scalar FLOPs are reported as a secondary metric (``flops``): the counting
 rule above deliberately ignores tensor width, so FLOPs are the place to see
@@ -24,6 +26,9 @@ from . import models
 from .tensor import Value, graph_scope, topo_nodes
 
 _LEAF_KINDS = frozenset({"input", "parameter"})
+# a fused node's op kind -> (the elementary ops it replaces, the longest
+# chain of them from each parent to its output)
+_FUSED = {"layer_norm": (13, (13, 2, 1))}
 
 
 class ProfilerError(Exception):
@@ -60,6 +65,11 @@ def _node_flops(v: Value) -> int:
     """Rough per-scalar cost of one node; elementwise ops count one flop per
     output scalar, a sum one per input scalar, matmul the classic 2·m·n·k."""
     size = v.data.size
+    if v.op_kind == "layer_norm":
+        # sum, sub, square, sum, * inv_std, * gain and + bias take one flop
+        # per element of x; the 6 ops on the row statistics take 12 per row
+        x = v.parents[0].data
+        return 7 * x.size + 12 * (x.size // x.shape[-1])
     if v.op_kind == "sum":
         return v.parents[0].data.size
     if v.op_kind == "matmul":
@@ -88,9 +98,15 @@ def graph_profile(sinks: list, n: int, arch: str) -> DepthProfile:
         if v.op_kind in _LEAF_KINDS:
             depth[v.id] = 0
             continue
-        d = 1 + max((depth[p.id] for p in v.parents), default=0)
+        fused = _FUSED.get(v.op_kind)
+        if fused is None:
+            d = 1 + max((depth[p.id] for p in v.parents), default=0)
+            total_ops += 1
+        else:
+            ops, chains = fused
+            d = max(depth[p.id] + c for p, c in zip(v.parents, chains))
+            total_ops += ops
         depth[v.id] = d
-        total_ops += 1
         flops += _node_flops(v)
         max_depth = max(max_depth, d)
     return DepthProfile(total_ops=total_ops, depth=max_depth, n=n, arch=arch, flops=flops)

@@ -5,6 +5,13 @@ monotonic, so parent ids are always strictly smaller than the child id and the
 graph is acyclic by construction.  The profiler relies on this: one node is one
 counted operation, regardless of the tensor sizes involved.
 
+The ops are ``add``, ``sub``, ``mul``, ``divide``, ``matmul``, ``exp``,
+``log``, ``nonlinearity`` (the ``NONLINEARITIES``), ``softmax``, ``concat``,
+``slice`` (``Value.slice`` and ``take_rows``), ``reshape``, ``vsum`` and
+``layer_norm``.  ``layer_norm`` is a fused node: it computes, differentiates
+and overflow-checks exactly as the 13 elementary nodes it replaces would,
+byte for byte, and the profiler counts it as those 13 ops.
+
 Elementwise ops follow numpy broadcasting; gradients are summed back over
 broadcast axes.  All data is float64 -- equivalence tests between recurrent and
 parallel model forms need the head-room.
@@ -65,6 +72,7 @@ __all__ = [
     "log",
     "nonlinearity",
     "softmax",
+    "layer_norm",
     "concat",
     "take_rows",
     "reshape",
@@ -451,6 +459,62 @@ def softmax(a: Value) -> Value:
     e = np.exp(shifted)
     data = e / e.sum(axis=-1, keepdims=True)
     return Value(data, "softmax", (a,), _softmax_bwd)
+
+
+def _layer_norm_bwd(out):
+    # replays the backward steps of the 13 elementary nodes that layer_norm
+    # fuses, in their reverse creation order and with the same arithmetic, so
+    # every gradient keeps its bytes; the constants' gradients are skipped,
+    # since nothing reads them
+    x, gain, bias = out.parents
+    centered, inv_std, var_eps, normed = out._ctx
+    g = out._grad
+    inv_d = 1.0 / x.shape[-1]
+    _accumulate(bias, _unbroadcast(g, bias.shape))                 # + bias
+    _accumulate(gain, _unbroadcast(g * normed, gain.shape))        # * gain
+    g_normed = g * gain.data
+    g_centered = g_normed * inv_std                                # * inv_std
+    g_inv_std = _unbroadcast(g_normed * centered, inv_std.shape)
+    g_var = g_inv_std * inv_std * -0.5 / var_eps                   # exp, * -0.5, log
+    g_sq = np.broadcast_to(g_var * inv_d, centered.shape)          # + eps, * 1/d, sum
+    g_centered = g_centered + g_sq * centered                      # square, one
+    g_centered += g_sq * centered                                  # operand at a time
+    _accumulate(x, _unbroadcast(g_centered, x.shape))              # x - mean
+    g_mean = _unbroadcast(-g_centered, inv_std.shape)
+    _accumulate(x, np.broadcast_to(g_mean * inv_d, x.shape))       # * 1/d, sum
+
+
+def layer_norm(x: Value, gain: Value, bias: Value, eps: float) -> Value:
+    """Normalize ``x`` over its last axis to zero mean and unit variance,
+    then scale by ``gain`` and shift by ``bias``, both of shape (d,).
+
+    One node for 13 elementary ops: sum, * 1/d, sub, square, sum, * 1/d,
+    + eps, log, * -0.5, exp (so 1/sqrt(var + eps) is exp(-log(var + eps)/2)),
+    * inv_std, * gain and + bias.  Data and gradients are byte-identical to
+    that chain's, and the profiler counts the node as those 13 ops.  The node
+    raises ``GraphOverflowError`` whenever a node of the chain would have: an
+    infinite variance makes inv_std 0 and the output finite, so var + eps is
+    checked as well as the output, after any pending earlier node.
+    """
+    d = x.shape[-1] if x.data.ndim else 0
+    if not d or gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError("layer_norm", x.shape, gain.shape, bias.shape)
+    xd = x.data
+    inv_d = 1.0 / d
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mean = xd.sum(axis=-1, keepdims=True) * inv_d
+        centered = xd - mean
+        var_eps = (centered * centered).sum(axis=-1, keepdims=True) * inv_d + eps
+        inv_std = np.exp(np.log(var_eps) * -0.5)
+        normed = centered * inv_std
+        data = normed * gain.data + bias.data
+    out = Value(data, "layer_norm", (x, gain, bias), _layer_norm_bwd,
+                (centered, inv_std, var_eps, normed))
+    if not np.isfinite(var_eps).all():
+        if _pending:
+            _check_pending()
+        raise GraphOverflowError("layer_norm", out.id)
+    return out
 
 
 def _concat_bwd(out):

@@ -11,6 +11,7 @@ from recurlab.models import ModelConfig, init_params
 from recurlab.profiler import (DepthProfile, ProfilerError, fit_complexity,
                                graph_profile, profile, profile_table,
                                table_to_csv, table_to_markdown)
+from test_tensor import layer_norm_chain
 
 VOCAB = 7
 
@@ -71,6 +72,20 @@ def test_flops_per_op_kind():
     # a reduction costs one flop per input scalar, not per output scalar
     rows = T.parameter(np.ones((8, 5)))
     assert graph_profile([rows.sum(axis=0)], 8, "hand").flops == 40
+
+
+@pytest.mark.parametrize("shape", [(3, 8), (2, 4, 7)])
+def test_layer_norm_counts_as_the_chain_it_fuses(shape):
+    """A fused layer norm adds the total_ops, depth and flops of its 13
+    elementary ops, also below an inner node and beside a residual add."""
+    def build(ln):
+        x = T.nonlinearity(T.parameter(np.ones(shape)), "tanh")
+        out = ln(x, T.parameter(np.ones(shape[-1])), T.parameter(np.zeros(shape[-1])), 1e-6)
+        return graph_profile([out + x], n=1, arch="hand")
+
+    fused, chain = build(T.layer_norm), build(layer_norm_chain)
+    assert fused == chain
+    assert (fused.total_ops, fused.depth) == (15, 15)
 
 
 def test_invariants_enforced():

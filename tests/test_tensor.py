@@ -405,3 +405,92 @@ def test_model_forward_leaves_no_pending_node(outer):
         ref = weakref.ref(res.logits[-1].data)
         del res
         assert ref() is None
+
+
+# -- fused layer norm ---------------------------------------------------------
+
+def layer_norm_chain(x, gain, bias, eps=1e-6):
+    """The 13 elementary ops (and 4 constants) that ``T.layer_norm`` fuses,
+    as the models built them one node each."""
+    d = x.shape[-1]
+    mean = x.sum(axis=-1, keepdims=True) * T.constant(1.0 / d)
+    centered = x - mean
+    var = (centered * centered).sum(axis=-1, keepdims=True) * T.constant(1.0 / d)
+    inv_std = T.exp(T.log(var + T.constant(eps)) * T.constant(-0.5))
+    return centered * inv_std * gain + bias
+
+
+def _layer_norm_run(ln, shape, residual):
+    """Data of ``ln``'s output and the gradients of x's source, gain and bias
+    under a weighted-sum loss; x is an inner node, and with ``residual`` it
+    also feeds a residual add built after the norm."""
+    rng = np.random.default_rng(sum(shape))
+    src = T.parameter(rng.normal(size=shape))
+    gain = T.parameter(rng.normal(size=shape[-1:]))
+    bias = T.parameter(rng.normal(size=shape[-1:]))
+    x = T.nonlinearity(src, "tanh") * T.constant(3.0)
+    out = ln(x, gain, bias, 1e-6)
+    if residual:
+        out = out + x
+    T.backward((out * T.constant(rng.normal(size=shape))).sum())
+    return [a.tobytes() for a in (out.data, src.grad, x.grad, gain.grad, bias.grad)]
+
+
+@pytest.mark.parametrize("residual", [False, True], ids=["alone", "residual"])
+@pytest.mark.parametrize("shape", [(3, 8), (1, 5), (2, 4, 7), (2, 3, 16)])
+def test_layer_norm_matches_the_chain_byte_for_byte(shape, residual):
+    fused = _layer_norm_run(T.layer_norm, shape, residual)
+    assert fused == _layer_norm_run(layer_norm_chain, shape, residual)
+
+
+def test_layer_norm_builds_one_node():
+    x = T.parameter(np.ones((2, 4)))
+    start = T.constant(0.0).id
+    out = T.layer_norm(x, T.parameter(np.ones(4)), T.parameter(np.zeros(4)), 1e-6)
+    assert out.op_kind == "layer_norm" and out.id == start + 3
+    assert [p.id for p in out.parents] == [x.id, start + 1, start + 2]
+
+
+@pytest.mark.parametrize("gain_shape", [(3,), (1, 4), (4, 1)])
+def test_layer_norm_rejects_gain_not_of_width_d(gain_shape):
+    with pytest.raises(T.ShapeError, match="layer_norm"):
+        T.layer_norm(T.parameter(np.ones((2, 4))), T.parameter(np.ones(gain_shape)),
+                     T.parameter(np.zeros(4)), 1e-6)
+
+
+LAYER_NORM_OVERFLOWS = {
+    # the square overflows, so inv_std is 0 and the output finite
+    "infinite-variance": ([[1e200, -1e200, 3.0]], [1.0, 1.0, 1.0]),
+    # the row sum overflows, and the output is nan
+    "infinite-mean": ([[1e308, 1e308, 0.0]], [1.0, 1.0, 1.0]),
+    # the statistics are finite, the gain overflows the output
+    "infinite-output": ([[1.0, -1.0, 0.0]], [1.7e308, 1.7e308, 1.7e308]),
+}
+
+
+@pytest.mark.parametrize("scoped", [False, True], ids=["bare", "in-scope"])
+@pytest.mark.parametrize("case", sorted(LAYER_NORM_OVERFLOWS))
+def test_layer_norm_overflow_names_its_node(case, scoped):
+    x_data, gain_data = LAYER_NORM_OVERFLOWS[case]
+    x, gain = T.constant(x_data), T.parameter(gain_data)
+    bias = T.parameter(np.zeros(3))
+    # the unfused chain overflows as well
+    with pytest.raises(T.GraphOverflowError), np.errstate(over="ignore", invalid="ignore"):
+        layer_norm_chain(x, gain, bias)
+    start = T.constant(0.0).id
+    with pytest.raises(T.GraphOverflowError) as err:
+        with T.graph_scope() if scoped else contextlib.nullcontext():
+            out = T.layer_norm(x, gain, bias, 1e-6)
+            (out + T.constant([1.0])).sum()
+    assert (err.value.op_kind, err.value.node_id) == ("layer_norm", start + 1)
+    assert not T._pending
+
+
+def test_layer_norm_overflow_reports_an_earlier_pending_node_first():
+    start = T.constant(0.0).id
+    with pytest.raises(T.GraphOverflowError) as err:
+        with T.graph_scope():
+            T.exp(T.constant([1000.0]))             # node start + 2
+            T.layer_norm(T.constant([[1e200, -1e200, 3.0]]), T.parameter(np.ones(3)),
+                         T.parameter(np.zeros(3)), 1e-6)
+    assert (err.value.op_kind, err.value.node_id) == ("exp", start + 2)
