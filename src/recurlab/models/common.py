@@ -66,11 +66,12 @@ class ParamGraph:
         return {name: node.grad for name, node in self._nodes.items()}
 
 
-def sinusoidal_positions(length: int, d_model: int) -> np.ndarray:
-    """Fixed sin/cos positional table; defined for any length, so length
-    generalization is never blocked by untrained position slots.  Columns
-    2i and 2i+1 hold sin and cos of angle i; an odd width ends on a sin."""
-    pos = np.arange(length)[:, None].astype(np.float64)
+def sinusoidal_positions(length: int, d_model: int, start: int = 0) -> np.ndarray:
+    """Fixed sin/cos positional table of positions ``start`` to
+    ``start + length - 1``; defined for any length, so length generalization
+    is never blocked by untrained position slots.  Columns 2i and 2i+1 hold
+    sin and cos of angle i; an odd width ends on a sin."""
+    pos = np.arange(start, start + length)[:, None].astype(np.float64)
     dim = np.arange((d_model + 1) // 2)[None, :].astype(np.float64)
     angle = pos / np.power(10000.0, 2.0 * dim / d_model)
     table = np.zeros((length, d_model))
@@ -105,7 +106,7 @@ def embed_one(pg: ParamGraph, token_ids_t: np.ndarray, position: int,
     x = T.take_rows(pg["embed"], np.asarray(token_ids_t))
     if use_positional:
         d_model = pg.arrays["embed"].shape[1]
-        x = x + T.constant(sinusoidal_positions(position + 1, d_model)[position])
+        x = x + T.constant(sinusoidal_positions(1, d_model, start=position)[0])
     return x
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from recurlab.models import (STEP_CAPABLE, ModelConfig, ParamGraph,
                              init_params, init_state, model_forward, step)
+from recurlab.models.common import sinusoidal_positions
 
 VOCAB = 9
 
@@ -44,6 +45,15 @@ def test_odd_width_transformer_routes_agree():
     """An odd d_model gets a positional table (it ends on a sin column), and
     the two routes agree within criterion 1's tolerance."""
     assert route_gap("transformer", 0, n=10, d_model=5, n_heads=1) < 1e-8
+
+
+@pytest.mark.parametrize("d_model", [4, 5, 16])
+def test_positional_row_matches_the_table(d_model):
+    """A step embeds one position's row, computed on its own; it is the
+    parallel route's table row byte for byte."""
+    table = sinusoidal_positions(300, d_model)
+    for t in range(300):
+        assert sinusoidal_positions(1, d_model, start=t)[0].tobytes() == table[t].tobytes()
 
 
 @pytest.mark.parametrize("arch", ["rwkv", "linear-transformer", "transformer"])
