@@ -68,11 +68,17 @@ def init_state(cfg: ModelConfig, batch: int, length: int | None = None):
     return _STEP_API[cfg.arch][0](cfg, batch, length)
 
 
-def _check_tokens(cfg: ModelConfig, token_ids) -> np.ndarray:
-    """``token_ids`` as an array; a ``ModelError`` names a non-integer dtype
-    or the first id outside [0, vocab_size), which the embedding lookup would
-    fail on or wrap."""
+_TOKEN_SHAPES = {1: "(batch,)", 2: "(batch, length)"}
+
+
+def _check_tokens(cfg: ModelConfig, token_ids, ndim: int) -> np.ndarray:
+    """``token_ids`` as an ``ndim``-dimensional array; a ``ModelError`` names
+    another shape, a non-integer dtype or the first id outside
+    [0, vocab_size), which the embedding lookup would fail on or wrap."""
     token_ids = np.asarray(token_ids)
+    if token_ids.ndim != ndim:
+        raise ModelError(f"token ids must be {_TOKEN_SHAPES[ndim]}, "
+                         f"got shape {token_ids.shape}")
     if not np.issubdtype(token_ids.dtype, np.integer):
         raise ModelError(f"token ids must be integers, got dtype {token_ids.dtype}")
     bad = token_ids[(token_ids < 0) | (token_ids >= cfg.vocab_size)]
@@ -84,7 +90,7 @@ def _check_tokens(cfg: ModelConfig, token_ids) -> np.ndarray:
 def step(cfg: ModelConfig, pg: ParamGraph, state, token_ids_t: np.ndarray):
     """Consume one token per sequence; returns (logits, new_state).  The input
     state is not mutated, so any retained copy stays resumable."""
-    h, state = _STEP_API[cfg.arch][1](cfg, pg, state, _check_tokens(cfg, token_ids_t))
+    h, state = _STEP_API[cfg.arch][1](cfg, pg, state, _check_tokens(cfg, token_ids_t, 1))
     return readout(pg, h), state
 
 
@@ -155,9 +161,7 @@ def model_forward(cfg: ModelConfig, params: dict, token_ids: np.ndarray,
     """
     if mode not in ("parallel", "recurrent"):
         raise ModelError(f"unknown mode {mode!r}")
-    token_ids = _check_tokens(cfg, token_ids)
-    if token_ids.ndim != 2:
-        raise ModelError(f"token_ids must be (batch, length), got {token_ids.shape}")
+    token_ids = _check_tokens(cfg, token_ids, 2)
     length = token_ids.shape[1]
     order = range(length) if positions is None else _check_positions(positions, length)
     pg = ParamGraph(params)

@@ -1,6 +1,7 @@
 """Architecture zoo basics: shapes, gradients, causality, config handling."""
 
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -108,6 +109,24 @@ def test_bad_token_id_rejected(token, message):
             model_forward(cfg, params, np.array([[1, token, 2]]), mode=mode)
     with pytest.raises(ModelError, match=message):
         step(cfg, ParamGraph(params), init_state(cfg, 2), np.array([3, token]))
+
+
+@pytest.mark.parametrize("tokens", [np.array([[1, 2]]), np.array(1)], ids=["2d", "0d"])
+def test_step_rejects_tokens_not_one_per_sequence(tokens):
+    """step used to fail deep in the graph on a (1, 2) or 0-d array with a
+    bare ValueError about unpacking."""
+    cfg = tiny_cfg("transformer")
+    pg = ParamGraph(init_params(cfg))
+    message = re.escape(f"must be (batch,), got shape {tokens.shape}")
+    with pytest.raises(ModelError, match=message):
+        step(cfg, pg, init_state(cfg, 1), tokens)
+
+
+@pytest.mark.parametrize("tokens", [np.array([1, 2]), np.array([[[1, 2]]])], ids=["1d", "3d"])
+def test_model_forward_rejects_tokens_not_batch_by_length(tokens):
+    cfg = tiny_cfg("transformer")
+    with pytest.raises(ModelError, match=r"must be \(batch, length\), got shape"):
+        model_forward(cfg, init_params(cfg), tokens)
 
 
 @pytest.mark.parametrize("scale", [None, 0.35])
