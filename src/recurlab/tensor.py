@@ -479,7 +479,7 @@ def _layer_norm_bwd(out):
     g_sq = np.broadcast_to(g_var * inv_d, centered.shape)          # + eps, * 1/d, sum
     g_centered = g_centered + g_sq * centered                      # square, one
     g_centered += g_sq * centered                                  # operand at a time
-    _accumulate(x, _unbroadcast(g_centered, x.shape))              # x - mean
+    _accumulate(x, g_centered)                                     # x - mean
     g_mean = _unbroadcast(-g_centered, inv_std.shape)
     _accumulate(x, np.broadcast_to(g_mean * inv_d, x.shape))       # * 1/d, sum
 

@@ -437,7 +437,7 @@ def _layer_norm_run(ln, shape, residual):
 
 
 @pytest.mark.parametrize("residual", [False, True], ids=["alone", "residual"])
-@pytest.mark.parametrize("shape", [(3, 8), (1, 5), (2, 4, 7), (2, 3, 16)])
+@pytest.mark.parametrize("shape", [(3, 8), (1, 5), (4, 1), (2, 4, 7), (2, 3, 16)])
 def test_layer_norm_matches_the_chain_byte_for_byte(shape, residual):
     fused = _layer_norm_run(T.layer_norm, shape, residual)
     assert fused == _layer_norm_run(layer_norm_chain, shape, residual)
