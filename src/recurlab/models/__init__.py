@@ -2,17 +2,21 @@
 
 ``model_forward`` builds one graph for a whole batch of sequences and returns
 per-position logits.  ``init_state``/``step`` expose token-at-a-time decoding
-for every architecture that supports it.  The layered step cells (all but
-stack-rnn and tape-rnn) share one state shape, ``common.init_layers``'s
-``{"t", "layers"}`` with one immutable state per layer, and run their stacks
-through ``common.step_layers``.  No step mutates its input state, so a state
-can be kept, the model resumed from it later, and the results are
-bit-identical to an uninterrupted run.
+for every architecture that supports it.  Every state records its
+``"batch"``, which ``step`` checks the tokens against.  The layered step cells
+(all but stack-rnn and tape-rnn) share one state shape,
+``common.init_layers``'s ``{"t", "batch", "layers"}`` with one immutable state
+per layer, and run their stacks through ``common.step_layers``.  No step
+mutates its input state, so a state can be kept, the model resumed from it
+later, and the results are bit-identical to an uninterrupted run.
 
-``model_forward`` has one dispatch: the step registry ``_STEP_API`` (also
-behind ``step``), the ``_SEQUENCE_ROUTES`` table, and the parallel
-Transformer.  Routes read every setting from the config; only
-``model_forward`` orders the logits by ``positions``.
+``model_forward`` picks one of two kinds of route: the step route, which
+drives a cell of the step registry ``_STEP_API`` (also behind ``step``), or a
+whole-sequence route from the ``_SEQUENCE_ROUTES`` table.  Every route has one
+contract, ``route(cfg, pg, token_ids, positions) -> {position: logits}``: it
+reads every setting from the config and reads out only at ``positions``, in
+increasing position order.  Only ``model_forward`` orders the logits by
+``positions``.
 """
 
 from __future__ import annotations
@@ -44,8 +48,9 @@ class ForwardResult:
 # -- one step registry -------------------------------------------------------
 # arch -> (init(cfg, batch, length) -> state,
 #          cell(cfg, pg, state, token_ids_t) -> (top hidden, new state)).
-# Only tape-rnn's init reads ``length``, which sizes its tape.  ``step`` adds
-# the readout; ``_step_route`` drives a cell over a sequence.
+# Only tape-rnn's init reads ``length``, which sizes its tape.  ``step`` checks
+# the batch and adds the readout; ``_step_route`` drives a cell over a
+# sequence from a state it builds itself.
 
 _STEP_API = {
     "rnn": (init_layers, recurrent.rnn_step),
@@ -89,8 +94,13 @@ def _check_tokens(cfg: ModelConfig, token_ids, ndim: int) -> np.ndarray:
 
 def step(cfg: ModelConfig, pg: ParamGraph, state, token_ids_t: np.ndarray):
     """Consume one token per sequence; returns (logits, new_state).  The input
-    state is not mutated, so any retained copy stays resumable."""
-    h, state = _STEP_API[cfg.arch][1](cfg, pg, state, _check_tokens(cfg, token_ids_t, 1))
+    state is not mutated, so any retained copy stays resumable.  The tokens'
+    batch must be the state's."""
+    token_ids_t = _check_tokens(cfg, token_ids_t, 1)
+    if len(token_ids_t) != state["batch"]:
+        raise ModelError(f"token ids have batch {len(token_ids_t)} but the state "
+                         f"has batch {state['batch']}")
+    h, state = _STEP_API[cfg.arch][1](cfg, pg, state, token_ids_t)
     return readout(pg, h), state
 
 
@@ -126,12 +136,11 @@ def _check_positions(positions, length: int) -> list:
     return [int(p) for p in positions]
 
 
-# Whole-sequence routes, (cfg, pg, token_ids) -> the list of logits at every
-# position.  An arch listed here and in the step registry uses this route in
-# parallel mode; the parallel Transformer, which reads ``positions``, is the
-# one route outside both tables.
+# Whole-sequence routes.  An arch listed here and in the step registry uses
+# this route in parallel mode and the step route in recurrent mode.
 _SEQUENCE_ROUTES = {
     "mlp": recurrent.mlp_forward,
+    "transformer": transformer.transformer_forward,
     "block-recurrent-transformer": transformer.block_recurrent_forward,
     "universal-transformer": transformer.universal_forward,
     "rwkv": partial(linear.parallel_forward, attend=linear.rwkv_attn_masked),
@@ -154,10 +163,10 @@ def model_forward(cfg: ModelConfig, params: dict, token_ids: np.ndarray,
     work of producing every position.  A sequence of distinct ints in
     [0, L) returns one logits Value per requested position, in the order
     given, with values bit-identical to the full forward's at those positions.
-    The Transformer's parallel route then runs its last layer's per-query
-    work and the readout only there, and every step route reads out only
-    there; every other route builds all positions.  Only this function puts
-    the logits in the requested order.
+    Every route reads out only there, so it builds no more than the full
+    forward; the Transformer's parallel route also runs its last layer's
+    per-query work only there.  Only this function puts the logits in the
+    requested order.
     """
     if mode not in ("parallel", "recurrent"):
         raise ModelError(f"unknown mode {mode!r}")
@@ -165,12 +174,9 @@ def model_forward(cfg: ModelConfig, params: dict, token_ids: np.ndarray,
     length = token_ids.shape[1]
     order = range(length) if positions is None else _check_positions(positions, length)
     pg = ParamGraph(params)
-    arch = cfg.arch
-
-    if arch == "transformer" and mode == "parallel":
-        logits = transformer.transformer_forward(cfg, pg, token_ids, order)
-    elif arch in _STEP_API and (mode == "recurrent" or arch not in _SEQUENCE_ROUTES):
-        logits = _step_route(cfg, pg, token_ids, order)
+    if cfg.arch in _STEP_API and (mode == "recurrent" or cfg.arch not in _SEQUENCE_ROUTES):
+        route = _step_route
     else:
-        logits = _SEQUENCE_ROUTES[arch](cfg, pg, token_ids)
+        route = _SEQUENCE_ROUTES[cfg.arch]
+    logits = route(cfg, pg, token_ids, order)
     return ForwardResult(logits=[logits[t] for t in order], pgraph=pg)

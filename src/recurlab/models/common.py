@@ -14,12 +14,13 @@ its whole KV cache in one node per head (``attend_cached``), so its node count
 does not grow with the cache.
 
 Every layered step cell is an RNN with one state per layer.  ``init_layers``
-gives the empty state, ``{"t": 0, "layers": (None,) * n_layers}``, and
-``step_layers`` runs a ``layer(prefix, h, layer_state) -> (h, layer_state)``
-function up the stack, returning the top hidden and a new state.  Layer states
-are immutable (Values and tuples of them, ``None`` while empty), so a step
-never changes a state the caller kept.  State beside the layers (the
-recurrent and feedback Transformers' ``h_top``) is read with ``state.get``.
+gives the empty state, ``{"t": 0, "batch": batch, "layers": (None,) *
+n_layers}``, and ``step_layers`` runs a ``layer(prefix, h, layer_state) ->
+(h, layer_state)`` function up the stack, returning the top hidden and a new
+state.  Layer states are immutable (Values and tuples of them, ``None`` while
+empty), so a step never changes a state the caller kept.  State beside the
+layers (the recurrent and feedback Transformers' ``h_top``) is read with
+``state.get``.
 
 Every cached, step or masked-parallel layer is one ``residual_block``:
 LN -> attention -> residual -> LN -> FFN -> residual, with the attention
@@ -90,14 +91,10 @@ def embed_sequence(pg: ParamGraph, token_ids: np.ndarray, use_positional: bool) 
     return emb
 
 
-def unstack(x: Value) -> list:
-    """(B, L, ...) -> list of L Values of shape (B, ...)."""
-    return [x.slice((slice(None), t)) for t in range(x.shape[1])]
-
-
 def embed_tokens(pg: ParamGraph, token_ids: np.ndarray, use_positional: bool) -> list:
     """(B, L) int ids -> list of L Values of shape (B, d)."""
-    return unstack(embed_sequence(pg, token_ids, use_positional))
+    x = embed_sequence(pg, token_ids, use_positional)
+    return [x.slice((slice(None), t)) for t in range(x.shape[1])]
 
 
 def embed_one(pg: ParamGraph, token_ids_t: np.ndarray, position: int,
@@ -133,10 +130,10 @@ def residual_block(cfg, pg: ParamGraph, prefix: str, h: Value, attend) -> tuple:
     return ffn_sublayer(cfg, pg, prefix, h + out), layer_state
 
 
-def init_layers(cfg, batch: int | None = None, length: int | None = None) -> dict:
-    """The state of a layered step cell before its first token: every layer
-    empty."""
-    return {"t": 0, "layers": (None,) * cfg.n_layers}
+def init_layers(cfg, batch: int, length: int | None = None) -> dict:
+    """The state of a layered step cell for ``batch`` sequences before its
+    first token: every layer empty."""
+    return {"t": 0, "batch": batch, "layers": (None,) * cfg.n_layers}
 
 
 def step_layers(state: dict, h: Value, layer) -> tuple:

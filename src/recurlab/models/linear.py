@@ -22,7 +22,7 @@ import numpy as np
 from .. import tensor as T
 from ..tensor import Value
 from .common import (ParamGraph, concat_heads, embed_one, embed_sequence, readout,
-                     residual_block, split_heads, step_layers, unstack)
+                     residual_block, split_heads, step_layers)
 
 
 def _decay(pg: ParamGraph, prefix: str) -> Value:
@@ -30,14 +30,17 @@ def _decay(pg: ParamGraph, prefix: str) -> Value:
     return T.nonlinearity(pg[f"{prefix}.w_raw"], "elu_plus_one")
 
 
-def parallel_forward(cfg, pg: ParamGraph, token_ids: np.ndarray, attend) -> list:
-    """Whole-sequence route: each layer runs once on (B, L, d); the readout is
-    sliced into one (B, vocab) logits Value per position."""
+def parallel_forward(cfg, pg: ParamGraph, token_ids: np.ndarray, positions, attend) -> dict:
+    """Whole-sequence route: each layer and the readout run once on (B, L, d),
+    and {position: logits} slices the readout at ``positions``.  Reading out
+    per position instead would change the logits' last bits (see
+    ``common``)."""
     h = embed_sequence(pg, token_ids, cfg.use_positional)
     for layer in range(cfg.n_layers):
         prefix = f"l{layer}"
         h, _ = residual_block(cfg, pg, prefix, h, lambda x: (attend(cfg, pg, prefix, x), None))
-    return unstack(readout(pg, h))
+    logits = readout(pg, h)
+    return {t: logits.slice((slice(None), t)) for t in sorted(positions)}
 
 
 # -- RWKV time-mix ----------------------------------------------------------
@@ -64,19 +67,15 @@ def rwkv_attn_masked(cfg, pg: ParamGraph, prefix: str, x: Value) -> Value:
 def rwkv_attn_recurrent(pg: ParamGraph, prefix: str, ab, k_t: Value, v_t: Value) -> tuple:
     """(a, b) carry the decayed numerator/denominator sums over positions < t,
     and are None before the first token; state size is constant in t."""
-    w = _decay(pg, prefix)
-    z = T.exp(-w)
-    bonus = T.exp(pg[f"{prefix}.u"] + k_t)
     if ab is None:
-        h = v_t  # empty history: bonus cancels
         ek = T.exp(k_t)
-        state = (ek * v_t, ek)
-    else:
-        a, b = ab
-        h = (a + bonus * v_t) / (b + bonus)
-        ek = T.exp(k_t)
-        state = (z * a + ek * v_t, z * b + ek)
-    return h, state
+        return v_t, (ek * v_t, ek)   # empty history: the bonus cancels
+    a, b = ab
+    z = T.exp(-_decay(pg, prefix))
+    bonus = T.exp(pg[f"{prefix}.u"] + k_t)
+    h = (a + bonus * v_t) / (b + bonus)
+    ek = T.exp(k_t)
+    return h, (z * a + ek * v_t, z * b + ek)
 
 
 def rwkv_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:

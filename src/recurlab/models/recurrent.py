@@ -22,7 +22,7 @@ def _zeros(batch: int, d: int) -> Value:
 
 # -- MLP --------------------------------------------------------------------
 
-def mlp_forward(cfg, pg: ParamGraph, token_ids: np.ndarray) -> list:
+def mlp_forward(cfg, pg: ParamGraph, token_ids: np.ndarray, positions) -> dict:
     """Mean-pooled bag of embeddings through m feed-forward layers.
 
     Each row pools over its non-PAD positions only, so a right-padded row
@@ -31,15 +31,13 @@ def mlp_forward(cfg, pg: ParamGraph, token_ids: np.ndarray) -> list:
     length, so the profiler sees the architecture's constant depth directly.
     """
     token_ids = np.asarray(token_ids)
-    length = token_ids.shape[1]
     emb = T.take_rows(pg["embed"], token_ids)            # (B, L, d)
     keep = (token_ids != PAD_ID).astype(np.float64)      # (B, L)
     weights = keep / np.maximum(keep.sum(axis=1, keepdims=True), 1.0)
     h = (emb * T.constant(weights[:, :, None])).sum(axis=1)   # (B, d)
     for layer in range(cfg.n_layers):
         h = T.nonlinearity(T.matmul(h, pg[f"l{layer}.w"]) + pg[f"l{layer}.b"], cfg.nonlin)
-    logits = readout(pg, h)
-    return [logits] * length
+    return dict.fromkeys(positions, readout(pg, h))
 
 
 # -- plain RNN --------------------------------------------------------------
@@ -89,7 +87,7 @@ def lstm_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tupl
 # The stack grows one (zero) slot per step, so a push never drops a cell.
 
 def stack_rnn_init(cfg, batch: int, length: int | None) -> dict:
-    return {"h": _zeros(batch, cfg.d_model),
+    return {"batch": batch, "h": _zeros(batch, cfg.d_model),
             "stack": T.constant(np.zeros((batch, 1, cfg.d_model)))}
 
 
@@ -112,7 +110,7 @@ def stack_rnn_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) ->
     pushed = T.concat([v.reshape((batch, 1, d)), stack], axis=1)
     popped = T.concat([stack.slice((slice(None), slice(1, None))), zero, zero], axis=1)
     kept = T.concat([stack, zero], axis=1)
-    return h, {"h": h, "stack": p_push * pushed + p_pop * popped + p_noop * kept}
+    return h, {**state, "h": h, "stack": p_push * pushed + p_pop * popped + p_noop * kept}
 
 
 # -- tape-augmented RNN -----------------------------------------------------
@@ -128,7 +126,7 @@ def tape_rnn_init(cfg, batch: int, length: int | None) -> dict:
     cells = length + cfg.tape_extra_cells
     head = np.zeros((batch, cells))
     head[:, 0] = 1.0
-    return {"h": _zeros(batch, cfg.d_model),
+    return {"batch": batch, "h": _zeros(batch, cfg.d_model),
             "tape": T.constant(np.zeros((batch, cells, cfg.d_model))),
             "head": T.constant(head)}
 
@@ -168,4 +166,4 @@ def tape_rnn_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> 
     m_left, m_stay, m_right = (move.slice((Ellipsis, slice(i, i + 1))) for i in range(3))
     new_head = m_left * _shift_head(head, -1) + m_stay * head \
         + m_right * _shift_head(head, +1)
-    return h, {"h": h, "tape": new_tape, "head": new_head}
+    return h, {**state, "h": h, "tape": new_tape, "head": new_head}

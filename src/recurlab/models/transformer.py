@@ -131,30 +131,33 @@ def feedback_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> 
 
 # -- block recurrent transformer --------------------------------------------
 
-def block_recurrent_forward(cfg, pg: ParamGraph, token_ids: np.ndarray) -> list:
+def block_recurrent_forward(cfg, pg: ParamGraph, token_ids: np.ndarray, positions) -> dict:
     """Attention strictly within blocks of ``cfg.block_size`` tokens; the last
-    top hidden of a block is added to every embedding of the next block."""
+    top hidden of a block is added to every embedding of the next block.
+    Returns {position: logits} for ``positions``."""
     xs = embed_tokens(pg, token_ids, cfg.use_positional)
-    logits = []
+    wanted = set(positions)
+    logits = {}
     h = None
     for start in range(0, len(xs), cfg.block_size):
-        carry, state = h, init_layers(cfg)
-        for x in xs[start:start + cfg.block_size]:
+        carry, state = h, init_layers(cfg, len(token_ids))
+        for t, x in enumerate(xs[start:start + cfg.block_size], start):
             h, state = step_layers(state, x if carry is None else x + carry,
                                    partial(attn_cell, cfg, pg))
-            logits.append(readout(pg, h))
+            if t in wanted:
+                logits[t] = readout(pg, h)
     return logits
 
 
 # -- universal transformer --------------------------------------------------
 
-def universal_forward(cfg, pg: ParamGraph, token_ids: np.ndarray) -> list:
+def universal_forward(cfg, pg: ParamGraph, token_ids: np.ndarray, positions) -> dict:
     """One shared attention layer applied ``cfg.max_halting_steps`` times over
     the whole sequence; available depth grows with that iteration budget, not
-    with a layer stack."""
+    with a layer stack.  Returns {position: logits} for ``positions``."""
     hs = embed_tokens(pg, token_ids, cfg.use_positional)
     for _ in range(cfg.max_halting_steps):
         cache = None
         for i, h in enumerate(hs):
             hs[i], cache = attn_cell(cfg, pg, "shared", h, cache)
-    return [readout(pg, h) for h in hs]
+    return {t: readout(pg, hs[t]) for t in sorted(positions)}

@@ -85,6 +85,21 @@ def test_transformer_positions_build_fewer_nodes(arch, mode, n_layers):
     assert last < full
 
 
+@pytest.mark.parametrize("mode", ["parallel", "recurrent"])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_one_position_builds_fewer_nodes_than_all(arch, mode):
+    """Every route reads out only at the requested positions, so one position
+    builds fewer nodes than every position; the MLP's one pooled readout
+    serves every position, so it builds as many."""
+    cfg = tiny_cfg(arch, d_model=8, n_layers=2, n_heads=2)
+    params = init_params(cfg)
+    toks = np.random.default_rng(2).integers(0, VOCAB, size=(2, 4))
+    full = _nodes_built(lambda: model_forward(cfg, params, toks, mode=mode))
+    for p in range(4):
+        one = _nodes_built(lambda: model_forward(cfg, params, toks, mode=mode, positions=[p]))
+        assert one == full if arch == "mlp" else one < full, (p, one, full)
+
+
 @pytest.mark.parametrize("positions", [[4], [-1], [1, 1], [0.0], [True], 2],
                          ids=["past-end", "negative", "duplicate", "float", "bool", "scalar"])
 def test_bad_positions_rejected(positions):
@@ -120,6 +135,23 @@ def test_step_rejects_tokens_not_one_per_sequence(tokens):
     message = re.escape(f"must be (batch,), got shape {tokens.shape}")
     with pytest.raises(ModelError, match=message):
         step(cfg, pg, init_state(cfg, 1), tokens)
+
+
+@pytest.mark.parametrize("arch", sorted(STEP_CAPABLE))
+def test_step_rejects_a_batch_other_than_the_states(arch):
+    """A batch of 1 against a state of batch 2 used to broadcast to (2, vocab)
+    logits in four archs and fail in an inner op in the others, and a first
+    step ignored init_state's batch."""
+    cfg = tiny_cfg(arch, n_layers=2)
+    pg = ParamGraph(init_params(cfg))
+    state = init_state(cfg, 2, length=3)
+    for _ in range(2):
+        for tokens in (np.array([1]), np.array([1, 2, 3])):
+            message = f"token ids have batch {len(tokens)} but the state has batch 2"
+            with pytest.raises(ModelError, match=message):
+                step(cfg, pg, state, tokens)
+        logits, state = step(cfg, pg, state, np.array([1, 2]))
+        assert logits.shape == (2, VOCAB)
 
 
 @pytest.mark.parametrize("tokens", [np.array([1, 2]), np.array([[[1, 2]]])], ids=["1d", "3d"])
