@@ -221,9 +221,8 @@ def llm(ctx, task, mode, count, fixture, url, model, temperature, out):
 @main.command()
 @click.argument("dirs", nargs=-1, type=click.Path(exists=True, path_type=Path))
 @click.option("--csv", "csv_path", type=click.Path(path_type=Path), default=None)
-@click.pass_context
 @_guard
-def report(ctx, dirs, csv_path):
+def report(dirs, csv_path):
     """Merge cell-*.json files from DIRS into one accuracy table.
 
     Rows follow the task layout (levels R, CF, CS); columns are sorted names;

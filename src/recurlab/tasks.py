@@ -244,7 +244,7 @@ def oracle(task: TaskId, input_tokens: Sequence[str]) -> list:
         result = a + b if op == "+" else a * b
         return list(str(result))
     if task is TaskId.SORTING:
-        return [str(v) for v in _insertion_sort([int(t) for t in input_tokens])]
+        return [str(v) for v in sorted(int(t) for t in input_tokens)]
     raise TaskError(f"unknown task {task}")
 
 
@@ -260,18 +260,6 @@ def _parse_stack_actions(tokens) -> list:
             raise ParseError(f"expected push/pop, got {tokens[i]!r}", i)
         i += 2
     return actions
-
-
-def _insertion_sort(values: list) -> list:
-    out = list(values)
-    for i in range(1, len(out)):
-        key = out[i]
-        j = i - 1
-        while j >= 0 and out[j] > key:
-            out[j + 1] = out[j]
-            j -= 1
-        out[j + 1] = key
-    return out
 
 
 def _parse_mod_expression(tokens: list) -> int:

@@ -210,29 +210,25 @@ def train(tc: TrainConfig, log=None) -> TrainResult:
     for step_i in range(1, tc.max_steps + 1):
         instances = _instance_batch(tc.task, rng, tc.train_lengths, tc.batch_size)
         batch, slots = encode_batch(instances, vocab)
+        evaluating = step_i % tc.eval_every == 0 or step_i == tc.max_steps
         try:
+            # the graph layer's finite checks flag a non-finite loss or
+            # gradient, and the closing evaluate is the first graph to read
+            # parameters the update may have overflowed
             loss, pgraph, correct = _loss_and_correct(model_cfg, params, batch,
                                                       slots, len(vocab))
-            loss_val = float(loss.data)
-            if not np.isfinite(loss_val):
-                raise DivergenceError(step_i, last_finite, history)
             T.backward(loss)
-        except T.GraphOverflowError as exc:
-            # the graph layer flags non-finite values before the loss does
-            raise DivergenceError(step_i, last_finite, history) from exc
-        last_finite = step_i
-        opt.update(params, pgraph.grads())
-
-        if step_i % tc.eval_every == 0 or step_i == tc.max_steps:
-            train_acc = 100.0 * sum(correct) / len(correct)
-            try:
-                # the update may have overflowed the parameters, and this is
-                # the first graph to read them
+            last_finite = step_i
+            opt.update(params, pgraph.grads())
+            if evaluating:
                 test_acc = evaluate(model_cfg, params, tc.task, tc.test_lengths,
                                     tc.n_eval, seed=tc.seed + 1)
-            except T.GraphOverflowError as exc:
-                raise DivergenceError(step_i, last_finite, history) from exc
-            m = Metrics(step_i, loss_val, train_acc, test_acc, tc.seed)
+        except T.GraphOverflowError as exc:
+            raise DivergenceError(step_i, last_finite, history) from exc
+
+        if evaluating:
+            train_acc = 100.0 * sum(correct) / len(correct)
+            m = Metrics(step_i, float(loss.data), train_acc, test_acc, tc.seed)
             history.append(m)
             if log is not None:
                 log(m)

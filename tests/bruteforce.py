@@ -73,5 +73,6 @@ def brute_force(task, input_tokens):
     if task is TaskId.MULTIPLICATION:
         return _arith(tokens, "*")
     if task is TaskId.SORTING:
-        return [str(v) for v in sorted(int(t) for t in tokens)]  # builtin sort, not insertion
+        # counting sort over the digits: the oracle calls sorted
+        return [str(d) for d in range(10) for _ in range(tokens.count(str(d)))]
     raise ValueError(task)
