@@ -28,9 +28,9 @@ from .tasks import LEVEL_ORDER, TaskError, TaskId
 from .tensor import GraphOverflowError, TensorError
 from .trainer import DivergenceError, TrainerError
 
-# _guard matches _RUNTIME before _VALIDATION, so a GraphOverflowError (a
-# TensorError) exits 3
-_VALIDATION = (TaskError, ModelError, ProfilerError, TrainerError, TensorError,
+# _guard matches _NETWORK first, so the network LLMEvalErrors exit 4, and
+# _RUNTIME before _VALIDATION, so a GraphOverflowError (a TensorError) exits 3
+_VALIDATION = (TaskError, ModelError, ProfilerError, TrainerError, TensorError, LLMEvalError,
                AutomatonError, ValueError, KeyError, FileNotFoundError, yaml.YAMLError)
 _RUNTIME = (DivergenceError, GraphOverflowError, ArithmeticError)
 _NETWORK = (AuthError, EndpointTimeout, TransientFailure, MalformedResponse)
@@ -65,8 +65,6 @@ def _guard(fn):
             _fail("network", exc, 4)
         except _RUNTIME as exc:
             _fail("runtime", exc, 3)
-        except LLMEvalError as exc:
-            _fail("validation", exc, 2)
         except _VALIDATION as exc:
             _fail("validation", exc, 2)
     return wrapped

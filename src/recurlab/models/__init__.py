@@ -2,21 +2,22 @@
 
 ``model_forward`` builds one graph for a whole batch of sequences and returns
 per-position logits.  ``init_state``/``step`` expose token-at-a-time decoding
-for every architecture that supports it.  Every state records its
+for every architecture but the MLP.  Every state records its
 ``"batch"``, which ``step`` checks the tokens against.  The layered step cells
 (all but stack-rnn and tape-rnn) share one state shape,
 ``common.init_layers``'s ``{"t", "batch", "layers"}`` with one immutable state
-per layer, and run their stacks through ``common.step_layers``.  No step
-mutates its input state, so a state can be kept, the model resumed from it
-later, and the results are bit-identical to an uninterrupted run.
+per layer (per iteration of the shared layer in the universal Transformer),
+and run their stacks through ``common.step_layers``.  No step mutates its
+input state, so a state can be kept, the model resumed from it later, and the
+results are bit-identical to an uninterrupted run.
 
 ``model_forward`` picks one of two kinds of route: the step route, which
 drives a cell of the step registry ``_STEP_API`` (also behind ``step``), or a
-whole-sequence route from the ``_SEQUENCE_ROUTES`` table.  Every route has one
-contract, ``route(cfg, pg, token_ids, positions) -> {position: logits}``: it
-reads every setting from the config and reads out only at ``positions``, in
-increasing position order.  Only ``model_forward`` orders the logits by
-``positions``.
+whole-sequence route from the ``_SEQUENCE_ROUTES`` table of parallel forms
+(mlp, transformer, rwkv, linear-transformer).  Every route has one contract,
+``route(cfg, pg, token_ids, positions) -> {position: logits}``: it reads every
+setting from the config and reads out only at ``positions``, in increasing
+position order.  Only ``model_forward`` orders the logits by ``positions``.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ _STEP_API = {
     "transformer": (init_layers, transformer.transformer_step),
     "recurrent-transformer": (init_layers, transformer.recurrent_transformer_step),
     "feedback-transformer": (init_layers, transformer.feedback_step),
+    "block-recurrent-transformer": (init_layers, transformer.block_recurrent_step),
+    "universal-transformer": (transformer.universal_init, transformer.universal_step),
     "rwkv": (init_layers, linear.rwkv_step),
     "linear-transformer": (init_layers, linear.linear_step),
 }
@@ -136,13 +139,11 @@ def _check_positions(positions, length: int) -> list:
     return [int(p) for p in positions]
 
 
-# Whole-sequence routes.  An arch listed here and in the step registry uses
-# this route in parallel mode and the step route in recurrent mode.
+# Whole-sequence routes, parallel forms only.  An arch also in the step registry
+# uses this route in parallel mode and the step route in recurrent mode.
 _SEQUENCE_ROUTES = {
     "mlp": recurrent.mlp_forward,
     "transformer": transformer.transformer_forward,
-    "block-recurrent-transformer": transformer.block_recurrent_forward,
-    "universal-transformer": transformer.universal_forward,
     "rwkv": partial(linear.parallel_forward, attend=linear.rwkv_attn_masked),
     "linear-transformer": partial(linear.parallel_forward, attend=linear.linear_attn_masked),
 }

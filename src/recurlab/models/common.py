@@ -19,8 +19,9 @@ n_layers}``, and ``step_layers`` runs a ``layer(prefix, h, layer_state) ->
 (h, layer_state)`` function up the stack, returning the top hidden and a new
 state.  Layer states are immutable (Values and tuples of them, ``None`` while
 empty), so a step never changes a state the caller kept.  State beside the
-layers (the recurrent and feedback Transformers' ``h_top``) is read with
-``state.get``.
+layers (the recurrent, feedback and block-recurrent Transformers' ``h_top``,
+and the block-recurrent ``carry``) is absent until the cell's first step
+sets it.
 
 Every cached, step or masked-parallel layer is one ``residual_block``:
 LN -> attention -> residual -> LN -> FFN -> residual, with the attention
@@ -89,12 +90,6 @@ def embed_sequence(pg: ParamGraph, token_ids: np.ndarray, use_positional: bool) 
         d_model = pg.arrays["embed"].shape[1]
         emb = emb + T.constant(sinusoidal_positions(token_ids.shape[1], d_model))
     return emb
-
-
-def embed_tokens(pg: ParamGraph, token_ids: np.ndarray, use_positional: bool) -> list:
-    """(B, L) int ids -> list of L Values of shape (B, d)."""
-    x = embed_sequence(pg, token_ids, use_positional)
-    return [x.slice((slice(None), t)) for t in range(x.shape[1])]
 
 
 def embed_one(pg: ParamGraph, token_ids_t: np.ndarray, position: int,

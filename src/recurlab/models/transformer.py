@@ -1,14 +1,16 @@
-"""Softmax-attention architectures: standard, recurrent, feedback, block,
-universal.
+"""Softmax-attention architectures: standard, recurrent, feedback,
+block-recurrent, universal.
 
 The standard model has two routes: a batch forward (whole-sequence weight
 multiplications) and a cached step decoder (per-token, KV cache).  They share
 the attention math but not the op order, so their agreement is a real check.
 The batch forward builds a product and a sum node per (query, key) pair,
 which is the O(n^2) node count the profiler measures, and is the only route
-that does; the cached cell (``attn_cell``, shared by the step decoder and the
-recurrent, feedback, block and universal variants) scores the whole cache in
-one node per head.
+that does.  Every other model here is a step cell only, built on the cached
+layer ``attn_cell``, which scores the whole cache in one node per head: the
+recurrent and feedback models recur over tokens, the block-recurrent model
+over blocks (its caches empty at each block's first token), and the
+universal model in depth (one tied layer applied a fixed number of times).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from .. import tensor as T
 from ..tensor import Value
 from .common import (ModelError, ParamGraph, as_row, attend_cached, attend_one_head,
-                     concat_heads, embed_one, embed_tokens, ffn_sublayer, init_layers,
+                     concat_heads, embed_one, embed_sequence, ffn_sublayer, init_layers,
                      layer_norm, readout, residual_block, scale_for, split_heads,
                      step_layers)
 
@@ -63,8 +65,11 @@ def transformer_forward(cfg, pg: ParamGraph, token_ids: np.ndarray, positions) -
     FFN and the readout run only at those positions, in increasing order, with
     the same ops in the same order as the route over every position.
     """
-    hs = dict(enumerate(embed_tokens(pg, token_ids, cfg.use_positional)))
-    length = len(hs)
+    length = token_ids.shape[1]
+    if not length:
+        return {}   # no rows to stack
+    x = embed_sequence(pg, token_ids, cfg.use_positional)
+    hs = {t: x.slice((slice(None), t)) for t in range(length)}
     kept = sorted(positions)
     for layer in range(cfg.n_layers):
         prefix = f"l{layer}"
@@ -131,33 +136,32 @@ def feedback_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> 
 
 # -- block recurrent transformer --------------------------------------------
 
-def block_recurrent_forward(cfg, pg: ParamGraph, token_ids: np.ndarray, positions) -> dict:
-    """Attention strictly within blocks of ``cfg.block_size`` tokens; the last
-    top hidden of a block is added to every embedding of the next block.
-    Returns {position: logits} for ``positions``."""
-    xs = embed_tokens(pg, token_ids, cfg.use_positional)
-    wanted = set(positions)
-    logits = {}
-    h = None
-    for start in range(0, len(xs), cfg.block_size):
-        carry, state = h, init_layers(cfg, len(token_ids))
-        for t, x in enumerate(xs[start:start + cfg.block_size], start):
-            h, state = step_layers(state, x if carry is None else x + carry,
-                                   partial(attn_cell, cfg, pg))
-            if t in wanted:
-                logits[t] = readout(pg, h)
-    return logits
+def block_recurrent_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:
+    """Attention strictly within blocks of ``cfg.block_size`` tokens.  At a
+    block's first token every layer's cache empties and ``state['carry']``
+    becomes the previous block's last top hidden, which is added to every
+    embedding of the block.  The top hidden is kept at ``state['h_top']``."""
+    t = state["t"]
+    if t % cfg.block_size == 0:
+        state = {**state, "layers": (None,) * cfg.n_layers, "carry": state.get("h_top")}
+    x = embed_one(pg, token_ids_t, t, cfg.use_positional)
+    if state["carry"] is not None:
+        x = x + state["carry"]
+    h, state = step_layers(state, x, partial(attn_cell, cfg, pg))
+    return h, {**state, "h_top": h}
 
 
 # -- universal transformer --------------------------------------------------
 
-def universal_forward(cfg, pg: ParamGraph, token_ids: np.ndarray, positions) -> dict:
-    """One shared attention layer applied ``cfg.max_halting_steps`` times over
-    the whole sequence; available depth grows with that iteration budget, not
-    with a layer stack.  Returns {position: logits} for ``positions``."""
-    hs = embed_tokens(pg, token_ids, cfg.use_positional)
-    for _ in range(cfg.max_halting_steps):
-        cache = None
-        for i, h in enumerate(hs):
-            hs[i], cache = attn_cell(cfg, pg, "shared", h, cache)
-    return {t: readout(pg, hs[t]) for t in sorted(positions)}
+def universal_init(cfg, batch: int, length: int | None = None) -> dict:
+    """One empty layer state per iteration of the shared layer."""
+    return {**init_layers(cfg, batch), "layers": (None,) * cfg.max_halting_steps}
+
+
+def universal_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:
+    """One shared attention layer applied ``cfg.max_halting_steps`` times: a
+    Transformer of that many layers with tied weights, each iteration with its
+    own cache.  Available depth grows with the iteration budget, not with a
+    layer stack."""
+    return step_layers(state, embed_one(pg, token_ids_t, state["t"], cfg.use_positional),
+                       lambda _, h, cache: attn_cell(cfg, pg, "shared", h, cache))

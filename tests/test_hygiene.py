@@ -1,5 +1,6 @@
 """Source hygiene: no module under src/ or tests/ imports a name it never
-uses, and every exception recurlab defines maps to a CLI exit code."""
+uses, every module-level definition under src/recurlab is used somewhere,
+and every exception recurlab defines maps to a CLI exit code."""
 
 import ast
 import importlib
@@ -50,10 +51,54 @@ def test_no_unused_imports():
     assert not found, "imported but never used:\n" + "\n".join(found)
 
 
+def names_read(source: str) -> set:
+    """Every name ``source`` reads, as a bare name, an attribute, an imported
+    name or a string holding just that name (as ``getattr`` tables do)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and str(node.value).isidentifier():
+            read.add(node.value)
+    return read
+
+
+def _is_command(node) -> bool:
+    """Decorated with ``@main.command`` (bare or called): click registers it."""
+    return any(ast.unparse(d.func if isinstance(d, ast.Call) else d) == "main.command"
+               for d in node.decorator_list)
+
+
+def test_scan_reads_names_attributes_imports_and_name_strings():
+    source = ("from m import a, b as c\nimport p.q\nx = d.e(f)\ny = getattr(x, 'g')\n"
+              "def h():\n    'a docstring'\n")
+    assert names_read(source) >= {"a", "b", "q", "d", "e", "f", "g", "getattr"}
+    assert not {"h", "a docstring"} & names_read(source)
+
+
+def test_no_unused_definitions():
+    """Every module-level function and class under src/recurlab is named in
+    src/, tests/ or bench/ outside its own definition; click commands are
+    reached through ``main`` and are exempt."""
+    paths = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py"),
+                    *ROOT.glob("bench/*.py")])
+    read = set().union(*(names_read(path.read_text()) for path in paths))
+    unused = [f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+              for path in sorted(ROOT.glob("src/recurlab/**/*.py"))
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in read and not _is_command(node)]
+    assert not unused, "defined but never used:\n" + "\n".join(unused)
+
+
 def test_every_exception_maps_to_an_exit_code():
     """``cli._guard`` turns each exception class defined under recurlab into
     exit 2, 3 or 4 with one JSON line, so none ends a command in a traceback."""
-    covered = cli._NETWORK + cli._RUNTIME + cli._VALIDATION + (cli.LLMEvalError,)
+    covered = cli._NETWORK + cli._RUNTIME + cli._VALIDATION
     modules = [importlib.import_module(info.name)
                for info in pkgutil.walk_packages(recurlab.__path__, "recurlab.")]
     defined = {cls for module in modules for _, cls in inspect.getmembers(module, inspect.isclass)

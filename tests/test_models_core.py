@@ -100,6 +100,16 @@ def test_one_position_builds_fewer_nodes_than_all(arch, mode):
         assert one == full if arch == "mlp" else one < full, (p, one, full)
 
 
+@pytest.mark.parametrize("mode", ["parallel", "recurrent"])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_empty_sequence_gives_no_logits(arch, mode):
+    """A (B, 0) batch has no position to read out; the parallel Transformer
+    used to raise a ShapeError from a concat of no rows."""
+    cfg = tiny_cfg(arch, n_layers=2)
+    res = model_forward(cfg, init_params(cfg), np.zeros((2, 0), dtype=int), mode=mode)
+    assert res.logits == []
+
+
 @pytest.mark.parametrize("positions", [[4], [-1], [1, 1], [0.0], [True], 2],
                          ids=["past-end", "negative", "duplicate", "float", "bool", "scalar"])
 def test_bad_positions_rejected(positions):

@@ -142,6 +142,33 @@ def test_rwkv_state_size_constant_in_t():
     assert len(set(sizes)) == 1
 
 
+@pytest.mark.parametrize("arch", ["block-recurrent-transformer", "universal-transformer"])
+def test_block_recurrent_and_universal_cells(arch):
+    """Stepping token by token gives model_forward's logits byte for byte.
+    The block-recurrent cell empties every layer's cache at each block's first
+    token and carries the previous block's last top hidden through the block;
+    the universal cell keeps one cache per iteration of its shared layer."""
+    cfg = cfg_for(arch, block_size=3, max_halting_steps=3)
+    params = init_params(cfg)
+    toks = np.random.default_rng(5).integers(0, VOCAB, size=(2, 8))
+    full = model_forward(cfg, params, toks).logits
+    pg = ParamGraph(params)
+    state = init_state(cfg, 2)
+    tops = []
+    for t in range(1, 9):                      # t tokens consumed after this step
+        logits, state = step(cfg, pg, state, toks[:, t - 1])
+        assert np.array_equal(logits.data, full[t - 1].data), t
+        if arch == "universal-transformer":
+            assert len(state["layers"]) == cfg.max_halting_steps
+            rows = t
+        else:
+            tops.append(state["h_top"])
+            rows = (t - 1) % cfg.block_size + 1
+            block_start = (t - 1) // cfg.block_size * cfg.block_size
+            assert state["carry"] is (tops[block_start - 1] if block_start else None), t
+        assert {len(keys) for cache in state["layers"] for keys, _ in cache} == {rows}, t
+
+
 @pytest.mark.parametrize("arch", sorted(STEP_CAPABLE))
 def test_prefix_state_resume_bit_identical(arch):
     """Run n steps straight; separately run j steps, keep the state, resume.
