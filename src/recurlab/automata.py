@@ -77,6 +77,8 @@ def dfa_run(dfa: Dfa, symbols: Iterable) -> RunTrace:
 
 def dfa_run_from(dfa: Dfa, state: int, symbols: Iterable) -> RunTrace:
     """Fold dfa_step from an arbitrary state (compositionality hook)."""
+    if not 0 <= state < dfa.n_states:
+        raise AutomatonError(f"state {state} outside 0..{dfa.n_states - 1}")
     visited = [state]
     for pos, sym in enumerate(symbols):
         try:

@@ -231,13 +231,18 @@ def report(dirs, csv_path):
     sources: dict[tuple, Path] = {}
     for d in dirs:
         for path in sorted(Path(d).rglob("cell-*.json")):
-            rec = json.loads(path.read_text())
-            key = (rec["task"], rec["column"])
-            if key in cells and cells[key] != rec["accuracy"]:
+            try:
+                rec = json.loads(path.read_text())
+                key, accuracy = (rec["task"], rec["column"]), rec["accuracy"]
+            except KeyError as err:
+                raise TrainerError(f"cell file {path} has no key {err}") from None
+            except (ValueError, TypeError) as err:
+                raise TrainerError(f"cell file {path} is not a JSON object: {err}") from None
+            if key in cells and cells[key] != accuracy:
                 raise TrainerError(
                     f"conflicting cell {key}: {cells[key]} from {sources[key]} "
-                    f"vs {rec['accuracy']} from {path}")
-            cells[key] = rec["accuracy"]
+                    f"vs {accuracy} from {path}")
+            cells[key] = accuracy
             sources[key] = path
     columns = sorted({c for _, c in cells})
     lines = ["| level | task | " + " | ".join(columns) + " |",

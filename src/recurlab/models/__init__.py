@@ -2,39 +2,35 @@
 
 ``model_forward`` builds one graph for a whole batch of sequences and returns
 per-position logits.  ``init_state``/``step`` expose token-at-a-time decoding
-for every architecture but the MLP.  Every state records its
-``"batch"``, which ``step`` checks the tokens against.  The layered step cells
-(all but stack-rnn and tape-rnn) share one state shape,
-``common.init_layers``'s ``{"t", "batch", "layers"}`` with one immutable state
-per layer (per iteration of the shared layer in the universal Transformer),
+for every architecture with a step form in ``config.ARCH_TABLE`` (all but the
+MLP).  Every state records its ``"batch"``, which ``step`` checks the tokens
+against.  The layered step cells (all but stack-rnn and tape-rnn) share
+``common.init_layers``'s state ``{"t", "batch", "layers"}``, one immutable
+state per layer (per iteration of the universal Transformer's shared layer),
 and run their stacks through ``common.step_layers``.  No step mutates its
-input state, so a state can be kept, the model resumed from it later, and the
-results are bit-identical to an uninterrupted run.
+input state, so a kept state resumes bit-identically to an uninterrupted run.
 
-``model_forward`` picks one of two kinds of route: the step route, which
-drives a cell of the step registry ``_STEP_API`` (also behind ``step``), or a
-whole-sequence route from the ``_SEQUENCE_ROUTES`` table of parallel forms
-(mlp, transformer, rwkv, linear-transformer).  Every route has one contract,
-``route(cfg, pg, token_ids, positions) -> {position: logits}``: it reads every
-setting from the config and reads out only at ``positions``, in increasing
-position order.  Only ``model_forward`` orders the logits by ``positions``.
+``model_forward`` takes the step route, which drives the row's cell, when the
+row has a step form and the mode is recurrent or the row has no parallel
+form; otherwise it takes the row's parallel route.  Every route has one
+contract, ``route(cfg, pg, token_ids, positions) -> {position: logits}``: it
+reads every setting from the config and reads out only at ``positions``, in
+increasing position order.  Only ``model_forward`` orders the logits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from ..tensor import graph_scope
-from .common import ModelError, ParamGraph, init_layers, readout
-from .config import (ARCHS, TRANSFORMER_FAMILY, ModelConfig, init_params,
+from .common import ModelError, ParamGraph, readout
+from .config import (ARCH_TABLE, ARCHS, STEP_CAPABLE, ModelConfig, init_params,
                      load_checkpoint, save_checkpoint)
-from . import linear, recurrent, transformer
 
 __all__ = [
-    "ARCHS", "TRANSFORMER_FAMILY", "ModelConfig", "ModelError", "ParamGraph",
+    "ARCHS", "ModelConfig", "ModelError", "ParamGraph",
     "ForwardResult", "init_params", "save_checkpoint", "load_checkpoint",
     "model_forward", "init_state", "step", "STEP_CAPABLE",
 ]
@@ -46,34 +42,12 @@ class ForwardResult:
     pgraph: ParamGraph    # parameter nodes of this graph, for .grads()
 
 
-# -- one step registry -------------------------------------------------------
-# arch -> (init(cfg, batch, length) -> state,
-#          cell(cfg, pg, state, token_ids_t) -> (top hidden, new state)).
-# Only tape-rnn's init reads ``length``, which sizes its tape.  ``step`` checks
-# the batch and adds the readout; ``_step_route`` drives a cell over a
-# sequence from a state it builds itself.
-
-_STEP_API = {
-    "rnn": (init_layers, recurrent.rnn_step),
-    "lstm": (init_layers, recurrent.lstm_step),
-    "stack-rnn": (recurrent.stack_rnn_init, recurrent.stack_rnn_step),
-    "tape-rnn": (recurrent.tape_rnn_init, recurrent.tape_rnn_step),
-    "transformer": (init_layers, transformer.transformer_step),
-    "recurrent-transformer": (init_layers, transformer.recurrent_transformer_step),
-    "feedback-transformer": (init_layers, transformer.feedback_step),
-    "block-recurrent-transformer": (init_layers, transformer.block_recurrent_step),
-    "universal-transformer": (transformer.universal_init, transformer.universal_step),
-    "rwkv": (init_layers, linear.rwkv_step),
-    "linear-transformer": (init_layers, linear.linear_step),
-}
-
-STEP_CAPABLE = frozenset(_STEP_API)
-
-
 def init_state(cfg: ModelConfig, batch: int, length: int | None = None):
-    if cfg.arch not in _STEP_API:
+    """The state before the first token; only tape-rnn reads ``length``,
+    which sizes its tape."""
+    if ARCH_TABLE[cfg.arch].step is None:
         raise ModelError(f"{cfg.arch} has no token-level step form")
-    return _STEP_API[cfg.arch][0](cfg, batch, length)
+    return ARCH_TABLE[cfg.arch].step[0](cfg, batch, length)
 
 
 _TOKEN_SHAPES = {1: "(batch,)", 2: "(batch, length)"}
@@ -103,19 +77,18 @@ def step(cfg: ModelConfig, pg: ParamGraph, state, token_ids_t: np.ndarray):
     if len(token_ids_t) != state["batch"]:
         raise ModelError(f"token ids have batch {len(token_ids_t)} but the state "
                          f"has batch {state['batch']}")
-    h, state = _STEP_API[cfg.arch][1](cfg, pg, state, token_ids_t)
+    h, state = ARCH_TABLE[cfg.arch].step[1](cfg, pg, state, token_ids_t)
     return readout(pg, h), state
 
 
 def _step_route(cfg, pg, token_ids, positions) -> dict:
-    """Step through every token; returns {position: logits}, read out only at
-    ``positions``."""
-    batch, length = token_ids.shape
-    cell = _STEP_API[cfg.arch][1]
-    state = init_state(cfg, batch, length)
+    """Step through the tokens up to the last of ``positions``; returns
+    {position: logits}, read out only at ``positions``."""
+    init, cell = ARCH_TABLE[cfg.arch].step
+    state = init(cfg, *token_ids.shape)
     wanted = set(positions)
     logits = {}
-    for t in range(length):
+    for t in range(max(positions, default=-1) + 1):
         h, state = cell(cfg, pg, state, token_ids[:, t])
         if t in wanted:
             logits[t] = readout(pg, h)
@@ -137,16 +110,6 @@ def _check_positions(positions, length: int) -> list:
     if len(set(positions)) != len(positions):
         raise ModelError(f"duplicate positions in {positions}")
     return [int(p) for p in positions]
-
-
-# Whole-sequence routes, parallel forms only.  An arch also in the step registry
-# uses this route in parallel mode and the step route in recurrent mode.
-_SEQUENCE_ROUTES = {
-    "mlp": recurrent.mlp_forward,
-    "transformer": transformer.transformer_forward,
-    "rwkv": partial(linear.parallel_forward, attend=linear.rwkv_attn_masked),
-    "linear-transformer": partial(linear.parallel_forward, attend=linear.linear_attn_masked),
-}
 
 
 @graph_scope()
@@ -175,9 +138,7 @@ def model_forward(cfg: ModelConfig, params: dict, token_ids: np.ndarray,
     length = token_ids.shape[1]
     order = range(length) if positions is None else _check_positions(positions, length)
     pg = ParamGraph(params)
-    if cfg.arch in _STEP_API and (mode == "recurrent" or cfg.arch not in _SEQUENCE_ROUTES):
-        route = _step_route
-    else:
-        route = _SEQUENCE_ROUTES[cfg.arch]
+    row = ARCH_TABLE[cfg.arch]
+    route = _step_route if row.step and (mode == "recurrent" or not row.parallel) else row.parallel
     logits = route(cfg, pg, token_ids, order)
     return ForwardResult(logits=[logits[t] for t in order], pgraph=pg)

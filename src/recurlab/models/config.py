@@ -1,34 +1,25 @@
-"""Architecture configuration, parameter initialization, checkpoints."""
+"""The architecture table, configuration, parameter initialization, checkpoints.
+
+``ARCH_TABLE`` is the one place that says what an architecture is: its
+parameter function; its step form ``(init, cell)``, with ``init(cfg, batch,
+length) -> state`` and ``cell(cfg, pg, state, token_ids_t) -> (top hidden, new
+state)``, or None for the MLP; and its parallel route, or None for a step-only
+arch.  ``ARCHS``, ``STEP_CAPABLE``, ``init_params`` and ``models.model_forward``
+read it.
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ..tensor import NONLINEARITIES
-from .common import ModelError
-
-ARCHS = (
-    "mlp",
-    "rnn",
-    "lstm",
-    "stack-rnn",
-    "tape-rnn",
-    "transformer",
-    "recurrent-transformer",
-    "feedback-transformer",
-    "block-recurrent-transformer",
-    "universal-transformer",
-    "rwkv",
-    "linear-transformer",
-)
-
-TRANSFORMER_FAMILY = frozenset({
-    "transformer", "recurrent-transformer", "feedback-transformer",
-    "block-recurrent-transformer", "universal-transformer",
-})
+from . import linear, recurrent, transformer
+from .common import ModelError, init_layers
 
 CHECKPOINT_VERSION = 1
 
@@ -53,7 +44,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.arch not in ARCHS:
+        if self.arch not in ARCH_TABLE:
             raise ModelError(f"unknown arch {self.arch!r}")
         if self.d_ff is None:
             self.d_ff = 2 * self.d_model
@@ -73,9 +64,34 @@ class ModelConfig:
                                  f"got {getattr(self, name)!r}")
 
 
-def _attn_layer_params(rng, d, d_ff, prefix, params, with_query=True):
-    s = 1.0 / np.sqrt(d)
-    for name in (("wq", "wk", "wv") if with_query else ("wk", "wv")):
+# -- parameter functions: (rng, cfg, params) adds one layout's weights --------
+
+def _dense_params(rng, cfg, params, weights, gates=1):
+    """Per layer, each of ``weights`` (d, gates * d), then a zero bias ``b``
+    whose second gate, an LSTM's forget gate, starts open (one gate has none)."""
+    d, s = cfg.d_model, 1.0 / np.sqrt(cfg.d_model)
+    for layer in range(cfg.n_layers):
+        for name in weights:
+            params[f"l{layer}.{name}"] = rng.normal(0.0, s, size=(d, gates * d))
+        params[f"l{layer}.b"] = np.zeros(gates * d)
+        params[f"l{layer}.b"][d:2 * d] = 1.0
+
+
+def _controller_params(rng, cfg, params, heads):
+    """One controller whatever ``n_layers`` is, then a (d, width) weight and a
+    zero bias per ``(weight, bias, width)`` of ``heads``; None is ``d_model``."""
+    d, s = cfg.d_model, 1.0 / np.sqrt(cfg.d_model)
+    for name in ("w1", "w2", "w3"):
+        params[name] = rng.normal(0.0, s, size=(d, d))
+    params["b"] = np.zeros(d)
+    for weight, bias, width in heads:
+        params[weight] = rng.normal(0.0, s, size=(d, width or d))
+        params[bias] = np.zeros(width or d)
+
+
+def _attn_layer_params(rng, cfg, prefix, params, projections=("wq", "wk", "wv")):
+    d, d_ff, s = cfg.d_model, cfg.d_ff, 1.0 / np.sqrt(cfg.d_model)
+    for name in projections:
         params[f"{prefix}.{name}"] = rng.normal(0.0, s, size=(d, d))
     params[f"{prefix}.ffn.w1"] = rng.normal(0.0, s, size=(d, d_ff))
     params[f"{prefix}.ffn.b1"] = np.zeros(d_ff)
@@ -86,58 +102,63 @@ def _attn_layer_params(rng, d, d_ff, prefix, params, with_query=True):
         params[f"{prefix}.{ln}_b"] = np.zeros(d)
 
 
+def _attention_params(rng, cfg, params, prefixes=None):
+    """One attention layer per prefix, ``l0``, ``l1``, ... by default."""
+    for prefix in prefixes or [f"l{layer}" for layer in range(cfg.n_layers)]:
+        _attn_layer_params(rng, cfg, prefix, params)
+
+
+def _rwkv_params(rng, cfg, params):
+    for layer in range(cfg.n_layers):
+        _attn_layer_params(rng, cfg, f"l{layer}", params, projections=("wk", "wv"))
+        # decay passes through elu_plus_one, so effective w stays positive
+        params[f"l{layer}.w_raw"] = rng.uniform(-0.5, 1.0, size=cfg.d_model)
+        params[f"l{layer}.u"] = rng.normal(0.0, 0.5, size=cfg.d_model)
+
+
+class Arch(NamedTuple):
+    params: Callable                  # (rng, cfg, params) adds the arch's weights
+    step: tuple | None                # (init, cell), or None: no step form
+    parallel: Callable | None = None  # route(cfg, pg, token_ids, positions), or None
+
+
+ARCH_TABLE = {
+    "mlp": Arch(partial(_dense_params, weights=("w",)), None, recurrent.mlp_forward),
+    "rnn": Arch(partial(_dense_params, weights=("w1", "w2")), (init_layers, recurrent.rnn_step)),
+    "lstm": Arch(partial(_dense_params, weights=("wx", "wh"), gates=4),
+                 (init_layers, recurrent.lstm_step)),
+    "stack-rnn": Arch(partial(_controller_params, heads=(("wa", "ba", 3), ("wv", "bv", None))),
+                      (recurrent.stack_rnn_init, recurrent.stack_rnn_step)),
+    "tape-rnn": Arch(partial(_controller_params, heads=(("ww", "bw", None), ("wm", "bm", 3))),
+                     (recurrent.tape_rnn_init, recurrent.tape_rnn_step)),
+    "transformer": Arch(_attention_params, (init_layers, transformer.transformer_step),
+                        transformer.transformer_forward),
+    "recurrent-transformer": Arch(_attention_params,
+                                  (init_layers, transformer.recurrent_transformer_step)),
+    "feedback-transformer": Arch(_attention_params, (init_layers, transformer.feedback_step)),
+    "block-recurrent-transformer": Arch(_attention_params,
+                                        (init_layers, transformer.block_recurrent_step)),
+    "universal-transformer": Arch(partial(_attention_params, prefixes=("shared",)),
+                                  (transformer.universal_init, transformer.universal_step)),
+    "rwkv": Arch(_rwkv_params, (init_layers, linear.rwkv_step),
+                 partial(linear.parallel_forward, attend=linear.rwkv_attn_masked)),
+    "linear-transformer": Arch(_attention_params, (init_layers, linear.linear_step),
+                               partial(linear.parallel_forward, attend=linear.linear_attn_masked)),
+}
+
+ARCHS = tuple(ARCH_TABLE)
+STEP_CAPABLE = frozenset(arch for arch, row in ARCH_TABLE.items() if row.step)
+
+
 def init_params(cfg: ModelConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
     d, v = cfg.d_model, cfg.vocab_size
-    s = 1.0 / np.sqrt(d)
     params: dict[str, np.ndarray] = {
         "embed": rng.normal(0.0, 1.0, size=(v, d)),
-        "out_w": rng.normal(0.0, s, size=(d, v)),
+        "out_w": rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, v)),
         "out_b": np.zeros(v),
     }
-    if cfg.arch == "mlp":
-        for layer in range(cfg.n_layers):
-            params[f"l{layer}.w"] = rng.normal(0.0, s, size=(d, d))
-            params[f"l{layer}.b"] = np.zeros(d)
-    elif cfg.arch == "rnn":
-        for layer in range(cfg.n_layers):
-            params[f"l{layer}.w1"] = rng.normal(0.0, s, size=(d, d))
-            params[f"l{layer}.w2"] = rng.normal(0.0, s, size=(d, d))
-            params[f"l{layer}.b"] = np.zeros(d)
-    elif cfg.arch == "lstm":
-        for layer in range(cfg.n_layers):
-            params[f"l{layer}.wx"] = rng.normal(0.0, s, size=(d, 4 * d))
-            params[f"l{layer}.wh"] = rng.normal(0.0, s, size=(d, 4 * d))
-            b = np.zeros(4 * d)
-            b[d:2 * d] = 1.0  # forget-gate bias starts open
-            params[f"l{layer}.b"] = b
-    elif cfg.arch in ("stack-rnn", "tape-rnn"):
-        for name in ("w1", "w2", "w3"):
-            params[name] = rng.normal(0.0, s, size=(d, d))
-        params["b"] = np.zeros(d)
-        if cfg.arch == "stack-rnn":
-            params["wa"] = rng.normal(0.0, s, size=(d, 3))
-            params["ba"] = np.zeros(3)
-            params["wv"] = rng.normal(0.0, s, size=(d, d))
-            params["bv"] = np.zeros(d)
-        else:
-            params["ww"] = rng.normal(0.0, s, size=(d, d))
-            params["bw"] = np.zeros(d)
-            params["wm"] = rng.normal(0.0, s, size=(d, 3))
-            params["bm"] = np.zeros(3)
-    elif cfg.arch == "universal-transformer":
-        _attn_layer_params(rng, d, cfg.d_ff, "shared", params)
-    elif cfg.arch == "rwkv":
-        for layer in range(cfg.n_layers):
-            _attn_layer_params(rng, d, cfg.d_ff, f"l{layer}", params, with_query=False)
-            # decay passes through elu_plus_one, so effective w stays positive
-            params[f"l{layer}.w_raw"] = rng.uniform(-0.5, 1.0, size=d)
-            params[f"l{layer}.u"] = rng.normal(0.0, 0.5, size=d)
-    elif cfg.arch in TRANSFORMER_FAMILY or cfg.arch == "linear-transformer":
-        for layer in range(cfg.n_layers):
-            _attn_layer_params(rng, d, cfg.d_ff, f"l{layer}", params)
-    else:
-        raise ModelError(f"unknown arch {cfg.arch!r}")
+    ARCH_TABLE[cfg.arch].params(rng, cfg, params)
     return params
 
 

@@ -132,3 +132,11 @@ def test_dfa_rejects_states_outside_range(start, accepting):
     delta = {(q, s): q for q in range(2) for s in ("a", "b")}
     with pytest.raises(am.AutomatonError):
         am.Dfa(2, ("a", "b"), delta, start, accepting)
+
+
+@pytest.mark.parametrize("symbols", [["+1"], []], ids=["one-symbol", "no-symbols"])
+def test_run_from_rejects_a_state_outside_the_dfa(symbols):
+    """A start state outside the DFA used to raise a bare KeyError at the
+    first symbol, or, with none, return a trace sitting in that state."""
+    with pytest.raises(am.AutomatonError, match="state 7 outside 0..4"):
+        am.dfa_run_from(am.mod_add_dfa(), 7, symbols)

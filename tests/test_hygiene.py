@@ -10,6 +10,7 @@ from pathlib import Path
 
 import recurlab
 from recurlab import cli
+from recurlab.models import ARCHS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -106,3 +107,18 @@ def test_every_exception_maps_to_an_exit_code():
     unmapped = sorted(f"{cls.__module__}.{cls.__qualname__}" for cls in defined
                       if not issubclass(cls, covered))
     assert len(defined) > 10 and not unmapped, f"no exit code for {unmapped}"
+
+
+def test_only_the_architecture_table_names_an_architecture():
+    """``models/config.py``'s ``ARCH_TABLE`` is the one place that says what
+    an architecture is, so no other module under src/recurlab holds a string
+    constant equal to an arch name; the profiler's block-size fit for the
+    block-recurrent Transformer is its growth-law policy and the one
+    exception.  Docstrings and messages only mention names, so never match."""
+    found = [(str(path.relative_to(ROOT)), node.value, node.lineno)
+             for path in sorted(ROOT.glob("src/recurlab/**/*.py"))
+             if path != ROOT / "src/recurlab/models/config.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and node.value in ARCHS]
+    assert [(path, name) for path, name, _ in found] == [
+        ("src/recurlab/profiler.py", "block-recurrent-transformer")], found

@@ -90,14 +90,46 @@ def test_transformer_positions_build_fewer_nodes(arch, mode, n_layers):
 def test_one_position_builds_fewer_nodes_than_all(arch, mode):
     """Every route reads out only at the requested positions, so one position
     builds fewer nodes than every position; the MLP's one pooled readout
-    serves every position, so it builds as many."""
+    serves every position, so it builds as many.  A step route stops after
+    the last requested position: it builds as many nodes as a forward over
+    the tokens up to that position, and for no position only its initial
+    state."""
     cfg = tiny_cfg(arch, d_model=8, n_layers=2, n_heads=2)
     params = init_params(cfg)
     toks = np.random.default_rng(2).integers(0, VOCAB, size=(2, 4))
     full = _nodes_built(lambda: model_forward(cfg, params, toks, mode=mode))
+    stepped = mode == "recurrent" and arch in STEP_CAPABLE
     for p in range(4):
         one = _nodes_built(lambda: model_forward(cfg, params, toks, mode=mode, positions=[p]))
         assert one == full if arch == "mlp" else one < full, (p, one, full)
+        if stepped:
+            prefix = _nodes_built(lambda: model_forward(cfg, params, toks[:, :p + 1],
+                                                        mode=mode, positions=[p]))
+            assert one == prefix, (p, one, prefix)
+    if stepped:
+        none = _nodes_built(lambda: model_forward(cfg, params, toks, mode=mode, positions=[]))
+        assert none == _nodes_built(lambda: model_forward(cfg, params, toks[:, :0], mode=mode))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2)], ids=["1L1H", "2L2H"])
+@pytest.mark.parametrize("mode", ["parallel", "recurrent"])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_forward_reads_every_parameter(arch, mode, shape):
+    """Every parameter ``init_params`` makes for an arch reaches its logits,
+    so no row of the architecture table pairs a parameter function with a
+    cell that ignores some of its weights."""
+    cfg = ModelConfig(arch=arch, vocab_size=VOCAB, n_layers=shape[0], n_heads=shape[1])
+    params = init_params(cfg)
+    toks = np.random.default_rng(4).integers(0, VOCAB, size=(2, 6))
+    res = model_forward(cfg, params, toks, mode=mode)
+    reachable = {v.id for v in T.topo_nodes(*res.logits)}
+    unread = [name for name in params if res.pgraph[name].id not in reachable]
+    assert not unread, f"{arch} never reads {unread}"
+
+
+def test_mlp_has_no_step_form():
+    with pytest.raises(ModelError, match="mlp has no token-level step form"):
+        init_state(tiny_cfg("mlp"), 2)
 
 
 @pytest.mark.parametrize("mode", ["parallel", "recurrent"])
