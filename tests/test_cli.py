@@ -291,7 +291,6 @@ def test_report_conflicting_cells_exit_2(runner, tmp_path):
     assert "conflicting" in msg and "a" in msg and "b" in msg
 
 
-
 @pytest.mark.parametrize("text, names", [('{"task": "sorting", "accuracy": 1.0}', "'column'"),
                                          ("not json", "not a JSON object"),
                                          ("[1]", "not a JSON object")],
@@ -305,6 +304,7 @@ def test_report_malformed_cell_exit_2_naming_file(runner, tmp_path, text, names)
     assert result.exit_code == 2
     msg = json.loads(result.stderr.strip())["message"]
     assert str(path) in msg and names in msg
+
 
 def test_help_lists_subcommands(runner):
     result = runner.invoke(main, ["--help"])
