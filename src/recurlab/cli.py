@@ -24,7 +24,7 @@ from .llm_eval import (AuthError, EndpointConfig, EndpointTimeout, LLMEvalError,
                        MalformedResponse, TransientFailure)
 from .models import ARCHS, ModelConfig, ModelError, load_checkpoint, save_checkpoint
 from .profiler import ProfilerError
-from .tasks import LEVEL_ORDER, TaskError, TaskId
+from .tasks import TaskError, TaskId
 from .tensor import GraphOverflowError, TensorError
 from .trainer import DivergenceError, TrainerError
 
@@ -248,7 +248,7 @@ def report(dirs, csv_path):
     lines = ["| level | task | " + " | ".join(columns) + " |",
              "|---" * (2 + len(columns)) + "|"]
     csv_lines = ["level,task," + ",".join(columns)]
-    for t in LEVEL_ORDER:
+    for t in TaskId:
         vals = [cells.get((t.key, c)) for c in columns]
         lines.append(f"| {t.level.value} | {t.key} | "
                      + " | ".join("—" if v is None else f"{v:.1f}" for v in vals)

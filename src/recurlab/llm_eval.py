@@ -46,29 +46,6 @@ class MalformedResponse(LLMEvalError):
 
 # -- prompts ----------------------------------------------------------------
 
-_TASK_BRIEFS = {
-    "mod-arith-simple": ("Evaluate the expression modulo 5 and reply with the "
-                         "resulting digit (0-4)."),
-    "parity-check": ("Decide whether the word 'apple' appears an even number of "
-                     "times in the list. Reply True for even, False for odd."),
-    "cycle-navigation": ("You start at position 1 on a cycle of positions 1-5. "
-                         "Each instruction moves you forward one, backward one, "
-                         "or stays. Reply with the final position (1-5)."),
-    "stack-manipulation": ("The words before '|' are a stack, bottom to top. "
-                           "Apply the push/pop actions in order and reply with "
-                           "the final stack from bottom to top, comma-separated. "
-                           "Each pop is annotated with the word it removes."),
-    "reverse-list": "Reply with the list of words in reverse order, comma-separated.",
-    "mod-arith-complex": ("Evaluate the parenthesized expression modulo 5 and "
-                          "reply with the resulting digit (0-4)."),
-    "odds-first": ("Reply with the words at odd positions (1st, 3rd, 5th, ...) "
-                   "followed by the words at even positions, comma-separated."),
-    "addition": "Add the two numbers and reply with the decimal result.",
-    "multiplication": "Multiply the two numbers and reply with the decimal result.",
-    "sorting": ("Sort the digits into non-decreasing order and reply with the "
-                "sorted digits, comma-separated."),
-}
-
 _SYSTEM = ("You solve short symbolic tasks. Always finish your reply with one "
            f"final line of the form '{ANSWER_TAG} <answer>'.")
 
@@ -85,7 +62,7 @@ class PromptSpec:
 def build_prompt(instance: TaskInstance, mode: str) -> PromptSpec:
     if mode not in ("cot", "direct"):
         raise LLMEvalError(f"unknown mode {mode!r}")
-    payload = (f"{_TASK_BRIEFS[instance.task.key]}\n\n"
+    payload = (f"{tasks.TASK_TABLE[instance.task].brief}\n\n"
                f"Input: {' '.join(instance.input_tokens)}")
     if mode == "cot":
         instruction = ("Think step by step and write out your reasoning before "
@@ -239,43 +216,10 @@ def query_endpoint(prompt: PromptSpec, cfg: EndpointConfig, trial: int,
 
 # -- answer extraction ------------------------------------------------------
 
-def _normalize(task: TaskId, text: str) -> list | None:
+def _parse(task: TaskId, text: str) -> list | None:
     text = text.strip().strip(".").strip()
-    if not text:
-        return None
-    vocab = {t.lower(): t for t in tasks.task_vocab(task).id_to_token[3:]}
-    if task is TaskId.PARITY_CHECK:
-        low = text.lower()
-        if low in ("true", "yes", "even"):
-            return ["True"]
-        if low in ("false", "no", "odd"):
-            return ["False"]
-        return None
-    if task is TaskId.CYCLE_NAVIGATION:
-        digits = [c for c in text if c.isdigit()]
-        if len(digits) == 1 and digits[0] in "12345":
-            return [digits[0]]
-        return None
-    if task in (TaskId.MOD_ARITH_SIMPLE, TaskId.MOD_ARITH_COMPLEX):
-        try:
-            return [str(int(text))] if 0 <= int(text) <= 4 else None
-        except ValueError:
-            return None
-    if task in (TaskId.ADDITION, TaskId.MULTIPLICATION):
-        cleaned = text.replace(",", "").replace(" ", "")
-        if cleaned.isdigit():
-            return list(str(int(cleaned)))  # 007 -> 7
-        return None
-    # token-sequence tasks: split on commas/whitespace/brackets
-    for ch in "[](),":
-        text = text.replace(ch, " ")
-    toks = []
-    for raw in text.split():
-        canon = vocab.get(raw.lower())
-        if canon is None:
-            return None
-        toks.append(canon)
-    return toks or None
+    row = tasks.TASK_TABLE[task]
+    return row.parse(text, row.vocab) if text else None
 
 
 def extract_answer(transcript: Transcript, task: TaskId) -> Transcript:
@@ -285,10 +229,10 @@ def extract_answer(transcript: Transcript, task: TaskId) -> Transcript:
     answer_lines = [ln for ln in lines if ln.upper().startswith(ANSWER_TAG)]
     status, parsed = "failed", None
     if answer_lines:
-        parsed = _normalize(task, answer_lines[-1][len(ANSWER_TAG):])
+        parsed = _parse(task, answer_lines[-1][len(ANSWER_TAG):])
         status = "ok" if parsed is not None else "failed"
     elif lines:
-        parsed = _normalize(task, lines[-1])
+        parsed = _parse(task, lines[-1])
         status = "lenient" if parsed is not None else "failed"
     transcript.parsed_answer = parsed
     transcript.parse_status = status

@@ -4,15 +4,20 @@ Ten tasks, grouped by the machine class needed to solve them: Regular (R),
 Context-Free (CF) and Context-Sensitive (CS).  Instances use word-level tokens
 (fruit names, digit strings, operator strings) that survive real tokenizers as
 single tokens; no character splitting anywhere.
+
+``TASK_TABLE`` is the one place that says what a task is, from its vocabulary
+and generator to the brief and answer parser of its LLM prompts; ``task_vocab``,
+``generate``, ``oracle``, ``encode`` and ``llm_eval`` read it.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import operator
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import automata
 
@@ -40,6 +45,7 @@ class Level(str, enum.Enum):
 
 
 class TaskId(enum.Enum):
+    # declaration order is the report layout: R tasks, then CF, then CS
     MOD_ARITH_SIMPLE = ("mod-arith-simple", Level.R)
     PARITY_CHECK = ("parity-check", Level.R)
     CYCLE_NAVIGATION = ("cycle-navigation", Level.R)
@@ -63,20 +69,6 @@ class TaskId(enum.Enum):
         raise TaskError(f"unknown task {key!r}")
 
 
-# single output token per instance
-CLASSIFICATION_TASKS = frozenset({
-    TaskId.MOD_ARITH_SIMPLE, TaskId.PARITY_CHECK,
-    TaskId.CYCLE_NAVIGATION, TaskId.MOD_ARITH_COMPLEX,
-})
-
-# length n sampled uniformly from these (inclusive) ranges
-# declaration order is the report layout: R tasks, then CF, then CS
-LEVEL_ORDER = tuple(TaskId)
-
-LENGTH_RANGES = {t: (10, 20) for t in TaskId}
-LENGTH_RANGES[TaskId.REVERSE_LIST] = (30, 40)
-
-
 @dataclass(frozen=True)
 class TaskInstance:
     task: TaskId
@@ -90,12 +82,11 @@ class Vocab:
     """Token<->id bijection with fixed reserved ids 0/1/2."""
 
     def __init__(self, tokens: Sequence[str]):
-        self.id_to_token = [PAD, SEP, PLACEHOLDER]
         for tok in tokens:
             if tok in (PAD, SEP, PLACEHOLDER):
                 raise TaskError(f"token {tok!r} collides with a reserved token")
-            if tok not in self.id_to_token:
-                self.id_to_token.append(tok)
+        # a tuple, because TASK_TABLE hands every caller the same instance
+        self.id_to_token = (PAD, SEP, PLACEHOLDER) + tuple(dict.fromkeys(tokens))
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
 
     def __len__(self):
@@ -108,92 +99,46 @@ class Vocab:
             raise TaskError(f"unknown token {tok!r}") from None
 
 
-_DIGITS5 = tuple(str(d) for d in range(5))
-_DIGITS10 = tuple(str(d) for d in range(10))
-
-
-def task_vocab(task: TaskId) -> Vocab:
-    if task is TaskId.MOD_ARITH_SIMPLE:
-        return Vocab(_DIGITS5 + ("+", "-"))
-    if task is TaskId.PARITY_CHECK:
-        return Vocab(("apple", "banana", "True", "False"))
-    if task is TaskId.CYCLE_NAVIGATION:
-        return Vocab(("forward", "backward", "stay", "1", "2", "3", "4", "5"))
-    if task is TaskId.STACK_MANIPULATION:
-        return Vocab(FRUITS + ("|", "push", "pop"))
-    if task in (TaskId.REVERSE_LIST, TaskId.ODDS_FIRST):
-        return Vocab(FRUITS)
-    if task is TaskId.MOD_ARITH_COMPLEX:
-        return Vocab(_DIGITS5 + ("+", "-", "*", "(", ")"))
-    if task is TaskId.ADDITION:
-        return Vocab(_DIGITS10 + ("+",))
-    if task is TaskId.MULTIPLICATION:
-        return Vocab(_DIGITS10 + ("*",))
-    if task is TaskId.SORTING:
-        return Vocab(_DIGITS10)
-    raise TaskError(f"unknown task {task}")
-
-
 # ---------------------------------------------------------------------------
-# generation
+# generator bodies: (rng, n) -> input tokens; the rng calls and their order
+# fix every generated instance
 
-def generate(task: TaskId, seed: int) -> TaskInstance:
-    """Deterministic instance for (task, seed); n drawn from the task range."""
-    rng = random.Random(f"{task.key}:{seed}")
-    lo, hi = LENGTH_RANGES[task]
-    n = rng.randint(lo, hi)
-    return _generate_at(task, seed, n, rng)
+def _draw(choices: tuple):
+    return lambda rng, n: [rng.choice(choices) for _ in range(n)]
 
 
-def generate_with_length(task: TaskId, seed: int, n: int) -> TaskInstance:
-    """Instance at an explicit size parameter (trainer batching hook)."""
-    rng = random.Random(f"{task.key}:{seed}:{n}")
-    return _generate_at(task, seed, n, rng)
+def _gen_mod_arith_simple(rng: random.Random, n: int) -> list:
+    tokens = [str(rng.randint(0, 4))]
+    for _ in range(n - 1):
+        tokens += [rng.choice("+-"), str(rng.randint(0, 4))]
+    return tokens
 
 
-def _generate_at(task: TaskId, seed: int, n: int, rng: random.Random) -> TaskInstance:
-    if task is TaskId.MOD_ARITH_SIMPLE:
-        tokens = [str(rng.randint(0, 4))]
-        for _ in range(n - 1):
-            tokens += [rng.choice("+-"), str(rng.randint(0, 4))]
-    elif task is TaskId.PARITY_CHECK:
-        tokens = [rng.choice(("apple", "banana")) for _ in range(n)]
-    elif task is TaskId.CYCLE_NAVIGATION:
-        tokens = [rng.choice(("forward", "backward", "stay")) for _ in range(n)]
-    elif task is TaskId.STACK_MANIPULATION:
-        stack = [rng.choice(FRUITS) for _ in range(rng.randint(3, 7))]
-        tokens = list(stack) + ["|"]
-        depth = len(stack)
-        for _ in range(n):
-            if depth <= 1 or rng.random() < 0.5:
-                tok = rng.choice(FRUITS)
-                tokens += ["push", tok]
-                stack.append(tok)
-                depth += 1
-            else:
-                tokens += ["pop", stack.pop()]
-                depth -= 1
-    elif task in (TaskId.REVERSE_LIST, TaskId.ODDS_FIRST):
-        tokens = [rng.choice(FRUITS) for _ in range(n)]
-    elif task is TaskId.MOD_ARITH_COMPLEX:
-        tokens = _gen_expression(rng, n, root=True)
-    elif task in (TaskId.ADDITION, TaskId.MULTIPLICATION):
-        op = "+" if task is TaskId.ADDITION else "*"
-        a = _gen_number(rng, n)
-        b = _gen_number(rng, n)
-        tokens = list(a) + [op] + list(b)
-    elif task is TaskId.SORTING:
-        tokens = [str(rng.randint(0, 9)) for _ in range(n)]
-    else:
-        raise TaskError(f"unknown task {task}")
-    tokens = tuple(tokens)
-    return TaskInstance(task, tokens, tuple(oracle(task, tokens)), n, seed)
+def _gen_stack(rng: random.Random, n: int) -> list:
+    stack = [rng.choice(FRUITS) for _ in range(rng.randint(3, 7))]
+    tokens = list(stack) + ["|"]
+    depth = len(stack)
+    for _ in range(n):
+        if depth <= 1 or rng.random() < 0.5:
+            tok = rng.choice(FRUITS)
+            tokens += ["push", tok]
+            stack.append(tok)
+            depth += 1
+        else:
+            tokens += ["pop", stack.pop()]
+            depth -= 1
+    return tokens
 
 
 def _gen_number(rng: random.Random, n_digits: int) -> list:
     digits = [str(rng.randint(1, 9))]
     digits += [str(rng.randint(0, 9)) for _ in range(n_digits - 1)]
     return digits
+
+
+def _gen_operands(op: str):
+    """Two n-digit numbers around ``op``."""
+    return lambda rng, n: _gen_number(rng, n) + [op] + _gen_number(rng, n)
 
 
 def _gen_expression(rng: random.Random, n_ops: int, root: bool = False) -> list:
@@ -207,45 +152,32 @@ def _gen_expression(rng: random.Random, n_ops: int, root: bool = False) -> list:
 
 
 # ---------------------------------------------------------------------------
-# oracles
+# oracles: input tokens -> target tokens
 
 # the regular-language oracles run these reference DFAs, built once
 _PARITY_DFA = automata.parity_dfa()
 _CYCLE_DFA = automata.cycle_dfa()
 _MOD_ADD_DFA = automata.mod_add_dfa()
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def oracle(task: TaskId, input_tokens: Sequence[str]) -> list:
-    if task is TaskId.MOD_ARITH_SIMPLE:
-        # the first digit is the start residue; each "op digit" pair is a symbol
-        steps = [op + d for op, d in zip(input_tokens[1::2], input_tokens[2::2])]
-        start = int(input_tokens[0]) % 5
-        return [str(automata.dfa_run_from(_MOD_ADD_DFA, start, steps).final)]
-    if task is TaskId.PARITY_CHECK:
-        return [str(automata.dfa_run(_PARITY_DFA, input_tokens).accepted)]
-    if task is TaskId.CYCLE_NAVIGATION:
-        # state q is position q + 1
-        return [str(automata.dfa_run(_CYCLE_DFA, input_tokens).final + 1)]
-    if task is TaskId.STACK_MANIPULATION:
-        bar = list(input_tokens).index("|")
-        stack, actions = list(input_tokens[:bar]), _parse_stack_actions(input_tokens[bar + 1:])
-        return automata.stack_run(actions, stack)
-    if task is TaskId.REVERSE_LIST:
-        return list(reversed(input_tokens))
-    if task is TaskId.MOD_ARITH_COMPLEX:
-        return [str(_parse_mod_expression(list(input_tokens)))]
-    if task is TaskId.ODDS_FIRST:
-        return list(input_tokens[0::2]) + list(input_tokens[1::2])
-    if task in (TaskId.ADDITION, TaskId.MULTIPLICATION):
-        op = "+" if task is TaskId.ADDITION else "*"
-        i = list(input_tokens).index(op)
-        a = int("".join(input_tokens[:i]))
-        b = int("".join(input_tokens[i + 1:]))
-        result = a + b if op == "+" else a * b
-        return list(str(result))
-    if task is TaskId.SORTING:
-        return [str(v) for v in sorted(int(t) for t in input_tokens)]
-    raise TaskError(f"unknown task {task}")
+def _mod_arith_simple(tokens) -> list:
+    # the first digit is the start residue; each "op digit" pair is a symbol
+    steps = [op + d for op, d in zip(tokens[1::2], tokens[2::2])]
+    return [str(automata.dfa_run_from(_MOD_ADD_DFA, int(tokens[0]) % 5, steps).final)]
+
+
+def _stack_manipulation(tokens) -> list:
+    bar = list(tokens).index("|")
+    return automata.stack_run(_parse_stack_actions(tokens[bar + 1:]), list(tokens[:bar]))
+
+
+def _operate(op: str):
+    """The two numbers around ``op`` combined by it, as decimal digits."""
+    def oracle(tokens) -> list:
+        i = list(tokens).index(op)
+        return list(str(_OPS[op](int("".join(tokens[:i])), int("".join(tokens[i + 1:])))))
+    return oracle
 
 
 def _parse_stack_actions(tokens) -> list:
@@ -292,13 +224,7 @@ def _parse_mod_expression(tokens: list) -> int:
         while peek() in ("+", "-", "*"):
             op = tokens[pos]
             pos += 1
-            w = term()
-            if op == "+":
-                v = (v + w) % 5
-            elif op == "-":
-                v = (v - w) % 5
-            else:
-                v = (v * w) % 5
+            v = _OPS[op](v, term()) % 5
         return v
 
     v = expr()
@@ -308,12 +234,142 @@ def _parse_mod_expression(tokens: list) -> int:
 
 
 # ---------------------------------------------------------------------------
+# free-text answer parsers: (text, vocab) -> answer tokens, or None when the
+# text is not an answer of the task's form; the text arrives stripped
+
+_TRUTH = {"true": "True", "yes": "True", "even": "True",
+          "false": "False", "no": "False", "odd": "False"}
+
+
+def _parse_truth(text: str, vocab: Vocab) -> list | None:
+    return [_TRUTH[text.lower()]] if text.lower() in _TRUTH else None
+
+
+def _parse_position(text: str, vocab: Vocab) -> list | None:
+    digits = [c for c in text if c.isdigit()]
+    return [digits[0]] if len(digits) == 1 and digits[0] in "12345" else None
+
+
+def _parse_residue(text: str, vocab: Vocab) -> list | None:
+    try:
+        return [str(int(text))] if 0 <= int(text) <= 4 else None
+    except ValueError:
+        return None
+
+
+def _parse_number(text: str, vocab: Vocab) -> list | None:
+    cleaned = text.replace(",", "").replace(" ", "")
+    return list(str(int(cleaned))) if cleaned.isdigit() else None  # 007 -> 7
+
+
+def _parse_words(text: str, vocab: Vocab) -> list | None:
+    """Vocabulary words split on commas, whitespace and brackets, any case."""
+    for ch in "[](),":
+        text = text.replace(ch, " ")
+    canon = {t.lower(): t for t in vocab.id_to_token[3:]}
+    toks = [canon.get(raw.lower()) for raw in text.split()]
+    return toks if toks and None not in toks else None
+
+
+# ---------------------------------------------------------------------------
+# the task table
+
+class Task(NamedTuple):
+    vocab: Vocab
+    body: Callable                # (rng, n) -> input tokens
+    oracle: Callable              # input tokens -> target tokens
+    one_token: bool               # the answer is exactly one token
+    brief: str                    # what an LLM prompt asks for
+    parse: Callable               # (text, vocab) -> answer tokens, or None
+    lengths: tuple = (10, 20)     # generate draws n uniformly from this inclusive range
+
+
+TASK_TABLE = {
+    TaskId.MOD_ARITH_SIMPLE: Task(
+        Vocab([*"01234", "+", "-"]), _gen_mod_arith_simple, _mod_arith_simple, True,
+        "Evaluate the expression modulo 5 and reply with the resulting digit (0-4).",
+        _parse_residue),
+    TaskId.PARITY_CHECK: Task(
+        Vocab(("apple", "banana", "True", "False")), _draw(("apple", "banana")),
+        lambda tokens: [str(automata.dfa_run(_PARITY_DFA, tokens).accepted)], True,
+        "Decide whether the word 'apple' appears an even number of times in the list. "
+        "Reply True for even, False for odd.", _parse_truth),
+    TaskId.CYCLE_NAVIGATION: Task(
+        Vocab(("forward", "backward", "stay", "1", "2", "3", "4", "5")),
+        _draw(("forward", "backward", "stay")),
+        # state q is position q + 1
+        lambda tokens: [str(automata.dfa_run(_CYCLE_DFA, tokens).final + 1)], True,
+        "You start at position 1 on a cycle of positions 1-5. Each instruction moves you "
+        "forward one, backward one, or stays. Reply with the final position (1-5).",
+        _parse_position),
+    TaskId.STACK_MANIPULATION: Task(
+        Vocab(FRUITS + ("|", "push", "pop")), _gen_stack, _stack_manipulation, False,
+        "The words before '|' are a stack, bottom to top. Apply the push/pop actions in "
+        "order and reply with the final stack from bottom to top, comma-separated. "
+        "Each pop is annotated with the word it removes.", _parse_words),
+    TaskId.REVERSE_LIST: Task(
+        Vocab(FRUITS), _draw(FRUITS), lambda tokens: list(reversed(tokens)), False,
+        "Reply with the list of words in reverse order, comma-separated.", _parse_words,
+        lengths=(30, 40)),
+    TaskId.MOD_ARITH_COMPLEX: Task(
+        Vocab([*"01234", "+", "-", "*", "(", ")"]),
+        lambda rng, n: _gen_expression(rng, n, root=True),
+        lambda tokens: [str(_parse_mod_expression(list(tokens)))], True,
+        "Evaluate the parenthesized expression modulo 5 and reply with the resulting "
+        "digit (0-4).", _parse_residue),
+    TaskId.ODDS_FIRST: Task(
+        Vocab(FRUITS), _draw(FRUITS), lambda tokens: list(tokens[0::2]) + list(tokens[1::2]),
+        False, "Reply with the words at odd positions (1st, 3rd, 5th, ...) followed by the "
+        "words at even positions, comma-separated.", _parse_words),
+    TaskId.ADDITION: Task(
+        Vocab([*"0123456789", "+"]), _gen_operands("+"), _operate("+"), False,
+        "Add the two numbers and reply with the decimal result.", _parse_number),
+    TaskId.MULTIPLICATION: Task(
+        Vocab([*"0123456789", "*"]), _gen_operands("*"), _operate("*"), False,
+        "Multiply the two numbers and reply with the decimal result.", _parse_number),
+    TaskId.SORTING: Task(
+        Vocab([*"0123456789"]), lambda rng, n: [str(rng.randint(0, 9)) for _ in range(n)],
+        lambda tokens: [str(v) for v in sorted(int(t) for t in tokens)], False,
+        "Sort the digits into non-decreasing order and reply with the sorted digits, "
+        "comma-separated.", _parse_words),
+}
+
+
+def task_vocab(task: TaskId) -> Vocab:
+    return TASK_TABLE[task].vocab
+
+
+# ---------------------------------------------------------------------------
+# generation
+
+def generate(task: TaskId, seed: int) -> TaskInstance:
+    """Deterministic instance for (task, seed); n drawn from the task range."""
+    rng = random.Random(f"{task.key}:{seed}")
+    return _generate_at(task, seed, rng.randint(*TASK_TABLE[task].lengths), rng)
+
+
+def generate_with_length(task: TaskId, seed: int, n: int) -> TaskInstance:
+    """Instance at an explicit size parameter (trainer batching hook)."""
+    rng = random.Random(f"{task.key}:{seed}:{n}")
+    return _generate_at(task, seed, n, rng)
+
+
+def _generate_at(task: TaskId, seed: int, n: int, rng: random.Random) -> TaskInstance:
+    tokens = tuple(TASK_TABLE[task].body(rng, n))
+    return TaskInstance(task, tokens, tuple(oracle(task, tokens)), n, seed)
+
+
+def oracle(task: TaskId, input_tokens: Sequence[str]) -> list:
+    return TASK_TABLE[task].oracle(input_tokens)
+
+
+# ---------------------------------------------------------------------------
 # encoding
 
 def encode(instance: TaskInstance, vocab: Vocab) -> tuple:
     """(input_ids, target_ids): input is tokens ++ SEP ++ one placeholder per
     target token; target ids are aligned with the placeholder positions."""
-    n_slots = 1 if instance.task in CLASSIFICATION_TASKS else len(instance.target_tokens)
+    n_slots = 1 if TASK_TABLE[instance.task].one_token else len(instance.target_tokens)
     if n_slots != len(instance.target_tokens):
         raise TaskError("classification task with multi-token target")
     input_ids = ([vocab.encode_token(t) for t in instance.input_tokens]

@@ -11,6 +11,7 @@ from pathlib import Path
 import recurlab
 from recurlab import cli
 from recurlab.models import ARCHS
+from recurlab.tasks import TaskId
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -122,3 +123,24 @@ def test_only_the_architecture_table_names_an_architecture():
              if isinstance(node, ast.Constant) and node.value in ARCHS]
     assert [(path, name) for path, name, _ in found] == [
         ("src/recurlab/profiler.py", "block-recurrent-transformer")], found
+
+
+def test_only_the_task_table_names_a_task():
+    """``tasks.TASK_TABLE`` is the one place that says what a task is, so no
+    module under src/recurlab names a ``TaskId`` member or holds a string
+    constant equal to a task key outside that table and the ``TaskId``
+    declaration it is keyed by."""
+    keys, members = {t.key for t in TaskId}, {t.name for t in TaskId}
+    found = []
+    for path in sorted(ROOT.glob("src/recurlab/**/*.py")):
+        tree = ast.parse(path.read_text())
+        table = [node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "TaskId"
+                 or isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TASK_TABLE"]
+        allowed = {id(n) for node in table for n in ast.walk(node)}
+        found += [f"{path.relative_to(ROOT)}:{node.lineno}: {ast.unparse(node)}"
+                  for node in ast.walk(tree) if id(node) not in allowed
+                  and (isinstance(node, ast.Constant) and node.value in keys
+                       or isinstance(node, ast.Attribute) and node.attr in members
+                       and ast.unparse(node.value).endswith("TaskId"))]
+    assert not found, "a task named outside the task table:\n" + "\n".join(found)

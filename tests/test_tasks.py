@@ -75,7 +75,7 @@ def test_generated_target_matches_oracle(task):
     for seed in range(20):
         inst = tasks.generate(task, seed)
         assert list(inst.target_tokens) == tasks.oracle(task, inst.input_tokens)
-        lo, hi = tasks.LENGTH_RANGES[task]
+        lo, hi = tasks.TASK_TABLE[task].lengths
         assert lo <= inst.n <= hi
 
 
