@@ -218,8 +218,11 @@ def query_endpoint(prompt: PromptSpec, cfg: EndpointConfig, trial: int,
 
 def _parse(task: TaskId, text: str) -> list | None:
     text = text.strip().strip(".").strip()
+    # answers are in ASCII digits; int() and str.isdigit() also take '٣' and '²'
+    if not text or any(c.isdigit() and not c.isascii() for c in text):
+        return None
     row = tasks.TASK_TABLE[task]
-    return row.parse(text, row.vocab) if text else None
+    return row.parse(text, row.vocab)
 
 
 def extract_answer(transcript: Transcript, task: TaskId) -> Transcript:

@@ -259,7 +259,8 @@ def _parse_residue(text: str, vocab: Vocab) -> list | None:
 
 def _parse_number(text: str, vocab: Vocab) -> list | None:
     cleaned = text.replace(",", "").replace(" ", "")
-    return list(str(int(cleaned))) if cleaned.isdigit() else None  # 007 -> 7
+    # 007 -> 7, with no int(): it refuses strings of more than 4300 digits
+    return list(cleaned.lstrip("0") or "0") if cleaned.isdigit() else None
 
 
 def _parse_words(text: str, vocab: Vocab) -> list | None:

@@ -83,6 +83,25 @@ def test_extract_answer_cycle_state():
     assert tr.parsed_answer == ["4"]
 
 
+@pytest.mark.parametrize("task", [TaskId.MOD_ARITH_SIMPLE, TaskId.MOD_ARITH_COMPLEX,
+                                  TaskId.ADDITION, TaskId.MULTIPLICATION],
+                         ids=lambda t: t.key)
+def test_extract_answer_takes_ascii_digits_only(task):
+    """``int()`` and ``str.isdigit()`` also take superscript and Arabic-Indic
+    digits: ``ANSWER: 12²`` raised ValueError for addition and multiplication,
+    and ``ANSWER: ٣`` parsed as 3 for all four tasks."""
+    for answer in ("3²", "12²", "٣", "٣٤"):
+        tr = extract_answer(make_transcript(f"ANSWER: {answer}", task), task)
+        assert (tr.parsed_answer, tr.parse_status) == (None, "failed"), answer
+
+
+def test_extract_answer_takes_a_number_past_the_int_digit_limit():
+    """A number of more than 4300 digits raised ValueError from ``int()``."""
+    task = TaskId.MULTIPLICATION
+    tr = extract_answer(make_transcript("ANSWER: 00" + "12" * 2500, task), task)
+    assert tr.parsed_answer == list("12" * 2500) and tr.parse_status == "ok"
+
+
 def test_extract_uses_last_answer_line():
     tr = extract_answer(make_transcript("ANSWER: False\nno wait\nANSWER: True"),
                         TaskId.PARITY_CHECK)
