@@ -225,7 +225,9 @@ def report(dirs, csv_path):
 
     Rows follow the task layout (levels R, CF, CS); columns are sorted names;
     missing cells render as an em dash; the same (task, column) cell from two
-    sources with different values is an error.
+    sources with different values is an error, and so is a cell whose task is
+    not a task key, whose column is not a string or whose accuracy is not a
+    number in [0, 100].
     """
     cells: dict[tuple, float] = {}
     sources: dict[tuple, Path] = {}
@@ -238,6 +240,15 @@ def report(dirs, csv_path):
                 raise TrainerError(f"cell file {path} has no key {err}") from None
             except (ValueError, TypeError) as err:
                 raise TrainerError(f"cell file {path} is not a JSON object: {err}") from None
+            if not any(key[0] == t.key for t in TaskId):
+                raise TrainerError(f"cell file {path} names no task: {key[0]!r}")
+            if not isinstance(key[1], str):
+                raise TrainerError(f"cell file {path} has a column that is not a string: "
+                                   f"{key[1]!r}")
+            if (isinstance(accuracy, bool) or not isinstance(accuracy, (int, float))
+                    or not 0 <= accuracy <= 100):
+                raise TrainerError(f"cell file {path} has accuracy {accuracy!r}, "
+                                   "not a number in [0, 100]")
             if key in cells and cells[key] != accuracy:
                 raise TrainerError(
                     f"conflicting cell {key}: {cells[key]} from {sources[key]} "

@@ -291,13 +291,33 @@ def test_report_conflicting_cells_exit_2(runner, tmp_path):
     assert "conflicting" in msg and "a" in msg and "b" in msg
 
 
+def _cell_text(task="sorting", column="lstm", accuracy=90.0):
+    return json.dumps({"task": task, "column": column, "accuracy": accuracy})
+
+
 @pytest.mark.parametrize("text, names", [('{"task": "sorting", "accuracy": 1.0}', "'column'"),
                                          ("not json", "not a JSON object"),
-                                         ("[1]", "not a JSON object")],
-                         ids=["missing-key", "not-json", "not-an-object"])
+                                         ("[1]", "not a JSON object"),
+                                         (_cell_text(task="no-such-task"),
+                                          "names no task: 'no-such-task'"),
+                                         (_cell_text(task=["sorting"]),
+                                          "names no task: ['sorting']"),
+                                         (_cell_text(column=3), "not a string: 3"),
+                                         (_cell_text(column=["x"]), "not a string: ['x']"),
+                                         (_cell_text(accuracy="90"), "accuracy '90'"),
+                                         (_cell_text(accuracy=True), "accuracy True"),
+                                         (_cell_text(accuracy=100.5), "accuracy 100.5"),
+                                         (_cell_text(accuracy=-1), "accuracy -1"),
+                                         (_cell_text(accuracy=float("nan")), "accuracy nan")],
+                         ids=["missing-key", "not-json", "not-an-object", "unknown-task",
+                              "task-not-a-string", "column-an-int", "column-a-list",
+                              "accuracy-a-string", "accuracy-a-bool", "accuracy-over-100",
+                              "accuracy-negative", "accuracy-nan"])
 def test_report_malformed_cell_exit_2_naming_file(runner, tmp_path, text, names):
     """A malformed cell file used to exit 2 with a bare ``'column'`` or JSON
-    decoder message that named no file; a JSON list raised a traceback."""
+    decoder message that named no file; a JSON list raised a traceback.  A
+    cell of an unknown task was dropped with exit 0, a string accuracy exited
+    2 naming no file, and a column that is not a string raised a traceback."""
     path = tmp_path / "cell-sorting-lstm.json"
     path.write_text(text)
     result = runner.invoke(main, ["report", str(tmp_path)])
