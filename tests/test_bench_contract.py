@@ -1,26 +1,39 @@
 """The names the benchmark relies on.  ``bench/tracer.py`` wraps recurlab
 functions by module attribute and reads some of their arguments by parameter
-name; a rename would otherwise show only as a failed benchmark run.  The
-tracer is loaded from its file and never installed, so nothing is patched."""
+name, and ``bench/workloads.py`` imports recurlab names such as
+``TaskId.SORTING`` and ``task_vocab``; a rename would otherwise show only as a
+failed benchmark run.  Both are loaded from their files and the tracer is
+never installed, so nothing is patched."""
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER_FILE = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+from recurlab.tasks import task_vocab
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("tracer", TRACER_FILE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+def _load_workloads():
+    """``bench/workloads.py``, which imports ``tracer``, with bench/ on
+    ``sys.path`` only while it loads; registered as ``workloads``, as
+    dataclasses need."""
+    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+    module = sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
     return module
 
 
-tracer = _load_tracer()
+workloads = _load_workloads()
+tracer = workloads.tracer
 
 # span name -> the parameters the tracer and the benchmark's workloads read
 # from a call's bound arguments
@@ -46,3 +59,10 @@ def test_entry_point_exists_and_takes_read_arguments(name, module_name, attr):
     missing = [p for p in READ_ARGUMENTS.get(name, ())
                if p not in inspect.signature(fn).parameters]
     assert not missing, f"{module_name}.{attr} has no parameter {missing}"
+
+
+def test_workloads_build_their_train_configs():
+    """The train workload's configs read task names and vocabularies."""
+    configs = workloads.train_configs(0)
+    assert len(configs) == 3
+    assert [tc.model.vocab_size for tc in configs] == [len(task_vocab(tc.task)) for tc in configs]
