@@ -11,6 +11,9 @@ runs offline against record-replay fixtures, and fault handling is testable
 with injected failures.  Raw completions are preserved byte-exact; scoring is
 a pure function of (transcripts, targets) and can be re-run from the
 persisted JSONL at any time.
+
+Each task's brief and free-text answer parser are its row of
+``tasks.TASK_TABLE``; an answer is parsed from ASCII digits only.
 """
 
 from __future__ import annotations
