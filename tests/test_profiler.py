@@ -63,6 +63,58 @@ def test_matmul_counts_one_regardless_of_size():
     assert big.flops > small.flops  # width shows up only in the flop metric
 
 
+def _p(*shape):
+    """A parameter leaf of ones (positive, so ``log`` stays finite)."""
+    return T.parameter(np.ones(shape))
+
+
+def _deeper(v, k):
+    """``v`` below a chain of ``k`` reshapes: k more ops and depth, no flops."""
+    for _ in range(k):
+        v = v.reshape(v.shape)
+    return v
+
+
+# op kind -> (graph, (total_ops, depth, flops)); a (2, 3) operand has 6
+# scalars, and the width enters only the flops
+OP_COSTS = {
+    "add": (lambda: _p(2, 3) + _p(3), (1, 1, 6)),
+    "sub": (lambda: _p(2, 3) - _p(2, 3), (1, 1, 6)),
+    "mul": (lambda: _p(2, 3) * _p(1), (1, 1, 6)),
+    "divide": (lambda: _p(2, 3) / _p(2, 3), (1, 1, 6)),
+    "matmul-2d": (lambda: T.matmul(_p(2, 3), _p(3, 4)), (1, 1, 2 * 8 * 3)),
+    "matmul-1d-left": (lambda: T.matmul(_p(3), _p(3, 4)), (1, 1, 2 * 4 * 3)),
+    "matmul-1d-right": (lambda: T.matmul(_p(2, 3), _p(3)), (1, 1, 2 * 2 * 3)),
+    "exp": (lambda: T.exp(_p(2, 3)), (1, 1, 24)),
+    "log": (lambda: T.log(_p(2, 3)), (1, 1, 24)),
+    "softmax": (lambda: T.softmax(_p(2, 3)), (1, 1, 24)),
+    **{f"nonlinearity-{kind}": (lambda kind=kind: T.nonlinearity(_p(2, 3), kind), (1, 1, 24))
+       for kind in T.NONLINEARITIES},
+    "concat": (lambda: T.concat([_p(2, 3), _p(1, 3)], axis=0), (1, 1, 0)),
+    "view-slice": (lambda: _p(2, 3).slice((slice(None), 1)), (1, 1, 0)),
+    "gather-slice": (lambda: _p(2, 3).slice(np.array([1, 1, 0])), (1, 1, 0)),
+    "take-rows": (lambda: T.take_rows(_p(2, 3), [1, 0, 1]), (1, 1, 0)),
+    "reshape": (lambda: _p(2, 3).reshape(3, 2), (1, 1, 0)),
+    "sum-axis": (lambda: _p(2, 3).sum(axis=0), (1, 1, 6)),
+    "sum-all": (lambda: _p(2, 3).sum(), (1, 1, 6)),
+    # 13 ops on a chain 13 long from x, 2 from gain and 1 from bias;
+    # 7·N + 12·N/d flops for N = 6 and d = 3
+    "layer-norm": (lambda: T.layer_norm(_p(2, 3), _p(3), _p(3), 1e-6), (13, 13, 66)),
+    "layer-norm-deep-gain": (lambda: T.layer_norm(_p(2, 3), _deeper(_p(3), 12), _p(3), 1e-6),
+                             (25, 14, 66)),
+    "layer-norm-deep-bias": (lambda: T.layer_norm(_p(2, 3), _p(3), _deeper(_p(3), 13), 1e-6),
+                             (26, 14, 66)),
+}
+
+
+@pytest.mark.parametrize("case", list(OP_COSTS))
+def test_op_kind_profile_cost(case):
+    """Each op kind's (total_ops, depth, flops) on a small hand-built graph."""
+    build, want = OP_COSTS[case]
+    p = graph_profile([build()], n=1, arch="hand")
+    assert (p.total_ops, p.depth, p.flops) == want
+
+
 def test_flops_per_op_kind():
     x = T.parameter(np.ones(10))
     tanh = graph_profile([T.nonlinearity(x, "tanh")], 10, "hand")
