@@ -1,17 +1,17 @@
 """Empirical depth/time complexity measurement over realized forward graphs.
 
-Counting rule: every non-input graph node is one operation, regardless of
-tensor size (a matmul of any shape counts 1).  ``depth`` is the length of the
-longest dependency chain from any input/parameter leaf to a logit node;
-``total_ops`` is the number of distinct operation nodes reachable from the
-logits.  Both are measured on the graph an architecture actually builds, so
-the numbers reflect the implementation, not an idealized formula.  A fused
-node counts as the elementary ops it replaces, in total ops, depth and
-flops: a ``layer_norm`` node is 13 ops, on a chain 13 long from its input.
+Counting rule: every non-leaf graph node is one operation, regardless of
+tensor size (a matmul of any shape counts 1), and a fused node is the
+elementary ops it replaces.  Each node's ``tensor.Op`` gives its count, chain
+lengths and flops, so this module names no op kind.  ``depth`` is the length
+of the longest dependency chain from any input/parameter leaf to a logit
+node; ``total_ops`` is the number of operations reachable from the logits.
+Both are measured on the graph an architecture actually builds, so the
+numbers reflect the implementation, not an idealized formula.
 
-Per-scalar FLOPs are reported as a secondary metric (``flops``): the counting
-rule above deliberately ignores tensor width, so FLOPs are the place to see
-the cost that width does add.
+Per-scalar FLOPs are a secondary metric (``flops``): the counting rule
+deliberately ignores tensor width, so FLOPs are the place to see the cost
+that width does add.
 """
 
 from __future__ import annotations
@@ -24,11 +24,6 @@ import numpy as np
 
 from . import models
 from .tensor import Value, graph_scope, topo_nodes
-
-_LEAF_KINDS = frozenset({"input", "parameter"})
-# a fused node's op kind -> (the elementary ops it replaces, the longest
-# chain of them from each parent to its output)
-_FUSED = {"layer_norm": (13, (13, 2, 1))}
 
 
 class ProfilerError(Exception):
@@ -61,27 +56,6 @@ class ComplexityFit:
             raise ProfilerError(f"r_squared {self.r_squared} outside [0, 1]")
 
 
-def _node_flops(v: Value) -> int:
-    """Rough per-scalar cost of one node; elementwise ops count one flop per
-    output scalar, a sum one per input scalar, matmul the classic 2·m·n·k."""
-    size = v.data.size
-    if v.op_kind == "layer_norm":
-        # sum, sub, square, sum, * inv_std, * gain and + bias take one flop
-        # per element of x; the 6 ops on the row statistics take 12 per row
-        x = v.parents[0].data
-        return 7 * x.size + 12 * (x.size // x.shape[-1])
-    if v.op_kind == "sum":
-        return v.parents[0].data.size
-    if v.op_kind == "matmul":
-        inner = v.parents[0].shape[-1]
-        return 2 * size * int(inner)
-    if v.op_kind in ("softmax", "exp", "log") or v.op_kind.startswith("nonlinearity("):
-        return 4 * size
-    if v.op_kind in ("concat", "reshape", "slice"):
-        return 0
-    return size
-
-
 def graph_profile(sinks: list, n: int, arch: str) -> DepthProfile:
     """Measure the union graph reachable from ``sinks`` (typically all logit
     nodes of one forward pass)."""
@@ -91,25 +65,19 @@ def graph_profile(sinks: list, n: int, arch: str) -> DepthProfile:
     # topo_nodes orders by id, and ids are globally monotonic, so parents
     # always precede children
     depth: dict[int, int] = {}
-    total_ops = 0
-    flops = 0
-    max_depth = 0
+    total_ops = flops = 0
     for v in topo_nodes(*sinks):
-        if v.op_kind in _LEAF_KINDS:
+        op = v.op
+        if not op.ops:
             depth[v.id] = 0
             continue
-        fused = _FUSED.get(v.op_kind)
-        if fused is None:
-            d = 1 + max((depth[p.id] for p in v.parents), default=0)
-            total_ops += 1
+        if op.chains:
+            depth[v.id] = max(depth[p.id] + c for p, c in zip(v.parents, op.chains))
         else:
-            ops, chains = fused
-            d = max(depth[p.id] + c for p, c in zip(v.parents, chains))
-            total_ops += ops
-        depth[v.id] = d
-        flops += _node_flops(v)
-        max_depth = max(max_depth, d)
-    return DepthProfile(total_ops=total_ops, depth=max_depth, n=n, arch=arch, flops=flops)
+            depth[v.id] = 1 + max(depth[p.id] for p in v.parents)
+        total_ops += op.ops
+        flops += op.flops(v)
+    return DepthProfile(total_ops, max(depth.values()), n, arch, flops)
 
 
 @graph_scope()

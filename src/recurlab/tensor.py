@@ -2,22 +2,18 @@
 
 Every operation creates one graph node (a ``Value``).  Node ids are globally
 monotonic, so parent ids are always strictly smaller than the child id and the
-graph is acyclic by construction.  The profiler relies on this: one node is one
-counted operation, regardless of the tensor sizes involved.
-
-The ops are ``add``, ``sub``, ``mul``, ``divide``, ``matmul``, ``exp``,
-``log``, ``nonlinearity`` (the ``NONLINEARITIES``), ``softmax``, ``concat``,
-``slice`` (``Value.slice`` and ``take_rows``), ``reshape``, ``vsum`` and
-``layer_norm``.  ``layer_norm`` is a fused node: it computes, differentiates
-and overflow-checks exactly as the 13 elementary nodes it replaces would,
-byte for byte, and the profiler counts it as those 13 ops.
+graph is acyclic by construction.  Each op kind is declared once, as an ``Op``
+in the table after the op functions: its name, its backward function and what
+the profiler counts for one node, whatever the tensor sizes.  ``layer_norm``
+is a fused kind: it computes, differentiates and overflow-checks exactly as
+the 13 elementary nodes it replaces would, byte for byte.
 
 Elementwise ops follow numpy broadcasting; gradients are summed back over
 broadcast axes.  All data is float64 -- equivalence tests between recurrent and
 parallel model forms need the head-room.
 
-A graph holds no reference cycles either.  Each op kind has one module-level
-backward function, such as ``_mul_bwd(out)``, that reads its operands from
+A graph holds no reference cycles either.  Each op kind's backward function,
+such as ``_mul_bwd(out)``, is module-level; it reads its operands from
 ``out.parents`` and the one op argument it needs (a sum or concat axis, a
 slice key or gather indices, a nonlinearity's derivative) from ``out._ctx``.
 Neither holds the node itself, so reference counting frees a graph as soon
@@ -50,11 +46,12 @@ import gc
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
+    "Op",
     "Value",
     "GradReport",
     "TensorError",
@@ -189,32 +186,42 @@ NONLINEARITIES: dict[str, tuple[Callable, Callable]] = {
 }
 
 
+class Op(NamedTuple):
+    """One op kind: its name, its backward function (``None`` for a leaf) and
+    what the profiler counts for one of its nodes: ``flops(node)``, the
+    elementary ``ops`` it stands for (0 for a leaf) and, for a fused kind,
+    the longest ``chains`` of them from each parent to its output."""
+    name: str
+    backward: Callable | None
+    flops: Callable[["Value"], int]
+    ops: int = 1
+    chains: tuple = ()
+
+
 class Value:
     """One node of the computation graph.
 
     ``parents`` is the ordered operand list; ``input`` and ``parameter`` nodes
     have no parents.  A node holds no gradient array until ``backward`` first
     reaches it; until then ``grad`` reads as zeros of ``data``'s shape, so
-    forward-only graphs allocate no gradient memory.  ``_backward`` is the op
-    kind's backward function and ``_ctx`` the op argument it reads.
+    forward-only graphs allocate no gradient memory.  ``op`` is the node's
+    ``Op`` and ``_ctx`` the op argument its backward function reads.
 
     A node whose data holds inf or nan raises ``GraphOverflowError`` naming
     its op kind and id: when it is built outside a ``graph_scope``, and by the
     next batched check inside one (see the module docstring).
     """
 
-    __slots__ = ("data", "_grad", "op_kind", "parents", "id", "_backward", "_ctx")
+    __slots__ = ("data", "_grad", "op", "parents", "id", "_ctx")
 
-    def __init__(self, data, op_kind: str = "input", parents: Sequence["Value"] = (),
-                 _backward: Callable | None = None, _ctx=None):
+    def __init__(self, data, op: Op, parents: Sequence["Value"] = (), _ctx=None):
         if type(data) is not np.ndarray or data.dtype is not _FLOAT64:
             data = np.asarray(data, dtype=np.float64)
         self.data = data
         self._grad = None
-        self.op_kind = op_kind
+        self.op = op
         self.parents = tuple(parents)
         self.id = next(_ids)
-        self._backward = _backward
         self._ctx = _ctx
         if _depth and data.size <= _DEFER_SIZE:
             _pending.append(self)
@@ -224,7 +231,11 @@ class Value:
         if _pending:
             _check_pending()
         if not np.isfinite(data).all():
-            raise GraphOverflowError(op_kind, self.id)
+            raise GraphOverflowError(op.name, self.id)
+
+    @property
+    def op_kind(self) -> str:
+        return self.op.name
 
     @property
     def shape(self):
@@ -279,11 +290,11 @@ def _lift(x) -> Value:
 
 
 def constant(data) -> Value:
-    return Value(data, op_kind="input")
+    return Value(data, _INPUT)
 
 
 def parameter(data) -> Value:
-    return Value(data, op_kind="parameter")
+    return Value(data, _PARAMETER)
 
 
 def _accumulate(v: Value, g) -> None:
@@ -316,12 +327,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _elementwise(op_kind: str, a: Value, b: Value, fwd, bwd) -> Value:
+def _binary(op: Op, a: Value, b: Value, fwd) -> Value:
     try:
         data = fwd(a.data, b.data)
     except ValueError as err:
-        raise ShapeError(op_kind, a.shape, b.shape) from err
-    return Value(data, op_kind, (a, b), bwd)
+        raise ShapeError(op.name, a.shape, b.shape) from err
+    return Value(data, op, (a, b))
 
 
 def _add_bwd(out):
@@ -353,26 +364,22 @@ def _divide_bwd(out):
 
 
 def add(a: Value, b: Value) -> Value:
-    return _elementwise("add", a, b, np.add, _add_bwd)
+    return _binary(_ADD, a, b, np.add)
 
 
 def sub(a: Value, b: Value) -> Value:
-    return _elementwise("sub", a, b, np.subtract, _sub_bwd)
+    return _binary(_SUB, a, b, np.subtract)
 
 
 def mul(a: Value, b: Value) -> Value:
-    return _elementwise("mul", a, b, np.multiply, _mul_bwd)
-
-
-def _divide(x, y):
-    # x/0 and 0/0 yield inf/nan; the node's finite check then raises
-    # GraphOverflowError with this node's id
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.divide(x, y)
+    return _binary(_MUL, a, b, np.multiply)
 
 
 def divide(a: Value, b: Value) -> Value:
-    return _elementwise("divide", a, b, _divide, _divide_bwd)
+    # x/0 and 0/0 yield inf/nan; the node's finite check then raises
+    # GraphOverflowError with this node's id
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _binary(_DIVIDE, a, b, np.divide)
 
 
 def _matmul_bwd(out):
@@ -400,13 +407,7 @@ def _matmul_bwd(out):
 
 
 def matmul(a: Value, b: Value) -> Value:
-    if a.data.ndim == 0 or b.data.ndim == 0:
-        raise ShapeError("matmul", a.shape, b.shape)
-    try:
-        data = np.matmul(a.data, b.data)
-    except ValueError as err:
-        raise ShapeError("matmul", a.shape, b.shape) from err
-    return Value(data, "matmul", (a, b), _matmul_bwd)
+    return _binary(_MATMUL, a, b, np.matmul)
 
 
 def _exp_bwd(out):
@@ -418,7 +419,7 @@ def exp(a: Value) -> Value:
     # GraphOverflowError with this node's id
     with np.errstate(over="ignore"):
         data = np.exp(a.data)
-    return Value(data, "exp", (a,), _exp_bwd)
+    return Value(data, _EXP, (a,))
 
 
 def _log_bwd(out):
@@ -431,7 +432,7 @@ def log(a: Value) -> Value:
     # raises GraphOverflowError with this node's id
     with np.errstate(divide="ignore", invalid="ignore"):
         data = np.log(a.data)
-    return Value(data, "log", (a,), _log_bwd)
+    return Value(data, _LOG, (a,))
 
 
 def _nonlinearity_bwd(out):
@@ -443,7 +444,7 @@ def nonlinearity(a: Value, kind: str) -> Value:
     if kind not in NONLINEARITIES:
         raise TensorError(f"unknown nonlinearity {kind!r}")
     fwd, deriv = NONLINEARITIES[kind]
-    return Value(fwd(a.data), f"nonlinearity({kind})", (a,), _nonlinearity_bwd, deriv)
+    return Value(fwd(a.data), _NONLINEARITY_OPS[kind], (a,), deriv)
 
 
 def _softmax_bwd(out):
@@ -458,7 +459,7 @@ def softmax(a: Value) -> Value:
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=-1, keepdims=True)
-    return Value(data, "softmax", (a,), _softmax_bwd)
+    return Value(data, _SOFTMAX, (a,))
 
 
 def _layer_norm_bwd(out):
@@ -491,14 +492,14 @@ def layer_norm(x: Value, gain: Value, bias: Value, eps: float) -> Value:
     One node for 13 elementary ops: sum, * 1/d, sub, square, sum, * 1/d,
     + eps, log, * -0.5, exp (so 1/sqrt(var + eps) is exp(-log(var + eps)/2)),
     * inv_std, * gain and + bias.  Data and gradients are byte-identical to
-    that chain's, and the profiler counts the node as those 13 ops.  The node
-    raises ``GraphOverflowError`` whenever a node of the chain would have: an
+    that chain's, and ``_LAYER_NORM`` counts it as the chain.  The node raises
+    ``GraphOverflowError`` whenever a node of the chain would have: an
     infinite variance makes inv_std 0 and the output finite, so var + eps is
     checked as well as the output, after any pending earlier node.
     """
     d = x.shape[-1] if x.data.ndim else 0
     if not d or gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError("layer_norm", x.shape, gain.shape, bias.shape)
+        raise ShapeError(_LAYER_NORM.name, x.shape, gain.shape, bias.shape)
     xd = x.data
     inv_d = 1.0 / d
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -508,12 +509,11 @@ def layer_norm(x: Value, gain: Value, bias: Value, eps: float) -> Value:
         inv_std = np.exp(np.log(var_eps) * -0.5)
         normed = centered * inv_std
         data = normed * gain.data + bias.data
-    out = Value(data, "layer_norm", (x, gain, bias), _layer_norm_bwd,
-                (centered, inv_std, var_eps, normed))
+    out = Value(data, _LAYER_NORM, (x, gain, bias), (centered, inv_std, var_eps, normed))
     if not np.isfinite(var_eps).all():
         if _pending:
             _check_pending()
-        raise GraphOverflowError("layer_norm", out.id)
+        raise GraphOverflowError(_LAYER_NORM.name, out.id)
     return out
 
 
@@ -533,8 +533,8 @@ def concat(values: Sequence[Value], axis: int = 0) -> Value:
     try:
         data = np.concatenate([v.data for v in values], axis=axis)
     except ValueError as err:
-        raise ShapeError("concat", *[v.shape for v in values]) from err
-    return Value(data, "concat", values, _concat_bwd, axis)
+        raise ShapeError(_CONCAT.name, *[v.shape for v in values]) from err
+    return Value(data, _CONCAT, values, axis)
 
 
 def _is_basic_key(key) -> bool:
@@ -556,14 +556,12 @@ def _gather_bwd(out):
 
 
 def slice_(a: Value, key) -> Value:
-    bwd = _slice_bwd if _is_basic_key(key) else _gather_bwd
-    return Value(a.data[key], "slice", (a,), bwd, key)
+    return Value(a.data[key], _VIEW_SLICE if _is_basic_key(key) else _GATHER, (a,), key)
 
 
 def take_rows(a: Value, indices) -> Value:
     """Gather rows along axis 0 (embedding-table lookup)."""
-    indices = np.asarray(indices)
-    return Value(a.data[indices], "slice", (a,), _gather_bwd, indices)
+    return slice_(a, np.asarray(indices))
 
 
 def _reshape_bwd(out):
@@ -575,8 +573,8 @@ def reshape(a: Value, shape) -> Value:
     try:
         data = a.data.reshape(shape)
     except ValueError as err:
-        raise ShapeError("reshape", a.shape, shape) from err
-    return Value(data, "reshape", (a,), _reshape_bwd)
+        raise ShapeError(_RESHAPE.name, a.shape, shape) from err
+    return Value(data, _RESHAPE, (a,))
 
 
 def _sum_bwd(out):
@@ -590,7 +588,40 @@ def _sum_bwd(out):
 
 def vsum(a: Value, axis=None, keepdims: bool = False) -> Value:
     data = a.data.sum(axis=axis, keepdims=keepdims)
-    return Value(data, "sum", (a,), _sum_bwd, None if keepdims else axis)
+    return Value(data, _SUM, (a,), None if keepdims else axis)
+
+
+# -- the op kinds ---------------------------------------------------------
+# flops(node) is a rough per-scalar cost: one flop per output scalar, four for
+# exp, log, softmax and a nonlinearity, one per input scalar for a sum, the
+# classic 2·m·n·k for matmul, and none for moving data.
+
+def _per_out(k: int) -> Callable[[Value], int]:
+    return lambda v: k * v.data.size
+
+
+_INPUT = Op("input", None, _per_out(0), ops=0)
+_PARAMETER = Op("parameter", None, _per_out(0), ops=0)
+_ADD = Op("add", _add_bwd, _per_out(1))
+_SUB = Op("sub", _sub_bwd, _per_out(1))
+_MUL = Op("mul", _mul_bwd, _per_out(1))
+_DIVIDE = Op("divide", _divide_bwd, _per_out(1))
+_MATMUL = Op("matmul", _matmul_bwd, lambda v: 2 * v.data.size * v.parents[0].shape[-1])
+_EXP = Op("exp", _exp_bwd, _per_out(4))
+_LOG = Op("log", _log_bwd, _per_out(4))
+_SOFTMAX = Op("softmax", _softmax_bwd, _per_out(4))
+_NONLINEARITY_OPS = {kind: Op(f"nonlinearity({kind})", _nonlinearity_bwd, _per_out(4))
+                     for kind in NONLINEARITIES}
+# layer_norm's 13 ops, on chains 13, 2 and 1 long from x, gain and bias: 7
+# take a flop per scalar of x, and the 6 on the row statistics 12 per row
+_LAYER_NORM = Op("layer_norm", _layer_norm_bwd,
+                 lambda v: 7 * v.data.size + 12 * (v.data.size // v.shape[-1]),
+                 ops=13, chains=(13, 2, 1))
+_CONCAT = Op("concat", _concat_bwd, _per_out(0))
+_VIEW_SLICE = Op("slice", _slice_bwd, _per_out(0))
+_GATHER = Op("slice", _gather_bwd, _per_out(0))
+_RESHAPE = Op("reshape", _reshape_bwd, _per_out(0))
+_SUM = Op("sum", _sum_bwd, lambda v: v.parents[0].data.size)
 
 
 def topo_nodes(*roots: Value) -> list[Value]:
@@ -623,8 +654,9 @@ def backward(root: Value) -> None:
         node._grad = None
     root._grad = np.ones(())
     for node in reversed(order):
-        if node._backward is not None:
-            node._backward(node)
+        bwd = node.op.backward
+        if bwd is not None:
+            bwd(node)
     # every node reachable from root received an adjoint above
     for node, prior in held:
         node._grad += prior
@@ -650,7 +682,7 @@ def grad_check(f: Callable[[list[Value]], Value], point: Sequence[np.ndarray],
     point = [np.asarray(p, dtype=np.float64) for p in point]
 
     def evaluate(arrs):
-        vals = [Value(a, op_kind="input") for a in arrs]
+        vals = [constant(a) for a in arrs]
         return vals, f(vals)
 
     vals, out = evaluate(point)

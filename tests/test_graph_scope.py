@@ -55,10 +55,11 @@ def test_backward_functions_are_per_op_kind(arch, mode):
         T.backward(loss)
         per_kind = {}
         for v in T.topo_nodes(loss):
-            if v._backward is not None:
-                assert v._backward.__closure__ is None, v
-                assert getattr(T, v._backward.__name__) is v._backward, v
-                per_kind.setdefault(v.op_kind, set()).add(v._backward)
+            bwd = v.op.backward
+            if bwd is not None:
+                assert bwd.__closure__ is None, v
+                assert getattr(T, bwd.__name__) is bwd, v
+                per_kind.setdefault(v.op_kind, set()).add(bwd)
         for kind, fns in per_kind.items():
             assert len(fns) <= (2 if kind == "slice" else 1), (kind, fns)
 

@@ -8,9 +8,12 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
+
 import recurlab
 from recurlab import cli
-from recurlab.models import ARCHS
+from recurlab import tensor as T
+from recurlab.models import ARCHS, ModelConfig, init_params, model_forward
 from recurlab.tasks import TaskId
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -144,3 +147,30 @@ def test_only_the_task_table_names_a_task():
                        or isinstance(node, ast.Attribute) and node.attr in members
                        and ast.unparse(node.value).endswith("TaskId"))]
     assert not found, "a task named outside the task table:\n" + "\n".join(found)
+
+
+def graph_op_kinds() -> set:
+    """The op kind of every node of each architecture's forward and backward
+    graph, in both modes."""
+    kinds = set()
+    for arch in ARCHS:
+        cfg = ModelConfig(arch=arch, vocab_size=7, d_model=16, n_layers=2, n_heads=2)
+        params = init_params(cfg)
+        for mode in ("parallel", "recurrent"):
+            res = model_forward(cfg, params, np.zeros((2, 3), dtype=int), mode=mode)
+            loss = T.concat([lg.sum(axis=-1) for lg in res.logits], axis=0).sum()
+            T.backward(loss)
+            kinds |= {v.op_kind for v in T.topo_nodes(loss)}
+    return kinds
+
+
+def test_profiler_names_no_op_kind():
+    """Each op kind is declared once, with its cost, as a ``tensor.Op``; the
+    profiler reads the cost from a node's ``Op``, so it holds no string
+    constant equal to an op kind."""
+    kinds = graph_op_kinds()
+    assert {"input", "parameter", "matmul", "layer_norm", "slice"} <= kinds
+    source = (ROOT / "src/recurlab/profiler.py").read_text()
+    found = [f"profiler.py:{node.lineno}: {node.value!r}" for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Constant) and node.value in kinds]
+    assert not found, "an op kind named in the profiler:\n" + "\n".join(found)
