@@ -161,36 +161,66 @@ _MOD_ADD_DFA = automata.mod_add_dfa()
 _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
+def _digit_tokens(tokens, start: int = 0):
+    """``tokens``, which begin at position ``start`` of the input, if each is
+    a string of decimal digits."""
+    for i, tok in enumerate(tokens, start):
+        if not (tok.isascii() and tok.isdigit()):
+            raise ParseError(f"expected a digit, got {tok!r}", i)
+    return tokens
+
+
+def _number(tokens, start: int) -> str:
+    """The decimal digits of the number ``tokens`` spell from ``start`` on."""
+    if not tokens:
+        raise ParseError("expected a number", start)
+    return "".join(_digit_tokens(tokens, start))
+
+
 def _mod_arith_simple(tokens) -> list:
     # the first digit is the start residue; each "op digit" pair is a symbol
+    residue = int(_number(tokens[:1], 0)) % 5
+    if len(tokens) % 2 == 0:
+        raise ParseError(f"expected a digit after {tokens[-1]!r}", len(tokens))
     steps = [op + d for op, d in zip(tokens[1::2], tokens[2::2])]
-    return [str(automata.dfa_run_from(_MOD_ADD_DFA, int(tokens[0]) % 5, steps).final)]
+    return [str(automata.dfa_run_from(_MOD_ADD_DFA, residue, steps).final)]
 
 
 def _stack_manipulation(tokens) -> list:
-    bar = list(tokens).index("|")
-    return automata.stack_run(_parse_stack_actions(tokens[bar + 1:]), list(tokens[:bar]))
+    tokens = list(tokens)
+    if "|" not in tokens:
+        raise ParseError("expected '|'", len(tokens))
+    bar = tokens.index("|")
+    return automata.stack_run(_parse_stack_actions(tokens, bar + 1), tokens[:bar])
 
 
 def _operate(op: str):
-    """The two numbers around ``op`` combined by it, as decimal digits."""
+    """The two numbers around ``op`` combined by it, as decimal digits; exact
+    at any length, since ``decimal``, unlike int, has no 4300-digit limit on
+    converting a number to or from a string."""
     def oracle(tokens) -> list:
-        i = list(tokens).index(op)
-        return list(str(_OPS[op](int("".join(tokens[:i])), int("".join(tokens[i + 1:])))))
+        import decimal  # here, not at import: only these two oracles need it
+        tokens = list(tokens)
+        if op not in tokens:
+            raise ParseError(f"expected {op!r}", len(tokens))
+        i = tokens.index(op)
+        a, b = _number(tokens[:i], 0), _number(tokens[i + 1:], i + 1)
+        exact = decimal.Context(prec=len(a) + len(b) + 1, Emax=decimal.MAX_EMAX,
+                                traps=[decimal.Inexact])
+        with decimal.localcontext(exact):
+            return list(str(_OPS[op](decimal.Decimal(a), decimal.Decimal(b))))
     return oracle
 
 
-def _parse_stack_actions(tokens) -> list:
+def _parse_stack_actions(tokens, start: int) -> list:
+    """The push and pop actions of ``tokens`` from position ``start`` on."""
     actions = []
-    i = 0
-    while i < len(tokens):
-        if tokens[i] == "push":
-            actions.append(("push", tokens[i + 1]))
-        elif tokens[i] == "pop":
-            actions.append(("pop", tokens[i + 1]))
-        else:
+    for i in range(start, len(tokens), 2):
+        if tokens[i] not in ("push", "pop"):
             raise ParseError(f"expected push/pop, got {tokens[i]!r}", i)
-        i += 2
+        if i + 1 == len(tokens):
+            raise ParseError(f"expected a word after {tokens[i]!r}", i + 1)
+        actions.append((tokens[i], tokens[i + 1]))
     return actions
 
 
@@ -330,7 +360,7 @@ TASK_TABLE = {
         "Multiply the two numbers and reply with the decimal result.", _parse_number),
     TaskId.SORTING: Task(
         Vocab([*"0123456789"]), lambda rng, n: [str(rng.randint(0, 9)) for _ in range(n)],
-        lambda tokens: [str(v) for v in sorted(int(t) for t in tokens)], False,
+        lambda tokens: [str(v) for v in sorted(int(t) for t in _digit_tokens(tokens))], False,
         "Sort the digits into non-decreasing order and reply with the sorted digits, "
         "comma-separated.", _parse_words),
 }

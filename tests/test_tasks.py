@@ -153,6 +153,53 @@ def test_mod_arith_complex_parse_error_has_position():
         tasks.oracle(TaskId.MOD_ARITH_COMPLEX, ["(", "3", "+", "4"])
 
 
+@pytest.mark.parametrize("task, tokens, position", [
+    (TaskId.STACK_MANIPULATION, ["apple", "|", "push"], 3),
+    (TaskId.STACK_MANIPULATION, ["apple", "|", "push", "kiwi", "pop"], 5),
+    (TaskId.STACK_MANIPULATION, ["apple", "push", "kiwi"], 3),
+    (TaskId.STACK_MANIPULATION, ["apple", "|", "kiwi"], 2),
+    (TaskId.ADDITION, ["+"], 0),
+    (TaskId.ADDITION, ["1", "+"], 2),
+    (TaskId.ADDITION, ["1", "<blank>", "+", "2"], 1),
+    (TaskId.ADDITION, ["1", "2"], 2),
+    (TaskId.MULTIPLICATION, ["3", "4"], 2),
+    (TaskId.MULTIPLICATION, ["3", "*", "²"], 2),
+    (TaskId.SORTING, ["<blank>"], 0),
+    (TaskId.SORTING, ["3", "1", "x"], 2),
+    (TaskId.MOD_ARITH_SIMPLE, [], 0),
+    (TaskId.MOD_ARITH_SIMPLE, ["<blank>"], 0),
+    (TaskId.MOD_ARITH_SIMPLE, ["1", "+"], 2),
+])
+def test_malformed_tokens_raise_parse_error_with_position(task, tokens, position):
+    """A malformed token list raises ``ParseError`` at the token it trips
+    on, not a bare ``IndexError`` or ``ValueError``."""
+    with pytest.raises(tasks.ParseError) as err:
+        tasks.oracle(task, tokens)
+    assert err.value.position == position
+
+
+def _residue(digits, p: int) -> int:
+    """The number ``digits`` spells, modulo ``p``, read one digit at a time."""
+    r = 0
+    for d in "".join(digits):
+        r = (r * 10 + int(d)) % p
+    return r
+
+
+@pytest.mark.parametrize("task, n", [(TaskId.ADDITION, 4400), (TaskId.MULTIPLICATION, 2200)])
+def test_operands_past_the_int_string_limit_give_exact_targets(task, n):
+    """Past the 4300 digits that int and str convert into each other, the
+    target still agrees with the operands modulo large primes."""
+    inst = tasks.generate_with_length(task, 0, n)
+    op = "+" if task is TaskId.ADDITION else "*"
+    i = inst.input_tokens.index(op)
+    a, b, target = inst.input_tokens[:i], inst.input_tokens[i + 1:], inst.target_tokens
+    assert target[0] != "0" and len(target) >= len(a)
+    for p in (1_000_000_007, 998_244_353, 2**61 - 1):
+        ra, rb = _residue(a, p), _residue(b, p)
+        assert _residue(target, p) == ((ra + rb) if op == "+" else (ra * rb)) % p
+
+
 # -- encoding ---------------------------------------------------------------
 
 def test_parity_encodes_single_placeholder():
