@@ -104,7 +104,8 @@ def fit_complexity(samples, k: int | None = None) -> ComplexityFit:
     quadratic.
 
     ``constant`` means the fitted slope is within 1e-9 of zero (which for
-    integer depths means the values are exactly flat).  With ``k`` given, the
+    integer depths means the values are exactly flat); its slope is then 0
+    and its intercept the mean, not the fit's rounding residue.  With ``k`` given, the
     samples are refit against ceil(n/k); if that fit reaches r-squared above
     0.999 the label is ``linear_over_k``.  ``quadratic`` needs a fit of
     [n², n, 1] with r-squared above 0.999 and a positive n² coefficient, and
@@ -117,7 +118,7 @@ def fit_complexity(samples, k: int | None = None) -> ComplexityFit:
     ys = np.array([y for _, y in pairs], dtype=np.float64)
     slope, intercept, r2 = _least_squares(xs, ys)
     if abs(slope) <= 1e-9:
-        return ComplexityFit("constant", slope, intercept, r2)
+        return ComplexityFit("constant", 0.0, float(np.mean(ys)), r2)
     if k is not None and k > 1:
         xk = np.ceil(xs / k)
         slope_k, intercept_k, r2_k = _least_squares(xk, ys)

@@ -284,6 +284,16 @@ def test_fit_r_squared_in_range():
 
 # -- table ------------------------------------------------------------------
 
+def test_markdown_prints_a_constant_fit_slope_as_zero():
+    """A flat depth is labelled ``constant`` with slope 0 and the flat value
+    as intercept, not the least-squares residue of about 1e-16."""
+    rows = profile_table([cfg_for("transformer", d_model=16)], [4, 8, 16, 32])
+    fit, depth = rows[0]["depth_fit"], rows[0]["profiles"][0].depth
+    assert (fit.class_label, fit.slope, fit.intercept) == ("constant", 0.0, depth)
+    cells = [c.strip() for c in table_to_markdown(rows).splitlines()[2].split("|")]
+    assert cells[2:4] == ["constant", "0"]
+
+
 def test_profile_table_and_emitters():
     cfgs = [cfg_for("transformer"), cfg_for("rnn"),
             cfg_for("block-recurrent-transformer", block_size=4)]
