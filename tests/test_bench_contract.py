@@ -11,8 +11,10 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from recurlab import tensor as T
 from recurlab.tasks import task_vocab
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -66,3 +68,23 @@ def test_workloads_build_their_train_configs():
     configs = workloads.train_configs(0)
     assert len(configs) == 3
     assert [tc.model.vocab_size for tc in configs] == [len(task_vocab(tc.task)) for tc in configs]
+
+
+def test_constant_id_counts_the_nodes_built():
+    """The tracer counts the nodes a call builds from the ids of probe
+    ``tensor.constant(0.0)`` nodes taken before and after it, so each node,
+    a fused one too, takes exactly one id."""
+    before = T.constant(0.0).id
+    x = T.parameter(np.ones((2, 3)))
+    out = T.layer_norm(x * x, T.parameter(np.ones(3)), T.parameter(np.zeros(3)), 1e-6).sum()
+    assert T.constant(0.0).id - before == len(T.topo_nodes(out)) + 1 == 7
+
+
+def test_overflow_error_carries_op_kind_and_node_id():
+    """The workloads count a ``GraphOverflowError`` as a failed operation; it
+    names the op kind and the id of the first non-finite node."""
+    assert T.GraphOverflowError in workloads.FAILURES
+    probe = T.constant(0.0).id
+    with pytest.raises(T.GraphOverflowError) as err:
+        T.exp(T.constant(1000.0))
+    assert (err.value.op_kind, err.value.node_id) == ("exp", probe + 2)
