@@ -105,11 +105,12 @@ def fit_complexity(samples, k: int | None = None) -> ComplexityFit:
 
     ``constant`` means the fitted slope is within 1e-9 of zero (which for
     integer depths means the values are exactly flat); its slope is then 0
-    and its intercept the mean, not the fit's rounding residue.  With ``k`` given, the
-    samples are refit against ceil(n/k); if that fit reaches r-squared above
-    0.999 the label is ``linear_over_k``.  ``quadratic`` needs a fit of
-    [n², n, 1] with r-squared above 0.999 and a positive n² coefficient, and
-    slopes per token that rise strictly from each sample to the next.
+    and its intercept the mean, not the fit's rounding residue.  With ``k``
+    given, the samples are refit against ceil(n/k); if that fit reaches
+    r-squared above 0.999 the label is ``linear_over_k``.  ``quadratic``
+    needs a fit of [n², n, 1] with r-squared above 0.999 and a positive n²
+    coefficient, and slopes per token that rise strictly from each sample to
+    the next.
     """
     pairs = sorted(set((int(n), float(y)) for n, y in samples))
     if len({n for n, _ in pairs}) < 4:

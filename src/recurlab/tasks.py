@@ -163,7 +163,7 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 def _digit_tokens(tokens, start: int = 0):
     """``tokens``, which begin at position ``start`` of the input, if each is
-    a string of decimal digits."""
+    a string of decimal digits; else ``ParseError`` at the first that is not."""
     for i, tok in enumerate(tokens, start):
         if not (tok.isascii() and tok.isdigit()):
             raise ParseError(f"expected a digit, got {tok!r}", i)

@@ -189,8 +189,8 @@ NONLINEARITIES: dict[str, tuple[Callable, Callable]] = {
 class Op(NamedTuple):
     """One op kind: its name, its backward function (``None`` for a leaf) and
     what the profiler counts for one of its nodes: ``flops(node)``, the
-    elementary ``ops`` it stands for (0 for a leaf) and, for a fused kind,
-    the longest ``chains`` of them from each parent to its output."""
+    elementary ``ops`` it stands for (0 for a leaf) and, for a fused kind, the
+    longest ``chains`` of them from each parent to its output (else 1)."""
     name: str
     backward: Callable | None
     flops: Callable[["Value"], int]
