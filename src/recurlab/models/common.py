@@ -2,8 +2,9 @@
 
 Everything here builds on the ``tensor`` graph, one node per operation, so the
 profiler's counts reflect exactly what each architecture computes.  A layer
-norm (``layer_norm``) is one fused ``tensor.layer_norm`` node, which the
-profiler counts as the 13 elementary ops it replaces.  Sequences are handled
+norm (``layer_norm``) is one fused ``tensor.layer_norm`` node, and an affine
+map (the readout, each FFN layer) one ``tensor.affine`` node; the profiler
+counts each as the elementary ops it replaces.  Sequences are handled
 either as one ``Value`` of shape (batch, length, d_model) or as a list of
 per-position ``Value``s of shape (batch, d_model).  Only the softmax
 Transformer's parallel route materializes per-pair attention scores as
@@ -103,7 +104,7 @@ def embed_one(pg: ParamGraph, token_ids_t: np.ndarray, position: int,
 
 
 def readout(pg: ParamGraph, h: Value) -> Value:
-    return T.matmul(h, pg["out_w"]) + pg["out_b"]
+    return T.affine([(h, pg["out_w"])], pg["out_b"])
 
 
 def layer_norm(pg: ParamGraph, prefix: str, x: Value, eps: float = 1e-6) -> Value:
@@ -111,8 +112,8 @@ def layer_norm(pg: ParamGraph, prefix: str, x: Value, eps: float = 1e-6) -> Valu
 
 
 def ffn(pg: ParamGraph, prefix: str, x: Value, nonlin: str) -> Value:
-    hidden = T.nonlinearity(T.matmul(x, pg[prefix + ".w1"]) + pg[prefix + ".b1"], nonlin)
-    return T.matmul(hidden, pg[prefix + ".w2"]) + pg[prefix + ".b2"]
+    hidden = T.nonlinearity(T.affine([(x, pg[prefix + ".w1"])], pg[prefix + ".b1"]), nonlin)
+    return T.affine([(hidden, pg[prefix + ".w2"])], pg[prefix + ".b2"])
 
 
 def residual_block(cfg, pg: ParamGraph, prefix: str, h: Value, attend) -> tuple:

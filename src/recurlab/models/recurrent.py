@@ -36,7 +36,7 @@ def mlp_forward(cfg, pg: ParamGraph, token_ids: np.ndarray, positions) -> dict:
     weights = keep / np.maximum(keep.sum(axis=1, keepdims=True), 1.0)
     h = (emb * T.constant(weights[:, :, None])).sum(axis=1)   # (B, d)
     for layer in range(cfg.n_layers):
-        h = T.nonlinearity(T.matmul(h, pg[f"l{layer}.w"]) + pg[f"l{layer}.b"], cfg.nonlin)
+        h = T.nonlinearity(T.affine([(h, pg[f"l{layer}.w"])], pg[f"l{layer}.b"]), cfg.nonlin)
     return dict.fromkeys(positions, readout(pg, h))
 
 
@@ -49,8 +49,8 @@ def rnn_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple
     def layer(prefix, inp, h_prev):
         if h_prev is None:
             h_prev = _zeros(inp.shape[0], cfg.d_model)
-        pre = T.matmul(h_prev, pg[f"{prefix}.w1"]) + T.matmul(inp, pg[f"{prefix}.w2"]) \
-            + pg[f"{prefix}.b"]
+        pre = T.affine([(h_prev, pg[f"{prefix}.w1"]), (inp, pg[f"{prefix}.w2"])],
+                       pg[f"{prefix}.b"])
         h = T.nonlinearity(pre, cfg.nonlin)
         return h, h
 
@@ -66,14 +66,9 @@ def lstm_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tupl
         if hc is None:
             hc = (_zeros(inp.shape[0], d), _zeros(inp.shape[0], d))
         h_prev, c_prev = hc
-        gates = T.matmul(inp, pg[f"{prefix}.wx"]) + T.matmul(h_prev, pg[f"{prefix}.wh"]) \
-            + pg[f"{prefix}.b"]
-        i = T.nonlinearity(gates.slice((Ellipsis, slice(0, d))), "sigmoid")
-        f = T.nonlinearity(gates.slice((Ellipsis, slice(d, 2 * d))), "sigmoid")
-        o = T.nonlinearity(gates.slice((Ellipsis, slice(2 * d, 3 * d))), "sigmoid")
-        g = T.nonlinearity(gates.slice((Ellipsis, slice(3 * d, 4 * d))), "tanh")
-        c = f * c_prev + i * g
-        h = o * T.nonlinearity(c, "tanh")
+        gates = T.affine([(inp, pg[f"{prefix}.wx"]), (h_prev, pg[f"{prefix}.wh"])],
+                         pg[f"{prefix}.b"])
+        h, c = T.lstm_cell(gates, c_prev)
         return h, (h, c)
 
     return step_layers(state, T.take_rows(pg["embed"], token_ids_t), layer)
@@ -97,14 +92,13 @@ def stack_rnn_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) ->
     stack = state["stack"]
     top = stack.slice((slice(None), 0))
 
-    pre = T.matmul(state["h"], pg["w1"]) + T.matmul(x_t, pg["w2"]) \
-        + T.matmul(top, pg["w3"]) + pg["b"]
+    pre = T.affine([(state["h"], pg["w1"]), (x_t, pg["w2"]), (top, pg["w3"])], pg["b"])
     h = T.nonlinearity(pre, cfg.nonlin)
-    action = T.softmax(T.matmul(h, pg["wa"]) + pg["ba"])  # (B, 3): push, pop, noop
+    action = T.softmax(T.affine([(h, pg["wa"])], pg["ba"]))  # (B, 3): push, pop, noop
     # (B, 1, 1) each, to scale every slot of the stack
     p_push, p_pop, p_noop = (action.slice((slice(None), slice(i, i + 1), None))
                              for i in range(3))
-    v = T.nonlinearity(T.matmul(h, pg["wv"]) + pg["bv"], cfg.nonlin)
+    v = T.nonlinearity(T.affine([(h, pg["wv"])], pg["bv"]), cfg.nonlin)
 
     zero = T.constant(np.zeros((batch, 1, d)))
     pushed = T.concat([v.reshape((batch, 1, d)), stack], axis=1)
@@ -155,11 +149,10 @@ def tape_rnn_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> 
 
     # expected cell under the head distribution: (B, 1, C) x (B, C, d)
     read = T.matmul(head.reshape((batch, 1, cells)), tape).reshape((batch, d))
-    pre = T.matmul(state["h"], pg["w1"]) + T.matmul(x_t, pg["w2"]) \
-        + T.matmul(read, pg["w3"]) + pg["b"]
+    pre = T.affine([(state["h"], pg["w1"]), (x_t, pg["w2"]), (read, pg["w3"])], pg["b"])
     h = T.nonlinearity(pre, cfg.nonlin)
-    write = T.nonlinearity(T.matmul(h, pg["ww"]) + pg["bw"], cfg.nonlin)
-    move = T.softmax(T.matmul(h, pg["wm"]) + pg["bm"])  # (B, 3): left, stay, right
+    write = T.nonlinearity(T.affine([(h, pg["ww"])], pg["bw"]), cfg.nonlin)
+    move = T.softmax(T.affine([(h, pg["wm"])], pg["bm"]))  # (B, 3): left, stay, right
 
     p = head.reshape((batch, cells, 1))
     new_tape = (T.constant(1.0) - p) * tape + p * write.reshape((batch, 1, d))

@@ -177,13 +177,29 @@ def _number(tokens, start: int) -> str:
     return "".join(_digit_tokens(tokens, start))
 
 
+def _run_dfa(dfa, symbols, state=None, first: int = 0, stride: int = 1):
+    """``dfa``'s run over ``symbols`` from ``state`` (else its start); symbol
+    j is read at input position first + stride·j, where an unknown symbol
+    raises ``ParseError``."""
+    try:
+        return (automata.dfa_run(dfa, symbols) if state is None
+                else automata.dfa_run_from(dfa, state, symbols))
+    except automata.UnknownSymbolError as err:
+        raise ParseError(f"unknown symbol {err.symbol!r}",
+                         first + stride * err.position) from None
+
+
 def _mod_arith_simple(tokens) -> list:
     # the first digit is the start residue; each "op digit" pair is a symbol
     residue = int(_number(tokens[:1], 0)) % 5
     if len(tokens) % 2 == 0:
         raise ParseError(f"expected a digit after {tokens[-1]!r}", len(tokens))
+    for i in range(1, len(tokens), 2):
+        if tokens[i] not in ("+", "-"):
+            raise ParseError(f"expected '+' or '-', got {tokens[i]!r}", i)
+    # with the operators valid, an unknown pair is its digit's fault
     steps = [op + d for op, d in zip(tokens[1::2], tokens[2::2])]
-    return [str(automata.dfa_run_from(_MOD_ADD_DFA, residue, steps).final)]
+    return [str(_run_dfa(_MOD_ADD_DFA, steps, residue, first=2, stride=2).final)]
 
 
 def _stack_manipulation(tokens) -> list:
@@ -322,14 +338,14 @@ TASK_TABLE = {
         _parse_residue),
     TaskId.PARITY_CHECK: Task(
         Vocab(("apple", "banana", "True", "False")), _draw(("apple", "banana")),
-        lambda tokens: [str(automata.dfa_run(_PARITY_DFA, tokens).accepted)], True,
+        lambda tokens: [str(_run_dfa(_PARITY_DFA, tokens).accepted)], True,
         "Decide whether the word 'apple' appears an even number of times in the list. "
         "Reply True for even, False for odd.", _parse_truth),
     TaskId.CYCLE_NAVIGATION: Task(
         Vocab(("forward", "backward", "stay", "1", "2", "3", "4", "5")),
         _draw(("forward", "backward", "stay")),
         # state q is position q + 1
-        lambda tokens: [str(automata.dfa_run(_CYCLE_DFA, tokens).final + 1)], True,
+        lambda tokens: [str(_run_dfa(_CYCLE_DFA, tokens).final + 1)], True,
         "You start at position 1 on a cycle of positions 1-5. Each instruction moves you "
         "forward one, backward one, or stays. Reply with the final position (1-5).",
         _parse_position),

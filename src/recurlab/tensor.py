@@ -4,9 +4,13 @@ Every operation creates one graph node (a ``Value``).  Node ids are globally
 monotonic, so parent ids are always strictly smaller than the child id and the
 graph is acyclic by construction.  Each op kind is declared once, as an ``Op``
 in the table after the op functions: its name, its backward function and what
-the profiler counts for one node, whatever the tensor sizes.  ``layer_norm``
-is a fused kind: it computes, differentiates and overflow-checks exactly as
-the 13 elementary nodes it replaces would, byte for byte.
+the profiler counts for one node, whatever the tensor sizes.  Four kinds are
+fused, and compute, differentiate and overflow-check exactly as the
+elementary nodes they replace would, byte for byte: ``layer_norm`` (13 ops),
+``affine`` (k matmuls and k adds for k = 1 to 3 pairs), ``lstm_cell``'s two
+nodes ``lstm_c`` (9 ops) and ``lstm_h`` (4) and ``cross_entropy`` (8).  Each
+fused ``Op`` declares that chain's op count, its length from each parent and
+its flops, so the profiler counts a fused node as the chain.
 
 Elementwise ops follow numpy broadcasting; gradients are summed back over
 broadcast axes.  All data is float64 -- equivalence tests between recurrent and
@@ -61,6 +65,7 @@ __all__ = [
     "constant",
     "parameter",
     "matmul",
+    "affine",
     "add",
     "sub",
     "mul",
@@ -70,6 +75,8 @@ __all__ = [
     "nonlinearity",
     "softmax",
     "layer_norm",
+    "lstm_cell",
+    "cross_entropy",
     "concat",
     "take_rows",
     "reshape",
@@ -382,14 +389,14 @@ def divide(a: Value, b: Value) -> Value:
         return _binary(_DIVIDE, a, b, np.divide)
 
 
-def _matmul_bwd(out):
-    a, b = out.parents
+def _matmul_grad(a: Value, b: Value, g: np.ndarray) -> None:
+    """Add the gradients of ``a @ b`` under output gradient ``g`` into ``a``
+    and ``b``: the rule of a matmul node, and of each product in ``affine``."""
     ad, bd = a.data, b.data
     a1, b1 = ad.ndim == 1, bd.ndim == 1
     # promote 1D operands to matrices so one transpose rule covers all cases
     ad2 = ad[None, :] if a1 else ad
     bd2 = bd[:, None] if b1 else bd
-    g = out._grad
     if a1 and b1:
         g = g.reshape(1, 1)
     elif a1:
@@ -406,8 +413,50 @@ def _matmul_bwd(out):
     _accumulate(b, _unbroadcast(gb, b.shape))
 
 
+def _matmul_bwd(out):
+    _matmul_grad(*out.parents, out._grad)
+
+
 def matmul(a: Value, b: Value) -> Value:
     return _binary(_MATMUL, a, b, np.matmul)
+
+
+def _affine_bwd(out):
+    # replays the chain's backward steps in reverse creation order: the bias
+    # add, then each product from the last pair to the first; every product
+    # has the output's shape, so each receives the output's gradient as is
+    *operands, bias = out.parents
+    g = out._grad
+    _accumulate(bias, _unbroadcast(g, bias.shape))
+    for j in range(len(operands) - 2, -1, -2):
+        _matmul_grad(operands[j], operands[j + 1], g)
+
+
+def affine(pairs: Sequence[tuple], bias: Value) -> Value:
+    """``x0 @ W0 + x1 @ W1 + ... + bias`` for 1 to 3 (x, W) ``pairs``, summed
+    left to right, as one node with parents (x0, W0, x1, W1, ..., bias).
+
+    The products must all have the output's shape, so the bias may broadcast
+    only into it.  Data and gradients are byte-identical to the chain of k
+    matmul and k add nodes, and ``_AFFINE[k]`` counts it as that chain.  A
+    non-finite product or partial sum stays non-finite through the adds, so
+    the output's check raises whenever a node of the chain would have.
+    """
+    op = _AFFINE.get(len(pairs))
+    if op is None:
+        raise TensorError(f"affine takes 1 to {len(_AFFINE)} pairs, got {len(pairs)}")
+    parents = (*(v for pair in pairs for v in pair), bias)
+    try:
+        products = [np.matmul(x.data, w.data) for x, w in pairs]
+        data = products[0]
+        for product in products[1:]:
+            data = data + product
+        data = data + bias.data
+    except ValueError as err:
+        raise ShapeError(op.name, *(v.shape for v in parents)) from err
+    if any(product.shape != data.shape for product in products):
+        raise ShapeError(op.name, *(v.shape for v in parents))
+    return Value(data, op, parents)
 
 
 def _exp_bwd(out):
@@ -517,6 +566,105 @@ def layer_norm(x: Value, gain: Value, bias: Value, eps: float) -> Value:
     return out
 
 
+_sigmoid, _sigmoid_deriv = NONLINEARITIES["sigmoid"]
+_tanh, _tanh_deriv = NONLINEARITIES["tanh"]
+
+
+def _lstm_c_bwd(out):
+    # replays the backward steps of lstm_c's 9 nodes in reverse creation
+    # order: the add, i * g, f * c_prev, then each gate's nonlinearity and
+    # slice; the gates' gradient buffer takes each gate's columns once
+    gates, c_prev = out.parents
+    i, f, g = out._ctx
+    grad = out._grad
+    d = c_prev.shape[-1]
+    g_i, g_g = grad * g, grad * i
+    g_f = grad * c_prev.data
+    _accumulate(c_prev, grad * f)
+    buf, x = _grad_buffer(gates), gates.data
+    buf[..., 3 * d:] += g_g * _tanh_deriv(x[..., 3 * d:], g)
+    buf[..., d:2 * d] += g_f * _sigmoid_deriv(x[..., d:2 * d], f)
+    buf[..., :d] += g_i * _sigmoid_deriv(x[..., :d], i)
+
+
+def _lstm_h_bwd(out):
+    # replays o * tanh(c), tanh(c), and the output gate's sigmoid and slice
+    gates, c = out.parents
+    o, tanh_c = out._ctx
+    grad = out._grad
+    d = c.shape[-1]
+    _accumulate(c, grad * o * _tanh_deriv(c.data, tanh_c))
+    _grad_buffer(gates)[..., 2 * d:3 * d] += \
+        grad * tanh_c * _sigmoid_deriv(gates.data[..., 2 * d:3 * d], o)
+
+
+def lstm_cell(gates: Value, c_prev: Value) -> tuple:
+    """One LSTM cell update from the pre-activation ``gates`` (..., 4d),
+    whose column blocks are the input, forget, output and cell gates, and
+    the previous cell state ``c_prev`` (..., d); returns ``(h, c)``.
+
+    ``c = f * c_prev + i * g`` is one ``lstm_c`` node with parents (gates,
+    c_prev), for the 9 elementary nodes that built it: 3 slices, 2 sigmoids,
+    a tanh, 2 muls and an add.  ``h = o * tanh(c)`` is one ``lstm_h`` node
+    with parents (gates, c), for 4: a slice, a sigmoid, a tanh and a mul.  Two
+    nodes, not one, so that the profiler's depths stay those of the chain.
+    Data and gradients are byte-identical to the chain's.  The gate
+    activations are bounded, so a non-finite node of the chain leaves c or h
+    non-finite, and each output's check raises where the chain would have.
+    """
+    d = c_prev.shape[-1] if c_prev.data.ndim else 0
+    if not d or gates.shape != c_prev.shape[:-1] + (4 * d,):
+        raise ShapeError(_LSTM_C.name, gates.shape, c_prev.shape)
+    x = gates.data
+    i, f = _sigmoid(x[..., :d]), _sigmoid(x[..., d:2 * d])
+    g = _tanh(x[..., 3 * d:])
+    c = Value(f * c_prev.data + i * g, _LSTM_C, (gates, c_prev), (i, f, g))
+    o, tanh_c = _sigmoid(x[..., 2 * d:3 * d]), _tanh(c.data)
+    return Value(o * tanh_c, _LSTM_H, (gates, c), (o, tanh_c)), c
+
+
+def _cross_entropy_bwd(out):
+    # replays the backward steps of the chain's 8 nodes in reverse creation
+    # order; the constants' gradients are skipped, since nothing reads them
+    x = out.parents[0]
+    onehot, e, row_sum = out._ctx
+    g_diff = out._grad * onehot                                    # sum, * onehot
+    _accumulate(x, -g_diff)                                        # lse - x
+    g_sum = _unbroadcast(g_diff, row_sum.shape) / row_sum          # + max, log
+    _accumulate(x, g_sum * e)                                      # sum, exp, x - max
+
+
+def cross_entropy(x: Value, onehot) -> Value:
+    """``sum(onehot * (logsumexp(x) - x))`` over every row of the logits
+    ``x`` (..., V): the summed cross-entropy of the rows' one-hot targets.
+
+    One node for 8 elementary ops: x - max, exp, sum, log, + max, lse - x,
+    * onehot and the total sum, where max is the row max (a constant, so no
+    gradient flows through it).  ``onehot`` is an array of ``x``'s shape, not
+    a node.  Data and ``x``'s gradient are byte-identical to that chain's.
+    The node raises ``GraphOverflowError`` whenever a node of the chain would
+    have: x - max and lse - x are checked as well as the output, after any
+    pending earlier node.
+    """
+    onehot = np.asarray(onehot, dtype=np.float64)
+    if not x.data.ndim or onehot.shape != x.shape:
+        raise ShapeError(_CROSS_ENTROPY.name, x.shape, onehot.shape)
+    xd = x.data
+    row_max = xd.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = xd - row_max
+        e = np.exp(shifted)
+        row_sum = e.sum(axis=-1, keepdims=True)
+        diff = np.log(row_sum) + row_max - xd
+        data = (diff * onehot).sum()
+    out = Value(data, _CROSS_ENTROPY, (x,), (onehot, e, row_sum))
+    if not (np.isfinite(shifted).all() and np.isfinite(diff).all()):
+        if _pending:
+            _check_pending()
+        raise GraphOverflowError(_CROSS_ENTROPY.name, out.id)
+    return out
+
+
 def _concat_bwd(out):
     axis = out._ctx
     idx = [slice(None)] * out.data.ndim
@@ -617,6 +765,24 @@ _NONLINEARITY_OPS = {kind: Op(f"nonlinearity({kind})", _nonlinearity_bwd, _per_o
 _LAYER_NORM = Op("layer_norm", _layer_norm_bwd,
                  lambda v: 7 * v.data.size + 12 * (v.data.size // v.shape[-1]),
                  ops=13, chains=(13, 2, 1))
+# affine with k pairs: k products and k adds, the first pair's operands
+# k + 1 ops from the output, pair j's (j >= 2) k - j + 3 and the bias's 1;
+# 2·m flops per output scalar for a product over width m, 1 for each add
+_AFFINE = {k: Op("affine", _affine_bwd,
+                 lambda v: sum(2 * x.shape[-1] + 1 for x in v.parents[:-1:2]) * v.data.size,
+                 ops=2 * k,
+                 chains=(k + 1, k + 1, *(k - j + 3 for j in range(2, k + 1) for _ in range(2)), 1))
+           for k in (1, 2, 3)}
+# the LSTM cell's c: 3 slices, 2 sigmoids, a tanh, 2 muls and an add; h: a
+# slice, a sigmoid, a tanh and a mul (flops per scalar of c or h)
+_LSTM_C = Op("lstm_c", _lstm_c_bwd, _per_out(15), ops=9, chains=(4, 2))
+_LSTM_H = Op("lstm_h", _lstm_h_bwd, _per_out(9), ops=4, chains=(3, 2))
+# cross_entropy's 8 ops, all on one chain from x: 9 flops per scalar of x
+# (exp 4) and 5 per row (log 4, + max 1)
+_CROSS_ENTROPY = Op("cross_entropy", _cross_entropy_bwd,
+                    lambda v: 9 * v.parents[0].data.size
+                    + 5 * (v.parents[0].data.size // v.parents[0].shape[-1]),
+                    ops=8, chains=(8,))
 _CONCAT = Op("concat", _concat_bwd, _per_out(0))
 _VIEW_SLICE = Op("slice", _slice_bwd, _per_out(0))
 _GATHER = Op("slice", _gather_bwd, _per_out(0))

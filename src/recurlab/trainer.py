@@ -133,7 +133,8 @@ def _read_slots(cfg_model, params, batch, slots):
     order = sorted({pos for positions, _ in slots for pos in positions})
     res = model_forward(cfg_model, params, batch, positions=order)
     logits = dict(zip(order, res.logits))
-    correct = [[int(np.argmax(logits[pos].data[row])) for pos in positions] == targets
+    predicted = {pos: x.data.argmax(axis=-1).tolist() for pos, x in logits.items()}
+    correct = [[predicted[pos][row] for pos in positions] == targets
                for row, (positions, targets) in enumerate(slots)]
     return logits, res.pgraph, correct
 
@@ -141,8 +142,8 @@ def _read_slots(cfg_model, params, batch, slots):
 # own scope: the loss nodes' batched finite check runs before train reads the loss
 @T.graph_scope()
 def _loss_and_correct(cfg_model, params, batch, slots, vocab_size):
-    """CE averaged over all slots of the batch, plus ``_read_slots``'s
-    per-row correctness."""
+    """CE averaged over all slots of the batch, from one ``T.cross_entropy``
+    node per read position, plus ``_read_slots``'s per-row correctness."""
     logits, pgraph, correct = _read_slots(cfg_model, params, batch, slots)
     onehots = {pos: np.zeros((batch.shape[0], vocab_size)) for pos in logits}
     for row, (positions, targets) in enumerate(slots):
@@ -150,9 +151,7 @@ def _loss_and_correct(cfg_model, params, batch, slots, vocab_size):
             onehots[pos][row, tgt] = 1.0
     loss = None
     for pos, x in logits.items():                         # x: (B, V)
-        c = T.constant(x.data.max(axis=-1, keepdims=True))
-        lse = T.log(T.exp(x - c).sum(axis=-1, keepdims=True)) + c
-        term = ((lse - x) * T.constant(onehots[pos])).sum()
+        term = T.cross_entropy(x, onehots[pos])
         loss = term if loss is None else loss + term
     loss = loss * T.constant(1.0 / sum(len(targets) for _, targets in slots))
     return loss, pgraph, correct

@@ -15,6 +15,7 @@ from recurlab import cli
 from recurlab import tensor as T
 from recurlab.models import ARCHS, ModelConfig, init_params, model_forward
 from recurlab.tasks import TaskId
+from test_profiler import OP_COSTS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -174,3 +175,20 @@ def test_profiler_names_no_op_kind():
     found = [f"profiler.py:{node.lineno}: {node.value!r}" for node in ast.walk(ast.parse(source))
              if isinstance(node, ast.Constant) and node.value in kinds]
     assert not found, "an op kind named in the profiler:\n" + "\n".join(found)
+
+
+def declared_ops() -> list:
+    """Every ``Op`` that ``tensor`` declares, alone or in a table of them."""
+    return [op for value in vars(T).values()
+            for op in (value.values() if isinstance(value, dict) else (value,))
+            if isinstance(op, T.Op)]
+
+
+def test_every_op_kind_has_a_profile_cost_case():
+    """Each declared ``Op`` is the root of at least one ``OP_COSTS`` graph,
+    so no op kind, fused or not, ships without a pinned cost."""
+    covered = {id(build().op) for build, _ in OP_COSTS.values()}
+    missing = [op for op in declared_ops() if id(op) not in covered]
+    assert not missing, "op kinds without an OP_COSTS case: " + ", ".join(
+        f"{op.name} ({op.backward and op.backward.__name__})" for op in missing)
+    assert {"matmul", "affine", "lstm_h", "cross_entropy"} <= {op.name for op in declared_ops()}

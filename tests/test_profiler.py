@@ -11,7 +11,7 @@ from recurlab.models import ModelConfig, init_params
 from recurlab.profiler import (DepthProfile, ProfilerError, fit_complexity,
                                graph_profile, profile, profile_table,
                                table_to_csv, table_to_markdown)
-from test_tensor import layer_norm_chain
+from test_tensor import affine_chain, cross_entropy_chain, layer_norm_chain, lstm_chain
 
 VOCAB = 7
 
@@ -78,6 +78,8 @@ def _deeper(v, k):
 # op kind -> (graph, (total_ops, depth, flops)); a (2, 3) operand has 6
 # scalars, and the width enters only the flops
 OP_COSTS = {
+    "input": (lambda: T.constant(np.ones((2, 3))), (0, 0, 0)),
+    "parameter": (lambda: _p(2, 3), (0, 0, 0)),
     "add": (lambda: _p(2, 3) + _p(3), (1, 1, 6)),
     "sub": (lambda: _p(2, 3) - _p(2, 3), (1, 1, 6)),
     "mul": (lambda: _p(2, 3) * _p(1), (1, 1, 6)),
@@ -104,6 +106,26 @@ OP_COSTS = {
                              (25, 14, 66)),
     "layer-norm-deep-bias": (lambda: T.layer_norm(_p(2, 3), _p(3), _deeper(_p(3), 13), 1e-6),
                              (26, 14, 66)),
+    # k matmuls and k adds; the first pair's operands are k + 1 ops from the
+    # output, pair j's k - j + 3 and the bias's 1; (2·m + 1)·N flops per pair
+    # over width m, for N = 8 output scalars (16 with the (B, L, d) operands)
+    "affine-1": (lambda: T.affine([(_p(2, 3), _p(3, 4))], _p(4)), (2, 2, 56)),
+    "affine-1-deep-bias": (lambda: T.affine([(_p(2, 3), _p(3, 4))], _deeper(_p(4), 3)),
+                           (5, 4, 56)),
+    "affine-2-deep-second": (lambda: T.affine([(_p(2, 3), _p(3, 4)),
+                                               (_p(2, 5), _deeper(_p(5, 4), 2))], _p(4)),
+                             (6, 5, 144)),
+    "affine-3-B-L-d": (lambda: T.affine([(_p(2, 2, 3), _p(3, 4)), (_p(2, 2, 5), _p(5, 4)),
+                                         (_deeper(_p(2, 2, 1), 4), _p(1, 4))], _p(4)),
+                       (10, 7, 336)),
+    # c: 9 ops on chains 4 and 2 long from gates and c_prev, 15 flops per
+    # scalar of c; h: 4 more on chains 3 and 2 from gates and c, 9 per scalar
+    "lstm-c": (lambda: T.lstm_cell(_p(2, 12), _p(2, 3))[1], (9, 4, 90)),
+    "lstm-c-deep-state": (lambda: T.lstm_cell(_p(2, 12), _deeper(_p(2, 3), 3))[1],
+                          (12, 5, 90)),
+    "lstm-h": (lambda: T.lstm_cell(_p(2, 12), _p(2, 3))[0], (13, 6, 144)),
+    # 8 ops on one chain from x; 9 flops per scalar of x and 5 per row
+    "cross-entropy": (lambda: T.cross_entropy(_p(2, 3), np.eye(3)[[0, 2]]), (8, 8, 64)),
 }
 
 
@@ -138,6 +160,30 @@ def test_layer_norm_counts_as_the_chain_it_fuses(shape):
     fused, chain = build(T.layer_norm), build(layer_norm_chain)
     assert fused == chain
     assert (fused.total_ops, fused.depth) == (15, 15)
+
+
+FUSED_CHAINS = {
+    "affine-1": (lambda vs: T.affine([vs[:2]], vs[2]),
+                 lambda vs: affine_chain([vs[:2]], vs[2]), [(2, 3), (3, 4), (4,)]),
+    "affine-3": (lambda vs: T.affine([vs[0:2], vs[2:4], vs[4:6]], vs[6]),
+                 lambda vs: affine_chain([vs[0:2], vs[2:4], vs[4:6]], vs[6]),
+                 [(2, 3), (3, 4), (2, 5), (5, 4), (2, 1), (1, 4), (4,)]),
+    "lstm": (lambda vs: T.lstm_cell(*vs)[0], lambda vs: lstm_chain(*vs)[0], [(2, 8), (2, 2)]),
+    "cross-entropy": (lambda vs: T.cross_entropy(vs[0], np.eye(3)[[1, 2]]),
+                      lambda vs: cross_entropy_chain(vs[0], np.eye(3)[[1, 2]]), [(2, 3)]),
+}
+
+
+@pytest.mark.parametrize("kind", list(FUSED_CHAINS))
+def test_fused_kinds_count_as_the_chains_they_fuse(kind):
+    """A fused node adds the total_ops, depth and flops of the chain it
+    replaces, with its parents at any depths."""
+    fused, chain, shapes = FUSED_CHAINS[kind]
+    for deep in range(len(shapes)):
+        def build(fn):
+            vs = [_deeper(_p(*shape), 5 if i == deep else i) for i, shape in enumerate(shapes)]
+            return graph_profile([fn(vs)], n=1, arch="hand")
+        assert build(fused) == build(chain), deep
 
 
 def test_invariants_enforced():

@@ -169,6 +169,14 @@ def test_mod_arith_complex_parse_error_has_position():
     (TaskId.MOD_ARITH_SIMPLE, [], 0),
     (TaskId.MOD_ARITH_SIMPLE, ["<blank>"], 0),
     (TaskId.MOD_ARITH_SIMPLE, ["1", "+"], 2),
+    # a symbol outside the task's automaton alphabet
+    (TaskId.PARITY_CHECK, ["zz"], 0),
+    (TaskId.PARITY_CHECK, ["apple", "banana", "kiwi", "apple"], 2),
+    (TaskId.CYCLE_NAVIGATION, ["zz"], 0),
+    (TaskId.CYCLE_NAVIGATION, ["forward", "stay", "left"], 2),
+    (TaskId.MOD_ARITH_SIMPLE, ["1", "*", "2"], 1),
+    (TaskId.MOD_ARITH_SIMPLE, ["1", "+", "2", "-", "7"], 4),
+    (TaskId.MOD_ARITH_SIMPLE, ["1", "+", "2", "+1", "3"], 3),
 ])
 def test_malformed_tokens_raise_parse_error_with_position(task, tokens, position):
     """A malformed token list raises ``ParseError`` at the token it trips

@@ -494,3 +494,250 @@ def test_layer_norm_overflow_reports_an_earlier_pending_node_first():
             T.layer_norm(T.constant([[1e200, -1e200, 3.0]]), T.parameter(np.ones(3)),
                          T.parameter(np.zeros(3)), 1e-6)
     assert (err.value.op_kind, err.value.node_id) == ("exp", start + 2)
+
+
+# -- fused affine maps, LSTM cell and cross-entropy -------------------------
+
+def affine_chain(pairs, bias):
+    """The k matmul and k add nodes that ``T.affine`` fuses, as the models
+    built them: each product added to the running sum, then the bias."""
+    out = T.matmul(*pairs[0])
+    for x, w in pairs[1:]:
+        out = out + T.matmul(x, w)
+    return out + bias
+
+
+def lstm_chain(gates, c_prev):
+    """The 13 elementary nodes that ``T.lstm_cell`` fuses, as ``lstm_step``
+    built them; returns (h, c)."""
+    d = c_prev.shape[-1]
+    i, f, o, g = (T.nonlinearity(gates.slice((Ellipsis, slice(j * d, (j + 1) * d))), kind)
+                  for j, kind in enumerate(("sigmoid", "sigmoid", "sigmoid", "tanh")))
+    c = f * c_prev + i * g
+    return o * T.nonlinearity(c, "tanh"), c
+
+
+def cross_entropy_chain(x, onehot):
+    """The 8 elementary ops (and 2 constants) that ``T.cross_entropy`` fuses,
+    as the trainer built them per read position."""
+    c = T.constant(x.data.max(axis=-1, keepdims=True))
+    lse = T.log(T.exp(x - c).sum(axis=-1, keepdims=True)) + c
+    return ((lse - x) * T.constant(onehot)).sum()
+
+
+def _affine_case(xs, ws, bias):
+    """The input arrays x0, W0, x1, W1, ..., bias of an affine map."""
+    return [*(np.array(a, dtype=float) for pair in zip(xs, ws) for a in pair),
+            np.array(bias, dtype=float)]
+
+
+def _as_pairs(fn):
+    """``fn(pairs, bias)`` called on the flat operands x0, W0, ..., bias."""
+    return lambda *vs: fn(list(zip(vs[:-1:2], vs[1:-1:2])), vs[-1])
+
+
+AFFINE_WIDTHS = (5, 3, 5)
+
+
+def _affine_run(affine, k, lead):
+    """Data of ``affine``'s output and the gradients of every source under a
+    weighted-sum loss.  The operands are inner nodes of shape lead + (d,);
+    with k = 3 the last pair reuses the first operand, and the first operand
+    also feeds a node built after the map."""
+    rng = np.random.default_rng(10 * k + len(lead))
+    srcs = [T.parameter(rng.normal(size=lead + (d,))) for d in AFFINE_WIDTHS[:k]]
+    xs = [T.nonlinearity(s, "tanh") * T.constant(3.0) for s in srcs]
+    if k == 3:
+        xs[2] = xs[0]
+    ws = [T.parameter(rng.normal(size=(x.shape[-1], 4))) for x in xs]
+    bias = T.parameter(rng.normal(size=4))
+    out = affine(list(zip(xs, ws)), bias)
+    loss = (out * T.constant(rng.normal(size=out.shape))).sum() + (xs[0] * xs[0]).sum()
+    T.backward(loss)
+    return [a.tobytes() for a in (out.data, bias.grad, *(v.grad for v in srcs + ws))]
+
+
+@pytest.mark.parametrize("lead", [(3,), (2, 4)], ids=["B-d", "B-L-d"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_affine_matches_the_chain_byte_for_byte(k, lead):
+    assert _affine_run(T.affine, k, lead) == _affine_run(affine_chain, k, lead)
+
+
+def test_affine_builds_one_node_with_every_operand_as_parent():
+    x, w, bias = T.parameter(np.ones((2, 3))), T.parameter(np.ones((3, 4))), T.parameter(np.ones(4))
+    start = T.constant(0.0).id
+    out = T.affine([(x, w), (x, w)], bias)
+    assert out.op_kind == "affine" and out.id == start + 1
+    assert out.parents == (x, w, x, w, bias)
+
+
+@pytest.mark.parametrize("pairs, bias", [
+    ([], (4,)),
+    ([((2, 3), (3, 4))] * 4, (4,)),
+    ([((2, 3), (2, 4))], (4,)),
+    ([((2, 3), (3, 4)), ((3,), (3, 4))], (4,)),     # products of two shapes
+    ([((2, 3), (3, 4))], (3, 2, 4)),                # a bias that widens the output
+])
+def test_affine_rejects_operands_the_chain_would_not_sum_in_one_shape(pairs, bias):
+    with pytest.raises(T.TensorError, match="affine"):
+        T.affine([(T.parameter(np.ones(a)), T.parameter(np.ones(b))) for a, b in pairs],
+                 T.parameter(np.ones(bias)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_affine_grad_check(k):
+    rng = np.random.default_rng(k)
+    point = [rng.normal(size=s) for d in AFFINE_WIDTHS[:k] for s in ((2, d), (d, 3))]
+    point.append(rng.normal(size=3))
+    weights = T.constant(rng.normal(size=(2, 3)))
+
+    report = T.grad_check(lambda vs: (_as_pairs(T.affine)(*vs) * weights).sum(), point)
+    assert report.max_rel_err < 1e-6
+
+
+def _lstm_run(cell, lead, d=3):
+    """Data of two cell steps and the gradients of every source under a
+    weighted-sum loss: the first step's c is the second's c_prev, and its h
+    feeds the second step's gates."""
+    rng = np.random.default_rng(len(lead) + d)
+    srcs = [T.parameter(rng.normal(size=lead + (4 * d,))) for _ in range(2)]
+    c_src = T.parameter(rng.normal(size=lead + (d,)))
+    c0 = T.nonlinearity(c_src, "tanh") * T.constant(2.0)
+    h1, c1 = cell(srcs[0] * T.constant(3.0), c0)
+    h2, c2 = cell(srcs[1] * T.constant(3.0) + T.concat([h1] * 4, axis=-1), c1)
+    weights = [T.constant(rng.normal(size=lead + (d,))) for _ in range(3)]
+    T.backward((h2 * weights[0]).sum() + (c2 * weights[1]).sum() + (h1 * weights[2]).sum())
+    return [a.tobytes() for a in (h1.data, c1.data, h2.data, c2.data,
+                                  *(v.grad for v in srcs + [c_src]))]
+
+
+@pytest.mark.parametrize("lead", [(2,), (2, 3)])
+def test_lstm_cell_matches_the_chain_byte_for_byte(lead):
+    assert _lstm_run(T.lstm_cell, lead) == _lstm_run(lstm_chain, lead)
+
+
+def test_lstm_cell_builds_two_nodes():
+    gates, c_prev = T.parameter(np.ones((2, 8))), T.parameter(np.ones((2, 2)))
+    start = T.constant(0.0).id
+    h, c = T.lstm_cell(gates, c_prev)
+    assert (c.op_kind, c.id, c.parents) == ("lstm_c", start + 1, (gates, c_prev))
+    assert (h.op_kind, h.id, h.parents) == ("lstm_h", start + 2, (gates, c))
+
+
+@pytest.mark.parametrize("gates_shape, c_shape", [((2, 8), (2, 3)), ((2, 8), (1, 2)),
+                                                  ((8,), ())])
+def test_lstm_cell_rejects_gates_not_four_times_the_state(gates_shape, c_shape):
+    with pytest.raises(T.ShapeError, match="lstm_c"):
+        T.lstm_cell(T.parameter(np.ones(gates_shape)), T.parameter(np.ones(c_shape)))
+
+
+def test_lstm_cell_grad_check():
+    rng = np.random.default_rng(0)
+    weights = [T.constant(rng.normal(size=(2, 3))) for _ in range(2)]
+
+    def f(vs):
+        h, c = T.lstm_cell(vs[0], vs[1])
+        return (h * weights[0]).sum() + (c * weights[1]).sum()
+    assert T.grad_check(f, [rng.normal(size=(2, 12)), rng.normal(size=(2, 3))]).max_rel_err < 1e-6
+
+
+def _cross_entropy_run(ce, shape):
+    """Data of two cross-entropy terms over one logits node (as the mlp's
+    positions share theirs), scaled as the trainer scales the loss, and the
+    gradient of the logits' source."""
+    rng = np.random.default_rng(sum(shape))
+    src = T.parameter(rng.normal(size=shape))
+    x = T.nonlinearity(src, "tanh") * T.constant(4.0)
+    onehots = [np.eye(shape[-1])[rng.integers(0, shape[-1], size=shape[:-1])] for _ in range(2)]
+    loss = (ce(x, onehots[0]) + ce(x, onehots[1])) * T.constant(1.0 / 7)
+    T.backward(loss)
+    return [a.tobytes() for a in (loss.data, src.grad, x.grad)]
+
+
+@pytest.mark.parametrize("shape", [(4, 5), (1, 3), (3, 1), (2, 3, 6)])
+def test_cross_entropy_matches_the_chain_byte_for_byte(shape):
+    assert _cross_entropy_run(T.cross_entropy, shape) == \
+        _cross_entropy_run(cross_entropy_chain, shape)
+
+
+def test_cross_entropy_builds_one_node_over_the_logits():
+    x = T.parameter(np.ones((2, 3)))
+    start = T.constant(0.0).id
+    out = T.cross_entropy(x, np.eye(3)[[0, 2]])
+    assert (out.op_kind, out.id, out.parents, out.shape) == ("cross_entropy", start + 1, (x,), ())
+
+
+@pytest.mark.parametrize("x_shape, onehot_shape", [((2, 3), (2, 4)), ((2, 3), (3,)), ((), ())])
+def test_cross_entropy_rejects_a_onehot_not_of_the_logits_shape(x_shape, onehot_shape):
+    with pytest.raises(T.ShapeError, match="cross_entropy"):
+        T.cross_entropy(T.parameter(np.ones(x_shape)), np.ones(onehot_shape))
+
+
+def test_cross_entropy_grad_check():
+    rng = np.random.default_rng(1)
+    onehot = np.eye(4)[[3, 0, 1]]
+    report = T.grad_check(lambda vs: T.cross_entropy(vs[0], onehot), [rng.normal(size=(3, 4))])
+    assert report.max_rel_err < 1e-6
+
+
+# kind -> (fused builder, chain builder, input cases near the float64 limit
+# as (case id, input arrays, whether the chain raises))
+FUSED_OVERFLOWS = {
+    "affine": (_as_pairs(T.affine), _as_pairs(affine_chain), [
+        ("product", _affine_case([[[1e308, 1e308]]], [[[1.0], [1.0]]], [0.0]), True),
+        ("partial-sum", _affine_case([[[1e308]], [[1e308]]], [[[1.0]], [[1.0]]], [0.0]), True),
+        ("inf-minus-inf", _affine_case([[[1e308, 1e308]], [[1e308, 1e308]]],
+                                       [[[1.0], [1.0]], [[-1.0], [-1.0]]], [0.0]), True),
+        ("bias", _affine_case([[[1.7e308]], [[1.0]]], [[[1.0]], [[1.0]]], [1.7e308]), True),
+        ("cancelling", _affine_case([[[1.7e308]], [[1.7e308]], [[1.7e308]]],
+                                    [[[1.0]], [[-1.0]], [[0.5]]], [-0.8e308]), False),
+    ]),
+    # the gates are bounded, so no finite input makes the chain overflow
+    "lstm_cell": (lambda g, c: T.lstm_cell(g, c)[0], lambda g, c: lstm_chain(g, c)[0], [
+        ("huge-gates", [np.array([[1e308, -1e308, 1e308, -1e308]]), np.array([[1.0]])], False),
+        ("huge-state", [np.array([[1e308, 1e308, 1e308, 1e308]]), np.array([[1.7e308]])],
+         False),
+    ]),
+    "cross_entropy": (lambda x: T.cross_entropy(x, np.eye(2)[[1] * x.shape[0]]),
+                      lambda x: cross_entropy_chain(x, np.eye(2)[[1] * x.shape[0]]), [
+        ("shift", [np.array([[1e308, -1e308]])], True),
+        ("sum", [np.array([[1e308, 0.0], [1e308, 0.0]])], True),
+        ("huge-row", [np.array([[1.7e308, 1.7e308]])], False),
+    ]),
+}
+OVERFLOW_CASES = [(kind, *case) for kind, (_, _, cases) in FUSED_OVERFLOWS.items()
+                  for case in cases]
+
+
+@pytest.mark.parametrize("scoped", [False, True], ids=["bare", "in-scope"])
+@pytest.mark.parametrize("kind, case, arrays, chain_raises",
+                         OVERFLOW_CASES, ids=[f"{c[0]}-{c[1]}" for c in OVERFLOW_CASES])
+def test_a_fused_node_raises_iff_its_chain_raises(kind, case, arrays, chain_raises, scoped):
+    fused, chain = FUSED_OVERFLOWS[kind][:2]
+
+    def build(fn):
+        with T.graph_scope() if scoped else np.errstate(over="ignore", invalid="ignore"):
+            out = fn(*[T.constant(a) for a in arrays])
+            (out * T.constant(1.0)).sum()
+
+    if not chain_raises:
+        build(chain)
+        build(fused)
+        return
+    with pytest.raises(T.GraphOverflowError):
+        build(chain)
+    start = T.constant(0.0).id
+    with pytest.raises(T.GraphOverflowError) as err:
+        build(fused)
+    # the leaves take the ids after start, and the fused node the next one
+    assert (err.value.op_kind, err.value.node_id) == (kind, start + len(arrays) + 1)
+    assert not T._pending
+
+
+def test_cross_entropy_overflow_reports_an_earlier_pending_node_first():
+    start = T.constant(0.0).id
+    with pytest.raises(T.GraphOverflowError) as err:
+        with T.graph_scope():
+            T.exp(T.constant([1000.0]))             # node start + 2
+            T.cross_entropy(T.constant([[1e308, -1e308]]), np.eye(2)[[1]])
+    assert (err.value.op_kind, err.value.node_id) == ("exp", start + 2)

@@ -209,8 +209,8 @@ def test_overflow_in_loss_raises_before_train_reads_the_loss(monkeypatch):
     with T.graph_scope():
         with pytest.raises(T.GraphOverflowError) as exc_info:
             _loss_and_correct(None, None, np.zeros((1, 1), dtype=int), [([0], [1])], 2)
-    # nodes: the max constant c (start + 1), then x - c (start + 2)
-    assert (exc_info.value.op_kind, exc_info.value.node_id) == ("sub", start + 2)
+    # the position's one cross_entropy node (start + 1) holds x - max
+    assert (exc_info.value.op_kind, exc_info.value.node_id) == ("cross_entropy", start + 1)
 
 
 def test_all_seeds_diverged_message_names_each_step():
