@@ -207,7 +207,11 @@ def _stack_manipulation(tokens) -> list:
     if "|" not in tokens:
         raise ParseError("expected '|'", len(tokens))
     bar = tokens.index("|")
-    return automata.stack_run(_parse_stack_actions(tokens, bar + 1), tokens[:bar])
+    try:
+        return automata.stack_run(_parse_stack_actions(tokens, bar + 1), tokens[:bar])
+    except automata.EmptyStackError as err:
+        # action j's "pop" token is at bar + 1 + 2·j
+        raise ParseError("pop on an empty stack", bar + 1 + 2 * err.action_index) from None
 
 
 def _operate(op: str):
@@ -259,7 +263,7 @@ def _parse_mod_expression(tokens: list) -> int:
                 raise ParseError("expected ')'", pos)
             pos += 1
             return v
-        if tok is not None and tok.isdigit():
+        if tok is not None and tok.isascii() and tok.isdigit():
             pos += 1
             return int(tok) % 5
         raise ParseError(f"expected digit or '(', got {tok!r}", pos)

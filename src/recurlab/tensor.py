@@ -34,14 +34,16 @@ Every node's data is checked for inf and nan, and the first non-finite node
 raises ``GraphOverflowError`` with its op kind and id.  Outside a scope a node
 is checked when it is built.  Inside one, checking each small node on its own
 would cost a large share of building it, so a node of at most
-``_DEFER_SIZE`` elements joins a pending list instead.  The list is checked in
-one numpy call when it holds ``_BATCH`` nodes, when any scope is entered or
-left (also by an exception), and before a larger node is checked; only if
-that call finds a non-finite value are its nodes walked in creation order.
-So a fault raises the same error for the same node as a check per node
-would, before the graph leaves its scope or a nested scope such as
-``backward`` reads it.  Like the collector switch, the list is process-wide:
-recurlab builds no graphs from threads.
+``_DEFER_SIZE`` elements joins a pending list instead; a larger node is
+checked on its own and leaves the list alone.  The list is flushed, checked
+in one numpy call, at three points only: when it holds ``_BATCH`` nodes, when
+any scope is entered or left (also by an exception), and just before a node
+is reported, in ``_overflow``, so that an earlier pending node is reported
+first.  Only if that call finds a non-finite value are its nodes walked in
+creation order.  So a fault raises the same error for the same node as a
+check per node would, before the graph leaves its scope or a nested scope
+such as ``backward`` reads it.  Like the collector switch, the list is
+process-wide: recurlab builds no graphs from threads.
 """
 
 from __future__ import annotations
@@ -129,6 +131,14 @@ def _check_pending() -> None:
             raise GraphOverflowError(v.op_kind, v.id)
 
 
+def _overflow(node: "Value") -> None:
+    """Raise ``GraphOverflowError`` for ``node``, whose data or fused chain
+    is non-finite, unless a pending node, built before it, is non-finite."""
+    if _pending:
+        _check_pending()
+    raise GraphOverflowError(node.op_kind, node.id)
+
+
 @contextmanager
 def graph_scope():
     """Pause the cyclic collector and numpy's overflow and invalid-value
@@ -139,8 +149,9 @@ def graph_scope():
     Every node's finite check reports overflow as ``GraphOverflowError``, so
     the warnings would only repeat it.  Inside a scope small nodes are checked
     in batches (see the module docstring), with the same error and node as a
-    check per node, before this scope is left or a nested one such as
-    ``backward`` starts; an error raised in the scope gives way to the
+    check per node; entering and leaving a scope flushes the pending list, so
+    they are checked before this scope is left or a nested one such as
+    ``backward`` starts, and an error raised in the scope gives way to the
     overflow of a node built before it.  An interrupt, or any other exception
     outside ``Exception``, drops the unchecked nodes with its graph.  On exit
     the collector is enabled again only if it was enabled on entry, so scopes
@@ -215,8 +226,9 @@ class Value:
     ``Op`` and ``_ctx`` the op argument its backward function reads.
 
     A node whose data holds inf or nan raises ``GraphOverflowError`` naming
-    its op kind and id: when it is built outside a ``graph_scope``, and by the
-    next batched check inside one (see the module docstring).
+    its op kind and id: when it is built outside a ``graph_scope`` or holds
+    more than ``_DEFER_SIZE`` elements, else by the next flush of the pending
+    list (see the module docstring).
     """
 
     __slots__ = ("data", "_grad", "op", "parents", "id", "_ctx")
@@ -234,11 +246,8 @@ class Value:
             _pending.append(self)
             if len(_pending) >= _BATCH:
                 _check_pending()
-            return
-        if _pending:
-            _check_pending()
-        if not np.isfinite(data).all():
-            raise GraphOverflowError(op.name, self.id)
+        elif not np.isfinite(data).all():
+            _overflow(self)
 
     @property
     def op_kind(self) -> str:
@@ -544,7 +553,7 @@ def layer_norm(x: Value, gain: Value, bias: Value, eps: float) -> Value:
     that chain's, and ``_LAYER_NORM`` counts it as the chain.  The node raises
     ``GraphOverflowError`` whenever a node of the chain would have: an
     infinite variance makes inv_std 0 and the output finite, so var + eps is
-    checked as well as the output, after any pending earlier node.
+    checked as well as the output.
     """
     d = x.shape[-1] if x.data.ndim else 0
     if not d or gain.shape != (d,) or bias.shape != (d,):
@@ -560,9 +569,7 @@ def layer_norm(x: Value, gain: Value, bias: Value, eps: float) -> Value:
         data = normed * gain.data + bias.data
     out = Value(data, _LAYER_NORM, (x, gain, bias), (centered, inv_std, var_eps, normed))
     if not np.isfinite(var_eps).all():
-        if _pending:
-            _check_pending()
-        raise GraphOverflowError(_LAYER_NORM.name, out.id)
+        _overflow(out)
     return out
 
 
@@ -643,8 +650,8 @@ def cross_entropy(x: Value, onehot) -> Value:
     gradient flows through it).  ``onehot`` is an array of ``x``'s shape, not
     a node.  Data and ``x``'s gradient are byte-identical to that chain's.
     The node raises ``GraphOverflowError`` whenever a node of the chain would
-    have: x - max and lse - x are checked as well as the output, after any
-    pending earlier node.
+    have: x - max is checked as well as the output.  lse - x needs no check
+    of its own, since it is (max - x) + log(row_sum) with row_sum in [1, V].
     """
     onehot = np.asarray(onehot, dtype=np.float64)
     if not x.data.ndim or onehot.shape != x.shape:
@@ -658,10 +665,8 @@ def cross_entropy(x: Value, onehot) -> Value:
         diff = np.log(row_sum) + row_max - xd
         data = (diff * onehot).sum()
     out = Value(data, _CROSS_ENTROPY, (x,), (onehot, e, row_sum))
-    if not (np.isfinite(shifted).all() and np.isfinite(diff).all()):
-        if _pending:
-            _check_pending()
-        raise GraphOverflowError(_CROSS_ENTROPY.name, out.id)
+    if not np.isfinite(shifted).all():
+        _overflow(out)
     return out
 
 
@@ -677,7 +682,7 @@ def _concat_bwd(out):
 
 
 def concat(values: Sequence[Value], axis: int = 0) -> Value:
-    values = tuple(_lift(v) for v in values)
+    values = tuple(values)
     try:
         data = np.concatenate([v.data for v in values], axis=axis)
     except ValueError as err:

@@ -139,8 +139,6 @@ def _read_slots(cfg_model, params, batch, slots):
     return logits, res.pgraph, correct
 
 
-# own scope: the loss nodes' batched finite check runs before train reads the loss
-@T.graph_scope()
 def _loss_and_correct(cfg_model, params, batch, slots, vocab_size):
     """CE averaged over all slots of the batch, from one ``T.cross_entropy``
     node per read position, plus ``_read_slots``'s per-row correctness."""
@@ -212,7 +210,8 @@ def train(tc: TrainConfig, log=None) -> TrainResult:
         evaluating = step_i % tc.eval_every == 0 or step_i == tc.max_steps
         try:
             # the graph layer's finite checks flag a non-finite loss or
-            # gradient, and the closing evaluate is the first graph to read
+            # gradient (backward's scope checks the loss's pending nodes
+            # first), and the closing evaluate is the first graph to read
             # parameters the update may have overflowed
             loss, pgraph, correct = _loss_and_correct(model_cfg, params, batch,
                                                       slots, len(vocab))

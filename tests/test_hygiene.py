@@ -192,3 +192,23 @@ def test_every_op_kind_has_a_profile_cost_case():
     assert not missing, "op kinds without an OP_COSTS case: " + ", ".join(
         f"{op.name} ({op.backward and op.backward.__name__})" for op in missing)
     assert {"matmul", "affine", "lstm_h", "cross_entropy"} <= {op.name for op in declared_ops()}
+
+
+def pending_list_users(source: str) -> set:
+    """The functions of ``source``, a method as ``Class.method``, that name
+    ``_pending`` or ``_check_pending``."""
+    tree = ast.parse(source)
+    functions = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    functions += [(f"{cls.name}.{node.name}", node) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef)
+                  for node in cls.body if isinstance(node, ast.FunctionDef)]
+    return {name for name, fn in functions for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and node.id in ("_pending", "_check_pending")}
+
+
+def test_only_the_flush_points_touch_the_pending_list():
+    """``tensor``'s pending list is flushed when it fills (``Value.__init__``),
+    at a scope boundary (``graph_scope``) and before a node is reported
+    (``_overflow``); no op function checks or reads it by hand."""
+    users = pending_list_users((ROOT / "src/recurlab/tensor.py").read_text())
+    assert users == {"Value.__init__", "graph_scope", "_overflow", "_check_pending"}, users

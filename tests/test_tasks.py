@@ -177,6 +177,12 @@ def test_mod_arith_complex_parse_error_has_position():
     (TaskId.MOD_ARITH_SIMPLE, ["1", "*", "2"], 1),
     (TaskId.MOD_ARITH_SIMPLE, ["1", "+", "2", "-", "7"], 4),
     (TaskId.MOD_ARITH_SIMPLE, ["1", "+", "2", "+1", "3"], 3),
+    # a digit outside ASCII, and a pop on an empty stack
+    (TaskId.MOD_ARITH_COMPLEX, ["²"], 0),
+    (TaskId.MOD_ARITH_COMPLEX, ["٣"], 0),
+    (TaskId.MOD_ARITH_COMPLEX, ["(", "1", "+", "²", ")"], 3),
+    (TaskId.STACK_MANIPULATION, ["|", "pop", "x"], 1),
+    (TaskId.STACK_MANIPULATION, ["apple", "|", "pop", "apple", "pop", "kiwi"], 4),
 ])
 def test_malformed_tokens_raise_parse_error_with_position(task, tokens, position):
     """A malformed token list raises ``ParseError`` at the token it trips

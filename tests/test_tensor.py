@@ -363,6 +363,13 @@ def test_large_node_is_checked_when_built_in_scope():
     assert err.value.op_kind == "exp" and not reached
 
 
+def test_a_finite_large_node_leaves_pending_nodes_alone():
+    with T.graph_scope():
+        small = T.constant([1.0])
+        T.constant(np.ones(T._DEFER_SIZE + 1))
+        assert [v.id for v in T._pending] == [small.id]
+
+
 def test_scoped_overflow_raises_within_one_batch():
     built = 0
     with pytest.raises(T.GraphOverflowError) as err:

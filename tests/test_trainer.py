@@ -201,7 +201,7 @@ def test_overflow_in_closing_evaluate_is_divergence():
 
 
 def test_overflow_in_loss_raises_before_train_reads_the_loss(monkeypatch):
-    # train calls _loss_and_correct inside its own scope and then reads the
+    # train calls _loss_and_correct inside train's scope and then reads the
     # loss value; the loss's own faulty node must already have raised
     logits = T.constant(np.array([[1e308, -1e308]]))
     monkeypatch.setattr(trainer, "_read_slots", lambda *args: ({0: logits}, None, [True]))
@@ -211,6 +211,23 @@ def test_overflow_in_loss_raises_before_train_reads_the_loss(monkeypatch):
             _loss_and_correct(None, None, np.zeros((1, 1), dtype=int), [([0], [1])], 2)
     # the position's one cross_entropy node (start + 1) holds x - max
     assert (exc_info.value.op_kind, exc_info.value.node_id) == ("cross_entropy", start + 1)
+
+
+def test_overflow_in_the_sum_of_finite_loss_terms_diverges_at_its_step(monkeypatch):
+    # each read position's cross_entropy term is finite (1e308 - -7e307) but
+    # their sum is not; the pending add is reported by the scope backward
+    # enters, before train reads the loss or writes a gradient
+    row = np.zeros(len(PARITY_VOCAB))
+    row[:2] = 1e308, -7e307
+    monkeypatch.setattr(trainer, "encode_batch",
+                        lambda *args: (np.zeros((1, 3), dtype=int), [([1, 2], [1, 1])]))
+    monkeypatch.setattr(trainer, "_read_slots", lambda cfg, params, batch, slots: (
+        {pos: T.constant(row[None]) for pos in (1, 2)}, None, [True]))
+    with pytest.raises(DivergenceError) as exc_info:
+        train(parity_tc())
+    assert (exc_info.value.step, exc_info.value.last_finite_step) == (1, 0)
+    cause = exc_info.value.__cause__
+    assert isinstance(cause, T.GraphOverflowError) and cause.op_kind == "add"
 
 
 def test_all_seeds_diverged_message_names_each_step():
