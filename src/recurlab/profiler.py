@@ -3,9 +3,10 @@
 Counting rule: every non-leaf graph node is one operation, regardless of
 tensor size (a matmul of any shape counts 1), and a fused node is the
 elementary ops it replaces.  Each node's ``tensor.Op`` gives its count, chain
-lengths and flops, so this module names no op kind.  ``depth`` is the length
-of the longest dependency chain from any input/parameter leaf to a logit
-node; ``total_ops`` is the number of operations reachable from the logits.
+lengths and flops (a fused kind's read off the node), so this module names no
+op kind.  ``depth`` is the length of the longest dependency chain from any
+input/parameter leaf to a logit node; ``total_ops`` is the number of
+operations reachable from the logits.
 Both are measured on the graph an architecture actually builds, so the
 numbers reflect the implementation, not an idealized formula.
 
@@ -68,14 +69,19 @@ def graph_profile(sinks: list, n: int, arch: str) -> DepthProfile:
     total_ops = flops = 0
     for v in topo_nodes(*sinks):
         op = v.op
-        if not op.ops:
-            depth[v.id] = 0
-            continue
-        if op.chains:
-            depth[v.id] = max(depth[p.id] + c for p, c in zip(v.parents, op.chains))
-        else:
+        if op.chains is None:       # a leaf or an elementary op
+            if not op.ops:
+                depth[v.id] = 0
+                continue
             depth[v.id] = 1 + max(depth[p.id] for p in v.parents)
-        total_ops += op.ops
+            total_ops += op.ops
+        else:
+            chains = op.chains(v)
+            if len(chains) != len(v.parents):
+                raise ProfilerError(f"{op.name} node {v.id} has {len(v.parents)} parents "
+                                    f"but {len(chains)} chain lengths")
+            depth[v.id] = max(depth[p.id] + c for p, c in zip(v.parents, chains))
+            total_ops += op.ops(v)
         flops += op.flops(v)
     return DepthProfile(total_ops, max(depth.values()), n, arch, flops)
 

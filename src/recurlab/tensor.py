@@ -9,8 +9,9 @@ fused, and compute, differentiate and overflow-check exactly as the
 elementary nodes they replace would, byte for byte: ``layer_norm`` (13 ops),
 ``affine`` (k matmuls and k adds for k = 1 to 3 pairs), ``lstm_cell``'s two
 nodes ``lstm_c`` (9 ops) and ``lstm_h`` (4) and ``cross_entropy`` (8).  Each
-fused ``Op`` declares that chain's op count, its length from each parent and
-its flops, so the profiler counts a fused node as the chain.
+fused ``Op`` reads that chain's op count, its length from each parent and its
+flops off the node, so the profiler counts a fused node as the chain, however
+many parents it has.
 
 Elementwise ops follow numpy broadcasting; gradients are summed back over
 broadcast axes.  All data is float64 -- equivalence tests between recurrent and
@@ -52,7 +53,7 @@ import gc
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -204,16 +205,29 @@ NONLINEARITIES: dict[str, tuple[Callable, Callable]] = {
 }
 
 
-class Op(NamedTuple):
+class Op:
     """One op kind: its name, its backward function (``None`` for a leaf) and
     what the profiler counts for one of its nodes: ``flops(node)``, the
-    elementary ``ops`` it stands for (0 for a leaf) and, for a fused kind, the
-    longest ``chains`` of them from each parent to its output (else 1)."""
-    name: str
-    backward: Callable | None
-    flops: Callable[["Value"], int]
-    ops: int = 1
-    chains: tuple = ()
+    elementary ``ops`` it stands for and the longest ``chains`` of them from
+    each parent to its output.  A leaf has ``ops`` 0 and an elementary kind
+    1, both with ``chains`` None: the node is one op, one step past its
+    deepest parent.  A fused kind reads both off the node, as ``flops``
+    does: ``ops(node)`` is its chain's op count and ``chains(node)`` a tuple
+    of one length per parent, since the chain may grow with the parents."""
+
+    __slots__ = ("name", "backward", "flops", "ops", "chains")
+
+    def __init__(self, name: str, backward: Callable | None,
+                 flops: Callable[["Value"], int], ops=1,
+                 chains: Callable[["Value"], tuple] | None = None):
+        self.name = name
+        self.backward = backward
+        self.flops = flops
+        self.ops = ops
+        self.chains = chains
+
+    def __repr__(self):
+        return f"Op({self.name!r})"
 
 
 class Value:
@@ -447,13 +461,12 @@ def affine(pairs: Sequence[tuple], bias: Value) -> Value:
 
     The products must all have the output's shape, so the bias may broadcast
     only into it.  Data and gradients are byte-identical to the chain of k
-    matmul and k add nodes, and ``_AFFINE[k]`` counts it as that chain.  A
+    matmul and k add nodes, and ``_AFFINE`` counts it as that chain.  A
     non-finite product or partial sum stays non-finite through the adds, so
     the output's check raises whenever a node of the chain would have.
     """
-    op = _AFFINE.get(len(pairs))
-    if op is None:
-        raise TensorError(f"affine takes 1 to {len(_AFFINE)} pairs, got {len(pairs)}")
+    if not 1 <= len(pairs) <= 3:
+        raise TensorError(f"affine takes 1 to 3 pairs, got {len(pairs)}")
     parents = (*(v for pair in pairs for v in pair), bias)
     try:
         products = [np.matmul(x.data, w.data) for x, w in pairs]
@@ -462,10 +475,10 @@ def affine(pairs: Sequence[tuple], bias: Value) -> Value:
             data = data + product
         data = data + bias.data
     except ValueError as err:
-        raise ShapeError(op.name, *(v.shape for v in parents)) from err
+        raise ShapeError(_AFFINE.name, *(v.shape for v in parents)) from err
     if any(product.shape != data.shape for product in products):
-        raise ShapeError(op.name, *(v.shape for v in parents))
-    return Value(data, op, parents)
+        raise ShapeError(_AFFINE.name, *(v.shape for v in parents))
+    return Value(data, _AFFINE, parents)
 
 
 def _exp_bwd(out):
@@ -753,6 +766,18 @@ def _per_out(k: int) -> Callable[[Value], int]:
     return lambda v: k * v.data.size
 
 
+def _always(count):
+    """The count of a fused kind whose chain does not depend on the node."""
+    return lambda v: count
+
+
+def _affine_chains(v: Value) -> tuple:
+    # the first pair's operands k + 1 ops from the output, pair j's (j >= 2)
+    # k - j + 3 and the bias's 1
+    k = len(v.parents) // 2
+    return (k + 1, k + 1, *(k - j + 3 for j in range(2, k + 1) for _ in range(2)), 1)
+
+
 _INPUT = Op("input", None, _per_out(0), ops=0)
 _PARAMETER = Op("parameter", None, _per_out(0), ops=0)
 _ADD = Op("add", _add_bwd, _per_out(1))
@@ -769,25 +794,22 @@ _NONLINEARITY_OPS = {kind: Op(f"nonlinearity({kind})", _nonlinearity_bwd, _per_o
 # take a flop per scalar of x, and the 6 on the row statistics 12 per row
 _LAYER_NORM = Op("layer_norm", _layer_norm_bwd,
                  lambda v: 7 * v.data.size + 12 * (v.data.size // v.shape[-1]),
-                 ops=13, chains=(13, 2, 1))
-# affine with k pairs: k products and k adds, the first pair's operands
-# k + 1 ops from the output, pair j's (j >= 2) k - j + 3 and the bias's 1;
-# 2·m flops per output scalar for a product over width m, 1 for each add
-_AFFINE = {k: Op("affine", _affine_bwd,
-                 lambda v: sum(2 * x.shape[-1] + 1 for x in v.parents[:-1:2]) * v.data.size,
-                 ops=2 * k,
-                 chains=(k + 1, k + 1, *(k - j + 3 for j in range(2, k + 1) for _ in range(2)), 1))
-           for k in (1, 2, 3)}
+                 ops=_always(13), chains=_always((13, 2, 1)))
+# affine with k pairs: k products and k adds; 2·m flops per output scalar for
+# a product over width m, 1 for each add
+_AFFINE = Op("affine", _affine_bwd,
+             lambda v: sum(2 * x.shape[-1] + 1 for x in v.parents[:-1:2]) * v.data.size,
+             ops=lambda v: len(v.parents) - 1, chains=_affine_chains)
 # the LSTM cell's c: 3 slices, 2 sigmoids, a tanh, 2 muls and an add; h: a
 # slice, a sigmoid, a tanh and a mul (flops per scalar of c or h)
-_LSTM_C = Op("lstm_c", _lstm_c_bwd, _per_out(15), ops=9, chains=(4, 2))
-_LSTM_H = Op("lstm_h", _lstm_h_bwd, _per_out(9), ops=4, chains=(3, 2))
+_LSTM_C = Op("lstm_c", _lstm_c_bwd, _per_out(15), ops=_always(9), chains=_always((4, 2)))
+_LSTM_H = Op("lstm_h", _lstm_h_bwd, _per_out(9), ops=_always(4), chains=_always((3, 2)))
 # cross_entropy's 8 ops, all on one chain from x: 9 flops per scalar of x
 # (exp 4) and 5 per row (log 4, + max 1)
 _CROSS_ENTROPY = Op("cross_entropy", _cross_entropy_bwd,
                     lambda v: 9 * v.parents[0].data.size
                     + 5 * (v.parents[0].data.size // v.parents[0].shape[-1]),
-                    ops=8, chains=(8,))
+                    ops=_always(8), chains=_always((8,)))
 _CONCAT = Op("concat", _concat_bwd, _per_out(0))
 _VIEW_SLICE = Op("slice", _slice_bwd, _per_out(0))
 _GATHER = Op("slice", _gather_bwd, _per_out(0))

@@ -7,7 +7,7 @@ import pytest
 
 from recurlab import tensor as T
 from recurlab.automata import dfa_run, parity_dfa, machine_profile
-from recurlab.models import ModelConfig, init_params
+from recurlab.models import ARCHS, ModelConfig, init_params, model_forward
 from recurlab.profiler import (DepthProfile, ProfilerError, fit_complexity,
                                graph_profile, profile, profile_table,
                                table_to_csv, table_to_markdown)
@@ -191,6 +191,27 @@ def test_invariants_enforced():
         DepthProfile(total_ops=2, depth=5, n=1, arch="x")
     with pytest.raises(ProfilerError):
         graph_profile([], n=0, arch="x")
+
+
+def test_a_fused_node_whose_chains_miss_a_parent_raises():
+    """A chain length per parent, or the walk stops: zip would drop the
+    third parent and its depth without a word."""
+    op = T.Op("two-chains", None, lambda v: 0, ops=lambda v: 2, chains=lambda v: (2, 1))
+    node = T.Value(np.ones(2), op, (_p(2), _p(2), _deeper(_p(2), 4)))
+    with pytest.raises(ProfilerError, match="two-chains node .* 3 parents but 2 chain"):
+        graph_profile([node], n=1, arch="hand")
+
+
+@pytest.mark.parametrize("n_layers", [1, 2])
+@pytest.mark.parametrize("mode", ["parallel", "recurrent"])
+def test_every_fused_node_has_one_chain_per_parent(mode, n_layers):
+    for arch in ARCHS:
+        cfg = cfg_for(arch, n_layers=n_layers, n_heads=n_layers, block_size=2)
+        toks = np.random.default_rng(1).integers(0, VOCAB, size=(2, 5))
+        res = model_forward(cfg, init_params(cfg), toks, mode=mode)
+        for v in T.topo_nodes(*res.logits):
+            if v.op.chains is not None:
+                assert len(v.op.chains(v)) == len(v.parents), (arch, v)
 
 
 def test_machine_profile_depth_equals_ops():
