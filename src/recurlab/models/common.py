@@ -2,17 +2,17 @@
 
 Everything here builds on the ``tensor`` graph, one node per operation, so the
 profiler's counts reflect exactly what each architecture computes.  A layer
-norm (``layer_norm``) is one fused ``tensor.layer_norm`` node, and an affine
-map (the readout, each FFN layer) one ``tensor.affine`` node; the profiler
-counts each as the elementary ops it replaces.  Sequences are handled
-either as one ``Value`` of shape (batch, length, d_model) or as a list of
-per-position ``Value``s of shape (batch, d_model).  Only the softmax
-Transformer's parallel route materializes per-pair attention scores as
-individual nodes (a product and a sum per attended position, via
-``attend_one_head``, whose reductions go through concat+sum so the dependency
-depth of one attention call stays constant).  Every softmax step cell scores
-its whole KV cache in one node per head (``attend_cached``), so its node count
-does not grow with the cache.
+norm (``layer_norm``) is one fused ``tensor.layer_norm`` node, an affine map
+(the readout, each FFN layer) one ``tensor.affine`` node, and softmax
+attention one fused node per (query, head); the profiler counts each as the
+elementary ops it replaces.  Sequences are handled either as one ``Value`` of
+shape (batch, length, d_model) or as a list of per-position ``Value``s of
+shape (batch, d_model).  The softmax Transformer's parallel route attends
+through ``attend_one_head``, counted as a product and a sum per attended
+position, so its op count grows with the number of (query, key) pairs while
+its node count grows with the number of queries.  Every softmax step cell
+attends through ``attend_cached``, one node per head whose op count does not
+grow with the cache.
 
 Every layered step cell is an RNN with one state per layer.  ``init_layers``
 gives the empty state, ``{"t": 0, "batch": batch, "layers": (None,) *
@@ -161,47 +161,29 @@ def concat_heads(heads: list) -> Value:
     return heads[0] if len(heads) == 1 else T.concat(heads, axis=-1)
 
 
-def _mix_values(scores: Value, value_rows: list) -> Value:
-    """Softmax over (B, t) scores, then the weighted sum of the (B, 1, dh)
-    value rows -> (B, dh)."""
-    weights = T.softmax(scores)
-    stacked = T.concat(value_rows, axis=1)                   # (B, t, dh)
-    b, t = weights.shape
-    out = T.matmul(weights.reshape((b, 1, t)), stacked)      # (B, 1, dh)
-    return out.reshape((b, stacked.shape[-1]))
-
-
 def attend_one_head(q_t: Value, keys: list, values_r: list, scale: float | None) -> Value:
-    """Softmax attention of one query over an explicit key list.
-
-    ``values_r`` are the values reshaped to (B, 1, dh) (cached by the caller so
-    each value is reshaped once per layer, not once per query).  A product and
-    a sum per attended position, then one concat and one scale for the whole
-    (B, t) row; reductions via concat keep the depth constant.
+    """Softmax attention of one query over an explicit key list: one fused
+    ``tensor.attention`` node, counted as the product and sum per attended
+    position, the scores' concat and scale, the softmax and the value mix it
+    replaces.  ``values_r`` are the values reshaped to (B, 1, dh) (cached by
+    the caller so each value is reshaped once per layer, not once per
+    query).  The chain joins the per-key scores in one concat, so the depth
+    of one attention call stays constant.
     """
-    scores = T.concat([(q_t * k_j).sum(axis=-1, keepdims=True) for k_j in keys],
-                      axis=-1)                               # (B, t)
-    if scale is not None:
-        scores = scores * T.constant(scale)
-    return _mix_values(scores, values_r)
+    return T.attention(q_t, keys, values_r, scale)
 
 
 def attend_cached(q_t: Value, key_rows: list, value_rows: list,
                   scale: float | None) -> Value:
-    """Softmax attention of one query over a KV cache, in a node count that
-    does not depend on the cache length.
+    """Softmax attention of one query over a KV cache: one fused
+    ``tensor.cached_attention`` node, counted as the chain that stacks the
+    cache, scores it in one broadcast product and mixes the values, 9 or 10
+    ops whatever the cache length.
 
     ``key_rows`` and ``value_rows`` are the cached keys and values reshaped to
-    (B, 1, dh).  The keys are stacked once and every key is scored in one
-    broadcast product; the scores equal ``attend_one_head``'s element for
-    element.
+    (B, 1, dh).  The output equals ``attend_one_head``'s element for element.
     """
-    keys = T.concat(key_rows, axis=1)                        # (B, t, dh)
-    b, _, dh = keys.shape
-    scores = (q_t.reshape((b, 1, dh)) * keys).sum(axis=-1)   # (B, t)
-    if scale is not None:
-        scores = scores * T.constant(scale)
-    return _mix_values(scores, value_rows)
+    return T.cached_attention(q_t, key_rows, value_rows, scale)
 
 
 def as_row(v: Value) -> Value:

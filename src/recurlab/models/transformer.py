@@ -4,13 +4,15 @@ block-recurrent, universal.
 The standard model has two routes: a batch forward (whole-sequence weight
 multiplications) and a cached step decoder (per-token, KV cache).  They share
 the attention math but not the op order, so their agreement is a real check.
-The batch forward builds a product and a sum node per (query, key) pair,
-which is the O(n^2) node count the profiler measures, and is the only route
-that does.  Every other model here is a step cell only, built on the cached
-layer ``attn_cell``, which scores the whole cache in one node per head: the
-recurrent and feedback models recur over tokens, the block-recurrent model
-over blocks (its caches empty at each block's first token), and the
-universal model in depth (one tied layer applied a fixed number of times).
+The batch forward builds one attention node per (query, head), counted as a
+product and a sum per (query, key) pair, which is the O(n^2) op count the
+profiler measures, and is the only route that grows so.  Every other model
+here is a step cell only, built on the cached layer ``attn_cell``, which
+attends over the whole cache in one node per head whose op count does not
+grow with the cache: the recurrent and feedback models recur over tokens,
+the block-recurrent model over blocks (its caches empty at each block's
+first token), and the universal model in depth (one tied layer applied a
+fixed number of times).
 """
 
 from __future__ import annotations

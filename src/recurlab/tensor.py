@@ -4,14 +4,17 @@ Every operation creates one graph node (a ``Value``).  Node ids are globally
 monotonic, so parent ids are always strictly smaller than the child id and the
 graph is acyclic by construction.  Each op kind is declared once, as an ``Op``
 in the table after the op functions: its name, its backward function and what
-the profiler counts for one node, whatever the tensor sizes.  Four kinds are
+the profiler counts for one node, whatever the tensor sizes.  Six kinds are
 fused, and compute, differentiate and overflow-check exactly as the
 elementary nodes they replace would, byte for byte: ``layer_norm`` (13 ops),
 ``affine`` (k matmuls and k adds for k = 1 to 3 pairs), ``lstm_cell``'s two
-nodes ``lstm_c`` (9 ops) and ``lstm_h`` (4) and ``cross_entropy`` (8).  Each
-fused ``Op`` reads that chain's op count, its length from each parent and its
-flops off the node, so the profiler counts a fused node as the chain, however
-many parents it has.
+nodes ``lstm_c`` (9 ops) and ``lstm_h`` (4), ``cross_entropy`` (8), and
+softmax attention of one query row over t keys, ``attention`` (2t + 6 ops,
+a product and a sum per key) and ``cached_attention`` (9, the keys scored in
+one broadcast product), each one op more with a scale.  A fused ``Op``
+reads its op count, its chain's length from each parent and its flops off
+the node, since all three may grow with the number of parents, so the
+profiler counts a fused node as the chain.
 
 Elementwise ops follow numpy broadcasting; gradients are summed back over
 broadcast axes.  All data is float64 -- equivalence tests between recurrent and
@@ -80,6 +83,8 @@ __all__ = [
     "layer_norm",
     "lstm_cell",
     "cross_entropy",
+    "attention",
+    "cached_attention",
     "concat",
     "take_rows",
     "reshape",
@@ -683,6 +688,112 @@ def cross_entropy(x: Value, onehot) -> Value:
     return out
 
 
+def _attend(op: Op, q: Value, keys: tuple, values: tuple, scale, key_shape: tuple) -> Value:
+    """The forward both attention kinds share: q (B, dh) scored against t
+    keys of ``key_shape``, scaled, softmaxed and mixed over t values of
+    shape (B, 1, dv), as one node with parents (q, keys..., values...)."""
+    parents = (q, *keys, *values)
+    if (q.data.ndim != 2 or not keys or len(values) != len(keys)
+            or any(k.shape != key_shape for k in keys)
+            or any(v.shape != values[0].shape for v in values)
+            or values[0].data.ndim != 3 or values[0].shape[:2] != (q.shape[0], 1)):
+        raise ShapeError(op.name, *(v.shape for v in parents))
+    b, dh = q.shape
+    t = len(keys)
+    stacked_keys = np.stack([k.data.reshape((b, dh)) for k in keys], axis=1)     # (B, t, dh)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = (q.data[:, None, :] * stacked_keys).sum(axis=-1)                # (B, t)
+        if scale is not None:
+            scores = scores * scale
+        shifted = scores - scores.max(axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        weights = e / e.sum(axis=-1, keepdims=True)
+        stacked = np.concatenate([v.data for v in values], axis=1)              # (B, t, dv)
+        data = np.matmul(weights.reshape((b, 1, t)), stacked).reshape((b, stacked.shape[-1]))
+    out = Value(data, op, parents, (scale, weights))
+    if not np.isfinite(scores).all():
+        _overflow(out)
+    return out
+
+
+def _mix_bwd(out) -> np.ndarray:
+    """The backward steps both attention kinds share, in reverse creation
+    order: the output reshape, the value matmul and the weights' reshape,
+    the value concat (adding to each value row in ascending order), the
+    softmax and the scale; returns the scores' gradient."""
+    scale, weights = out._ctx
+    values = out.parents[len(out.parents) // 2 + 1:]
+    b, t = weights.shape
+    g = out._grad.reshape((b, 1, out.shape[-1]))
+    stacked = np.concatenate([v.data for v in values], axis=1)
+    g_weights = np.matmul(g, np.swapaxes(stacked, -1, -2)).reshape((b, t))
+    g_stacked = np.matmul(np.swapaxes(weights.reshape((b, 1, t)), -1, -2), g)
+    for j, v in enumerate(values):
+        _accumulate(v, g_stacked[:, j:j + 1])
+    g_scores = weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True))
+    return g_scores if scale is None else g_scores * scale
+
+
+def _attention_bwd(out):
+    # then the per-key chain: the scores' concat and sums, and each product
+    # from the last key to the first, adding to q and then to the key
+    g_scores = _mix_bwd(out)
+    q, *keys = out.parents[:len(out.parents) // 2 + 1]
+    for j in range(len(keys) - 1, -1, -1):
+        g = g_scores[:, j:j + 1]
+        _accumulate(q, g * keys[j].data)
+        _accumulate(keys[j], g * q.data)
+
+
+def _cached_attention_bwd(out):
+    # then the cached chain: the sum, the broadcast product (q's gradient an
+    # unbroadcast sum over the cache), q's reshape and the keys' concat
+    g_scores = _mix_bwd(out)
+    q, *keys = out.parents[:len(out.parents) // 2 + 1]
+    b, dh = q.shape
+    stacked_keys = np.concatenate([k.data for k in keys], axis=1)
+    g_product = np.broadcast_to(g_scores[..., None], stacked_keys.shape)
+    _accumulate(q, _unbroadcast(g_product * stacked_keys, (b, 1, dh)).reshape((b, dh)))
+    g_keys = g_product * q.data.reshape((b, 1, dh))
+    for j, k in enumerate(keys):
+        _accumulate(k, g_keys[:, j:j + 1])
+
+
+def attention(q: Value, keys: Sequence[Value], values: Sequence[Value], scale) -> Value:
+    """Softmax attention of one query row ``q`` (B, dh) over t ``keys`` of
+    shape (B, dh) and t ``values`` of shape (B, 1, dv); returns (B, dv).
+
+    One node for the chain that scored every key on its own: a product and
+    a row sum per key, the scores' concat, ``* scale`` unless ``scale`` is
+    None, a softmax, the values' concat, a reshape, a matmul and a reshape:
+    2t + 6 ops, 2t + 7 with the scale.  Data and gradients are byte-identical
+    to that chain's.  The node raises ``GraphOverflowError`` whenever a node
+    of the chain would have: the softmax leaves non-finite scores' output
+    finite, so the scores are checked as well as the output.
+    """
+    keys, values = tuple(keys), tuple(values)
+    return _attend(_ATTENTION, q, keys, values, scale, q.shape)
+
+
+def cached_attention(q: Value, key_rows: Sequence[Value], value_rows: Sequence[Value],
+                     scale) -> Value:
+    """Softmax attention of one query ``q`` (B, dh) over a KV cache of t
+    ``key_rows`` and t ``value_rows``, of shapes (B, 1, dh) and (B, 1, dv);
+    returns (B, dv), equal to ``attention``'s element for element.
+
+    One node for the chain that scored the stacked cache in one broadcast
+    product: the keys' concat, q's reshape, the product, a row sum, ``*
+    scale`` unless ``scale`` is None, and the same softmax and value mix as
+    ``attention``: 9 ops, 10 with the scale, whatever t is.  Data and
+    gradients are byte-identical to that chain's, whose gradients differ
+    from ``attention``'s chain in the last bits; scores and output are
+    checked as in ``attention``.
+    """
+    key_rows, value_rows = tuple(key_rows), tuple(value_rows)
+    return _attend(_CACHED_ATTENTION, q, key_rows, value_rows, scale,
+                   q.shape[:1] + (1,) + q.shape[1:])
+
+
 def _concat_bwd(out):
     axis = out._ctx
     idx = [slice(None)] * out.data.ndim
@@ -810,6 +921,35 @@ _CROSS_ENTROPY = Op("cross_entropy", _cross_entropy_bwd,
                     lambda v: 9 * v.parents[0].data.size
                     + 5 * (v.parents[0].data.size // v.parents[0].shape[-1]),
                     ops=_always(8), chains=_always((8,)))
+
+
+def _scaled(v: Value) -> int:
+    """1 if an attention node's chain holds the ``* scale`` op, else 0."""
+    return v._ctx[0] is not None
+
+
+def _attention_chains(v: Value) -> tuple:
+    # 8 ops from q and from each key (7 without the scale): the product, the
+    # sum, the concat or reshape, the scale, softmax, reshape, matmul and
+    # reshape; 3 from each value row: its concat, the matmul and the reshape
+    t = len(v.parents) // 2
+    return (7 + _scaled(v),) * (t + 1) + (3,) * t
+
+
+def _attention_flops(v: Value) -> int:
+    # per key: a product and a sum over q's B·dh scalars, the scale and the
+    # softmax (4) per score, and the value matmul's 2 per output scalar
+    q = v.parents[0]
+    return len(v.parents) // 2 * (2 * q.data.size + (4 + _scaled(v)) * q.shape[0]
+                                  + 2 * v.data.size)
+
+
+# attention over t keys (2t + 1 parents): 2t + 6 ops, the cached kind 9,
+# each one more with the scale
+_ATTENTION = Op("attention", _attention_bwd, _attention_flops,
+                ops=lambda v: len(v.parents) + 5 + _scaled(v), chains=_attention_chains)
+_CACHED_ATTENTION = Op("cached_attention", _cached_attention_bwd, _attention_flops,
+                       ops=lambda v: 9 + _scaled(v), chains=_attention_chains)
 _CONCAT = Op("concat", _concat_bwd, _per_out(0))
 _VIEW_SLICE = Op("slice", _slice_bwd, _per_out(0))
 _GATHER = Op("slice", _gather_bwd, _per_out(0))

@@ -257,7 +257,7 @@ def test_unlimited_feedback_step_nodes_constant_in_memory_length():
 
 
 def test_feedback_step_builds_only_read_nodes():
-    cfg = tiny_cfg("feedback-transformer", d_model=16, n_layers=2, n_heads=2)
+    cfg = tiny_cfg("feedback-transformer", d_model=16, n_layers=2, n_heads=4)
     pg = ParamGraph(init_params(cfg))
     toks = np.random.default_rng(5).integers(0, VOCAB, size=(2, 4))
     state = init_state(cfg, 2)

@@ -11,7 +11,8 @@ from recurlab.models import ARCHS, ModelConfig, init_params, model_forward
 from recurlab.profiler import (DepthProfile, ProfilerError, fit_complexity,
                                graph_profile, profile, profile_table,
                                table_to_csv, table_to_markdown)
-from test_tensor import affine_chain, cross_entropy_chain, layer_norm_chain, lstm_chain
+from test_tensor import (affine_chain, attention_chain, cached_attention_chain,
+                         cross_entropy_chain, layer_norm_chain, lstm_chain)
 
 VOCAB = 7
 
@@ -75,6 +76,15 @@ def _deeper(v, k):
     return v
 
 
+def _attend(fn, key_shape, scale=None, deep=None):
+    """``fn`` over a (2, 3) query, two keys of ``key_shape`` and two (2, 1, 3)
+    values; ``deep`` maps an operand's index in (q, k0, k1, v0, v1) to the
+    reshapes above it."""
+    shapes = [(2, 3), key_shape, key_shape, (2, 1, 3), (2, 1, 3)]
+    vs = [_deeper(_p(*shape), (deep or {}).get(i, 0)) for i, shape in enumerate(shapes)]
+    return fn(vs[0], vs[1:3], vs[3:], scale)
+
+
 # op kind -> (graph, (total_ops, depth, flops)); a (2, 3) operand has 6
 # scalars, and the width enters only the flops
 OP_COSTS = {
@@ -126,6 +136,21 @@ OP_COSTS = {
     "lstm-h": (lambda: T.lstm_cell(_p(2, 12), _p(2, 3))[0], (13, 6, 144)),
     # 8 ops on one chain from x; 9 flops per scalar of x and 5 per row
     "cross-entropy": (lambda: T.cross_entropy(_p(2, 3), np.eye(3)[[0, 2]]), (8, 8, 64)),
+    # over t = 2 keys: 2t + 6 ops (9 cached), one more with the scale, on
+    # chains 7 long from q and each key (8 with the scale) and 3 from each
+    # value; t·(2·6 + (4 + scale)·2 + 2·6) flops for the (2, 3) query and output
+    "attention": (lambda: _attend(T.attention, (2, 3)), (10, 7, 64)),
+    "attention-scaled-deep-q": (lambda: _attend(T.attention, (2, 3), 0.5, {0: 3}),
+                                (14, 11, 68)),
+    "attention-deep-key": (lambda: _attend(T.attention, (2, 3), deep={2: 4}), (14, 11, 64)),
+    "attention-deep-value": (lambda: _attend(T.attention, (2, 3), deep={3: 6}), (16, 9, 64)),
+    "cached-attention": (lambda: _attend(T.cached_attention, (2, 1, 3)), (9, 7, 64)),
+    "cached-attention-scaled-deep-key": (
+        lambda: _attend(T.cached_attention, (2, 1, 3), 0.5, {1: 3}), (13, 11, 68)),
+    "cached-attention-deep-q": (lambda: _attend(T.cached_attention, (2, 1, 3), deep={0: 2}),
+                                (11, 9, 64)),
+    "cached-attention-deep-value": (
+        lambda: _attend(T.cached_attention, (2, 1, 3), 0.5, {4: 6}), (16, 9, 68)),
 }
 
 
@@ -171,6 +196,12 @@ FUSED_CHAINS = {
     "lstm": (lambda vs: T.lstm_cell(*vs)[0], lambda vs: lstm_chain(*vs)[0], [(2, 8), (2, 2)]),
     "cross-entropy": (lambda vs: T.cross_entropy(vs[0], np.eye(3)[[1, 2]]),
                       lambda vs: cross_entropy_chain(vs[0], np.eye(3)[[1, 2]]), [(2, 3)]),
+    "attention-scaled": (lambda vs: T.attention(vs[0], vs[1:4], vs[4:], 0.5),
+                         lambda vs: attention_chain(vs[0], vs[1:4], vs[4:], 0.5),
+                         [(2, 3)] * 4 + [(2, 1, 3)] * 3),
+    "cached-attention": (lambda vs: T.cached_attention(vs[0], vs[1:3], vs[3:], None),
+                         lambda vs: cached_attention_chain(vs[0], vs[1:3], vs[3:], None),
+                         [(2, 3), (2, 1, 3), (2, 1, 3), (2, 1, 4), (2, 1, 4)]),
 }
 
 
@@ -212,6 +243,20 @@ def test_every_fused_node_has_one_chain_per_parent(mode, n_layers):
         for v in T.topo_nodes(*res.logits):
             if v.op.chains is not None:
                 assert len(v.op.chains(v)) == len(v.parents), (arch, v)
+
+
+@pytest.mark.parametrize("mode", ["parallel", "recurrent"])
+def test_attention_builds_no_softmax_node(mode):
+    """Softmax attention is one fused node per (query, head), or per head
+    per step; the softmax nodes left are the stack and tape controllers',
+    one per step but the last, whose action no logit reads."""
+    n = 5
+    toks = np.random.default_rng(2).integers(0, VOCAB, size=(2, n))
+    for arch in ARCHS:
+        cfg = cfg_for(arch, n_layers=2, n_heads=2, block_size=2)
+        res = model_forward(cfg, init_params(cfg), toks, mode=mode)
+        kinds = [v.op_kind for v in T.topo_nodes(*res.logits)]
+        assert kinds.count("softmax") == (n - 1 if arch in ("stack-rnn", "tape-rnn") else 0), arch
 
 
 def test_machine_profile_depth_equals_ops():

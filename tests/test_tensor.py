@@ -687,6 +687,146 @@ def test_cross_entropy_grad_check():
     assert report.max_rel_err < 1e-6
 
 
+# -- fused softmax attention -------------------------------------------------
+
+def _mix_chain(scores, values, scale):
+    """The scale, softmax and value mix both attention chains end in."""
+    if scale is not None:
+        scores = scores * T.constant(scale)
+    weights = T.softmax(scores)
+    stacked = T.concat(values, axis=1)                      # (B, t, dv)
+    b, t = weights.shape
+    return T.matmul(weights.reshape((b, 1, t)), stacked).reshape((b, stacked.shape[-1]))
+
+
+def attention_chain(q, keys, values, scale):
+    """The 2t + 6 elementary nodes (2t + 7 and a constant with the scale)
+    that ``T.attention`` fuses, as the parallel Transformer built them: a
+    product and a row sum per key, then the scores' concat."""
+    scores = T.concat([(q * k).sum(axis=-1, keepdims=True) for k in keys], axis=-1)
+    return _mix_chain(scores, values, scale)
+
+
+def cached_attention_chain(q, key_rows, values, scale):
+    """The 9 elementary nodes (10 and a constant with the scale) that
+    ``T.cached_attention`` fuses, as the cached step cells built them: the
+    stacked keys scored in one broadcast product."""
+    keys = T.concat(key_rows, axis=1)                       # (B, t, dh)
+    b, _, dh = keys.shape
+    scores = (q.reshape((b, 1, dh)) * keys).sum(axis=-1)
+    return _mix_chain(scores, values, scale)
+
+
+# kind -> (fused, chain, the key shape for a (B, dh) query)
+ATTENTION_KINDS = {
+    "attention": (T.attention, attention_chain, lambda b, dh: (b, dh)),
+    "cached_attention": (T.cached_attention, cached_attention_chain, lambda b, dh: (b, 1, dh)),
+}
+
+
+def _attention_run(fn, key_shape, t, scale, b=3, dh=4):
+    """Data of two attention rows over shared keys and values, as queries of
+    one layer share them: the first row attends over all t, the second over
+    the first only.  Returns the bytes of both outputs and of the gradients
+    of every source under a weighted-sum loss in which the first query and
+    key also feed a node built after the rows.  With t = 5 the last key and
+    the fourth value repeat the first (beside a value or key that differs),
+    so the order in which the node adds into one parent shows."""
+    rng = np.random.default_rng(10 * t + (scale is None))
+    srcs = [T.parameter(rng.normal(size=(b, dh))) for _ in range(2 * t + 2)]
+    qs = [T.nonlinearity(s, "tanh") * T.constant(3.0) for s in srcs[:2]]
+    keys = [(s * T.constant(2.0)).reshape(key_shape(b, dh)) for s in srcs[2:t + 2]]
+    values = [s.reshape((b, 1, dh)) for s in srcs[t + 2:]]
+    if t == 5:
+        keys[4], values[3] = keys[0], values[0]
+    outs = [fn(qs[0], keys, values, scale), fn(qs[1], keys[:1], values[:1], scale)]
+    loss = sum(((out * T.constant(rng.normal(size=out.shape))).sum() for out in outs),
+               (qs[0] * keys[0].reshape((b, dh))).sum())
+    T.backward(loss)
+    return [a.tobytes() for a in (*(out.data for out in outs), *(s.grad for s in srcs))]
+
+
+@pytest.mark.parametrize("scale", [None, 0.35])
+@pytest.mark.parametrize("t", [1, 2, 5])
+@pytest.mark.parametrize("kind", list(ATTENTION_KINDS))
+def test_attention_matches_the_chain_byte_for_byte(kind, t, scale):
+    fused, chain, key_shape = ATTENTION_KINDS[kind]
+    assert _attention_run(fused, key_shape, t, scale) == _attention_run(chain, key_shape, t, scale)
+
+
+@pytest.mark.parametrize("kind", list(ATTENTION_KINDS))
+def test_attention_builds_one_node_with_query_keys_and_values_as_parents(kind):
+    fused, _, key_shape = ATTENTION_KINDS[kind]
+    q = T.parameter(np.ones((2, 3)))
+    keys = [T.parameter(np.ones(key_shape(2, 3))) for _ in range(3)]
+    values = [T.parameter(np.ones((2, 1, 5))) for _ in range(3)]
+    start = T.constant(0.0).id
+    out = fused(q, keys, values, 0.5)
+    assert (out.op_kind, out.id, out.shape) == (kind, start + 1, (2, 5))
+    assert out.parents == (q, *keys, *values)
+
+
+@pytest.mark.parametrize("q, keys, values", [
+    ((2, 3), [], []),                               # no key
+    ((2, 3), [None, None], [(2, 1, 3)]),            # a key without a value
+    ((2, 3), [(2, 4)], [(2, 1, 3)]),                # a key of another width
+    ((2, 3), [None], [(3, 1, 3)]),                  # values of another batch
+    ((2, 3), [None, None], [(2, 1, 3), (2, 1, 4)]),  # values of two widths
+    ((2, 3), [None], [(2, 3)]),                     # a value not a row
+    ((3,), [None], [(3, 1, 3)]),                    # a query without a batch axis
+])
+@pytest.mark.parametrize("kind", list(ATTENTION_KINDS))
+def test_attention_rejects_operands_the_chain_would_not_mix(kind, q, keys, values):
+    """A key of None has the kind's key shape for a (2, 3) query."""
+    fused, _, key_shape = ATTENTION_KINDS[kind]
+    keys = [key_shape(2, 3) if k is None else k for k in keys]
+    with pytest.raises(T.ShapeError, match=kind):
+        fused(T.parameter(np.ones(q)), [T.parameter(np.ones(k)) for k in keys],
+              [T.parameter(np.ones(v)) for v in values], None)
+
+
+@pytest.mark.parametrize("kind", list(ATTENTION_KINDS))
+def test_attention_grad_check(kind):
+    fused, _, key_shape = ATTENTION_KINDS[kind]
+    rng = np.random.default_rng(2)
+    t, b, dh = 3, 2, 3
+    point = [rng.normal(size=(b, dh)), *(rng.normal(size=key_shape(b, dh)) for _ in range(t)),
+             *(rng.normal(size=(b, 1, dh)) for _ in range(t))]
+    weights = T.constant(rng.normal(size=(b, dh)))
+    report = T.grad_check(lambda vs: (fused(vs[0], vs[1:t + 1], vs[t + 1:], 0.7) * weights).sum(),
+                          point)
+    assert report.max_rel_err < 1e-6
+
+
+def _attention_builder(fn):
+    """``fn`` over the flat operands q, keys..., values..., with scale 2."""
+    return lambda q, *kv: fn(q, kv[:len(kv) // 2], kv[len(kv) // 2:], 2.0)
+
+
+# (case id, q, keys, values, whether the chain raises) under scale 2
+ATTENTION_OVERFLOWS = [
+    ("product", [[1e200]], [[[1e200]]], [[[[1.0]]]], True),
+    # a score of -inf gets weight 0, so only the scores' check sees it
+    ("negative-product", [[1e200]], [[[-1e200]], [[1.0]]], [[[[1.0]]], [[[2.0]]]], True),
+    ("score-sum", [[1e308, 1e308]], [[[1.0, 1.0]]], [[[[1.0, 1.0]]]], True),
+    ("scale", [[1e308]], [[[1.0]]], [[[[1.0]]]], True),
+    # scores [0, -3] weigh two values at the float64 limit by 1 + 2^-52
+    ("value-mix", [[1.0]], [[[0.0]], [[-1.5]]],
+     [[[[np.finfo(np.float64).max]]], [[[np.finfo(np.float64).max]]]], True),
+    # scores of +-1e308 shift to 0 and -inf, which the softmax weighs 1 and 0
+    ("huge-spread", [[1e200]], [[[5e107]], [[-5e107]]], [[[[1.0]]], [[[2.0]]]], False),
+]
+
+
+def _attention_cases(kind):
+    """``ATTENTION_OVERFLOWS`` as input arrays, the keys in ``kind``'s shape."""
+    key_shape = ATTENTION_KINDS[kind][2]
+    return [(case, [np.array(q, dtype=float),
+                    *(np.reshape(k, key_shape(*np.shape(q))) for k in keys),
+                    *(np.array(v, dtype=float) for v in values)], raises)
+            for case, q, keys, values, raises in ATTENTION_OVERFLOWS]
+
+
 # kind -> (fused builder, chain builder, input cases near the float64 limit
 # as (case id, input arrays, whether the chain raises))
 FUSED_OVERFLOWS = {
@@ -711,6 +851,8 @@ FUSED_OVERFLOWS = {
         ("sum", [np.array([[1e308, 0.0], [1e308, 0.0]])], True),
         ("huge-row", [np.array([[1.7e308, 1.7e308]])], False),
     ]),
+    **{kind: (_attention_builder(fused), _attention_builder(chain), _attention_cases(kind))
+       for kind, (fused, chain, _) in ATTENTION_KINDS.items()},
 }
 OVERFLOW_CASES = [(kind, *case) for kind, (_, _, cases) in FUSED_OVERFLOWS.items()
                   for case in cases]
