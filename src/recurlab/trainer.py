@@ -158,12 +158,19 @@ def _loss_and_correct(cfg_model, params, batch, slots, vocab_size):
 # -- optimizers -------------------------------------------------------------
 
 class _Optimizer:
+    """SGD or Adam over a name->ndarray store, updated in place.  Adam keeps
+    its moments ``m`` and ``v`` and two scratch arrays per parameter, so a
+    step allocates no array; each update evaluates the textbook formula's
+    operations in its order, so the bytes are those of the formula."""
+
     def __init__(self, tc: TrainConfig, params: dict):
         self.tc = tc
         self.t = 0
         if tc.optimizer == "adam":
             self.m = {k: np.zeros_like(v) for k, v in params.items()}
             self.v = {k: np.zeros_like(v) for k, v in params.items()}
+            self._scratch = {k: (np.empty_like(v), np.empty_like(v))
+                             for k, v in params.items()}
 
     def update(self, params: dict, grads: dict):
         tc = self.tc
@@ -178,11 +185,22 @@ class _Optimizer:
             return
         b1, b2 = tc.beta1, tc.beta2
         for k, g in grads.items():
-            self.m[k] = b1 * self.m[k] + (1 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
-            m_hat = self.m[k] / (1 - b1 ** self.t)
-            v_hat = self.v[k] / (1 - b2 ** self.t)
-            params[k] -= tc.lr * m_hat / (np.sqrt(v_hat) + tc.adam_eps)
+            m, v = self.m[k], self.v[k]
+            a, b = self._scratch[k]
+            np.multiply(g, 1 - b1, out=a)         # m = b1 * m + (1 - b1) * g
+            m *= b1
+            m += a
+            np.multiply(g, 1 - b2, out=a)         # v = b2 * v + (1 - b2) * g * g
+            a *= g
+            v *= b2
+            v += a
+            np.divide(m, 1 - b1 ** self.t, out=a)                  # m_hat
+            np.divide(v, 1 - b2 ** self.t, out=b)                  # v_hat
+            np.sqrt(b, out=b)
+            b += tc.adam_eps
+            a *= tc.lr                            # lr * m_hat / (sqrt(v_hat) + eps)
+            a /= b
+            params[k] -= a
 
 
 # -- train/evaluate ---------------------------------------------------------

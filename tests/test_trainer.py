@@ -152,6 +152,37 @@ def test_loss_and_grads_match_full_forward(task, arch, n_layers, n_heads):
         assert g.tobytes() == ref_grads[name].tobytes(), name
 
 
+def _adam_reference(tc, state, params, grads):
+    """One Adam step of the out-of-place formula, clipping aside."""
+    state["t"] += 1
+    b1, b2 = tc.beta1, tc.beta2
+    for k, g in grads.items():
+        state["m"][k] = b1 * state["m"][k] + (1 - b1) * g
+        state["v"][k] = b2 * state["v"][k] + (1 - b2) * g * g
+        m_hat = state["m"][k] / (1 - b1 ** state["t"])
+        v_hat = state["v"][k] / (1 - b2 ** state["t"])
+        params[k] -= tc.lr * m_hat / (np.sqrt(v_hat) + tc.adam_eps)
+
+
+def test_adam_in_place_keeps_the_formulas_bytes():
+    cfg = ModelConfig(arch="lstm", vocab_size=len(PARITY_VOCAB), d_model=8, seed=2)
+    tc = parity_tc(model=cfg, lr=3e-2, grad_clip=None)
+    params, ref = init_params(cfg), init_params(cfg)
+    opt = _Optimizer(tc, params)
+    state = {"t": 0, "m": {k: np.zeros_like(v) for k, v in ref.items()},
+             "v": {k: np.zeros_like(v) for k, v in ref.items()}}
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=v.shape)
+                 for k, v in params.items()}
+        opt.update(params, grads)
+        _adam_reference(tc, state, ref, grads)
+    for k in params:
+        assert params[k].tobytes() == ref[k].tobytes(), k
+        assert opt.m[k].tobytes() == state["m"][k].tobytes(), k
+        assert opt.v[k].tobytes() == state["v"][k].tobytes(), k
+
+
 def test_overfit_fixed_instances():
     """Capacity sanity: 32 fixed parity instances reach 100% train accuracy."""
     cfg = ModelConfig(arch="rnn", vocab_size=len(PARITY_VOCAB), d_model=16, seed=0)
