@@ -29,9 +29,10 @@ from .tensor import GraphOverflowError, TensorError
 from .trainer import DivergenceError, TrainerError
 
 # _guard matches _NETWORK first, so the network LLMEvalErrors exit 4, and
-# _RUNTIME before _VALIDATION, so a GraphOverflowError (a TensorError) exits 3
+# _RUNTIME before _VALIDATION, so a GraphOverflowError (a TensorError) exits 3;
+# an OSError is a path the user gave that cannot be read or written
 _VALIDATION = (TaskError, ModelError, ProfilerError, TrainerError, TensorError, LLMEvalError,
-               AutomatonError, ValueError, KeyError, FileNotFoundError, yaml.YAMLError)
+               AutomatonError, ValueError, KeyError, OSError, yaml.YAMLError)
 _RUNTIME = (DivergenceError, GraphOverflowError, ArithmeticError)
 _NETWORK = (AuthError, EndpointTimeout, TransientFailure, MalformedResponse)
 

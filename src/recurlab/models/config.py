@@ -11,6 +11,7 @@ read it.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Callable, NamedTuple
@@ -170,11 +171,23 @@ def save_checkpoint(path, cfg: ModelConfig, params: dict, extra: dict | None = N
 
 
 def load_checkpoint(path) -> tuple:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"].tobytes()).decode())
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ModelError(f"unsupported checkpoint version {meta.get('version')}")
-        params = {k: data[k] for k in data.files if k != "__meta__"}
+    """(config, params, extra) of a ``save_checkpoint`` file; a
+    ``ModelError`` for a file that cannot be read as one: unreadable, empty,
+    truncated, not an npz archive, or without a readable ``__meta__``."""
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("not an npz archive")
+        with data:
+            if "__meta__" not in data.files:
+                raise ValueError("no __meta__ entry")
+            meta = json.loads(bytes(data["__meta__"].tobytes()).decode())
+            params = {k: data[k] for k in data.files if k != "__meta__"}
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as err:
+        raise ModelError(f"cannot read checkpoint {path}: {err}") from None
+    version = meta.get("version") if isinstance(meta, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise ModelError(f"unsupported checkpoint version {version}")
     unknown = set(meta["config"]) - {f.name for f in fields(ModelConfig)}
     if unknown:
         raise ModelError(f"unknown config keys {sorted(unknown)} in checkpoint")

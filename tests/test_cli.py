@@ -354,6 +354,40 @@ def test_meaningless_count_or_length_exit_2_one_json_line(runner, tmp_path, args
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "validation"
 
 
+# -- file errors --------------------------------------------------------------
+
+def _bad_files(tmp):
+    """A regular file, an empty checkpoint and one cut in half, under ``tmp``."""
+    cfg = ModelConfig(arch="rnn", vocab_size=len(task_vocab(TaskId.PARITY_CHECK)), d_model=4)
+    save_checkpoint(tmp / "model.npz", cfg, init_params(cfg))
+    whole = (tmp / "model.npz").read_bytes()
+    (tmp / "half.npz").write_bytes(whole[:len(whole) // 2])
+    (tmp / "empty.npz").write_bytes(b"")
+    (tmp / "file").write_text("not a directory\n")
+    (tmp / "fix.jsonl").write_text("")
+    (tmp / "train.yaml").write_text("task: parity-check\nmodel: {arch: rnn, d-model: 4}\n"
+                                    "max-steps: 1\nn-seeds: 1\n")
+
+
+@pytest.mark.parametrize("args", [
+    "gen parity-check --count 1 --out {tmp}/file",
+    "train {tmp}/train.yaml --out {tmp}/file",
+    "llm --task sorting --mode direct --count 1 --fixture {tmp}/fix.jsonl --out {tmp}/file",
+    "profile rnn --n 4,8,16,32 --csv {tmp}",
+    "eval {tmp}/empty.npz --task parity-check --lengths 1,2",
+    "eval {tmp}/half.npz --task parity-check --lengths 1,2",
+], ids=["gen-out-file", "train-out-file", "llm-out-file", "profile-csv-dir",
+        "eval-empty-checkpoint", "eval-truncated-checkpoint"])
+def test_file_errors_exit_2_one_json_line(runner, tmp_path, args):
+    _bad_files(tmp_path)
+    result = runner.invoke(main, args.format(tmp=tmp_path).split())
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "validation"
+
+
 @pytest.mark.parametrize("args, option", [
     ("eval {tmp}/model.npz --task parity-check --lengths 5", "--lengths"),
     ("eval {tmp}/model.npz --task parity-check --lengths 5,6,7", "--lengths"),

@@ -424,6 +424,25 @@ def test_checkpoint_unknown_config_key_is_model_error(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("content", ["empty", "truncated", "npy", "no-meta", "list-meta"])
+def test_unreadable_checkpoint_is_model_error(tmp_path, content):
+    cfg = tiny_cfg("rnn")
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, cfg, init_params(cfg))
+    whole = path.read_bytes()
+    with open(path, "wb") as fh:
+        if content == "truncated":
+            fh.write(whole[:len(whole) // 2])
+        elif content == "npy":
+            np.save(fh, np.ones(3))
+        elif content == "no-meta":
+            np.savez(fh, embed=np.ones(3))
+        elif content == "list-meta":
+            np.savez(fh, __meta__=np.frombuffer(b"[1]", dtype=np.uint8))
+    with pytest.raises(ModelError, match="checkpoint"):
+        load_checkpoint(path)
+
+
 def test_init_deterministic_per_seed():
     a = init_params(tiny_cfg("rnn", seed=5))
     b = init_params(tiny_cfg("rnn", seed=5))
