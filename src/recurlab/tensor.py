@@ -693,14 +693,15 @@ def _attend(op: Op, q: Value, keys: tuple, values: tuple, scale, key_shape: tupl
     keys of ``key_shape``, scaled, softmaxed and mixed over t values of
     shape (B, 1, dv), as one node with parents (q, keys..., values...)."""
     parents = (q, *keys, *values)
+    key_data, value_data = [k.data for k in keys], [v.data for v in values]
     if (q.data.ndim != 2 or not keys or len(values) != len(keys)
-            or any(k.shape != key_shape for k in keys)
-            or any(v.shape != values[0].shape for v in values)
-            or values[0].data.ndim != 3 or values[0].shape[:2] != (q.shape[0], 1)):
+            or {k.shape for k in key_data} != {key_shape}
+            or {v.shape for v in value_data} != {value_data[0].shape}
+            or value_data[0].ndim != 3 or value_data[0].shape[:2] != (q.shape[0], 1)):
         raise ShapeError(op.name, *(v.shape for v in parents))
     b, dh = q.shape
     t = len(keys)
-    stacked_keys = np.stack([k.data.reshape((b, dh)) for k in keys], axis=1)     # (B, t, dh)
+    stacked_keys = np.concatenate(key_data, axis=-1).reshape((b, t, dh))
     with np.errstate(over="ignore", invalid="ignore"):
         scores = (q.data[:, None, :] * stacked_keys).sum(axis=-1)                # (B, t)
         if scale is not None:
@@ -708,7 +709,7 @@ def _attend(op: Op, q: Value, keys: tuple, values: tuple, scale, key_shape: tupl
         shifted = scores - scores.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         weights = e / e.sum(axis=-1, keepdims=True)
-        stacked = np.concatenate([v.data for v in values], axis=1)              # (B, t, dv)
+        stacked = np.concatenate(value_data, axis=1)                            # (B, t, dv)
         data = np.matmul(weights.reshape((b, 1, t)), stacked).reshape((b, stacked.shape[-1]))
     out = Value(data, op, parents, (scale, weights))
     if not np.isfinite(scores).all():
