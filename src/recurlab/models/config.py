@@ -173,7 +173,8 @@ def save_checkpoint(path, cfg: ModelConfig, params: dict, extra: dict | None = N
 def load_checkpoint(path) -> tuple:
     """(config, params, extra) of a ``save_checkpoint`` file; a
     ``ModelError`` for a file that cannot be read as one: unreadable, empty,
-    truncated, not an npz archive, or without a readable ``__meta__``."""
+    truncated, not an npz archive, or without a readable ``__meta__`` that
+    holds a config mapping."""
     try:
         data = np.load(path)
         if not isinstance(data, np.lib.npyio.NpzFile):
@@ -188,7 +189,10 @@ def load_checkpoint(path) -> tuple:
     version = meta.get("version") if isinstance(meta, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ModelError(f"unsupported checkpoint version {version}")
-    unknown = set(meta["config"]) - {f.name for f in fields(ModelConfig)}
+    config = meta.get("config")
+    if not isinstance(config, dict):
+        raise ModelError(f"checkpoint {path} holds no config mapping")
+    unknown = set(config) - {f.name for f in fields(ModelConfig)}
     if unknown:
         raise ModelError(f"unknown config keys {sorted(unknown)} in checkpoint")
-    return ModelConfig(**meta["config"]), params, meta.get("extra", {})
+    return ModelConfig(**config), params, meta.get("extra", {})

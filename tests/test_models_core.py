@@ -424,7 +424,8 @@ def test_checkpoint_unknown_config_key_is_model_error(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("content", ["empty", "truncated", "npy", "no-meta", "list-meta"])
+@pytest.mark.parametrize("content", ["empty", "truncated", "npy", "no-meta", "list-meta",
+                                     "no-config"])
 def test_unreadable_checkpoint_is_model_error(tmp_path, content):
     cfg = tiny_cfg("rnn")
     path = tmp_path / "model.npz"
@@ -439,6 +440,8 @@ def test_unreadable_checkpoint_is_model_error(tmp_path, content):
             np.savez(fh, embed=np.ones(3))
         elif content == "list-meta":
             np.savez(fh, __meta__=np.frombuffer(b"[1]", dtype=np.uint8))
+        elif content == "no-config":
+            np.savez(fh, __meta__=np.frombuffer(b'{"version": 1, "config": 5}', dtype=np.uint8))
     with pytest.raises(ModelError, match="checkpoint"):
         load_checkpoint(path)
 
