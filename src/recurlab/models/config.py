@@ -174,7 +174,7 @@ def load_checkpoint(path) -> tuple:
     """(config, params, extra) of a ``save_checkpoint`` file; a
     ``ModelError`` for a file that cannot be read as one: unreadable, empty,
     truncated, not an npz archive, or without a readable ``__meta__`` that
-    holds a config mapping."""
+    holds a well-typed config mapping."""
     try:
         data = np.load(path)
         if not isinstance(data, np.lib.npyio.NpzFile):
@@ -195,4 +195,8 @@ def load_checkpoint(path) -> tuple:
     unknown = set(config) - {f.name for f in fields(ModelConfig)}
     if unknown:
         raise ModelError(f"unknown config keys {sorted(unknown)} in checkpoint")
-    return ModelConfig(**config), params, meta.get("extra", {})
+    try:
+        cfg = ModelConfig(**config)
+    except TypeError as err:      # a value of the wrong type
+        raise ModelError(f"checkpoint {path} has a malformed config: {err}") from None
+    return cfg, params, meta.get("extra", {})

@@ -194,8 +194,8 @@ class _Optimizer:
             a *= g
             v *= b2
             v += a
-            np.divide(m, 1 - b1 ** self.t, out=a)                  # m_hat
-            np.divide(v, 1 - b2 ** self.t, out=b)                  # v_hat
+            np.divide(m, 1 - b1 ** self.t, out=a)  # m_hat
+            np.divide(v, 1 - b2 ** self.t, out=b)  # v_hat
             np.sqrt(b, out=b)
             b += tc.adam_eps
             a *= tc.lr                            # lr * m_hat / (sqrt(v_hat) + eps)

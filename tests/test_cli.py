@@ -357,7 +357,8 @@ def test_meaningless_count_or_length_exit_2_one_json_line(runner, tmp_path, args
 # -- file errors --------------------------------------------------------------
 
 def _bad_files(tmp):
-    """A regular file, an empty checkpoint and one cut in half, under ``tmp``."""
+    """What the file-error cases read, under ``tmp``: a regular file, an
+    empty checkpoint, one cut in half, an empty fixture and a train config."""
     cfg = ModelConfig(arch="rnn", vocab_size=len(task_vocab(TaskId.PARITY_CHECK)), d_model=4)
     save_checkpoint(tmp / "model.npz", cfg, init_params(cfg))
     whole = (tmp / "model.npz").read_bytes()

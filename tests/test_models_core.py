@@ -425,7 +425,7 @@ def test_checkpoint_unknown_config_key_is_model_error(tmp_path):
 
 
 @pytest.mark.parametrize("content", ["empty", "truncated", "npy", "no-meta", "list-meta",
-                                     "no-config"])
+                                     "no-config", "mistyped-config"])
 def test_unreadable_checkpoint_is_model_error(tmp_path, content):
     cfg = tiny_cfg("rnn")
     path = tmp_path / "model.npz"
@@ -442,6 +442,9 @@ def test_unreadable_checkpoint_is_model_error(tmp_path, content):
             np.savez(fh, __meta__=np.frombuffer(b"[1]", dtype=np.uint8))
         elif content == "no-config":
             np.savez(fh, __meta__=np.frombuffer(b'{"version": 1, "config": 5}', dtype=np.uint8))
+        elif content == "mistyped-config":
+            meta = {"version": 1, "config": {**asdict(cfg), "vocab_size": "x"}}
+            np.savez(fh, __meta__=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
     with pytest.raises(ModelError, match="checkpoint"):
         load_checkpoint(path)
 
