@@ -316,6 +316,41 @@ def test_universal_depth_linear_in_T():
     assert len(diffs) == 1 and diffs.pop() > 0
 
 
+# (arch, layers = heads) -> (total_ops, depth, flops) of the recurrent route
+# at n = 4, 8, 16, 32 (d16, vocab 8, seed 3); the golden profile digests
+# cover the parallel route only
+RECURRENT_PROFILES = {
+    ("rwkv", 1): [(194, 46, 16320), (410, 54, 33280), (842, 70, 67200), (1706, 102, 135040)],
+    ("rwkv", 2): [(372, 85, 31520), (788, 93, 64320), (1620, 109, 129920),
+                  (3284, 141, 261120)],
+    ("linear-transformer", 1): [(210, 47, 22896), (422, 51, 46064), (846, 59, 92400),
+                                (1694, 75, 185072)],
+    ("linear-transformer", 2): [(544, 92, 39808), (1096, 96, 79904), (2200, 104, 160096),
+                                (4408, 120, 320480)],
+    ("transformer", 1): [(208, 47, 17970), (416, 47, 37044), (832, 47, 78504),
+                         (1664, 47, 174672)],
+    ("transformer", 2): [(552, 94, 34920), (1104, 94, 72208), (2208, 94, 153888),
+                         (4416, 94, 345664)],
+}
+
+
+@pytest.mark.parametrize("arch, layers", list(RECURRENT_PROFILES))
+def test_recurrent_route_profile_is_pinned(arch, layers):
+    """The step route's counts stay those of its elementary ops whatever
+    the step cells fuse or stack."""
+    cfg = ModelConfig(arch=arch, vocab_size=8, d_model=16, n_layers=layers, n_heads=layers,
+                      seed=3)
+    params = init_params(cfg)
+    got = []
+    for n in (4, 8, 16, 32):
+        toks = np.random.default_rng(3).integers(0, 8, size=(1, n))
+        with T.graph_scope():
+            p = graph_profile(model_forward(cfg, params, toks, mode="recurrent").logits,
+                              n, arch)
+        got.append((p.total_ops, p.depth, p.flops))
+    assert got == RECURRENT_PROFILES[arch, layers]
+
+
 def test_ri_models_constant_depth_parallel():
     for arch in ("rwkv", "linear-transformer"):
         assert len({p.depth for p in depths_over(arch, [4, 8, 16])}) == 1, arch
