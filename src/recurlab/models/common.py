@@ -8,11 +8,13 @@ attention one fused node per (query, head); the profiler counts each as the
 elementary ops it replaces.  Sequences are handled either as one ``Value`` of
 shape (batch, length, d_model) or as a list of per-position ``Value``s of
 shape (batch, d_model).  The softmax Transformer's parallel route attends
-through ``attend_one_head``, counted as a product and a sum per attended
+through ``tensor.attention``, counted as a product and a sum per attended
 position, so its op count grows with the number of (query, key) pairs while
 its node count grows with the number of queries.  Every softmax step cell
-attends through ``attend_cached``, one node per head whose op count does not
-grow with the cache.
+attends through ``tensor.cached_attention``, one node per head whose op
+count does not grow with the cache.  Both read each head's keys and values
+as stacked (B, t, dh) arrays that the caller keeps beside the rows: views of
+the whole-sequence projections, or the KV cache's arrays.
 
 Every layered step cell is an RNN with one state per layer.  ``init_layers``
 gives the empty state, ``{"t": 0, "batch": batch, "layers": (None,) *
@@ -159,31 +161,6 @@ def split_heads(x: Value, n_heads: int) -> list:
 
 def concat_heads(heads: list) -> Value:
     return heads[0] if len(heads) == 1 else T.concat(heads, axis=-1)
-
-
-def attend_one_head(q_t: Value, keys: list, values_r: list, scale: float | None) -> Value:
-    """Softmax attention of one query over an explicit key list: one fused
-    ``tensor.attention`` node, counted as the product and sum per attended
-    position, the scores' concat and scale, the softmax and the value mix it
-    replaces.  ``values_r`` are the values reshaped to (B, 1, dh) (cached by
-    the caller so each value is reshaped once per layer, not once per
-    query).  The chain joins the per-key scores in one concat, so the depth
-    of one attention call stays constant.
-    """
-    return T.attention(q_t, keys, values_r, scale)
-
-
-def attend_cached(q_t: Value, key_rows: list, value_rows: list,
-                  scale: float | None) -> Value:
-    """Softmax attention of one query over a KV cache: one fused
-    ``tensor.cached_attention`` node, counted as the chain that stacks the
-    cache, scores it in one broadcast product and mixes the values, 9 or 10
-    ops whatever the cache length.
-
-    ``key_rows`` and ``value_rows`` are the cached keys and values reshaped to
-    (B, 1, dh).  The output equals ``attend_one_head``'s element for element.
-    """
-    return T.cached_attention(q_t, key_rows, value_rows, scale)
 
 
 def as_row(v: Value) -> Value:

@@ -23,22 +23,35 @@ import numpy as np
 
 from .. import tensor as T
 from ..tensor import Value
-from .common import (ModelError, ParamGraph, as_row, attend_cached, attend_one_head,
-                     concat_heads, embed_one, embed_sequence, ffn_sublayer, init_layers,
-                     layer_norm, readout, residual_block, scale_for, split_heads,
-                     step_layers)
+from .common import (ModelError, ParamGraph, as_row, concat_heads, embed_one,
+                     embed_sequence, ffn_sublayer, init_layers, layer_norm, readout,
+                     residual_block, scale_for, split_heads, step_layers)
 
 
 def append_kv(cfg, pg: ParamGraph, prefix: str, x: Value, cache, window=None) -> tuple:
     """``cache`` with ``x``'s keys and values under layer ``prefix`` appended.
-    ``cache`` holds one immutable (key rows, value rows) pair of tuples per
-    head, or is None while empty; with a ``window``, only each head's last
-    ``window`` rows are kept."""
+
+    ``cache`` is None while empty, else one immutable entry per head: (key
+    rows, value rows, K, V), where the rows are tuples of (B, 1, dh) Values
+    and K and V are the (B, t, dh) arrays of their data stacked, ``K[:, j]``
+    row j's, which the attention node reads in place of the rows.  An append
+    makes new arrays and never writes into old ones, so a kept state resumes
+    bit-identically.  With a ``window``, only each head's last ``window``
+    rows and the arrays' last ``window`` columns are kept."""
     keep = slice(None) if window is None else slice(-window, None)
     k = split_heads(T.matmul(x, pg[f"{prefix}.wk"]), cfg.n_heads)
     v = split_heads(T.matmul(x, pg[f"{prefix}.wv"]), cfg.n_heads)
-    return tuple(((keys + (as_row(kh),))[keep], (vals + (as_row(vh),))[keep])
-                 for (keys, vals), kh, vh in zip(cache or (((), ()),) * cfg.n_heads, k, v))
+    entries = []
+    for entry, kh, vh in zip(cache or (None,) * cfg.n_heads, k, v):
+        key_row, value_row = as_row(kh), as_row(vh)
+        if entry is None:
+            entries.append(((key_row,), (value_row,), key_row.data, value_row.data))
+            continue
+        keys, vals, key_array, value_array = entry
+        entries.append(((keys + (key_row,))[keep], (vals + (value_row,))[keep],
+                        np.concatenate((key_array, key_row.data), axis=1)[:, keep],
+                        np.concatenate((value_array, value_row.data), axis=1)[:, keep]))
+    return tuple(entries)
 
 
 def attn_cell(cfg, pg: ParamGraph, prefix: str, h_t: Value, cache) -> tuple:
@@ -49,9 +62,9 @@ def attn_cell(cfg, pg: ParamGraph, prefix: str, h_t: Value, cache) -> tuple:
     def attend(x):
         q = T.matmul(x, pg[f"{prefix}.wq"])
         new_cache = append_kv(cfg, pg, prefix, x, cache)
-        return concat_heads([attend_cached(qh, keys, vals, scale_for(cfg))
-                             for qh, (keys, vals) in zip(split_heads(q, cfg.n_heads),
-                                                         new_cache)]), new_cache
+        return concat_heads([T.cached_attention(qh, *entry, scale_for(cfg))
+                             for qh, entry in zip(split_heads(q, cfg.n_heads),
+                                                  new_cache)]), new_cache
 
     return residual_block(cfg, pg, prefix, h_t, attend)
 
@@ -85,10 +98,15 @@ def transformer_forward(cfg, pg: ParamGraph, token_ids: np.ndarray, positions) -
         kh = [split_heads(k_all.slice((slice(None), t)), cfg.n_heads) for t in range(length)]
         vh = [[as_row(x) for x in split_heads(v_all.slice((slice(None), t)), cfg.n_heads)]
               for t in range(length)]
+        # head i's keys and values up to t, stacked, are views of these
+        dh = k_all.shape[-1] // cfg.n_heads
+        cols = [slice(i * dh, (i + 1) * dh) for i in range(cfg.n_heads)]
         new_hs = {}
         for t in queries:
-            attn = concat_heads([attend_one_head(q_h, [k[i] for k in kh[:t + 1]],
-                                                 [v[i] for v in vh[:t + 1]], scale_for(cfg))
+            attn = concat_heads([T.attention(q_h, [k[i] for k in kh[:t + 1]],
+                                             [v[i] for v in vh[:t + 1]],
+                                             k_all.data[:, :t + 1, cols[i]],
+                                             v_all.data[:, :t + 1, cols[i]], scale_for(cfg))
                                  for i, q_h in enumerate(qh[t])])
             new_hs[t] = ffn_sublayer(cfg, pg, prefix, hs[t] + attn) if cfg.use_residual else attn
         hs = new_hs

@@ -688,29 +688,31 @@ def cross_entropy(x: Value, onehot) -> Value:
     return out
 
 
-def _attend(op: Op, q: Value, keys: tuple, values: tuple, scale, key_shape: tuple) -> Value:
-    """The forward both attention kinds share: q (B, dh) scored against t
-    keys of ``key_shape``, scaled, softmaxed and mixed over t values of
-    shape (B, 1, dv), as one node with parents (q, keys..., values...)."""
+def _attend(op: Op, q: Value, keys: tuple, values: tuple, key_array, value_array,
+            scale) -> Value:
+    """The forward both attention kinds share: q (B, dh) scored against the t
+    keys stacked in ``key_array`` (B, t, dh), scaled, softmaxed and mixed
+    over the t values stacked in ``value_array`` (B, t, dv), as one node with
+    parents (q, keys..., values...).  The rows are not read: the caller
+    guarantees that ``key_array[:, j]`` and ``value_array[:, j]`` hold the
+    data of key and value row j, so the check is O(1) in t."""
     parents = (q, *keys, *values)
-    key_data, value_data = [k.data for k in keys], [v.data for v in values]
-    if (q.data.ndim != 2 or not keys or len(values) != len(keys)
-            or {k.shape for k in key_data} != {key_shape}
-            or {v.shape for v in value_data} != {value_data[0].shape}
-            or value_data[0].ndim != 3 or value_data[0].shape[:2] != (q.shape[0], 1)):
-        raise ShapeError(op.name, *(v.shape for v in parents))
-    b, dh = q.shape
     t = len(keys)
-    stacked_keys = np.concatenate(key_data, axis=-1).reshape((b, t, dh))
+    if (q.data.ndim != 2 or not t or len(values) != t
+            or key_array.shape != (q.shape[0], t, q.shape[1])
+            or value_array.ndim != 3 or value_array.shape[:2] != (q.shape[0], t)):
+        raise ShapeError(op.name, *(v.shape for v in parents), key_array.shape,
+                         value_array.shape)
+    b = q.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        scores = (q.data[:, None, :] * stacked_keys).sum(axis=-1)                # (B, t)
+        scores = (q.data[:, None, :] * key_array).sum(axis=-1)                 # (B, t)
         if scale is not None:
             scores = scores * scale
         shifted = scores - scores.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         weights = e / e.sum(axis=-1, keepdims=True)
-        stacked = np.concatenate(value_data, axis=1)                            # (B, t, dv)
-        data = np.matmul(weights.reshape((b, 1, t)), stacked).reshape((b, stacked.shape[-1]))
+        data = np.matmul(weights.reshape((b, 1, t)), value_array)
+    data = data.reshape((b, value_array.shape[-1]))
     out = Value(data, op, parents, (scale, weights))
     if not np.isfinite(scores).all():
         _overflow(out)
@@ -760,9 +762,15 @@ def _cached_attention_bwd(out):
         _accumulate(k, g_keys[:, j:j + 1])
 
 
-def attention(q: Value, keys: Sequence[Value], values: Sequence[Value], scale) -> Value:
+def attention(q: Value, keys: Sequence[Value], values: Sequence[Value], key_array,
+              value_array, scale) -> Value:
     """Softmax attention of one query row ``q`` (B, dh) over t ``keys`` of
     shape (B, dh) and t ``values`` of shape (B, 1, dv); returns (B, dv).
+    ``key_array`` (B, t, dh) and ``value_array`` (B, t, dv) are the rows
+    stacked, read in their place: ``key_array[:, j]`` must be ``keys[j]``'s
+    data and ``value_array[:, j]`` ``values[j]``'s, and only their shapes are
+    checked, so a caller that holds the rows as columns of one array passes
+    a view of it.
 
     One node for the chain that scored every key on its own: a product and
     a row sum per key, the scores' concat, ``* scale`` unless ``scale`` is
@@ -772,15 +780,16 @@ def attention(q: Value, keys: Sequence[Value], values: Sequence[Value], scale) -
     of the chain would have: the softmax leaves non-finite scores' output
     finite, so the scores are checked as well as the output.
     """
-    keys, values = tuple(keys), tuple(values)
-    return _attend(_ATTENTION, q, keys, values, scale, q.shape)
+    return _attend(_ATTENTION, q, tuple(keys), tuple(values), key_array, value_array, scale)
 
 
 def cached_attention(q: Value, key_rows: Sequence[Value], value_rows: Sequence[Value],
-                     scale) -> Value:
+                     key_array, value_array, scale) -> Value:
     """Softmax attention of one query ``q`` (B, dh) over a KV cache of t
     ``key_rows`` and t ``value_rows``, of shapes (B, 1, dh) and (B, 1, dv);
-    returns (B, dv), equal to ``attention``'s element for element.
+    returns (B, dv), equal to ``attention``'s element for element.  As in
+    ``attention``, ``key_array[:, j]`` (B, t, dh) and ``value_array[:, j]``
+    (B, t, dv) must hold row j's data.
 
     One node for the chain that scored the stacked cache in one broadcast
     product: the keys' concat, q's reshape, the product, a row sum, ``*
@@ -790,9 +799,8 @@ def cached_attention(q: Value, key_rows: Sequence[Value], value_rows: Sequence[V
     from ``attention``'s chain in the last bits; scores and output are
     checked as in ``attention``.
     """
-    key_rows, value_rows = tuple(key_rows), tuple(value_rows)
-    return _attend(_CACHED_ATTENTION, q, key_rows, value_rows, scale,
-                   q.shape[:1] + (1,) + q.shape[1:])
+    return _attend(_CACHED_ATTENTION, q, tuple(key_rows), tuple(value_rows), key_array,
+                   value_array, scale)
 
 
 def _concat_bwd(out):

@@ -12,7 +12,7 @@ from recurlab.models import (ARCHS, STEP_CAPABLE, ModelConfig, ModelError,
                              ParamGraph, init_params, init_state,
                              load_checkpoint, model_forward, save_checkpoint,
                              step)
-from recurlab.models.common import as_row, attend_cached, attend_one_head
+from recurlab.models.common import as_row
 from recurlab.tasks import PAD_ID, TaskId, generate_with_length, task_vocab
 from recurlab.trainer import encode_batch
 
@@ -213,8 +213,11 @@ def test_attend_cached_matches_attend_one_head(t, scale):
     q = T.parameter(rng.normal(size=(b, dh)))
     keys = [T.parameter(rng.normal(size=(b, dh))) for _ in range(t)]
     values = [T.parameter(rng.normal(size=(b, 1, dh))) for _ in range(t)]
-    per_pair = attend_one_head(q, keys, values, scale)
-    cached = attend_cached(q, [as_row(k) for k in keys], values, scale)
+    key_array = np.stack([k.data for k in keys], axis=1)
+    value_array = np.concatenate([v.data for v in values], axis=1)
+    per_pair = T.attention(q, keys, values, key_array, value_array, scale)
+    cached = T.cached_attention(q, [as_row(k) for k in keys], values, key_array, value_array,
+                                scale)
     assert cached.shape == (b, dh)
     assert np.array_equal(cached.data, per_pair.data)
 
@@ -266,7 +269,8 @@ def test_feedback_step_builds_only_read_nodes():
     start = T.constant(0).id
     logits, state = step(cfg, pg, state, toks[:, 3])
     end = T.constant(0).id
-    cached = [row for cache in state["layers"] for keys, vals in cache for row in keys + vals]
+    cached = [row for cache in state["layers"] for keys, vals, *_ in cache
+              for row in keys + vals]
     reachable = {v.id for v in T.topo_nodes(logits, state["h_top"], *cached)}
     unread = [i for i in range(start + 1, end) if i not in reachable]
     assert end - start - 1 > 100
@@ -372,7 +376,7 @@ def test_feedback_window_limits_memory():
     state = init_state(cfg, batch=1)
     for tok in (1, 2, 3, 4, 5):
         _, state = step(cfg, pg, state, np.array([tok]))
-    rows = [[(len(keys), len(vals)) for keys, vals in cache] for cache in state["layers"]]
+    rows = [[(len(keys), len(vals)) for keys, vals, *_ in cache] for cache in state["layers"]]
     assert rows == [[(2, 2), (2, 2)], [(2, 2), (2, 2)]]
 
 

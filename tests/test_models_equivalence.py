@@ -166,7 +166,40 @@ def test_block_recurrent_and_universal_cells(arch):
             rows = (t - 1) % cfg.block_size + 1
             block_start = (t - 1) // cfg.block_size * cfg.block_size
             assert state["carry"] is (tops[block_start - 1] if block_start else None), t
-        assert {len(keys) for cache in state["layers"] for keys, _ in cache} == {rows}, t
+        assert {len(keys) for cache in state["layers"] for keys, *_ in cache} == {rows}, t
+
+
+# arch -> cached rows per head after each of 8 steps, with a feedback window
+# of 3, blocks of 3 and 2 iterations of the universal layer
+CACHE_ROWS = {
+    "transformer": [1, 2, 3, 4, 5, 6, 7, 8],
+    "recurrent-transformer": [1, 2, 3, 4, 5, 6, 7, 8],
+    "feedback-transformer": [0, 1, 2, 3, 3, 3, 3, 3],
+    "block-recurrent-transformer": [1, 2, 3, 1, 2, 3, 1, 2],
+    "universal-transformer": [1, 2, 3, 4, 5, 6, 7, 8],
+}
+
+
+@pytest.mark.parametrize("arch", list(CACHE_ROWS))
+def test_cached_arrays_are_the_rows_stacked(arch):
+    """After every step, each head's cached key and value arrays equal its
+    rows' data concatenated, byte for byte: as the feedback window drops
+    the oldest row, after a block reset and in every iteration's cache."""
+    cfg = cfg_for(arch, feedback_window=3, block_size=3, max_halting_steps=2)
+    pg = ParamGraph(init_params(cfg))
+    toks = np.random.default_rng(4).integers(0, VOCAB, size=(2, 8))
+    state = init_state(cfg, 2)
+    rows = []
+    for t in range(8):
+        _, state = step(cfg, pg, state, toks[:, t])
+        entries = [entry for cache in state["layers"] if cache is not None for entry in cache]
+        rows.append(len(entries[0][0]) if entries else 0)
+        for keys, vals, key_array, value_array in entries:
+            assert len(keys) == len(vals) == rows[-1]
+            for row_values, array in ((keys, key_array), (vals, value_array)):
+                want = np.concatenate([r.data for r in row_values], axis=1)
+                assert array.shape == want.shape and array.tobytes() == want.tobytes(), t
+    assert rows == CACHE_ROWS[arch]
 
 
 @pytest.mark.parametrize("arch", sorted(STEP_CAPABLE))

@@ -12,7 +12,7 @@ from recurlab.profiler import (DepthProfile, ProfilerError, fit_complexity,
                                graph_profile, profile, profile_table,
                                table_to_csv, table_to_markdown)
 from test_tensor import (affine_chain, attention_chain, cached_attention_chain,
-                         cross_entropy_chain, layer_norm_chain, lstm_chain)
+                         cross_entropy_chain, layer_norm_chain, lstm_chain, with_arrays)
 
 VOCAB = 7
 
@@ -82,7 +82,7 @@ def _attend(fn, key_shape, scale=None, deep=None):
     reshapes above it."""
     shapes = [(2, 3), key_shape, key_shape, (2, 1, 3), (2, 1, 3)]
     vs = [_deeper(_p(*shape), (deep or {}).get(i, 0)) for i, shape in enumerate(shapes)]
-    return fn(vs[0], vs[1:3], vs[3:], scale)
+    return with_arrays(fn)(vs[0], vs[1:3], vs[3:], scale)
 
 
 # op kind -> (graph, (total_ops, depth, flops)); a (2, 3) operand has 6
@@ -196,10 +196,11 @@ FUSED_CHAINS = {
     "lstm": (lambda vs: T.lstm_cell(*vs)[0], lambda vs: lstm_chain(*vs)[0], [(2, 8), (2, 2)]),
     "cross-entropy": (lambda vs: T.cross_entropy(vs[0], np.eye(3)[[1, 2]]),
                       lambda vs: cross_entropy_chain(vs[0], np.eye(3)[[1, 2]]), [(2, 3)]),
-    "attention-scaled": (lambda vs: T.attention(vs[0], vs[1:4], vs[4:], 0.5),
+    "attention-scaled": (lambda vs: with_arrays(T.attention)(vs[0], vs[1:4], vs[4:], 0.5),
                          lambda vs: attention_chain(vs[0], vs[1:4], vs[4:], 0.5),
                          [(2, 3)] * 4 + [(2, 1, 3)] * 3),
-    "cached-attention": (lambda vs: T.cached_attention(vs[0], vs[1:3], vs[3:], None),
+    "cached-attention": (lambda vs: with_arrays(T.cached_attention)(vs[0], vs[1:3], vs[3:],
+                                                                    None),
                          lambda vs: cached_attention_chain(vs[0], vs[1:3], vs[3:], None),
                          [(2, 3), (2, 1, 3), (2, 1, 3), (2, 1, 4), (2, 1, 4)]),
 }

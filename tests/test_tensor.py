@@ -717,10 +717,23 @@ def cached_attention_chain(q, key_rows, values, scale):
     return _mix_chain(scores, values, scale)
 
 
+def stacked(rows):
+    """The (B, t, d) array whose column j is the data of row j, a (B, d) or
+    (B, 1, d) Value: what a caller of the attention kinds keeps."""
+    return np.concatenate([r.data.reshape((r.shape[0], 1, -1)) for r in rows], axis=1)
+
+
+def with_arrays(fused):
+    """``fused`` called as the chains are, on the rows' stacked arrays."""
+    return lambda q, keys, values, scale: fused(q, keys, values, stacked(keys),
+                                                stacked(values), scale)
+
+
 # kind -> (fused, chain, the key shape for a (B, dh) query)
 ATTENTION_KINDS = {
-    "attention": (T.attention, attention_chain, lambda b, dh: (b, dh)),
-    "cached_attention": (T.cached_attention, cached_attention_chain, lambda b, dh: (b, 1, dh)),
+    "attention": (with_arrays(T.attention), attention_chain, lambda b, dh: (b, dh)),
+    "cached_attention": (with_arrays(T.cached_attention), cached_attention_chain,
+                         lambda b, dh: (b, 1, dh)),
 }
 
 
@@ -766,23 +779,26 @@ def test_attention_builds_one_node_with_query_keys_and_values_as_parents(kind):
     assert out.parents == (q, *keys, *values)
 
 
+# q's shape, then (row count, stacked array shape) for the keys and values
 @pytest.mark.parametrize("q, keys, values", [
-    ((2, 3), [], []),                               # no key
-    ((2, 3), [None, None], [(2, 1, 3)]),            # a key without a value
-    ((2, 3), [(2, 4)], [(2, 1, 3)]),                # a key of another width
-    ((2, 3), [None], [(3, 1, 3)]),                  # values of another batch
-    ((2, 3), [None, None], [(2, 1, 3), (2, 1, 4)]),  # values of two widths
-    ((2, 3), [None], [(2, 3)]),                     # a value not a row
-    ((3,), [None], [(3, 1, 3)]),                    # a query without a batch axis
+    ((2, 3), (0, (2, 0, 3)), (0, (2, 0, 3))),       # no key
+    ((2, 3), (2, (2, 2, 3)), (1, (2, 1, 3))),       # a key without a value
+    ((2, 3), (1, (2, 1, 4)), (1, (2, 1, 3))),       # keys of another width
+    ((2, 3), (1, (2, 1, 3)), (1, (3, 1, 3))),       # values of another batch
+    ((2, 3), (2, (2, 1, 3)), (2, (2, 2, 3))),       # fewer stacked keys than rows
+    ((2, 3), (1, (2, 1, 3)), (1, (2, 3))),          # values not stacked rows
+    ((3,), (1, (3, 1, 3)), (1, (3, 1, 3))),         # a query without a batch axis
 ])
 @pytest.mark.parametrize("kind", list(ATTENTION_KINDS))
 def test_attention_rejects_operands_the_chain_would_not_mix(kind, q, keys, values):
-    """A key of None has the kind's key shape for a (2, 3) query."""
-    fused, _, key_shape = ATTENTION_KINDS[kind]
-    keys = [key_shape(2, 3) if k is None else k for k in keys]
+    """Only the stacked arrays' shapes are checked, against the query and the
+    row counts; the rows, of the kind's shapes here, are not read."""
+    fused = getattr(T, kind)
+    key_shape = ATTENTION_KINDS[kind][2](2, 3)
     with pytest.raises(T.ShapeError, match=kind):
-        fused(T.parameter(np.ones(q)), [T.parameter(np.ones(k)) for k in keys],
-              [T.parameter(np.ones(v)) for v in values], None)
+        fused(T.parameter(np.ones(q)), [T.parameter(np.ones(key_shape))] * keys[0],
+              [T.parameter(np.ones((2, 1, 3)))] * values[0], np.ones(keys[1]),
+              np.ones(values[1]), None)
 
 
 @pytest.mark.parametrize("kind", list(ATTENTION_KINDS))
