@@ -8,7 +8,9 @@ Each mechanism has two evaluation routes that must agree numerically:
   number of graph nodes whatever the length; the quadratic work sits inside
   those nodes;
 * recurrent -- constant-size accumulator pairs (a, b) updated by the fixed
-  shifting operation, consuming one token at a time.
+  shifting operation, consuming one token at a time.  The update and the
+  read-out are a few fused ``tensor`` nodes per layer (RWKV) or per head
+  (linear Transformer), each counted as the elementary ops it replaces.
 
 The accumulator update never applies the learned function to the carried
 state, only to the current input; that is precisely what makes these models
@@ -71,11 +73,10 @@ def rwkv_attn_recurrent(pg: ParamGraph, prefix: str, ab, k_t: Value, v_t: Value)
         ek = T.exp(k_t)
         return v_t, (ek * v_t, ek)   # empty history: the bonus cancels
     a, b = ab
-    z = T.exp(-_decay(pg, prefix))
-    bonus = T.exp(pg[f"{prefix}.u"] + k_t)
-    h = (a + bonus * v_t) / (b + bonus)
+    z = T.rwkv_decay(pg[f"{prefix}.w_raw"])
+    h = T.rwkv_output(pg[f"{prefix}.u"], k_t, v_t, a, b)
     ek = T.exp(k_t)
-    return h, (z * a + ek * v_t, z * b + ek)
+    return h, (T.decayed_sum(z, a, ek, v_t), T.decayed_sum(z, b, ek))
 
 
 def rwkv_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:
@@ -119,12 +120,9 @@ def linear_attn_recurrent(ab, pq: Value, pk: Value, v_t: Value) -> tuple:
     """a accumulates rank-1 outer products phi(k) v^T; b accumulates phi(k).
     The current token's contribution is folded in before the read-out, so the
     result covers positions 1..t."""
-    batch, dh = pk.shape
-    outer = T.matmul(pk.reshape((batch, dh, 1)), v_t.reshape((batch, 1, dh)))
-    a, b = (outer, pk) if ab is None else (ab[0] + outer, ab[1] + pk)
-    num = T.matmul(pq.reshape((batch, 1, dh)), a).reshape((batch, dh))
-    den = (pq * b).sum(axis=-1, keepdims=True)
-    return num / den, (a, b)
+    a = T.outer_update(None if ab is None else ab[0], pk, v_t)
+    b = pk if ab is None else ab[1] + pk
+    return T.linear_readout(pq, a, b), (a, b)
 
 
 def linear_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:

@@ -4,17 +4,27 @@ Every operation creates one graph node (a ``Value``).  Node ids are globally
 monotonic, so parent ids are always strictly smaller than the child id and the
 graph is acyclic by construction.  Each op kind is declared once, as an ``Op``
 in the table after the op functions: its name, its backward function and what
-the profiler counts for one node, whatever the tensor sizes.  Six kinds are
+the profiler counts for one node, whatever the tensor sizes.  Some kinds are
 fused, and compute, differentiate and overflow-check exactly as the
-elementary nodes they replace would, byte for byte: ``layer_norm`` (13 ops),
-``affine`` (k matmuls and k adds for k = 1 to 3 pairs), ``lstm_cell``'s two
-nodes ``lstm_c`` (9 ops) and ``lstm_h`` (4), ``cross_entropy`` (8), and
-softmax attention of one query row over t keys, ``attention`` (2t + 6 ops,
-a product and a sum per key) and ``cached_attention`` (9, the keys scored in
-one broadcast product), each one op more with a scale.  A fused ``Op``
-reads its op count, its chain's length from each parent and its flops off
-the node, since all three may grow with the number of parents, so the
-profiler counts a fused node as the chain.
+elementary nodes they replace would, byte for byte:
+
+- ``layer_norm`` (13 ops) and ``affine`` (k matmuls and k adds for k = 1 to
+  3 pairs);
+- ``lstm_cell``'s two nodes ``lstm_c`` (9 ops) and ``lstm_h`` (4), and
+  ``cross_entropy`` (8);
+- softmax attention of one query row over t keys, ``attention`` (2t + 6
+  ops, a product and a sum per key) and ``cached_attention`` (9, the keys
+  scored in one broadcast product), each one op more with a scale; both
+  read the keys and values from stacked arrays that the caller keeps
+  beside the rows, so their numpy work does not restack t rows;
+- RWKV's recurrent update, ``rwkv_decay`` (3 ops), ``rwkv_output`` (6) and
+  ``decayed_sum`` (2, or 3 with a weighted new term), and one head of the
+  linear Transformer's, ``outer_update`` (4, or 3 with no state yet) and
+  ``linear_readout`` (6).
+
+A fused ``Op`` reads its op count, its chain's length from each parent and
+its flops off the node, since all three may grow with the number of
+parents, so the profiler counts a fused node as the chain.
 
 Elementwise ops follow numpy broadcasting; gradients are summed back over
 broadcast axes.  All data is float64 -- equivalence tests between recurrent and
@@ -85,6 +95,11 @@ __all__ = [
     "cross_entropy",
     "attention",
     "cached_attention",
+    "rwkv_decay",
+    "rwkv_output",
+    "decayed_sum",
+    "outer_update",
+    "linear_readout",
     "concat",
     "take_rows",
     "reshape",
@@ -803,6 +818,185 @@ def cached_attention(q: Value, key_rows: Sequence[Value], value_rows: Sequence[V
                    value_array, scale)
 
 
+_elu1, _elu1_deriv = NONLINEARITIES["elu_plus_one"]
+
+
+def _rwkv_decay_bwd(out):
+    # replays exp, * -1 and elu_plus_one in reverse creation order
+    w = out.parents[0]
+    _accumulate(w, out._grad * out.data * -1.0 * _elu1_deriv(w.data, out._ctx))
+
+
+def rwkv_decay(w: Value) -> Value:
+    """RWKV's per-channel decay factor ``exp(-elu_plus_one(w))``, in (0, 1].
+
+    One node for the 3 elementary ops that built it: the nonlinearity, the
+    negation (a product with the constant -1) and the exp.  Data and
+    gradients are byte-identical to that chain's.  No node of the chain can
+    be non-finite for a finite ``w``: elu_plus_one is finite and positive,
+    so the exp's argument is finite and negative.
+    """
+    nl = _elu1(w.data)
+    return Value(np.exp(nl * -1.0), _RWKV_DECAY, (w,), nl)
+
+
+def _rwkv_output_bwd(out):
+    # replays h = num / den, den = b + bonus, num = a + bonus * v,
+    # bonus = exp(s) and s = u + k in reverse creation order: b, a, v, then u
+    # and k receive their gradients
+    u, k, v, a, b = out.parents
+    bonus, num, den = out._ctx
+    g = out._grad
+    g_num = _unbroadcast(g / den, num.shape)
+    g_den = _unbroadcast(-g * num / (den * den), den.shape)
+    _accumulate(b, _unbroadcast(g_den, b.shape))
+    _accumulate(a, _unbroadcast(g_num, a.shape))
+    g_bv = _unbroadcast(g_num, np.broadcast_shapes(bonus.shape, v.shape))
+    g_bonus = _unbroadcast(g_den, bonus.shape) + _unbroadcast(g_bv * v.data, bonus.shape)
+    _accumulate(v, _unbroadcast(g_bv * bonus, v.shape))
+    g_s = g_bonus * bonus
+    _accumulate(u, _unbroadcast(g_s, u.shape))
+    _accumulate(k, _unbroadcast(g_s, k.shape))
+
+
+def rwkv_output(u: Value, k: Value, v: Value, a: Value, b: Value) -> Value:
+    """RWKV's output at one step, ``(a + bonus * v) / (b + bonus)`` with the
+    current token's bonus ``exp(u + k)``, from the decayed sums ``a`` and
+    ``b`` of the earlier tokens; one node with parents (u, k, v, a, b).
+
+    One node for the 6 elementary ops that built it: u + k, the exp, bonus *
+    v, the two adds and the divide.  Data and gradients are byte-identical to
+    that chain's.  The node raises ``GraphOverflowError`` whenever a node of
+    the chain would have: u + k = -inf gives a bonus of 0, and b + bonus =
+    inf a finite quotient, so both are checked as well as the output.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = u.data + k.data
+        bonus = np.exp(s)
+        num = a.data + bonus * v.data
+        den = b.data + bonus
+        data = num / den
+    out = Value(data, _RWKV_OUTPUT, (u, k, v, a, b), (bonus, num, den))
+    if not (np.isfinite(s).all() and np.isfinite(den).all()):
+        _overflow(out)
+    return out
+
+
+def _decayed_sum_bwd(out):
+    # replays the add, then x * y (if any) and z * a in reverse creation
+    # order: x (and y), z and a receive their gradients
+    z, a, x, *y = out.parents
+    g = out._grad
+    if y:
+        g_xy = _unbroadcast(g, np.broadcast_shapes(x.shape, y[0].shape))
+        _accumulate(x, _unbroadcast(g_xy * y[0].data, x.shape))
+        _accumulate(y[0], _unbroadcast(g_xy * x.data, y[0].shape))
+    else:
+        _accumulate(x, _unbroadcast(g, x.shape))
+    g_za = _unbroadcast(g, np.broadcast_shapes(z.shape, a.shape))
+    _accumulate(z, _unbroadcast(g_za * a.data, z.shape))
+    _accumulate(a, _unbroadcast(g_za * z.data, a.shape))
+
+
+def decayed_sum(z: Value, a: Value, x: Value, y: Value | None = None) -> Value:
+    """``z * a + x * y``, or ``z * a + x`` without ``y``: a sum ``a`` decayed
+    by ``z`` with a new term added, as one node with parents (z, a, x, y) or
+    (z, a, x) for the chain's products and add, 3 ops or 2.
+
+    Data and gradients are byte-identical to that chain's, which builds
+    z * a before x * y.  A non-finite product stays non-finite through the
+    add, so the output's check raises whenever the chain's would have.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        za = z.data * a.data
+        data = za + (x.data if y is None else x.data * y.data)
+    return Value(data, _DECAYED_SUM, (z, a, x) if y is None else (z, a, x, y))
+
+
+def _outer_update_bwd(out):
+    # replays the add (if any), the outer product and the two reshapes, the
+    # value's after the key's in creation order: a, v and k receive theirs
+    *a, k, v = out.parents
+    g = out._grad
+    rk = k.data.reshape(k.shape + (1,))
+    rv = v.data.reshape(v.shape[:-1] + (1,) + v.shape[-1:])
+    if a:
+        _accumulate(a[0], _unbroadcast(g, a[0].shape))
+        g = _unbroadcast(g, k.shape + v.shape[-1:])
+    _accumulate(v, np.matmul(np.swapaxes(rk, -1, -2), g).reshape(v.shape))
+    _accumulate(k, np.matmul(g, np.swapaxes(rv, -1, -2)).reshape(k.shape))
+
+
+def outer_update(a: Value | None, k: Value, v: Value) -> Value:
+    """``a + k (x) v``: the outer product of ``k`` (B, dh) and ``v`` (B, dv),
+    (B, dh, dv), added to the state ``a``, or alone when ``a`` is None; one
+    node with parents (a, k, v) or (k, v).
+
+    One node for the chain's two reshapes, its matmul and, with ``a``, its
+    add: 4 ops, or 3.  Data and gradients are byte-identical to that
+    chain's; a non-finite product stays non-finite through the add of a
+    finite ``a``, so the output's check raises whenever the chain's would.
+    """
+    if k.data.ndim != 2 or v.data.ndim != 2 or k.shape[0] != v.shape[0]:
+        raise ShapeError(_OUTER_UPDATE.name, k.shape, v.shape)
+    rk = k.data.reshape(k.shape + (1,))
+    rv = v.data.reshape(v.shape[:-1] + (1,) + v.shape[-1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = np.matmul(rk, rv)
+        if a is None:
+            return Value(data, _OUTER_UPDATE, (k, v))
+        try:
+            data = a.data + data
+        except ValueError as err:
+            raise ShapeError(_OUTER_UPDATE.name, a.shape, k.shape, v.shape) from err
+    return Value(data, _OUTER_UPDATE, (a, k, v))
+
+
+def _linear_readout_bwd(out):
+    # replays the divide, the sum, q * b, the reshape, the matmul and q's
+    # reshape in reverse creation order: q, b, a and then q again receive
+    # their gradients
+    q, a, b = out.parents
+    num, den = out._ctx
+    g = out._grad
+    g_num = _unbroadcast(g / den, num.shape)
+    g_p = np.broadcast_to(_unbroadcast(-g * num / (den * den), den.shape),
+                          np.broadcast_shapes(q.shape, b.shape))
+    _accumulate(q, _unbroadcast(g_p * b.data, q.shape))
+    _accumulate(b, _unbroadcast(g_p * q.data, b.shape))
+    g_m = g_num.reshape(g_num.shape[:-1] + (1,) + g_num.shape[-1:])
+    rq = q.data.reshape(q.shape[:-1] + (1,) + q.shape[-1:])
+    g_rq = np.matmul(g_m, np.swapaxes(a.data, -1, -2))
+    _accumulate(a, _unbroadcast(np.matmul(np.swapaxes(rq, -1, -2), g_m), a.shape))
+    _accumulate(q, g_rq.reshape(q.shape))
+
+
+def linear_readout(q: Value, a: Value, b: Value) -> Value:
+    """Linear attention's read-out ``(q a) / (q . b)`` of the query ``q``
+    (B, dh) from the state ``a`` (B, dh, dv) and ``b`` (B, dh); returns
+    (B, dv).
+
+    One node for the 6 elementary ops that built it: q's reshape, the
+    matmul with ``a`` and its reshape, q * b, the row sum and the divide.
+    Data and gradients are byte-identical to that chain's.  The node raises
+    ``GraphOverflowError`` whenever a node of the chain would have: an
+    infinite denominator leaves the quotient finite, so it is checked as
+    well as the output.
+    """
+    if (q.data.ndim != 2 or a.data.ndim != 3 or a.shape[:2] != q.shape
+            or b.shape != q.shape):
+        raise ShapeError(_LINEAR_READOUT.name, q.shape, a.shape, b.shape)
+    batch, dh = q.shape
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        num = np.matmul(q.data.reshape((batch, 1, dh)), a.data).reshape((batch, a.shape[-1]))
+        den = (q.data * b.data).sum(axis=-1, keepdims=True)
+        data = num / den
+    out = Value(data, _LINEAR_READOUT, (q, a, b), (num, den))
+    if not np.isfinite(den).all():
+        _overflow(out)
+    return out
+
+
 def _concat_bwd(out):
     axis = out._ctx
     idx = [slice(None)] * out.data.ndim
@@ -959,6 +1153,31 @@ _ATTENTION = Op("attention", _attention_bwd, _attention_flops,
                 ops=lambda v: len(v.parents) + 5 + _scaled(v), chains=_attention_chains)
 _CACHED_ATTENTION = Op("cached_attention", _cached_attention_bwd, _attention_flops,
                        ops=lambda v: 9 + _scaled(v), chains=_attention_chains)
+# RWKV's decay: elu_plus_one (4 flops per scalar), the negation (1) and exp
+# (4); its output: u + k, exp, bonus * v, two adds and the divide (9 in all),
+# on chains 5 long from u and k, 3 from v and 2 from a and b; the decayed
+# sum: one or two muls and an add, on chains 2 long, or 1 from an x alone
+_RWKV_DECAY = Op("rwkv_decay", _rwkv_decay_bwd, _per_out(9), ops=_always(3),
+                 chains=_always((3,)))
+_RWKV_OUTPUT = Op("rwkv_output", _rwkv_output_bwd, _per_out(9), ops=_always(6),
+                  chains=_always((5, 5, 3, 2, 2)))
+_DECAYED_SUM = Op("decayed_sum", _decayed_sum_bwd, lambda v: (len(v.parents) - 1) * v.data.size,
+                  ops=lambda v: len(v.parents) - 1,
+                  chains=lambda v: (2, 2, 2, 2) if len(v.parents) == 4 else (2, 2, 1))
+# a + k (x) v: two reshapes, a matmul of inner width 1 (2 flops per output
+# scalar) and the add (1), on chains 1 long from a and 3 from k and v; with
+# no state, 3 ops on chains 2 long
+_OUTER_UPDATE = Op("outer_update", _outer_update_bwd,
+                   lambda v: len(v.parents) * v.data.size,
+                   ops=lambda v: len(v.parents) + 1,
+                   chains=lambda v: (1, 3, 3) if len(v.parents) == 3 else (2, 2))
+# (q a) / (q . b): q's reshape, a matmul over dh (2·dh per output scalar),
+# its reshape, q * b and the row sum (one flop per scalar of q each) and the
+# divide (1), on chains 4 long from q and 3 from a and b
+_LINEAR_READOUT = Op("linear_readout", _linear_readout_bwd,
+                     lambda v: (2 * v.parents[0].shape[-1] + 1) * v.data.size
+                     + 2 * v.parents[0].data.size,
+                     ops=_always(6), chains=_always((4, 3, 3)))
 _CONCAT = Op("concat", _concat_bwd, _per_out(0))
 _VIEW_SLICE = Op("slice", _slice_bwd, _per_out(0))
 _GATHER = Op("slice", _gather_bwd, _per_out(0))

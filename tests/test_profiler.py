@@ -12,7 +12,9 @@ from recurlab.profiler import (DepthProfile, ProfilerError, fit_complexity,
                                graph_profile, profile, profile_table,
                                table_to_csv, table_to_markdown)
 from test_tensor import (affine_chain, attention_chain, cached_attention_chain,
-                         cross_entropy_chain, layer_norm_chain, lstm_chain, with_arrays)
+                         cross_entropy_chain, decayed_sum_chain, layer_norm_chain,
+                         linear_readout_chain, lstm_chain, outer_update_chain,
+                         rwkv_decay_chain, rwkv_output_chain, with_arrays)
 
 VOCAB = 7
 
@@ -151,6 +153,32 @@ OP_COSTS = {
                                 (11, 9, 64)),
     "cached-attention-deep-value": (
         lambda: _attend(T.cached_attention, (2, 1, 3), 0.5, {4: 6}), (16, 9, 68)),
+    # exp(-elu_plus_one(w)): 3 ops on one chain, 9 flops per scalar
+    "rwkv-decay": (lambda: T.rwkv_decay(_p(3)), (3, 3, 27)),
+    # (a + e^(u+k) v) / (b + e^(u+k)): 6 ops on chains 5 long from u and k, 3
+    # from v and 2 from a and b, 9 flops per output scalar
+    "rwkv-output": (lambda: T.rwkv_output(_p(3), _p(2, 3), _p(2, 3), _p(2, 3), _p(2, 3)),
+                    (6, 5, 54)),
+    "rwkv-output-deep-v": (lambda: T.rwkv_output(_p(3), _p(2, 3), _deeper(_p(2, 3), 3),
+                                                 _p(2, 3), _p(2, 3)), (9, 6, 54)),
+    # z * a + x: 2 ops on chains 2 long from z and a and 1 from x; z * a +
+    # x * y: 3 ops on chains 2 long, 3 flops per output scalar
+    "decayed-sum": (lambda: T.decayed_sum(_p(3), _p(2, 3), _p(2, 3)), (2, 2, 12)),
+    "decayed-sum-deep-x": (lambda: T.decayed_sum(_p(3), _p(2, 3), _deeper(_p(2, 3), 2)),
+                           (4, 3, 12)),
+    "decayed-sum-weighted-deep-y": (
+        lambda: T.decayed_sum(_p(3), _p(2, 3), _p(2, 3), _deeper(_p(2, 3), 2)), (5, 4, 18)),
+    # a + k (x) v: 4 ops on chains 1 long from a and 3 from k and v, 3 flops
+    # per scalar of the (2, 3, 4) output; without a, 3 ops on chains 2 long
+    "outer-update": (lambda: T.outer_update(_p(2, 3, 4), _p(2, 3), _p(2, 4)), (4, 3, 72)),
+    "outer-update-first": (lambda: T.outer_update(None, _p(2, 3), _p(2, 4)), (3, 2, 48)),
+    "outer-update-deep-state": (lambda: T.outer_update(_deeper(_p(2, 3, 4), 3), _p(2, 3),
+                                                       _p(2, 4)), (7, 4, 72)),
+    # (q a) / (q . b): 6 ops on chains 4 long from q and 3 from a and b;
+    # 2·3 + 1 flops per scalar of the (2, 4) output and 2 per scalar of q
+    "linear-readout": (lambda: T.linear_readout(_p(2, 3), _p(2, 3, 4), _p(2, 3)), (6, 4, 68)),
+    "linear-readout-deep-b": (lambda: T.linear_readout(_p(2, 3), _p(2, 3, 4),
+                                                       _deeper(_p(2, 3), 2)), (8, 5, 68)),
 }
 
 
@@ -203,6 +231,19 @@ FUSED_CHAINS = {
                                                                     None),
                          lambda vs: cached_attention_chain(vs[0], vs[1:3], vs[3:], None),
                          [(2, 3), (2, 1, 3), (2, 1, 3), (2, 1, 4), (2, 1, 4)]),
+    "rwkv-decay": (lambda vs: T.rwkv_decay(*vs), lambda vs: rwkv_decay_chain(*vs), [(3,)]),
+    "rwkv-output": (lambda vs: T.rwkv_output(*vs), lambda vs: rwkv_output_chain(*vs),
+                    [(3,)] + [(2, 3)] * 4),
+    "decayed-sum": (lambda vs: T.decayed_sum(*vs), lambda vs: decayed_sum_chain(*vs),
+                    [(3,), (2, 3), (2, 3)]),
+    "decayed-sum-weighted": (lambda vs: T.decayed_sum(*vs), lambda vs: decayed_sum_chain(*vs),
+                             [(3,), (2, 3), (2, 3), (2, 3)]),
+    "outer-update": (lambda vs: T.outer_update(*vs), lambda vs: outer_update_chain(*vs),
+                     [(2, 3, 4), (2, 3), (2, 4)]),
+    "outer-update-first": (lambda vs: T.outer_update(None, *vs),
+                           lambda vs: outer_update_chain(None, *vs), [(2, 3), (2, 4)]),
+    "linear-readout": (lambda vs: T.linear_readout(*vs), lambda vs: linear_readout_chain(*vs),
+                       [(2, 3), (2, 3, 4), (2, 3)]),
 }
 
 

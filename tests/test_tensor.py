@@ -814,6 +814,145 @@ def test_attention_grad_check(kind):
     assert report.max_rel_err < 1e-6
 
 
+# -- fused RWKV and linear-attention state updates ---------------------------
+
+def rwkv_decay_chain(w_raw):
+    """The 3 elementary ops (and a constant) that ``T.rwkv_decay`` fuses."""
+    return T.exp(-T.nonlinearity(w_raw, "elu_plus_one"))
+
+
+def rwkv_output_chain(u, k, v, a, b):
+    """The 6 elementary ops that ``T.rwkv_output`` fuses."""
+    bonus = T.exp(u + k)
+    return (a + bonus * v) / (b + bonus)
+
+
+def decayed_sum_chain(z, a, x, y=None):
+    return z * a + (x if y is None else x * y)
+
+
+def outer_update_chain(a, k, v):
+    """The 3 elementary ops, 4 with the state ``a``, that
+    ``T.outer_update`` fuses."""
+    (batch, dh), dv = k.shape, v.shape[-1]
+    outer = T.matmul(k.reshape((batch, dh, 1)), v.reshape((batch, 1, dv)))
+    return outer if a is None else a + outer
+
+
+def linear_readout_chain(q, a, b):
+    """The 6 elementary ops that ``T.linear_readout`` fuses."""
+    batch, dh = q.shape
+    num = T.matmul(q.reshape((batch, 1, dh)), a).reshape((batch, a.shape[-1]))
+    return num / (q * b).sum(axis=-1, keepdims=True)
+
+
+FUSED_RWKV = (T.rwkv_decay, T.rwkv_output, T.decayed_sum)
+CHAIN_RWKV = (rwkv_decay_chain, rwkv_output_chain, decayed_sum_chain)
+FUSED_LINEAR = (T.outer_update, T.linear_readout)
+CHAIN_LINEAR = (outer_update_chain, linear_readout_chain)
+
+
+def _rwkv_run(kinds, batch=3, d=4):
+    """Data of three RWKV recurrent steps, built as ``rwkv_attn_recurrent``
+    builds them from ``kinds`` (decay, output, decayed sum), and the
+    gradients of every source under a weighted-sum loss.  The first state
+    is made of inner nodes, each step's k and v are inner nodes that also
+    feed a node built after the step, and u broadcasts over the batch."""
+    decay, output, dsum = kinds
+    rng = np.random.default_rng(d)
+    w_raw, u = T.parameter(rng.normal(size=d)), T.parameter(rng.normal(size=d))
+    srcs = [T.parameter(rng.normal(size=(batch, d))) for _ in range(8)]
+    ab = (T.exp(srcs[0]) * srcs[1], T.exp(srcs[0]))
+    outs = []
+    for t in range(3):
+        k = T.nonlinearity(srcs[2 + 2 * t], "tanh") * T.constant(2.0)
+        v = srcs[3 + 2 * t] * T.constant(1.5)
+        a, b = ab
+        z = decay(w_raw)
+        h = output(u, k, v, a, b)
+        ek = T.exp(k)
+        ab = (dsum(z, a, ek, v), dsum(z, b, ek))
+        outs += [h, k * v]
+    outs += ab
+    T.backward(sum(((o * T.constant(rng.normal(size=o.shape))).sum() for o in outs[1:]),
+                   outs[0].sum()))
+    return [x.tobytes() for x in (*(o.data for o in outs),
+                                  *(s.grad for s in [w_raw, u, *srcs]))]
+
+
+def _linear_run(kinds, batch=3, dh=4, dv=5):
+    """Data of three linear-attention recurrent steps of one head, built as
+    ``linear_attn_recurrent`` builds them from ``kinds`` (update,
+    read-out), and the gradients of every source under a weighted-sum loss;
+    each step's q and k also feed a node built after the step."""
+    update, readout = kinds
+    rng = np.random.default_rng(dh + dv)
+    srcs = [T.parameter(rng.normal(size=(batch, d))) for _ in range(3) for d in (dh, dh, dv)]
+    ab, outs = None, []
+    for t in range(3):
+        q, k = (T.nonlinearity(s, "elu_plus_one") for s in srcs[3 * t:3 * t + 2])
+        a = update(None if ab is None else ab[0], k, srcs[3 * t + 2])
+        ab = (a, k if ab is None else ab[1] + k)
+        outs += [readout(q, *ab), q * k]
+    outs += ab
+    T.backward(sum(((o * T.constant(rng.normal(size=o.shape))).sum() for o in outs[1:]),
+                   outs[0].sum()))
+    return [x.tobytes() for x in (*(o.data for o in outs), *(s.grad for s in srcs))]
+
+
+def test_rwkv_kinds_match_the_chain_byte_for_byte():
+    assert _rwkv_run(FUSED_RWKV) == _rwkv_run(CHAIN_RWKV)
+
+
+def test_linear_kinds_match_the_chain_byte_for_byte():
+    assert _linear_run(FUSED_LINEAR) == _linear_run(CHAIN_LINEAR)
+
+
+# kind -> (build it over these parameters, their shapes)
+STATE_KINDS = {
+    "rwkv_decay": (T.rwkv_decay, [(4,)]),
+    "rwkv_output": (T.rwkv_output, [(4,), (2, 4), (2, 4), (2, 4), (2, 4)]),
+    "decayed_sum": (T.decayed_sum, [(4,), (2, 4), (2, 4)]),
+    "decayed_sum-weighted": (T.decayed_sum, [(4,), (2, 4), (2, 4), (2, 4)]),
+    "outer_update": (T.outer_update, [(2, 3, 4), (2, 3), (2, 4)]),
+    "outer_update-first": (lambda k, v: T.outer_update(None, k, v), [(2, 3), (2, 4)]),
+    "linear_readout": (T.linear_readout, [(2, 3), (2, 3, 4), (2, 3)]),
+}
+
+
+@pytest.mark.parametrize("kind", list(STATE_KINDS))
+def test_state_kinds_build_one_node_over_their_operands(kind):
+    fused, shapes = STATE_KINDS[kind]
+    parents = [T.parameter(np.ones(shape)) for shape in shapes]
+    start = T.constant(0.0).id
+    out = fused(*parents)
+    assert (out.op_kind, out.id, out.parents) == (kind.split("-")[0], start + 1, tuple(parents))
+
+
+@pytest.mark.parametrize("kind", list(STATE_KINDS))
+def test_state_kinds_grad_check(kind):
+    fused, shapes = STATE_KINDS[kind]
+    rng = np.random.default_rng(len(shapes))
+    # positive operands keep the rwkv and linear denominators away from 0
+    point = [rng.uniform(0.5, 1.5, size=shape) for shape in shapes]
+    weights = T.constant(rng.normal(size=fused(*map(T.constant, point)).shape))
+    report = T.grad_check(lambda vs: (fused(*vs) * weights).sum(), point)
+    assert report.max_rel_err < 1e-6
+
+
+@pytest.mark.parametrize("kind, shapes", [
+    ("outer_update", [None, (2, 3, 1), (2, 4)]),       # a key with a third axis
+    ("outer_update", [None, (2, 3), (3, 4)]),          # values of another batch
+    ("outer_update", [(2, 4, 3), (2, 3), (2, 4)]),     # a state of another shape
+    ("linear_readout", [(3,), (3, 4), (3,)]),          # no batch axis
+    ("linear_readout", [(2, 3), (2, 4, 4), (2, 3)]),   # a state of another width
+    ("linear_readout", [(2, 3), (2, 3, 4), (2, 4)]),   # a sum of another width
+])
+def test_linear_kinds_reject_operands_the_chain_would_not_combine(kind, shapes):
+    with pytest.raises(T.ShapeError, match=kind):
+        getattr(T, kind)(*(None if s is None else T.parameter(np.ones(s)) for s in shapes))
+
+
 def _attention_builder(fn):
     """``fn`` over the flat operands q, keys..., values..., with scale 2."""
     return lambda q, *kv: fn(q, kv[:len(kv) // 2], kv[len(kv) // 2:], 2.0)
@@ -843,6 +982,10 @@ def _attention_cases(kind):
             for case, q, keys, values, raises in ATTENTION_OVERFLOWS]
 
 
+def _arrays(*values):
+    return [np.array(v, dtype=float) for v in values]
+
+
 # kind -> (fused builder, chain builder, input cases near the float64 limit
 # as (case id, input arrays, whether the chain raises))
 FUSED_OVERFLOWS = {
@@ -869,6 +1012,46 @@ FUSED_OVERFLOWS = {
     ]),
     **{kind: (_attention_builder(fused), _attention_builder(chain), _attention_cases(kind))
        for kind, (fused, chain, _) in ATTENTION_KINDS.items()},
+    # elu_plus_one is finite and positive, so the decay is in (0, 1]
+    "rwkv_decay": (T.rwkv_decay, rwkv_decay_chain, [
+        ("huge-w", [np.array([1.7e308, -1.7e308])], False),
+    ]),
+    # (u, k, v, a, b); exp(709) is 8.2e307
+    "rwkv_output": (T.rwkv_output, rwkv_output_chain, [
+        ("bonus", _arrays([400.0], [[400.0]], [[1.0]], [[1.0]], [[1.0]]), True),
+        # u + k = -inf gives a bonus of 0 and the quotient a / b
+        ("negative-sum", _arrays([-1e308], [[-1e308]], [[1.0]], [[1.0]], [[1.0]]), True),
+        # b + bonus = inf gives a quotient of 0
+        ("denominator", _arrays([0.0], [[709.0]], [[1.0]], [[0.0]], [[1.7e308]]), True),
+        ("product", _arrays([0.0], [[700.0]], [[1e10]], [[0.0]], [[1.0]]), True),
+        ("huge-finite", _arrays([0.0], [[700.0]], [[1e3]], [[1e300]], [[1e300]]), False),
+    ]),
+    # (z, a, x) or (z, a, x, y)
+    "decayed_sum": (T.decayed_sum, decayed_sum_chain, [
+        ("product", _arrays([1e200], [[1e200]], [[0.0]]), True),
+        ("sum", _arrays([1.0], [[1.7e308]], [[1.7e308]]), True),
+        ("cancelling", _arrays([1.0], [[1.7e308]], [[-1.7e308]]), False),
+        ("weighted-product", _arrays([1.0], [[1.0]], [[1e200]], [[1e200]]), True),
+        ("opposite-products", _arrays([1e200], [[1e200]], [[-1e200]], [[1e200]]), True),
+        ("weighted-cancelling", _arrays([1.0], [[1.7e308]], [[-1.7e154]], [[1e154]]), False),
+    ]),
+    # (a, k, v), or (k, v) for the first step
+    "outer_update": (lambda *vs: T.outer_update(vs[0] if len(vs) == 3 else None, *vs[-2:]),
+                     lambda *vs: outer_update_chain(vs[0] if len(vs) == 3 else None, *vs[-2:]), [
+        ("product", _arrays([[[0.0]]], [[1e200]], [[1e200]]), True),
+        ("first-product", _arrays([[1e200]], [[1e200]]), True),
+        ("sum", _arrays([[[1.7e308]]], [[1e154]], [[1.7e154]]), True),
+        ("cancelling", _arrays([[[-1.7e308]]], [[1.3e154]], [[1.3e154]]), False),
+    ]),
+    # (q, a, b)
+    "linear_readout": (T.linear_readout, linear_readout_chain, [
+        # an infinite denominator gives a quotient of 0
+        ("denominator-product", _arrays([[1e200]], [[[1.0]]], [[1e200]]), True),
+        ("denominator-sum", _arrays([[1.0, 1.0]], [[[1.0], [1.0]]], [[1.7e308, 1.7e308]]), True),
+        ("numerator", _arrays([[1e200]], [[[1e200]]], [[1.0]]), True),
+        ("zero-denominator", _arrays([[1.0, 1.0]], [[[1.0], [1.0]]], [[1.0, -1.0]]), True),
+        ("huge-finite", _arrays([[1e150]], [[[1e150]]], [[1e150]]), False),
+    ]),
 }
 OVERFLOW_CASES = [(kind, *case) for kind, (_, _, cases) in FUSED_OVERFLOWS.items()
                   for case in cases]
