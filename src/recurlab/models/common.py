@@ -39,6 +39,7 @@ checks those bytes.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -95,13 +96,21 @@ def embed_sequence(pg: ParamGraph, token_ids: np.ndarray, use_positional: bool) 
     return emb
 
 
+@functools.lru_cache(maxsize=4096)
+def _position_row(position: int, d_model: int) -> np.ndarray:
+    """Row ``position`` of the positional table, built once per (position,
+    width) and read-only, since every step at that position shares it."""
+    row = sinusoidal_positions(1, d_model, start=position)[0]
+    row.flags.writeable = False
+    return row
+
+
 def embed_one(pg: ParamGraph, token_ids_t: np.ndarray, position: int,
               use_positional: bool) -> Value:
     """(B,) int ids at a known absolute position -> (B, d) Value."""
     x = T.take_rows(pg["embed"], np.asarray(token_ids_t))
     if use_positional:
-        d_model = pg.arrays["embed"].shape[1]
-        x = x + T.constant(sinusoidal_positions(1, d_model, start=position)[0])
+        x = x + T.constant(_position_row(position, pg.arrays["embed"].shape[1]))
     return x
 
 

@@ -1019,11 +1019,15 @@ def concat(values: Sequence[Value], axis: int = 0) -> Value:
 
 def _is_basic_key(key) -> bool:
     """True for an index of slices, ints, ``...`` and ``None`` only: it selects
-    a view, in which no cell of the source appears twice."""
-    parts = key if isinstance(key, tuple) else (key,)
-    return all(k is None or k is Ellipsis or isinstance(k, slice)
-               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
-               for k in parts)
+    a view, in which no cell of the source appears twice.  A bool is a
+    gather key, as numpy reads it as a mask."""
+    for k in key if isinstance(key, tuple) else (key,):
+        kind = type(k)
+        if kind is slice or kind is int or k is None or k is Ellipsis:
+            continue
+        if kind is bool or not isinstance(k, (int, np.integer)):
+            return False
+    return True
 
 
 def _slice_bwd(out):

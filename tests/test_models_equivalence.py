@@ -9,7 +9,7 @@ import pytest
 
 from recurlab.models import (STEP_CAPABLE, ModelConfig, ParamGraph,
                              init_params, init_state, model_forward, step)
-from recurlab.models.common import sinusoidal_positions
+from recurlab.models.common import _position_row, sinusoidal_positions
 
 VOCAB = 9
 
@@ -54,6 +54,15 @@ def test_positional_row_matches_the_table(d_model):
     table = sinusoidal_positions(300, d_model)
     for t in range(300):
         assert sinusoidal_positions(1, d_model, start=t)[0].tobytes() == table[t].tobytes()
+
+
+def test_embedded_positional_row_is_the_tables_and_read_only():
+    """A step reads its position's row from a cache that every later step at
+    that position shares, so the row cannot be written."""
+    table = sinusoidal_positions(40, 8)
+    for t in (0, 7, 39, 7):
+        row = _position_row(t, 8)
+        assert row.tobytes() == table[t].tobytes() and not row.flags.writeable
 
 
 @pytest.mark.parametrize("arch", ["rwkv", "linear-transformer", "transformer"])

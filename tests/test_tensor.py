@@ -239,6 +239,21 @@ def test_take_rows_grad_scatter():
     np.testing.assert_array_equal(table.grad[:, 0], [2.0, 0.0, 1.0, 0.0])
 
 
+@pytest.mark.parametrize("key, basic", [
+    (slice(1, 3), True), (2, True), (np.int64(2), True), (None, True), (Ellipsis, True),
+    ((slice(None), 1), True), ((Ellipsis, np.int32(0), None), True), ((), True),
+    (True, False), ((slice(None), False), False), ([0, 1], False),
+    (np.array([0, 1]), False), ((slice(None), np.array([0])), False),
+], ids=["slice", "int", "np-int64", "none", "ellipsis", "tuple", "tuple-np-int32-none",
+        "empty-tuple", "bool", "tuple-bool", "list", "ndarray", "tuple-ndarray"])
+def test_basic_keys_are_the_view_keys(key, basic):
+    """A key of slices, ints (numpy's too), ``...`` and None selects a view;
+    a bool is a mask, and a list or array a gather."""
+    assert T._is_basic_key(key) is basic
+    # the view form's backward adds in place, the gather form's with add.at
+    assert (T.parameter(np.ones((3, 4))).slice(key).op.backward is T._slice_bwd) is basic
+
+
 def test_overlapping_basic_slices_both_reach_grad():
     x = T.parameter(np.arange(10.0).reshape(2, 5))
     left = x.slice((slice(None), slice(0, 3)))
