@@ -233,6 +233,8 @@ def report(dirs, csv_path):
     cells: dict[tuple, float] = {}
     sources: dict[tuple, Path] = {}
     for d in dirs:
+        if not d.is_dir():
+            raise TrainerError(f"{d} is not a directory of cell files")
         for path in sorted(Path(d).rglob("cell-*.json")):
             try:
                 rec = json.loads(path.read_text())

@@ -291,6 +291,19 @@ def test_report_conflicting_cells_exit_2(runner, tmp_path):
     assert "conflicting" in msg and "a" in msg and "b" in msg
 
 
+def test_report_on_a_regular_file_exits_2_naming_it(runner, tmp_path):
+    """A regular file used to exit 0 with an empty table: rglob finds no
+    cell under it."""
+    path = tmp_path / "cell-sorting-lstm.json"
+    path.write_text(_cell_text())
+    result = runner.invoke(main, ["report", str(path)])
+    assert result.exit_code == 2, result.output
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "validation" and str(path) in err["message"]
+
+
 def _cell_text(task="sorting", column="lstm", accuracy=90.0):
     return json.dumps({"task": task, "column": column, "accuracy": accuracy})
 
