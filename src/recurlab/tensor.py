@@ -870,13 +870,17 @@ def rwkv_output(u: Value, k: Value, v: Value, a: Value, b: Value) -> Value:
     the chain would have: u + k = -inf gives a bonus of 0, and b + bonus =
     inf a finite quotient, so both are checked as well as the output.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s = u.data + k.data
-        bonus = np.exp(s)
-        num = a.data + bonus * v.data
-        den = b.data + bonus
-        data = num / den
-    out = Value(data, _RWKV_OUTPUT, (u, k, v, a, b), (bonus, num, den))
+    parents = (u, k, v, a, b)
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            s = u.data + k.data
+            bonus = np.exp(s)
+            num = a.data + bonus * v.data
+            den = b.data + bonus
+            data = num / den
+    except ValueError as err:
+        raise ShapeError(_RWKV_OUTPUT.name, *(p.shape for p in parents)) from err
+    out = Value(data, _RWKV_OUTPUT, parents, (bonus, num, den))
     if not (np.isfinite(s).all() and np.isfinite(den).all()):
         _overflow(out)
     return out
@@ -907,10 +911,13 @@ def decayed_sum(z: Value, a: Value, x: Value, y: Value | None = None) -> Value:
     z * a before x * y.  A non-finite product stays non-finite through the
     add, so the output's check raises whenever the chain's would have.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        za = z.data * a.data
-        data = za + (x.data if y is None else x.data * y.data)
-    return Value(data, _DECAYED_SUM, (z, a, x) if y is None else (z, a, x, y))
+    parents = (z, a, x) if y is None else (z, a, x, y)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            data = z.data * a.data + (x.data if y is None else x.data * y.data)
+    except ValueError as err:
+        raise ShapeError(_DECAYED_SUM.name, *(p.shape for p in parents)) from err
+    return Value(data, _DECAYED_SUM, parents)
 
 
 def _outer_update_bwd(out):

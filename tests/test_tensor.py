@@ -956,6 +956,8 @@ def test_state_kinds_grad_check(kind):
 
 
 @pytest.mark.parametrize("kind, shapes", [
+    ("rwkv_output", [(4,), (2, 4), (2, 3), (2, 4), (2, 4)]),   # a value of another width
+    ("decayed_sum", [(4,), (2, 4), (2, 4), (3, 4)]),   # a weight of another batch
     ("outer_update", [None, (2, 3, 1), (2, 4)]),       # a key with a third axis
     ("outer_update", [None, (2, 3), (3, 4)]),          # values of another batch
     ("outer_update", [(2, 4, 3), (2, 3), (2, 4)]),     # a state of another shape
@@ -963,7 +965,7 @@ def test_state_kinds_grad_check(kind):
     ("linear_readout", [(2, 3), (2, 4, 4), (2, 3)]),   # a state of another width
     ("linear_readout", [(2, 3), (2, 3, 4), (2, 4)]),   # a sum of another width
 ])
-def test_linear_kinds_reject_operands_the_chain_would_not_combine(kind, shapes):
+def test_state_kinds_reject_operands_the_chain_would_not_combine(kind, shapes):
     with pytest.raises(T.ShapeError, match=kind):
         getattr(T, kind)(*(None if s is None else T.parameter(np.ones(s)) for s in shapes))
 
