@@ -703,8 +703,8 @@ def cross_entropy(x: Value, onehot) -> Value:
     return out
 
 
-def _attend(op: Op, q: Value, keys: tuple, values: tuple, key_array, value_array,
-            scale) -> Value:
+def _attend(op: Op, q: Value, keys: Sequence[Value], values: Sequence[Value], key_array,
+            value_array, scale) -> Value:
     """The forward both attention kinds share: q (B, dh) scored against the t
     keys stacked in ``key_array`` (B, t, dh), scaled, softmaxed and mixed
     over the t values stacked in ``value_array`` (B, t, dv), as one node with
@@ -795,7 +795,7 @@ def attention(q: Value, keys: Sequence[Value], values: Sequence[Value], key_arra
     of the chain would have: the softmax leaves non-finite scores' output
     finite, so the scores are checked as well as the output.
     """
-    return _attend(_ATTENTION, q, tuple(keys), tuple(values), key_array, value_array, scale)
+    return _attend(_ATTENTION, q, keys, values, key_array, value_array, scale)
 
 
 def cached_attention(q: Value, key_rows: Sequence[Value], value_rows: Sequence[Value],
@@ -814,8 +814,7 @@ def cached_attention(q: Value, key_rows: Sequence[Value], value_rows: Sequence[V
     from ``attention``'s chain in the last bits; scores and output are
     checked as in ``attention``.
     """
-    return _attend(_CACHED_ATTENTION, q, tuple(key_rows), tuple(value_rows), key_array,
-                   value_array, scale)
+    return _attend(_CACHED_ATTENTION, q, key_rows, value_rows, key_array, value_array, scale)
 
 
 _elu1, _elu1_deriv = NONLINEARITIES["elu_plus_one"]
@@ -913,8 +912,7 @@ def decayed_sum(z: Value, a: Value, x: Value, y: Value | None = None) -> Value:
     """
     parents = (z, a, x) if y is None else (z, a, x, y)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            data = z.data * a.data + (x.data if y is None else x.data * y.data)
+        data = z.data * a.data + (x.data if y is None else x.data * y.data)
     except ValueError as err:
         raise ShapeError(_DECAYED_SUM.name, *(p.shape for p in parents)) from err
     return Value(data, _DECAYED_SUM, parents)
@@ -948,14 +946,13 @@ def outer_update(a: Value | None, k: Value, v: Value) -> Value:
         raise ShapeError(_OUTER_UPDATE.name, k.shape, v.shape)
     rk = k.data.reshape(k.shape + (1,))
     rv = v.data.reshape(v.shape[:-1] + (1,) + v.shape[-1:])
-    with np.errstate(over="ignore", invalid="ignore"):
-        data = np.matmul(rk, rv)
-        if a is None:
-            return Value(data, _OUTER_UPDATE, (k, v))
-        try:
-            data = a.data + data
-        except ValueError as err:
-            raise ShapeError(_OUTER_UPDATE.name, a.shape, k.shape, v.shape) from err
+    data = np.matmul(rk, rv)
+    if a is None:
+        return Value(data, _OUTER_UPDATE, (k, v))
+    try:
+        data = a.data + data
+    except ValueError as err:
+        raise ShapeError(_OUTER_UPDATE.name, a.shape, k.shape, v.shape) from err
     return Value(data, _OUTER_UPDATE, (a, k, v))
 
 
