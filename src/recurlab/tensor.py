@@ -923,11 +923,11 @@ def _outer_update_bwd(out):
     # value's after the key's in creation order: a, v and k receive theirs
     *a, k, v = out.parents
     g = out._grad
-    rk = k.data.reshape(k.shape + (1,))
-    rv = v.data.reshape(v.shape[:-1] + (1,) + v.shape[-1:])
+    (batch, dh), dv = k.shape, v.shape[-1]
+    rk, rv = k.data.reshape((batch, dh, 1)), v.data.reshape((batch, 1, dv))
     if a:
         _accumulate(a[0], _unbroadcast(g, a[0].shape))
-        g = _unbroadcast(g, k.shape + v.shape[-1:])
+        g = _unbroadcast(g, (batch, dh, dv))
     _accumulate(v, np.matmul(np.swapaxes(rk, -1, -2), g).reshape(v.shape))
     _accumulate(k, np.matmul(g, np.swapaxes(rv, -1, -2)).reshape(k.shape))
 
@@ -944,9 +944,8 @@ def outer_update(a: Value | None, k: Value, v: Value) -> Value:
     """
     if k.data.ndim != 2 or v.data.ndim != 2 or k.shape[0] != v.shape[0]:
         raise ShapeError(_OUTER_UPDATE.name, k.shape, v.shape)
-    rk = k.data.reshape(k.shape + (1,))
-    rv = v.data.reshape(v.shape[:-1] + (1,) + v.shape[-1:])
-    data = np.matmul(rk, rv)
+    (batch, dh), dv = k.shape, v.shape[-1]
+    data = np.matmul(k.data.reshape((batch, dh, 1)), v.data.reshape((batch, 1, dv)))
     if a is None:
         return Value(data, _OUTER_UPDATE, (k, v))
     try:
@@ -968,8 +967,9 @@ def _linear_readout_bwd(out):
                           np.broadcast_shapes(q.shape, b.shape))
     _accumulate(q, _unbroadcast(g_p * b.data, q.shape))
     _accumulate(b, _unbroadcast(g_p * q.data, b.shape))
-    g_m = g_num.reshape(g_num.shape[:-1] + (1,) + g_num.shape[-1:])
-    rq = q.data.reshape(q.shape[:-1] + (1,) + q.shape[-1:])
+    (batch, dh), dv = q.shape, a.shape[-1]
+    g_m = g_num.reshape((batch, 1, dv))
+    rq = q.data.reshape((batch, 1, dh))
     g_rq = np.matmul(g_m, np.swapaxes(a.data, -1, -2))
     _accumulate(a, _unbroadcast(np.matmul(np.swapaxes(rq, -1, -2), g_m), a.shape))
     _accumulate(q, g_rq.reshape(q.shape))
