@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import gc
 import itertools
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -162,10 +162,10 @@ def _overflow(node: "Value") -> None:
 
 @contextmanager
 def graph_scope():
-    """Pause the cyclic collector and numpy's overflow and invalid-value
-    warnings while a graph is built or walked, and check small nodes' finite
-    values in batches; use as ``with graph_scope():`` or as the decorator
-    ``@graph_scope()``.
+    """Pause the cyclic collector and numpy's overflow, invalid-value and
+    division warnings while a graph is built or walked, and check small
+    nodes' finite values in batches; use as ``with graph_scope():`` or as the
+    decorator ``@graph_scope()``.
 
     Every node's finite check reports overflow as ``GraphOverflowError``, so
     the warnings would only repeat it.  Inside a scope small nodes are checked
@@ -185,7 +185,7 @@ def graph_scope():
     gc.disable()
     _depth += 1
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             yield
     except BaseException as exc:
         if not isinstance(exc, Exception):
@@ -197,6 +197,17 @@ def graph_scope():
             gc.enable()
         if _pending:
             _check_pending()
+
+
+_QUIET = nullcontext()
+
+
+def _quiet():
+    """Silence numpy's overflow, invalid-value and division warnings around
+    an op's arithmetic, whose non-finite results the node's own check
+    reports: an ``np.errstate`` outside any scope, and nothing inside one,
+    which has silenced them already."""
+    return _QUIET if _depth else np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 _ids = itertools.count()
@@ -428,7 +439,7 @@ def mul(a: Value, b: Value) -> Value:
 def divide(a: Value, b: Value) -> Value:
     # x/0 and 0/0 yield inf/nan; the node's finite check then raises
     # GraphOverflowError with this node's id
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with _quiet():
         return _binary(_DIVIDE, a, b, np.divide)
 
 
@@ -508,7 +519,7 @@ def _exp_bwd(out):
 def exp(a: Value) -> Value:
     # overflow yields inf; the node's finite check then raises
     # GraphOverflowError with this node's id
-    with np.errstate(over="ignore"):
+    with _quiet():
         data = np.exp(a.data)
     return Value(data, _EXP, (a,))
 
@@ -521,7 +532,7 @@ def _log_bwd(out):
 def log(a: Value) -> Value:
     # log(0) and log(x < 0) yield -inf/nan; the node's finite check then
     # raises GraphOverflowError with this node's id
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with _quiet():
         data = np.log(a.data)
     return Value(data, _LOG, (a,))
 
@@ -593,7 +604,7 @@ def layer_norm(x: Value, gain: Value, bias: Value, eps: float) -> Value:
         raise ShapeError(_LAYER_NORM.name, x.shape, gain.shape, bias.shape)
     xd = x.data
     inv_d = 1.0 / d
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with _quiet():
         mean = xd.sum(axis=-1, keepdims=True) * inv_d
         centered = xd - mean
         var_eps = (centered * centered).sum(axis=-1, keepdims=True) * inv_d + eps
@@ -691,7 +702,7 @@ def cross_entropy(x: Value, onehot) -> Value:
         raise ShapeError(_CROSS_ENTROPY.name, x.shape, onehot.shape)
     xd = x.data
     row_max = xd.max(axis=-1, keepdims=True)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet():
         shifted = xd - row_max
         e = np.exp(shifted)
         row_sum = e.sum(axis=-1, keepdims=True)
@@ -719,7 +730,7 @@ def _attend(op: Op, q: Value, keys: Sequence[Value], values: Sequence[Value], ke
         raise ShapeError(op.name, *(v.shape for v in parents), key_array.shape,
                          value_array.shape)
     b = q.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _quiet():
         scores = (q.data[:, None, :] * key_array).sum(axis=-1)                 # (B, t)
         if scale is not None:
             scores = scores * scale
@@ -871,7 +882,7 @@ def rwkv_output(u: Value, k: Value, v: Value, a: Value, b: Value) -> Value:
     """
     parents = (u, k, v, a, b)
     try:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        with _quiet():
             s = u.data + k.data
             bonus = np.exp(s)
             num = a.data + bonus * v.data
@@ -991,7 +1002,7 @@ def linear_readout(q: Value, a: Value, b: Value) -> Value:
             or b.shape != q.shape):
         raise ShapeError(_LINEAR_READOUT.name, q.shape, a.shape, b.shape)
     batch, dh = q.shape
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with _quiet():
         num = np.matmul(q.data.reshape((batch, 1, dh)), a.data).reshape((batch, a.shape[-1]))
         den = (q.data * b.data).sum(axis=-1, keepdims=True)
         data = num / den

@@ -337,6 +337,33 @@ def test_scoped_overflow_names_the_same_op_and_node(op):
     assert _overflow_offset(OVERFLOWS[op], scoped=True) == bare
 
 
+@pytest.mark.parametrize("scoped", [False, True], ids=["bare", "in-scope"])
+@pytest.mark.parametrize("op", ["exp", "log", "divide"])
+def test_overflow_raises_without_a_warning(op, scoped):
+    """Each op silences numpy's warnings outside a scope, and a scope
+    silences them for every op inside it, divisions by zero included."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(T.GraphOverflowError) as err:
+            with T.graph_scope() if scoped else contextlib.nullcontext():
+                OVERFLOWS[op]()
+    assert err.value.op_kind == op
+
+
+@pytest.mark.parametrize("exit_by", ["end", "overflow", "error"])
+def test_scope_leaves_numpy_error_state_as_it_was(exit_by):
+    before = np.geterr()
+    with contextlib.suppress(T.GraphOverflowError, ValueError):
+        with T.graph_scope():
+            assert {np.geterr()[k] for k in ("over", "invalid", "divide")} == {"ignore"}
+            with T.graph_scope():
+                if exit_by == "overflow":
+                    T.exp(T.constant([1000.0]))
+                elif exit_by == "error":
+                    raise ValueError
+    assert np.geterr() == before
+
+
 def test_scoped_overflow_reports_the_earlier_of_two():
     start = T.constant(0.0).id
     with pytest.raises(T.GraphOverflowError) as err:
