@@ -3,18 +3,20 @@
 Everything here builds on the ``tensor`` graph, one node per operation, so the
 profiler's counts reflect exactly what each architecture computes.  A layer
 norm (``layer_norm``) is one fused ``tensor.layer_norm`` node, an affine map
-(the readout, each FFN layer) one ``tensor.affine`` node, and softmax
-attention one fused node per (query, head); the profiler counts each as the
-elementary ops it replaces.  Sequences are handled either as one ``Value`` of
-shape (batch, length, d_model) or as a list of per-position ``Value``s of
-shape (batch, d_model).  The softmax Transformer's parallel route attends
-through ``tensor.attention``, counted as a product and a sum per attended
-position, so its op count grows with the number of (query, key) pairs while
+(the readout) one ``tensor.affine`` node, and softmax attention one fused
+node per query for all heads; the profiler counts each as the elementary ops
+it replaces.  Sequences are handled either as one ``Value`` of shape (batch,
+length, d_model) or as a list of per-position ``Value``s of shape (batch,
+d_model).  The softmax Transformer's parallel route attends through
+``tensor.attention``, counted as a product and a sum per attended position
+and head, so its op count grows with the number of (query, key) pairs while
 its node count grows with the number of queries.  Every softmax step cell
-attends through ``tensor.cached_attention``, one node per head whose op
-count does not grow with the cache.  Both read each head's keys and values
-as stacked (B, t, dh) arrays that the caller keeps beside the rows: views of
-the whole-sequence projections, or the KV cache's arrays.
+attends through ``tensor.cached_attention``, one node for all heads whose
+op count does not grow with the cache.  Both read key and value rows made
+by ``tensor.split_row``, one node per row for all heads, and every head's
+keys and values as stacked (B, n_heads, t, dh) arrays that the caller keeps
+beside the rows: views of the whole-sequence projections, or the KV cache's
+arrays.
 
 Every layered step cell is an RNN with one state per layer.  ``init_layers``
 gives the empty state, ``{"t": 0, "batch": batch, "layers": (None,) *

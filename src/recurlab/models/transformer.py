@@ -4,12 +4,12 @@ block-recurrent, universal.
 The standard model has two routes: a batch forward (whole-sequence weight
 multiplications) and a cached step decoder (per-token, KV cache).  They share
 the attention math but not the op order, so their agreement is a real check.
-The batch forward builds one attention node per (query, head), counted as a
-product and a sum per (query, key) pair, which is the O(n^2) op count the
-profiler measures, and is the only route that grows so.  Every other model
-here is a step cell only, built on the cached layer ``attn_cell``, which
-attends over the whole cache in one node per head whose op count does not
-grow with the cache: the recurrent and feedback models recur over tokens,
+The batch forward builds one attention node per query for all heads,
+counted as a product and a sum per (query, key) pair and head, which is the
+O(n^2) op count the profiler measures, and is the only route that grows so.
+Every other model here is a step cell only, built on the cached layer
+``attn_cell``, which attends over the whole cache in one node for all heads
+whose op count does not grow with the cache: the recurrent and feedback models recur over tokens,
 the block-recurrent model over blocks (its caches empty at each block's
 first token), and the universal model in depth (one tied layer applied a
 fixed number of times).
@@ -23,35 +23,32 @@ import numpy as np
 
 from .. import tensor as T
 from ..tensor import Value
-from .common import (ModelError, ParamGraph, as_row, concat_heads, embed_one,
-                     embed_sequence, ffn_sublayer, init_layers, layer_norm, readout,
-                     residual_block, scale_for, split_heads, step_layers)
+from .common import (ModelError, ParamGraph, as_row, embed_one, embed_sequence,
+                     ffn_sublayer, init_layers, layer_norm, readout, residual_block,
+                     scale_for, step_layers)
 
 
 def append_kv(cfg, pg: ParamGraph, prefix: str, x: Value, cache, window=None) -> tuple:
     """``cache`` with ``x``'s keys and values under layer ``prefix`` appended.
 
-    ``cache`` is None while empty, else one immutable entry per head: (key
-    rows, value rows, K, V), where the rows are tuples of (B, 1, dh) Values
-    and K and V are the (B, t, dh) arrays of their data stacked, ``K[:, j]``
-    row j's, which the attention node reads in place of the rows.  An append
-    makes new arrays and never writes into old ones, so a kept state resumes
-    bit-identically.  With a ``window``, only each head's last ``window``
-    rows and the arrays' last ``window`` columns are kept."""
+    ``cache`` is None while empty, else one immutable entry for all heads:
+    (key rows, value rows, K, V), where the rows are tuples of
+    ``tensor.split_row`` nodes of shape (B, d), one per position, and K and V
+    the (B, n_heads, t, dh) arrays of their heads stacked, ``K[:, i, j]``
+    head i of row j's data, which the attention node reads in place of the
+    rows.  An append makes new arrays and never writes into old ones, so a
+    kept state resumes bit-identically.  With a ``window``, only the last
+    ``window`` rows and the arrays' last ``window`` positions are kept."""
     keep = slice(None) if window is None else slice(-window, None)
-    k = split_heads(T.matmul(x, pg[f"{prefix}.wk"]), cfg.n_heads)
-    v = split_heads(T.matmul(x, pg[f"{prefix}.wv"]), cfg.n_heads)
-    entries = []
-    for entry, kh, vh in zip(cache or (None,) * cfg.n_heads, k, v):
-        key_row, value_row = as_row(kh), as_row(vh)
-        if entry is None:
-            entries.append(((key_row,), (value_row,), key_row.data, value_row.data))
-            continue
-        keys, vals, key_array, value_array = entry
-        entries.append(((keys + (key_row,))[keep], (vals + (value_row,))[keep],
-                        np.concatenate((key_array, key_row.data), axis=1)[:, keep],
-                        np.concatenate((value_array, value_row.data), axis=1)[:, keep]))
-    return tuple(entries)
+    k = T.split_row(T.matmul(x, pg[f"{prefix}.wk"]), cfg.n_heads, rows=True)
+    v = T.split_row(T.matmul(x, pg[f"{prefix}.wv"]), cfg.n_heads, rows=True)
+    k_heads, v_heads = (row.data.reshape((row.shape[0], cfg.n_heads, 1, -1)) for row in (k, v))
+    if cache is None:
+        return (k,), (v,), k_heads, v_heads
+    keys, vals, key_array, value_array = cache
+    return ((keys + (k,))[keep], (vals + (v,))[keep],
+            np.concatenate((key_array, k_heads), axis=2)[:, :, keep],
+            np.concatenate((value_array, v_heads), axis=2)[:, :, keep])
 
 
 def attn_cell(cfg, pg: ParamGraph, prefix: str, h_t: Value, cache) -> tuple:
@@ -62,9 +59,7 @@ def attn_cell(cfg, pg: ParamGraph, prefix: str, h_t: Value, cache) -> tuple:
     def attend(x):
         q = T.matmul(x, pg[f"{prefix}.wq"])
         new_cache = append_kv(cfg, pg, prefix, x, cache)
-        return concat_heads([T.cached_attention(qh, *entry, scale_for(cfg))
-                             for qh, entry in zip(split_heads(q, cfg.n_heads),
-                                                  new_cache)]), new_cache
+        return T.cached_attention(q, *new_cache, cfg.n_heads, scale_for(cfg)), new_cache
 
     return residual_block(cfg, pg, prefix, h_t, attend)
 
@@ -94,20 +89,16 @@ def transformer_forward(cfg, pg: ParamGraph, token_ids: np.ndarray, positions) -
         q_all = T.matmul(normed, pg[f"{prefix}.wq"])
         k_all = T.matmul(normed, pg[f"{prefix}.wk"])
         v_all = T.matmul(normed, pg[f"{prefix}.wv"])
-        qh = {t: split_heads(q_all.slice((slice(None), t)), cfg.n_heads) for t in queries}
-        kh = [split_heads(k_all.slice((slice(None), t)), cfg.n_heads) for t in range(length)]
-        vh = [[as_row(x) for x in split_heads(v_all.slice((slice(None), t)), cfg.n_heads)]
-              for t in range(length)]
-        # head i's keys and values up to t, stacked, are views of these
-        dh = k_all.shape[-1] // cfg.n_heads
-        cols = [slice(i * dh, (i + 1) * dh) for i in range(cfg.n_heads)]
+        keys = [T.split_row(k_all, cfg.n_heads, t) for t in range(length)]
+        values = [T.split_row(v_all, cfg.n_heads, t, rows=True) for t in range(length)]
+        # every head's keys and values up to t, stacked, are views of these
+        key_heads, value_heads = (a.data.reshape(a.shape[:2] + (cfg.n_heads, -1))
+                                  .transpose(0, 2, 1, 3) for a in (k_all, v_all))
         new_hs = {}
         for t in queries:
-            attn = concat_heads([T.attention(q_h, [k[i] for k in kh[:t + 1]],
-                                             [v[i] for v in vh[:t + 1]],
-                                             k_all.data[:, :t + 1, cols[i]],
-                                             v_all.data[:, :t + 1, cols[i]], scale_for(cfg))
-                                 for i, q_h in enumerate(qh[t])])
+            attn = T.attention(q_all.slice((slice(None), t)), keys[:t + 1], values[:t + 1],
+                               key_heads[:, :, :t + 1], value_heads[:, :, :t + 1],
+                               cfg.n_heads, scale_for(cfg))
             new_hs[t] = ffn_sublayer(cfg, pg, prefix, hs[t] + attn) if cfg.use_residual else attn
         hs = new_hs
     return {t: readout(pg, hs[t]) for t in kept}
@@ -117,7 +108,7 @@ def transformer_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) 
     """Cached step cell, returning the top hidden and the new state;
     ``state['t']`` must equal tokens already consumed."""
     t, cache = state["t"], state["layers"][0]
-    consumed = 0 if cache is None else len(cache[0][0])
+    consumed = 0 if cache is None else len(cache[0])
     if consumed != t:
         raise ModelError(f"cache holds {consumed} positions but t={t}")
     return step_layers(state, embed_one(pg, token_ids_t, t, cfg.use_positional),

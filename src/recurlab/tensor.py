@@ -62,6 +62,7 @@ process-wide: recurlab builds no graphs from threads.
 
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 from contextlib import contextmanager, nullcontext
@@ -95,6 +96,7 @@ __all__ = [
     "cross_entropy",
     "attention",
     "cached_attention",
+    "split_row",
     "rwkv_decay",
     "rwkv_output",
     "decayed_sum",
@@ -714,118 +716,215 @@ def cross_entropy(x: Value, onehot) -> Value:
     return out
 
 
+def _accumulate_heads(v: Value, g, n_heads: int) -> None:
+    """Add ``g``, of ``v``'s shape, into the gradient of a full-width row
+    ``v`` that the chain read through its ``n_heads`` head splits: into a
+    zero-filled buffer, as each split's backward adds into its source, or
+    as ``_accumulate`` does at one head, where the chain read ``v`` itself."""
+    if n_heads == 1:
+        _accumulate(v, g)
+    else:
+        buf = _grad_buffer(v)
+        buf += g
+
+
+def _head(a: np.ndarray, i: int, n_heads: int) -> np.ndarray:
+    """Head ``i`` of ``n_heads`` of the last axis of ``a``, a view."""
+    if n_heads == 1:
+        return a
+    width = a.shape[-1] // n_heads
+    return a[..., i * width:(i + 1) * width]
+
+
+def _side_by_side(heads: list) -> np.ndarray:
+    """The heads' arrays joined along the last axis, as the heads' concat."""
+    return heads[0] if len(heads) == 1 else np.concatenate(heads, axis=-1)
+
+
+def _split_row_bwd(out):
+    # the reshapes pass the gradient on as is; each split, and a row's slice,
+    # adds into its source's zero-filled buffer
+    x = out.parents[0]
+    n_heads, position, _ = out._ctx
+    if position is None:
+        _accumulate_heads(x, out._grad, n_heads)
+    else:
+        _grad_buffer(x)[:, position] += out._grad
+
+
+def split_row(x: Value, n_heads: int, position: int | None = None,
+              rows: bool = False) -> Value:
+    """A row that attention reads as ``n_heads`` heads: ``x`` (B, d) itself,
+    or its row ``position`` if ``x`` is (B, L, d); one node with data (B, d)
+    and parent ``x``.
+
+    One node for the chain that built the heads one node each: the row's
+    slice (with a ``position``), the n_heads splits of width d / n_heads
+    (none at one head) and, with ``rows``, each head's reshape to (B, 1,
+    d / n_heads).  The attention kinds read head i from columns i·d/n_heads
+    on, and add head i's gradient there, so gradients keep the chain's bytes.
+    """
+    xd = x.data
+    if position is not None:
+        if xd.ndim != 3 or not 0 <= position < xd.shape[1]:
+            raise ShapeError(_SPLIT_ROW.name, x.shape, position)
+        xd = xd[:, position]
+    if xd.ndim != 2 or n_heads < 1 or xd.shape[-1] % n_heads:
+        raise ShapeError(_SPLIT_ROW.name, x.shape, n_heads)
+    return Value(xd, _SPLIT_ROW, (x,), (n_heads, position, rows))
+
+
 def _attend(op: Op, q: Value, keys: Sequence[Value], values: Sequence[Value], key_array,
-            value_array, scale) -> Value:
-    """The forward both attention kinds share: q (B, dh) scored against the t
-    keys stacked in ``key_array`` (B, t, dh), scaled, softmaxed and mixed
-    over the t values stacked in ``value_array`` (B, t, dv), as one node with
-    parents (q, keys..., values...).  The rows are not read: the caller
-    guarantees that ``key_array[:, j]`` and ``value_array[:, j]`` hold the
-    data of key and value row j, so the check is O(1) in t."""
+            value_array, n_heads: int, scale) -> Value:
+    """The forward both attention kinds share: the query row q (B, d) split
+    into ``n_heads`` heads of width dh; head i scored against the t keys
+    stacked in ``key_array[:, i]`` (B, t, dh), scaled, softmaxed and mixed
+    over the t values stacked in ``value_array[:, i]`` (B, t, dv); the heads'
+    outputs side by side, (B, n_heads·dv), as one node with parents (q,
+    keys..., values...).  The rows are not read: the caller guarantees that
+    ``key_array[:, i, j]`` and ``value_array[:, i, j]`` hold head i of key
+    and value row j, so the check is O(1) in t."""
     parents = (q, *keys, *values)
     t = len(keys)
-    if (q.data.ndim != 2 or not t or len(values) != t
-            or key_array.shape != (q.shape[0], t, q.shape[1])
-            or value_array.ndim != 3 or value_array.shape[:2] != (q.shape[0], t)):
+    b, d = q.shape if q.data.ndim == 2 else (0, 0)
+    if (not b or not t or len(values) != t or n_heads < 1 or d % n_heads
+            or key_array.shape != (b, n_heads, t, d // n_heads)
+            or value_array.ndim != 4 or value_array.shape[:3] != (b, n_heads, t)):
         raise ShapeError(op.name, *(v.shape for v in parents), key_array.shape,
                          value_array.shape)
-    b = q.shape[0]
+    weights, outs, finite = [], [], True
     with _quiet():
-        scores = (q.data[:, None, :] * key_array).sum(axis=-1)                 # (B, t)
-        if scale is not None:
-            scores = scores * scale
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        weights = e / e.sum(axis=-1, keepdims=True)
-        data = np.matmul(weights.reshape((b, 1, t)), value_array)
-    data = data.reshape((b, value_array.shape[-1]))
-    out = Value(data, op, parents, (scale, weights))
-    if not np.isfinite(scores).all():
+        for i in range(n_heads):
+            scores = (_head(q.data, i, n_heads)[:, None, :] * key_array[:, i]).sum(axis=-1)
+            if scale is not None:
+                scores = scores * scale
+            shifted = scores - scores.max(axis=-1, keepdims=True)
+            e = np.exp(shifted)
+            w = e / e.sum(axis=-1, keepdims=True)                             # (B, t)
+            mixed = np.matmul(w.reshape((b, 1, t)), value_array[:, i])
+            outs.append(mixed.reshape((b, value_array.shape[-1])))
+            weights.append(w)
+            finite = finite and np.isfinite(scores).all()
+    out = Value(_side_by_side(outs), op, parents,
+                (scale, n_heads, weights, key_array, value_array))
+    if not finite:
         _overflow(out)
     return out
 
 
-def _mix_bwd(out) -> np.ndarray:
-    """The backward steps both attention kinds share, in reverse creation
-    order: the output reshape, the value matmul and the weights' reshape,
-    the value concat (adding to each value row in ascending order), the
-    softmax and the scale; returns the scores' gradient."""
-    scale, weights = out._ctx
-    values = out.parents[len(out.parents) // 2 + 1:]
-    b, t = weights.shape
-    g = out._grad.reshape((b, 1, out.shape[-1]))
-    stacked = np.concatenate([v.data for v in values], axis=1)
-    g_weights = np.matmul(g, np.swapaxes(stacked, -1, -2)).reshape((b, t))
-    g_stacked = np.matmul(np.swapaxes(weights.reshape((b, 1, t)), -1, -2), g)
-    for j, v in enumerate(values):
-        _accumulate(v, g_stacked[:, j:j + 1])
-    g_scores = weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True))
-    return g_scores if scale is None else g_scores * scale
+def _mix_bwd(out, i: int) -> tuple:
+    """The backward steps both attention kinds share for head ``i``, in
+    reverse creation order: the heads' concat, the output reshape, the value
+    matmul and the weights' reshape, the value concat, the softmax and the
+    scale; returns (the scores' gradient, the stacked values' gradient)."""
+    scale, n_heads, weights, _, value_array = out._ctx
+    w, values = weights[i], value_array[:, i]
+    b, t = w.shape
+    g = _head(out._grad, i, n_heads).reshape((b, 1, values.shape[-1]))
+    g_weights = np.matmul(g, np.swapaxes(values, -1, -2)).reshape((b, t))
+    g_values = np.matmul(np.swapaxes(w.reshape((b, 1, t)), -1, -2), g)
+    g_scores = w * (g_weights - (g_weights * w).sum(axis=-1, keepdims=True))
+    return (g_scores if scale is None else g_scores * scale), g_values
 
 
 def _attention_bwd(out):
-    # then the per-key chain: the scores' concat and sums, and each product
-    # from the last key to the first, adding to q and then to the key
-    g_scores = _mix_bwd(out)
+    # per head, the value mix, then the per-key chain: the scores' concat
+    # and sums, and each product from the last key to the first, adding to
+    # q and then to the key; the values' rows then take every head's
+    # gradient at once, and the keys' rows in the same order as each head's
+    _, n_heads, _, key_array, _ = out._ctx
     q, *keys = out.parents[:len(out.parents) // 2 + 1]
+    values = out.parents[len(keys) + 1:]
+    g_q, g_keys, g_values = [], [], []
+    for i in range(n_heads):
+        g_scores, g_vals = _mix_bwd(out, i)
+        q_i, k_i = _head(q.data, i, n_heads), key_array[:, i]
+        parts = [g_scores[:, j:j + 1] * k_i[:, j] for j in range(len(keys) - 1, -1, -1)]
+        if n_heads == 1:
+            for part in parts:
+                _accumulate(q, part)
+        else:
+            g_q.append(functools.reduce(np.add, parts))
+        g_keys.append(g_scores[..., None] * q_i[:, None, :])
+        g_values.append(g_vals)
+    g_values = _side_by_side(g_values)
+    for j, v in enumerate(values):
+        _accumulate(v, g_values[:, j])
+    if g_q:
+        _accumulate_heads(q, _side_by_side(g_q), n_heads)
+    g_keys = _side_by_side(g_keys)
     for j in range(len(keys) - 1, -1, -1):
-        g = g_scores[:, j:j + 1]
-        _accumulate(q, g * keys[j].data)
-        _accumulate(keys[j], g * q.data)
+        _accumulate(keys[j], g_keys[:, j])
 
 
 def _cached_attention_bwd(out):
-    # then the cached chain: the sum, the broadcast product (q's gradient an
-    # unbroadcast sum over the cache), q's reshape and the keys' concat
-    g_scores = _mix_bwd(out)
+    # per head, the value mix, then the cached chain: the sum, the broadcast
+    # product (q's gradient an unbroadcast sum over the cache), q's reshape
+    # and the keys' concat; the rows then take every head's gradient at once
+    _, n_heads, _, key_array, _ = out._ctx
     q, *keys = out.parents[:len(out.parents) // 2 + 1]
-    b, dh = q.shape
-    stacked_keys = np.concatenate([k.data for k in keys], axis=1)
-    g_product = np.broadcast_to(g_scores[..., None], stacked_keys.shape)
-    _accumulate(q, _unbroadcast(g_product * stacked_keys, (b, 1, dh)).reshape((b, dh)))
-    g_keys = g_product * q.data.reshape((b, 1, dh))
+    values = out.parents[len(keys) + 1:]
+    g_q, g_keys, g_values = [], [], []
+    for i in range(n_heads):
+        g_scores, g_vals = _mix_bwd(out, i)
+        q_i, k_i = _head(q.data, i, n_heads), key_array[:, i]
+        b, dh = q_i.shape
+        g_product = np.broadcast_to(g_scores[..., None], k_i.shape)
+        g_q.append(_unbroadcast(g_product * k_i, (b, 1, dh)).reshape((b, dh)))
+        g_keys.append(g_product * q_i.reshape((b, 1, dh)))
+        g_values.append(g_vals)
+    g_values = _side_by_side(g_values)
+    for j, v in enumerate(values):
+        _accumulate(v, g_values[:, j])
+    _accumulate_heads(q, _side_by_side(g_q), n_heads)
+    g_keys = _side_by_side(g_keys)
     for j, k in enumerate(keys):
-        _accumulate(k, g_keys[:, j:j + 1])
+        _accumulate(k, g_keys[:, j])
 
 
 def attention(q: Value, keys: Sequence[Value], values: Sequence[Value], key_array,
-              value_array, scale) -> Value:
-    """Softmax attention of one query row ``q`` (B, dh) over t ``keys`` of
-    shape (B, dh) and t ``values`` of shape (B, 1, dv); returns (B, dv).
-    ``key_array`` (B, t, dh) and ``value_array`` (B, t, dv) are the rows
-    stacked, read in their place: ``key_array[:, j]`` must be ``keys[j]``'s
-    data and ``value_array[:, j]`` ``values[j]``'s, and only their shapes are
-    checked, so a caller that holds the rows as columns of one array passes
-    a view of it.
+              value_array, n_heads: int, scale) -> Value:
+    """Softmax attention of one query row ``q`` (B, d), split into
+    ``n_heads`` heads of width dh, over t ``keys`` and t ``values``;
+    returns the heads' outputs side by side, (B, n_heads·dv).  The rows are
+    ``split_row`` nodes, or any Values whose head i the arrays hold:
+    ``key_array`` (B, n_heads, t, dh) and ``value_array`` (B, n_heads, t,
+    dv) are read in their place, ``key_array[:, i, j]`` head i of key row
+    j's data and ``value_array[:, i, j]`` head i of value row j's, and only
+    their shapes are checked, so a caller that holds the rows as columns of
+    one array passes a view of it.
 
-    One node for the chain that scored every key on its own: a product and
-    a row sum per key, the scores' concat, ``* scale`` unless ``scale`` is
-    None, a softmax, the values' concat, a reshape, a matmul and a reshape:
-    2t + 6 ops, 2t + 7 with the scale.  Data and gradients are byte-identical
-    to that chain's.  The node raises ``GraphOverflowError`` whenever a node
-    of the chain would have: the softmax leaves non-finite scores' output
-    finite, so the scores are checked as well as the output.
+    One node for the chain that split q into its heads, scored every key of
+    each head on its own and joined the heads: per head a product and a row
+    sum per key, the scores' concat, ``* scale`` unless ``scale`` is None, a
+    softmax, the values' concat, a reshape, a matmul and a reshape, 2t + 6
+    ops (2t + 7 with the scale); and with more than one head, q's n_heads
+    splits and the heads' concat.  Data and gradients are byte-identical to
+    that chain's.  The node raises ``GraphOverflowError`` whenever a node of
+    the chain would have: the softmax leaves non-finite scores' output
+    finite, so every head's scores are checked as well as the output.
     """
-    return _attend(_ATTENTION, q, keys, values, key_array, value_array, scale)
+    return _attend(_ATTENTION, q, keys, values, key_array, value_array, n_heads, scale)
 
 
 def cached_attention(q: Value, key_rows: Sequence[Value], value_rows: Sequence[Value],
-                     key_array, value_array, scale) -> Value:
-    """Softmax attention of one query ``q`` (B, dh) over a KV cache of t
-    ``key_rows`` and t ``value_rows``, of shapes (B, 1, dh) and (B, 1, dv);
-    returns (B, dv), equal to ``attention``'s element for element.  As in
-    ``attention``, ``key_array[:, j]`` (B, t, dh) and ``value_array[:, j]``
-    (B, t, dv) must hold row j's data.
+                     key_array, value_array, n_heads: int, scale) -> Value:
+    """Softmax attention of one query ``q`` (B, d), split into ``n_heads``
+    heads, over a KV cache of t ``key_rows`` and t ``value_rows``; returns
+    (B, n_heads·dv), equal to ``attention``'s element for element.  The rows
+    and arrays are as in ``attention``.
 
-    One node for the chain that scored the stacked cache in one broadcast
-    product: the keys' concat, q's reshape, the product, a row sum, ``*
-    scale`` unless ``scale`` is None, and the same softmax and value mix as
-    ``attention``: 9 ops, 10 with the scale, whatever t is.  Data and
+    One node for the chain that scored each head's stacked cache in one
+    broadcast product: per head the keys' concat, q's reshape, the product,
+    a row sum, ``* scale`` unless ``scale`` is None, and the same softmax and
+    value mix as ``attention``, 9 ops (10 with the scale) whatever t is; and
+    with more than one head, q's splits and the heads' concat.  Data and
     gradients are byte-identical to that chain's, whose gradients differ
     from ``attention``'s chain in the last bits; scores and output are
     checked as in ``attention``.
     """
-    return _attend(_CACHED_ATTENTION, q, key_rows, value_rows, key_array, value_array, scale)
+    return _attend(_CACHED_ATTENTION, q, key_rows, value_rows, key_array, value_array,
+                   n_heads, scale)
 
 
 _elu1, _elu1_deriv = NONLINEARITIES["elu_plus_one"]
@@ -1145,33 +1244,63 @@ _CROSS_ENTROPY = Op("cross_entropy", _cross_entropy_bwd,
                     ops=_always(8), chains=_always((8,)))
 
 
+def _row_steps(v: Value) -> tuple:
+    """A ``split_row`` node's chain, step by step: the nodes of its slice
+    (0 or 1), of its splits (0 or n_heads) and of its reshapes (0 or
+    n_heads); its chain is one op long per step that has any."""
+    n_heads, position, rows = v._ctx
+    return (int(position is not None), n_heads if n_heads > 1 else 0, n_heads if rows else 0)
+
+
 def _scaled(v: Value) -> int:
     """1 if an attention node's chain holds the ``* scale`` op, else 0."""
     return v._ctx[0] is not None
 
 
+def _joined(v: Value) -> int:
+    """1 if an all-heads node's chain splits its rows into heads and joins
+    them again, so more than one head, else 0."""
+    return v._ctx[1] > 1
+
+
+def _split_join(v: Value) -> int:
+    """The ops of an all-heads node's query split and heads' concat: n_heads
+    splits and a concat with more than one head, else none."""
+    return (v._ctx[1] + 1) * _joined(v)
+
+
 def _attention_chains(v: Value) -> tuple:
-    # 8 ops from q and from each key (7 without the scale): the product, the
-    # sum, the concat or reshape, the scale, softmax, reshape, matmul and
-    # reshape; 3 from each value row: its concat, the matmul and the reshape
+    # per head, 8 ops from q and from each key (7 without the scale): the
+    # product, the sum, the concat or reshape, the scale, softmax, reshape,
+    # matmul and reshape; 3 from each value row: its concat, the matmul and
+    # the reshape; with heads, q's split and the heads' concat, which every
+    # row's chain also passes through
     t = len(v.parents) // 2
-    return (7 + _scaled(v),) * (t + 1) + (3,) * t
+    s, m = _scaled(v), _joined(v)
+    return (7 + s + 2 * m,) + (7 + s + m,) * t + (3 + m,) * t
 
 
 def _attention_flops(v: Value) -> int:
-    # per key: a product and a sum over q's B·dh scalars, the scale and the
-    # softmax (4) per score, and the value matmul's 2 per output scalar
+    # per key and head: a product and a sum over q's B·dh scalars, the scale
+    # and the softmax (4) per score, and the value matmul's 2 per output
+    # scalar
     q = v.parents[0]
-    return len(v.parents) // 2 * (2 * q.data.size + (4 + _scaled(v)) * q.shape[0]
+    return len(v.parents) // 2 * (2 * q.data.size + (4 + _scaled(v)) * q.shape[0] * v._ctx[1]
                                   + 2 * v.data.size)
 
 
-# attention over t keys (2t + 1 parents): 2t + 6 ops, the cached kind 9,
-# each one more with the scale
+# attention over t keys (2t + 1 parents): 2t + 6 ops per head, the cached
+# kind 9, each one more with the scale, and q's splits and the heads' concat
+# with more than one head
 _ATTENTION = Op("attention", _attention_bwd, _attention_flops,
-                ops=lambda v: len(v.parents) + 5 + _scaled(v), chains=_attention_chains)
+                ops=lambda v: v._ctx[1] * (len(v.parents) + 5 + _scaled(v)) + _split_join(v),
+                chains=_attention_chains)
 _CACHED_ATTENTION = Op("cached_attention", _cached_attention_bwd, _attention_flops,
-                       ops=lambda v: 9 + _scaled(v), chains=_attention_chains)
+                       ops=lambda v: v._ctx[1] * (9 + _scaled(v)) + _split_join(v),
+                       chains=_attention_chains)
+# a row's slice, its splits and its reshapes: no flops
+_SPLIT_ROW = Op("split_row", _split_row_bwd, _per_out(0), ops=lambda v: sum(_row_steps(v)),
+                chains=lambda v: (sum(map(bool, _row_steps(v))),))
 # RWKV's decay: elu_plus_one (4 flops per scalar), the negation (1) and exp
 # (4); its output: u + k, exp, bonus * v, two adds and the divide (9 in all),
 # on chains 5 long from u and k, 3 from v and 2 from a and b; the decayed

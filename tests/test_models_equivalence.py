@@ -175,7 +175,7 @@ def test_block_recurrent_and_universal_cells(arch):
             rows = (t - 1) % cfg.block_size + 1
             block_start = (t - 1) // cfg.block_size * cfg.block_size
             assert state["carry"] is (tops[block_start - 1] if block_start else None), t
-        assert {len(keys) for cache in state["layers"] for keys, *_ in cache} == {rows}, t
+        assert {len(keys) for keys, *_ in state["layers"]} == {rows}, t
 
 
 # arch -> cached rows per head after each of 8 steps, with a feedback window
@@ -201,13 +201,16 @@ def test_cached_arrays_are_the_rows_stacked(arch):
     rows = []
     for t in range(8):
         _, state = step(cfg, pg, state, toks[:, t])
-        entries = [entry for cache in state["layers"] if cache is not None for entry in cache]
+        entries = [cache for cache in state["layers"] if cache is not None]
         rows.append(len(entries[0][0]) if entries else 0)
-        for keys, vals, key_array, value_array in entries:
+        for keys, vals, key_arrays, value_arrays in entries:
             assert len(keys) == len(vals) == rows[-1]
-            for row_values, array in ((keys, key_array), (vals, value_array)):
-                want = np.concatenate([r.data for r in row_values], axis=1)
-                assert array.shape == want.shape and array.tobytes() == want.tobytes(), t
+            for row_values, arrays in ((keys, key_arrays), (vals, value_arrays)):
+                for i in range(cfg.n_heads):
+                    array = arrays[:, i]
+                    want = np.concatenate([r.data.reshape((2, 1, cfg.n_heads, -1))[:, :, i]
+                                           for r in row_values], axis=1)
+                    assert array.shape == want.shape and array.tobytes() == want.tobytes(), t
     assert rows == CACHE_ROWS[arch]
 
 

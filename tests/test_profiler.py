@@ -12,9 +12,9 @@ from recurlab.profiler import (DepthProfile, ProfilerError, fit_complexity,
                                graph_profile, profile, profile_table,
                                table_to_csv, table_to_markdown)
 from test_tensor import (affine_chain, attention_chain, cached_attention_chain,
-                         cross_entropy_chain, decayed_sum_chain, layer_norm_chain,
+                         cross_entropy_chain, decayed_sum_chain, heads_chain, layer_norm_chain,
                          linear_readout_chain, lstm_chain, outer_update_chain,
-                         rwkv_decay_chain, rwkv_output_chain, with_arrays)
+                         rwkv_decay_chain, rwkv_output_chain, split_chain, with_arrays)
 
 VOCAB = 7
 
@@ -78,13 +78,14 @@ def _deeper(v, k):
     return v
 
 
-def _attend(fn, key_shape, scale=None, deep=None):
+def _attend(fn, key_shape, scale=None, deep=None, n_heads=1):
     """``fn`` over a (2, 3) query, two keys of ``key_shape`` and two (2, 1, 3)
-    values; ``deep`` maps an operand's index in (q, k0, k1, v0, v1) to the
-    reshapes above it."""
-    shapes = [(2, 3), key_shape, key_shape, (2, 1, 3), (2, 1, 3)]
+    values, or with two heads over (2, 4) rows; ``deep`` maps an operand's
+    index in (q, k0, k1, v0, v1) to the reshapes above it."""
+    shapes = ([(2, 3), key_shape, key_shape, (2, 1, 3), (2, 1, 3)] if n_heads == 1
+              else [(2, 4)] * 5)
     vs = [_deeper(_p(*shape), (deep or {}).get(i, 0)) for i, shape in enumerate(shapes)]
-    return with_arrays(fn)(vs[0], vs[1:3], vs[3:], scale)
+    return with_arrays(fn, n_heads)(vs[0], vs[1:3], vs[3:], scale)
 
 
 # op kind -> (graph, (total_ops, depth, flops)); a (2, 3) operand has 6
@@ -153,6 +154,16 @@ OP_COSTS = {
                                 (11, 9, 64)),
     "cached-attention-deep-value": (
         lambda: _attend(T.cached_attention, (2, 1, 3), 0.5, {4: 6}), (16, 9, 68)),
+    # with two heads, 2 · (2t + 6) ops (9 cached per head) and q's two splits
+    # and the heads' concat, on chains 9 long from q, 8 from each key and 4
+    # from each value; the flops of both heads
+    "attention-2-heads": (lambda: _attend(T.attention, (2, 4), n_heads=2), (23, 9, 96)),
+    "cached-attention-2-heads-deep-value": (
+        lambda: _attend(T.cached_attention, (2, 4), deep={4: 6}, n_heads=2), (27, 10, 96)),
+    # a row's slice, its two splits and two reshapes, on a chain 3 long; one
+    # head's reshape alone
+    "split-row": (lambda: T.split_row(_p(2, 3, 4), 2, 1, rows=True), (5, 3, 0)),
+    "split-row-one-head": (lambda: T.split_row(_p(2, 4), 1, rows=True), (1, 1, 0)),
     # exp(-elu_plus_one(w)): 3 ops on one chain, 9 flops per scalar
     "rwkv-decay": (lambda: T.rwkv_decay(_p(3)), (3, 3, 27)),
     # (a + e^(u+k) v) / (b + e^(u+k)): 6 ops on chains 5 long from u and k, 3
@@ -231,6 +242,25 @@ FUSED_CHAINS = {
                                                                     None),
                          lambda vs: cached_attention_chain(vs[0], vs[1:3], vs[3:], None),
                          [(2, 3), (2, 1, 3), (2, 1, 3), (2, 1, 4), (2, 1, 4)]),
+    "attention-2-heads": (
+        lambda vs: with_arrays(T.attention, 2)(
+            vs[0], [T.split_row(k, 2) for k in vs[1:3]],
+            [T.split_row(v, 2, rows=True) for v in vs[3:]], 0.5),
+        lambda vs: heads_chain(attention_chain)(
+            vs[0], [split_chain(k, 2) for k in vs[1:3]],
+            [split_chain(v, 2, rows=True) for v in vs[3:]], 2, 0.5),
+        [(2, 4)] * 5),
+    "cached-attention-4-heads": (
+        lambda vs: with_arrays(T.cached_attention, 4)(
+            vs[0], [T.split_row(k, 4, rows=True) for k in vs[1:3]],
+            [T.split_row(v, 4, rows=True) for v in vs[3:]], None),
+        lambda vs: heads_chain(cached_attention_chain)(
+            vs[0], [split_chain(k, 4, rows=True) for k in vs[1:3]],
+            [split_chain(v, 4, rows=True) for v in vs[3:]], 4, None),
+        [(2, 8)] * 5),
+    "split-row": (lambda vs: T.split_row(vs[0], 2, 1, rows=True),
+                  lambda vs: split_chain(vs[0].slice((slice(None), 1)), 2, rows=True),
+                  [(2, 3, 4)]),
     "rwkv-decay": (lambda vs: T.rwkv_decay(*vs), lambda vs: rwkv_decay_chain(*vs), [(3,)]),
     "rwkv-output": (lambda vs: T.rwkv_output(*vs), lambda vs: rwkv_output_chain(*vs),
                     [(3,)] + [(2, 3)] * 4),
@@ -255,7 +285,8 @@ def test_fused_kinds_count_as_the_chains_they_fuse(kind):
     for deep in range(len(shapes)):
         def build(fn):
             vs = [_deeper(_p(*shape), 5 if i == deep else i) for i, shape in enumerate(shapes)]
-            return graph_profile([fn(vs)], n=1, arch="hand")
+            out = fn(vs)
+            return graph_profile(out if isinstance(out, list) else [out], n=1, arch="hand")
         assert build(fused) == build(chain), deep
 
 

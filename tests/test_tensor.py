@@ -731,6 +731,19 @@ def test_cross_entropy_grad_check():
 
 # -- fused softmax attention -------------------------------------------------
 
+HEADS = (1, 2, 4)
+
+
+def split_chain(x, n_heads, rows=False):
+    """The elementary nodes of a row's heads that ``T.split_row`` fuses,
+    without the slice: x's n_heads splits (none at one head) and, with
+    ``rows``, each head's reshape to (B, 1, dh); a list of the heads."""
+    width = x.shape[-1] // n_heads
+    heads = [x] if n_heads == 1 else [x.slice((Ellipsis, slice(i * width, (i + 1) * width)))
+                                      for i in range(n_heads)]
+    return [h.reshape((h.shape[0], 1, width)) for h in heads] if rows else heads
+
+
 def _mix_chain(scores, values, scale):
     """The scale, softmax and value mix both attention chains end in."""
     if scale is not None:
@@ -742,61 +755,106 @@ def _mix_chain(scores, values, scale):
 
 
 def attention_chain(q, keys, values, scale):
-    """The 2t + 6 elementary nodes (2t + 7 and a constant with the scale)
-    that ``T.attention`` fuses, as the parallel Transformer built them: a
-    product and a row sum per key, then the scores' concat."""
+    """One head of the elementary nodes that ``T.attention`` fuses, 2t + 6
+    (2t + 7 and a constant with the scale), as the parallel Transformer
+    built them: a product and a row sum per key, then the scores' concat."""
     scores = T.concat([(q * k).sum(axis=-1, keepdims=True) for k in keys], axis=-1)
     return _mix_chain(scores, values, scale)
 
 
 def cached_attention_chain(q, key_rows, values, scale):
-    """The 9 elementary nodes (10 and a constant with the scale) that
-    ``T.cached_attention`` fuses, as the cached step cells built them: the
-    stacked keys scored in one broadcast product."""
+    """One head of the elementary nodes that ``T.cached_attention`` fuses, 9
+    (10 and a constant with the scale), as the cached step cells built them:
+    the stacked keys scored in one broadcast product."""
     keys = T.concat(key_rows, axis=1)                       # (B, t, dh)
     b, _, dh = keys.shape
     scores = (q.reshape((b, 1, dh)) * keys).sum(axis=-1)
     return _mix_chain(scores, values, scale)
 
 
-def stacked(rows):
-    """The (B, t, d) array whose column j is the data of row j, a (B, d) or
-    (B, 1, d) Value: what a caller of the attention kinds keeps."""
-    return np.concatenate([r.data.reshape((r.shape[0], 1, -1)) for r in rows], axis=1)
+def heads_chain(per_head):
+    """The all-heads chain around ``per_head``: q's splits, ``per_head`` on
+    each head of q and of the rows (lists of per-head nodes), and the heads'
+    concat (none at one head)."""
+    def chain(q, keys, values, n_heads, scale):
+        heads = [per_head(q_i, [k[i] for k in keys], [v[i] for v in values], scale)
+                 for i, q_i in enumerate(split_chain(q, n_heads))]
+        return heads[0] if n_heads == 1 else T.concat(heads, axis=-1)
+    return chain
 
 
-def with_arrays(fused):
-    """``fused`` called as the chains are, on the rows' stacked arrays."""
-    return lambda q, keys, values, scale: fused(q, keys, values, stacked(keys),
-                                                stacked(values), scale)
+def stacked(rows, n_heads):
+    """The (B, n_heads, t, dh) array whose [:, i, j] is head i of row j's
+    data, for rows of shape (B, d) or (B, 1, d): what a caller of the
+    attention kinds keeps."""
+    return np.stack([r.data.reshape((r.shape[0], n_heads, -1)) for r in rows], axis=2)
 
 
-# kind -> (fused, chain, the key shape for a (B, dh) query)
+def with_arrays(fused, n_heads=1):
+    """``fused`` called on full-width rows and their stacked arrays."""
+    return lambda q, keys, values, scale: fused(q, keys, values, stacked(keys, n_heads),
+                                                stacked(values, n_heads), n_heads, scale)
+
+
+def _fused_attend(fused):
+    return lambda q, keys, values, n_heads, scale: with_arrays(fused, n_heads)(
+        q, keys, values, scale)
+
+
+# kind -> (fused, chain, key rows from the (B, t, d) keys and n_heads, value
+# rows likewise, the key shape for a (B, dh) query at one head); the parallel
+# route slices its rows out of whole-sequence projections, the cached one
+# projects one row per step
 ATTENTION_KINDS = {
-    "attention": (with_arrays(T.attention), attention_chain, lambda b, dh: (b, dh)),
-    "cached_attention": (with_arrays(T.cached_attention), cached_attention_chain,
-                         lambda b, dh: (b, 1, dh)),
+    "attention": (
+        _fused_attend(T.attention), heads_chain(attention_chain),
+        lambda ks, h: [T.split_row(ks, h, j) for j in range(ks.shape[1])],
+        lambda vs, h: [T.split_row(vs, h, j, rows=True) for j in range(vs.shape[1])],
+        lambda b, dh: (b, dh)),
+    "cached_attention": (
+        _fused_attend(T.cached_attention), heads_chain(cached_attention_chain),
+        lambda ks, h: [T.split_row(ks.slice((slice(None), j)), h, rows=True)
+                       for j in range(ks.shape[1])],
+        lambda vs, h: [T.split_row(vs.slice((slice(None), j)), h, rows=True)
+                       for j in range(vs.shape[1])],
+        lambda b, dh: (b, 1, dh)),
+}
+CHAIN_ROWS = {
+    "attention": (lambda ks, h: [split_chain(ks.slice((slice(None), j)), h)
+                                 for j in range(ks.shape[1])],
+                  lambda vs, h: [split_chain(vs.slice((slice(None), j)), h, rows=True)
+                                 for j in range(vs.shape[1])]),
+    "cached_attention": (lambda ks, h: [split_chain(ks.slice((slice(None), j)), h, rows=True)
+                                        for j in range(ks.shape[1])],
+                         lambda vs, h: [split_chain(vs.slice((slice(None), j)), h, rows=True)
+                                        for j in range(vs.shape[1])]),
 }
 
 
-def _attention_run(fn, key_shape, t, scale, b=3, dh=4):
+def _attention_run(kind, fused, t, scale, n_heads, b=3, dh=4):
     """Data of two attention rows over shared keys and values, as queries of
     one layer share them: the first row attends over all t, the second over
-    the first only.  Returns the bytes of both outputs and of the gradients
-    of every source under a weighted-sum loss in which the first query and
-    key also feed a node built after the rows.  With t = 5 the last key and
-    the fourth value repeat the first (beside a value or key that differs),
+    the first only.  The rows come from (B, t, d) projections, as the models
+    build them with ``T.split_row`` or, for the chain, its elementary nodes.
+    Returns the bytes of both outputs and of the gradients of every source
+    under a weighted-sum loss in which the first query and the keys also
+    feed a node built after the rows.  With t = 5 the last key row and the
+    fourth value row repeat the first (beside a value or key that differs),
     so the order in which the node adds into one parent shows."""
-    rng = np.random.default_rng(10 * t + (scale is None))
-    srcs = [T.parameter(rng.normal(size=(b, dh))) for _ in range(2 * t + 2)]
+    d = n_heads * dh
+    rng = np.random.default_rng(10 * t + (scale is None) + n_heads)
+    srcs = [T.parameter(rng.normal(size=shape)) for shape in ((b, d), (b, d), (b, t, d), (b, t, d))]
     qs = [T.nonlinearity(s, "tanh") * T.constant(3.0) for s in srcs[:2]]
-    keys = [(s * T.constant(2.0)).reshape(key_shape(b, dh)) for s in srcs[2:t + 2]]
-    values = [s.reshape((b, 1, dh)) for s in srcs[t + 2:]]
+    ks, vs = srcs[2] * T.constant(2.0), srcs[3] * T.constant(1.0)
+    rows = ATTENTION_KINDS[kind][2:4] if fused else CHAIN_ROWS[kind]
+    key_rows, value_rows = rows[0](ks, n_heads), rows[1](vs, n_heads)
     if t == 5:
-        keys[4], values[3] = keys[0], values[0]
-    outs = [fn(qs[0], keys, values, scale), fn(qs[1], keys[:1], values[:1], scale)]
+        key_rows[4], value_rows[3] = key_rows[0], value_rows[0]
+    attend = ATTENTION_KINDS[kind][0 if fused else 1]
+    outs = [attend(qs[0], key_rows, value_rows, n_heads, scale),
+            attend(qs[1], key_rows[:1], value_rows[:1], n_heads, scale)]
     loss = sum(((out * T.constant(rng.normal(size=out.shape))).sum() for out in outs),
-               (qs[0] * keys[0].reshape((b, dh))).sum())
+               (qs[0] * T.constant(rng.normal(size=(b, d)))).sum() + (ks * ks).sum())
     T.backward(loss)
     return [a.tobytes() for a in (*(out.data for out in outs), *(s.grad for s in srcs))]
 
@@ -805,55 +863,58 @@ def _attention_run(fn, key_shape, t, scale, b=3, dh=4):
 @pytest.mark.parametrize("t", [1, 2, 5])
 @pytest.mark.parametrize("kind", list(ATTENTION_KINDS))
 def test_attention_matches_the_chain_byte_for_byte(kind, t, scale):
-    fused, chain, key_shape = ATTENTION_KINDS[kind]
-    assert _attention_run(fused, key_shape, t, scale) == _attention_run(chain, key_shape, t, scale)
+    for n_heads in HEADS:
+        assert _attention_run(kind, True, t, scale, n_heads) == \
+            _attention_run(kind, False, t, scale, n_heads), n_heads
 
 
 @pytest.mark.parametrize("kind", list(ATTENTION_KINDS))
 def test_attention_builds_one_node_with_query_keys_and_values_as_parents(kind):
-    fused, _, key_shape = ATTENTION_KINDS[kind]
-    q = T.parameter(np.ones((2, 3)))
-    keys = [T.parameter(np.ones(key_shape(2, 3))) for _ in range(3)]
-    values = [T.parameter(np.ones((2, 1, 5))) for _ in range(3)]
+    q = T.parameter(np.ones((2, 4)))
+    keys = [T.parameter(np.ones((2, 4))) for _ in range(3)]
+    values = [T.parameter(np.ones((2, 6))) for _ in range(3)]
     start = T.constant(0.0).id
-    out = fused(q, keys, values, 0.5)
-    assert (out.op_kind, out.id, out.shape) == (kind, start + 1, (2, 5))
+    out = ATTENTION_KINDS[kind][0](q, keys, values, 2, 0.5)
+    assert (out.op_kind, out.id, out.shape) == (kind, start + 1, (2, 6))
     assert out.parents == (q, *keys, *values)
 
 
-# q's shape, then (row count, stacked array shape) for the keys and values
+# q's shape, then (row count, stacked array shape) for the keys and values;
+# the node is asked for one head
 @pytest.mark.parametrize("q, keys, values", [
-    ((2, 3), (0, (2, 0, 3)), (0, (2, 0, 3))),       # no key
-    ((2, 3), (2, (2, 2, 3)), (1, (2, 1, 3))),       # a key without a value
-    ((2, 3), (1, (2, 1, 4)), (1, (2, 1, 3))),       # keys of another width
-    ((2, 3), (1, (2, 1, 3)), (1, (3, 1, 3))),       # values of another batch
-    ((2, 3), (2, (2, 1, 3)), (2, (2, 2, 3))),       # fewer stacked keys than rows
-    ((2, 3), (1, (2, 1, 3)), (1, (2, 3))),          # values not stacked rows
-    ((3,), (1, (3, 1, 3)), (1, (3, 1, 3))),         # a query without a batch axis
+    ((2, 3), (0, (2, 1, 0, 3)), (0, (2, 1, 0, 3))),       # no key
+    ((2, 3), (2, (2, 1, 2, 3)), (1, (2, 1, 1, 3))),       # a key without a value
+    ((2, 3), (1, (2, 1, 1, 4)), (1, (2, 1, 1, 3))),       # keys of another width
+    ((2, 3), (1, (2, 1, 1, 3)), (1, (3, 1, 1, 3))),       # values of another batch
+    ((2, 3), (2, (2, 1, 1, 3)), (2, (2, 1, 2, 3))),       # fewer stacked keys than rows
+    ((2, 3), (1, (2, 1, 1, 3)), (1, (2, 1, 3))),          # values not stacked rows
+    ((3,), (1, (3, 1, 1, 3)), (1, (3, 1, 1, 3))),         # a query without a batch axis
+    ((2, 4), (1, (2, 2, 1, 2)), (1, (2, 2, 1, 2))),       # arrays of another head count
 ])
 @pytest.mark.parametrize("kind", list(ATTENTION_KINDS))
 def test_attention_rejects_operands_the_chain_would_not_mix(kind, q, keys, values):
-    """Only the stacked arrays' shapes are checked, against the query and the
-    row counts; the rows, of the kind's shapes here, are not read."""
+    """Only the stacked arrays' shapes are checked, against the query, the
+    head count and the row counts; the rows are not read."""
     fused = getattr(T, kind)
-    key_shape = ATTENTION_KINDS[kind][2](2, 3)
     with pytest.raises(T.ShapeError, match=kind):
-        fused(T.parameter(np.ones(q)), [T.parameter(np.ones(key_shape))] * keys[0],
-              [T.parameter(np.ones((2, 1, 3)))] * values[0], np.ones(keys[1]),
-              np.ones(values[1]), None)
+        fused(T.parameter(np.ones(q)), [T.parameter(np.ones((2, 3)))] * keys[0],
+              [T.parameter(np.ones((2, 3)))] * values[0], np.ones(keys[1]),
+              np.ones(values[1]), 1, None)
 
 
 @pytest.mark.parametrize("kind", list(ATTENTION_KINDS))
 def test_attention_grad_check(kind):
-    fused, _, key_shape = ATTENTION_KINDS[kind]
+    fused = ATTENTION_KINDS[kind][0]
     rng = np.random.default_rng(2)
-    t, b, dh = 3, 2, 3
-    point = [rng.normal(size=(b, dh)), *(rng.normal(size=key_shape(b, dh)) for _ in range(t)),
-             *(rng.normal(size=(b, 1, dh)) for _ in range(t))]
-    weights = T.constant(rng.normal(size=(b, dh)))
-    report = T.grad_check(lambda vs: (fused(vs[0], vs[1:t + 1], vs[t + 1:], 0.7) * weights).sum(),
-                          point)
-    assert report.max_rel_err < 1e-6
+    t, b = 3, 2
+    for n_heads in HEADS:
+        d = 2 * n_heads
+        point = [rng.normal(size=(b, d)) for _ in range(2 * t + 1)]
+        weights = T.constant(rng.normal(size=(b, d)))
+        report = T.grad_check(
+            lambda vs: (fused(vs[0], vs[1:t + 1], vs[t + 1:], n_heads, 0.7) * weights).sum(),
+            point)
+        assert report.max_rel_err < 1e-6, n_heads
 
 
 # -- fused RWKV and linear-attention state updates ---------------------------
@@ -997,9 +1058,22 @@ def test_state_kinds_reject_operands_the_chain_would_not_combine(kind, shapes):
         getattr(T, kind)(*(None if s is None else T.parameter(np.ones(s)) for s in shapes))
 
 
-def _attention_builder(fn):
-    """``fn`` over the flat operands q, keys..., values..., with scale 2."""
-    return lambda q, *kv: fn(q, kv[:len(kv) // 2], kv[len(kv) // 2:], 2.0)
+PER_HEAD_CHAINS = {"attention": attention_chain, "cached_attention": cached_attention_chain}
+
+
+def _attention_builders(kind, n_heads):
+    """``kind`` and its chain over the flat operands q, keys..., values...,
+    full-width rows, with scale 2; the chain splits every row itself."""
+    def fused(q, *kv):
+        half = len(kv) // 2
+        return with_arrays(getattr(T, kind), n_heads)(q, kv[:half], kv[half:], 2.0)
+
+    def chain(q, *kv):
+        half = len(kv) // 2
+        return heads_chain(PER_HEAD_CHAINS[kind])(
+            q, [split_chain(k, n_heads, kind == "cached_attention") for k in kv[:half]],
+            [split_chain(v, n_heads, rows=True) for v in kv[half:]], n_heads, 2.0)
+    return fused, chain
 
 
 # (case id, q, keys, values, whether the chain raises) under scale 2
@@ -1017,9 +1091,20 @@ ATTENTION_OVERFLOWS = [
 ]
 
 
+# the same for two heads of width 1, on rows (B, 2): only the second head
+# is out of range
+TWO_HEAD_OVERFLOWS = [
+    ("second-head-product", [[1.0, 1e200]], [[[1.0, 1e200]]], [[[1.0, 1.0]]], True),
+    ("second-head-negative-product", [[1.0, 1e200]], [[[1.0, -1e200]], [[1.0, 1.0]]],
+     [[[1.0, 1.0]], [[2.0, 2.0]]], True),
+    ("second-head-huge-spread", [[1.0, 1e200]], [[[0.0, 5e107]], [[0.0, -5e107]]],
+     [[[1.0, 1.0]], [[2.0, 2.0]]], False),
+]
+
+
 def _attention_cases(kind):
     """``ATTENTION_OVERFLOWS`` as input arrays, the keys in ``kind``'s shape."""
-    key_shape = ATTENTION_KINDS[kind][2]
+    key_shape = ATTENTION_KINDS[kind][4]
     return [(case, [np.array(q, dtype=float),
                     *(np.reshape(k, key_shape(*np.shape(q))) for k in keys),
                     *(np.array(v, dtype=float) for v in values)], raises)
@@ -1054,8 +1139,10 @@ FUSED_OVERFLOWS = {
         ("sum", [np.array([[1e308, 0.0], [1e308, 0.0]])], True),
         ("huge-row", [np.array([[1.7e308, 1.7e308]])], False),
     ]),
-    **{kind: (_attention_builder(fused), _attention_builder(chain), _attention_cases(kind))
-       for kind, (fused, chain, _) in ATTENTION_KINDS.items()},
+    **{kind: (*_attention_builders(kind, 1), _attention_cases(kind)) for kind in ATTENTION_KINDS},
+    **{f"{kind}/2-heads": (*_attention_builders(kind, 2), [
+        (case, [np.array(x, dtype=float) for x in (q, *keys, *values)], raises)
+        for case, q, keys, values, raises in TWO_HEAD_OVERFLOWS]) for kind in ATTENTION_KINDS},
     # elu_plus_one is finite and positive, so the decay is in (0, 1]
     "rwkv_decay": (T.rwkv_decay, rwkv_decay_chain, [
         ("huge-w", [np.array([1.7e308, -1.7e308])], False),
@@ -1122,7 +1209,8 @@ def test_a_fused_node_raises_iff_its_chain_raises(kind, case, arrays, chain_rais
     with pytest.raises(T.GraphOverflowError) as err:
         build(fused)
     # the leaves take the ids after start, and the fused node the next one
-    assert (err.value.op_kind, err.value.node_id) == (kind, start + len(arrays) + 1)
+    assert (err.value.op_kind, err.value.node_id) == (kind.split("/")[0],
+                                                      start + len(arrays) + 1)
     assert not T._pending
 
 
