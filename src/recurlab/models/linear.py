@@ -9,8 +9,9 @@ Each mechanism has two evaluation routes that must agree numerically:
   those nodes;
 * recurrent -- constant-size accumulator pairs (a, b) updated by the fixed
   shifting operation, consuming one token at a time.  The update and the
-  read-out are a few fused ``tensor`` nodes per layer (RWKV) or per head
-  (linear Transformer), each counted as the elementary ops it replaces.
+  read-out are a few fused ``tensor`` nodes per layer, for all heads of the
+  linear Transformer at once, each counted as the elementary ops it
+  replaces.
 
 The accumulator update never applies the learned function to the carried
 state, only to the current input; that is precisely what makes these models
@@ -93,12 +94,11 @@ def _phi(cfg, x: Value) -> Value:
     return T.nonlinearity(x, cfg.feature_map)
 
 
-def _linear_layer_heads(cfg, pg, prefix, x):
+def _projections(cfg, pg, prefix, x) -> tuple:
+    """phi(q), phi(k) and v of layer ``prefix``, full width."""
     q = _phi(cfg, T.matmul(x, pg[f"{prefix}.wq"]))
     k = _phi(cfg, T.matmul(x, pg[f"{prefix}.wk"]))
-    v = T.matmul(x, pg[f"{prefix}.wv"])
-    return (split_heads(q, cfg.n_heads), split_heads(k, cfg.n_heads),
-            split_heads(v, cfg.n_heads))
+    return q, k, T.matmul(x, pg[f"{prefix}.wv"])
 
 
 def linear_attn_masked(cfg, pg: ParamGraph, prefix: str, x: Value) -> Value:
@@ -108,7 +108,7 @@ def linear_attn_masked(cfg, pg: ParamGraph, prefix: str, x: Value) -> Value:
     batch, length, _ = x.shape
     causal = T.constant(np.tril(np.ones((length, length))))
     heads = []
-    for q, k, v in zip(*_linear_layer_heads(cfg, pg, prefix, x)):
+    for q, k, v in zip(*(split_heads(p, cfg.n_heads) for p in _projections(cfg, pg, prefix, x))):
         dh = q.shape[-1]
         scores = (q.reshape((batch, length, 1, dh)) * k.reshape((batch, 1, length, dh))
                   ).sum(axis=-1) * causal
@@ -116,23 +116,21 @@ def linear_attn_masked(cfg, pg: ParamGraph, prefix: str, x: Value) -> Value:
     return concat_heads(heads)
 
 
-def linear_attn_recurrent(ab, pq: Value, pk: Value, v_t: Value) -> tuple:
-    """a accumulates rank-1 outer products phi(k) v^T; b accumulates phi(k).
-    The current token's contribution is folded in before the read-out, so the
-    result covers positions 1..t."""
-    a = T.outer_update(None if ab is None else ab[0], pk, v_t)
-    b = pk if ab is None else ab[1] + pk
-    return T.linear_readout(pq, a, b), (a, b)
+def linear_attn_recurrent(ab, q: Value, k: Value, v: Value, n_heads: int) -> tuple:
+    """a accumulates each head's rank-1 outer products phi(k) v^T; b
+    accumulates phi(k).  The current token's contribution is folded in
+    before the read-out, so the result covers positions 1..t."""
+    a = T.outer_update(None if ab is None else ab[0], k, v, n_heads)
+    b = T.key_sum(None if ab is None else ab[1], k, n_heads)
+    return T.linear_readout(q, a, b), (a, b)
 
 
 def linear_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:
-    """Layer states are one (a, b) pair per head, None while empty."""
-    def layer(prefix, h, abs_):
-        def attend(x):
-            outs = [linear_attn_recurrent(ab, q, k, v) for ab, q, k, v in
-                    zip(abs_ or (None,) * cfg.n_heads, *_linear_layer_heads(cfg, pg, prefix, x))]
-            return concat_heads([out for out, _ in outs]), tuple(ab for _, ab in outs)
-
-        return residual_block(cfg, pg, prefix, h, attend)
+    """Layer states are one (a, b) pair for all heads, None while empty: a
+    (B, n_heads, dh, dv) holds each head's sum of outer products and b (B,
+    d) the sum of phi(k), head i in columns i·dh on."""
+    def layer(prefix, h, ab):
+        return residual_block(cfg, pg, prefix, h, lambda x: linear_attn_recurrent(
+            ab, *_projections(cfg, pg, prefix, x), cfg.n_heads))
 
     return step_layers(state, embed_one(pg, token_ids_t, state["t"], cfg.use_positional), layer)

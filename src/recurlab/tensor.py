@@ -101,6 +101,7 @@ __all__ = [
     "rwkv_output",
     "decayed_sum",
     "outer_update",
+    "key_sum",
     "linear_readout",
     "concat",
     "take_rows",
@@ -716,16 +717,20 @@ def cross_entropy(x: Value, onehot) -> Value:
     return out
 
 
-def _accumulate_heads(v: Value, g, n_heads: int) -> None:
-    """Add ``g``, of ``v``'s shape, into the gradient of a full-width row
-    ``v`` that the chain read through its ``n_heads`` head splits: into a
-    zero-filled buffer, as each split's backward adds into its source, or
-    as ``_accumulate`` does at one head, where the chain read ``v`` itself."""
+def _accumulate_heads(v: Value, parts: list, n_heads: int) -> None:
+    """Add a chain's gradient contributions into a full-width row ``v`` that
+    the chain read through its ``n_heads`` head splits.  ``parts[i]`` lists,
+    in the order the chain added them, the contributions to ``v``'s i-th
+    block of columns (one block may span every head).  At one head the chain
+    read ``v`` itself and added each part into its gradient in turn; with
+    more, each split's gradient is the sum of its parts, and each split adds
+    it into ``v``'s zero-filled buffer."""
     if n_heads == 1:
-        _accumulate(v, g)
+        for g in parts[0]:
+            _accumulate(v, g)
     else:
         buf = _grad_buffer(v)
-        buf += g
+        buf += _side_by_side([functools.reduce(np.add, p) for p in parts])
 
 
 def _head(a: np.ndarray, i: int, n_heads: int) -> np.ndarray:
@@ -747,7 +752,7 @@ def _split_row_bwd(out):
     x = out.parents[0]
     n_heads, position, _ = out._ctx
     if position is None:
-        _accumulate_heads(x, out._grad, n_heads)
+        _accumulate_heads(x, [[out._grad]], n_heads)
     else:
         _grad_buffer(x)[:, position] += out._grad
 
@@ -839,19 +844,13 @@ def _attention_bwd(out):
     for i in range(n_heads):
         g_scores, g_vals = _mix_bwd(out, i)
         q_i, k_i = _head(q.data, i, n_heads), key_array[:, i]
-        parts = [g_scores[:, j:j + 1] * k_i[:, j] for j in range(len(keys) - 1, -1, -1)]
-        if n_heads == 1:
-            for part in parts:
-                _accumulate(q, part)
-        else:
-            g_q.append(functools.reduce(np.add, parts))
+        g_q.append([g_scores[:, j:j + 1] * k_i[:, j] for j in range(len(keys) - 1, -1, -1)])
         g_keys.append(g_scores[..., None] * q_i[:, None, :])
         g_values.append(g_vals)
     g_values = _side_by_side(g_values)
     for j, v in enumerate(values):
         _accumulate(v, g_values[:, j])
-    if g_q:
-        _accumulate_heads(q, _side_by_side(g_q), n_heads)
+    _accumulate_heads(q, g_q, n_heads)
     g_keys = _side_by_side(g_keys)
     for j in range(len(keys) - 1, -1, -1):
         _accumulate(keys[j], g_keys[:, j])
@@ -870,13 +869,13 @@ def _cached_attention_bwd(out):
         q_i, k_i = _head(q.data, i, n_heads), key_array[:, i]
         b, dh = q_i.shape
         g_product = np.broadcast_to(g_scores[..., None], k_i.shape)
-        g_q.append(_unbroadcast(g_product * k_i, (b, 1, dh)).reshape((b, dh)))
+        g_q.append([_unbroadcast(g_product * k_i, (b, 1, dh)).reshape((b, dh))])
         g_keys.append(g_product * q_i.reshape((b, 1, dh)))
         g_values.append(g_vals)
     g_values = _side_by_side(g_values)
     for j, v in enumerate(values):
         _accumulate(v, g_values[:, j])
-    _accumulate_heads(q, _side_by_side(g_q), n_heads)
+    _accumulate_heads(q, g_q, n_heads)
     g_keys = _side_by_side(g_keys)
     for j, k in enumerate(keys):
         _accumulate(k, g_keys[:, j])
@@ -1029,84 +1028,140 @@ def decayed_sum(z: Value, a: Value, x: Value, y: Value | None = None) -> Value:
 
 
 def _outer_update_bwd(out):
-    # replays the add (if any), the outer product and the two reshapes, the
-    # value's after the key's in creation order: a, v and k receive theirs
+    # replays, per head, the add (if any), the outer product and the two
+    # reshapes, the value's after the key's in creation order: a, v and k
+    # receive theirs, and the splits of v and k add them into their rows
     *a, k, v = out.parents
+    n_heads = out._ctx
     g = out._grad
-    (batch, dh), dv = k.shape, v.shape[-1]
-    rk, rv = k.data.reshape((batch, dh, 1)), v.data.reshape((batch, 1, dv))
     if a:
-        _accumulate(a[0], _unbroadcast(g, a[0].shape))
-        g = _unbroadcast(g, (batch, dh, dv))
-    _accumulate(v, np.matmul(np.swapaxes(rk, -1, -2), g).reshape(v.shape))
-    _accumulate(k, np.matmul(g, np.swapaxes(rv, -1, -2)).reshape(k.shape))
+        _accumulate(a[0], g)
+    g_k, g_v = [], []
+    for i in range(n_heads):
+        k_i, v_i, g_i = _head(k.data, i, n_heads), _head(v.data, i, n_heads), g[:, i]
+        (batch, dh), dv = k_i.shape, v_i.shape[-1]
+        rk, rv = k_i.reshape((batch, dh, 1)), v_i.reshape((batch, 1, dv))
+        g_v.append([np.matmul(np.swapaxes(rk, -1, -2), g_i).reshape(v_i.shape)])
+        g_k.append([np.matmul(g_i, np.swapaxes(rv, -1, -2)).reshape(k_i.shape)])
+    _accumulate_heads(v, g_v, n_heads)
+    _accumulate_heads(k, g_k, n_heads)
 
 
-def outer_update(a: Value | None, k: Value, v: Value) -> Value:
-    """``a + k (x) v``: the outer product of ``k`` (B, dh) and ``v`` (B, dv),
-    (B, dh, dv), added to the state ``a``, or alone when ``a`` is None; one
-    node with parents (a, k, v) or (k, v).
+def outer_update(a: Value | None, k: Value, v: Value, n_heads: int) -> Value:
+    """``a + k (x) v`` per head: head i's outer product of ``k`` (B, d) and
+    ``v`` (B, dv), both split into ``n_heads`` heads, at ``[:, i]`` of a
+    (B, n_heads, d / n_heads, dv / n_heads) array, added to the state ``a``
+    of that shape, or alone when ``a`` is None; one node with parents (a, k,
+    v) or (k, v).
 
-    One node for the chain's two reshapes, its matmul and, with ``a``, its
-    add: 4 ops, or 3.  Data and gradients are byte-identical to that
-    chain's; a non-finite product stays non-finite through the add of a
-    finite ``a``, so the output's check raises whenever the chain's would.
+    One node for the chain that split v into its heads and, per head, built
+    two reshapes, a matmul and, with ``a``, an add: 4 ops per head, or 3,
+    and n_heads splits with more than one head.  The chain's splits of k are
+    ``key_sum``'s, which reads the same k, so they are counted there; the
+    chain from k still passes through them.  Data and gradients are
+    byte-identical to that chain's; a non-finite product stays non-finite
+    through the add of a finite ``a``, so the output's check raises
+    whenever the chain's would.
     """
-    if k.data.ndim != 2 or v.data.ndim != 2 or k.shape[0] != v.shape[0]:
-        raise ShapeError(_OUTER_UPDATE.name, k.shape, v.shape)
-    (batch, dh), dv = k.shape, v.shape[-1]
-    data = np.matmul(k.data.reshape((batch, dh, 1)), v.data.reshape((batch, 1, dv)))
+    batch = k.shape[0] if k.data.ndim == 2 else 0
+    if (not batch or v.data.ndim != 2 or v.shape[0] != batch or n_heads < 1
+            or k.shape[1] % n_heads or v.shape[1] % n_heads):
+        raise ShapeError(_OUTER_UPDATE.name, k.shape, v.shape, n_heads)
+    data = np.stack([np.matmul(_head(k.data, i, n_heads).reshape((batch, -1, 1)),
+                               _head(v.data, i, n_heads).reshape((batch, 1, -1)))
+                     for i in range(n_heads)], axis=1)
     if a is None:
-        return Value(data, _OUTER_UPDATE, (k, v))
-    try:
-        data = a.data + data
-    except ValueError as err:
-        raise ShapeError(_OUTER_UPDATE.name, a.shape, k.shape, v.shape) from err
-    return Value(data, _OUTER_UPDATE, (a, k, v))
+        return Value(data, _OUTER_UPDATE, (k, v), n_heads)
+    if a.shape != data.shape:
+        raise ShapeError(_OUTER_UPDATE.name, a.shape, k.shape, v.shape, n_heads)
+    return Value(a.data + data, _OUTER_UPDATE, (a, k, v), n_heads)
+
+
+def _key_sum_bwd(out):
+    # replays the add (if any), then the splits of k
+    *b, k = out.parents
+    if b:
+        _accumulate(b[0], out._grad)
+    _accumulate_heads(k, [[out._grad]], out._ctx)
+
+
+def key_sum(b: Value | None, k: Value, n_heads: int) -> Value:
+    """``b + k``, linear attention's running sum of the feature-mapped keys
+    ``k`` (B, d), or ``k`` alone when ``b`` is None; one node with parents
+    (b, k) or (k,) and data (B, d).
+
+    One node for the chain that split k into ``n_heads`` heads (no split at
+    one head) and, with ``b``, added each head to b's: n_heads splits and
+    n_heads adds, or the splits alone.  ``outer_update`` and
+    ``linear_readout`` read head i of b and k from columns i·d/n_heads on.
+    Data and gradients are byte-identical to the chain's.  The sum of finite
+    rows can overflow, and the output's check raises as the chain's adds
+    would.
+    """
+    if k.data.ndim != 2 or n_heads < 1 or k.shape[1] % n_heads:
+        raise ShapeError(_KEY_SUM.name, k.shape, n_heads)
+    if b is None:
+        return Value(k.data, _KEY_SUM, (k,), n_heads)
+    if b.shape != k.shape:
+        raise ShapeError(_KEY_SUM.name, b.shape, k.shape, n_heads)
+    return Value(b.data + k.data, _KEY_SUM, (b, k), n_heads)
 
 
 def _linear_readout_bwd(out):
-    # replays the divide, the sum, q * b, the reshape, the matmul and q's
-    # reshape in reverse creation order: q, b, a and then q again receive
-    # their gradients
+    # replays, per head, the divide, the sum, q * b, the reshape, the matmul
+    # and q's reshape in reverse creation order: q, b, a and then q again
+    # receive their gradients, each head at once through the heads' concat
+    # and the splits of q
     q, a, b = out.parents
-    num, den = out._ctx
-    g = out._grad
-    g_num = _unbroadcast(g / den, num.shape)
-    g_p = np.broadcast_to(_unbroadcast(-g * num / (den * den), den.shape),
-                          np.broadcast_shapes(q.shape, b.shape))
-    _accumulate(q, _unbroadcast(g_p * b.data, q.shape))
-    _accumulate(b, _unbroadcast(g_p * q.data, b.shape))
-    (batch, dh), dv = q.shape, a.shape[-1]
-    g_m = g_num.reshape((batch, 1, dv))
-    rq = q.data.reshape((batch, 1, dh))
-    g_rq = np.matmul(g_m, np.swapaxes(a.data, -1, -2))
-    _accumulate(a, _unbroadcast(np.matmul(np.swapaxes(rq, -1, -2), g_m), a.shape))
-    _accumulate(q, g_rq.reshape(q.shape))
+    nums, dens = out._ctx
+    n_heads = a.shape[1]
+    g_q, g_a, g_b = [], [], []
+    for i in range(n_heads):
+        num, den = nums[i], dens[i]
+        q_i, a_i, b_i = _head(q.data, i, n_heads), a.data[:, i], _head(b.data, i, n_heads)
+        g = _head(out._grad, i, n_heads)
+        g_num = _unbroadcast(g / den, num.shape)
+        g_p = np.broadcast_to(_unbroadcast(-g * num / (den * den), den.shape), q_i.shape)
+        (batch, dh), dv = q_i.shape, a_i.shape[-1]
+        g_m = g_num.reshape((batch, 1, dv))
+        rq = q_i.reshape((batch, 1, dh))
+        g_rq = np.matmul(g_m, np.swapaxes(a_i, -1, -2))
+        g_q.append([g_p * b_i, g_rq.reshape(q_i.shape)])
+        g_b.append(g_p * q_i)
+        g_a.append(np.matmul(np.swapaxes(rq, -1, -2), g_m))
+    _accumulate(b, _side_by_side(g_b))
+    _accumulate(a, np.stack(g_a, axis=1))
+    _accumulate_heads(q, g_q, n_heads)
 
 
 def linear_readout(q: Value, a: Value, b: Value) -> Value:
-    """Linear attention's read-out ``(q a) / (q . b)`` of the query ``q``
-    (B, dh) from the state ``a`` (B, dh, dv) and ``b`` (B, dh); returns
-    (B, dv).
+    """Linear attention's read-out ``(q a) / (q . b)`` per head of the query
+    ``q`` (B, d) from the state ``a`` (B, n_heads, dh, dv) and ``b`` (B,
+    d), q and b split into the n_heads heads of width dh = d / n_heads;
+    returns the heads' read-outs side by side, (B, n_heads·dv).
 
-    One node for the 6 elementary ops that built it: q's reshape, the
-    matmul with ``a`` and its reshape, q * b, the row sum and the divide.
-    Data and gradients are byte-identical to that chain's.  The node raises
-    ``GraphOverflowError`` whenever a node of the chain would have: an
-    infinite denominator leaves the quotient finite, so it is checked as
-    well as the output.
+    One node for the chain that split q into its heads, built per head q's
+    reshape, the matmul with ``a`` and its reshape, q * b, the row sum and
+    the divide, and joined the heads: 6 ops per head, and with more than one
+    head q's n_heads splits and the heads' concat.  Data and gradients are
+    byte-identical to that chain's.  The node raises ``GraphOverflowError``
+    whenever a node of the chain would have: an infinite denominator leaves
+    the quotient finite, so every head's is checked as well as the output.
     """
-    if (q.data.ndim != 2 or a.data.ndim != 3 or a.shape[:2] != q.shape
-            or b.shape != q.shape):
+    batch, d = q.shape if q.data.ndim == 2 else (0, 0)
+    if (not batch or a.data.ndim != 4 or b.shape != q.shape or a.shape[0] != batch
+            or a.shape[1] * a.shape[2] != d):
         raise ShapeError(_LINEAR_READOUT.name, q.shape, a.shape, b.shape)
-    batch, dh = q.shape
+    n_heads, dh, dv = a.shape[1:]
+    nums, dens, outs = [], [], []
     with _quiet():
-        num = np.matmul(q.data.reshape((batch, 1, dh)), a.data).reshape((batch, a.shape[-1]))
-        den = (q.data * b.data).sum(axis=-1, keepdims=True)
-        data = num / den
-    out = Value(data, _LINEAR_READOUT, (q, a, b), (num, den))
-    if not np.isfinite(den).all():
+        for i in range(n_heads):
+            q_i = _head(q.data, i, n_heads)
+            nums.append(np.matmul(q_i.reshape((batch, 1, dh)), a.data[:, i]).reshape((batch, dv)))
+            dens.append((q_i * _head(b.data, i, n_heads)).sum(axis=-1, keepdims=True))
+            outs.append(nums[-1] / dens[-1])
+    out = Value(_side_by_side(outs), _LINEAR_READOUT, (q, a, b), (nums, dens))
+    if not all(np.isfinite(den).all() for den in dens):
         _overflow(out)
     return out
 
@@ -1252,6 +1307,18 @@ def _row_steps(v: Value) -> tuple:
     return (int(position is not None), n_heads if n_heads > 1 else 0, n_heads if rows else 0)
 
 
+def _splits(n_heads: int) -> int:
+    """The splits of one full-width operand into ``n_heads`` heads: none at
+    one head."""
+    return n_heads if n_heads > 1 else 0
+
+
+def _split_join(n_heads: int) -> int:
+    """The ops of an all-heads node's query split and heads' concat: n_heads
+    splits and a concat with more than one head, else none."""
+    return _splits(n_heads) + (n_heads > 1)
+
+
 def _scaled(v: Value) -> int:
     """1 if an attention node's chain holds the ``* scale`` op, else 0."""
     return v._ctx[0] is not None
@@ -1261,12 +1328,6 @@ def _joined(v: Value) -> int:
     """1 if an all-heads node's chain splits its rows into heads and joins
     them again, so more than one head, else 0."""
     return v._ctx[1] > 1
-
-
-def _split_join(v: Value) -> int:
-    """The ops of an all-heads node's query split and heads' concat: n_heads
-    splits and a concat with more than one head, else none."""
-    return (v._ctx[1] + 1) * _joined(v)
 
 
 def _attention_chains(v: Value) -> tuple:
@@ -1293,10 +1354,10 @@ def _attention_flops(v: Value) -> int:
 # kind 9, each one more with the scale, and q's splits and the heads' concat
 # with more than one head
 _ATTENTION = Op("attention", _attention_bwd, _attention_flops,
-                ops=lambda v: v._ctx[1] * (len(v.parents) + 5 + _scaled(v)) + _split_join(v),
+                ops=lambda v: v._ctx[1] * (len(v.parents) + 5 + _scaled(v)) + _split_join(v._ctx[1]),
                 chains=_attention_chains)
 _CACHED_ATTENTION = Op("cached_attention", _cached_attention_bwd, _attention_flops,
-                       ops=lambda v: v._ctx[1] * (9 + _scaled(v)) + _split_join(v),
+                       ops=lambda v: v._ctx[1] * (9 + _scaled(v)) + _split_join(v._ctx[1]),
                        chains=_attention_chains)
 # a row's slice, its splits and its reshapes: no flops
 _SPLIT_ROW = Op("split_row", _split_row_bwd, _per_out(0), ops=lambda v: sum(_row_steps(v)),
@@ -1312,20 +1373,47 @@ _RWKV_OUTPUT = Op("rwkv_output", _rwkv_output_bwd, _per_out(9), ops=_always(6),
 _DECAYED_SUM = Op("decayed_sum", _decayed_sum_bwd, lambda v: (len(v.parents) - 1) * v.data.size,
                   ops=lambda v: len(v.parents) - 1,
                   chains=lambda v: (2, 2, 2, 2) if len(v.parents) == 4 else (2, 2, 1))
-# a + k (x) v: two reshapes, a matmul of inner width 1 (2 flops per output
-# scalar) and the add (1), on chains 1 long from a and 3 from k and v; with
-# no state, 3 ops on chains 2 long
+
+
+def _outer_update_chains(v: Value) -> tuple:
+    # a's add; from k and v, each split (with heads), reshape, the matmul
+    # and the add (if any)
+    kv = len(v.parents) + (v._ctx > 1)
+    return (1, kv, kv) if len(v.parents) == 3 else (kv, kv)
+
+
+def _key_sum_chains(v: Value) -> tuple:
+    # b's add; from k, its split (with heads) and the add (if any)
+    k = len(v.parents) - 1 + (v._ctx > 1)
+    return (1, k) if len(v.parents) == 2 else (k,)
+
+
+def _linear_readout_chains(v: Value) -> tuple:
+    # 4 ops from q and 3 from a and b per head; with heads, the heads'
+    # concat, and q's split before them
+    m = v.parents[1].shape[1] > 1
+    return (4 + 2 * m, 3 + m, 3 + m)
+
+
+# per head, a + k (x) v: two reshapes, a matmul of inner width 1 (2 flops per
+# output scalar) and the add (1), or 3 ops with no state; with heads, v's
+# splits (k's are key_sum's)
 _OUTER_UPDATE = Op("outer_update", _outer_update_bwd,
                    lambda v: len(v.parents) * v.data.size,
-                   ops=lambda v: len(v.parents) + 1,
-                   chains=lambda v: (1, 3, 3) if len(v.parents) == 3 else (2, 2))
-# (q a) / (q . b): q's reshape, a matmul over dh (2·dh per output scalar),
-# its reshape, q * b and the row sum (one flop per scalar of q each) and the
-# divide (1), on chains 4 long from q and 3 from a and b
+                   ops=lambda v: v._ctx * (len(v.parents) + 1) + _splits(v._ctx),
+                   chains=_outer_update_chains)
+# per head, b + k (one flop per scalar); with heads, k's splits
+_KEY_SUM = Op("key_sum", _key_sum_bwd, lambda v: (len(v.parents) - 1) * v.data.size,
+              ops=lambda v: (len(v.parents) - 1) * v._ctx + _splits(v._ctx),
+              chains=_key_sum_chains)
+# per head, (q a) / (q . b): q's reshape, a matmul over dh (2·dh per output
+# scalar), its reshape, q * b and the row sum (one flop per scalar of q
+# each) and the divide (1); with heads, q's splits and the heads' concat
 _LINEAR_READOUT = Op("linear_readout", _linear_readout_bwd,
-                     lambda v: (2 * v.parents[0].shape[-1] + 1) * v.data.size
+                     lambda v: (2 * v.parents[1].shape[2] + 1) * v.data.size
                      + 2 * v.parents[0].data.size,
-                     ops=_always(6), chains=_always((4, 3, 3)))
+                     ops=lambda v: 6 * v.parents[1].shape[1] + _split_join(v.parents[1].shape[1]),
+                     chains=_linear_readout_chains)
 _CONCAT = Op("concat", _concat_bwd, _per_out(0))
 _VIEW_SLICE = Op("slice", _slice_bwd, _per_out(0))
 _GATHER = Op("slice", _gather_bwd, _per_out(0))

@@ -134,8 +134,7 @@ def test_linear_state_size_constant_in_t():
     sizes = []
     for tok in range(1, 7):
         _, state = step(cfg, pg, state, np.array([tok]))
-        sizes.append(sum(a.data.size + b.data.size
-                         for heads in state["layers"] for a, b in heads))
+        sizes.append(sum(a.data.size + b.data.size for a, b in state["layers"]))
     assert len(set(sizes)) == 1
 
 

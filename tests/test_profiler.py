@@ -13,7 +13,7 @@ from recurlab.profiler import (DepthProfile, ProfilerError, fit_complexity,
                                table_to_csv, table_to_markdown)
 from test_tensor import (affine_chain, attention_chain, cached_attention_chain,
                          cross_entropy_chain, decayed_sum_chain, heads_chain, layer_norm_chain,
-                         linear_readout_chain, lstm_chain, outer_update_chain,
+                         linear_step_chain, linear_step_fused, lstm_chain, outer_update_chain,
                          rwkv_decay_chain, rwkv_output_chain, split_chain, with_arrays)
 
 VOCAB = 7
@@ -181,15 +181,28 @@ OP_COSTS = {
         lambda: T.decayed_sum(_p(3), _p(2, 3), _p(2, 3), _deeper(_p(2, 3), 2)), (5, 4, 18)),
     # a + k (x) v: 4 ops on chains 1 long from a and 3 from k and v, 3 flops
     # per scalar of the (2, 3, 4) output; without a, 3 ops on chains 2 long
-    "outer-update": (lambda: T.outer_update(_p(2, 3, 4), _p(2, 3), _p(2, 4)), (4, 3, 72)),
-    "outer-update-first": (lambda: T.outer_update(None, _p(2, 3), _p(2, 4)), (3, 2, 48)),
-    "outer-update-deep-state": (lambda: T.outer_update(_deeper(_p(2, 3, 4), 3), _p(2, 3),
-                                                       _p(2, 4)), (7, 4, 72)),
+    "outer-update": (lambda: T.outer_update(_p(2, 1, 3, 4), _p(2, 3), _p(2, 4), 1), (4, 3, 72)),
+    "outer-update-first": (lambda: T.outer_update(None, _p(2, 3), _p(2, 4), 1), (3, 2, 48)),
+    "outer-update-deep-state": (lambda: T.outer_update(_deeper(_p(2, 1, 3, 4), 3), _p(2, 3),
+                                                       _p(2, 4), 1), (7, 4, 72)),
+    # with two heads, 4 ops per head and v's two splits (k's are key_sum's),
+    # on chains 4 long from k and v
+    "outer-update-2-heads": (lambda: T.outer_update(_p(2, 2, 2, 3), _p(2, 4), _p(2, 6), 2),
+                             (10, 4, 72)),
+    # b + k over two heads: k's two splits and two adds, on chains 1 long
+    # from b and 2 from k; k alone: its splits, or nothing at one head
+    "key-sum": (lambda: T.key_sum(_p(2, 4), _p(2, 4), 2), (4, 2, 8)),
+    "key-sum-first": (lambda: T.key_sum(None, _p(2, 4), 2), (2, 1, 0)),
+    "key-sum-one-head-first": (lambda: T.key_sum(None, _deeper(_p(2, 4), 2), 1), (2, 2, 0)),
     # (q a) / (q . b): 6 ops on chains 4 long from q and 3 from a and b;
     # 2·3 + 1 flops per scalar of the (2, 4) output and 2 per scalar of q
-    "linear-readout": (lambda: T.linear_readout(_p(2, 3), _p(2, 3, 4), _p(2, 3)), (6, 4, 68)),
-    "linear-readout-deep-b": (lambda: T.linear_readout(_p(2, 3), _p(2, 3, 4),
+    "linear-readout": (lambda: T.linear_readout(_p(2, 3), _p(2, 1, 3, 4), _p(2, 3)), (6, 4, 68)),
+    "linear-readout-deep-b": (lambda: T.linear_readout(_p(2, 3), _p(2, 1, 3, 4),
                                                        _deeper(_p(2, 3), 2)), (8, 5, 68)),
+    # with two heads, 6 ops per head, q's two splits and the heads' concat,
+    # on chains 6 long from q and 4 from a and b
+    "linear-readout-2-heads": (lambda: T.linear_readout(_p(2, 4), _p(2, 2, 2, 3), _p(2, 4)),
+                               (15, 6, 76)),
 }
 
 
@@ -268,12 +281,16 @@ FUSED_CHAINS = {
                     [(3,), (2, 3), (2, 3)]),
     "decayed-sum-weighted": (lambda vs: T.decayed_sum(*vs), lambda vs: decayed_sum_chain(*vs),
                              [(3,), (2, 3), (2, 3), (2, 3)]),
-    "outer-update": (lambda vs: T.outer_update(*vs), lambda vs: outer_update_chain(*vs),
-                     [(2, 3, 4), (2, 3), (2, 4)]),
-    "outer-update-first": (lambda vs: T.outer_update(None, *vs),
+    "outer-update-first": (lambda vs: T.outer_update(None, *vs, 1),
                            lambda vs: outer_update_chain(None, *vs), [(2, 3), (2, 4)]),
-    "linear-readout": (lambda vs: T.linear_readout(*vs), lambda vs: linear_readout_chain(*vs),
-                       [(2, 3), (2, 3, 4), (2, 3)]),
+    # a step from no state, whose update, sum and read-out share the splits
+    # of k
+    "linear-step-first-2-heads": (lambda vs: linear_step_fused(None, *vs, 2)[0],
+                                  lambda vs: linear_step_chain(None, *vs, 2)[0],
+                                  [(2, 4), (2, 4), (2, 6)]),
+    "linear-step-first-4-heads": (lambda vs: linear_step_fused(None, *vs, 4)[0],
+                                  lambda vs: linear_step_chain(None, *vs, 4)[0],
+                                  [(2, 8), (2, 8), (2, 4)]),
 }
 
 

@@ -935,24 +935,54 @@ def decayed_sum_chain(z, a, x, y=None):
 
 
 def outer_update_chain(a, k, v):
-    """The 3 elementary ops, 4 with the state ``a``, that
-    ``T.outer_update`` fuses."""
+    """One head of the elementary ops that ``T.outer_update`` fuses: 3, or
+    4 with the state ``a`` (B, dh, dv)."""
     (batch, dh), dv = k.shape, v.shape[-1]
     outer = T.matmul(k.reshape((batch, dh, 1)), v.reshape((batch, 1, dv)))
     return outer if a is None else a + outer
 
 
 def linear_readout_chain(q, a, b):
-    """The 6 elementary ops that ``T.linear_readout`` fuses."""
+    """One head of the 6 elementary ops that ``T.linear_readout`` fuses."""
     batch, dh = q.shape
     num = T.matmul(q.reshape((batch, 1, dh)), a).reshape((batch, a.shape[-1]))
     return num / (q * b).sum(axis=-1, keepdims=True)
 
 
+def linear_step_chain(ab, q, k, v, n_heads):
+    """One linear-attention step as the elementary nodes that
+    ``T.outer_update``, ``T.key_sum`` and ``T.linear_readout`` fuse: q, k
+    and v split into heads, per head the state's update, b + k and the
+    read-out, and the heads' concat; ``ab`` is a list of per-head (a, b)."""
+    outs, states = [], []
+    for i, (q_i, k_i, v_i) in enumerate(zip(split_chain(q, n_heads), split_chain(k, n_heads),
+                                            split_chain(v, n_heads))):
+        a, b = (None, None) if ab is None else ab[i]
+        a = outer_update_chain(a, k_i, v_i)
+        b = k_i if b is None else b + k_i
+        outs.append(linear_readout_chain(q_i, a, b))
+        states.append((a, b))
+    return (outs[0] if n_heads == 1 else T.concat(outs, axis=-1)), states
+
+
+def linear_step_fused(ab, q, k, v, n_heads):
+    """The same step as ``linear_attn_recurrent`` builds it."""
+    a = T.outer_update(None if ab is None else ab[0], k, v, n_heads)
+    b = T.key_sum(None if ab is None else ab[1], k, n_heads)
+    return T.linear_readout(q, a, b), (a, b)
+
+
+def _state_arrays(ab):
+    """The fused state's (a, b) arrays, or the chain's per-head states
+    stacked and joined as the fused node holds them."""
+    if isinstance(ab, tuple):
+        return [x.data for x in ab]
+    return [np.stack([a.data for a, _ in ab], axis=1),
+            np.concatenate([b.data for _, b in ab], axis=-1)]
+
+
 FUSED_RWKV = (T.rwkv_decay, T.rwkv_output, T.decayed_sum)
 CHAIN_RWKV = (rwkv_decay_chain, rwkv_output_chain, decayed_sum_chain)
-FUSED_LINEAR = (T.outer_update, T.linear_readout)
-CHAIN_LINEAR = (outer_update_chain, linear_readout_chain)
 
 
 def _rwkv_run(kinds, batch=3, d=4):
@@ -983,24 +1013,34 @@ def _rwkv_run(kinds, batch=3, d=4):
                                   *(s.grad for s in [w_raw, u, *srcs]))]
 
 
-def _linear_run(kinds, batch=3, dh=4, dv=5):
-    """Data of three linear-attention recurrent steps of one head, built as
-    ``linear_attn_recurrent`` builds them from ``kinds`` (update,
-    read-out), and the gradients of every source under a weighted-sum loss;
-    each step's q and k also feed a node built after the step."""
-    update, readout = kinds
-    rng = np.random.default_rng(dh + dv)
-    srcs = [T.parameter(rng.normal(size=(batch, d))) for _ in range(3) for d in (dh, dh, dv)]
+def _linear_run(step, n_heads, batch=3, dh=4):
+    """Data of three linear-attention recurrent steps over ``n_heads`` heads,
+    built by ``step`` (``linear_step_fused`` or ``linear_step_chain``), and
+    the gradients of every source under a weighted-sum loss; each step's q
+    and v also feed a node built after the step, and the loss reads the
+    last state.  As in the models, nothing else reads k: the chain summed
+    the gradients of k's heads from the update, the sum and the read-out
+    before adding them into k, which no fused node can do around another
+    reader of k."""
+    rng = np.random.default_rng(dh + n_heads)
+    srcs = [T.parameter(rng.normal(size=(batch, n_heads * w)))
+            for _ in range(3) for w in (dh, dh, dh)]
     ab, outs = None, []
     for t in range(3):
         q, k = (T.nonlinearity(s, "elu_plus_one") for s in srcs[3 * t:3 * t + 2])
-        a = update(None if ab is None else ab[0], k, srcs[3 * t + 2])
-        ab = (a, k if ab is None else ab[1] + k)
-        outs += [readout(q, *ab), q * k]
-    outs += ab
+        v = srcs[3 * t + 2] * T.constant(1.5)
+        out, ab = step(ab, q, k, v, n_heads)
+        outs += [out, q * v]
+    states = _state_arrays(ab)
+    w_a, w_b = (rng.normal(size=x.shape) for x in states)
+    if isinstance(ab, tuple):
+        terms = [(ab[0] * T.constant(w_a)).sum(), (ab[1] * T.constant(w_b)).sum()]
+    else:
+        terms = [(x * T.constant(w)).sum() for i, (a, b) in enumerate(ab)
+                 for x, w in ((a, w_a[:, i]), (b, np.split(w_b, n_heads, axis=-1)[i]))]
     T.backward(sum(((o * T.constant(rng.normal(size=o.shape))).sum() for o in outs[1:]),
-                   outs[0].sum()))
-    return [x.tobytes() for x in (*(o.data for o in outs), *(s.grad for s in srcs))]
+                   outs[0].sum()) + sum(terms[1:], terms[0]))
+    return [x.tobytes() for x in (*(o.data for o in outs), *states, *(s.grad for s in srcs))]
 
 
 def test_rwkv_kinds_match_the_chain_byte_for_byte():
@@ -1008,7 +1048,9 @@ def test_rwkv_kinds_match_the_chain_byte_for_byte():
 
 
 def test_linear_kinds_match_the_chain_byte_for_byte():
-    assert _linear_run(FUSED_LINEAR) == _linear_run(CHAIN_LINEAR)
+    for n_heads in HEADS:
+        assert _linear_run(linear_step_fused, n_heads) == \
+            _linear_run(linear_step_chain, n_heads), n_heads
 
 
 # kind -> (build it over these parameters, their shapes)
@@ -1017,9 +1059,14 @@ STATE_KINDS = {
     "rwkv_output": (T.rwkv_output, [(4,), (2, 4), (2, 4), (2, 4), (2, 4)]),
     "decayed_sum": (T.decayed_sum, [(4,), (2, 4), (2, 4)]),
     "decayed_sum-weighted": (T.decayed_sum, [(4,), (2, 4), (2, 4), (2, 4)]),
-    "outer_update": (T.outer_update, [(2, 3, 4), (2, 3), (2, 4)]),
-    "outer_update-first": (lambda k, v: T.outer_update(None, k, v), [(2, 3), (2, 4)]),
-    "linear_readout": (T.linear_readout, [(2, 3), (2, 3, 4), (2, 3)]),
+    "outer_update": (lambda a, k, v: T.outer_update(a, k, v, 1), [(2, 1, 3, 4), (2, 3), (2, 4)]),
+    "outer_update-first": (lambda k, v: T.outer_update(None, k, v, 1), [(2, 3), (2, 4)]),
+    "outer_update-2-heads": (lambda a, k, v: T.outer_update(a, k, v, 2),
+                             [(2, 2, 2, 3), (2, 4), (2, 6)]),
+    "key_sum": (lambda b, k: T.key_sum(b, k, 2), [(2, 4), (2, 4)]),
+    "key_sum-first": (lambda k: T.key_sum(None, k, 2), [(2, 4)]),
+    "linear_readout": (T.linear_readout, [(2, 3), (2, 1, 3, 4), (2, 3)]),
+    "linear_readout-2-heads": (T.linear_readout, [(2, 4), (2, 2, 2, 3), (2, 4)]),
 }
 
 
@@ -1049,13 +1096,24 @@ def test_state_kinds_grad_check(kind):
     ("outer_update", [None, (2, 3, 1), (2, 4)]),       # a key with a third axis
     ("outer_update", [None, (2, 3), (3, 4)]),          # values of another batch
     ("outer_update", [(2, 4, 3), (2, 3), (2, 4)]),     # a state of another shape
-    ("linear_readout", [(3,), (3, 4), (3,)]),          # no batch axis
-    ("linear_readout", [(2, 3), (2, 4, 4), (2, 3)]),   # a state of another width
-    ("linear_readout", [(2, 3), (2, 3, 4), (2, 4)]),   # a sum of another width
+    ("linear_readout", [(3,), (1, 3, 4), (3,)]),       # no batch axis
+    ("linear_readout", [(2, 3), (2, 1, 4, 4), (2, 3)]),  # a state of another width
+    ("linear_readout", [(2, 3), (2, 1, 3, 4), (2, 4)]),  # a sum of another width
+    ("key_sum", [(2, 2), (2, 4)]),                     # a sum of another width
 ])
 def test_state_kinds_reject_operands_the_chain_would_not_combine(kind, shapes):
+    operands = [None if s is None else T.parameter(np.ones(s)) for s in shapes]
+    heads = (1,) if kind in ("outer_update", "key_sum") else ()
     with pytest.raises(T.ShapeError, match=kind):
-        getattr(T, kind)(*(None if s is None else T.parameter(np.ones(s)) for s in shapes))
+        getattr(T, kind)(*operands, *heads)
+
+
+@pytest.mark.parametrize("kind", ["outer_update", "key_sum"])
+def test_state_kinds_reject_a_key_not_split_evenly(kind):
+    k = T.parameter(np.ones((2, 3)))
+    with pytest.raises(T.ShapeError, match=kind):
+        getattr(T, kind)(None, k, *([T.parameter(np.ones((2, 4)))] if kind == "outer_update"
+                                    else []), 2)
 
 
 PER_HEAD_CHAINS = {"attention": attention_chain, "cached_attention": cached_attention_chain}
@@ -1115,6 +1173,28 @@ def _arrays(*values):
     return [np.array(v, dtype=float) for v in values]
 
 
+def _one_head_state(a):
+    """The (B, dh, dv) state of a (B, 1, dh, dv) one, for a chain's head."""
+    return a.reshape((a.shape[0],) + a.shape[2:])
+
+
+def _outer_update_heads(a, k, v):
+    """outer_update's chain over the heads of k and v, each head's state
+    sliced out of ``a`` and the updates stacked again."""
+    n_heads = a.shape[1]
+    heads = [outer_update_chain(a.slice((slice(None), i)), k_i, v_i).reshape(
+        (a.shape[0], 1) + a.shape[2:])
+        for i, (k_i, v_i) in enumerate(zip(split_chain(k, n_heads), split_chain(v, n_heads)))]
+    return T.concat(heads, axis=1)
+
+
+def _linear_readout_heads(q, a, b):
+    """linear_readout's chain over the heads of q and b."""
+    n_heads = a.shape[1]
+    return T.concat([linear_readout_chain(q_i, a.slice((slice(None), i)), b_i) for i, (q_i, b_i)
+                     in enumerate(zip(split_chain(q, n_heads), split_chain(b, n_heads)))], axis=-1)
+
+
 # kind -> (fused builder, chain builder, input cases near the float64 limit
 # as (case id, input arrays, whether the chain raises))
 FUSED_OVERFLOWS = {
@@ -1166,22 +1246,48 @@ FUSED_OVERFLOWS = {
         ("opposite-products", _arrays([1e200], [[1e200]], [[-1e200]], [[1e200]]), True),
         ("weighted-cancelling", _arrays([1.0], [[1.7e308]], [[-1.7e154]], [[1e154]]), False),
     ]),
-    # (a, k, v), or (k, v) for the first step
-    "outer_update": (lambda *vs: T.outer_update(vs[0] if len(vs) == 3 else None, *vs[-2:]),
-                     lambda *vs: outer_update_chain(vs[0] if len(vs) == 3 else None, *vs[-2:]), [
-        ("product", _arrays([[[0.0]]], [[1e200]], [[1e200]]), True),
+    # (a, k, v), or (k, v) for the first step, at one head; the chain's
+    # state is the head's (B, dh, dv)
+    "outer_update": (lambda *vs: T.outer_update(vs[0] if len(vs) == 3 else None, *vs[-2:], 1),
+                     lambda *vs: outer_update_chain(_one_head_state(vs[0]) if len(vs) == 3
+                                                    else None, *vs[-2:]), [
+        ("product", _arrays([[[[0.0]]]], [[1e200]], [[1e200]]), True),
         ("first-product", _arrays([[1e200]], [[1e200]]), True),
-        ("sum", _arrays([[[1.7e308]]], [[1e154]], [[1.7e154]]), True),
-        ("cancelling", _arrays([[[-1.7e308]]], [[1.3e154]], [[1.3e154]]), False),
+        ("sum", _arrays([[[[1.7e308]]]], [[1e154]], [[1.7e154]]), True),
+        ("cancelling", _arrays([[[[-1.7e308]]]], [[1.3e154]], [[1.3e154]]), False),
     ]),
-    # (q, a, b)
-    "linear_readout": (T.linear_readout, linear_readout_chain, [
+    # (a, k, v) at two heads of width 1: only the second head's product
+    # overflows
+    "outer_update/2-heads": (lambda a, k, v: T.outer_update(a, k, v, 2), _outer_update_heads, [
+        ("second-head-product", _arrays([[[[0.0]], [[0.0]]]], [[1.0, 1e200]], [[1.0, 1e200]]),
+         True),
+        ("second-head-cancelling", _arrays([[[[0.0]], [[-1.7e308]]]], [[1.0, 1.3e154]],
+                                           [[1.0, 1.3e154]]), False),
+    ]),
+    # (b, k), or k alone for the first step
+    "key_sum": (lambda *vs: T.key_sum(vs[0] if len(vs) == 2 else None, vs[-1], 1),
+                lambda *vs: vs[0] + vs[1] if len(vs) == 2 else vs[0], [
+        ("sum", _arrays([[1.7e308]], [[1.7e308]]), True),
+        ("cancelling", _arrays([[1.7e308]], [[-1.7e308]]), False),
+        ("first", _arrays([[1.7e308]]), False),
+    ]),
+    # (q, a, b), a at one head
+    "linear_readout": (T.linear_readout,
+                       lambda q, a, b: linear_readout_chain(q, _one_head_state(a), b), [
         # an infinite denominator gives a quotient of 0
-        ("denominator-product", _arrays([[1e200]], [[[1.0]]], [[1e200]]), True),
-        ("denominator-sum", _arrays([[1.0, 1.0]], [[[1.0], [1.0]]], [[1.7e308, 1.7e308]]), True),
-        ("numerator", _arrays([[1e200]], [[[1e200]]], [[1.0]]), True),
-        ("zero-denominator", _arrays([[1.0, 1.0]], [[[1.0], [1.0]]], [[1.0, -1.0]]), True),
-        ("huge-finite", _arrays([[1e150]], [[[1e150]]], [[1e150]]), False),
+        ("denominator-product", _arrays([[1e200]], [[[[1.0]]]], [[1e200]]), True),
+        ("denominator-sum", _arrays([[1.0, 1.0]], [[[[1.0], [1.0]]]], [[1.7e308, 1.7e308]]),
+         True),
+        ("numerator", _arrays([[1e200]], [[[[1e200]]]], [[1.0]]), True),
+        ("zero-denominator", _arrays([[1.0, 1.0]], [[[[1.0], [1.0]]]], [[1.0, -1.0]]), True),
+        ("huge-finite", _arrays([[1e150]], [[[[1e150]]]], [[1e150]]), False),
+    ]),
+    # (q, a, b) at two heads of width 1: only the second head is out of range
+    "linear_readout/2-heads": (T.linear_readout, _linear_readout_heads, [
+        ("second-head-denominator", _arrays([[1.0, 1e200]], [[[[1.0]], [[1.0]]]],
+                                            [[1.0, 1e200]]), True),
+        ("second-head-huge-finite", _arrays([[1.0, 1e150]], [[[[1.0]], [[1e150]]]],
+                                            [[1.0, 1e150]]), False),
     ]),
 }
 OVERFLOW_CASES = [(kind, *case) for kind, (_, _, cases) in FUSED_OVERFLOWS.items()
