@@ -2,9 +2,10 @@
 
 Everything here builds on the ``tensor`` graph, one node per operation, so the
 profiler's counts reflect exactly what each architecture computes.  A layer
-norm (``layer_norm``) is one fused ``tensor.layer_norm`` node, an affine map
-(the readout) one ``tensor.affine`` node, and softmax attention one fused
-node per query for all heads; the profiler counts each as the elementary ops
+norm (``layer_norm``) is one fused ``tensor.layer_norm`` node, the readout
+one ``tensor.affine`` node, LN -> FFN -> residual one
+``tensor.ffn_sublayer`` node, and softmax attention one fused node per
+query for all heads; the profiler counts each as the elementary ops
 it replaces.  Sequences are handled either as one ``Value`` of shape (batch,
 length, d_model) or as a list of per-position ``Value``s of shape (batch,
 d_model).  The softmax Transformer's parallel route attends through
@@ -124,11 +125,6 @@ def layer_norm(pg: ParamGraph, prefix: str, x: Value, eps: float = 1e-6) -> Valu
     return T.layer_norm(x, pg[prefix + "_g"], pg[prefix + "_b"], eps)
 
 
-def ffn(pg: ParamGraph, prefix: str, x: Value, nonlin: str) -> Value:
-    hidden = T.nonlinearity(T.affine([(x, pg[prefix + ".w1"])], pg[prefix + ".b1"]), nonlin)
-    return T.affine([(hidden, pg[prefix + ".w2"])], pg[prefix + ".b2"])
-
-
 def residual_block(cfg, pg: ParamGraph, prefix: str, h: Value, attend) -> tuple:
     """LN -> ``attend`` -> residual -> LN -> FFN -> residual, on (B, d) or
     (B, L, d); without residuals the layer is ``attend`` alone.  ``attend``
@@ -155,9 +151,13 @@ def step_layers(state: dict, h: Value, layer) -> tuple:
     return h, {**state, "t": state["t"] + 1, "layers": tuple(layers)}
 
 
-def ffn_sublayer(cfg, pg: ParamGraph, prefix: str, h: Value) -> Value:
-    """LN -> FFN -> residual: the second half of ``residual_block``."""
-    return h + ffn(pg, f"{prefix}.ffn", layer_norm(pg, f"{prefix}.ln2", h), cfg.nonlin)
+def ffn_sublayer(cfg, pg: ParamGraph, prefix: str, h: Value, eps: float = 1e-6) -> Value:
+    """LN -> FFN -> residual, the second half of ``residual_block``, as one
+    ``tensor.ffn_sublayer`` node."""
+    ffn = f"{prefix}.ffn"
+    return T.ffn_sublayer(h, (pg[f"{prefix}.ln2_g"], pg[f"{prefix}.ln2_b"]),
+                          (pg[ffn + ".w1"], pg[ffn + ".b1"]), (pg[ffn + ".w2"], pg[ffn + ".b2"]),
+                          cfg.nonlin, eps)
 
 
 def split_heads(x: Value, n_heads: int) -> list:

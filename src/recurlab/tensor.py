@@ -8,19 +8,34 @@ the profiler counts for one node, whatever the tensor sizes.  Some kinds are
 fused, and compute, differentiate and overflow-check exactly as the
 elementary nodes they replace would, byte for byte:
 
-- ``layer_norm`` (13 ops) and ``affine`` (k matmuls and k adds for k = 1 to
-  3 pairs);
+- ``layer_norm`` (13 ops), ``affine`` (k matmuls and k adds for k = 1 to 3
+  pairs) and a Transformer layer's second half, ``ffn_sublayer`` (19: layer
+  norm, affine map, nonlinearity, affine map and residual add);
 - ``lstm_cell``'s two nodes ``lstm_c`` (9 ops) and ``lstm_h`` (4), and
   ``cross_entropy`` (8);
-- softmax attention of one query row over t keys, ``attention`` (2t + 6
-  ops, a product and a sum per key) and ``cached_attention`` (9, the keys
-  scored in one broadcast product), each one op more with a scale; both
-  read the keys and values from stacked arrays that the caller keeps
-  beside the rows, so their numpy work does not restack t rows;
+- softmax attention of one query row over t keys, for all of its heads:
+  ``attention`` (2t + 6 ops per head, a product and a sum per key) and
+  ``cached_attention`` (9 per head, the keys scored in one broadcast
+  product), each one op more per head with a scale, and with more than one
+  head the query's splits and the heads' concat; both read every head's
+  keys and values from stacked arrays that the caller keeps beside the
+  rows, so their numpy work does not restack t rows.  Each key and value
+  row they read is one ``split_row`` node (its slice, its heads' splits and
+  reshapes);
 - RWKV's recurrent update, ``rwkv_decay`` (3 ops), ``rwkv_output`` (6) and
-  ``decayed_sum`` (2, or 3 with a weighted new term), and one head of the
-  linear Transformer's, ``outer_update`` (4, or 3 with no state yet) and
-  ``linear_readout`` (6).
+  ``decayed_sum`` (2, or 3 with a weighted new term), and the linear
+  Transformer's, for all heads: ``outer_update`` (4 per head, or 3 with no
+  state yet, and the value's splits), ``key_sum`` (the key's splits and an
+  add per head) and ``linear_readout`` (6 per head, and the query's splits
+  and the heads' concat).
+
+An all-heads kind adds head i's gradient into columns i·d/n_heads on of a
+full-width parent, through a zero-filled buffer as the split's backward
+did, so it keeps the chain's bytes wherever the chain's split was read by
+that node alone: the query's split, and the rows' splits, which are
+``split_row`` nodes.  The key's split in linear attention is read by the
+update, the sum and the next step's sum; gradients keep the chain's bytes
+as long as nothing else reads that key, as in the models.
 
 A fused ``Op`` reads its op count, its chain's length from each parent and
 its flops off the node, since all three may grow with the number of
@@ -92,6 +107,7 @@ __all__ = [
     "nonlinearity",
     "softmax",
     "layer_norm",
+    "ffn_sublayer",
     "lstm_cell",
     "cross_entropy",
     "attention",
@@ -446,10 +462,10 @@ def divide(a: Value, b: Value) -> Value:
         return _binary(_DIVIDE, a, b, np.divide)
 
 
-def _matmul_grad(a: Value, b: Value, g: np.ndarray) -> None:
-    """Add the gradients of ``a @ b`` under output gradient ``g`` into ``a``
-    and ``b``: the rule of a matmul node, and of each product in ``affine``."""
-    ad, bd = a.data, b.data
+def _matmul_grads(ad: np.ndarray, bd: np.ndarray, g: np.ndarray) -> tuple:
+    """The gradients of ``ad @ bd`` under output gradient ``g``, each of its
+    operand's shape: the rule of a matmul node, and of each product in
+    ``affine`` and ``ffn_sublayer``."""
     a1, b1 = ad.ndim == 1, bd.ndim == 1
     # promote 1D operands to matrices so one transpose rule covers all cases
     ad2 = ad[None, :] if a1 else ad
@@ -466,8 +482,15 @@ def _matmul_grad(a: Value, b: Value, g: np.ndarray) -> None:
         ga = ga[..., 0, :]
     if b1:
         gb = gb[..., :, 0]
-    _accumulate(a, _unbroadcast(ga, a.shape))
-    _accumulate(b, _unbroadcast(gb, b.shape))
+    return _unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape)
+
+
+def _matmul_grad(a: Value, b: Value, g: np.ndarray) -> None:
+    """Add the gradients of ``a @ b`` under output gradient ``g`` into ``a``
+    and ``b``."""
+    ga, gb = _matmul_grads(a.data, b.data, g)
+    _accumulate(a, ga)
+    _accumulate(b, gb)
 
 
 def _matmul_bwd(out):
@@ -567,14 +590,14 @@ def softmax(a: Value) -> Value:
     return Value(data, _SOFTMAX, (a,))
 
 
-def _layer_norm_bwd(out):
-    # replays the backward steps of the 13 elementary nodes that layer_norm
-    # fuses, in their reverse creation order and with the same arithmetic, so
-    # every gradient keeps its bytes; the constants' gradients are skipped,
-    # since nothing reads them
-    x, gain, bias = out.parents
-    centered, inv_std, var_eps, normed = out._ctx
-    g = out._grad
+def _layer_norm_grads(x: Value, gain: Value, bias: Value, ctx: tuple, g: np.ndarray) -> None:
+    """Add the gradients of ``layer_norm(x, gain, bias)`` under output
+    gradient ``g`` into its operands: the backward steps of the 13
+    elementary nodes it fuses, in their reverse creation order and with the
+    same arithmetic, so every gradient keeps its bytes; the constants'
+    gradients are skipped, since nothing reads them.  ``ctx`` is what
+    ``_normalize`` returned beside the output."""
+    centered, inv_std, var_eps, normed = ctx
     inv_d = 1.0 / x.shape[-1]
     _accumulate(bias, _unbroadcast(g, bias.shape))                 # + bias
     _accumulate(gain, _unbroadcast(g * normed, gain.shape))        # * gain
@@ -590,6 +613,30 @@ def _layer_norm_bwd(out):
     _accumulate(x, np.broadcast_to(g_mean * inv_d, x.shape))       # * 1/d, sum
 
 
+def _layer_norm_bwd(out):
+    _layer_norm_grads(*out.parents, out._ctx, out._grad)
+
+
+def _normalize(xd: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> tuple:
+    """``layer_norm``'s forward on arrays: (output, (centered, inv_std, var +
+    eps, normed)), for its backward; the caller silences numpy's warnings."""
+    inv_d = 1.0 / xd.shape[-1]
+    mean = xd.sum(axis=-1, keepdims=True) * inv_d
+    centered = xd - mean
+    var_eps = (centered * centered).sum(axis=-1, keepdims=True) * inv_d + eps
+    inv_std = np.exp(np.log(var_eps) * -0.5)
+    normed = centered * inv_std
+    return normed * gain + bias, (centered, inv_std, var_eps, normed)
+
+
+def _check_norm(x: Value, gain: Value, bias: Value, op: "Op") -> None:
+    """Raise ``ShapeError`` unless ``gain`` and ``bias`` are (d,) for ``x``
+    (..., d) with d > 0."""
+    d = x.shape[-1] if x.data.ndim else 0
+    if not d or gain.shape != (d,) or bias.shape != (d,):
+        raise ShapeError(op.name, x.shape, gain.shape, bias.shape)
+
+
 def layer_norm(x: Value, gain: Value, bias: Value, eps: float) -> Value:
     """Normalize ``x`` over its last axis to zero mean and unit variance,
     then scale by ``gain`` and shift by ``bias``, both of shape (d,).
@@ -602,20 +649,67 @@ def layer_norm(x: Value, gain: Value, bias: Value, eps: float) -> Value:
     infinite variance makes inv_std 0 and the output finite, so var + eps is
     checked as well as the output.
     """
-    d = x.shape[-1] if x.data.ndim else 0
-    if not d or gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeError(_LAYER_NORM.name, x.shape, gain.shape, bias.shape)
-    xd = x.data
-    inv_d = 1.0 / d
+    _check_norm(x, gain, bias, _LAYER_NORM)
     with _quiet():
-        mean = xd.sum(axis=-1, keepdims=True) * inv_d
-        centered = xd - mean
-        var_eps = (centered * centered).sum(axis=-1, keepdims=True) * inv_d + eps
-        inv_std = np.exp(np.log(var_eps) * -0.5)
-        normed = centered * inv_std
-        data = normed * gain.data + bias.data
-    out = Value(data, _LAYER_NORM, (x, gain, bias), (centered, inv_std, var_eps, normed))
-    if not np.isfinite(var_eps).all():
+        data, ctx = _normalize(x.data, gain.data, bias.data, eps)
+    out = Value(data, _LAYER_NORM, (x, gain, bias), ctx)
+    if not np.isfinite(ctx[2]).all():
+        _overflow(out)
+    return out
+
+
+def _ffn_sublayer_bwd(out):
+    # replays the chain's backward steps in reverse creation order: the
+    # residual add, the second affine map (bias, then product), the
+    # nonlinearity, the first affine map and the layer norm; h receives the
+    # residual's gradient before the norm's two
+    h, gain, bias, w1, b1, w2, b2 = out.parents
+    deriv, ctx, y, pre, hidden = out._ctx
+    g = out._grad
+    _accumulate(h, g)
+    _accumulate(b2, _unbroadcast(g, b2.shape))
+    g_hidden, g_w2 = _matmul_grads(hidden, w2.data, g)
+    _accumulate(w2, g_w2)
+    g_pre = g_hidden * deriv(pre, hidden)
+    _accumulate(b1, _unbroadcast(g_pre, b1.shape))
+    g_y, g_w1 = _matmul_grads(y, w1.data, g_pre)
+    _accumulate(w1, g_w1)
+    _layer_norm_grads(h, gain, bias, ctx, g_y)
+
+
+def ffn_sublayer(h: Value, norm: tuple, first: tuple, second: tuple, nonlin: str,
+                 eps: float) -> Value:
+    """A Transformer layer's second half on ``h`` (..., d): ``h + FFN(LN(h))``
+    with ``norm`` the layer norm's (gain, bias), both (d,), and ``first`` and
+    ``second`` the FFN's (W1 (d, f), b1 (f,)) and (W2 (f, d), b2 (d,)), the
+    nonlinearity ``nonlin`` between them; one node with parents (h, gain,
+    bias, W1, b1, W2, b2).
+
+    One node for the chain of 19 elementary ops: the layer norm's 13, a
+    matmul and an add, the nonlinearity, a matmul and an add, and the
+    residual add.  Data and gradients are byte-identical to that chain's.
+    The node raises ``GraphOverflowError`` whenever a node of the chain would
+    have: var + eps and the pre-activation are checked as well as the
+    output, since an infinite variance leaves the norm finite and every
+    nonlinearity maps +-inf to a finite value (relu only -inf); a
+    non-finite norm makes the pre-activation non-finite, and a non-finite
+    hidden row or second map the output.
+    """
+    (gain, bias), (w1, b1), (w2, b2) = norm, first, second
+    _check_norm(h, gain, bias, _FFN_SUBLAYER)
+    d, f = gain.shape[0], b1.shape[0] if b1.data.ndim == 1 else -1
+    if w1.shape != (d, f) or w2.shape != (f, d) or b2.shape != (d,):
+        raise ShapeError(_FFN_SUBLAYER.name, h.shape, w1.shape, b1.shape, w2.shape, b2.shape)
+    if nonlin not in NONLINEARITIES:
+        raise TensorError(f"unknown nonlinearity {nonlin!r}")
+    fwd, deriv = NONLINEARITIES[nonlin]
+    with _quiet():
+        y, ctx = _normalize(h.data, gain.data, bias.data, eps)
+        pre = np.matmul(y, w1.data) + b1.data
+        hidden = fwd(pre)
+        data = h.data + (np.matmul(hidden, w2.data) + b2.data)
+    out = Value(data, _FFN_SUBLAYER, (h, gain, bias, w1, b1, w2, b2), (deriv, ctx, y, pre, hidden))
+    if not (np.isfinite(ctx[2]).all() and np.isfinite(pre).all()):
         _overflow(out)
     return out
 
@@ -1282,6 +1376,15 @@ _NONLINEARITY_OPS = {kind: Op(f"nonlinearity({kind})", _nonlinearity_bwd, _per_o
 _LAYER_NORM = Op("layer_norm", _layer_norm_bwd,
                  lambda v: 7 * v.data.size + 12 * (v.data.size // v.shape[-1]),
                  ops=_always(13), chains=_always((13, 2, 1)))
+# the FFN sublayer's 19 ops: the layer norm's, then per scalar of the
+# pre-activation (f per row) 2·d + 1 for the first map and 4 for the
+# nonlinearity, and per output scalar 2·f + 1 for the second map and 1 for
+# the residual add; on chains 19 long from h, 8 from the norm's gain, 7 from
+# its bias, 6 from W1, 5 from b1, 3 from W2 and 2 from b2
+_FFN_SUBLAYER = Op("ffn_sublayer", _ffn_sublayer_bwd,
+                   lambda v: _LAYER_NORM.flops(v) + (2 * v.shape[-1] + 5) * v._ctx[3].size
+                   + (2 * v._ctx[3].shape[-1] + 2) * v.data.size,
+                   ops=_always(19), chains=_always((19, 8, 7, 6, 5, 3, 2)))
 # affine with k pairs: k products and k adds; 2·m flops per output scalar for
 # a product over width m, 1 for each add
 _AFFINE = Op("affine", _affine_bwd,
@@ -1354,7 +1457,8 @@ def _attention_flops(v: Value) -> int:
 # kind 9, each one more with the scale, and q's splits and the heads' concat
 # with more than one head
 _ATTENTION = Op("attention", _attention_bwd, _attention_flops,
-                ops=lambda v: v._ctx[1] * (len(v.parents) + 5 + _scaled(v)) + _split_join(v._ctx[1]),
+                ops=lambda v: v._ctx[1] * (len(v.parents) + 5 + _scaled(v))
+                + _split_join(v._ctx[1]),
                 chains=_attention_chains)
 _CACHED_ATTENTION = Op("cached_attention", _cached_attention_bwd, _attention_flops,
                        ops=lambda v: v._ctx[1] * (9 + _scaled(v)) + _split_join(v._ctx[1]),

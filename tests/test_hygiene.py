@@ -16,6 +16,7 @@ from recurlab import tensor as T
 from recurlab.models import ARCHS, ModelConfig, init_params, model_forward
 from recurlab.tasks import TaskId
 from test_profiler import OP_COSTS
+from test_tensor import CHAIN_CASES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -192,6 +193,24 @@ def test_every_op_kind_has_a_profile_cost_case():
     assert not missing, "op kinds without an OP_COSTS case: " + ", ".join(
         f"{op.name} ({op.backward and op.backward.__name__})" for op in missing)
     assert {"matmul", "affine", "lstm_h", "cross_entropy"} <= {op.name for op in declared_ops()}
+
+
+def test_every_fused_op_has_a_chain_case(monkeypatch):
+    """Each declared ``Op`` with ``chains`` (a fused kind) is differentiated
+    by the fused side of at least one ``test_tensor.CHAIN_CASES`` run, so no
+    fused kind ships without a byte-equality check against its chain."""
+    fused = [op for op in declared_ops() if op.chains is not None]
+    seen = set()
+    for op in fused:
+        def recording(node, op=op, backward=op.backward):
+            seen.add(id(op))
+            backward(node)
+        monkeypatch.setattr(op, "backward", recording)
+    for run, side, _ in CHAIN_CASES.values():
+        run(side)
+    missing = [op.name for op in fused if id(op) not in seen]
+    assert not missing, "fused kinds without a CHAIN_CASES case: " + ", ".join(missing)
+    assert {"attention", "split_row", "key_sum", "ffn_sublayer"} <= {op.name for op in fused}
 
 
 def pending_list_users(source: str) -> set:

@@ -110,6 +110,27 @@ def test_one_position_builds_fewer_nodes_than_all(arch, mode):
         assert none == _nodes_built(lambda: model_forward(cfg, params, toks[:, :0], mode=mode))
 
 
+# (arch, mode) -> the nodes one model_forward builds at d16, 2 layers, 2
+# heads, n = 16: one attention node per query for all heads, over one node
+# per key and value row, and one FFN sublayer node per layer and position
+ROUTE_NODES = {
+    ("transformer", "parallel"): 294, ("transformer", "recurrent"): 377,
+    ("rwkv", "parallel"): 93, ("rwkv", "recurrent"): 405,
+    ("linear-transformer", "parallel"): 109, ("linear-transformer", "recurrent"): 441,
+}
+
+
+@pytest.mark.parametrize("arch, mode", list(ROUTE_NODES))
+def test_route_node_counts_are_pinned(arch, mode):
+    """A re-split of the heads, or an FFN chain built node by node again,
+    shows here as a count that grew."""
+    cfg = ModelConfig(arch=arch, vocab_size=VOCAB, d_model=16, n_layers=2, n_heads=2)
+    params = init_params(cfg)
+    toks = np.random.default_rng(0).integers(0, VOCAB, size=(2, 16))
+    assert _nodes_built(lambda: model_forward(cfg, params, toks, mode=mode)) == \
+        ROUTE_NODES[arch, mode]
+
+
 @pytest.mark.parametrize("shape", [(1, 1), (2, 2)], ids=["1L1H", "2L2H"])
 @pytest.mark.parametrize("mode", ["parallel", "recurrent"])
 @pytest.mark.parametrize("arch", ARCHS)
@@ -252,7 +273,7 @@ def test_feedback_step_builds_only_read_nodes():
     cached = [row for keys, vals, *_ in state["layers"] for row in keys + vals]
     reachable = {v.id for v in T.topo_nodes(logits, state["h_top"], *cached)}
     unread = [i for i in range(start + 1, end) if i not in reachable]
-    assert end - start - 1 == 38          # one step, all of it read
+    assert end - start - 1 == 30          # one step, all of it read
     assert not unread, f"{len(unread)} of {end - start - 1} nodes unread"
 
 

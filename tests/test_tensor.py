@@ -729,6 +729,79 @@ def test_cross_entropy_grad_check():
     assert report.max_rel_err < 1e-6
 
 
+# -- fused FFN sublayer ------------------------------------------------------
+
+def ffn_sublayer_chain(h, norm, first, second, nonlin, eps=1e-6):
+    """The 19 elementary ops (and the norm's 4 constants) that
+    ``T.ffn_sublayer`` fuses: the layer norm's 13, a matmul and an add, the
+    nonlinearity, a matmul and an add, and the residual add."""
+    hidden = T.nonlinearity(affine_chain([(layer_norm_chain(h, *norm, eps), first[0])],
+                                         first[1]), nonlin)
+    return h + affine_chain([(hidden, second[0])], second[1])
+
+
+def _ffn_run(sublayer, nonlin, lead, d=8, f=12):
+    """Data of two FFN sublayers in a row, sharing their weights as a
+    Transformer's positions share a layer's, and the gradients of every
+    source under a weighted-sum loss; the first sublayer's input is an inner
+    node that also feeds a node built after the sublayers."""
+    rng = np.random.default_rng(len(lead) + f)
+    src = T.parameter(rng.normal(size=lead + (d,)))
+    params = [T.parameter(rng.normal(size=shape))
+              for shape in ((d,), (d,), (d, f), (f,), (f, d), (d,))]
+    norm, first, second = params[:2], params[2:4], params[4:]
+    h = T.nonlinearity(src, "tanh") * T.constant(3.0)
+    outs = [sublayer(h, norm, first, second, nonlin)]
+    outs.append(sublayer(outs[0], norm, first, second, nonlin))
+    T.backward(sum(((o * T.constant(rng.normal(size=o.shape))).sum() for o in outs),
+                   (h * h).sum()))
+    return [a.tobytes() for a in (*(o.data for o in outs), *(v.grad for v in [src, *params]))]
+
+
+def _fused_ffn(h, norm, first, second, nonlin):
+    return T.ffn_sublayer(h, norm, first, second, nonlin, 1e-6)
+
+
+@pytest.mark.parametrize("lead", [(3,), (2, 4)], ids=["B-d", "B-L-d"])
+@pytest.mark.parametrize("nonlin", list(T.NONLINEARITIES))
+def test_ffn_sublayer_matches_the_chain_byte_for_byte(nonlin, lead):
+    assert _ffn_run(_fused_ffn, nonlin, lead) == _ffn_run(ffn_sublayer_chain, nonlin, lead)
+
+
+def test_ffn_sublayer_builds_one_node_with_every_operand_as_parent():
+    h = T.parameter(np.ones((2, 3)))
+    params = [T.parameter(np.ones(shape)) for shape in ((3,), (3,), (3, 5), (5,), (5, 3), (3,))]
+    start = T.constant(0.0).id
+    out = T.ffn_sublayer(h, params[:2], params[2:4], params[4:], "relu", 1e-6)
+    assert (out.op_kind, out.id, out.shape) == ("ffn_sublayer", start + 1, (2, 3))
+    assert out.parents == (h, *params)
+
+
+@pytest.mark.parametrize("shapes", [
+    [(2, 3), (4,), (3,), (3, 5), (5,), (5, 3), (3,)],      # a gain of another width
+    [(2, 3), (3,), (3,), (4, 5), (5,), (5, 3), (3,)],      # W1 not of the input width
+    [(2, 3), (3,), (3,), (3, 5), (4,), (5, 3), (3,)],      # b1 not of W1's width
+    [(2, 3), (3,), (3,), (3, 5), (5,), (5, 4), (3,)],      # W2 not back to the width
+    [(2, 3), (3,), (3,), (3, 5), (5,), (5, 3), (2, 3)],    # b2 not (d,)
+    [(), (3,), (3,), (3, 5), (5,), (5, 3), (3,)],          # no width at all
+])
+def test_ffn_sublayer_rejects_operands_the_chain_would_not_combine(shapes):
+    vs = [T.parameter(np.ones(shape)) for shape in shapes]
+    with pytest.raises(T.ShapeError, match="ffn_sublayer"):
+        T.ffn_sublayer(vs[0], vs[1:3], vs[3:5], vs[5:], "tanh", 1e-6)
+
+
+@pytest.mark.parametrize("nonlin", list(T.NONLINEARITIES))
+def test_ffn_sublayer_grad_check(nonlin):
+    rng = np.random.default_rng(3)
+    point = [rng.normal(size=shape) for shape in ((2, 3), (3,), (3,), (3, 4), (4,), (4, 3), (3,))]
+    weights = T.constant(rng.normal(size=(2, 3)))
+    report = T.grad_check(
+        lambda vs: (T.ffn_sublayer(vs[0], vs[1:3], vs[3:5], vs[5:], nonlin, 1e-6)
+                    * weights).sum(), point)
+    assert report.max_rel_err < 1e-6
+
+
 # -- fused softmax attention -------------------------------------------------
 
 HEADS = (1, 2, 4)
@@ -843,7 +916,8 @@ def _attention_run(kind, fused, t, scale, n_heads, b=3, dh=4):
     so the order in which the node adds into one parent shows."""
     d = n_heads * dh
     rng = np.random.default_rng(10 * t + (scale is None) + n_heads)
-    srcs = [T.parameter(rng.normal(size=shape)) for shape in ((b, d), (b, d), (b, t, d), (b, t, d))]
+    srcs = [T.parameter(rng.normal(size=shape))
+            for shape in ((b, d), (b, d), (b, t, d), (b, t, d))]
     qs = [T.nonlinearity(s, "tanh") * T.constant(3.0) for s in srcs[:2]]
     ks, vs = srcs[2] * T.constant(2.0), srcs[3] * T.constant(1.0)
     rows = ATTENTION_KINDS[kind][2:4] if fused else CHAIN_ROWS[kind]
@@ -1173,6 +1247,37 @@ def _arrays(*values):
     return [np.array(v, dtype=float) for v in values]
 
 
+def _ffn_case(h, w1, w2, gain=(1.0, 1.0, 1.0), b2=(0.0, 0.0, 0.0)):
+    """(h, gain, bias, W1, b1, W2, b2) of a width-3 sublayer with one hidden
+    unit."""
+    return _arrays(h, gain, [0.0] * 3, w1, [0.0], w2, b2)
+
+
+# (h, gain, bias, W1, b1, W2, b2) near the float64 limit, for every
+# nonlinearity: each maps +-inf to a finite value but relu's +inf, so only
+# the pre-activation's own check sees most of them
+FFN_OVERFLOWS = [
+    # the square overflows, so inv_std is 0 and the norm finite
+    ("infinite-variance", _ffn_case([[1e200, -1e200, 3.0]], [[1.0], [1.0], [1.0]],
+                                    [[1.0, 1.0, 1.0]]), True),
+    # the gain overflows the norm, and the pre-activation with it
+    ("infinite-norm", _ffn_case([[1.0, -1.0, 0.0]], [[1.0], [0.0], [0.0]], [[1.0, 1.0, 1.0]],
+                                gain=(1.7e308, 1.7e308, 1.7e308)), True),
+    ("pre-activation", _ffn_case([[1.0, -1.0, 0.0]], [[1.7e308], [0.0], [0.0]],
+                                 [[1.0, 1.0, 1.0]]), True),
+    ("negative-pre-activation", _ffn_case([[1.0, -1.0, 0.0]], [[-1.7e308], [0.0], [0.0]],
+                                          [[1.0, 1.0, 1.0]]), True),
+    # every hidden value is above 0.7, so the second map's bias overflows
+    ("second-map", _ffn_case([[1.0, -1.0, 0.0]], [[1.0], [0.0], [0.0]],
+                             [[1.7e308, 1.7e308, 1.7e308]], b2=(1.7e308, 1.7e308, 1.7e308)),
+     True),
+    ("residual", _ffn_case([[1.7e308, 1.7e308, -1.7e308]], [[0.0], [0.0], [1.0]],
+                           [[1e308, 1e308, 1e308]]), True),
+    ("huge-finite", _ffn_case([[1.0, -1.0, 0.0]], [[1e300], [0.0], [0.0]],
+                              [[1.0, 1.0, 1.0]]), False),
+]
+
+
 def _one_head_state(a):
     """The (B, dh, dv) state of a (B, 1, dh, dv) one, for a chain's head."""
     return a.reshape((a.shape[0],) + a.shape[2:])
@@ -1223,6 +1328,11 @@ FUSED_OVERFLOWS = {
     **{f"{kind}/2-heads": (*_attention_builders(kind, 2), [
         (case, [np.array(x, dtype=float) for x in (q, *keys, *values)], raises)
         for case, q, keys, values, raises in TWO_HEAD_OVERFLOWS]) for kind in ATTENTION_KINDS},
+    **{f"ffn_sublayer/{nonlin}": (
+        lambda h, g, b, w1, b1, w2, b2, nonlin=nonlin: T.ffn_sublayer(
+            h, (g, b), (w1, b1), (w2, b2), nonlin, 1e-6),
+        lambda h, g, b, w1, b1, w2, b2, nonlin=nonlin: ffn_sublayer_chain(
+            h, (g, b), (w1, b1), (w2, b2), nonlin), FFN_OVERFLOWS) for nonlin in T.NONLINEARITIES},
     # elu_plus_one is finite and positive, so the decay is in (0, 1]
     "rwkv_decay": (T.rwkv_decay, rwkv_decay_chain, [
         ("huge-w", [np.array([1.7e308, -1.7e308])], False),
@@ -1327,3 +1437,33 @@ def test_cross_entropy_overflow_reports_an_earlier_pending_node_first():
             T.exp(T.constant([1000.0]))             # node start + 2
             T.cross_entropy(T.constant([[1e308, -1e308]]), np.eye(2)[[1]])
     assert (err.value.op_kind, err.value.node_id) == ("exp", start + 2)
+
+
+# -- one byte-equality case per fused kind -----------------------------------
+
+# case -> (run, fused side, chain side): ``run(side)`` builds a graph, runs
+# backward and returns the bytes of its outputs and of its sources'
+# gradients; the tests above compare more shapes and settings, and
+# tests/test_hygiene.py checks that every fused kind has a case here
+CHAIN_CASES = {
+    "layer_norm": (lambda ln: _layer_norm_run(ln, (2, 3, 16), True), T.layer_norm,
+                   layer_norm_chain),
+    "affine": (lambda affine: _affine_run(affine, 3, (2, 4)), T.affine, affine_chain),
+    "lstm_cell": (lambda cell: _lstm_run(cell, (2, 3)), T.lstm_cell, lstm_chain),
+    "cross_entropy": (lambda ce: _cross_entropy_run(ce, (2, 3, 6)), T.cross_entropy,
+                      cross_entropy_chain),
+    "ffn_sublayer": (lambda sublayer: _ffn_run(sublayer, "relu", (2, 4)), _fused_ffn,
+                     ffn_sublayer_chain),
+    **{f"{kind}-{n_heads}-heads": (lambda fused, kind=kind, n_heads=n_heads: _attention_run(
+        kind, fused, 5, 0.35, n_heads), True, False)
+       for kind in ATTENTION_KINDS for n_heads in HEADS},
+    "rwkv": (_rwkv_run, FUSED_RWKV, CHAIN_RWKV),
+    **{f"linear-{n_heads}-heads": (lambda step, n_heads=n_heads: _linear_run(step, n_heads),
+                                   linear_step_fused, linear_step_chain) for n_heads in HEADS},
+}
+
+
+@pytest.mark.parametrize("case", list(CHAIN_CASES))
+def test_chain_case_matches_byte_for_byte(case):
+    run, fused, chain = CHAIN_CASES[case]
+    assert run(fused) == run(chain)
