@@ -9,10 +9,10 @@ counted as a product and a sum per (query, key) pair and head, which is the
 O(n^2) op count the profiler measures, and is the only route that grows so.
 Every other model here is a step cell only, built on the cached layer
 ``attn_cell``, which attends over the whole cache in one node for all heads
-whose op count does not grow with the cache: the recurrent and feedback models recur over tokens,
-the block-recurrent model over blocks (its caches empty at each block's
-first token), and the universal model in depth (one tied layer applied a
-fixed number of times).
+whose op count does not grow with the cache: the recurrent and feedback
+models recur over tokens, the block-recurrent model over blocks (its caches
+empty at each block's first token), and the universal model in depth (one
+tied layer applied a fixed number of times).
 """
 
 from __future__ import annotations

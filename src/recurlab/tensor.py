@@ -926,53 +926,53 @@ def _mix_bwd(out, i: int) -> tuple:
     return (g_scores if scale is None else g_scores * scale), g_values
 
 
-def _attention_bwd(out):
-    # per head, the value mix, then the per-key chain: the scores' concat
-    # and sums, and each product from the last key to the first, adding to
-    # q and then to the key; the values' rows then take every head's
-    # gradient at once, and the keys' rows in the same order as each head's
+def _attention_grads(out, head_grads, last_key_first: bool) -> None:
+    """The backward both attention kinds share: per head, the value mix and
+    then ``head_grads(g_scores, q_i, k_i)``, the kind's scoring chain, which
+    returns q's contributions in its chain's order and the keys' (B, t, dh)
+    gradient; then every head's gradient at once into the value rows, q and
+    the key rows, the keys in the chain's order."""
     _, n_heads, _, key_array, _ = out._ctx
     q, *keys = out.parents[:len(out.parents) // 2 + 1]
     values = out.parents[len(keys) + 1:]
     g_q, g_keys, g_values = [], [], []
     for i in range(n_heads):
         g_scores, g_vals = _mix_bwd(out, i)
-        q_i, k_i = _head(q.data, i, n_heads), key_array[:, i]
-        g_q.append([g_scores[:, j:j + 1] * k_i[:, j] for j in range(len(keys) - 1, -1, -1)])
-        g_keys.append(g_scores[..., None] * q_i[:, None, :])
+        q_parts, g_k = head_grads(g_scores, _head(q.data, i, n_heads), key_array[:, i])
+        g_q.append(q_parts)
+        g_keys.append(g_k)
         g_values.append(g_vals)
     g_values = _side_by_side(g_values)
     for j, v in enumerate(values):
         _accumulate(v, g_values[:, j])
     _accumulate_heads(q, g_q, n_heads)
     g_keys = _side_by_side(g_keys)
-    for j in range(len(keys) - 1, -1, -1):
+    for j in (range(len(keys) - 1, -1, -1) if last_key_first else range(len(keys))):
         _accumulate(keys[j], g_keys[:, j])
 
 
+def _per_key_grads(g_scores, q_i, k_i) -> tuple:
+    # the per-key chain: the scores' concat and sums, and each product from
+    # the last key to the first, adding to q and then to the key
+    return ([g_scores[:, j:j + 1] * k_i[:, j] for j in range(k_i.shape[1] - 1, -1, -1)],
+            g_scores[..., None] * q_i[:, None, :])
+
+
+def _cached_grads(g_scores, q_i, k_i) -> tuple:
+    # the cached chain: the sum, the broadcast product (q's gradient an
+    # unbroadcast sum over the cache), q's reshape and the keys' concat
+    b, dh = q_i.shape
+    g_product = np.broadcast_to(g_scores[..., None], k_i.shape)
+    return ([_unbroadcast(g_product * k_i, (b, 1, dh)).reshape((b, dh))],
+            g_product * q_i.reshape((b, 1, dh)))
+
+
+def _attention_bwd(out):
+    _attention_grads(out, _per_key_grads, last_key_first=True)
+
+
 def _cached_attention_bwd(out):
-    # per head, the value mix, then the cached chain: the sum, the broadcast
-    # product (q's gradient an unbroadcast sum over the cache), q's reshape
-    # and the keys' concat; the rows then take every head's gradient at once
-    _, n_heads, _, key_array, _ = out._ctx
-    q, *keys = out.parents[:len(out.parents) // 2 + 1]
-    values = out.parents[len(keys) + 1:]
-    g_q, g_keys, g_values = [], [], []
-    for i in range(n_heads):
-        g_scores, g_vals = _mix_bwd(out, i)
-        q_i, k_i = _head(q.data, i, n_heads), key_array[:, i]
-        b, dh = q_i.shape
-        g_product = np.broadcast_to(g_scores[..., None], k_i.shape)
-        g_q.append([_unbroadcast(g_product * k_i, (b, 1, dh)).reshape((b, dh))])
-        g_keys.append(g_product * q_i.reshape((b, 1, dh)))
-        g_values.append(g_vals)
-    g_values = _side_by_side(g_values)
-    for j, v in enumerate(values):
-        _accumulate(v, g_values[:, j])
-    _accumulate_heads(q, g_q, n_heads)
-    g_keys = _side_by_side(g_keys)
-    for j, k in enumerate(keys):
-        _accumulate(k, g_keys[:, j])
+    _attention_grads(out, _cached_grads, last_key_first=False)
 
 
 def attention(q: Value, keys: Sequence[Value], values: Sequence[Value], key_array,
@@ -1153,7 +1153,8 @@ def outer_update(a: Value | None, k: Value, v: Value, n_heads: int) -> Value:
     and n_heads splits with more than one head.  The chain's splits of k are
     ``key_sum``'s, which reads the same k, so they are counted there; the
     chain from k still passes through them.  Data and gradients are
-    byte-identical to that chain's; a non-finite product stays non-finite
+    byte-identical to that chain's, k's while only this step's nodes read k
+    (see the module docstring); a non-finite product stays non-finite
     through the add of a finite ``a``, so the output's check raises
     whenever the chain's would.
     """
@@ -1188,7 +1189,8 @@ def key_sum(b: Value | None, k: Value, n_heads: int) -> Value:
     one head) and, with ``b``, added each head to b's: n_heads splits and
     n_heads adds, or the splits alone.  ``outer_update`` and
     ``linear_readout`` read head i of b and k from columns i·d/n_heads on.
-    Data and gradients are byte-identical to the chain's.  The sum of finite
+    Data and gradients are byte-identical to the chain's, k's while only
+    this step's nodes read k.  The sum of finite
     rows can overflow, and the output's check raises as the chain's adds
     would.
     """
