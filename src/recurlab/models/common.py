@@ -121,8 +121,11 @@ def readout(pg: ParamGraph, h: Value) -> Value:
     return T.affine([(h, pg["out_w"])], pg["out_b"])
 
 
-def layer_norm(pg: ParamGraph, prefix: str, x: Value, eps: float = 1e-6) -> Value:
-    return T.layer_norm(x, pg[prefix + "_g"], pg[prefix + "_b"], eps)
+_LN_EPS = 1e-6    # every layer norm's epsilon: LN1's and the FFN sublayer's LN2's
+
+
+def layer_norm(pg: ParamGraph, prefix: str, x: Value) -> Value:
+    return T.layer_norm(x, pg[prefix + "_g"], pg[prefix + "_b"], _LN_EPS)
 
 
 def residual_block(cfg, pg: ParamGraph, prefix: str, h: Value, attend) -> tuple:
@@ -151,13 +154,13 @@ def step_layers(state: dict, h: Value, layer) -> tuple:
     return h, {**state, "t": state["t"] + 1, "layers": tuple(layers)}
 
 
-def ffn_sublayer(cfg, pg: ParamGraph, prefix: str, h: Value, eps: float = 1e-6) -> Value:
+def ffn_sublayer(cfg, pg: ParamGraph, prefix: str, h: Value) -> Value:
     """LN -> FFN -> residual, the second half of ``residual_block``, as one
     ``tensor.ffn_sublayer`` node."""
     ffn = f"{prefix}.ffn"
     return T.ffn_sublayer(h, (pg[f"{prefix}.ln2_g"], pg[f"{prefix}.ln2_b"]),
                           (pg[ffn + ".w1"], pg[ffn + ".b1"]), (pg[ffn + ".w2"], pg[ffn + ".b2"]),
-                          cfg.nonlin, eps)
+                          cfg.nonlin, _LN_EPS)
 
 
 def split_heads(x: Value, n_heads: int) -> list:

@@ -13,9 +13,9 @@ from recurlab.profiler import (DepthProfile, ProfilerError, fit_complexity,
                                table_to_csv, table_to_markdown)
 from test_tensor import (affine_chain, attention_chain, cached_attention_chain,
                          cross_entropy_chain, decayed_sum_chain, ffn_sublayer_chain, heads_chain,
-                         layer_norm_chain, linear_step_chain, linear_step_fused, lstm_chain,
-                         outer_update_chain, rwkv_decay_chain, rwkv_output_chain, split_chain,
-                         with_arrays)
+                         layer_norm_chain, linear_readout_chain, linear_step_chain,
+                         linear_step_fused, lstm_chain, outer_update_chain, rwkv_decay_chain,
+                         rwkv_output_chain, split_chain, with_arrays)
 
 VOCAB = 7
 
@@ -254,6 +254,8 @@ def test_layer_norm_counts_as_the_chain_it_fuses(shape):
     assert (fused.total_ops, fused.depth) == (15, 15)
 
 
+# kind -> (fused, chain, operand shapes[, the chain's operand shapes where
+# they differ])
 FUSED_CHAINS = {
     "affine-1": (lambda vs: T.affine([vs[:2]], vs[2]),
                  lambda vs: affine_chain([vs[:2]], vs[2]), [(2, 3), (3, 4), (4,)]),
@@ -301,8 +303,13 @@ FUSED_CHAINS = {
                     [(3,), (2, 3), (2, 3)]),
     "decayed-sum-weighted": (lambda vs: T.decayed_sum(*vs), lambda vs: decayed_sum_chain(*vs),
                              [(3,), (2, 3), (2, 3), (2, 3)]),
+    # at one head; the chain's state is the head's (B, dh, dv)
+    "outer-update": (lambda vs: T.outer_update(*vs, 1), lambda vs: outer_update_chain(*vs),
+                     [(2, 1, 3, 4), (2, 3), (2, 4)], [(2, 3, 4), (2, 3), (2, 4)]),
     "outer-update-first": (lambda vs: T.outer_update(None, *vs, 1),
                            lambda vs: outer_update_chain(None, *vs), [(2, 3), (2, 4)]),
+    "linear-readout": (lambda vs: T.linear_readout(*vs), lambda vs: linear_readout_chain(*vs),
+                       [(2, 3), (2, 1, 3, 4), (2, 3)], [(2, 3), (2, 3, 4), (2, 3)]),
     # a step from no state, whose update, sum and read-out share the splits
     # of k
     "linear-step-first-2-heads": (lambda vs: linear_step_fused(None, *vs, 2)[0],
@@ -318,13 +325,13 @@ FUSED_CHAINS = {
 def test_fused_kinds_count_as_the_chains_they_fuse(kind):
     """A fused node adds the total_ops, depth and flops of the chain it
     replaces, with its parents at any depths."""
-    fused, chain, shapes = FUSED_CHAINS[kind]
+    fused, chain, shapes, *chain_shapes = FUSED_CHAINS[kind]
     for deep in range(len(shapes)):
-        def build(fn):
+        def build(fn, shapes):
             vs = [_deeper(_p(*shape), 5 if i == deep else i) for i, shape in enumerate(shapes)]
             out = fn(vs)
             return graph_profile(out if isinstance(out, list) else [out], n=1, arch="hand")
-        assert build(fused) == build(chain), deep
+        assert build(fused, shapes) == build(chain, (chain_shapes or [shapes])[0]), deep
 
 
 def test_invariants_enforced():

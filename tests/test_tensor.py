@@ -874,34 +874,29 @@ def _fused_attend(fused):
         q, keys, values, scale)
 
 
-# kind -> (fused, chain, key rows from the (B, t, d) keys and n_heads, value
-# rows likewise, the key shape for a (B, dh) query at one head); the parallel
-# route slices its rows out of whole-sequence projections, the cached one
-# projects one row per step
+# kind -> (fused, chain, the key shape for a (B, dh) query at one head)
 ATTENTION_KINDS = {
-    "attention": (
-        _fused_attend(T.attention), heads_chain(attention_chain),
-        lambda ks, h: [T.split_row(ks, h, j) for j in range(ks.shape[1])],
-        lambda vs, h: [T.split_row(vs, h, j, rows=True) for j in range(vs.shape[1])],
-        lambda b, dh: (b, dh)),
-    "cached_attention": (
-        _fused_attend(T.cached_attention), heads_chain(cached_attention_chain),
-        lambda ks, h: [T.split_row(ks.slice((slice(None), j)), h, rows=True)
-                       for j in range(ks.shape[1])],
-        lambda vs, h: [T.split_row(vs.slice((slice(None), j)), h, rows=True)
-                       for j in range(vs.shape[1])],
-        lambda b, dh: (b, 1, dh)),
+    "attention": (_fused_attend(T.attention), heads_chain(attention_chain),
+                  lambda b, dh: (b, dh)),
+    "cached_attention": (_fused_attend(T.cached_attention), heads_chain(cached_attention_chain),
+                         lambda b, dh: (b, 1, dh)),
 }
-CHAIN_ROWS = {
-    "attention": (lambda ks, h: [split_chain(ks.slice((slice(None), j)), h)
-                                 for j in range(ks.shape[1])],
-                  lambda vs, h: [split_chain(vs.slice((slice(None), j)), h, rows=True)
-                                 for j in range(vs.shape[1])]),
-    "cached_attention": (lambda ks, h: [split_chain(ks.slice((slice(None), j)), h, rows=True)
-                                        for j in range(ks.shape[1])],
-                         lambda vs, h: [split_chain(vs.slice((slice(None), j)), h, rows=True)
-                                        for j in range(vs.shape[1])]),
-}
+
+
+def _rows(kind, fused, x, n_heads, values):
+    """The key rows (or with ``values`` the value rows) of the (B, t, d)
+    projection ``x`` as ``kind``'s callers build them: one ``T.split_row``
+    per position, which the parallel route slices out of ``x`` and the
+    cached one takes whole from each step's projection (here a slice); or,
+    for the chain, each row's elementary nodes, a list of its heads.  Value
+    rows, and the cached route's key rows, are reshaped to (B, 1, dh)."""
+    rows = values or kind == "cached_attention"
+    if fused and kind == "attention":
+        return [T.split_row(x, n_heads, j, rows=rows) for j in range(x.shape[1])]
+    row_slices = [x.slice((slice(None), j)) for j in range(x.shape[1])]
+    if fused:
+        return [T.split_row(r, n_heads, rows=True) for r in row_slices]
+    return [split_chain(r, n_heads, rows=rows) for r in row_slices]
 
 
 def _attention_run(kind, fused, t, scale, n_heads, b=3, dh=4):
@@ -920,8 +915,7 @@ def _attention_run(kind, fused, t, scale, n_heads, b=3, dh=4):
             for shape in ((b, d), (b, d), (b, t, d), (b, t, d))]
     qs = [T.nonlinearity(s, "tanh") * T.constant(3.0) for s in srcs[:2]]
     ks, vs = srcs[2] * T.constant(2.0), srcs[3] * T.constant(1.0)
-    rows = ATTENTION_KINDS[kind][2:4] if fused else CHAIN_ROWS[kind]
-    key_rows, value_rows = rows[0](ks, n_heads), rows[1](vs, n_heads)
+    key_rows, value_rows = (_rows(kind, fused, x, n_heads, x is vs) for x in (ks, vs))
     if t == 5:
         key_rows[4], value_rows[3] = key_rows[0], value_rows[0]
     attend = ATTENTION_KINDS[kind][0 if fused else 1]
@@ -1236,7 +1230,7 @@ TWO_HEAD_OVERFLOWS = [
 
 def _attention_cases(kind):
     """``ATTENTION_OVERFLOWS`` as input arrays, the keys in ``kind``'s shape."""
-    key_shape = ATTENTION_KINDS[kind][4]
+    key_shape = ATTENTION_KINDS[kind][2]
     return [(case, [np.array(q, dtype=float),
                     *(np.reshape(k, key_shape(*np.shape(q))) for k in keys),
                     *(np.array(v, dtype=float) for v in values)], raises)
