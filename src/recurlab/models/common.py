@@ -3,7 +3,7 @@
 Everything here builds on the ``tensor`` graph, one node per operation, so the
 profiler's counts reflect exactly what each architecture computes.  A layer
 norm (``layer_norm``) is one fused ``tensor.layer_norm`` node, the readout
-one ``tensor.affine`` node, LN -> FFN -> residual one
+one ``tensor.affine`` node, residual -> LN -> FFN -> residual one
 ``tensor.ffn_sublayer`` node, and softmax attention one fused node per
 query for all heads; the profiler counts each as the elementary ops
 it replaces.  Sequences are handled either as one ``Value`` of shape (batch,
@@ -135,7 +135,7 @@ def residual_block(cfg, pg: ParamGraph, prefix: str, h: Value, attend) -> tuple:
     if not cfg.use_residual:
         return attend(h)
     out, layer_state = attend(layer_norm(pg, f"{prefix}.ln1", h))
-    return ffn_sublayer(cfg, pg, prefix, h + out), layer_state
+    return ffn_sublayer(cfg, pg, prefix, h, out), layer_state
 
 
 def init_layers(cfg, batch: int, length: int | None = None) -> dict:
@@ -154,11 +154,12 @@ def step_layers(state: dict, h: Value, layer) -> tuple:
     return h, {**state, "t": state["t"] + 1, "layers": tuple(layers)}
 
 
-def ffn_sublayer(cfg, pg: ParamGraph, prefix: str, h: Value) -> Value:
-    """LN -> FFN -> residual, the second half of ``residual_block``, as one
-    ``tensor.ffn_sublayer`` node."""
+def ffn_sublayer(cfg, pg: ParamGraph, prefix: str, h: Value, out: Value) -> Value:
+    """Residual -> LN -> FFN -> residual on the layer input ``h`` and the
+    attention's output ``out``, the second half of ``residual_block``, as
+    one ``tensor.ffn_sublayer`` node."""
     ffn = f"{prefix}.ffn"
-    return T.ffn_sublayer(h, (pg[f"{prefix}.ln2_g"], pg[f"{prefix}.ln2_b"]),
+    return T.ffn_sublayer(h, out, (pg[f"{prefix}.ln2_g"], pg[f"{prefix}.ln2_b"]),
                           (pg[ffn + ".w1"], pg[ffn + ".b1"]), (pg[ffn + ".w2"], pg[ffn + ".b2"]),
                           cfg.nonlin, _LN_EPS)
 

@@ -99,7 +99,7 @@ def transformer_forward(cfg, pg: ParamGraph, token_ids: np.ndarray, positions) -
             attn = T.attention(q_all.slice((slice(None), t)), keys[:t + 1], values[:t + 1],
                                key_heads[:, :, :t + 1], value_heads[:, :, :t + 1],
                                cfg.n_heads, scale_for(cfg))
-            new_hs[t] = ffn_sublayer(cfg, pg, prefix, hs[t] + attn) if cfg.use_residual else attn
+            new_hs[t] = ffn_sublayer(cfg, pg, prefix, hs[t], attn) if cfg.use_residual else attn
         hs = new_hs
     return {t: readout(pg, hs[t]) for t in kept}
 

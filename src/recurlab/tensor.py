@@ -9,8 +9,9 @@ fused, and compute, differentiate and overflow-check exactly as the
 elementary nodes they replace would, byte for byte:
 
 - ``layer_norm`` (13 ops), ``affine`` (k matmuls and k adds for k = 1 to 3
-  pairs) and a Transformer layer's second half, ``ffn_sublayer`` (19: layer
-  norm, affine map, nonlinearity, affine map and residual add);
+  pairs) and a Transformer layer's residual adds and FFN, ``ffn_sublayer``
+  (20: the attention's residual add, layer norm, affine map, nonlinearity,
+  affine map and residual add);
 - ``lstm_cell``'s two nodes ``lstm_c`` (9 ops) and ``lstm_h`` (4), and
   ``cross_entropy`` (8);
 - softmax attention of one query row over t keys, for all of its heads:
@@ -590,15 +591,16 @@ def softmax(a: Value) -> Value:
     return Value(data, _SOFTMAX, (a,))
 
 
-def _layer_norm_grads(x: Value, gain: Value, bias: Value, ctx: tuple, g: np.ndarray) -> None:
-    """Add the gradients of ``layer_norm(x, gain, bias)`` under output
-    gradient ``g`` into its operands: the backward steps of the 13
-    elementary nodes it fuses, in their reverse creation order and with the
-    same arithmetic, so every gradient keeps its bytes; the constants'
+def _layer_norm_grads(gain: Value, bias: Value, ctx: tuple, g: np.ndarray) -> tuple:
+    """The backward steps of the 13 elementary nodes that ``layer_norm``
+    fuses, under output gradient ``g``, in their reverse creation order and
+    with the same arithmetic, so every gradient keeps its bytes: adds
+    ``gain``'s and ``bias``'s gradients and returns the input's two
+    contributions, in the order the chain added them; the constants'
     gradients are skipped, since nothing reads them.  ``ctx`` is what
     ``_normalize`` returned beside the output."""
     centered, inv_std, var_eps, normed = ctx
-    inv_d = 1.0 / x.shape[-1]
+    inv_d = 1.0 / centered.shape[-1]
     _accumulate(bias, _unbroadcast(g, bias.shape))                 # + bias
     _accumulate(gain, _unbroadcast(g * normed, gain.shape))        # * gain
     g_normed = g * gain.data
@@ -608,13 +610,14 @@ def _layer_norm_grads(x: Value, gain: Value, bias: Value, ctx: tuple, g: np.ndar
     g_sq = np.broadcast_to(g_var * inv_d, centered.shape)          # + eps, * 1/d, sum
     g_centered = g_centered + g_sq * centered                      # square, one
     g_centered += g_sq * centered                                  # operand at a time
-    _accumulate(x, g_centered)                                     # x - mean
-    g_mean = _unbroadcast(-g_centered, inv_std.shape)
-    _accumulate(x, np.broadcast_to(g_mean * inv_d, x.shape))       # * 1/d, sum
+    g_mean = _unbroadcast(-g_centered, inv_std.shape)              # x - mean
+    return g_centered, np.broadcast_to(g_mean * inv_d, centered.shape)   # * 1/d, sum
 
 
 def _layer_norm_bwd(out):
-    _layer_norm_grads(*out.parents, out._ctx, out._grad)
+    x, gain, bias = out.parents
+    for part in _layer_norm_grads(gain, bias, out._ctx, out._grad):
+        _accumulate(x, part)
 
 
 def _normalize(xd: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> tuple:
@@ -661,12 +664,12 @@ def layer_norm(x: Value, gain: Value, bias: Value, eps: float) -> Value:
 def _ffn_sublayer_bwd(out):
     # replays the chain's backward steps in reverse creation order: the
     # residual add, the second affine map (bias, then product), the
-    # nonlinearity, the first affine map and the layer norm; h receives the
-    # residual's gradient before the norm's two
-    h, gain, bias, w1, b1, w2, b2 = out.parents
+    # nonlinearity, the first affine map, the layer norm and the first add;
+    # the sum h + a takes the residual's gradient before the norm's two
+    h, a, gain, bias, w1, b1, w2, b2 = out.parents
     deriv, ctx, y, pre, hidden = out._ctx
     g = out._grad
-    _accumulate(h, g)
+    g_sum = np.array(g)
     _accumulate(b2, _unbroadcast(g, b2.shape))
     g_hidden, g_w2 = _matmul_grads(hidden, w2.data, g)
     _accumulate(w2, g_w2)
@@ -674,41 +677,50 @@ def _ffn_sublayer_bwd(out):
     _accumulate(b1, _unbroadcast(g_pre, b1.shape))
     g_y, g_w1 = _matmul_grads(y, w1.data, g_pre)
     _accumulate(w1, g_w1)
-    _layer_norm_grads(h, gain, bias, ctx, g_y)
+    for part in _layer_norm_grads(gain, bias, ctx, g_y):
+        g_sum += part
+    _accumulate(h, g_sum)
+    _accumulate(a, g_sum)
 
 
-def ffn_sublayer(h: Value, norm: tuple, first: tuple, second: tuple, nonlin: str,
+def ffn_sublayer(h: Value, a: Value, norm: tuple, first: tuple, second: tuple, nonlin: str,
                  eps: float) -> Value:
-    """A Transformer layer's second half on ``h`` (..., d): ``h + FFN(LN(h))``
-    with ``norm`` the layer norm's (gain, bias), both (d,), and ``first`` and
-    ``second`` the FFN's (W1 (d, f), b1 (f,)) and (W2 (f, d), b2 (d,)), the
-    nonlinearity ``nonlin`` between them; one node with parents (h, gain,
-    bias, W1, b1, W2, b2).
+    """A Transformer layer's residual adds and FFN around the attention's
+    output ``a``, on ``h`` (..., d) and ``a`` of its shape: with s = h + a,
+    ``s + FFN(LN(s))``, ``norm`` the layer norm's (gain, bias), both (d,),
+    and ``first`` and ``second`` the FFN's (W1 (d, f), b1 (f,)) and (W2 (f,
+    d), b2 (d,)), the nonlinearity ``nonlin`` between them; one node with
+    parents (h, a, gain, bias, W1, b1, W2, b2).
 
-    One node for the chain of 19 elementary ops: the layer norm's 13, a
-    matmul and an add, the nonlinearity, a matmul and an add, and the
-    residual add.  Data and gradients are byte-identical to that chain's.
-    The node raises ``GraphOverflowError`` whenever a node of the chain would
-    have: var + eps and the pre-activation are checked as well as the
-    output, since an infinite variance leaves the norm finite and every
-    nonlinearity maps +-inf to a finite value (relu only -inf); a
-    non-finite norm makes the pre-activation non-finite, and a non-finite
-    hidden row or second map the output.
+    One node for the chain of 20 elementary ops: the attention's residual
+    add, the layer norm's 13, a matmul and an add, the nonlinearity, a
+    matmul and an add, and the FFN's residual add.  Data and gradients are
+    byte-identical to that chain's.  The node raises ``GraphOverflowError``
+    whenever a node of the chain would have: var + eps and the
+    pre-activation are checked as well as the output, since an infinite
+    variance leaves the norm finite and every nonlinearity maps +-inf to a
+    finite value (relu only -inf); a non-finite sum h + a makes the
+    variance non-finite, a non-finite norm the pre-activation, and a
+    non-finite hidden row or second map the output.
     """
     (gain, bias), (w1, b1), (w2, b2) = norm, first, second
     _check_norm(h, gain, bias, _FFN_SUBLAYER)
     d, f = gain.shape[0], b1.shape[0] if b1.data.ndim == 1 else -1
-    if w1.shape != (d, f) or w2.shape != (f, d) or b2.shape != (d,):
-        raise ShapeError(_FFN_SUBLAYER.name, h.shape, w1.shape, b1.shape, w2.shape, b2.shape)
+    if (a.shape != h.shape or w1.shape != (d, f) or w2.shape != (f, d)
+            or b2.shape != (d,)):
+        raise ShapeError(_FFN_SUBLAYER.name, h.shape, a.shape, w1.shape, b1.shape, w2.shape,
+                         b2.shape)
     if nonlin not in NONLINEARITIES:
         raise TensorError(f"unknown nonlinearity {nonlin!r}")
     fwd, deriv = NONLINEARITIES[nonlin]
     with _quiet():
-        y, ctx = _normalize(h.data, gain.data, bias.data, eps)
+        total = h.data + a.data
+        y, ctx = _normalize(total, gain.data, bias.data, eps)
         pre = np.matmul(y, w1.data) + b1.data
         hidden = fwd(pre)
-        data = h.data + (np.matmul(hidden, w2.data) + b2.data)
-    out = Value(data, _FFN_SUBLAYER, (h, gain, bias, w1, b1, w2, b2), (deriv, ctx, y, pre, hidden))
+        data = total + (np.matmul(hidden, w2.data) + b2.data)
+    out = Value(data, _FFN_SUBLAYER, (h, a, gain, bias, w1, b1, w2, b2),
+                (deriv, ctx, y, pre, hidden))
     if not (np.isfinite(ctx[2]).all() and np.isfinite(pre).all()):
         _overflow(out)
     return out
@@ -1378,15 +1390,15 @@ _NONLINEARITY_OPS = {kind: Op(f"nonlinearity({kind})", _nonlinearity_bwd, _per_o
 _LAYER_NORM = Op("layer_norm", _layer_norm_bwd,
                  lambda v: 7 * v.data.size + 12 * (v.data.size // v.shape[-1]),
                  ops=_always(13), chains=_always((13, 2, 1)))
-# the FFN sublayer's 19 ops: the layer norm's, then per scalar of the
-# pre-activation (f per row) 2·d + 1 for the first map and 4 for the
-# nonlinearity, and per output scalar 2·f + 1 for the second map and 1 for
-# the residual add; on chains 19 long from h, 8 from the norm's gain, 7 from
-# its bias, 6 from W1, 5 from b1, 3 from W2 and 2 from b2
+# the FFN sublayer's 20 ops: the first add, the layer norm's, then per
+# scalar of the pre-activation (f per row) 2·d + 1 for the first map and 4
+# for the nonlinearity, and per output scalar 2·f + 1 for the second map and
+# 1 for each residual add; on chains 20 long from h and a, 8 from the
+# norm's gain, 7 from its bias, 6 from W1, 5 from b1, 3 from W2 and 2 from b2
 _FFN_SUBLAYER = Op("ffn_sublayer", _ffn_sublayer_bwd,
                    lambda v: _LAYER_NORM.flops(v) + (2 * v.shape[-1] + 5) * v._ctx[3].size
-                   + (2 * v._ctx[3].shape[-1] + 2) * v.data.size,
-                   ops=_always(19), chains=_always((19, 8, 7, 6, 5, 3, 2)))
+                   + (2 * v._ctx[3].shape[-1] + 3) * v.data.size,
+                   ops=_always(20), chains=_always((20, 20, 8, 7, 6, 5, 3, 2)))
 # affine with k pairs: k products and k adds; 2·m flops per output scalar for
 # a product over width m, 1 for each add
 _AFFINE = Op("affine", _affine_bwd,

@@ -92,9 +92,9 @@ def _attend(fn, key_shape, scale=None, deep=None, n_heads=1):
 def _ffn(deep_w2=0):
     """An FFN sublayer of width 3 and 5 hidden units over a (2, 3) input,
     W2 below ``deep_w2`` reshapes."""
-    vs = [_p(*shape) for shape in ((2, 3), (3,), (3,), (3, 5), (5,), (5, 3), (3,))]
-    vs[5] = _deeper(vs[5], deep_w2)
-    return T.ffn_sublayer(vs[0], vs[1:3], vs[3:5], vs[5:], "tanh", 1e-6)
+    vs = [_p(*shape) for shape in ((2, 3), (2, 3), (3,), (3,), (3, 5), (5,), (5, 3), (3,))]
+    vs[6] = _deeper(vs[6], deep_w2)
+    return T.ffn_sublayer(vs[0], vs[1], vs[2:4], vs[4:6], vs[6:], "tanh", 1e-6)
 
 
 # op kind -> (graph, (total_ops, depth, flops)); a (2, 3) operand has 6
@@ -128,12 +128,12 @@ OP_COSTS = {
                              (25, 14, 66)),
     "layer-norm-deep-bias": (lambda: T.layer_norm(_p(2, 3), _p(3), _deeper(_p(3), 13), 1e-6),
                              (26, 14, 66)),
-    # the layer norm's 13 ops, 2 per affine map, the nonlinearity and the
-    # residual add, on a chain 19 long from h and 3 from W2; the norm's 66
-    # flops, (2·d + 5) per scalar of the (2, 5) pre-activation and 2·f + 2
-    # per output scalar
-    "ffn-sublayer": (lambda: _ffn(), (19, 19, 248)),
-    "ffn-sublayer-deep-w2": (lambda: _ffn(deep_w2=17), (36, 20, 248)),
+    # the first add, the layer norm's 13 ops, 2 per affine map, the
+    # nonlinearity and the residual add, on chains 20 long from h and a and 3
+    # from W2; the norm's 66 flops, (2·d + 5) per scalar of the (2, 5)
+    # pre-activation and 2·f + 3 per output scalar
+    "ffn-sublayer": (lambda: _ffn(), (20, 20, 254)),
+    "ffn-sublayer-deep-w2": (lambda: _ffn(deep_w2=18), (38, 21, 254)),
     # k matmuls and k adds; the first pair's operands are k + 1 ops from the
     # output, pair j's k - j + 3 and the bias's 1; (2·m + 1)·N flops per pair
     # over width m, for N = 8 output scalars (16 with the (B, L, d) operands)
@@ -263,11 +263,11 @@ FUSED_CHAINS = {
                  lambda vs: affine_chain([vs[0:2], vs[2:4], vs[4:6]], vs[6]),
                  [(2, 3), (3, 4), (2, 5), (5, 4), (2, 1), (1, 4), (4,)]),
     "lstm": (lambda vs: T.lstm_cell(*vs)[0], lambda vs: lstm_chain(*vs)[0], [(2, 8), (2, 2)]),
-    "ffn-sublayer": (lambda vs: T.ffn_sublayer(vs[0], vs[1:3], vs[3:5], vs[5:], "elu_plus_one",
-                                               1e-6),
-                     lambda vs: ffn_sublayer_chain(vs[0], vs[1:3], vs[3:5], vs[5:],
+    "ffn-sublayer": (lambda vs: T.ffn_sublayer(vs[0], vs[1], vs[2:4], vs[4:6], vs[6:],
+                                               "elu_plus_one", 1e-6),
+                     lambda vs: ffn_sublayer_chain(vs[0], vs[1], vs[2:4], vs[4:6], vs[6:],
                                                    "elu_plus_one"),
-                     [(2, 4, 3), (3,), (3,), (3, 5), (5,), (5, 3), (3,)]),
+                     [(2, 4, 3), (2, 4, 3), (3,), (3,), (3, 5), (5,), (5, 3), (3,)]),
     "cross-entropy": (lambda vs: T.cross_entropy(vs[0], np.eye(3)[[1, 2]]),
                       lambda vs: cross_entropy_chain(vs[0], np.eye(3)[[1, 2]]), [(2, 3)]),
     "attention-scaled": (lambda vs: with_arrays(T.attention)(vs[0], vs[1:4], vs[4:], 0.5),

@@ -731,35 +731,39 @@ def test_cross_entropy_grad_check():
 
 # -- fused FFN sublayer ------------------------------------------------------
 
-def ffn_sublayer_chain(h, norm, first, second, nonlin, eps=1e-6):
-    """The 19 elementary ops (and the norm's 4 constants) that
-    ``T.ffn_sublayer`` fuses: the layer norm's 13, a matmul and an add, the
-    nonlinearity, a matmul and an add, and the residual add."""
-    hidden = T.nonlinearity(affine_chain([(layer_norm_chain(h, *norm, eps), first[0])],
+def ffn_sublayer_chain(h, a, norm, first, second, nonlin, eps=1e-6):
+    """The 20 elementary ops (and the norm's 4 constants) that
+    ``T.ffn_sublayer`` fuses: the attention's residual add, the layer
+    norm's 13, a matmul and an add, the nonlinearity, a matmul and an add,
+    and the FFN's residual add."""
+    total = h + a
+    hidden = T.nonlinearity(affine_chain([(layer_norm_chain(total, *norm, eps), first[0])],
                                          first[1]), nonlin)
-    return h + affine_chain([(hidden, second[0])], second[1])
+    return total + affine_chain([(hidden, second[0])], second[1])
 
 
 def _ffn_run(sublayer, nonlin, lead, d=8, f=12):
     """Data of two FFN sublayers in a row, sharing their weights as a
     Transformer's positions share a layer's, and the gradients of every
     source under a weighted-sum loss; the first sublayer's input is an inner
-    node that also feeds a node built after the sublayers."""
+    node that also feeds a node built before and one built after the
+    sublayers, as a layer's input feeds its first layer norm."""
     rng = np.random.default_rng(len(lead) + f)
-    src = T.parameter(rng.normal(size=lead + (d,)))
+    srcs = [T.parameter(rng.normal(size=lead + (d,))) for _ in range(3)]
     params = [T.parameter(rng.normal(size=shape))
               for shape in ((d,), (d,), (d, f), (f,), (f, d), (d,))]
     norm, first, second = params[:2], params[2:4], params[4:]
-    h = T.nonlinearity(src, "tanh") * T.constant(3.0)
-    outs = [sublayer(h, norm, first, second, nonlin)]
-    outs.append(sublayer(outs[0], norm, first, second, nonlin))
+    h = T.nonlinearity(srcs[0], "tanh") * T.constant(3.0)
+    before = (h * h).sum()
+    outs = [sublayer(h, srcs[1] * T.constant(0.5), norm, first, second, nonlin)]
+    outs.append(sublayer(outs[0], srcs[2] * T.constant(0.5), norm, first, second, nonlin))
     T.backward(sum(((o * T.constant(rng.normal(size=o.shape))).sum() for o in outs),
-                   (h * h).sum()))
-    return [a.tobytes() for a in (*(o.data for o in outs), *(v.grad for v in [src, *params]))]
+                   before + (h * h).sum()))
+    return [a.tobytes() for a in (*(o.data for o in outs), *(v.grad for v in srcs + params))]
 
 
-def _fused_ffn(h, norm, first, second, nonlin):
-    return T.ffn_sublayer(h, norm, first, second, nonlin, 1e-6)
+def _fused_ffn(h, a, norm, first, second, nonlin):
+    return T.ffn_sublayer(h, a, norm, first, second, nonlin, 1e-6)
 
 
 @pytest.mark.parametrize("lead", [(3,), (2, 4)], ids=["B-d", "B-L-d"])
@@ -769,35 +773,37 @@ def test_ffn_sublayer_matches_the_chain_byte_for_byte(nonlin, lead):
 
 
 def test_ffn_sublayer_builds_one_node_with_every_operand_as_parent():
-    h = T.parameter(np.ones((2, 3)))
+    h, a = T.parameter(np.ones((2, 3))), T.parameter(np.ones((2, 3)))
     params = [T.parameter(np.ones(shape)) for shape in ((3,), (3,), (3, 5), (5,), (5, 3), (3,))]
     start = T.constant(0.0).id
-    out = T.ffn_sublayer(h, params[:2], params[2:4], params[4:], "relu", 1e-6)
+    out = T.ffn_sublayer(h, a, params[:2], params[2:4], params[4:], "relu", 1e-6)
     assert (out.op_kind, out.id, out.shape) == ("ffn_sublayer", start + 1, (2, 3))
-    assert out.parents == (h, *params)
+    assert out.parents == (h, a, *params)
 
 
 @pytest.mark.parametrize("shapes", [
-    [(2, 3), (4,), (3,), (3, 5), (5,), (5, 3), (3,)],      # a gain of another width
-    [(2, 3), (3,), (3,), (4, 5), (5,), (5, 3), (3,)],      # W1 not of the input width
-    [(2, 3), (3,), (3,), (3, 5), (4,), (5, 3), (3,)],      # b1 not of W1's width
-    [(2, 3), (3,), (3,), (3, 5), (5,), (5, 4), (3,)],      # W2 not back to the width
-    [(2, 3), (3,), (3,), (3, 5), (5,), (5, 3), (2, 3)],    # b2 not (d,)
-    [(), (3,), (3,), (3, 5), (5,), (5, 3), (3,)],          # no width at all
+    [(2, 3), (2, 3), (4,), (3,), (3, 5), (5,), (5, 3), (3,)],    # a gain of another width
+    [(2, 3), (2, 3), (3,), (3,), (4, 5), (5,), (5, 3), (3,)],    # W1 not of the input width
+    [(2, 3), (2, 3), (3,), (3,), (3, 5), (4,), (5, 3), (3,)],    # b1 not of W1's width
+    [(2, 3), (2, 3), (3,), (3,), (3, 5), (5,), (5, 4), (3,)],    # W2 not back to the width
+    [(2, 3), (2, 3), (3,), (3,), (3, 5), (5,), (5, 3), (2, 3)],  # b2 not (d,)
+    [(), (), (3,), (3,), (3, 5), (5,), (5, 3), (3,)],            # no width at all
+    [(2, 3), (1, 3), (3,), (3,), (3, 5), (5,), (5, 3), (3,)],    # an output of another shape
 ])
 def test_ffn_sublayer_rejects_operands_the_chain_would_not_combine(shapes):
     vs = [T.parameter(np.ones(shape)) for shape in shapes]
     with pytest.raises(T.ShapeError, match="ffn_sublayer"):
-        T.ffn_sublayer(vs[0], vs[1:3], vs[3:5], vs[5:], "tanh", 1e-6)
+        T.ffn_sublayer(vs[0], vs[1], vs[2:4], vs[4:6], vs[6:], "tanh", 1e-6)
 
 
 @pytest.mark.parametrize("nonlin", list(T.NONLINEARITIES))
 def test_ffn_sublayer_grad_check(nonlin):
     rng = np.random.default_rng(3)
-    point = [rng.normal(size=shape) for shape in ((2, 3), (3,), (3,), (3, 4), (4,), (4, 3), (3,))]
+    point = [rng.normal(size=shape)
+             for shape in ((2, 3), (2, 3), (3,), (3,), (3, 4), (4,), (4, 3), (3,))]
     weights = T.constant(rng.normal(size=(2, 3)))
     report = T.grad_check(
-        lambda vs: (T.ffn_sublayer(vs[0], vs[1:3], vs[3:5], vs[5:], nonlin, 1e-6)
+        lambda vs: (T.ffn_sublayer(vs[0], vs[1], vs[2:4], vs[4:6], vs[6:], nonlin, 1e-6)
                     * weights).sum(), point)
     assert report.max_rel_err < 1e-6
 
@@ -1241,16 +1247,19 @@ def _arrays(*values):
     return [np.array(v, dtype=float) for v in values]
 
 
-def _ffn_case(h, w1, w2, gain=(1.0, 1.0, 1.0), b2=(0.0, 0.0, 0.0)):
-    """(h, gain, bias, W1, b1, W2, b2) of a width-3 sublayer with one hidden
-    unit."""
-    return _arrays(h, gain, [0.0] * 3, w1, [0.0], w2, b2)
+def _ffn_case(h, w1, w2, gain=(1.0, 1.0, 1.0), b2=(0.0, 0.0, 0.0), a=((0.0, 0.0, 0.0),)):
+    """(h, a, gain, bias, W1, b1, W2, b2) of a width-3 sublayer with one
+    hidden unit."""
+    return _arrays(h, a, gain, [0.0] * 3, w1, [0.0], w2, b2)
 
 
-# (h, gain, bias, W1, b1, W2, b2) near the float64 limit, for every
+# (h, a, gain, bias, W1, b1, W2, b2) near the float64 limit, for every
 # nonlinearity: each maps +-inf to a finite value but relu's +inf, so only
 # the pre-activation's own check sees most of them
 FFN_OVERFLOWS = [
+    # h + a overflows, and the norm's variance with it
+    ("first-add", _ffn_case([[1.7e308, 1.0, 0.0]], [[1.0], [0.0], [0.0]], [[1.0, 1.0, 1.0]],
+                            a=[[1.7e308, 0.0, 0.0]]), True),
     # the square overflows, so inv_std is 0 and the norm finite
     ("infinite-variance", _ffn_case([[1e200, -1e200, 3.0]], [[1.0], [1.0], [1.0]],
                                     [[1.0, 1.0, 1.0]]), True),
@@ -1323,10 +1332,11 @@ FUSED_OVERFLOWS = {
         (case, [np.array(x, dtype=float) for x in (q, *keys, *values)], raises)
         for case, q, keys, values, raises in TWO_HEAD_OVERFLOWS]) for kind in ATTENTION_KINDS},
     **{f"ffn_sublayer/{nonlin}": (
-        lambda h, g, b, w1, b1, w2, b2, nonlin=nonlin: T.ffn_sublayer(
-            h, (g, b), (w1, b1), (w2, b2), nonlin, 1e-6),
-        lambda h, g, b, w1, b1, w2, b2, nonlin=nonlin: ffn_sublayer_chain(
-            h, (g, b), (w1, b1), (w2, b2), nonlin), FFN_OVERFLOWS) for nonlin in T.NONLINEARITIES},
+        lambda h, a, g, b, w1, b1, w2, b2, nonlin=nonlin: T.ffn_sublayer(
+            h, a, (g, b), (w1, b1), (w2, b2), nonlin, 1e-6),
+        lambda h, a, g, b, w1, b1, w2, b2, nonlin=nonlin: ffn_sublayer_chain(
+            h, a, (g, b), (w1, b1), (w2, b2), nonlin), FFN_OVERFLOWS)
+       for nonlin in T.NONLINEARITIES},
     # elu_plus_one is finite and positive, so the decay is in (0, 1]
     "rwkv_decay": (T.rwkv_decay, rwkv_decay_chain, [
         ("huge-w", [np.array([1.7e308, -1.7e308])], False),
