@@ -119,16 +119,21 @@ def linear_attn_masked(cfg, pg: ParamGraph, prefix: str, x: Value) -> Value:
 def linear_attn_recurrent(ab, q: Value, k: Value, v: Value, n_heads: int) -> tuple:
     """a accumulates each head's rank-1 outer products phi(k) v^T; b
     accumulates phi(k).  The current token's contribution is folded in
-    before the read-out, so the result covers positions 1..t."""
-    a = T.outer_update(None if ab is None else ab[0], k, v, n_heads)
-    b = T.key_sum(None if ab is None else ab[1], k, n_heads)
+    before the read-out, so the result covers positions 1..t.  The update,
+    the sum and the read-out read k's heads from one ``split_row`` node."""
+    k = T.split_row(k, n_heads)
+    if ab is None:
+        a, b = T.outer_update(None, k, v, n_heads), k
+    else:
+        a, b = T.outer_update(ab[0], k, v, n_heads), T.key_sum(ab[1], k, n_heads)
     return T.linear_readout(q, a, b), (a, b)
 
 
 def linear_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:
     """Layer states are one (a, b) pair for all heads, None while empty: a
     (B, n_heads, dh, dv) holds each head's sum of outer products and b (B,
-    d) the sum of phi(k), head i in columns i·dh on."""
+    d) the sum of phi(k), head i in columns i·dh on; after the first token
+    b is that token's split phi(k)."""
     def layer(prefix, h, ab):
         return residual_block(cfg, pg, prefix, h, lambda x: linear_attn_recurrent(
             ab, *_projections(cfg, pg, prefix, x), cfg.n_heads))

@@ -20,23 +20,24 @@ elementary nodes they replace would, byte for byte:
   product), each one op more per head with a scale, and with more than one
   head the query's splits and the heads' concat; both read every head's
   keys and values from stacked arrays that the caller keeps beside the
-  rows, so their numpy work does not restack t rows.  Each key and value
-  row they read is one ``split_row`` node (its slice, its heads' splits and
-  reshapes);
+  rows, so their forward does not restack t rows;
 - RWKV's recurrent update, ``rwkv_decay`` (3 ops), ``rwkv_output`` (6) and
   ``decayed_sum`` (2, or 3 with a weighted new term), and the linear
   Transformer's, for all heads: ``outer_update`` (4 per head, or 3 with no
-  state yet, and the value's splits), ``key_sum`` (the key's splits and an
-  add per head) and ``linear_readout`` (6 per head, and the query's splits
-  and the heads' concat).
+  state yet, and the value's splits), ``key_sum`` (an add per head) and
+  ``linear_readout`` (6 per head, and the query's splits and the heads'
+  concat);
+- ``split_row``, a row's slice, heads' splits and reshapes, for a row that
+  more than one node reads as heads: attention's key and value rows and
+  linear attention's key.
 
 An all-heads kind adds head i's gradient into columns i·d/n_heads on of a
-full-width parent, through a zero-filled buffer as the split's backward
-did, so it keeps the chain's bytes wherever the chain's split was read by
-that node alone: the query's split, and the rows' splits, which are
-``split_row`` nodes.  The key's split in linear attention is read by the
-update, the sum and the next step's sum; gradients keep the chain's bytes
-as long as nothing else reads that key, as in the models.
+full-width parent.  Into the query, or the value of ``outer_update``, it
+adds through a zero-filled buffer as the split's backward did; that split
+was read by this node alone.  A split that several nodes read is a
+``split_row`` node, which sums what they add, as the split did, before it
+adds into its source.  So gradients keep the chain's bytes whatever else
+reads the source.
 
 A fused ``Op`` reads its op count, its chain's length from each parent and
 its flops off the node, since all three may grow with the number of
@@ -865,15 +866,17 @@ def _split_row_bwd(out):
 
 def split_row(x: Value, n_heads: int, position: int | None = None,
               rows: bool = False) -> Value:
-    """A row that attention reads as ``n_heads`` heads: ``x`` (B, d) itself,
-    or its row ``position`` if ``x`` is (B, L, d); one node with data (B, d)
-    and parent ``x``.
+    """A row that the all-heads kinds read as ``n_heads`` heads: ``x`` (B,
+    d) itself, or its row ``position`` if ``x`` is (B, L, d); one node with
+    data (B, d) and parent ``x``.
 
     One node for the chain that built the heads one node each: the row's
     slice (with a ``position``), the n_heads splits of width d / n_heads
     (none at one head) and, with ``rows``, each head's reshape to (B, 1,
-    d / n_heads).  The attention kinds read head i from columns i·d/n_heads
-    on, and add head i's gradient there, so gradients keep the chain's bytes.
+    d / n_heads).  With none of these (one head, no ``position``, no
+    ``rows``) the chain is empty and ``x`` itself is returned.  The
+    all-heads kinds read head i from columns i·d/n_heads on, and add head
+    i's gradient there, so gradients keep the chain's bytes.
     """
     xd = x.data
     if position is not None:
@@ -882,6 +885,8 @@ def split_row(x: Value, n_heads: int, position: int | None = None,
         xd = xd[:, position]
     if xd.ndim != 2 or n_heads < 1 or xd.shape[-1] % n_heads:
         raise ShapeError(_SPLIT_ROW.name, x.shape, n_heads)
+    if n_heads == 1 and position is None and not rows:
+        return x
     return Value(xd, _SPLIT_ROW, (x,), (n_heads, position, rows))
 
 
@@ -916,19 +921,34 @@ def _attend(op: Op, q: Value, keys: Sequence[Value], values: Sequence[Value], ke
             outs.append(mixed.reshape((b, value_array.shape[-1])))
             weights.append(w)
             finite = finite and np.isfinite(scores).all()
-    out = Value(_side_by_side(outs), op, parents,
-                (scale, n_heads, weights, key_array, value_array))
+    # the parallel kind's arrays are views of the projections; the cached
+    # kind's are each step's own, O(t·d) floats per node, and its backward
+    # restacks them from the rows instead
+    kept = (key_array, value_array) if op is _ATTENTION else ()
+    out = Value(_side_by_side(outs), op, parents, (scale, n_heads, weights, *kept))
     if not finite:
         _overflow(out)
     return out
 
 
-def _mix_bwd(out, i: int) -> tuple:
+def _operand_arrays(out) -> tuple:
+    """The (B, n_heads, t, dh) key and value arrays an attention node read:
+    kept on the node, or stacked again from its rows as the caller stacked
+    them."""
+    _, n_heads, _, *kept = out._ctx
+    if kept:
+        return tuple(kept)
+    t = len(out.parents) // 2
+    return tuple(np.stack([r.data.reshape((r.shape[0], n_heads, -1)) for r in rows], axis=2)
+                 for rows in (out.parents[1:t + 1], out.parents[t + 1:]))
+
+
+def _mix_bwd(out, i: int, value_array) -> tuple:
     """The backward steps both attention kinds share for head ``i``, in
     reverse creation order: the heads' concat, the output reshape, the value
     matmul and the weights' reshape, the value concat, the softmax and the
     scale; returns (the scores' gradient, the stacked values' gradient)."""
-    scale, n_heads, weights, _, value_array = out._ctx
+    scale, n_heads, weights = out._ctx[:3]
     w, values = weights[i], value_array[:, i]
     b, t = w.shape
     g = _head(out._grad, i, n_heads).reshape((b, 1, values.shape[-1]))
@@ -944,12 +964,13 @@ def _attention_grads(out, head_grads, last_key_first: bool) -> None:
     returns q's contributions in its chain's order and the keys' (B, t, dh)
     gradient; then every head's gradient at once into the value rows, q and
     the key rows, the keys in the chain's order."""
-    _, n_heads, _, key_array, _ = out._ctx
+    n_heads = out._ctx[1]
+    key_array, value_array = _operand_arrays(out)
     q, *keys = out.parents[:len(out.parents) // 2 + 1]
     values = out.parents[len(keys) + 1:]
     g_q, g_keys, g_values = [], [], []
     for i in range(n_heads):
-        g_scores, g_vals = _mix_bwd(out, i)
+        g_scores, g_vals = _mix_bwd(out, i, value_array)
         q_parts, g_k = head_grads(g_scores, _head(q.data, i, n_heads), key_array[:, i])
         g_q.append(q_parts)
         g_keys.append(g_k)
@@ -1017,7 +1038,9 @@ def cached_attention(q: Value, key_rows: Sequence[Value], value_rows: Sequence[V
     """Softmax attention of one query ``q`` (B, d), split into ``n_heads``
     heads, over a KV cache of t ``key_rows`` and t ``value_rows``; returns
     (B, n_heads·dv), equal to ``attention``'s element for element.  The rows
-    and arrays are as in ``attention``.
+    and arrays are as in ``attention``, but a cache's arrays are each step's
+    own copies, so the node does not keep them: its backward stacks the
+    rows' data again.
 
     One node for the chain that scored each head's stacked cache in one
     broadcast product: per head the keys' concat, q's reshape, the product,
@@ -1136,7 +1159,7 @@ def decayed_sum(z: Value, a: Value, x: Value, y: Value | None = None) -> Value:
 def _outer_update_bwd(out):
     # replays, per head, the add (if any), the outer product and the two
     # reshapes, the value's after the key's in creation order: a, v and k
-    # receive theirs, and the splits of v and k add them into their rows
+    # receive theirs, and the splits of v add them into its row
     *a, k, v = out.parents
     n_heads = out._ctx
     g = out._grad
@@ -1148,27 +1171,26 @@ def _outer_update_bwd(out):
         (batch, dh), dv = k_i.shape, v_i.shape[-1]
         rk, rv = k_i.reshape((batch, dh, 1)), v_i.reshape((batch, 1, dv))
         g_v.append([np.matmul(np.swapaxes(rk, -1, -2), g_i).reshape(v_i.shape)])
-        g_k.append([np.matmul(g_i, np.swapaxes(rv, -1, -2)).reshape(k_i.shape)])
+        g_k.append(np.matmul(g_i, np.swapaxes(rv, -1, -2)).reshape(k_i.shape))
     _accumulate_heads(v, g_v, n_heads)
-    _accumulate_heads(k, g_k, n_heads)
+    _accumulate(k, _side_by_side(g_k))
 
 
 def outer_update(a: Value | None, k: Value, v: Value, n_heads: int) -> Value:
     """``a + k (x) v`` per head: head i's outer product of ``k`` (B, d) and
-    ``v`` (B, dv), both split into ``n_heads`` heads, at ``[:, i]`` of a
-    (B, n_heads, d / n_heads, dv / n_heads) array, added to the state ``a``
-    of that shape, or alone when ``a`` is None; one node with parents (a, k,
+    ``v`` (B, dv), both read as ``n_heads`` heads, at ``[:, i]`` of a (B,
+    n_heads, d / n_heads, dv / n_heads) array, added to the state ``a`` of
+    that shape, or alone when ``a`` is None; one node with parents (a, k,
     v) or (k, v).
 
     One node for the chain that split v into its heads and, per head, built
     two reshapes, a matmul and, with ``a``, an add: 4 ops per head, or 3,
-    and n_heads splits with more than one head.  The chain's splits of k are
-    ``key_sum``'s, which reads the same k, so they are counted there; the
-    chain from k still passes through them.  Data and gradients are
-    byte-identical to that chain's, k's while only this step's nodes read k
-    (see the module docstring); a non-finite product stays non-finite
-    through the add of a finite ``a``, so the output's check raises
-    whenever the chain's would.
+    and n_heads splits with more than one head.  ``k`` holds the key's heads
+    already: a ``split_row`` node, which ``key_sum`` and ``linear_readout``
+    read too, as the chain's update, sum and read-out read the key's
+    splits.  Data and gradients are byte-identical to that chain's; a
+    non-finite product stays non-finite through the add of a finite ``a``,
+    so the output's check raises whenever the chain's would.
     """
     batch = k.shape[0] if k.data.ndim == 2 else 0
     if (not batch or v.data.ndim != 2 or v.shape[0] != batch or n_heads < 1
@@ -1185,32 +1207,23 @@ def outer_update(a: Value | None, k: Value, v: Value, n_heads: int) -> Value:
 
 
 def _key_sum_bwd(out):
-    # replays the add (if any), then the splits of k
-    *b, k = out.parents
-    if b:
-        _accumulate(b[0], out._grad)
-    _accumulate_heads(k, [[out._grad]], out._ctx)
+    b, k = out.parents
+    _accumulate(b, out._grad)
+    _accumulate(k, out._grad)
 
 
-def key_sum(b: Value | None, k: Value, n_heads: int) -> Value:
-    """``b + k``, linear attention's running sum of the feature-mapped keys
-    ``k`` (B, d), or ``k`` alone when ``b`` is None; one node with parents
-    (b, k) or (k,) and data (B, d).
+def key_sum(b: Value, k: Value, n_heads: int) -> Value:
+    """``b + k``, linear attention's running sum ``b`` (B, d) of the
+    feature-mapped keys with the next key ``k`` added; one node with parents
+    (b, k).  Both hold ``n_heads`` heads side by side: ``k`` a ``split_row``
+    node, ``b`` the first key's or an earlier sum.
 
-    One node for the chain that split k into ``n_heads`` heads (no split at
-    one head) and, with ``b``, added each head to b's: n_heads splits and
-    n_heads adds, or the splits alone.  ``outer_update`` and
-    ``linear_readout`` read head i of b and k from columns i·d/n_heads on.
-    Data and gradients are byte-identical to the chain's, k's while only
-    this step's nodes read k.  The sum of finite
-    rows can overflow, and the output's check raises as the chain's adds
-    would.
+    One node for the chain that added each of k's heads to b's, n_heads
+    adds.  Data and gradients are byte-identical to that chain's.  The sum
+    of finite rows can overflow, and the output's check raises as the
+    chain's adds would.
     """
-    if k.data.ndim != 2 or n_heads < 1 or k.shape[1] % n_heads:
-        raise ShapeError(_KEY_SUM.name, k.shape, n_heads)
-    if b is None:
-        return Value(k.data, _KEY_SUM, (k,), n_heads)
-    if b.shape != k.shape:
+    if k.data.ndim != 2 or n_heads < 1 or k.shape[1] % n_heads or b.shape != k.shape:
         raise ShapeError(_KEY_SUM.name, b.shape, k.shape, n_heads)
     return Value(b.data + k.data, _KEY_SUM, (b, k), n_heads)
 
@@ -1416,35 +1429,25 @@ _CROSS_ENTROPY = Op("cross_entropy", _cross_entropy_bwd,
                     ops=_always(8), chains=_always((8,)))
 
 
+def _splits(n_heads: int) -> int:
+    """The splits of one full-width operand into ``n_heads`` heads: none at
+    one head.  An all-heads kind that splits anything also joins its heads
+    in one concat, ``_splits(n_heads) and 1``, and its chains pass through
+    one split, as many."""
+    return n_heads if n_heads > 1 else 0
+
+
 def _row_steps(v: Value) -> tuple:
     """A ``split_row`` node's chain, step by step: the nodes of its slice
     (0 or 1), of its splits (0 or n_heads) and of its reshapes (0 or
     n_heads); its chain is one op long per step that has any."""
     n_heads, position, rows = v._ctx
-    return (int(position is not None), n_heads if n_heads > 1 else 0, n_heads if rows else 0)
-
-
-def _splits(n_heads: int) -> int:
-    """The splits of one full-width operand into ``n_heads`` heads: none at
-    one head."""
-    return n_heads if n_heads > 1 else 0
-
-
-def _split_join(n_heads: int) -> int:
-    """The ops of an all-heads node's query split and heads' concat: n_heads
-    splits and a concat with more than one head, else none."""
-    return _splits(n_heads) + (n_heads > 1)
+    return (int(position is not None), _splits(n_heads), n_heads if rows else 0)
 
 
 def _scaled(v: Value) -> int:
     """1 if an attention node's chain holds the ``* scale`` op, else 0."""
     return v._ctx[0] is not None
-
-
-def _joined(v: Value) -> int:
-    """1 if an all-heads node's chain splits its rows into heads and joins
-    them again, so more than one head, else 0."""
-    return v._ctx[1] > 1
 
 
 def _attention_chains(v: Value) -> tuple:
@@ -1454,7 +1457,7 @@ def _attention_chains(v: Value) -> tuple:
     # the reshape; with heads, q's split and the heads' concat, which every
     # row's chain also passes through
     t = len(v.parents) // 2
-    s, m = _scaled(v), _joined(v)
+    s, m = _scaled(v), _splits(v._ctx[1]) and 1
     return (7 + s + 2 * m,) + (7 + s + m,) * t + (3 + m,) * t
 
 
@@ -1472,10 +1475,11 @@ def _attention_flops(v: Value) -> int:
 # with more than one head
 _ATTENTION = Op("attention", _attention_bwd, _attention_flops,
                 ops=lambda v: v._ctx[1] * (len(v.parents) + 5 + _scaled(v))
-                + _split_join(v._ctx[1]),
+                + _splits(v._ctx[1]) + (_splits(v._ctx[1]) and 1),
                 chains=_attention_chains)
 _CACHED_ATTENTION = Op("cached_attention", _cached_attention_bwd, _attention_flops,
-                       ops=lambda v: v._ctx[1] * (9 + _scaled(v)) + _split_join(v._ctx[1]),
+                       ops=lambda v: v._ctx[1] * (9 + _scaled(v)) + _splits(v._ctx[1])
+                       + (_splits(v._ctx[1]) and 1),
                        chains=_attention_chains)
 # a row's slice, its splits and its reshapes: no flops
 _SPLIT_ROW = Op("split_row", _split_row_bwd, _per_out(0), ops=lambda v: sum(_row_steps(v)),
@@ -1494,43 +1498,38 @@ _DECAYED_SUM = Op("decayed_sum", _decayed_sum_bwd, lambda v: (len(v.parents) - 1
 
 
 def _outer_update_chains(v: Value) -> tuple:
-    # a's add; from k and v, each split (with heads), reshape, the matmul
-    # and the add (if any)
-    kv = len(v.parents) + (v._ctx > 1)
-    return (1, kv, kv) if len(v.parents) == 3 else (kv, kv)
-
-
-def _key_sum_chains(v: Value) -> tuple:
-    # b's add; from k, its split (with heads) and the add (if any)
-    k = len(v.parents) - 1 + (v._ctx > 1)
-    return (1, k) if len(v.parents) == 2 else (k,)
+    # a's add; from k and v, each reshape, the matmul and the add (if any),
+    # and from v its split before them (with heads)
+    kv = len(v.parents)
+    chains = (kv, kv + (_splits(v._ctx) and 1))
+    return (1,) + chains if kv == 3 else chains
 
 
 def _linear_readout_chains(v: Value) -> tuple:
     # 4 ops from q and 3 from a and b per head; with heads, the heads'
     # concat, and q's split before them
-    m = v.parents[1].shape[1] > 1
+    m = _splits(v.parents[1].shape[1]) and 1
     return (4 + 2 * m, 3 + m, 3 + m)
 
 
 # per head, a + k (x) v: two reshapes, a matmul of inner width 1 (2 flops per
 # output scalar) and the add (1), or 3 ops with no state; with heads, v's
-# splits (k's are key_sum's)
+# splits (k's are its split_row's)
 _OUTER_UPDATE = Op("outer_update", _outer_update_bwd,
                    lambda v: len(v.parents) * v.data.size,
                    ops=lambda v: v._ctx * (len(v.parents) + 1) + _splits(v._ctx),
                    chains=_outer_update_chains)
-# per head, b + k (one flop per scalar); with heads, k's splits
-_KEY_SUM = Op("key_sum", _key_sum_bwd, lambda v: (len(v.parents) - 1) * v.data.size,
-              ops=lambda v: (len(v.parents) - 1) * v._ctx + _splits(v._ctx),
-              chains=_key_sum_chains)
+# per head, b + k (one flop per scalar)
+_KEY_SUM = Op("key_sum", _key_sum_bwd, _per_out(1), ops=lambda v: v._ctx,
+              chains=_always((1, 1)))
 # per head, (q a) / (q . b): q's reshape, a matmul over dh (2·dh per output
 # scalar), its reshape, q * b and the row sum (one flop per scalar of q
 # each) and the divide (1); with heads, q's splits and the heads' concat
 _LINEAR_READOUT = Op("linear_readout", _linear_readout_bwd,
                      lambda v: (2 * v.parents[1].shape[2] + 1) * v.data.size
                      + 2 * v.parents[0].data.size,
-                     ops=lambda v: 6 * v.parents[1].shape[1] + _split_join(v.parents[1].shape[1]),
+                     ops=lambda v: 6 * v.parents[1].shape[1] + _splits(v.parents[1].shape[1])
+                     + (_splits(v.parents[1].shape[1]) and 1),
                      chains=_linear_readout_chains)
 _CONCAT = Op("concat", _concat_bwd, _per_out(0))
 _VIEW_SLICE = Op("slice", _slice_bwd, _per_out(0))

@@ -112,12 +112,13 @@ def test_one_position_builds_fewer_nodes_than_all(arch, mode):
 
 # (arch, mode) -> the nodes one model_forward builds at d16, 2 layers, 2
 # heads, n = 16: one attention node per query for all heads, over one node
-# per key and value row, and one node per layer and position for both
-# residual adds and the FFN
+# per key and value row, one node per layer and position for both residual
+# adds and the FFN, and per layer and step one linear-attention key row
+# (its heads' splits), update, key sum (none at the first step) and read-out
 ROUTE_NODES = {
     ("transformer", "parallel"): 262, ("transformer", "recurrent"): 345,
     ("rwkv", "parallel"): 91, ("rwkv", "recurrent"): 373,
-    ("linear-transformer", "parallel"): 107, ("linear-transformer", "recurrent"): 409,
+    ("linear-transformer", "parallel"): 107, ("linear-transformer", "recurrent"): 439,
 }
 
 

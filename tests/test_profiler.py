@@ -8,13 +8,14 @@ import pytest
 from recurlab import tensor as T
 from recurlab.automata import dfa_run, parity_dfa, machine_profile
 from recurlab.models import ARCHS, ModelConfig, init_params, model_forward
+from recurlab.models.linear import linear_attn_recurrent
 from recurlab.profiler import (DepthProfile, ProfilerError, fit_complexity,
                                graph_profile, profile, profile_table,
                                table_to_csv, table_to_markdown)
 from test_tensor import (affine_chain, attention_chain, cached_attention_chain,
                          cross_entropy_chain, decayed_sum_chain, ffn_sublayer_chain, heads_chain,
                          layer_norm_chain, linear_readout_chain, linear_step_chain,
-                         linear_step_fused, lstm_chain, outer_update_chain, rwkv_decay_chain,
+                         lstm_chain, outer_update_chain, rwkv_decay_chain,
                          rwkv_output_chain, split_chain, with_arrays)
 
 VOCAB = 7
@@ -200,15 +201,14 @@ OP_COSTS = {
     "outer-update-first": (lambda: T.outer_update(None, _p(2, 3), _p(2, 4), 1), (3, 2, 48)),
     "outer-update-deep-state": (lambda: T.outer_update(_deeper(_p(2, 1, 3, 4), 3), _p(2, 3),
                                                        _p(2, 4), 1), (7, 4, 72)),
-    # with two heads, 4 ops per head and v's two splits (k's are key_sum's),
-    # on chains 4 long from k and v
+    # with two heads, 4 ops per head and v's two splits (k's are its
+    # split_row's), on chains 4 long from v and 3 from k
     "outer-update-2-heads": (lambda: T.outer_update(_p(2, 2, 2, 3), _p(2, 4), _p(2, 6), 2),
                              (10, 4, 72)),
-    # b + k over two heads: k's two splits and two adds, on chains 1 long
-    # from b and 2 from k; k alone: its splits, or nothing at one head
-    "key-sum": (lambda: T.key_sum(_p(2, 4), _p(2, 4), 2), (4, 2, 8)),
-    "key-sum-first": (lambda: T.key_sum(None, _p(2, 4), 2), (2, 1, 0)),
-    "key-sum-one-head-first": (lambda: T.key_sum(None, _deeper(_p(2, 4), 2), 1), (2, 2, 0)),
+    "outer-update-2-heads-deep-key": (
+        lambda: T.outer_update(_p(2, 2, 2, 3), _deeper(_p(2, 4), 1), _p(2, 6), 2), (11, 4, 72)),
+    # b + k over two heads: two adds, on chains 1 long
+    "key-sum": (lambda: T.key_sum(_p(2, 4), _deeper(_p(2, 4), 2), 2), (4, 3, 8)),
     # (q a) / (q . b): 6 ops on chains 4 long from q and 3 from a and b;
     # 2·3 + 1 flops per scalar of the (2, 4) output and 2 per scalar of q
     "linear-readout": (lambda: T.linear_readout(_p(2, 3), _p(2, 1, 3, 4), _p(2, 3)), (6, 4, 68)),
@@ -312,10 +312,10 @@ FUSED_CHAINS = {
                        [(2, 3), (2, 1, 3, 4), (2, 3)], [(2, 3), (2, 3, 4), (2, 3)]),
     # a step from no state, whose update, sum and read-out share the splits
     # of k
-    "linear-step-first-2-heads": (lambda vs: linear_step_fused(None, *vs, 2)[0],
+    "linear-step-first-2-heads": (lambda vs: linear_attn_recurrent(None, *vs, 2)[0],
                                   lambda vs: linear_step_chain(None, *vs, 2)[0],
                                   [(2, 4), (2, 4), (2, 6)]),
-    "linear-step-first-4-heads": (lambda vs: linear_step_fused(None, *vs, 4)[0],
+    "linear-step-first-4-heads": (lambda vs: linear_attn_recurrent(None, *vs, 4)[0],
                                   lambda vs: linear_step_chain(None, *vs, 4)[0],
                                   [(2, 8), (2, 8), (2, 4)]),
 }

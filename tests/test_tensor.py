@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from recurlab import tensor as T
 from recurlab.models import ModelConfig, ParamGraph, init_params, model_forward
+from recurlab.models.linear import linear_attn_recurrent
 
 
 def test_softmax_uniform_over_equal_logits():
@@ -905,16 +906,19 @@ def _rows(kind, fused, x, n_heads, values):
     return [split_chain(r, n_heads, rows=rows) for r in row_slices]
 
 
-def _attention_run(kind, fused, t, scale, n_heads, b=3, dh=4):
+def _attention_run(kind, fused, t, scale, n_heads, b=4, dh=8):
     """Data of two attention rows over shared keys and values, as queries of
     one layer share them: the first row attends over all t, the second over
-    the first only.  The rows come from (B, t, d) projections, as the models
-    build them with ``T.split_row`` or, for the chain, its elementary nodes.
-    Returns the bytes of both outputs and of the gradients of every source
-    under a weighted-sum loss in which the first query and the keys also
-    feed a node built after the rows.  With t = 5 the last key row and the
-    fourth value row repeat the first (beside a value or key that differs),
-    so the order in which the node adds into one parent shows."""
+    the first two at most.  The rows come from (B, t, d) projections, as the
+    models build them with ``T.split_row`` or, for the chain, its elementary
+    nodes.  Returns the bytes of both outputs and of the gradients of every
+    source under a weighted-sum loss in which the first query and the keys
+    also feed a node built after the rows.  With t = 5 the third and last
+    key rows and the fourth value row repeat the first (beside a value or
+    key that differs), so the first key row takes four gradients, three of
+    them from one node, and the order in which a node adds into one parent
+    shows: adding its key rows in the other order changes the bytes at
+    every head count."""
     d = n_heads * dh
     rng = np.random.default_rng(10 * t + (scale is None) + n_heads)
     srcs = [T.parameter(rng.normal(size=shape))
@@ -923,10 +927,10 @@ def _attention_run(kind, fused, t, scale, n_heads, b=3, dh=4):
     ks, vs = srcs[2] * T.constant(2.0), srcs[3] * T.constant(1.0)
     key_rows, value_rows = (_rows(kind, fused, x, n_heads, x is vs) for x in (ks, vs))
     if t == 5:
-        key_rows[4], value_rows[3] = key_rows[0], value_rows[0]
+        key_rows[2], key_rows[4], value_rows[3] = key_rows[0], key_rows[0], value_rows[0]
     attend = ATTENTION_KINDS[kind][0 if fused else 1]
     outs = [attend(qs[0], key_rows, value_rows, n_heads, scale),
-            attend(qs[1], key_rows[:1], value_rows[:1], n_heads, scale)]
+            attend(qs[1], key_rows[:2], value_rows[:2], n_heads, scale)]
     loss = sum(((out * T.constant(rng.normal(size=out.shape))).sum() for out in outs),
                (qs[0] * T.constant(rng.normal(size=(b, d)))).sum() + (ks * ks).sum())
     T.backward(loss)
@@ -1039,13 +1043,6 @@ def linear_step_chain(ab, q, k, v, n_heads):
     return (outs[0] if n_heads == 1 else T.concat(outs, axis=-1)), states
 
 
-def linear_step_fused(ab, q, k, v, n_heads):
-    """The same step as ``linear_attn_recurrent`` builds it."""
-    a = T.outer_update(None if ab is None else ab[0], k, v, n_heads)
-    b = T.key_sum(None if ab is None else ab[1], k, n_heads)
-    return T.linear_readout(q, a, b), (a, b)
-
-
 def _state_arrays(ab):
     """The fused state's (a, b) arrays, or the chain's per-head states
     stacked and joined as the fused node holds them."""
@@ -1089,13 +1086,10 @@ def _rwkv_run(kinds, batch=3, d=4):
 
 def _linear_run(step, n_heads, batch=3, dh=4):
     """Data of three linear-attention recurrent steps over ``n_heads`` heads,
-    built by ``step`` (``linear_step_fused`` or ``linear_step_chain``), and
-    the gradients of every source under a weighted-sum loss; each step's q
-    and v also feed a node built after the step, and the loss reads the
-    last state.  As in the models, nothing else reads k: the chain summed
-    the gradients of k's heads from the update, the sum and the read-out
-    before adding them into k, which no fused node can do around another
-    reader of k."""
+    built by ``step`` (``linear_attn_recurrent`` or ``linear_step_chain``),
+    and the gradients of every source under a weighted-sum loss; each step's
+    q and k also feed a node built after the step, and the loss reads the
+    last state."""
     rng = np.random.default_rng(dh + n_heads)
     srcs = [T.parameter(rng.normal(size=(batch, n_heads * w)))
             for _ in range(3) for w in (dh, dh, dh)]
@@ -1104,7 +1098,7 @@ def _linear_run(step, n_heads, batch=3, dh=4):
         q, k = (T.nonlinearity(s, "elu_plus_one") for s in srcs[3 * t:3 * t + 2])
         v = srcs[3 * t + 2] * T.constant(1.5)
         out, ab = step(ab, q, k, v, n_heads)
-        outs += [out, q * v]
+        outs += [out, q * k]
     states = _state_arrays(ab)
     w_a, w_b = (rng.normal(size=x.shape) for x in states)
     if isinstance(ab, tuple):
@@ -1123,7 +1117,7 @@ def test_rwkv_kinds_match_the_chain_byte_for_byte():
 
 def test_linear_kinds_match_the_chain_byte_for_byte():
     for n_heads in HEADS:
-        assert _linear_run(linear_step_fused, n_heads) == \
+        assert _linear_run(linear_attn_recurrent, n_heads) == \
             _linear_run(linear_step_chain, n_heads), n_heads
 
 
@@ -1138,7 +1132,6 @@ STATE_KINDS = {
     "outer_update-2-heads": (lambda a, k, v: T.outer_update(a, k, v, 2),
                              [(2, 2, 2, 3), (2, 4), (2, 6)]),
     "key_sum": (lambda b, k: T.key_sum(b, k, 2), [(2, 4), (2, 4)]),
-    "key_sum-first": (lambda k: T.key_sum(None, k, 2), [(2, 4)]),
     "linear_readout": (T.linear_readout, [(2, 3), (2, 1, 3, 4), (2, 3)]),
     "linear_readout-2-heads": (T.linear_readout, [(2, 4), (2, 2, 2, 3), (2, 4)]),
 }
@@ -1185,9 +1178,10 @@ def test_state_kinds_reject_operands_the_chain_would_not_combine(kind, shapes):
 @pytest.mark.parametrize("kind", ["outer_update", "key_sum"])
 def test_state_kinds_reject_a_key_not_split_evenly(kind):
     k = T.parameter(np.ones((2, 3)))
+    first = None if kind == "outer_update" else k
     with pytest.raises(T.ShapeError, match=kind):
-        getattr(T, kind)(None, k, *([T.parameter(np.ones((2, 4)))] if kind == "outer_update"
-                                    else []), 2)
+        getattr(T, kind)(first, k, *([T.parameter(np.ones((2, 4)))] if kind == "outer_update"
+                                     else []), 2)
 
 
 PER_HEAD_CHAINS = {"attention": attention_chain, "cached_attention": cached_attention_chain}
@@ -1378,12 +1372,10 @@ FUSED_OVERFLOWS = {
         ("second-head-cancelling", _arrays([[[[0.0]], [[-1.7e308]]]], [[1.0, 1.3e154]],
                                            [[1.0, 1.3e154]]), False),
     ]),
-    # (b, k), or k alone for the first step
-    "key_sum": (lambda *vs: T.key_sum(vs[0] if len(vs) == 2 else None, vs[-1], 1),
-                lambda *vs: vs[0] + vs[1] if len(vs) == 2 else vs[0], [
+    # (b, k)
+    "key_sum": (lambda b, k: T.key_sum(b, k, 1), lambda b, k: b + k, [
         ("sum", _arrays([[1.7e308]], [[1.7e308]]), True),
         ("cancelling", _arrays([[1.7e308]], [[-1.7e308]]), False),
-        ("first", _arrays([[1.7e308]]), False),
     ]),
     # (q, a, b), a at one head
     "linear_readout": (T.linear_readout,
@@ -1463,7 +1455,7 @@ CHAIN_CASES = {
        for kind in ATTENTION_KINDS for n_heads in HEADS},
     "rwkv": (_rwkv_run, FUSED_RWKV, CHAIN_RWKV),
     **{f"linear-{n_heads}-heads": (lambda step, n_heads=n_heads: _linear_run(step, n_heads),
-                                   linear_step_fused, linear_step_chain) for n_heads in HEADS},
+                                   linear_attn_recurrent, linear_step_chain) for n_heads in HEADS},
 }
 
 
