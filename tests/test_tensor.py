@@ -1131,9 +1131,13 @@ STATE_KINDS = {
     "outer_update-first": (lambda k, v: T.outer_update(None, k, v, 1), [(2, 3), (2, 4)]),
     "outer_update-2-heads": (lambda a, k, v: T.outer_update(a, k, v, 2),
                              [(2, 2, 2, 3), (2, 4), (2, 6)]),
+    "outer_update-4-heads": (lambda a, k, v: T.outer_update(a, k, v, 4),
+                             [(2, 4, 1, 2), (2, 4), (2, 8)]),
     "key_sum": (lambda b, k: T.key_sum(b, k, 2), [(2, 4), (2, 4)]),
+    "key_sum-4-heads": (lambda b, k: T.key_sum(b, k, 4), [(2, 8), (2, 8)]),
     "linear_readout": (T.linear_readout, [(2, 3), (2, 1, 3, 4), (2, 3)]),
     "linear_readout-2-heads": (T.linear_readout, [(2, 4), (2, 2, 2, 3), (2, 4)]),
+    "linear_readout-4-heads": (T.linear_readout, [(2, 4), (2, 4, 1, 2), (2, 4)]),
 }
 
 
