@@ -1206,12 +1206,6 @@ def outer_update(a: Value | None, k: Value, v: Value, n_heads: int) -> Value:
     return Value(a.data + data, _OUTER_UPDATE, (a, k, v), n_heads)
 
 
-def _key_sum_bwd(out):
-    b, k = out.parents
-    _accumulate(b, out._grad)
-    _accumulate(k, out._grad)
-
-
 def key_sum(b: Value, k: Value, n_heads: int) -> Value:
     """``b + k``, linear attention's running sum ``b`` (B, d) of the
     feature-mapped keys with the next key ``k`` added; one node with parents
@@ -1519,8 +1513,8 @@ _OUTER_UPDATE = Op("outer_update", _outer_update_bwd,
                    lambda v: len(v.parents) * v.data.size,
                    ops=lambda v: v._ctx * (len(v.parents) + 1) + _splits(v._ctx),
                    chains=_outer_update_chains)
-# per head, b + k (one flop per scalar)
-_KEY_SUM = Op("key_sum", _key_sum_bwd, _per_out(1), ops=lambda v: v._ctx,
+# per head, b + k (one flop per scalar); its backward is add's
+_KEY_SUM = Op("key_sum", _add_bwd, _per_out(1), ops=lambda v: v._ctx,
               chains=_always((1, 1)))
 # per head, (q a) / (q . b): q's reshape, a matmul over dh (2·dh per output
 # scalar), its reshape, q * b and the row sum (one flop per scalar of q
