@@ -1425,9 +1425,9 @@ _CROSS_ENTROPY = Op("cross_entropy", _cross_entropy_bwd,
 
 def _splits(n_heads: int) -> int:
     """The splits of one full-width operand into ``n_heads`` heads: none at
-    one head.  An all-heads kind that splits anything also joins its heads
-    in one concat, ``_splits(n_heads) and 1``, and its chains pass through
-    one split, as many."""
+    one head.  ``_splits(n_heads) and 1`` is 1 where there are splits: the
+    one concat that joins the heads again, and the one op that a split or
+    the concat adds to a chain through it."""
     return n_heads if n_heads > 1 else 0
 
 
