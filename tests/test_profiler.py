@@ -254,6 +254,12 @@ def test_layer_norm_counts_as_the_chain_it_fuses(shape):
     assert (fused.total_ops, fused.depth) == (15, 15)
 
 
+def _two_steps(step, vs, n_heads):
+    """The second read-out of ``step`` over (q, k, v) twice, from no state."""
+    _, ab = step(None, *vs[:3], n_heads)
+    return step(ab, *vs[3:], n_heads)[0]
+
+
 # kind -> (fused, chain, operand shapes[, the chain's operand shapes where
 # they differ])
 FUSED_CHAINS = {
@@ -310,15 +316,19 @@ FUSED_CHAINS = {
                            lambda vs: outer_update_chain(None, *vs), [(2, 3), (2, 4)]),
     "linear-readout": (lambda vs: T.linear_readout(*vs), lambda vs: linear_readout_chain(*vs),
                        [(2, 3), (2, 1, 3, 4), (2, 3)], [(2, 3), (2, 3, 4), (2, 3)]),
-    # a step from no state, whose update, sum and read-out share the splits
-    # of k
+    # a step from no state, whose update and read-out share the splits of
+    # k; two steps, whose second also sums the keys
     "linear-step-first-2-heads": (lambda vs: linear_attn_recurrent(None, *vs, 2)[0],
                                   lambda vs: linear_step_chain(None, *vs, 2)[0],
                                   [(2, 4), (2, 4), (2, 6)]),
     "linear-step-first-4-heads": (lambda vs: linear_attn_recurrent(None, *vs, 4)[0],
                                   lambda vs: linear_step_chain(None, *vs, 4)[0],
                                   [(2, 8), (2, 8), (2, 4)]),
+    "linear-two-steps-2-heads": (lambda vs: _two_steps(linear_attn_recurrent, vs, 2),
+                                 lambda vs: _two_steps(linear_step_chain, vs, 2),
+                                 [(2, 4), (2, 4), (2, 6)] * 2),
 }
+
 
 
 @pytest.mark.parametrize("kind", list(FUSED_CHAINS))
