@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
@@ -37,9 +38,37 @@ _RUNTIME = (DivergenceError, GraphOverflowError, ArithmeticError)
 _NETWORK = (AuthError, EndpointTimeout, TransientFailure, MalformedResponse)
 
 
-def _fail(kind: str, exc: BaseException, code: int):
+def _fail(kind: str, exc: BaseException | str, code: int):
     click.echo(json.dumps({"error": kind, "message": str(exc)}), err=True)
     sys.exit(code)
+
+
+@contextmanager
+def _usage_errors():
+    """Report a click usage error (an unknown command, a missing argument,
+    an option value of the wrong type) as a validation error; a bare
+    ``recurlab`` still prints its help."""
+    try:
+        yield
+    except click.exceptions.NoArgsIsHelpError:
+        raise
+    except click.UsageError as exc:
+        _fail("validation", exc.format_message(), 2)
+
+
+class _Group(click.Group):
+    """The command group, whose usage errors print one JSON line as every
+    other error does: the group's own options are parsed in
+    ``make_context``, and each command is looked up and parsed in
+    ``invoke``."""
+
+    def make_context(self, *args, **kwargs):
+        with _usage_errors():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _usage_errors():
+            return super().invoke(ctx)
 
 
 def _positive_ints(option: str, text: str, form: str, count: int | None = None) -> list:
@@ -71,7 +100,7 @@ def _guard(fn):
     return wrapped
 
 
-@click.group()
+@click.group(cls=_Group)
 @click.option("--seed", default=0, show_default=True,
               help="Root seed; instance i derives seed*1000+i, "
                    "seed run j derives seed+j.")

@@ -43,10 +43,13 @@ class ForwardResult:
 
 
 def init_state(cfg: ModelConfig, batch: int, length: int | None = None):
-    """The state before the first token; only tape-rnn reads ``length``,
-    which sizes its tape."""
+    """The state before the first token of ``batch`` sequences, at least
+    one, as ``model_forward`` and ``step`` take them; only tape-rnn reads
+    ``length``, which sizes its tape."""
     if ARCH_TABLE[cfg.arch].step is None:
         raise ModelError(f"{cfg.arch} has no token-level step form")
+    if batch < 1:
+        raise ModelError(f"batch must be >= 1, got {batch}")
     return ARCH_TABLE[cfg.arch].step[0](cfg, batch, length)
 
 
@@ -54,13 +57,16 @@ _TOKEN_SHAPES = {1: "(batch,)", 2: "(batch, length)"}
 
 
 def _check_tokens(cfg: ModelConfig, token_ids, ndim: int) -> np.ndarray:
-    """``token_ids`` as an ``ndim``-dimensional array; a ``ModelError`` names
-    another shape, a non-integer dtype or the first id outside
-    [0, vocab_size), which the embedding lookup would fail on or wrap."""
+    """``token_ids`` as an ``ndim``-dimensional array of at least one
+    sequence; a ``ModelError`` names another shape, an empty batch, a
+    non-integer dtype or the first id outside [0, vocab_size), which the
+    embedding lookup would fail on or wrap."""
     token_ids = np.asarray(token_ids)
     if token_ids.ndim != ndim:
         raise ModelError(f"token ids must be {_TOKEN_SHAPES[ndim]}, "
                          f"got shape {token_ids.shape}")
+    if not token_ids.shape[0]:
+        raise ModelError(f"token ids hold no sequence: shape {token_ids.shape}")
     if not np.issubdtype(token_ids.dtype, np.integer):
         raise ModelError(f"token ids must be integers, got dtype {token_ids.dtype}")
     bad = token_ids[(token_ids < 0) | (token_ids >= cfg.vocab_size)]

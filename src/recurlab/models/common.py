@@ -4,20 +4,19 @@ Everything here builds on the ``tensor`` graph, one node per operation, so the
 profiler's counts reflect exactly what each architecture computes.  A layer
 norm (``layer_norm``) is one fused ``tensor.layer_norm`` node, the readout
 one ``tensor.affine`` node, residual -> LN -> FFN -> residual one
-``tensor.ffn_sublayer`` node, and softmax attention one fused node per
-query for all heads; the profiler counts each as the elementary ops
-it replaces.  Sequences are handled either as one ``Value`` of shape (batch,
-length, d_model) or as a list of per-position ``Value``s of shape (batch,
-d_model).  The softmax Transformer's parallel route attends through
-``tensor.attention``, counted as a product and a sum per attended position
-and head, so its op count grows with the number of (query, key) pairs while
-its node count grows with the number of queries.  Every softmax step cell
-attends through ``tensor.cached_attention``, one node for all heads whose
-op count does not grow with the cache.  Both read key and value rows made
-by ``tensor.split_row``, one node per row for all heads, and every head's
-keys and values as stacked (B, n_heads, t, dh) arrays that the caller keeps
-beside the rows: views of the whole-sequence projections, or the KV cache's
-arrays.
+``tensor.ffn_sublayer`` node, and softmax attention one fused node for all
+heads; the profiler counts each as the elementary ops it replaces.
+Sequences are handled as one ``Value`` of shape (batch, length, d_model),
+as a position-major stack (length, batch, d_model) of per-position rows, or
+as a list of per-position ``Value``s of shape (batch, d_model).  The
+softmax Transformer's parallel route attends through ``tensor.attention``,
+one node per layer for every query and head, counted as a product and a
+sum per attended position and head, so its op count grows with the number
+of (query, key) pairs while its node count per layer stays fixed.  Every
+softmax step cell attends through ``tensor.cached_attention``, one node for
+all heads whose op count does not grow with the cache; it reads key and
+value rows made by ``tensor.split_row``, one node per row for all heads,
+and the KV cache's stacked (B, n_heads, t, dh) arrays beside them.
 
 Every layered step cell is an RNN with one state per layer.  ``init_layers``
 gives the empty state, ``{"t": 0, "batch": batch, "layers": (None,) *
@@ -32,12 +31,15 @@ sets it.
 Every cached, step or masked-parallel layer is one ``residual_block``:
 LN -> attention -> residual -> LN -> FFN -> residual, with the attention
 passed in as a closure that returns ``(output, layer state)``.  The softmax
-Transformer's parallel route keeps its own layer loop, since it runs LN1 once
-on the whole sequence but the residual per query; it shares the second half,
-``ffn_sublayer``, and calls it per query.  Running LN2, FFN and readout once
-on (B, L, d) there instead would change the logits' last bits, since BLAS
-takes another summation path for the batched products, and the golden gate
-checks those bytes.
+Transformer's parallel route keeps its own layer loop, since it runs LN1 and
+the projections on the whole sequence (B, L, d) but the residual, LN2, FFN
+and readout per query; it shares the second half, ``ffn_sublayer``, and
+runs it, and the readout, once over the (L, B, d) stack of the queries'
+rows, ``stacked``.  The layout decides the bytes: numpy's stacked matmul
+makes one BLAS call per leading index, so over (L, B, d) each call is a
+query's own (B, d) @ W product, while over (B, L, d) it is a sequence's (L,
+d) @ W, whose sums take another path and change the logits' last bits;
+the projections were always made over (B, L, d) and still are.
 """
 
 from __future__ import annotations
@@ -117,8 +119,8 @@ def embed_one(pg: ParamGraph, token_ids_t: np.ndarray, position: int,
     return x
 
 
-def readout(pg: ParamGraph, h: Value) -> Value:
-    return T.affine([(h, pg["out_w"])], pg["out_b"])
+def readout(pg: ParamGraph, h: Value, stacked: bool = False) -> Value:
+    return T.affine([(h, pg["out_w"])], pg["out_b"], stacked)
 
 
 _LN_EPS = 1e-6    # every layer norm's epsilon: LN1's and the FFN sublayer's LN2's
@@ -154,14 +156,16 @@ def step_layers(state: dict, h: Value, layer) -> tuple:
     return h, {**state, "t": state["t"] + 1, "layers": tuple(layers)}
 
 
-def ffn_sublayer(cfg, pg: ParamGraph, prefix: str, h: Value, out: Value) -> Value:
+def ffn_sublayer(cfg, pg: ParamGraph, prefix: str, h: Value, out: Value,
+                 stacked: bool = False) -> Value:
     """Residual -> LN -> FFN -> residual on the layer input ``h`` and the
     attention's output ``out``, the second half of ``residual_block``, as
-    one ``tensor.ffn_sublayer`` node."""
+    one ``tensor.ffn_sublayer`` node, ``stacked`` for (L, B, d) stacks of
+    per-query rows."""
     ffn = f"{prefix}.ffn"
     return T.ffn_sublayer(h, out, (pg[f"{prefix}.ln2_g"], pg[f"{prefix}.ln2_b"]),
                           (pg[ffn + ".w1"], pg[ffn + ".b1"]), (pg[ffn + ".w2"], pg[ffn + ".b2"]),
-                          cfg.nonlin, _LN_EPS)
+                          cfg.nonlin, _LN_EPS, stacked)
 
 
 def split_heads(x: Value, n_heads: int) -> list:
@@ -176,12 +180,6 @@ def split_heads(x: Value, n_heads: int) -> list:
 
 def concat_heads(heads: list) -> Value:
     return heads[0] if len(heads) == 1 else T.concat(heads, axis=-1)
-
-
-def as_row(v: Value) -> Value:
-    """(B, d) -> (B, 1, d), for stacking along a middle axis."""
-    b, d = v.shape
-    return v.reshape((b, 1, d))
 
 
 def scale_for(cfg) -> float | None:

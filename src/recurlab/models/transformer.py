@@ -4,9 +4,13 @@ block-recurrent, universal.
 The standard model has two routes: a batch forward (whole-sequence weight
 multiplications) and a cached step decoder (per-token, KV cache).  They share
 the attention math but not the op order, so their agreement is a real check.
-The batch forward builds one attention node per query for all heads,
-counted as a product and a sum per (query, key) pair and head, which is the
-O(n^2) op count the profiler measures, and is the only route that grows so.
+The batch forward runs one layer at a time: the whole sequence's layer norm
+and projections over (B, L, d), one attention node for every query and
+head, counted as a product and a sum per (query, key) pair and head, which
+is the O(n^2) op count the profiler measures and the only route that grows
+so, and one FFN node over the (L, B, d) stack of the queries' rows, where
+each of numpy's stacked products is a query's own (B, d) @ W product as the
+per-query chain made it.  A layer is a fixed number of nodes whatever L.
 Every other model here is a step cell only, built on the cached layer
 ``attn_cell``, which attends over the whole cache in one node for all heads
 whose op count does not grow with the cache: the recurrent and feedback
@@ -23,7 +27,7 @@ import numpy as np
 
 from .. import tensor as T
 from ..tensor import Value
-from .common import (ModelError, ParamGraph, as_row, embed_one, embed_sequence,
+from .common import (ModelError, ParamGraph, embed_one, embed_sequence,
                      ffn_sublayer, init_layers, layer_norm, readout, residual_block,
                      scale_for, step_layers)
 
@@ -67,41 +71,33 @@ def attn_cell(cfg, pg: ParamGraph, prefix: str, h_t: Value, cache) -> tuple:
 # -- standard transformer ---------------------------------------------------
 
 def transformer_forward(cfg, pg: ParamGraph, token_ids: np.ndarray, positions) -> dict:
-    """Batch route: per-layer whole-sequence projections, causal per-position
-    attention.
+    """Batch route, one layer at a time: per layer the whole sequence's
+    layer norm and projections, one attention node for every query, and
+    one FFN node over the (L, B, d) stack of the queries' rows.
 
     Returns {position: logits} for ``positions``.  The last layer projects
-    keys and values at every position, but its per-query attention, residual,
-    FFN and the readout run only at those positions, in increasing order, with
-    the same ops in the same order as the route over every position.
+    keys and values at every position, but its attention, residual, FFN
+    and the readout run only at those positions, with the same ops in the
+    same order as the route over every position.
     """
     length = token_ids.shape[1]
-    if not length:
-        return {}   # no rows to stack
-    x = embed_sequence(pg, token_ids, cfg.use_positional)
-    hs = {t: x.slice((slice(None), t)) for t in range(length)}
     kept = sorted(positions)
+    if not (length and kept):
+        return {}   # no position to read out
+    h = T.position_rows(embed_sequence(pg, token_ids, cfg.use_positional))   # (L, B, d)
     for layer in range(cfg.n_layers):
         prefix = f"l{layer}"
         queries = kept if layer == cfg.n_layers - 1 else range(length)
-        stacked = T.concat([as_row(hs[t]) for t in range(length)], axis=1)   # (B, L, d)
+        stacked = T.stack_rows(h)                                           # (B, L, d)
         normed = layer_norm(pg, f"{prefix}.ln1", stacked) if cfg.use_residual else stacked
-        q_all = T.matmul(normed, pg[f"{prefix}.wq"])
-        k_all = T.matmul(normed, pg[f"{prefix}.wk"])
-        v_all = T.matmul(normed, pg[f"{prefix}.wv"])
-        keys = [T.split_row(k_all, cfg.n_heads, t) for t in range(length)]
-        values = [T.split_row(v_all, cfg.n_heads, t, rows=True) for t in range(length)]
-        # every head's keys and values up to t, stacked, are views of these
-        key_heads, value_heads = (a.data.reshape(a.shape[:2] + (cfg.n_heads, -1))
-                                  .transpose(0, 2, 1, 3) for a in (k_all, v_all))
-        new_hs = {}
-        for t in queries:
-            attn = T.attention(q_all.slice((slice(None), t)), keys[:t + 1], values[:t + 1],
-                               key_heads[:, :, :t + 1], value_heads[:, :, :t + 1],
-                               cfg.n_heads, scale_for(cfg))
-            new_hs[t] = ffn_sublayer(cfg, pg, prefix, hs[t], attn) if cfg.use_residual else attn
-        hs = new_hs
-    return {t: readout(pg, hs[t]) for t in kept}
+        projections = (T.matmul(normed, pg[f"{prefix}.{w}"]) for w in ("wq", "wk", "wv"))
+        attn = T.attention(*projections, cfg.n_heads, scale_for(cfg), queries)
+        if cfg.use_residual:
+            rows = h if len(queries) == length else T.pick(h, queries)
+            attn = ffn_sublayer(cfg, pg, prefix, rows, attn, stacked=True)
+        h = attn
+    logits = readout(pg, h, stacked=True)
+    return {t: T.pick(logits, i) for i, t in enumerate(kept)}
 
 
 def transformer_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:

@@ -14,30 +14,47 @@ elementary nodes they replace would, byte for byte:
   affine map and residual add);
 - ``lstm_cell``'s two nodes ``lstm_c`` (9 ops) and ``lstm_h`` (4), and
   ``cross_entropy`` (8);
-- softmax attention of one query row over t keys, for all of its heads:
-  ``attention`` (2t + 6 ops per head, a product and a sum per key) and
-  ``cached_attention`` (9 per head, the keys scored in one broadcast
-  product), each one op more per head with a scale, and with more than one
-  head the query's splits and the heads' concat; both read every head's
-  keys and values from stacked arrays that the caller keeps beside the
-  rows, so their forward does not restack t rows;
+- softmax attention for all heads: ``attention``, a whole layer's causal
+  attention at its queries, each query t as its row's slice and 2(t + 1) +
+  6 ops per head (a product and a sum per key), with each key and value
+  row's slice, splits and reshapes; and ``cached_attention``, one query
+  over a KV cache of t rows (9 ops per head, the keys scored in one
+  broadcast product); each one op more per head with a scale, and with more
+  than one head the query's splits and the heads' concat.  Both score every
+  (query, key) pair of every head in one product and sum, and run only each
+  query's softmax sum and value mix on their own;
 - RWKV's recurrent update, ``rwkv_decay`` (3 ops), ``rwkv_output`` (6) and
   ``decayed_sum`` (2, or 3 with a weighted new term), and the linear
-  Transformer's, for all heads: ``outer_update`` (4 per head, or 3 with no
-  state yet, and the value's splits), ``key_sum`` (an add per head) and
-  ``linear_readout`` (6 per head, and the query's splits and the heads'
-  concat);
-- ``split_row``, a row's slice, heads' splits and reshapes, for a row that
-  more than one node reads as heads: attention's key and value rows and
-  linear attention's key.
+  Transformer's, for all heads at once: ``outer_update`` (4 per head, or 3
+  with no state yet, and the value's splits), ``key_sum`` (an add per head)
+  and ``linear_readout`` (6 per head, and the query's splits and the
+  heads' concat);
+- ``split_row``, a row's heads' splits and reshapes, for a row that more
+  than one node reads as heads: a cached attention's key and value rows and
+  linear attention's key;
+- the parallel Transformer's per-position rows: ``position_rows``, a
+  sequence's L row slices stacked position-major (L, B, d), ``stack_rows``,
+  those rows' reshapes and concat back into (B, L, d), and ``pick``, a row
+  or rows of such a stack, which stands for no op at all, since the chain
+  held each row as a node of its own.
+
+A ``stacked`` ``affine`` or ``ffn_sublayer`` node is its chain once per
+query, over (Lq, B, d) stacks of per-query rows with shared weights.  The
+layout keeps the bytes: numpy's stacked matmul makes one BLAS call per
+leading index, so over (Lq, B, d) each call is one query's (B, d) @ W,
+whereas over (B, L, d) it is a whole sequence's (L, d) @ W, which sums in
+another order.  The weights take each query's gradient in turn, from the
+last query to the first, as the chain's per-query nodes added them.
 
 An all-heads kind adds head i's gradient into columns i·d/n_heads on of a
 full-width parent.  Into the query, or the value of ``outer_update``, it
 adds through a zero-filled buffer as the split's backward did; that split
 was read by this node alone.  A split that several nodes read is a
 ``split_row`` node, which sums what they add, as the split did, before it
-adds into its source.  So gradients keep the chain's bytes whatever else
-reads the source.
+adds into its source.  ``attention`` adds into its (B, L, d) projections
+through zero-filled buffers, as the rows' slices did.  So gradients keep
+the chain's bytes whatever else reads the source, the sign of a zero
+included.
 
 A fused ``Op`` reads its op count, its chain's length from each parent and
 its flops off the node, since all three may grow with the number of
@@ -79,6 +96,7 @@ process-wide: recurlab builds no graphs from threads.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import gc
 import itertools
@@ -115,6 +133,9 @@ __all__ = [
     "attention",
     "cached_attention",
     "split_row",
+    "position_rows",
+    "stack_rows",
+    "pick",
     "rwkv_decay",
     "rwkv_output",
     "decayed_sum",
@@ -464,10 +485,11 @@ def divide(a: Value, b: Value) -> Value:
         return _binary(_DIVIDE, a, b, np.divide)
 
 
-def _matmul_grads(ad: np.ndarray, bd: np.ndarray, g: np.ndarray) -> tuple:
+def _matmul_grads(ad: np.ndarray, bd: np.ndarray, g: np.ndarray, stacked: bool = False) -> tuple:
     """The gradients of ``ad @ bd`` under output gradient ``g``, each of its
     operand's shape: the rule of a matmul node, and of each product in
-    ``affine`` and ``ffn_sublayer``."""
+    ``affine`` and ``ffn_sublayer``.  For a stacked node (see
+    ``_param_grad``) ``bd``'s gradient is left one per query, stacked."""
     a1, b1 = ad.ndim == 1, bd.ndim == 1
     # promote 1D operands to matrices so one transpose rule covers all cases
     ad2 = ad[None, :] if a1 else ad
@@ -484,7 +506,16 @@ def _matmul_grads(ad: np.ndarray, bd: np.ndarray, g: np.ndarray) -> tuple:
         ga = ga[..., 0, :]
     if b1:
         gb = gb[..., :, 0]
-    return _unbroadcast(ga, ad.shape), _unbroadcast(gb, bd.shape)
+    return _unbroadcast(ga, ad.shape), gb if stacked else _unbroadcast(gb, bd.shape)
+
+
+def _param_grad(v: Value, g: np.ndarray, stacked: bool) -> None:
+    """Add ``g``, summed down to ``v``'s shape, into ``v``.  A stacked node
+    holds one copy of its chain per query along its output's leading axis,
+    and ``g`` one gradient per query there; each copy's node added its own
+    into ``v`` in turn, from the last query to the first, and so does this."""
+    for part in (g[::-1] if stacked else (g,)):
+        _accumulate(v, _unbroadcast(part, v.shape))
 
 
 def _matmul_grad(a: Value, b: Value, g: np.ndarray) -> None:
@@ -508,21 +539,28 @@ def _affine_bwd(out):
     # add, then each product from the last pair to the first; every product
     # has the output's shape, so each receives the output's gradient as is
     *operands, bias = out.parents
-    g = out._grad
-    _accumulate(bias, _unbroadcast(g, bias.shape))
+    g, stacked = out._grad, out._ctx
+    _param_grad(bias, g, stacked)
     for j in range(len(operands) - 2, -1, -2):
-        _matmul_grad(operands[j], operands[j + 1], g)
+        x, w = operands[j], operands[j + 1]
+        g_x, g_w = _matmul_grads(x.data, w.data, g, stacked)
+        _accumulate(x, g_x)
+        _param_grad(w, g_w, stacked)
 
 
-def affine(pairs: Sequence[tuple], bias: Value) -> Value:
+def affine(pairs: Sequence[tuple], bias: Value, stacked: bool = False) -> Value:
     """``x0 @ W0 + x1 @ W1 + ... + bias`` for 1 to 3 (x, W) ``pairs``, summed
     left to right, as one node with parents (x0, W0, x1, W1, ..., bias).
 
     The products must all have the output's shape, so the bias may broadcast
     only into it.  Data and gradients are byte-identical to the chain of k
     matmul and k add nodes, and ``_AFFINE`` counts it as that chain.  A
-    non-finite product or partial sum stays non-finite through the adds, so
-    the output's check raises whenever a node of the chain would have.
+    ``stacked`` node is one such chain per query: the x's are (Lq, B, d)
+    stacks of per-query rows, the W's and the bias shared, and numpy's
+    stacked product makes each query's (B, d) @ W product as the chain's
+    node did.  A non-finite product or partial sum stays non-finite through
+    the adds, so the output's check raises whenever a node of the chain
+    would have.
     """
     if not 1 <= len(pairs) <= 3:
         raise TensorError(f"affine takes 1 to 3 pairs, got {len(pairs)}")
@@ -535,9 +573,10 @@ def affine(pairs: Sequence[tuple], bias: Value) -> Value:
         data = data + bias.data
     except ValueError as err:
         raise ShapeError(_AFFINE.name, *(v.shape for v in parents)) from err
-    if any(product.shape != data.shape for product in products):
+    if any(product.shape != data.shape for product in products) or stacked and (
+            data.ndim != 3 or any(w.data.ndim != 2 for _, w in pairs)):
         raise ShapeError(_AFFINE.name, *(v.shape for v in parents))
-    return Value(data, _AFFINE, parents)
+    return Value(data, _AFFINE, parents, stacked)
 
 
 def _exp_bwd(out):
@@ -592,18 +631,20 @@ def softmax(a: Value) -> Value:
     return Value(data, _SOFTMAX, (a,))
 
 
-def _layer_norm_grads(gain: Value, bias: Value, ctx: tuple, g: np.ndarray) -> tuple:
+def _layer_norm_grads(gain: Value, bias: Value, ctx: tuple, g: np.ndarray,
+                      stacked: bool = False) -> tuple:
     """The backward steps of the 13 elementary nodes that ``layer_norm``
     fuses, under output gradient ``g``, in their reverse creation order and
     with the same arithmetic, so every gradient keeps its bytes: adds
     ``gain``'s and ``bias``'s gradients and returns the input's two
     contributions, in the order the chain added them; the constants'
     gradients are skipped, since nothing reads them.  ``ctx`` is what
-    ``_normalize`` returned beside the output."""
+    ``_normalize`` returned beside the output; ``stacked`` as in
+    ``_param_grad``."""
     centered, inv_std, var_eps, normed = ctx
     inv_d = 1.0 / centered.shape[-1]
-    _accumulate(bias, _unbroadcast(g, bias.shape))                 # + bias
-    _accumulate(gain, _unbroadcast(g * normed, gain.shape))        # * gain
+    _param_grad(bias, g, stacked)                                  # + bias
+    _param_grad(gain, g * normed, stacked)                         # * gain
     g_normed = g * gain.data
     g_centered = g_normed * inv_std                                # * inv_std
     g_inv_std = _unbroadcast(g_normed * centered, inv_std.shape)
@@ -668,24 +709,24 @@ def _ffn_sublayer_bwd(out):
     # nonlinearity, the first affine map, the layer norm and the first add;
     # the sum h + a takes the residual's gradient before the norm's two
     h, a, gain, bias, w1, b1, w2, b2 = out.parents
-    deriv, ctx, y, pre, hidden = out._ctx
+    deriv, ctx, y, pre, hidden, stacked = out._ctx
     g = out._grad
     g_sum = np.array(g)
-    _accumulate(b2, _unbroadcast(g, b2.shape))
-    g_hidden, g_w2 = _matmul_grads(hidden, w2.data, g)
-    _accumulate(w2, g_w2)
+    _param_grad(b2, g, stacked)
+    g_hidden, g_w2 = _matmul_grads(hidden, w2.data, g, stacked)
+    _param_grad(w2, g_w2, stacked)
     g_pre = g_hidden * deriv(pre, hidden)
-    _accumulate(b1, _unbroadcast(g_pre, b1.shape))
-    g_y, g_w1 = _matmul_grads(y, w1.data, g_pre)
-    _accumulate(w1, g_w1)
-    for part in _layer_norm_grads(gain, bias, ctx, g_y):
+    _param_grad(b1, g_pre, stacked)
+    g_y, g_w1 = _matmul_grads(y, w1.data, g_pre, stacked)
+    _param_grad(w1, g_w1, stacked)
+    for part in _layer_norm_grads(gain, bias, ctx, g_y, stacked):
         g_sum += part
     _accumulate(h, g_sum)
     _accumulate(a, g_sum)
 
 
 def ffn_sublayer(h: Value, a: Value, norm: tuple, first: tuple, second: tuple, nonlin: str,
-                 eps: float) -> Value:
+                 eps: float, stacked: bool = False) -> Value:
     """A Transformer layer's residual adds and FFN around the attention's
     output ``a``, on ``h`` (..., d) and ``a`` of its shape: with s = h + a,
     ``s + FFN(LN(s))``, ``norm`` the layer norm's (gain, bias), both (d,),
@@ -695,20 +736,23 @@ def ffn_sublayer(h: Value, a: Value, norm: tuple, first: tuple, second: tuple, n
 
     One node for the chain of 20 elementary ops: the attention's residual
     add, the layer norm's 13, a matmul and an add, the nonlinearity, a
-    matmul and an add, and the FFN's residual add.  Data and gradients are
-    byte-identical to that chain's.  The node raises ``GraphOverflowError``
-    whenever a node of the chain would have: var + eps and the
-    pre-activation are checked as well as the output, since an infinite
-    variance leaves the norm finite and every nonlinearity maps +-inf to a
-    finite value (relu only -inf); a non-finite sum h + a makes the
-    variance non-finite, a non-finite norm the pre-activation, and a
+    matmul and an add, and the FFN's residual add.  A ``stacked`` node is
+    one such chain per query: ``h`` and ``a`` are (Lq, B, d) stacks of
+    per-query rows, the weights shared, and numpy's stacked products make
+    each query's (B, d) @ W1 and (B, f) @ W2 as the chain's nodes did.  Data
+    and gradients are byte-identical to that chain's.  The node raises
+    ``GraphOverflowError`` whenever a node of the chain would have: var +
+    eps and the pre-activation are checked as well as the output, since an
+    infinite variance leaves the norm finite and every nonlinearity maps
+    +-inf to a finite value (relu only -inf); a non-finite sum h + a makes
+    the variance non-finite, a non-finite norm the pre-activation, and a
     non-finite hidden row or second map the output.
     """
     (gain, bias), (w1, b1), (w2, b2) = norm, first, second
     _check_norm(h, gain, bias, _FFN_SUBLAYER)
     d, f = gain.shape[0], b1.shape[0] if b1.data.ndim == 1 else -1
     if (a.shape != h.shape or w1.shape != (d, f) or w2.shape != (f, d)
-            or b2.shape != (d,)):
+            or b2.shape != (d,) or stacked and h.data.ndim != 3):
         raise ShapeError(_FFN_SUBLAYER.name, h.shape, a.shape, w1.shape, b1.shape, w2.shape,
                          b2.shape)
     if nonlin not in NONLINEARITIES:
@@ -721,7 +765,7 @@ def ffn_sublayer(h: Value, a: Value, norm: tuple, first: tuple, second: tuple, n
         hidden = fwd(pre)
         data = total + (np.matmul(hidden, w2.data) + b2.data)
     out = Value(data, _FFN_SUBLAYER, (h, a, gain, bias, w1, b1, w2, b2),
-                (deriv, ctx, y, pre, hidden))
+                (deriv, ctx, y, pre, hidden, stacked))
     if not (np.isfinite(ctx[2]).all() and np.isfinite(pre).all()):
         _overflow(out)
     return out
@@ -826,233 +870,301 @@ def cross_entropy(x: Value, onehot) -> Value:
 
 def _accumulate_heads(v: Value, parts: list, n_heads: int) -> None:
     """Add a chain's gradient contributions into a full-width row ``v`` that
-    the chain read through its ``n_heads`` head splits.  ``parts[i]`` lists,
-    in the order the chain added them, the contributions to ``v``'s i-th
-    block of columns (one block may span every head).  At one head the chain
-    read ``v`` itself and added each part into its gradient in turn; with
-    more, each split's gradient is the sum of its parts, and each split adds
-    it into ``v``'s zero-filled buffer."""
+    the chain read through its ``n_heads`` head splits.  ``parts`` lists, in
+    the order the chain added them, (B, n_heads, dh) contributions, head i
+    at ``[:, i]``.  At one head the chain read ``v`` itself and added each
+    part into its gradient in turn; with more, each split's gradient is the
+    sum of its parts, and each split adds it into ``v``'s zero-filled
+    buffer."""
     if n_heads == 1:
-        for g in parts[0]:
-            _accumulate(v, g)
+        for g in parts:
+            _accumulate(v, g.reshape(v.shape))
     else:
         buf = _grad_buffer(v)
-        buf += _side_by_side([functools.reduce(np.add, p) for p in parts])
+        buf += functools.reduce(np.add, parts).reshape(v.shape)
 
 
-def _head(a: np.ndarray, i: int, n_heads: int) -> np.ndarray:
-    """Head ``i`` of ``n_heads`` of the last axis of ``a``, a view."""
-    if n_heads == 1:
-        return a
-    width = a.shape[-1] // n_heads
-    return a[..., i * width:(i + 1) * width]
-
-
-def _side_by_side(heads: list) -> np.ndarray:
-    """The heads' arrays joined along the last axis, as the heads' concat."""
-    return heads[0] if len(heads) == 1 else np.concatenate(heads, axis=-1)
+def _heads(a: np.ndarray, n_heads: int) -> np.ndarray:
+    """(..., d) as (..., n_heads, d / n_heads), head i at ``[..., i, :]``; a
+    view."""
+    return a.reshape(a.shape[:-1] + (n_heads, -1))
 
 
 def _split_row_bwd(out):
-    # the reshapes pass the gradient on as is; each split, and a row's slice,
-    # adds into its source's zero-filled buffer
-    x = out.parents[0]
-    n_heads, position, _ = out._ctx
-    if position is None:
-        _accumulate_heads(x, [[out._grad]], n_heads)
-    else:
-        _grad_buffer(x)[:, position] += out._grad
+    # the reshapes pass the gradient on as is; each split adds into its
+    # source's zero-filled buffer
+    _accumulate_heads(out.parents[0], [out._grad], out._ctx[0])
 
 
-def split_row(x: Value, n_heads: int, position: int | None = None,
-              rows: bool = False) -> Value:
-    """A row that the all-heads kinds read as ``n_heads`` heads: ``x`` (B,
-    d) itself, or its row ``position`` if ``x`` is (B, L, d); one node with
-    data (B, d) and parent ``x``.
+def split_row(x: Value, n_heads: int, rows: bool = False) -> Value:
+    """A row ``x`` (B, d) that the all-heads kinds read as ``n_heads`` heads;
+    one node with ``x``'s data and parent ``x``.
 
-    One node for the chain that built the heads one node each: the row's
-    slice (with a ``position``), the n_heads splits of width d / n_heads
-    (none at one head) and, with ``rows``, each head's reshape to (B, 1,
-    d / n_heads).  With none of these (one head, no ``position``, no
+    One node for the chain that built the heads one node each: the n_heads
+    splits of width d / n_heads (none at one head) and, with ``rows``, each
+    head's reshape to (B, 1, d / n_heads).  With neither (one head, no
     ``rows``) the chain is empty and ``x`` itself is returned.  The
     all-heads kinds read head i from columns i·d/n_heads on, and add head
     i's gradient there, so gradients keep the chain's bytes.
     """
-    xd = x.data
-    if position is not None:
-        if xd.ndim != 3 or not 0 <= position < xd.shape[1]:
-            raise ShapeError(_SPLIT_ROW.name, x.shape, position)
-        xd = xd[:, position]
-    if xd.ndim != 2 or n_heads < 1 or xd.shape[-1] % n_heads:
+    if x.data.ndim != 2 or n_heads < 1 or x.shape[-1] % n_heads:
         raise ShapeError(_SPLIT_ROW.name, x.shape, n_heads)
-    if n_heads == 1 and position is None and not rows:
+    if n_heads == 1 and not rows:
         return x
-    return Value(xd, _SPLIT_ROW, (x,), (n_heads, position, rows))
+    return Value(x.data, _SPLIT_ROW, (x,), (n_heads, rows))
 
 
-def _attend(op: Op, q: Value, keys: Sequence[Value], values: Sequence[Value], key_array,
-            value_array, n_heads: int, scale) -> Value:
-    """The forward both attention kinds share: the query row q (B, d) split
-    into ``n_heads`` heads of width dh; head i scored against the t keys
-    stacked in ``key_array[:, i]`` (B, t, dh), scaled, softmaxed and mixed
-    over the t values stacked in ``value_array[:, i]`` (B, t, dv); the heads'
-    outputs side by side, (B, n_heads·dv), as one node with parents (q,
-    keys..., values...).  The rows are not read: the caller guarantees that
-    ``key_array[:, i, j]`` and ``value_array[:, i, j]`` hold head i of key
-    and value row j, so the check is O(1) in t."""
-    parents = (q, *keys, *values)
-    t = len(keys)
-    b, d = q.shape if q.data.ndim == 2 else (0, 0)
-    if (not b or not t or len(values) != t or n_heads < 1 or d % n_heads
-            or key_array.shape != (b, n_heads, t, d // n_heads)
-            or value_array.ndim != 4 or value_array.shape[:3] != (b, n_heads, t)):
-        raise ShapeError(op.name, *(v.shape for v in parents), key_array.shape,
-                         value_array.shape)
-    weights, outs, finite = [], [], True
+def _position_rows_bwd(out):
+    # each row's slice adds into its source's zero-filled buffer
+    _grad_buffer(out.parents[0])[...] += out._grad.transpose(1, 0, 2)
+
+
+def position_rows(x: Value) -> Value:
+    """The rows of a sequence ``x`` (B, L, d) at every position, stacked
+    position-major: (L, B, d), row t equal to ``x[:, t]``; one node with
+    parent ``x``.  One node for the chain of L slices that took the rows
+    one node each, L ops on a chain 1 long; gradients keep its bytes."""
+    if x.data.ndim != 3:
+        raise ShapeError(_POSITION_ROWS.name, x.shape)
+    return Value(np.ascontiguousarray(x.data.transpose(1, 0, 2)), _POSITION_ROWS, (x,))
+
+
+def _stack_rows_bwd(out):
+    # the concat hands each row its block, and its reshape passes it on
+    _accumulate(out.parents[0], np.ascontiguousarray(out._grad.transpose(1, 0, 2)))
+
+
+def stack_rows(h: Value) -> Value:
+    """The rows of ``h`` (L, B, d), one per position, as one sequence (B, L,
+    d); one node with parent ``h``.  One node for the chain that reshaped
+    each row to (B, 1, d) and concatenated them along axis 1, L + 1 ops on
+    a chain 2 long; gradients keep its bytes."""
+    if h.data.ndim != 3:
+        raise ShapeError(_STACK_ROWS.name, h.shape)
+    return Value(np.ascontiguousarray(h.data.transpose(1, 0, 2)), _STACK_ROWS, (h,))
+
+
+def _pick_bwd(out):
+    # a buffer of -0.0, the one exact identity of addition, leaves every
+    # row's gradient as the chain's node held it, zero signs included
+    stack = out.parents[0]
+    if stack._grad is None:
+        stack._grad = np.full_like(stack.data, -0.0)
+    stack._grad[out._ctx] += out._grad
+
+
+def pick(stack: Value, index) -> Value:
+    """Row ``index`` (an int) or rows ``index`` (a sorted sequence of
+    distinct ints) of a query-major ``stack``; one node with parent
+    ``stack``.  The chain held each query's row as a node of its own, so
+    the pick stands for no op: 0 ops on a chain 0 long.  Its gradient
+    leaves the stack's rows as the chain's nodes held theirs, so a stacked
+    node reads each row's gradient with the chain's bytes; a row that no
+    reader reaches holds -0.0."""
+    if not isinstance(index, int):
+        index = np.asarray(index, dtype=np.intp)
+    try:
+        data = stack.data[index]
+    except IndexError as err:
+        raise ShapeError(_PICK.name, stack.shape, index) from err
+    return Value(data, _PICK, (stack,), index)
+
+
+def _layer_heads(projections, n_heads: int) -> tuple:
+    """The (B, H, L, dh) heads of a layer's (B, L, d) projections q, k and
+    v: views of q and k, and v's copied to contiguous memory, as the chain's
+    concat of each head's value rows stacked them; numpy's products over
+    strided value rows add in another order when dh < 4."""
+    q, k, v = (_heads(p.data, n_heads).transpose(0, 2, 1, 3) for p in projections)
+    return q, k, np.ascontiguousarray(v)
+
+
+def _softmax_mix(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, scale, last) -> tuple:
+    """Softmax attention of the queries ``qh`` (B, H, Lq, dh) over the keys
+    ``kh`` (B, H, Lk, dh) and values ``vh`` (B, H, Lk, dv) of H heads, query
+    i over keys 0 to ``last[i]``: the forward both attention kinds share.
+
+    Every (query, key) pair of every head is scored in one C-ordered
+    broadcast product and a sum over its contiguous last axis, then scaled
+    unless ``scale`` is None, masked past each query's last key and shifted
+    by its row max; only the softmax sum over exactly that query's keys and
+    its (1, t) @ (t, dv) value mix run per query, since a longer sum or
+    product would add in another order.  Returns (the weights (B, H, Lq,
+    Lk), zero past each query's last key; the outputs (Lq, B, H·dv); whether
+    every unmasked score is finite)."""
+    b, n_heads, n_q, _ = qh.shape
+    n_k, dv = vh.shape[2:]
+    scores = np.multiply(qh[:, :, :, None], kh[:, :, None], order="C").sum(axis=-1)
+    if scale is not None:
+        scores = scores * scale
+    if last[0] == n_k - 1:        # one query, over every key: nothing to mask
+        finite = np.isfinite(scores).all()
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights = e / e.sum(axis=-1, keepdims=True)
+        mixed = np.matmul(weights, vh).reshape((1, b, n_heads * dv))
+        return weights, mixed, finite
+    causal = np.arange(n_k) <= np.asarray(last)[:, None]               # (Lq, Lk)
+    finite = np.isfinite(np.where(causal, scores, 0.0)).all()
+    scores = np.where(causal, scores, -np.inf)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    sums = np.empty((b, n_heads, n_q))
+    for i, t in enumerate(last):
+        sums[:, :, i] = np.add.reduce(e[:, :, i, :t + 1], axis=-1)
+    weights = e / sums[..., None]
+    mixed = np.empty((n_q, b, n_heads, 1, dv))
+    for i, t in enumerate(last):
+        np.matmul(weights[:, :, i:i + 1, :t + 1], vh[:, :, :t + 1], out=mixed[i])
+    return weights, mixed.reshape((n_q, b, n_heads * dv)), finite
+
+
+def _attention_bwd(out):
+    # replays each query's chain from the last query to the first: the heads'
+    # concat, the value mix, the softmax and the scale, each key and value
+    # row adding the query's gradient to its own; then each query's per-key
+    # products, from its last key to its first.  Sums start from -0.0, the
+    # exact identity of addition, as the chain's first add was a copy; q's
+    # heads then pass through its splits' zero-filled buffer, and q's row
+    # and every key and value row through its slice's.
+    q_all, k_all, v_all = out.parents
+    scale, n_heads, queries, weights = out._ctx
+    qh, kh, vh = _layer_heads(out.parents, n_heads)
+    b, _, n_q, n_k = weights.shape
+    g = _heads(out._grad, n_heads)                                   # (Lq, B, H, dv)
+    g_scores = np.zeros(weights.shape)
+    g_keys, g_values = np.full(kh[:, :, :n_k].shape, -0.0), np.full(vh[:, :, :n_k].shape, -0.0)
+    for i in range(n_q - 1, -1, -1):
+        t = queries[i] + 1
+        w = np.ascontiguousarray(weights[:, :, i, :t])[:, :, None]    # (B, H, 1, t)
+        g_i = g[i][:, :, None]                                       # (B, H, 1, dv)
+        g_w = np.matmul(g_i, np.swapaxes(vh[:, :, :t], -1, -2))[:, :, 0]
+        g_values[:, :, :t] += np.matmul(np.swapaxes(w, -1, -2), g_i)
+        w = w[:, :, 0]
+        g_s = w * (g_w - (g_w * w).sum(axis=-1, keepdims=True))
+        if scale is not None:
+            g_s = g_s * scale
+        g_scores[:, :, i, :t] = g_s
+        g_keys[:, :, :t] += g_s[..., None] * qh[:, :, queries[i], None]
+    g_q = np.full(g_scores.shape[:3] + (qh.shape[-1],), -0.0)
+    for j in range(n_k - 1, -1, -1):
+        first = bisect.bisect_left(queries, j)                       # the queries at j on
+        g_q[:, :, first:] += g_scores[:, :, first:, j, None] * kh[:, :, j, None]
+    if n_heads > 1:
+        g_q = g_q + 0.0
+    _grad_buffer(q_all)[:, queries] += g_q.transpose(0, 2, 1, 3).reshape((b, n_q, -1))
+    for rows, g_rows in ((v_all, g_values), (k_all, g_keys)):
+        _grad_buffer(rows)[:, :n_k] += g_rows.transpose(0, 2, 1, 3).reshape((b, n_k, -1))
+
+
+def attention(q_all: Value, k_all: Value, v_all: Value, n_heads: int, scale,
+              queries: Sequence[int]) -> Value:
+    """Causal softmax attention over a whole sequence: the rows of ``q_all``
+    (B, L, d) at ``queries``, increasing positions in [0, L), each split
+    into ``n_heads`` heads of width dh and attending over the rows of
+    ``k_all`` (B, L, d) and ``v_all`` (B, L, dv_total) up to its own
+    position; returns each query's heads' outputs side by side, stacked
+    query-major: (len(queries), B, dv_total).  One node with parents
+    (q_all, k_all, v_all).
+
+    One node for the chain that attended one query at a time: per query t,
+    q's row slice and the per-query attention chain (per head a product and
+    a row sum per key, the scores' concat, ``* scale`` unless ``scale`` is
+    None, a softmax, the values' concat, a reshape, a matmul and a reshape,
+    2(t + 1) + 6 ops, one more with the scale; with more than one head q's
+    n_heads splits and the heads' concat); and per key and value row up to
+    the last query, its slice and heads' splits, and each value head's
+    reshape to (B, 1, dh).  Data and gradients are byte-identical to that
+    chain's.  The node raises ``GraphOverflowError`` whenever a node of the
+    chain would have: the softmax leaves non-finite scores' output finite,
+    so every query's scores are checked as well as the output.
+    """
+    queries = tuple(int(t) for t in queries)
+    b, length, d = q_all.shape if q_all.data.ndim == 3 else (0, 0, 0)
+    if (not b or not queries or n_heads < 1 or d % n_heads or k_all.shape != q_all.shape
+            or v_all.data.ndim != 3 or v_all.shape[:2] != (b, length)
+            or v_all.shape[2] % n_heads or list(queries) != sorted(set(queries))
+            or not 0 <= queries[0] <= queries[-1] < length):
+        raise ShapeError(_ATTENTION.name, q_all.shape, k_all.shape, v_all.shape, n_heads,
+                         queries)
+    qh, kh, vh = _layer_heads((q_all, k_all, v_all), n_heads)
+    n_k = queries[-1] + 1
     with _quiet():
-        for i in range(n_heads):
-            scores = (_head(q.data, i, n_heads)[:, None, :] * key_array[:, i]).sum(axis=-1)
-            if scale is not None:
-                scores = scores * scale
-            shifted = scores - scores.max(axis=-1, keepdims=True)
-            e = np.exp(shifted)
-            w = e / e.sum(axis=-1, keepdims=True)                             # (B, t)
-            mixed = np.matmul(w.reshape((b, 1, t)), value_array[:, i])
-            outs.append(mixed.reshape((b, value_array.shape[-1])))
-            weights.append(w)
-            finite = finite and np.isfinite(scores).all()
-    # the parallel kind's arrays are views of the projections; the cached
-    # kind's are each step's own, O(t·d) floats per node, and its backward
-    # restacks them from the rows instead
-    kept = (key_array, value_array) if op is _ATTENTION else ()
-    out = Value(_side_by_side(outs), op, parents, (scale, n_heads, weights, *kept))
+        weights, mixed, finite = _softmax_mix(qh[:, :, list(queries)], kh[:, :, :n_k],
+                                              vh[:, :, :n_k], scale, queries)
+    out = Value(mixed, _ATTENTION, (q_all, k_all, v_all), (scale, n_heads, queries, weights))
     if not finite:
         _overflow(out)
     return out
 
 
-def _operand_arrays(out) -> tuple:
-    """The (B, n_heads, t, dh) key and value arrays an attention node read:
-    kept on the node, or stacked again from its rows as the caller stacked
-    them."""
-    _, n_heads, _, *kept = out._ctx
-    if kept:
-        return tuple(kept)
-    t = len(out.parents) // 2
-    return tuple(np.stack([r.data.reshape((r.shape[0], n_heads, -1)) for r in rows], axis=2)
-                 for rows in (out.parents[1:t + 1], out.parents[t + 1:]))
-
-
-def _mix_bwd(out, i: int, value_array) -> tuple:
-    """The backward steps both attention kinds share for head ``i``, in
-    reverse creation order: the heads' concat, the output reshape, the value
-    matmul and the weights' reshape, the value concat, the softmax and the
-    scale; returns (the scores' gradient, the stacked values' gradient)."""
-    scale, n_heads, weights = out._ctx[:3]
-    w, values = weights[i], value_array[:, i]
-    b, t = w.shape
-    g = _head(out._grad, i, n_heads).reshape((b, 1, values.shape[-1]))
-    g_weights = np.matmul(g, np.swapaxes(values, -1, -2)).reshape((b, t))
-    g_values = np.matmul(np.swapaxes(w.reshape((b, 1, t)), -1, -2), g)
-    g_scores = w * (g_weights - (g_weights * w).sum(axis=-1, keepdims=True))
-    return (g_scores if scale is None else g_scores * scale), g_values
-
-
-def _attention_grads(out, head_grads, last_key_first: bool) -> None:
-    """The backward both attention kinds share: per head, the value mix and
-    then ``head_grads(g_scores, q_i, k_i)``, the kind's scoring chain, which
-    returns q's contributions in its chain's order and the keys' (B, t, dh)
-    gradient; then every head's gradient at once into the value rows, q and
-    the key rows, the keys in the chain's order."""
-    n_heads = out._ctx[1]
-    key_array, value_array = _operand_arrays(out)
-    q, *keys = out.parents[:len(out.parents) // 2 + 1]
-    values = out.parents[len(keys) + 1:]
-    g_q, g_keys, g_values = [], [], []
-    for i in range(n_heads):
-        g_scores, g_vals = _mix_bwd(out, i, value_array)
-        q_parts, g_k = head_grads(g_scores, _head(q.data, i, n_heads), key_array[:, i])
-        g_q.append(q_parts)
-        g_keys.append(g_k)
-        g_values.append(g_vals)
-    g_values = _side_by_side(g_values)
+def _cached_attention_bwd(out):
+    # replays the chain in reverse creation order, for every head at once:
+    # the heads' concat, the output reshape, the value matmul and the
+    # weights' reshape, the value concat, the softmax, the scale, the sum and
+    # the broadcast product, whose gradient for q is an unbroadcast sum over
+    # the cache; then into the value rows, q and the key rows
+    scale, n_heads, weights = out._ctx
+    q, *rows = out.parents
+    t = len(rows) // 2
+    keys, values = rows[:t], rows[t:]
+    key_array, value_array = (np.stack([_heads(r.data.reshape((r.shape[0], -1)), n_heads)
+                                        for r in rs], axis=2) for rs in (keys, values))
+    b = q.shape[0]
+    w = weights[:, :, 0]                                             # (B, H, t)
+    g = _heads(out._grad, n_heads)[:, :, None]                       # (B, H, 1, dv)
+    g_weights = np.matmul(g, np.swapaxes(value_array, -1, -2))[:, :, 0]
+    g_values = np.matmul(np.swapaxes(w[:, :, None], -1, -2), g)
+    g_s = w * (g_weights - (g_weights * w).sum(axis=-1, keepdims=True))
+    if scale is not None:
+        g_s = g_s * scale
+    g_product = np.broadcast_to(g_s[..., None], key_array.shape)
+    g_q = _unbroadcast(g_product * key_array, (b, n_heads, 1, key_array.shape[-1]))
+    g_keys = g_product * _heads(q.data, n_heads)[:, :, None]
+    g_values, g_keys = (a.transpose(0, 2, 1, 3).reshape((b, t, -1)) for a in (g_values, g_keys))
     for j, v in enumerate(values):
         _accumulate(v, g_values[:, j])
-    _accumulate_heads(q, g_q, n_heads)
-    g_keys = _side_by_side(g_keys)
-    for j in (range(len(keys) - 1, -1, -1) if last_key_first else range(len(keys))):
-        _accumulate(keys[j], g_keys[:, j])
-
-
-def _per_key_grads(g_scores, q_i, k_i) -> tuple:
-    # the per-key chain: the scores' concat and sums, and each product from
-    # the last key to the first, adding to q and then to the key
-    return ([g_scores[:, j:j + 1] * k_i[:, j] for j in range(k_i.shape[1] - 1, -1, -1)],
-            g_scores[..., None] * q_i[:, None, :])
-
-
-def _cached_grads(g_scores, q_i, k_i) -> tuple:
-    # the cached chain: the sum, the broadcast product (q's gradient an
-    # unbroadcast sum over the cache), q's reshape and the keys' concat
-    b, dh = q_i.shape
-    g_product = np.broadcast_to(g_scores[..., None], k_i.shape)
-    return ([_unbroadcast(g_product * k_i, (b, 1, dh)).reshape((b, dh))],
-            g_product * q_i.reshape((b, 1, dh)))
-
-
-def _attention_bwd(out):
-    _attention_grads(out, _per_key_grads, last_key_first=True)
-
-
-def _cached_attention_bwd(out):
-    _attention_grads(out, _cached_grads, last_key_first=False)
-
-
-def attention(q: Value, keys: Sequence[Value], values: Sequence[Value], key_array,
-              value_array, n_heads: int, scale) -> Value:
-    """Softmax attention of one query row ``q`` (B, d), split into
-    ``n_heads`` heads of width dh, over t ``keys`` and t ``values``;
-    returns the heads' outputs side by side, (B, n_heads·dv).  The rows are
-    ``split_row`` nodes, or any Values whose head i the arrays hold:
-    ``key_array`` (B, n_heads, t, dh) and ``value_array`` (B, n_heads, t,
-    dv) are read in their place, ``key_array[:, i, j]`` head i of key row
-    j's data and ``value_array[:, i, j]`` head i of value row j's, and only
-    their shapes are checked, so a caller that holds the rows as columns of
-    one array passes a view of it.
-
-    One node for the chain that split q into its heads, scored every key of
-    each head on its own and joined the heads: per head a product and a row
-    sum per key, the scores' concat, ``* scale`` unless ``scale`` is None, a
-    softmax, the values' concat, a reshape, a matmul and a reshape, 2t + 6
-    ops (2t + 7 with the scale); and with more than one head, q's n_heads
-    splits and the heads' concat.  Data and gradients are byte-identical to
-    that chain's.  The node raises ``GraphOverflowError`` whenever a node of
-    the chain would have: the softmax leaves non-finite scores' output
-    finite, so every head's scores are checked as well as the output.
-    """
-    return _attend(_ATTENTION, q, keys, values, key_array, value_array, n_heads, scale)
+    _accumulate_heads(q, [g_q], n_heads)
+    for j, k in enumerate(keys):
+        _accumulate(k, g_keys[:, j])
 
 
 def cached_attention(q: Value, key_rows: Sequence[Value], value_rows: Sequence[Value],
                      key_array, value_array, n_heads: int, scale) -> Value:
     """Softmax attention of one query ``q`` (B, d), split into ``n_heads``
-    heads, over a KV cache of t ``key_rows`` and t ``value_rows``; returns
-    (B, n_heads·dv), equal to ``attention``'s element for element.  The rows
-    and arrays are as in ``attention``, but a cache's arrays are each step's
-    own copies, so the node does not keep them: its backward stacks the
-    rows' data again.
+    heads of width dh, over a KV cache of t ``key_rows`` and t
+    ``value_rows``; returns the heads' outputs side by side, (B,
+    n_heads·dv).  The rows are ``split_row`` nodes, or any Values whose head
+    i the arrays hold: ``key_array`` (B, n_heads, t, dh) and ``value_array``
+    (B, n_heads, t, dv) are read in their place, ``key_array[:, i, j]`` head
+    i of key row j's data and ``value_array[:, i, j]`` head i of value row
+    j's, and only their shapes are checked, so the check is O(1) in t.  A
+    cache's arrays are each step's own copies, so the node does not keep
+    them: its backward stacks the rows' data again.  The forward is
+    ``attention``'s, for one query that attends over every key.
 
     One node for the chain that scored each head's stacked cache in one
     broadcast product: per head the keys' concat, q's reshape, the product,
-    a row sum, ``* scale`` unless ``scale`` is None, and the same softmax and
-    value mix as ``attention``, 9 ops (10 with the scale) whatever t is; and
-    with more than one head, q's splits and the heads' concat.  Data and
-    gradients are byte-identical to that chain's, whose gradients differ
-    from ``attention``'s chain in the last bits; scores and output are
-    checked as in ``attention``.
+    a row sum, ``* scale`` unless ``scale`` is None, a softmax, the values'
+    concat, a reshape, a matmul and a reshape, 9 ops (10 with the scale)
+    whatever t is; and with more than one head, q's splits and the heads'
+    concat.  Data and gradients are byte-identical to that chain's, whose
+    gradients differ from ``attention``'s chain in the last bits; scores and
+    output are checked as in ``attention``.
     """
-    return _attend(_CACHED_ATTENTION, q, key_rows, value_rows, key_array, value_array,
-                   n_heads, scale)
+    parents = (q, *key_rows, *value_rows)
+    t = len(key_rows)
+    b, d = q.shape if q.data.ndim == 2 else (0, 0)
+    if (not b or not t or len(value_rows) != t or n_heads < 1 or d % n_heads
+            or key_array.shape != (b, n_heads, t, d // n_heads)
+            or value_array.ndim != 4 or value_array.shape[:3] != (b, n_heads, t)):
+        raise ShapeError(_CACHED_ATTENTION.name, *(v.shape for v in parents), key_array.shape,
+                         value_array.shape)
+    with _quiet():
+        weights, mixed, finite = _softmax_mix(_heads(q.data, n_heads)[:, :, None], key_array,
+                                              value_array, scale, (t - 1,))
+    out = Value(mixed[0], _CACHED_ATTENTION, parents, (scale, n_heads, weights))
+    if not finite:
+        _overflow(out)
+    return out
 
 
 _elu1, _elu1_deriv = NONLINEARITIES["elu_plus_one"]
@@ -1157,23 +1269,17 @@ def decayed_sum(z: Value, a: Value, x: Value, y: Value | None = None) -> Value:
 
 
 def _outer_update_bwd(out):
-    # replays, per head, the add (if any), the outer product and the two
-    # reshapes, the value's after the key's in creation order: a, v and k
-    # receive theirs, and the splits of v add them into its row
+    # replays, for every head at once, the add (if any), the outer product
+    # and the two reshapes, the value's after the key's in creation order: a,
+    # v and k receive theirs, and the splits of v add them into its row
     *a, k, v = out.parents
     n_heads = out._ctx
-    g = out._grad
+    g = out._grad                                                    # (B, H, dh, dv)
     if a:
         _accumulate(a[0], g)
-    g_k, g_v = [], []
-    for i in range(n_heads):
-        k_i, v_i, g_i = _head(k.data, i, n_heads), _head(v.data, i, n_heads), g[:, i]
-        (batch, dh), dv = k_i.shape, v_i.shape[-1]
-        rk, rv = k_i.reshape((batch, dh, 1)), v_i.reshape((batch, 1, dv))
-        g_v.append([np.matmul(np.swapaxes(rk, -1, -2), g_i).reshape(v_i.shape)])
-        g_k.append(np.matmul(g_i, np.swapaxes(rv, -1, -2)).reshape(k_i.shape))
-    _accumulate_heads(v, g_v, n_heads)
-    _accumulate(k, _side_by_side(g_k))
+    rk, rv = _heads(k.data, n_heads)[..., None], _heads(v.data, n_heads)[:, :, None]
+    _accumulate_heads(v, [np.matmul(np.swapaxes(rk, -1, -2), g)], n_heads)
+    _accumulate(k, np.matmul(g, np.swapaxes(rv, -1, -2)).reshape(k.shape))
 
 
 def outer_update(a: Value | None, k: Value, v: Value, n_heads: int) -> Value:
@@ -1188,17 +1294,16 @@ def outer_update(a: Value | None, k: Value, v: Value, n_heads: int) -> Value:
     and n_heads splits with more than one head.  ``k`` holds the key's heads
     already: a ``split_row`` node, which ``key_sum`` and ``linear_readout``
     read too, as the chain's update, sum and read-out read the key's
-    splits.  Data and gradients are byte-identical to that chain's; a
-    non-finite product stays non-finite through the add of a finite ``a``,
-    so the output's check raises whenever the chain's would.
+    splits.  Every head's product is one (B, n_heads) stack of the chain's
+    per-head products.  Data and gradients are byte-identical to that
+    chain's; a non-finite product stays non-finite through the add of a
+    finite ``a``, so the output's check raises whenever the chain's would.
     """
     batch = k.shape[0] if k.data.ndim == 2 else 0
     if (not batch or v.data.ndim != 2 or v.shape[0] != batch or n_heads < 1
             or k.shape[1] % n_heads or v.shape[1] % n_heads):
         raise ShapeError(_OUTER_UPDATE.name, k.shape, v.shape, n_heads)
-    data = np.stack([np.matmul(_head(k.data, i, n_heads).reshape((batch, -1, 1)),
-                               _head(v.data, i, n_heads).reshape((batch, 1, -1)))
-                     for i in range(n_heads)], axis=1)
+    data = np.matmul(_heads(k.data, n_heads)[..., None], _heads(v.data, n_heads)[:, :, None])
     if a is None:
         return Value(data, _OUTER_UPDATE, (k, v), n_heads)
     if a.shape != data.shape:
@@ -1223,30 +1328,22 @@ def key_sum(b: Value, k: Value, n_heads: int) -> Value:
 
 
 def _linear_readout_bwd(out):
-    # replays, per head, the divide, the sum, q * b, the reshape, the matmul
-    # and q's reshape in reverse creation order: q, b, a and then q again
-    # receive their gradients, each head at once through the heads' concat
+    # replays, for every head at once, the divide, the sum, q * b, the
+    # reshape, the matmul and q's reshape in reverse creation order: q, b, a
+    # and then q again receive their gradients, through the heads' concat
     # and the splits of q
     q, a, b = out.parents
-    nums, dens = out._ctx
+    num, den = out._ctx                                              # (B, H, dv), (B, H, 1)
     n_heads = a.shape[1]
-    g_q, g_a, g_b = [], [], []
-    for i in range(n_heads):
-        num, den = nums[i], dens[i]
-        q_i, a_i, b_i = _head(q.data, i, n_heads), a.data[:, i], _head(b.data, i, n_heads)
-        g = _head(out._grad, i, n_heads)
-        g_num = _unbroadcast(g / den, num.shape)
-        g_p = np.broadcast_to(_unbroadcast(-g * num / (den * den), den.shape), q_i.shape)
-        (batch, dh), dv = q_i.shape, a_i.shape[-1]
-        g_m = g_num.reshape((batch, 1, dv))
-        rq = q_i.reshape((batch, 1, dh))
-        g_rq = np.matmul(g_m, np.swapaxes(a_i, -1, -2))
-        g_q.append([g_p * b_i, g_rq.reshape(q_i.shape)])
-        g_b.append(g_p * q_i)
-        g_a.append(np.matmul(np.swapaxes(rq, -1, -2), g_m))
-    _accumulate(b, _side_by_side(g_b))
-    _accumulate(a, np.stack(g_a, axis=1))
-    _accumulate_heads(q, g_q, n_heads)
+    qh, bh = _heads(q.data, n_heads), _heads(b.data, n_heads)
+    g = _heads(out._grad, n_heads)
+    g_num = g / den
+    g_p = np.broadcast_to((-g * num / (den * den)).sum(axis=-1, keepdims=True), qh.shape)
+    g_m = g_num[:, :, None]
+    g_rq = np.matmul(g_m, np.swapaxes(a.data, -1, -2))[:, :, 0]
+    _accumulate(b, (g_p * qh).reshape(b.shape))
+    _accumulate(a, np.matmul(qh[..., None], g_m))
+    _accumulate_heads(q, [g_p * bh, g_rq], n_heads)
 
 
 def linear_readout(q: Value, a: Value, b: Value) -> Value:
@@ -1258,7 +1355,9 @@ def linear_readout(q: Value, a: Value, b: Value) -> Value:
     One node for the chain that split q into its heads, built per head q's
     reshape, the matmul with ``a`` and its reshape, q * b, the row sum and
     the divide, and joined the heads: 6 ops per head, and with more than one
-    head q's n_heads splits and the heads' concat.  Data and gradients are
+    head q's n_heads splits and the heads' concat.  Every head's matmul is
+    one (B, n_heads) stack of the chain's per-head products, and every
+    head's row sum one sum over contiguous rows.  Data and gradients are
     byte-identical to that chain's.  The node raises ``GraphOverflowError``
     whenever a node of the chain would have: an infinite denominator leaves
     the quotient finite, so every head's is checked as well as the output.
@@ -1267,16 +1366,14 @@ def linear_readout(q: Value, a: Value, b: Value) -> Value:
     if (not batch or a.data.ndim != 4 or b.shape != q.shape or a.shape[0] != batch
             or a.shape[1] * a.shape[2] != d):
         raise ShapeError(_LINEAR_READOUT.name, q.shape, a.shape, b.shape)
-    n_heads, dh, dv = a.shape[1:]
-    nums, dens, outs = [], [], []
+    n_heads = a.shape[1]
+    qh = _heads(q.data, n_heads)
     with _quiet():
-        for i in range(n_heads):
-            q_i = _head(q.data, i, n_heads)
-            nums.append(np.matmul(q_i.reshape((batch, 1, dh)), a.data[:, i]).reshape((batch, dv)))
-            dens.append((q_i * _head(b.data, i, n_heads)).sum(axis=-1, keepdims=True))
-            outs.append(nums[-1] / dens[-1])
-    out = Value(_side_by_side(outs), _LINEAR_READOUT, (q, a, b), (nums, dens))
-    if not all(np.isfinite(den).all() for den in dens):
+        num = np.matmul(qh[:, :, None], a.data)[:, :, 0]
+        den = (qh * _heads(b.data, n_heads)).sum(axis=-1, keepdims=True)
+        data = (num / den).reshape((batch, -1))
+    out = Value(data, _LINEAR_READOUT, (q, a, b), (num, den))
+    if not np.isfinite(den).all():
         _overflow(out)
     return out
 
@@ -1373,6 +1470,13 @@ def _always(count):
     return lambda v: count
 
 
+def _copies(stacked) -> Callable[["Value"], int]:
+    """The copies of its chain a node of a kind that may be stacked (see
+    ``_param_grad``) holds: one per query, the rows of its output's leading
+    axis, if ``stacked(node)``; else one."""
+    return lambda v: v.shape[0] if stacked(v) else 1
+
+
 def _affine_chains(v: Value) -> tuple:
     # the first pair's operands k + 1 ops from the output, pair j's (j >= 2)
     # k - j + 3 and the bias's 1
@@ -1397,20 +1501,23 @@ _NONLINEARITY_OPS = {kind: Op(f"nonlinearity({kind})", _nonlinearity_bwd, _per_o
 _LAYER_NORM = Op("layer_norm", _layer_norm_bwd,
                  lambda v: 7 * v.data.size + 12 * (v.data.size // v.shape[-1]),
                  ops=_always(13), chains=_always((13, 2, 1)))
-# the FFN sublayer's 20 ops: the first add, the layer norm's, then per
-# scalar of the pre-activation (f per row) 2·d + 1 for the first map and 4
-# for the nonlinearity, and per output scalar 2·f + 1 for the second map and
-# 1 for each residual add; on chains 20 long from h and a, 8 from the
+# the FFN sublayer's 20 ops per copy: the first add, the layer norm's, then
+# per scalar of the pre-activation (f per row) 2·d + 1 for the first map and
+# 4 for the nonlinearity, and per output scalar 2·f + 1 for the second map
+# and 1 for each residual add; on chains 20 long from h and a, 8 from the
 # norm's gain, 7 from its bias, 6 from W1, 5 from b1, 3 from W2 and 2 from b2
+_ffn_copies = _copies(lambda v: v._ctx[5])
 _FFN_SUBLAYER = Op("ffn_sublayer", _ffn_sublayer_bwd,
                    lambda v: _LAYER_NORM.flops(v) + (2 * v.shape[-1] + 5) * v._ctx[3].size
                    + (2 * v._ctx[3].shape[-1] + 3) * v.data.size,
-                   ops=_always(20), chains=_always((20, 20, 8, 7, 6, 5, 3, 2)))
-# affine with k pairs: k products and k adds; 2·m flops per output scalar for
-# a product over width m, 1 for each add
+                   ops=lambda v: 20 * _ffn_copies(v),
+                   chains=_always((20, 20, 8, 7, 6, 5, 3, 2)))
+# affine with k pairs: k products and k adds per copy; 2·m flops per output
+# scalar for a product over width m, 1 for each add
+_affine_copies = _copies(lambda v: v._ctx)
 _AFFINE = Op("affine", _affine_bwd,
              lambda v: sum(2 * x.shape[-1] + 1 for x in v.parents[:-1:2]) * v.data.size,
-             ops=lambda v: len(v.parents) - 1, chains=_affine_chains)
+             ops=lambda v: (len(v.parents) - 1) * _affine_copies(v), chains=_affine_chains)
 # the LSTM cell's c: 3 slices, 2 sigmoids, a tanh, 2 muls and an add; h: a
 # slice, a sigmoid, a tanh and a mul (flops per scalar of c or h)
 _LSTM_C = Op("lstm_c", _lstm_c_bwd, _per_out(15), ops=_always(9), chains=_always((4, 2)))
@@ -1432,11 +1539,11 @@ def _splits(n_heads: int) -> int:
 
 
 def _row_steps(v: Value) -> tuple:
-    """A ``split_row`` node's chain, step by step: the nodes of its slice
-    (0 or 1), of its splits (0 or n_heads) and of its reshapes (0 or
-    n_heads); its chain is one op long per step that has any."""
-    n_heads, position, rows = v._ctx
-    return (int(position is not None), _splits(n_heads), n_heads if rows else 0)
+    """A ``split_row`` node's chain, step by step: the nodes of its splits
+    (0 or n_heads) and of its reshapes (0 or n_heads); its chain is one op
+    long per step that has any."""
+    n_heads, rows = v._ctx
+    return (_splits(n_heads), n_heads if rows else 0)
 
 
 def _scaled(v: Value) -> int:
@@ -1445,6 +1552,37 @@ def _scaled(v: Value) -> int:
 
 
 def _attention_chains(v: Value) -> tuple:
+    # per query, 9 ops from q_all and from k_all (8 without the scale): q's
+    # row slice or a key row's slice, per head the product, the sum, the
+    # concat, the scale, softmax, reshape, matmul and reshape; 5 from v_all:
+    # a value row's slice, its reshape, concat, the matmul and the reshape;
+    # with heads, every chain also passes a split and the heads' concat
+    s, m = _scaled(v), _splits(v._ctx[1]) and 1
+    return (8 + s + 2 * m,) * 2 + (5 + 2 * m,)
+
+
+def _attention_ops(v: Value) -> int:
+    # per query t over t + 1 keys: q's row slice and, per head, 2(t + 1) + 6
+    # ops (one more with the scale), with heads q's splits and the heads'
+    # concat; per key row up to the last query its slice and splits, per
+    # value row its slice, splits and one reshape per head
+    n_heads, queries = v._ctx[1:3]
+    per_query = 1 + n_heads * (8 + _scaled(v)) + _splits(n_heads) + (_splits(n_heads) and 1)
+    rows = 2 * (1 + _splits(n_heads)) + n_heads
+    return len(queries) * per_query + 2 * n_heads * sum(queries) + (queries[-1] + 1) * rows
+
+
+def _attention_flops(v: Value) -> int:
+    # per query, key and head: a product and a sum over q's B·dh scalars, the
+    # scale and the softmax (4) per score, and the value matmul's 2 per output
+    # scalar
+    b, _, d = v.parents[0].shape
+    queries = v._ctx[2]
+    per_key = 2 * b * d + (4 + _scaled(v)) * b * v._ctx[1] + 2 * v.data.size // len(queries)
+    return per_key * sum(t + 1 for t in queries)
+
+
+def _cached_attention_chains(v: Value) -> tuple:
     # per head, 8 ops from q and from each key (7 without the scale): the
     # product, the sum, the concat or reshape, the scale, softmax, reshape,
     # matmul and reshape; 3 from each value row: its concat, the matmul and
@@ -1455,29 +1593,31 @@ def _attention_chains(v: Value) -> tuple:
     return (7 + s + 2 * m,) + (7 + s + m,) * t + (3 + m,) * t
 
 
-def _attention_flops(v: Value) -> int:
-    # per key and head: a product and a sum over q's B·dh scalars, the scale
-    # and the softmax (4) per score, and the value matmul's 2 per output
-    # scalar
+def _cached_attention_flops(v: Value) -> int:
+    # as _attention_flops for one query over the cache's t keys
     q = v.parents[0]
     return len(v.parents) // 2 * (2 * q.data.size + (4 + _scaled(v)) * q.shape[0] * v._ctx[1]
                                   + 2 * v.data.size)
 
 
-# attention over t keys (2t + 1 parents): 2t + 6 ops per head, the cached
-# kind 9, each one more with the scale, and q's splits and the heads' concat
-# with more than one head
-_ATTENTION = Op("attention", _attention_bwd, _attention_flops,
-                ops=lambda v: v._ctx[1] * (len(v.parents) + 5 + _scaled(v))
-                + _splits(v._ctx[1]) + (_splits(v._ctx[1]) and 1),
+_ATTENTION = Op("attention", _attention_bwd, _attention_flops, ops=_attention_ops,
                 chains=_attention_chains)
-_CACHED_ATTENTION = Op("cached_attention", _cached_attention_bwd, _attention_flops,
+# the cached kind over t keys: 9 ops per head, one more with the scale, and
+# q's splits and the heads' concat with more than one head
+_CACHED_ATTENTION = Op("cached_attention", _cached_attention_bwd, _cached_attention_flops,
                        ops=lambda v: v._ctx[1] * (9 + _scaled(v)) + _splits(v._ctx[1])
                        + (_splits(v._ctx[1]) and 1),
-                       chains=_attention_chains)
-# a row's slice, its splits and its reshapes: no flops
+                       chains=_cached_attention_chains)
+# a row's splits and its reshapes: no flops
 _SPLIT_ROW = Op("split_row", _split_row_bwd, _per_out(0), ops=lambda v: sum(_row_steps(v)),
                 chains=lambda v: (sum(map(bool, _row_steps(v))),))
+# a sequence's L row slices, on a chain 1 long; L rows' reshapes and their
+# concat, on a chain 2 long; a pick, no op: none moves a flop
+_POSITION_ROWS = Op("position_rows", _position_rows_bwd, _per_out(0),
+                    ops=lambda v: v.shape[0], chains=_always((1,)))
+_STACK_ROWS = Op("stack_rows", _stack_rows_bwd, _per_out(0), ops=lambda v: v.shape[1] + 1,
+                 chains=_always((2,)))
+_PICK = Op("pick", _pick_bwd, _per_out(0), ops=_always(0), chains=_always((0,)))
 # RWKV's decay: elu_plus_one (4 flops per scalar), the negation (1) and exp
 # (4); its output: u + k, exp, bonus * v, two adds and the divide (9 in all),
 # on chains 5 long from u and k, 3 from v and 2 from a and b; the decayed

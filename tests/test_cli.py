@@ -53,6 +53,26 @@ def test_gen_unknown_task_exit_2(runner, tmp_path):
     assert err["error"] == "validation"
 
 
+@pytest.mark.parametrize("args, fragment", [
+    (["nosuchcmd"], "No such command 'nosuchcmd'"),
+    (["--seed", "x", "gen", "parity"], "Invalid value for '--seed'"),
+    (["profile"], "Missing argument 'ARCHS'"),
+    (["profile", "transformer", "--d-model", "abc"], "Invalid value for '--d-model'"),
+], ids=["unknown-command", "seed-not-an-int", "missing-argument", "option-not-an-int"])
+def test_usage_error_exit_2_one_json_line(runner, args, fragment):
+    """click's usage errors used to print its three-line usage text."""
+    result = runner.invoke(main, args)
+    lines = result.stderr.strip().splitlines()
+    assert result.exit_code == 2 and len(lines) == 1, result.output
+    err = json.loads(lines[0])
+    assert err["error"] == "validation" and fragment in err["message"]
+
+
+def test_bare_command_still_prints_help(runner):
+    result = runner.invoke(main, [])
+    assert "Usage:" in result.output and "Commands:" in result.output
+
+
 # -- profile ----------------------------------------------------------------
 
 def test_profile_transformer_constant_depth(runner, tmp_path):

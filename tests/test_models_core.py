@@ -12,8 +12,10 @@ from recurlab.models import (ARCHS, STEP_CAPABLE, ModelConfig, ModelError,
                              ParamGraph, init_params, init_state,
                              load_checkpoint, model_forward, save_checkpoint,
                              step)
+from recurlab.models.common import scale_for, sinusoidal_positions
 from recurlab.tasks import PAD_ID, TaskId, generate_with_length, task_vocab
 from recurlab.trainer import encode_batch
+from test_tensor import transformer_layers
 
 VOCAB = 9
 
@@ -111,12 +113,16 @@ def test_one_position_builds_fewer_nodes_than_all(arch, mode):
 
 
 # (arch, mode) -> the nodes one model_forward builds at d16, 2 layers, 2
-# heads, n = 16: one attention node per query for all heads, over one node
-# per key and value row, one node per layer and position for both residual
-# adds and the FFN, and per layer and step one linear-attention key row
-# (its heads' splits), update, key sum (none at the first step) and read-out
+# heads, n = 16: the parallel Transformer's 25 parameters, embedding (3
+# nodes) and position rows, per layer 7 nodes (the rows' stack, LN1, three
+# projections, one attention node for every query and head, one FFN node
+# for every query), one readout and a pick per position; the recurrent
+# routes one attention node per step and layer for all heads, one node per
+# layer and step for both residual adds and the FFN, and per layer and step
+# one linear-attention key row (its heads' splits), update, key sum (none
+# at the first step) and read-out
 ROUTE_NODES = {
-    ("transformer", "parallel"): 262, ("transformer", "recurrent"): 345,
+    ("transformer", "parallel"): 60, ("transformer", "recurrent"): 345,
     ("rwkv", "parallel"): 91, ("rwkv", "recurrent"): 373,
     ("linear-transformer", "parallel"): 107, ("linear-transformer", "recurrent"): 439,
 }
@@ -131,6 +137,69 @@ def test_route_node_counts_are_pinned(arch, mode):
     toks = np.random.default_rng(0).integers(0, VOCAB, size=(2, 16))
     assert _nodes_built(lambda: model_forward(cfg, params, toks, mode=mode)) == \
         ROUTE_NODES[arch, mode]
+
+
+@pytest.mark.parametrize("scale_scores", [True, False], ids=["scaled", "unscaled"])
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+@pytest.mark.parametrize("length", [17, 40])
+def test_parallel_transformer_matches_the_per_query_chain_byte_for_byte(length, n_heads,
+                                                                        scale_scores):
+    """Logits and parameter gradients equal those of the elementary chain
+    that the parallel Transformer's fused nodes stand for, one node per
+    position's row and per query, at every position and at three.  The
+    golden gate's 7 tokens stay below numpy's 8-element pairwise-sum block,
+    where a softmax sum, value mix or gradient sum over the wrong number of
+    keys or queries would add in another order; these run past it."""
+    cfg = ModelConfig(arch="transformer", vocab_size=VOCAB, d_model=8, n_layers=2,
+                      n_heads=n_heads, scale_scores=scale_scores, seed=length + n_heads)
+    params = init_params(cfg)
+    toks = np.random.default_rng(length).integers(0, VOCAB, size=(3, length))
+    for positions in (list(range(length)), [0, length // 2, length - 1]):
+        weights = np.random.default_rng(1).normal(size=(len(positions), 3, VOCAB))
+
+        def run(logits, nodes):
+            terms = [(lg * T.constant(w)).sum() for lg, w in zip(logits, weights)]
+            T.backward(sum(terms[1:], terms[0]))
+            return ([lg.data.tobytes() for lg in logits],
+                    [nodes[name].grad.tobytes() for name in sorted(params)])
+
+        res = model_forward(cfg, params, toks, positions=positions)
+        fused = run(res.logits, {name: res.pgraph[name] for name in params})
+        p = {name: T.parameter(a) for name, a in params.items()}
+        x = T.take_rows(p["embed"], toks) + T.constant(sinusoidal_positions(length, 8))
+        chain = run(transformer_layers(x, p, n_heads, scale_for(cfg), positions, fused=False),
+                    p)
+        assert fused == chain, positions
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+def test_parallel_transformer_builds_only_reachable_nodes(batch):
+    """At one position every node the parallel Transformer builds reaches
+    the logits; 24 key and value rows of the last layer, past the position,
+    used not to."""
+    cfg = ModelConfig(arch="transformer", vocab_size=VOCAB, d_model=16, n_layers=2, n_heads=2)
+    params = init_params(cfg)
+    toks = np.random.default_rng(5).integers(0, VOCAB, size=(batch, 16))
+    start = T.constant(0.0).id
+    res = model_forward(cfg, params, toks, positions=[3])
+    built = T.constant(0.0).id - start - 1
+    assert len(T.topo_nodes(*res.logits)) == built
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 3])
+def test_parallel_transformer_layer_nodes_do_not_grow_with_length(n_layers):
+    """A layer is a fixed number of nodes whatever the length: no per-query
+    or per-row node is left in it, only the readout's picks."""
+    cfg = ModelConfig(arch="transformer", vocab_size=VOCAB, d_model=8, n_layers=n_layers,
+                      n_heads=2)
+    params = init_params(cfg)
+    kinds = []
+    for length in (4, 23):
+        toks = np.random.default_rng(length).integers(0, VOCAB, size=(2, length))
+        res = model_forward(cfg, params, toks)
+        kinds.append(sorted(v.op_kind for v in T.topo_nodes(*res.logits) if v.op_kind != "pick"))
+    assert kinds[0] == kinds[1]
+    assert "split_row" not in kinds[0] and kinds[0].count("attention") == n_layers
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 2)], ids=["1L1H", "2L2H"])
@@ -162,6 +231,23 @@ def test_empty_sequence_gives_no_logits(arch, mode):
     cfg = tiny_cfg(arch, n_layers=2)
     res = model_forward(cfg, init_params(cfg), np.zeros((2, 0), dtype=int), mode=mode)
     assert res.logits == []
+
+
+@pytest.mark.parametrize("mode", ["parallel", "recurrent"])
+@pytest.mark.parametrize("arch", ARCHS)
+def test_empty_batch_rejected(arch, mode):
+    """Tokens of shape (0, L) hold no sequence.  The softmax-attention archs
+    used to raise a bare numpy ValueError from a reshape, the recurrent
+    linear Transformer a ShapeError, and the rest to return no logits."""
+    cfg = tiny_cfg(arch, n_layers=2)
+    params = init_params(cfg)
+    with pytest.raises(ModelError, match=re.escape("hold no sequence: shape (0, 3)")):
+        model_forward(cfg, params, np.zeros((0, 3), dtype=int), mode=mode)
+    if arch in STEP_CAPABLE:
+        with pytest.raises(ModelError, match="batch must be >= 1, got 0"):
+            init_state(cfg, 0, length=3)
+        with pytest.raises(ModelError, match=re.escape("hold no sequence: shape (0,)")):
+            step(cfg, ParamGraph(params), init_state(cfg, 2, length=3), np.zeros(0, dtype=int))
 
 
 @pytest.mark.parametrize("positions", [[4], [-1], [1, 1], [0.0], [True], 2],

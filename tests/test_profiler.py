@@ -12,10 +12,10 @@ from recurlab.models.linear import linear_attn_recurrent
 from recurlab.profiler import (DepthProfile, ProfilerError, fit_complexity,
                                graph_profile, profile, profile_table,
                                table_to_csv, table_to_markdown)
-from test_tensor import (affine_chain, attention_chain, cached_attention_chain,
-                         cross_entropy_chain, decayed_sum_chain, ffn_sublayer_chain, heads_chain,
-                         layer_norm_chain, linear_readout_chain, linear_step_chain,
-                         lstm_chain, outer_update_chain, rwkv_decay_chain,
+from test_tensor import (affine_chain, cached_attention_chain, cross_entropy_chain,
+                         decayed_sum_chain, ffn_sublayer_chain, heads_chain,
+                         layer_attention_chain, layer_norm_chain, linear_readout_chain,
+                         linear_step_chain, lstm_chain, outer_update_chain, rwkv_decay_chain,
                          rwkv_output_chain, split_chain, with_arrays)
 
 VOCAB = 7
@@ -90,12 +90,22 @@ def _attend(fn, key_shape, scale=None, deep=None, n_heads=1):
     return with_arrays(fn, n_heads)(vs[0], vs[1:3], vs[3:], scale)
 
 
-def _ffn(deep_w2=0):
-    """An FFN sublayer of width 3 and 5 hidden units over a (2, 3) input,
-    W2 below ``deep_w2`` reshapes."""
-    vs = [_p(*shape) for shape in ((2, 3), (2, 3), (3,), (3,), (3, 5), (5,), (5, 3), (3,))]
+def _ffn(deep_w2=0, lead=(2,)):
+    """An FFN sublayer of width 3 and 5 hidden units over a ``lead`` + (3,)
+    input, stacked over its first axis if ``lead`` has two, W2 below
+    ``deep_w2`` reshapes."""
+    vs = [_p(*shape) for shape in (lead + (3,), lead + (3,), (3,), (3,), (3, 5), (5,), (5, 3),
+                                   (3,))]
     vs[6] = _deeper(vs[6], deep_w2)
-    return T.ffn_sublayer(vs[0], vs[1], vs[2:4], vs[4:6], vs[6:], "tanh", 1e-6)
+    return T.ffn_sublayer(vs[0], vs[1], vs[2:4], vs[4:6], vs[6:], "tanh", 1e-6,
+                          stacked=len(lead) == 2)
+
+
+def _layer_attend(n_heads=1, scale=None, deep=None, queries=(0, 2)):
+    """``T.attention`` over (2, 3, 4) projections q, k and v at ``queries``;
+    ``deep`` maps an operand's index in (q, k, v) to the reshapes above it."""
+    vs = [_deeper(_p(2, 3, 4), (deep or {}).get(i, 0)) for i in range(3)]
+    return T.attention(*vs, n_heads, scale, queries)
 
 
 # op kind -> (graph, (total_ops, depth, flops)); a (2, 3) operand has 6
@@ -135,6 +145,9 @@ OP_COSTS = {
     # pre-activation and 2·f + 3 per output scalar
     "ffn-sublayer": (lambda: _ffn(), (20, 20, 254)),
     "ffn-sublayer-deep-w2": (lambda: _ffn(deep_w2=18), (38, 21, 254)),
+    # stacked over 3 queries: 20 ops per query on the same chains, and the
+    # flops of the 3 queries' (2, 3) rows
+    "ffn-sublayer-stacked": (lambda: _ffn(lead=(3, 2)), (60, 20, 762)),
     # k matmuls and k adds; the first pair's operands are k + 1 ops from the
     # output, pair j's k - j + 3 and the bias's 1; (2·m + 1)·N flops per pair
     # over width m, for N = 8 output scalars (16 with the (B, L, d) operands)
@@ -147,6 +160,10 @@ OP_COSTS = {
     "affine-3-B-L-d": (lambda: T.affine([(_p(2, 2, 3), _p(3, 4)), (_p(2, 2, 5), _p(5, 4)),
                                          (_deeper(_p(2, 2, 1), 4), _p(1, 4))], _p(4)),
                        (10, 7, 336)),
+    # stacked over 3 queries: a matmul and an add per query, (2·3 + 1)·24
+    # flops for the (3, 2, 4) output
+    "affine-1-stacked": (lambda: T.affine([(_p(3, 2, 3), _p(3, 4))], _p(4), stacked=True),
+                         (6, 2, 168)),
     # c: 9 ops on chains 4 and 2 long from gates and c_prev, 15 flops per
     # scalar of c; h: 4 more on chains 3 and 2 from gates and c, 9 per scalar
     "lstm-c": (lambda: T.lstm_cell(_p(2, 12), _p(2, 3))[1], (9, 4, 90)),
@@ -155,14 +172,16 @@ OP_COSTS = {
     "lstm-h": (lambda: T.lstm_cell(_p(2, 12), _p(2, 3))[0], (13, 6, 144)),
     # 8 ops on one chain from x; 9 flops per scalar of x and 5 per row
     "cross-entropy": (lambda: T.cross_entropy(_p(2, 3), np.eye(3)[[0, 2]]), (8, 8, 64)),
-    # over t = 2 keys: 2t + 6 ops (9 cached), one more with the scale, on
-    # chains 7 long from q and each key (8 with the scale) and 3 from each
-    # value; t·(2·6 + (4 + scale)·2 + 2·6) flops for the (2, 3) query and output
-    "attention": (lambda: _attend(T.attention, (2, 3)), (10, 7, 64)),
-    "attention-scaled-deep-q": (lambda: _attend(T.attention, (2, 3), 0.5, {0: 3}),
-                                (14, 11, 68)),
-    "attention-deep-key": (lambda: _attend(T.attention, (2, 3), deep={2: 4}), (14, 11, 64)),
-    "attention-deep-value": (lambda: _attend(T.attention, (2, 3), deep={3: 6}), (16, 9, 64)),
+    # one layer over 3 positions, queries 0 and 2 at one head: per query q's
+    # row slice and 2(t + 1) + 6 ops (one more with the scale), 9 and 13;
+    # per key row its slice and per value row a slice and a reshape, 9 in
+    # all; on chains 8 long from q and k (9 with the scale) and 5 from v;
+    # per key of each query 2·8 + 4·2 + 2·8 flops (2·2 more with the scale)
+    # for (2, 4) rows, over 1 + 3 keys
+    "attention": (lambda: _layer_attend(), (31, 8, 160)),
+    "attention-scaled-deep-q": (lambda: _layer_attend(scale=0.5, deep={0: 3}), (36, 12, 168)),
+    "attention-deep-key": (lambda: _layer_attend(deep={1: 4}), (35, 12, 160)),
+    "attention-deep-value": (lambda: _layer_attend(deep={2: 6}), (37, 11, 160)),
     "cached-attention": (lambda: _attend(T.cached_attention, (2, 1, 3)), (9, 7, 64)),
     "cached-attention-scaled-deep-key": (
         lambda: _attend(T.cached_attention, (2, 1, 3), 0.5, {1: 3}), (13, 11, 68)),
@@ -170,16 +189,30 @@ OP_COSTS = {
                                 (11, 9, 64)),
     "cached-attention-deep-value": (
         lambda: _attend(T.cached_attention, (2, 1, 3), 0.5, {4: 6}), (16, 9, 68)),
-    # with two heads, 2 · (2t + 6) ops (9 cached per head) and q's two splits
-    # and the heads' concat, on chains 9 long from q, 8 from each key and 4
-    # from each value; the flops of both heads
-    "attention-2-heads": (lambda: _attend(T.attention, (2, 4), n_heads=2), (23, 9, 96)),
+    # with two heads, the query at position 2: its slice, 2 · (2·3 + 6) ops,
+    # q's two splits and the heads' concat; 3 key rows of a slice and two
+    # splits, 3 value rows of a slice, two splits and two reshapes; on
+    # chains 10 long from q and k and 7 from v; 2·8 + 4·2·2 + 2·8 flops per
+    # key, over 3 keys
+    "attention-2-heads": (lambda: _layer_attend(n_heads=2, queries=(2,)), (52, 10, 144)),
+    # the query at position 1, scaled: 1 + 2 · 11 + 3 ops, 2 key rows of 3
+    # and 2 value rows of 5, and 6 reshapes above v, on a chain 6 + 7 long;
+    # 2·8 + 5·2·2 + 2·8 flops per key, over 2 keys
+    "attention-scaled-2-heads-deep-value": (
+        lambda: _layer_attend(n_heads=2, scale=0.5, deep={2: 6}, queries=(1,)), (48, 13, 104)),
     "cached-attention-2-heads-deep-value": (
         lambda: _attend(T.cached_attention, (2, 4), deep={4: 6}, n_heads=2), (27, 10, 96)),
-    # a row's slice, its two splits and two reshapes, on a chain 3 long; one
-    # head's reshape alone
-    "split-row": (lambda: T.split_row(_p(2, 3, 4), 2, 1, rows=True), (5, 3, 0)),
+    # a row's two splits and two reshapes, on a chain 2 long; one head's
+    # reshape alone
+    "split-row": (lambda: T.split_row(_p(2, 4), 2, rows=True), (4, 2, 0)),
     "split-row-one-head": (lambda: T.split_row(_p(2, 4), 1, rows=True), (1, 1, 0)),
+    # a (2, 3, 4) sequence's 3 row slices, on a chain 1 long; 3 rows'
+    # reshapes and their concat, on a chain 2 long; a pick, no op
+    "position-rows": (lambda: T.position_rows(_p(2, 3, 4)), (3, 1, 0)),
+    "position-rows-deep": (lambda: T.position_rows(_deeper(_p(2, 3, 4), 2)), (5, 3, 0)),
+    "stack-rows": (lambda: T.stack_rows(_p(3, 2, 4)), (4, 2, 0)),
+    "pick": (lambda: T.pick(_deeper(_p(3, 2, 4), 2), 1), (2, 2, 0)),
+    "pick-rows": (lambda: T.pick(_p(3, 2, 4), [0, 2]), (0, 0, 0)),
     # exp(-elu_plus_one(w)): 3 ops on one chain, 9 flops per scalar
     "rwkv-decay": (lambda: T.rwkv_decay(_p(3)), (3, 3, 27)),
     # (a + e^(u+k) v) / (b + e^(u+k)): 6 ops on chains 5 long from u and k, 3
@@ -276,21 +309,25 @@ FUSED_CHAINS = {
                      [(2, 4, 3), (2, 4, 3), (3,), (3,), (3, 5), (5,), (5, 3), (3,)]),
     "cross-entropy": (lambda vs: T.cross_entropy(vs[0], np.eye(3)[[1, 2]]),
                       lambda vs: cross_entropy_chain(vs[0], np.eye(3)[[1, 2]]), [(2, 3)]),
-    "attention-scaled": (lambda vs: with_arrays(T.attention)(vs[0], vs[1:4], vs[4:], 0.5),
-                         lambda vs: attention_chain(vs[0], vs[1:4], vs[4:], 0.5),
-                         [(2, 3)] * 4 + [(2, 1, 3)] * 3),
+    "ffn-sublayer-stacked": (
+        lambda vs: T.ffn_sublayer(vs[0], vs[1], vs[2:4], vs[4:6], vs[6:], "tanh", 1e-6,
+                                  stacked=True),
+        lambda vs: [ffn_sublayer_chain(T.pick(vs[0], i), T.pick(vs[1], i), vs[2:4], vs[4:6],
+                                       vs[6:], "tanh") for i in range(3)],
+        [(3, 2, 3), (3, 2, 3), (3,), (3,), (3, 5), (5,), (5, 3), (3,)]),
+    "affine-stacked": (lambda vs: T.affine([vs[:2]], vs[2], stacked=True),
+                       lambda vs: [affine_chain([(T.pick(vs[0], i), vs[1])], vs[2])
+                                   for i in range(3)], [(3, 2, 3), (3, 4), (4,)]),
+    "attention-scaled": (lambda vs: T.attention(*vs, 1, 0.5, (0, 2)),
+                         lambda vs: layer_attention_chain(*vs, 1, 0.5, (0, 2)),
+                         [(2, 3, 4)] * 3),
     "cached-attention": (lambda vs: with_arrays(T.cached_attention)(vs[0], vs[1:3], vs[3:],
                                                                     None),
                          lambda vs: cached_attention_chain(vs[0], vs[1:3], vs[3:], None),
                          [(2, 3), (2, 1, 3), (2, 1, 3), (2, 1, 4), (2, 1, 4)]),
-    "attention-2-heads": (
-        lambda vs: with_arrays(T.attention, 2)(
-            vs[0], [T.split_row(k, 2) for k in vs[1:3]],
-            [T.split_row(v, 2, rows=True) for v in vs[3:]], 0.5),
-        lambda vs: heads_chain(attention_chain)(
-            vs[0], [split_chain(k, 2) for k in vs[1:3]],
-            [split_chain(v, 2, rows=True) for v in vs[3:]], 2, 0.5),
-        [(2, 4)] * 5),
+    "attention-2-heads": (lambda vs: T.attention(*vs, 2, 0.5, (1, 2)),
+                          lambda vs: layer_attention_chain(*vs, 2, 0.5, (1, 2)),
+                          [(2, 3, 4)] * 3),
     "cached-attention-4-heads": (
         lambda vs: with_arrays(T.cached_attention, 4)(
             vs[0], [T.split_row(k, 4, rows=True) for k in vs[1:3]],
@@ -299,9 +336,16 @@ FUSED_CHAINS = {
             vs[0], [split_chain(k, 4, rows=True) for k in vs[1:3]],
             [split_chain(v, 4, rows=True) for v in vs[3:]], 4, None),
         [(2, 8)] * 5),
-    "split-row": (lambda vs: T.split_row(vs[0], 2, 1, rows=True),
-                  lambda vs: split_chain(vs[0].slice((slice(None), 1)), 2, rows=True),
-                  [(2, 3, 4)]),
+    "split-row": (lambda vs: T.split_row(vs[0], 2, rows=True),
+                  lambda vs: split_chain(vs[0], 2, rows=True), [(2, 4)]),
+    # the rows of a stack are picks of it, which stand for no op
+    "position-rows": (lambda vs: T.position_rows(vs[0]),
+                      lambda vs: [vs[0].slice((slice(None), t)) for t in range(3)],
+                      [(2, 3, 4)]),
+    "stack-rows": (lambda vs: T.stack_rows(vs[0]),
+                   lambda vs: T.concat([T.pick(vs[0], t).reshape((2, 1, 4)) for t in range(3)],
+                                       axis=1), [(3, 2, 4)]),
+    "pick": (lambda vs: T.pick(vs[0], 1), lambda vs: vs[0], [(3, 2, 4)]),
     "rwkv-decay": (lambda vs: T.rwkv_decay(*vs), lambda vs: rwkv_decay_chain(*vs), [(3,)]),
     "rwkv-output": (lambda vs: T.rwkv_output(*vs), lambda vs: rwkv_output_chain(*vs),
                     [(3,)] + [(2, 3)] * 4),

@@ -835,9 +835,10 @@ def _mix_chain(scores, values, scale):
 
 
 def attention_chain(q, keys, values, scale):
-    """One head of the elementary nodes that ``T.attention`` fuses, 2t + 6
-    (2t + 7 and a constant with the scale), as the parallel Transformer
-    built them: a product and a row sum per key, then the scores' concat."""
+    """One head of one query's elementary nodes that ``T.attention`` fuses,
+    2t + 6 (2t + 7 and a constant with the scale), as the parallel
+    Transformer built them: a product and a row sum per key, then the
+    scores' concat."""
     scores = T.concat([(q * k).sum(axis=-1, keepdims=True) for k in keys], axis=-1)
     return _mix_chain(scores, values, scale)
 
@@ -883,27 +884,20 @@ def _fused_attend(fused):
 
 # kind -> (fused, chain, the key shape for a (B, dh) query at one head)
 ATTENTION_KINDS = {
-    "attention": (_fused_attend(T.attention), heads_chain(attention_chain),
-                  lambda b, dh: (b, dh)),
     "cached_attention": (_fused_attend(T.cached_attention), heads_chain(cached_attention_chain),
                          lambda b, dh: (b, 1, dh)),
 }
 
 
-def _rows(kind, fused, x, n_heads, values):
-    """The key rows (or with ``values`` the value rows) of the (B, t, d)
-    projection ``x`` as ``kind``'s callers build them: one ``T.split_row``
-    per position, which the parallel route slices out of ``x`` and the
-    cached one takes whole from each step's projection (here a slice); or,
-    for the chain, each row's elementary nodes, a list of its heads.  Value
-    rows, and the cached route's key rows, are reshaped to (B, 1, dh)."""
-    rows = values or kind == "cached_attention"
-    if fused and kind == "attention":
-        return [T.split_row(x, n_heads, j, rows=rows) for j in range(x.shape[1])]
+def _rows(fused, x, n_heads):
+    """The rows of the (B, t, d) projection ``x`` as the cached route builds
+    them: one ``T.split_row`` per position, taken whole from each step's
+    projection (here a slice); or, for the chain, each row's elementary
+    nodes, a list of its heads; every row reshaped to (B, 1, dh)."""
     row_slices = [x.slice((slice(None), j)) for j in range(x.shape[1])]
     if fused:
         return [T.split_row(r, n_heads, rows=True) for r in row_slices]
-    return [split_chain(r, n_heads, rows=rows) for r in row_slices]
+    return [split_chain(r, n_heads, rows=True) for r in row_slices]
 
 
 def _attention_run(kind, fused, t, scale, n_heads, b=4, dh=8):
@@ -918,14 +912,17 @@ def _attention_run(kind, fused, t, scale, n_heads, b=4, dh=8):
     key that differs), so the first key row takes four gradients, three of
     them from one node, and the order in which a node adds into one parent
     shows: adding its key rows in the other order changes the bytes at
-    every head count."""
+    every head count.  The whole-layer kind ``attention`` runs
+    ``_layer_attention_run`` over t positions instead."""
+    if kind == "attention":
+        return _layer_attention_run(fused, t, scale, n_heads, b=b, dh=dh)
     d = n_heads * dh
     rng = np.random.default_rng(10 * t + (scale is None) + n_heads)
     srcs = [T.parameter(rng.normal(size=shape))
             for shape in ((b, d), (b, d), (b, t, d), (b, t, d))]
     qs = [T.nonlinearity(s, "tanh") * T.constant(3.0) for s in srcs[:2]]
     ks, vs = srcs[2] * T.constant(2.0), srcs[3] * T.constant(1.0)
-    key_rows, value_rows = (_rows(kind, fused, x, n_heads, x is vs) for x in (ks, vs))
+    key_rows, value_rows = (_rows(fused, x, n_heads) for x in (ks, vs))
     if t == 5:
         key_rows[2], key_rows[4], value_rows[3] = key_rows[0], key_rows[0], value_rows[0]
     attend = ATTENTION_KINDS[kind][0 if fused else 1]
@@ -939,7 +936,7 @@ def _attention_run(kind, fused, t, scale, n_heads, b=4, dh=8):
 
 @pytest.mark.parametrize("scale", [None, 0.35])
 @pytest.mark.parametrize("t", [1, 2, 5])
-@pytest.mark.parametrize("kind", list(ATTENTION_KINDS))
+@pytest.mark.parametrize("kind", ["attention", *ATTENTION_KINDS])
 def test_attention_matches_the_chain_byte_for_byte(kind, t, scale):
     for n_heads in HEADS:
         assert _attention_run(kind, True, t, scale, n_heads) == \
@@ -993,6 +990,218 @@ def test_attention_grad_check(kind):
             lambda vs: (fused(vs[0], vs[1:t + 1], vs[t + 1:], n_heads, 0.7) * weights).sum(),
             point)
         assert report.max_rel_err < 1e-6, n_heads
+
+
+# -- whole-layer softmax attention -------------------------------------------
+
+def layer_attention_chain(q_all, k_all, v_all, n_heads, scale, queries):
+    """The elementary nodes that ``T.attention`` fuses, as the parallel
+    Transformer built them one query at a time: each key and value row up
+    to the last query sliced out of k_all and v_all (B, L, d) and split
+    into its heads, each value head reshaped to (B, 1, dh); then per query
+    q's row slice and its heads' attention chains over the rows up to its
+    own.  Returns the queries' outputs, a list."""
+    rows = range(queries[-1] + 1)
+    keys = [split_chain(k_all.slice((slice(None), j)), n_heads) for j in rows]
+    values = [split_chain(v_all.slice((slice(None), j)), n_heads, rows=True) for j in rows]
+    return [heads_chain(attention_chain)(q_all.slice((slice(None), t)), keys[:t + 1],
+                                         values[:t + 1], n_heads, scale) for t in queries]
+
+
+def _layer_attention_run(fused, length, scale, n_heads, queries=None, b=3, dh=4):
+    """Data of one layer's attention over ``length`` positions, read at
+    ``queries`` (every position if None), fused or as its elementary chain,
+    and the bytes of the gradients of q's, k's and v's sources under a
+    weighted-sum loss in which q and k also feed a node built after the
+    attention, so the order in which the node adds into them shows."""
+    d = n_heads * dh
+    rng = np.random.default_rng(10 * length + (scale is None) + n_heads)
+    queries = list(range(length)) if queries is None else queries
+    srcs = [T.parameter(rng.normal(size=(b, length, d))) for _ in range(3)]
+    q_all = T.nonlinearity(srcs[0], "tanh") * T.constant(3.0)
+    k_all, v_all = srcs[1] * T.constant(2.0), srcs[2] * T.constant(1.0)
+    weights = rng.normal(size=(len(queries), b, d))
+    if fused:
+        out = T.attention(q_all, k_all, v_all, n_heads, scale, queries)
+        outs, terms = list(out.data), [(out * T.constant(weights)).sum()]
+    else:
+        nodes = layer_attention_chain(q_all, k_all, v_all, n_heads, scale, queries)
+        outs = [node.data for node in nodes]
+        terms = [(node * T.constant(w)).sum() for node, w in zip(nodes, weights)]
+    terms += [(q_all * T.constant(rng.normal(size=q_all.shape))).sum(), (k_all * k_all).sum()]
+    T.backward(sum(terms[1:], terms[0]))
+    return [a.tobytes() for a in (*outs, *(src.grad for src in srcs))]
+
+
+@pytest.mark.parametrize("scale", [None, 0.35])
+@pytest.mark.parametrize("length, queries", [
+    (1, None), (3, [2]), (5, [0, 3]), (9, None), (9, [1, 4, 8]), (17, None), (17, [0, 8, 16]),
+    (17, [3, 9])])
+def test_layer_attention_matches_the_chain_byte_for_byte(length, queries, scale):
+    """Every query of a layer, or some, over as many as 17 keys: past
+    numpy's 8-element pairwise-sum block, where a softmax sum or value mix
+    over more keys than the query's would add in another order.  Heads of
+    width 2 mix strided value rows in another order than the chain's
+    stacked ones, as the parallel route once did."""
+    for n_heads in HEADS:
+        for dh in (2, 4):
+            assert _layer_attention_run(True, length, scale, n_heads, queries, dh=dh) == \
+                _layer_attention_run(False, length, scale, n_heads, queries, dh=dh), (n_heads, dh)
+
+
+def test_layer_attention_keeps_the_sign_of_a_zero_gradient():
+    """A query over its one key gives the key and the query gradients of
+    exactly zero, here -0.0.  Added to another reader's -0.0 they stay
+    -0.0, as the chain's rows added them; sums started from +0.0 would
+    turn them to +0.0."""
+    def run(fused):
+        q_all, k_all, v_all = (T.parameter(np.array([[[-1.0, -2.0]]])) for _ in range(3))
+        if fused:
+            out = T.attention(q_all, k_all, v_all, 1, 0.5, [0])
+        else:
+            out = layer_attention_chain(q_all, k_all, v_all, 1, 0.5, [0])[0]
+        terms = [(x * T.constant(np.full(x.shape, -0.0))).sum() for x in (out, q_all, k_all, v_all)]
+        T.backward(sum(terms[1:], terms[0]))
+        return [x.grad for x in (q_all, k_all, v_all)]
+
+    fused, chain = run(True), run(False)
+    assert [g.tobytes() for g in fused] == [g.tobytes() for g in chain]
+    assert np.signbit(fused[0]).all() and np.signbit(fused[1]).all()
+
+
+def test_layer_attention_builds_one_node_with_the_projections_as_parents():
+    q, k = T.parameter(np.ones((2, 5, 4))), T.parameter(np.ones((2, 5, 4)))
+    v = T.parameter(np.ones((2, 5, 6)))
+    start = T.constant(0.0).id
+    out = T.attention(q, k, v, 2, 0.5, [1, 4])
+    assert (out.op_kind, out.id, out.shape) == ("attention", start + 1, (2, 2, 6))
+    assert out.parents == (q, k, v)
+
+
+@pytest.mark.parametrize("q, k, v, n_heads, queries", [
+    ((2, 3, 4), (2, 3, 4), (2, 3, 4), 1, []),          # no query
+    ((2, 3, 4), (2, 3, 4), (2, 3, 4), 1, [3]),         # a query past the end
+    ((2, 3, 4), (2, 3, 4), (2, 3, 4), 1, [-1]),        # a negative query
+    ((2, 3, 4), (2, 3, 4), (2, 3, 4), 1, [2, 0]),      # queries out of order
+    ((2, 3, 4), (2, 3, 4), (2, 3, 4), 1, [1, 1]),      # a repeated query
+    ((2, 3, 4), (2, 3, 4), (2, 3, 4), 3, [0]),         # a width not split evenly
+    ((2, 3, 4), (2, 3, 2), (2, 3, 4), 1, [0]),         # keys of another width
+    ((2, 3, 4), (2, 3, 4), (3, 3, 4), 1, [0]),         # values of another batch
+    ((2, 3, 4), (2, 3, 4), (2, 2, 4), 1, [0]),         # values of another length
+    ((2, 3, 4), (2, 3, 4), (2, 3, 3), 2, [0]),         # values not split evenly
+    ((3, 4), (3, 4), (3, 4), 1, [0]),                  # rows, not sequences
+])
+def test_layer_attention_rejects_operands_the_chain_would_not_mix(q, k, v, n_heads, queries):
+    with pytest.raises(T.ShapeError, match="attention"):
+        T.attention(*(T.parameter(np.ones(shape)) for shape in (q, k, v)), n_heads, None,
+                    queries)
+
+
+def test_layer_attention_grad_check():
+    rng = np.random.default_rng(2)
+    for n_heads in HEADS:
+        d = 2 * n_heads
+        point = [rng.normal(size=(2, 3, d)) for _ in range(3)]
+        weights = T.constant(rng.normal(size=(2, 2, d)))
+        report = T.grad_check(
+            lambda vs: (T.attention(*vs, n_heads, 0.7, [0, 2]) * weights).sum(), point)
+        assert report.max_rel_err < 1e-6, n_heads
+
+
+# -- the parallel Transformer's stacks ---------------------------------------
+
+def test_position_rows_and_stack_rows_move_rows_between_layouts():
+    x = T.parameter(np.arange(24.0).reshape((2, 3, 4)))
+    rows = T.position_rows(x)
+    back = T.stack_rows(rows)
+    assert rows.shape == (3, 2, 4) and rows.data.flags.c_contiguous
+    assert all(np.array_equal(rows.data[t], x.data[:, t]) for t in range(3))
+    assert back.data.tobytes() == x.data.tobytes() and back.data.flags.c_contiguous
+    with pytest.raises(T.ShapeError, match="position_rows"):
+        T.position_rows(T.parameter(np.ones((2, 3))))
+    with pytest.raises(T.ShapeError, match="stack_rows"):
+        T.stack_rows(T.parameter(np.ones((2, 3))))
+
+
+def test_pick_keeps_every_rows_gradient_bytes():
+    """A row's gradient is its reader's, zero signs included, and a row no
+    pick reaches holds -0.0, which adds nothing to an earlier gradient."""
+    stack = T.parameter(np.ones((3, 2, 2)))
+    first, last = T.pick(stack, 0), T.pick(stack, [1, 2])
+    assert first.shape == (2, 2) and last.shape == (2, 2, 2)
+    T.backward((first * T.constant([[-0.0, 2.0], [0.0, -1.0]])).sum())
+    g = stack.grad
+    assert g[0].tobytes() == np.array([[-0.0, 2.0], [0.0, -1.0]]).tobytes()
+    assert np.signbit(g[1:]).all() and not g[1:].any()
+    with pytest.raises(T.ShapeError, match="pick"):
+        T.pick(stack, 3)
+
+
+def transformer_layers(x, p, n_heads, scale, positions, fused, nonlin="tanh"):
+    """The parallel Transformer's layers and readout over its embedded
+    sequence ``x`` (B, L, d), with residuals and the parameter nodes ``p``
+    named as ``init_params`` names them; returns the logits at
+    ``positions``, in increasing order.  Fused, as ``transformer_forward``
+    builds them: the rows' stacks, per layer a layer norm, three
+    projections, one attention and one stacked FFN node, one stacked
+    readout and a pick per position.  Else as the elementary per-query
+    chain those stand for, each position's row a node of its own, its last
+    layer run at ``positions`` only."""
+    length = x.shape[1]
+    kept = sorted(positions)
+    n_layers = len({name.split(".")[0] for name in p if name[0] == "l"})
+    hs = T.position_rows(x) if fused else [x.slice((slice(None), t)) for t in range(length)]
+    for layer in range(n_layers):
+        pre = f"l{layer}."
+        queries = kept if layer == n_layers - 1 else list(range(length))
+        norm = (p[pre + "ln2_g"], p[pre + "ln2_b"])
+        first, second = ((p[f"{pre}ffn.w{i}"], p[f"{pre}ffn.b{i}"]) for i in (1, 2))
+        if fused:
+            normed = T.layer_norm(T.stack_rows(hs), p[pre + "ln1_g"], p[pre + "ln1_b"], 1e-6)
+        else:
+            stacked = T.concat([h.reshape((h.shape[0], 1, h.shape[1])) for h in hs], axis=1)
+            normed = layer_norm_chain(stacked, p[pre + "ln1_g"], p[pre + "ln1_b"])
+        q_all, k_all, v_all = (T.matmul(normed, p[pre + w]) for w in ("wq", "wk", "wv"))
+        if fused:
+            attn = T.attention(q_all, k_all, v_all, n_heads, scale, queries)
+            rows = hs if len(queries) == length else T.pick(hs, queries)
+            hs = T.ffn_sublayer(rows, attn, norm, first, second, nonlin, 1e-6, stacked=True)
+        else:
+            attn = layer_attention_chain(q_all, k_all, v_all, n_heads, scale, queries)
+            hs = [ffn_sublayer_chain(hs[t], a, norm, first, second, nonlin)
+                  for t, a in zip(queries, attn)]
+    if fused:
+        logits = T.affine([(hs, p["out_w"])], p["out_b"], stacked=True)
+        return [T.pick(logits, i) for i in range(len(kept))]
+    return [affine_chain([(h, p["out_w"])], p["out_b"]) for h in hs]
+
+
+def _transformer_run(fused, length, n_heads, scale, positions, b=2, d=8, n_layers=2):
+    """Data of ``transformer_layers``' logits over an inner node's sequence
+    and the bytes of the gradients of its source and every parameter under
+    a weighted-sum loss."""
+    rng = np.random.default_rng(length + n_heads)
+    names = ["out_w", "out_b"] + [f"l{i}.{name}" for i in range(n_layers) for name in (
+        "ln1_g", "ln1_b", "wq", "wk", "wv", "ln2_g", "ln2_b", "ffn.w1", "ffn.b1", "ffn.w2",
+        "ffn.b2")]
+    shapes = {"out_w": (d, 5), "out_b": (5,), "wq": (d, d), "wk": (d, d), "wv": (d, d),
+              "ffn.w1": (d, 2 * d), "ffn.b1": (2 * d,), "ffn.w2": (2 * d, d)}
+    p = {name: T.parameter(rng.normal(size=shapes.get(name.split(".", 1)[-1], (d,))))
+         for name in names}
+    src = T.parameter(rng.normal(size=(b, length, d)))
+    logits = transformer_layers(T.nonlinearity(src, "tanh") * T.constant(2.0), p, n_heads,
+                                scale, positions, fused)
+    terms = [(lg * T.constant(rng.normal(size=lg.shape))).sum() for lg in logits]
+    T.backward(sum(terms[1:], terms[0]))
+    return [a.tobytes() for a in (*(lg.data for lg in logits), src.grad,
+                                  *(p[name].grad for name in names))]
+
+
+@pytest.mark.parametrize("length, positions", [(3, [0, 1, 2]), (9, [8]), (12, [2, 5, 11])])
+def test_transformer_layers_match_the_chain_byte_for_byte(length, positions):
+    for n_heads in HEADS[:2]:
+        assert _transformer_run(True, length, n_heads, 0.35, positions) == \
+            _transformer_run(False, length, n_heads, 0.35, positions), n_heads
 
 
 # -- fused RWKV and linear-attention state updates ---------------------------
@@ -1188,9 +1397,6 @@ def test_state_kinds_reject_a_key_not_split_evenly(kind):
                                      else []), 2)
 
 
-PER_HEAD_CHAINS = {"attention": attention_chain, "cached_attention": cached_attention_chain}
-
-
 def _attention_builders(kind, n_heads):
     """``kind`` and its chain over the flat operands q, keys..., values...,
     full-width rows, with scale 2; the chain splits every row itself."""
@@ -1200,7 +1406,7 @@ def _attention_builders(kind, n_heads):
 
     def chain(q, *kv):
         half = len(kv) // 2
-        return heads_chain(PER_HEAD_CHAINS[kind])(
+        return heads_chain(cached_attention_chain)(
             q, [split_chain(k, n_heads, kind == "cached_attention") for k in kv[:half]],
             [split_chain(v, n_heads, rows=True) for v in kv[half:]], n_heads, 2.0)
     return fused, chain
@@ -1230,6 +1436,30 @@ TWO_HEAD_OVERFLOWS = [
     ("second-head-huge-spread", [[1.0, 1e200]], [[[0.0, 5e107]], [[0.0, -5e107]]],
      [[[1.0, 1.0]], [[2.0, 2.0]]], False),
 ]
+
+
+def _layer_cases(overflows):
+    """``ATTENTION_OVERFLOWS``, or the two-head ones, as one layer's (q_all,
+    k_all, v_all): the query at each of the t positions of the keys and
+    values, where every position is a query."""
+    cases = []
+    for case, q, keys, values, raises in overflows:
+        q = np.array(q, dtype=float)                                   # (B, d)
+        rows = [np.stack([np.reshape(r, (q.shape[0], -1)) for r in rs], axis=1)
+                for rs in (keys, values)]
+        cases.append((case, [np.repeat(q[:, None], len(keys), axis=1), *rows], raises))
+    return cases
+
+
+def _layer_builders(n_heads):
+    """``T.attention`` over every position and its chain, with scale 2."""
+    def fused(q_all, k_all, v_all):
+        return T.attention(q_all, k_all, v_all, n_heads, 2.0, range(q_all.shape[1]))
+
+    def chain(q_all, k_all, v_all):
+        return T.concat(layer_attention_chain(q_all, k_all, v_all, n_heads, 2.0,
+                                              range(q_all.shape[1])), axis=0)
+    return fused, chain
 
 
 def _attention_cases(kind):
@@ -1326,6 +1556,13 @@ FUSED_OVERFLOWS = {
         ("huge-row", [np.array([[1.7e308, 1.7e308]])], False),
     ]),
     **{kind: (*_attention_builders(kind, 1), _attention_cases(kind)) for kind in ATTENTION_KINDS},
+    "attention": (*_layer_builders(1), _layer_cases(ATTENTION_OVERFLOWS) + [
+        # the first query's score against the second key, which it never
+        # reads, overflows: the mask keeps it out of the check
+        ("masked-product", _arrays([[[1e200], [1.0]]], [[[1.0], [1e200]]], [[[1.0], [2.0]]]),
+         False),
+    ]),
+    "attention/2-heads": (*_layer_builders(2), _layer_cases(TWO_HEAD_OVERFLOWS)),
     **{f"{kind}/2-heads": (*_attention_builders(kind, 2), [
         (case, [np.array(x, dtype=float) for x in (q, *keys, *values)], raises)
         for case, q, keys, values, raises in TWO_HEAD_OVERFLOWS]) for kind in ATTENTION_KINDS},
@@ -1456,7 +1693,9 @@ CHAIN_CASES = {
                      ffn_sublayer_chain),
     **{f"{kind}-{n_heads}-heads": (lambda fused, kind=kind, n_heads=n_heads: _attention_run(
         kind, fused, 5, 0.35, n_heads), True, False)
-       for kind in ATTENTION_KINDS for n_heads in HEADS},
+       for kind in ["attention", *ATTENTION_KINDS] for n_heads in HEADS},
+    "transformer-layers": (lambda fused: _transformer_run(fused, 9, 2, 0.35, [0, 4, 8]), True,
+                           False),
     "rwkv": (_rwkv_run, FUSED_RWKV, CHAIN_RWKV),
     **{f"linear-{n_heads}-heads": (lambda step, n_heads=n_heads: _linear_run(step, n_heads),
                                    linear_attn_recurrent, linear_step_chain) for n_heads in HEADS},
