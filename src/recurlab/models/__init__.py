@@ -7,12 +7,15 @@ MLP).  Every state records its ``"batch"``, which ``step`` checks the tokens
 against.  The layered step cells (all but stack-rnn and tape-rnn) share
 ``common.init_layers``'s state ``{"t", "batch", "layers"}``, one immutable
 state per layer (per iteration of the universal Transformer's shared layer),
-and run their stacks through ``common.step_layers``.  No step mutates its
-input state, so a kept state resumes bit-identically to an uninterrupted run.
+and run their stacks through ``common.step_layers``, or, for a chunked cell,
+``common.chunk_layers``.  No step mutates its input state, so a kept state
+resumes bit-identically to an uninterrupted run.
 
 ``model_forward`` takes the step route, which drives the row's cell, when the
 row has a step form and the mode is recurrent or the row has no parallel
-form; otherwise it takes the row's parallel route.  Every route has one
+form; otherwise it takes the row's parallel route.  The step route calls a
+chunked cell once, over the tokens up to the last requested position, and
+any other cell once per token.  Every route has one
 contract, ``route(cfg, pg, token_ids, positions) -> {position: logits}``: it
 reads every setting from the config and reads out only at ``positions``, in
 increasing position order.  Only ``model_forward`` orders the logits.
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import tensor as T
 from ..tensor import graph_scope
 from .common import ModelError, ParamGraph, readout
 from .config import (ARCH_TABLE, ARCHS, STEP_CAPABLE, ModelConfig, init_params,
@@ -83,22 +87,37 @@ def step(cfg: ModelConfig, pg: ParamGraph, state, token_ids_t: np.ndarray):
     if len(token_ids_t) != state["batch"]:
         raise ModelError(f"token ids have batch {len(token_ids_t)} but the state "
                          f"has batch {state['batch']}")
-    h, state = ARCH_TABLE[cfg.arch].step[1](cfg, pg, state, token_ids_t)
-    return readout(pg, h), state
+    logits, state = _advance(cfg, pg, state, token_ids_t[:, None], [0])
+    return logits[0], state
 
 
-def _step_route(cfg, pg, token_ids, positions) -> dict:
-    """Step through the tokens up to the last of ``positions``; returns
-    {position: logits}, read out only at ``positions``."""
-    init, cell = ARCH_TABLE[cfg.arch].step
-    state = init(cfg, *token_ids.shape)
+def _advance(cfg, pg, state, token_ids: np.ndarray, positions) -> tuple:
+    """Run the step cell over the tokens (B, n) from ``state``; returns
+    ({position: logits} at ``positions``, increasing positions in [0, n),
+    and the new state).  A chunked cell takes every token at once, and
+    every other cell one token at a time."""
+    row = ARCH_TABLE[cfg.arch]
+    cell = row.step[1]
+    if row.chunked:
+        h, state = cell(cfg, pg, state, token_ids, positions)
+        logits = readout(pg, h, stacked=True)
+        return {t: T.pick(logits, i) for i, t in enumerate(positions)}, state
     wanted = set(positions)
     logits = {}
-    for t in range(max(positions, default=-1) + 1):
+    for t in range(token_ids.shape[1]):
         h, state = cell(cfg, pg, state, token_ids[:, t])
         if t in wanted:
             logits[t] = readout(pg, h)
-    return logits
+    return logits, state
+
+
+def _step_route(cfg, pg, token_ids, positions) -> dict:
+    """Run the step cell over the tokens up to the last of ``positions``;
+    returns {position: logits}, read out only at ``positions``."""
+    state = ARCH_TABLE[cfg.arch].step[0](cfg, *token_ids.shape)
+    if not positions:
+        return {}
+    return _advance(cfg, pg, state, token_ids[:, :max(positions) + 1], sorted(positions))[0]
 
 
 # -- whole-sequence forward -------------------------------------------------

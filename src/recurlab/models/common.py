@@ -22,11 +22,13 @@ Every layered step cell is an RNN with one state per layer.  ``init_layers``
 gives the empty state, ``{"t": 0, "batch": batch, "layers": (None,) *
 n_layers}``, and ``step_layers`` runs a ``layer(prefix, h, layer_state) ->
 (h, layer_state)`` function up the stack, returning the top hidden and a new
-state.  Layer states are immutable (Values and tuples of them, ``None`` while
-empty), so a step never changes a state the caller kept.  State beside the
-layers (the recurrent, feedback and block-recurrent Transformers' ``h_top``,
-and the block-recurrent ``carry``) is absent until the cell's first step
-sets it.
+state.  The scan cells of RWKV and the linear Transformer take a chunk of
+tokens instead, and ``chunk_layers`` runs each layer over the chunk's (n,
+B, d) stack of rows, each layer's state its last scan node.  Layer states
+are immutable (Values and tuples of them, ``None`` while empty), so a step
+never changes a state the caller kept.  State beside the layers (the
+recurrent, feedback and block-recurrent Transformers' ``h_top``, and the
+block-recurrent ``carry``) is absent until the cell's first step sets it.
 
 Every cached, step or masked-parallel layer is one ``residual_block``:
 LN -> attention -> residual -> LN -> FFN -> residual, with the attention
@@ -35,11 +37,14 @@ Transformer's parallel route keeps its own layer loop, since it runs LN1 and
 the projections on the whole sequence (B, L, d) but the residual, LN2, FFN
 and readout per query; it shares the second half, ``ffn_sublayer``, and
 runs it, and the readout, once over the (L, B, d) stack of the queries'
-rows, ``stacked``.  The layout decides the bytes: numpy's stacked matmul
-makes one BLAS call per leading index, so over (L, B, d) each call is a
-query's own (B, d) @ W product, while over (B, L, d) it is a sequence's (L,
-d) @ W, whose sums take another path and change the logits' last bits;
-the projections were always made over (B, L, d) and still are.
+rows, ``stacked``.  ``chunk_layers`` runs all of a scan cell's layer, LN1
+and the projections too, over such a stack of the tokens' rows.  The
+layout decides the bytes: numpy's stacked matmul makes one BLAS call per
+leading index, so over (L, B, d) each call is a query's own (B, d) @ W
+product, as the per-token chain made it, while over (B, L, d) it is a
+sequence's (L, d) @ W, whose sums take another path and change the
+logits' last bits; the parallel Transformer's projections were always made
+over (B, L, d) and still are.
 """
 
 from __future__ import annotations
@@ -126,8 +131,8 @@ def readout(pg: ParamGraph, h: Value, stacked: bool = False) -> Value:
 _LN_EPS = 1e-6    # every layer norm's epsilon: LN1's and the FFN sublayer's LN2's
 
 
-def layer_norm(pg: ParamGraph, prefix: str, x: Value) -> Value:
-    return T.layer_norm(x, pg[prefix + "_g"], pg[prefix + "_b"], _LN_EPS)
+def layer_norm(pg: ParamGraph, prefix: str, x: Value, stacked: bool = False) -> Value:
+    return T.layer_norm(x, pg[prefix + "_g"], pg[prefix + "_b"], _LN_EPS, stacked)
 
 
 def residual_block(cfg, pg: ParamGraph, prefix: str, h: Value, attend) -> tuple:
@@ -154,6 +159,37 @@ def step_layers(state: dict, h: Value, layer) -> tuple:
         h, layer_state = layer(f"l{i}", h, layer_state)
         layers.append(layer_state)
     return h, {**state, "t": state["t"] + 1, "layers": tuple(layers)}
+
+
+def chunk_layers(cfg, pg: ParamGraph, state: dict, token_ids: np.ndarray, queries,
+                 attend) -> tuple:
+    """Run a chunk of tokens (B, n) up the stack of a scan cell, one layer
+    at a time over the (n, B, d) stack of the chunk's rows: LN1, ``attend``,
+    the FFN sublayer.  ``attend(prefix, x, rows, layer_state)`` builds the
+    layer's scan over ``x``, read out at ``rows``, from the state its last
+    chunk left; the scan is the layer's new state.  The top layer reads out
+    only at ``queries``, so its FFN runs on those rows alone.  Returns the
+    top hidden at ``queries``, (len(queries), B, d), and the new state;
+    ``state`` is unchanged."""
+    n = token_ids.shape[1]
+    t = state["t"]
+    d_model = pg.arrays["embed"].shape[1]
+    positions = (np.stack([_position_row(p, d_model) for p in range(t, t + n)])
+                 if cfg.use_positional else None)
+    h = T.embed_rows(pg["embed"], token_ids, positions)
+    layers = []
+    for i, layer_state in enumerate(state["layers"]):
+        prefix = f"l{i}"
+        rows = list(queries) if i == len(state["layers"]) - 1 else list(range(n))
+        x = layer_norm(pg, f"{prefix}.ln1", h, stacked=True) if cfg.use_residual else h
+        scan = attend(prefix, x, rows, layer_state)
+        out = T.pick(scan, list(range(len(rows))))
+        if cfg.use_residual:
+            out = ffn_sublayer(cfg, pg, prefix, h if len(rows) == n else T.pick(h, rows), out,
+                               stacked=True)
+        h = out
+        layers.append(scan)
+    return h, {**state, "t": t + n, "layers": tuple(layers)}
 
 
 def ffn_sublayer(cfg, pg: ParamGraph, prefix: str, h: Value, out: Value,

@@ -3,9 +3,13 @@
 ``ARCH_TABLE`` is the one place that says what an architecture is: its
 parameter function; its step form ``(init, cell)``, with ``init(cfg, batch,
 length) -> state`` and ``cell(cfg, pg, state, token_ids_t) -> (top hidden, new
-state)``, or None for the MLP; and its parallel route, or None for a step-only
-arch.  ``ARCHS``, ``STEP_CAPABLE``, ``init_params`` and ``models.model_forward``
-read it.
+state)``, or None for the MLP; its parallel route, or None for a step-only
+arch; and whether its cell is ``chunked``: a chunked cell takes a chunk of
+tokens (B, n) and the increasing positions in [0, n) it reads out at,
+``cell(cfg, pg, state, token_ids, positions) -> (top hidden at those
+positions stacked (len(positions), B, d), new state)``, and a step is its
+chunk of one token.  ``ARCHS``, ``STEP_CAPABLE``, ``init_params`` and
+``models.model_forward`` read it.
 """
 
 from __future__ import annotations
@@ -121,6 +125,7 @@ class Arch(NamedTuple):
     params: Callable                  # (rng, cfg, params) adds the arch's weights
     step: tuple | None                # (init, cell), or None: no step form
     parallel: Callable | None = None  # route(cfg, pg, token_ids, positions), or None
+    chunked: bool = False             # the cell takes a chunk of tokens
 
 
 ARCH_TABLE = {
@@ -141,10 +146,11 @@ ARCH_TABLE = {
                                         (init_layers, transformer.block_recurrent_step)),
     "universal-transformer": Arch(partial(_attention_params, prefixes=("shared",)),
                                   (transformer.universal_init, transformer.universal_step)),
-    "rwkv": Arch(_rwkv_params, (init_layers, linear.rwkv_step),
-                 partial(linear.parallel_forward, attend=linear.rwkv_attn_masked)),
-    "linear-transformer": Arch(_attention_params, (init_layers, linear.linear_step),
-                               partial(linear.parallel_forward, attend=linear.linear_attn_masked)),
+    "rwkv": Arch(_rwkv_params, (init_layers, linear.rwkv_chunk),
+                 partial(linear.parallel_forward, attend=linear.rwkv_attn_masked), chunked=True),
+    "linear-transformer": Arch(_attention_params, (init_layers, linear.linear_chunk),
+                               partial(linear.parallel_forward, attend=linear.linear_attn_masked),
+                               chunked=True),
 }
 
 ARCHS = tuple(ARCH_TABLE)

@@ -8,10 +8,14 @@ Each mechanism has two evaluation routes that must agree numerically:
   number of graph nodes whatever the length; the quadratic work sits inside
   those nodes;
 * recurrent -- constant-size accumulator pairs (a, b) updated by the fixed
-  shifting operation, consuming one token at a time.  The update and the
-  read-out are a few fused ``tensor`` nodes per layer, for all heads of the
-  linear Transformer at once, each counted as the elementary ops it
-  replaces.
+  shifting operation, token by token.  The step cells take a chunk of
+  tokens and run each layer over the chunk's (n, B, d) stack of rows: LN1,
+  the projections and the FFN sublayer as stacked nodes, and the
+  recurrence, for all heads at once, as one ``tensor`` scan node per
+  layer, which loops over the tokens inside the node and reads out only
+  where asked.  A step is the chunk of one token, and a chunk's last scan
+  per layer is the state the next chunk resumes.  Each node is counted as
+  the elementary ops it replaces, once per token.
 
 The accumulator update never applies the learned function to the carried
 state, only to the current input; that is precisely what makes these models
@@ -24,8 +28,8 @@ import numpy as np
 
 from .. import tensor as T
 from ..tensor import Value
-from .common import (ParamGraph, concat_heads, embed_one, embed_sequence, readout,
-                     residual_block, split_heads, step_layers)
+from .common import (ParamGraph, chunk_layers, concat_heads, embed_sequence, readout,
+                     residual_block, split_heads)
 
 
 def _decay(pg: ParamGraph, prefix: str) -> Value:
@@ -67,25 +71,20 @@ def rwkv_attn_masked(cfg, pg: ParamGraph, prefix: str, x: Value) -> Value:
     return num / den
 
 
-def rwkv_attn_recurrent(pg: ParamGraph, prefix: str, ab, k_t: Value, v_t: Value) -> tuple:
-    """(a, b) carry the decayed numerator/denominator sums over positions < t,
-    and are None before the first token; state size is constant in t."""
-    if ab is None:
-        ek = T.exp(k_t)
-        return v_t, (ek * v_t, ek)   # empty history: the bonus cancels
-    a, b = ab
-    z = T.rwkv_decay(pg[f"{prefix}.w_raw"])
-    h = T.rwkv_output(pg[f"{prefix}.u"], k_t, v_t, a, b)
-    ek = T.exp(k_t)
-    return h, (T.decayed_sum(z, a, ek, v_t), T.decayed_sum(z, b, ek))
+def _project(pg: ParamGraph, weight: str, x: Value) -> Value:
+    """The stack of rows ``x`` (n, B, d) times the weight ``weight``, one
+    product per row."""
+    return T.affine([(x, pg[weight])], None, stacked=True)
 
 
-def rwkv_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:
-    def layer(prefix, h, ab):
-        return residual_block(cfg, pg, prefix, h, lambda x: rwkv_attn_recurrent(
-            pg, prefix, ab, T.matmul(x, pg[f"{prefix}.wk"]), T.matmul(x, pg[f"{prefix}.wv"])))
+def rwkv_chunk(cfg, pg: ParamGraph, state: dict, token_ids: np.ndarray, queries) -> tuple:
+    """Scan cell: per layer, the keys and values of every row of the chunk,
+    then one ``tensor.rwkv_scan`` node for the (a, b) recurrence."""
+    def attend(prefix, x, rows, prev):
+        k, v = (_project(pg, f"{prefix}.{w}", x) for w in ("wk", "wv"))
+        return T.rwkv_scan(pg[f"{prefix}.w_raw"], pg[f"{prefix}.u"], k, v, prev, rows)
 
-    return step_layers(state, embed_one(pg, token_ids_t, state["t"], cfg.use_positional), layer)
+    return chunk_layers(cfg, pg, state, token_ids, queries, attend)
 
 
 # -- linear transformer -----------------------------------------------------
@@ -116,26 +115,15 @@ def linear_attn_masked(cfg, pg: ParamGraph, prefix: str, x: Value) -> Value:
     return concat_heads(heads)
 
 
-def linear_attn_recurrent(ab, q: Value, k: Value, v: Value, n_heads: int) -> tuple:
-    """a accumulates each head's rank-1 outer products phi(k) v^T; b
-    accumulates phi(k).  The current token's contribution is folded in
-    before the read-out, so the result covers positions 1..t.  The update,
-    the sum and the read-out read k's heads from one ``split_row`` node."""
-    k = T.split_row(k, n_heads)
-    if ab is None:
-        a, b = T.outer_update(None, k, v, n_heads), k
-    else:
-        a, b = T.outer_update(ab[0], k, v, n_heads), T.key_sum(ab[1], k, n_heads)
-    return T.linear_readout(q, a, b), (a, b)
+def linear_chunk(cfg, pg: ParamGraph, state: dict, token_ids: np.ndarray, queries) -> tuple:
+    """Scan cell: per layer, the queries of the rows read out and the keys
+    and values of every row of the chunk, then one ``tensor.linear_scan``
+    node, which applies the feature map and runs the (a, b) recurrence for
+    all heads."""
+    def attend(prefix, x, rows, prev):
+        read = x if len(rows) == x.shape[0] else T.pick(x, rows)
+        q, k, v = (_project(pg, f"{prefix}.{w}", rows_of)
+                   for w, rows_of in (("wq", read), ("wk", x), ("wv", x)))
+        return T.linear_scan(q, k, v, prev, rows, cfg.n_heads, cfg.feature_map)
 
-
-def linear_step(cfg, pg: ParamGraph, state: dict, token_ids_t: np.ndarray) -> tuple:
-    """Layer states are one (a, b) pair for all heads, None while empty: a
-    (B, n_heads, dh, dv) holds each head's sum of outer products and b (B,
-    d) the sum of phi(k), head i in columns i·dh on; after the first token
-    b is that token's split phi(k)."""
-    def layer(prefix, h, ab):
-        return residual_block(cfg, pg, prefix, h, lambda x: linear_attn_recurrent(
-            ab, *_projections(cfg, pg, prefix, x), cfg.n_heads))
-
-    return step_layers(state, embed_one(pg, token_ids_t, state["t"], cfg.use_positional), layer)
+    return chunk_layers(cfg, pg, state, token_ids, queries, attend)

@@ -6,7 +6,10 @@ elementary ops it replaces.  Each node's ``tensor.Op`` gives its count, chain
 lengths and flops (a fused kind's read off the node), so this module names no
 op kind.  ``depth`` is the length of the longest dependency chain from any
 input/parameter leaf to a logit node; ``total_ops`` is the number of
-operations reachable from the logits.
+operations reachable from the logits.  A stack whose rows stand for chains
+of different lengths, such as a recurrent scan's read-outs, holds one depth
+per row, carried through the kinds that keep rows apart and placed by the
+kinds that mix or pick them, in the same one walk.
 Both are measured on the graph an architecture actually builds, so the
 numbers reflect the implementation, not an idealized formula.
 
@@ -66,24 +69,57 @@ def graph_profile(sinks: list, n: int, arch: str) -> DepthProfile:
     # topo_nodes orders by id, and ids are globally monotonic, so parents
     # always precede children
     depth: dict[int, int] = {}
+    rows: dict[int, np.ndarray] = {}     # one depth per row, where a stack's rows differ
     total_ops = flops = 0
     for v in topo_nodes(*sinks):
         op = v.op
-        if op.chains is None:       # a leaf or an elementary op
+        if op.rows is not None or rows and any(p.id in rows for p in v.parents):
+            _row_depths(v, [rows.get(p.id, depth[p.id]) for p in v.parents], depth, rows)
+            total_ops += op.ops(v)
+        elif op.chains is None:       # a leaf or an elementary op
             if not op.ops:
                 depth[v.id] = 0
                 continue
             depth[v.id] = 1 + max(depth[p.id] for p in v.parents)
             total_ops += op.ops
         else:
-            chains = op.chains(v)
-            if len(chains) != len(v.parents):
-                raise ProfilerError(f"{op.name} node {v.id} has {len(v.parents)} parents "
-                                    f"but {len(chains)} chain lengths")
-            depth[v.id] = max(depth[p.id] + c for p, c in zip(v.parents, chains))
+            depth[v.id] = max(depth[p.id] + c for p, c in zip(v.parents, _chains(v)))
             total_ops += op.ops(v)
         flops += op.flops(v)
-    return DepthProfile(total_ops, max(depth.values()), n, arch, flops)
+    return DepthProfile(total_ops, max(depth[s.id] for s in sinks), n, arch, flops)
+
+
+def _chains(v: Value) -> tuple:
+    """The chain lengths of a fused node, one per parent."""
+    chains = v.op.chains(v)
+    if len(chains) != len(v.parents):
+        raise ProfilerError(f"{v.op.name} node {v.id} has {len(v.parents)} parents "
+                            f"but {len(chains)} chain lengths")
+    return chains
+
+
+def _row_depths(v: Value, depths: list, depth: dict, rows: dict) -> None:
+    """Set the depth of ``v``, whose parents' ``depths`` include one per row
+    of a stack or whose kind places rows itself: its own kind's ``rows``,
+    or, for a row-wise kind, each row's parents' rows plus the chains.  A
+    stack whose rows' depths are all one keeps a single depth."""
+    op = v.op
+    if op.rows is not None:
+        d = op.rows(v, depths)
+    elif op.rowwise:
+        chains = _chains(v)
+        if any(np.ndim(x) and len(x) != v.shape[0] for x in depths):
+            raise ProfilerError(f"{op.name} node {v.id} of {v.shape[0]} rows has a parent "
+                                f"with another number of row depths")
+        d = np.max(np.broadcast_arrays(*(x + c for x, c in zip(depths, chains))), axis=0)
+    else:
+        raise ProfilerError(f"{op.name} node {v.id} has a parent with one depth per row, "
+                            f"but its kind neither keeps rows apart nor places them")
+    if np.ndim(d):
+        if d.min() != d.max():
+            rows[v.id] = d
+        d = d.max()
+    depth[v.id] = int(d)
 
 
 @graph_scope()

@@ -23,38 +23,44 @@ elementary nodes they replace would, byte for byte:
   than one head the query's splits and the heads' concat.  Both score every
   (query, key) pair of every head in one product and sum, and run only each
   query's softmax sum and value mix on their own;
-- RWKV's recurrent update, ``rwkv_decay`` (3 ops), ``rwkv_output`` (6) and
-  ``decayed_sum`` (2, or 3 with a weighted new term), and the linear
-  Transformer's, for all heads at once: ``outer_update`` (4 per head, or 3
-  with no state yet, and the value's splits), ``key_sum`` (an add per head)
-  and ``linear_readout`` (6 per head, and the query's splits and the
-  heads' concat);
+- the recurrent state of RWKV and the linear Transformer over a chunk of
+  tokens, one scan node per layer that runs the recurrence token by token
+  inside the node: ``rwkv_scan`` (per token the decay, the read-out and
+  the update, 15 ops, and 2 for the first token's update) and
+  ``linear_scan`` (per token the key's feature map and splits and every
+  head's update and key sum, and per query the query's feature map and
+  every head's read-out); see "the recurrent state scans" below;
 - ``split_row``, a row's heads' splits and reshapes, for a row that more
-  than one node reads as heads: a cached attention's key and value rows and
-  linear attention's key;
-- the parallel Transformer's per-position rows: ``position_rows``, a
-  sequence's L row slices stacked position-major (L, B, d), ``stack_rows``,
-  those rows' reshapes and concat back into (B, L, d), and ``pick``, a row
-  or rows of such a stack, which stands for no op at all, since the chain
-  held each row as a node of its own.
+  than one node reads as heads: a cached attention's key and value rows;
+- per-position rows: ``embed_rows``, a chunk's embedding rows (a gather
+  and a positional add per position) stacked position-major (n, B, d);
+  ``position_rows``, a sequence's L row slices stacked position-major (L,
+  B, d); ``stack_rows``, those rows' reshapes and concat back into (B, L,
+  d); and ``pick``, a row or rows of such a stack, which stands for no op
+  at all, since the chain held each row as a node of its own.
 
-A ``stacked`` ``affine`` or ``ffn_sublayer`` node is its chain once per
-query, over (Lq, B, d) stacks of per-query rows with shared weights.  The
-layout keeps the bytes: numpy's stacked matmul makes one BLAS call per
+A ``stacked`` ``layer_norm``, ``affine`` or ``ffn_sublayer`` node is its
+chain once per query, over (Lq, B, d) stacks of per-query rows with shared
+weights; an ``affine`` without a bias is a stack of the chain's matmuls.
+The layout keeps the bytes: numpy's stacked matmul makes one BLAS call per
 leading index, so over (Lq, B, d) each call is one query's (B, d) @ W,
 whereas over (B, L, d) it is a whole sequence's (L, d) @ W, which sums in
 another order.  The weights take each query's gradient in turn, from the
-last query to the first, as the chain's per-query nodes added them.
+last query to the first, as the chain's per-query nodes added them.  A
+stack's rows may stand for chains of different lengths, such as a scan's
+read-outs; ``Op`` says how a kind carries or places its rows' depths (see
+``profiler.graph_profile``).
 
 An all-heads kind adds head i's gradient into columns i·d/n_heads on of a
-full-width parent.  Into the query, or the value of ``outer_update``, it
-adds through a zero-filled buffer as the split's backward did; that split
-was read by this node alone.  A split that several nodes read is a
-``split_row`` node, which sums what they add, as the split did, before it
-adds into its source.  ``attention`` adds into its (B, L, d) projections
-through zero-filled buffers, as the rows' slices did.  So gradients keep
-the chain's bytes whatever else reads the source, the sign of a zero
-included.
+full-width parent.  Into the query it adds through a zero-filled buffer as
+the split's backward did; that split was read by this node alone.  A split
+that several nodes read is a ``split_row`` node, which sums what they add,
+as the split did, before it adds into its source.  ``attention`` adds into
+its (B, L, d) projections through zero-filled buffers, as the rows' slices
+did.  A node that reads some rows of a stack, as ``pick`` and a scan that
+resumes another's state do, adds into the stack's gradient through a
+buffer of -0.0, the exact identity of addition.  So gradients keep the
+chain's bytes whatever else reads the source, the sign of a zero included.
 
 A fused ``Op`` reads its op count, its chain's length from each parent and
 its flops off the node, since all three may grow with the number of
@@ -136,12 +142,9 @@ __all__ = [
     "position_rows",
     "stack_rows",
     "pick",
-    "rwkv_decay",
-    "rwkv_output",
-    "decayed_sum",
-    "outer_update",
-    "key_sum",
-    "linear_readout",
+    "embed_rows",
+    "rwkv_scan",
+    "linear_scan",
     "concat",
     "take_rows",
     "reshape",
@@ -286,18 +289,29 @@ class Op:
     1, both with ``chains`` None: the node is one op, one step past its
     deepest parent.  A fused kind reads both off the node, as ``flops``
     does: ``ops(node)`` is its chain's op count and ``chains(node)`` a tuple
-    of one length per parent, since the chain may grow with the parents."""
+    of one length per parent, since the chain may grow with the parents.
 
-    __slots__ = ("name", "backward", "flops", "ops", "chains")
+    A stack's rows, along its leading axis, may stand for chains of
+    different lengths, and the profiler then holds one depth per row.  A
+    ``rowwise`` kind builds each row of its output from the same row of
+    each stacked parent, so a row's depth is its parents' rows' depths
+    plus the ``chains``; a kind that mixes or picks rows places them
+    itself: ``rows(node, depths)`` maps its parents' depths, each an int
+    or a float array of one depth per row, to its own."""
+
+    __slots__ = ("name", "backward", "flops", "ops", "chains", "rowwise", "rows")
 
     def __init__(self, name: str, backward: Callable | None,
                  flops: Callable[["Value"], int], ops=1,
-                 chains: Callable[["Value"], tuple] | None = None):
+                 chains: Callable[["Value"], tuple] | None = None, rowwise: bool = False,
+                 rows: Callable | None = None):
         self.name = name
         self.backward = backward
         self.flops = flops
         self.ops = ops
         self.chains = chains
+        self.rowwise = rowwise
+        self.rows = rows
 
     def __repr__(self):
         return f"Op({self.name!r})"
@@ -536,11 +550,13 @@ def matmul(a: Value, b: Value) -> Value:
 
 def _affine_bwd(out):
     # replays the chain's backward steps in reverse creation order: the bias
-    # add, then each product from the last pair to the first; every product
-    # has the output's shape, so each receives the output's gradient as is
-    *operands, bias = out.parents
-    g, stacked = out._grad, out._ctx
-    _param_grad(bias, g, stacked)
+    # add (if any), then each product from the last pair to the first; every
+    # product has the output's shape, so each receives the output's gradient
+    # as is
+    operands, g, stacked = out.parents, out._grad, out._ctx
+    if len(operands) % 2:
+        *operands, bias = operands
+        _param_grad(bias, g, stacked)
     for j in range(len(operands) - 2, -1, -2):
         x, w = operands[j], operands[j + 1]
         g_x, g_w = _matmul_grads(x.data, w.data, g, stacked)
@@ -548,13 +564,15 @@ def _affine_bwd(out):
         _param_grad(w, g_w, stacked)
 
 
-def affine(pairs: Sequence[tuple], bias: Value, stacked: bool = False) -> Value:
+def affine(pairs: Sequence[tuple], bias: Value | None, stacked: bool = False) -> Value:
     """``x0 @ W0 + x1 @ W1 + ... + bias`` for 1 to 3 (x, W) ``pairs``, summed
-    left to right, as one node with parents (x0, W0, x1, W1, ..., bias).
+    left to right, as one node with parents (x0, W0, x1, W1, ..., bias);
+    with ``bias`` None, the products' sum alone, with no bias parent.
 
     The products must all have the output's shape, so the bias may broadcast
     only into it.  Data and gradients are byte-identical to the chain of k
-    matmul and k add nodes, and ``_AFFINE`` counts it as that chain.  A
+    matmul and k add nodes (k - 1 without a bias), and ``_AFFINE`` counts it
+    as that chain.  A
     ``stacked`` node is one such chain per query: the x's are (Lq, B, d)
     stacks of per-query rows, the W's and the bias shared, and numpy's
     stacked product makes each query's (B, d) @ W product as the chain's
@@ -564,13 +582,14 @@ def affine(pairs: Sequence[tuple], bias: Value, stacked: bool = False) -> Value:
     """
     if not 1 <= len(pairs) <= 3:
         raise TensorError(f"affine takes 1 to 3 pairs, got {len(pairs)}")
-    parents = (*(v for pair in pairs for v in pair), bias)
+    parents = tuple(v for pair in pairs for v in pair) + (() if bias is None else (bias,))
     try:
         products = [np.matmul(x.data, w.data) for x, w in pairs]
         data = products[0]
         for product in products[1:]:
             data = data + product
-        data = data + bias.data
+        if bias is not None:
+            data = data + bias.data
     except ValueError as err:
         raise ShapeError(_AFFINE.name, *(v.shape for v in parents)) from err
     if any(product.shape != data.shape for product in products) or stacked and (
@@ -658,7 +677,8 @@ def _layer_norm_grads(gain: Value, bias: Value, ctx: tuple, g: np.ndarray,
 
 def _layer_norm_bwd(out):
     x, gain, bias = out.parents
-    for part in _layer_norm_grads(gain, bias, out._ctx, out._grad):
+    *ctx, stacked = out._ctx
+    for part in _layer_norm_grads(gain, bias, ctx, out._grad, stacked):
         _accumulate(x, part)
 
 
@@ -682,22 +702,25 @@ def _check_norm(x: Value, gain: Value, bias: Value, op: "Op") -> None:
         raise ShapeError(op.name, x.shape, gain.shape, bias.shape)
 
 
-def layer_norm(x: Value, gain: Value, bias: Value, eps: float) -> Value:
+def layer_norm(x: Value, gain: Value, bias: Value, eps: float, stacked: bool = False) -> Value:
     """Normalize ``x`` over its last axis to zero mean and unit variance,
     then scale by ``gain`` and shift by ``bias``, both of shape (d,).
 
     One node for 13 elementary ops: sum, * 1/d, sub, square, sum, * 1/d,
     + eps, log, * -0.5, exp (so 1/sqrt(var + eps) is exp(-log(var + eps)/2)),
-    * inv_std, * gain and + bias.  Data and gradients are byte-identical to
-    that chain's, and ``_LAYER_NORM`` counts it as the chain.  The node raises
-    ``GraphOverflowError`` whenever a node of the chain would have: an
-    infinite variance makes inv_std 0 and the output finite, so var + eps is
-    checked as well as the output.
+    * inv_std, * gain and + bias.  A ``stacked`` node is one such chain per
+    row of an (L, B, d) stack, as ``affine``'s.  Data and gradients are
+    byte-identical to the chain's, and ``_LAYER_NORM`` counts it as the
+    chain.  The node raises ``GraphOverflowError`` whenever a node of the
+    chain would have: an infinite variance makes inv_std 0 and the output
+    finite, so var + eps is checked as well as the output.
     """
     _check_norm(x, gain, bias, _LAYER_NORM)
+    if stacked and x.data.ndim != 3:
+        raise ShapeError(_LAYER_NORM.name, x.shape, gain.shape, bias.shape)
     with _quiet():
         data, ctx = _normalize(x.data, gain.data, bias.data, eps)
-    out = Value(data, _LAYER_NORM, (x, gain, bias), ctx)
+    out = Value(data, _LAYER_NORM, (x, gain, bias), (*ctx, stacked))
     if not np.isfinite(ctx[2]).all():
         _overflow(out)
     return out
@@ -947,10 +970,7 @@ def stack_rows(h: Value) -> Value:
 def _pick_bwd(out):
     # a buffer of -0.0, the one exact identity of addition, leaves every
     # row's gradient as the chain's node held it, zero signs included
-    stack = out.parents[0]
-    if stack._grad is None:
-        stack._grad = np.full_like(stack.data, -0.0)
-    stack._grad[out._ctx] += out._grad
+    _rows_grad(out.parents[0])[out._ctx] += out._grad
 
 
 def pick(stack: Value, index) -> Value:
@@ -1170,212 +1190,399 @@ def cached_attention(q: Value, key_rows: Sequence[Value], value_rows: Sequence[V
 _elu1, _elu1_deriv = NONLINEARITIES["elu_plus_one"]
 
 
-def _rwkv_decay_bwd(out):
-    # replays exp, * -1 and elu_plus_one in reverse creation order
-    w = out.parents[0]
-    _accumulate(w, out._grad * out.data * -1.0 * _elu1_deriv(w.data, out._ctx))
+def _embed_rows_bwd(out):
+    # each position's add passes its gradient on as is, and each gather,
+    # from the last position to the first, adds its rows into the table's
+    # zero-filled buffer
+    ids, g = out._ctx[0], out._grad
+    buf = _grad_buffer(out.parents[0])
+    for t in range(ids.shape[1] - 1, -1, -1):
+        np.add.at(buf, ids[:, t], g[t])
 
 
-def rwkv_decay(w: Value) -> Value:
-    """RWKV's per-channel decay factor ``exp(-elu_plus_one(w))``, in (0, 1].
+def embed_rows(table: Value, ids, positions=None) -> Value:
+    """The rows of ``table`` (V, d) at the token ids ``ids`` (B, n), each
+    position's plus its row of ``positions`` (n, d) if given, stacked
+    position-major: (n, B, d), row t for the tokens ``ids[:, t]``; one node
+    with parent ``table``.
 
-    One node for the 3 elementary ops that built it: the nonlinearity, the
-    negation (a product with the constant -1) and the exp.  Data and
-    gradients are byte-identical to that chain's.  No node of the chain can
-    be non-finite for a finite ``w``: elu_plus_one is finite and positive,
-    so the exp's argument is finite and negative.
+    One node for the chain that embedded one position at a time: per
+    position the table's gather and, with ``positions``, the add of its
+    row, n or 2n ops on a chain 1 or 2 long.  Data and gradients are
+    byte-identical to that chain's: the table takes each position's rows in
+    turn, from the last position to the first, as the gathers added them.
+    A gather of finite rows is finite, so the output's check raises where
+    the adds would have.
     """
+    ids = np.asarray(ids)
+    if (ids.ndim != 2 or not np.issubdtype(ids.dtype, np.integer) or table.data.ndim != 2
+            or positions is not None and np.shape(positions) != (ids.shape[1], table.shape[1])):
+        raise ShapeError(_EMBED_ROWS.name, table.shape, ids.shape, np.shape(positions))
+    try:
+        data = table.data[ids.T]
+    except IndexError as err:
+        raise ShapeError(_EMBED_ROWS.name, table.shape, ids.shape) from err
+    if positions is not None:
+        data = data + np.asarray(positions)[:, None]
+    return Value(data, _EMBED_ROWS, (table,), (ids, positions is not None))
+
+
+# -- the recurrent state scans -------------------------------------------------
+# A scan runs one layer's state recurrence over a chunk of n tokens, token by
+# token inside one node, and reads out only at its ``queries``, since the
+# chain's read-outs elsewhere reached no logit.  Its output stacks the
+# read-outs, (len(queries), B, d), then the state a next chunk starts from,
+# as rows of that width.  A next chunk's scan takes this one as its last
+# parent and adds its gradient into those rows, through a buffer of -0.0 as
+# ``pick`` does, so that rows nothing reads leave every gradient as the
+# chain's nodes left it.  Each token's k, v and q rows sum what the token's
+# chain adds into them before they add it into their stack, as the token's
+# own node did.  ``rows`` replays the chain's depths token by token, so each
+# read-out row has its own token's depth.
+
+
+def _rows_grad(stack: Value) -> np.ndarray:
+    """``stack``'s gradient array, filled with -0.0 on first use, for adds
+    into some of its rows."""
+    if stack._grad is None:
+        stack._grad = np.full_like(stack.data, -0.0)
+    return stack._grad
+
+
+def _state_rows(prev: Value, op: "Op", b: int, d: int, count: int) -> np.ndarray:
+    """The last ``count`` rows of ``prev``, a scan of kind ``op`` over a batch
+    of ``b`` rows of width ``d``: the state it hands on."""
+    if prev.op is not op or prev.shape[1:] != (b, d):
+        raise ShapeError(op.name, prev.shape, (b, d))
+    return prev.data[prev.shape[0] - count:]
+
+
+def _check_queries(queries, n: int, op: "Op", *shapes) -> tuple:
+    """``queries`` as a tuple, if they are increasing positions in [0, n)."""
+    queries = tuple(int(t) for t in queries)
+    if (not queries or list(queries) != sorted(set(queries))
+            or not 0 <= queries[0] <= queries[-1] < n):
+        raise ShapeError(op.name, *shapes, queries)
+    return queries
+
+
+def _rwkv_scan_bwd(out):
+    # replays each token's chain from the last token to the first: the
+    # update after it (b', a', then exp(k)), its output and the decay; the
+    # state before a token, and its k and v rows, take its update's
+    # gradient first (the last token's from the next chunk, through the
+    # state rows), then its output's; each row then adds its sum into k
+    # or v, as the token's own node passed its gradient on
+    w, u, k, v, *prev = out.parents
+    queries, history, z, nl, ek, states, outputs, start = out._ctx[:8]
+    bonus, num, den = outputs
+    a_all, b_all = states
+    n, b, d = k.shape
+    s0 = 0 if prev else 1
+    kd, vd = k.data, v.data
+    qs = np.asarray(queries)
+    live = qs >= s0
+    tl = qs[live]
+    g = out._grad
+    g_out, g_state = g[:len(qs)], g[len(qs):]
+    go = g_out[live]
+    g_num = go / den
+    g_den = -go * num / (den * den)
+    g_s = (g_den + g_num * vd[tl]) * bonus
+    out_k, out_v, out_a, out_b = (np.full(k.shape, -0.0) for _ in range(4))
+    out_a[tl], out_b[tl], out_k[tl], out_v[tl] = g_num, g_den, g_s, g_num * bonus
+    upd_k, upd_v = np.full(k.shape, -0.0), np.full(k.shape, -0.0)
+    upd_k[-1], upd_v[-1] = g_state[-2], g_state[-1]
+    ga, gb = np.full(k.shape, -0.0), np.full(k.shape, -0.0)
+    if history:
+        ga[-1], gb[-1] = g_state[0] + out_a[-1], g_state[1] + out_b[-1]
+    for t in range(n - 2, s0 - 1, -1):
+        ga[t], gb[t] = ga[t + 1] * z + out_a[t], gb[t + 1] * z + out_b[t]
+    g_ek = gb[1:] + ga[1:] * vd[:-1]
+    upd_v[:-1] = ga[1:] * ek[:-1]
+    upd_k[:-1] = g_ek * ek[:-1]
+    if not prev and queries[0] == 0:
+        out_v[0] = g_out[0]             # token 0, with no state, reads out its value row
+    _accumulate(k, upd_k + out_k)
+    _accumulate(v, upd_v + out_v)
+    for g_row in g_s[::-1]:
+        _accumulate(u, _unbroadcast(g_row, u.shape))
+    deriv = _elu1_deriv(w.data, nl)
+    for t in range(n - 2, s0 - 1, -1):
+        g_z = _unbroadcast(gb[t + 1] * b_all[t], z.shape) + _unbroadcast(ga[t + 1] * a_all[t],
+                                                                          z.shape)
+        _accumulate(w, g_z * z * -1.0 * deriv)
+    if prev:
+        # the update after the previous chunk's last token
+        rows, ekp = start
+        g_ekp = gb[0] + ga[0] * rows[-1]
+        parts = [g_ekp * ekp, ga[0] * ekp]
+        if len(rows) == 4:
+            g_z = _unbroadcast(gb[0] * rows[1], z.shape) + _unbroadcast(ga[0] * rows[0], z.shape)
+            parts = [ga[0] * z, gb[0] * z, *parts]
+            _accumulate(w, g_z * z * -1.0 * deriv)
+        _rows_grad(prev[0])[-len(rows):] += parts
+
+
+def rwkv_scan(w: Value, u: Value, k: Value, v: Value, prev: Value | None, queries) -> Value:
+    """RWKV's time-mix over a chunk of n tokens, their keys ``k`` and values
+    ``v`` (n, B, d), read out at ``queries`` (increasing positions in [0,
+    n)); one node with parents (w, u, k, v) and ``prev``, the previous
+    chunk's scan, if any.
+
+    The state before token t is the decayed sums (a, b) of the tokens
+    before it, with decay z = exp(-elu_plus_one(w)), and token t reads out
+    (a + e^(u + k_t) v_t) / (b + e^(u + k_t)), or its value row when no
+    token came before.  The output stacks the read-outs, then the state the
+    next chunk starts from: (a, b) before the last token, if any token came
+    before it, and the last token's k and v rows, since that token's update
+    is only built when a next chunk reads it.
+
+    One node for the chain that ran one token at a time: per token from the
+    second on, the decay (3 ops), the read-out (6) and, but for the last,
+    the update (exp(k), z * a + e^k * v and z * b + e^k, 6); for the first,
+    its update e^k * v, e^k (2); the previous chunk's pending update comes
+    first.  Data and gradients are byte-identical to that chain's.  The
+    node raises ``GraphOverflowError`` whenever a node of the chain would
+    have: every e^k, updated state and read-out is checked, and u + k and
+    the denominator as well, since their infinities leave the read-out
+    finite.
+    """
+    n, b, d = k.shape if k.data.ndim == 3 else (0, 0, 0)
+    if not n or v.shape != k.shape or w.shape != (d,) or u.shape != (d,):
+        raise ShapeError(_RWKV_SCAN.name, w.shape, u.shape, k.shape, v.shape)
+    queries = _check_queries(queries, n, _RWKV_SCAN, k.shape)
+    kd, vd = k.data, v.data
     nl = _elu1(w.data)
-    return Value(np.exp(nl * -1.0), _RWKV_DECAY, (w,), nl)
-
-
-def _rwkv_output_bwd(out):
-    # replays h = num / den, den = b + bonus, num = a + bonus * v,
-    # bonus = exp(s) and s = u + k in reverse creation order: b, a, v, then u
-    # and k receive their gradients
-    u, k, v, a, b = out.parents
-    bonus, num, den = out._ctx
-    g = out._grad
-    g_num = _unbroadcast(g / den, num.shape)
-    g_den = _unbroadcast(-g * num / (den * den), den.shape)
-    _accumulate(b, _unbroadcast(g_den, b.shape))
-    _accumulate(a, _unbroadcast(g_num, a.shape))
-    g_bv = _unbroadcast(g_num, np.broadcast_shapes(bonus.shape, v.shape))
-    g_bonus = _unbroadcast(g_den, bonus.shape) + _unbroadcast(g_bv * v.data, bonus.shape)
-    _accumulate(v, _unbroadcast(g_bv * bonus, v.shape))
-    g_s = g_bonus * bonus
-    _accumulate(u, _unbroadcast(g_s, u.shape))
-    _accumulate(k, _unbroadcast(g_s, k.shape))
-
-
-def rwkv_output(u: Value, k: Value, v: Value, a: Value, b: Value) -> Value:
-    """RWKV's output at one step, ``(a + bonus * v) / (b + bonus)`` with the
-    current token's bonus ``exp(u + k)``, from the decayed sums ``a`` and
-    ``b`` of the earlier tokens; one node with parents (u, k, v, a, b).
-
-    One node for the 6 elementary ops that built it: u + k, the exp, bonus *
-    v, the two adds and the divide.  Data and gradients are byte-identical to
-    that chain's.  The node raises ``GraphOverflowError`` whenever a node of
-    the chain would have: u + k = -inf gives a bonus of 0, and b + bonus =
-    inf a finite quotient, so both are checked as well as the output.
-    """
-    parents = (u, k, v, a, b)
-    try:
-        with _quiet():
-            s = u.data + k.data
-            bonus = np.exp(s)
-            num = a.data + bonus * v.data
-            den = b.data + bonus
-            data = num / den
-    except ValueError as err:
-        raise ShapeError(_RWKV_OUTPUT.name, *(p.shape for p in parents)) from err
-    out = Value(data, _RWKV_OUTPUT, parents, (bonus, num, den))
-    if not (np.isfinite(s).all() and np.isfinite(den).all()):
-        _overflow(out)
-    return out
-
-
-def _decayed_sum_bwd(out):
-    # replays the add, then x * y (if any) and z * a in reverse creation
-    # order: x (and y), z and a receive their gradients
-    z, a, x, *y = out.parents
-    g = out._grad
-    if y:
-        g_xy = _unbroadcast(g, np.broadcast_shapes(x.shape, y[0].shape))
-        _accumulate(x, _unbroadcast(g_xy * y[0].data, x.shape))
-        _accumulate(y[0], _unbroadcast(g_xy * x.data, y[0].shape))
-    else:
-        _accumulate(x, _unbroadcast(g, x.shape))
-    g_za = _unbroadcast(g, np.broadcast_shapes(z.shape, a.shape))
-    _accumulate(z, _unbroadcast(g_za * a.data, z.shape))
-    _accumulate(a, _unbroadcast(g_za * z.data, a.shape))
-
-
-def decayed_sum(z: Value, a: Value, x: Value, y: Value | None = None) -> Value:
-    """``z * a + x * y``, or ``z * a + x`` without ``y``: a sum ``a`` decayed
-    by ``z`` with a new term added, as one node with parents (z, a, x, y) or
-    (z, a, x) for the chain's products and add, 3 ops or 2.
-
-    Data and gradients are byte-identical to that chain's, which builds
-    z * a before x * y.  A non-finite product stays non-finite through the
-    add, so the output's check raises whenever the chain's would have.
-    """
-    parents = (z, a, x) if y is None else (z, a, x, y)
-    try:
-        data = z.data * a.data + (x.data if y is None else x.data * y.data)
-    except ValueError as err:
-        raise ShapeError(_DECAYED_SUM.name, *(p.shape for p in parents)) from err
-    return Value(data, _DECAYED_SUM, parents)
-
-
-def _outer_update_bwd(out):
-    # replays, for every head at once, the add (if any), the outer product
-    # and the two reshapes, the value's after the key's in creation order: a,
-    # v and k receive theirs, and the splits of v add them into its row
-    *a, k, v = out.parents
-    n_heads = out._ctx
-    g = out._grad                                                    # (B, H, dh, dv)
-    if a:
-        _accumulate(a[0], g)
-    rk, rv = _heads(k.data, n_heads)[..., None], _heads(v.data, n_heads)[:, :, None]
-    _accumulate_heads(v, [np.matmul(np.swapaxes(rk, -1, -2), g)], n_heads)
-    _accumulate(k, np.matmul(g, np.swapaxes(rv, -1, -2)).reshape(k.shape))
-
-
-def outer_update(a: Value | None, k: Value, v: Value, n_heads: int) -> Value:
-    """``a + k (x) v`` per head: head i's outer product of ``k`` (B, d) and
-    ``v`` (B, dv), both read as ``n_heads`` heads, at ``[:, i]`` of a (B,
-    n_heads, d / n_heads, dv / n_heads) array, added to the state ``a`` of
-    that shape, or alone when ``a`` is None; one node with parents (a, k,
-    v) or (k, v).
-
-    One node for the chain that split v into its heads and, per head, built
-    two reshapes, a matmul and, with ``a``, an add: 4 ops per head, or 3,
-    and n_heads splits with more than one head.  ``k`` holds the key's heads
-    already: a ``split_row`` node, which ``key_sum`` and ``linear_readout``
-    read too, as the chain's update, sum and read-out read the key's
-    splits.  Every head's product is one (B, n_heads) stack of the chain's
-    per-head products.  Data and gradients are byte-identical to that
-    chain's; a non-finite product stays non-finite through the add of a
-    finite ``a``, so the output's check raises whenever the chain's would.
-    """
-    batch = k.shape[0] if k.data.ndim == 2 else 0
-    if (not batch or v.data.ndim != 2 or v.shape[0] != batch or n_heads < 1
-            or k.shape[1] % n_heads or v.shape[1] % n_heads):
-        raise ShapeError(_OUTER_UPDATE.name, k.shape, v.shape, n_heads)
-    data = np.matmul(_heads(k.data, n_heads)[..., None], _heads(v.data, n_heads)[:, :, None])
-    if a is None:
-        return Value(data, _OUTER_UPDATE, (k, v), n_heads)
-    if a.shape != data.shape:
-        raise ShapeError(_OUTER_UPDATE.name, a.shape, k.shape, v.shape, n_heads)
-    return Value(a.data + data, _OUTER_UPDATE, (a, k, v), n_heads)
-
-
-def key_sum(b: Value, k: Value, n_heads: int) -> Value:
-    """``b + k``, linear attention's running sum ``b`` (B, d) of the
-    feature-mapped keys with the next key ``k`` added; one node with parents
-    (b, k).  Both hold ``n_heads`` heads side by side: ``k`` a ``split_row``
-    node, ``b`` the first key's or an earlier sum.
-
-    One node for the chain that added each of k's heads to b's, n_heads
-    adds.  Data and gradients are byte-identical to that chain's.  The sum
-    of finite rows can overflow, and the output's check raises as the
-    chain's adds would.
-    """
-    if k.data.ndim != 2 or n_heads < 1 or k.shape[1] % n_heads or b.shape != k.shape:
-        raise ShapeError(_KEY_SUM.name, b.shape, k.shape, n_heads)
-    return Value(b.data + k.data, _KEY_SUM, (b, k), n_heads)
-
-
-def _linear_readout_bwd(out):
-    # replays, for every head at once, the divide, the sum, q * b, the
-    # reshape, the matmul and q's reshape in reverse creation order: q, b, a
-    # and then q again receive their gradients, through the heads' concat
-    # and the splits of q
-    q, a, b = out.parents
-    num, den = out._ctx                                              # (B, H, dv), (B, H, 1)
-    n_heads = a.shape[1]
-    qh, bh = _heads(q.data, n_heads), _heads(b.data, n_heads)
-    g = _heads(out._grad, n_heads)
-    g_num = g / den
-    g_p = np.broadcast_to((-g * num / (den * den)).sum(axis=-1, keepdims=True), qh.shape)
-    g_m = g_num[:, :, None]
-    g_rq = np.matmul(g_m, np.swapaxes(a.data, -1, -2))[:, :, 0]
-    _accumulate(b, (g_p * qh).reshape(b.shape))
-    _accumulate(a, np.matmul(qh[..., None], g_m))
-    _accumulate_heads(q, [g_p * bh, g_rq], n_heads)
-
-
-def linear_readout(q: Value, a: Value, b: Value) -> Value:
-    """Linear attention's read-out ``(q a) / (q . b)`` per head of the query
-    ``q`` (B, d) from the state ``a`` (B, n_heads, dh, dv) and ``b`` (B,
-    d), q and b split into the n_heads heads of width dh = d / n_heads;
-    returns the heads' read-outs side by side, (B, n_heads·dv).
-
-    One node for the chain that split q into its heads, built per head q's
-    reshape, the matmul with ``a`` and its reshape, q * b, the row sum and
-    the divide, and joined the heads: 6 ops per head, and with more than one
-    head q's n_heads splits and the heads' concat.  Every head's matmul is
-    one (B, n_heads) stack of the chain's per-head products, and every
-    head's row sum one sum over contiguous rows.  Data and gradients are
-    byte-identical to that chain's.  The node raises ``GraphOverflowError``
-    whenever a node of the chain would have: an infinite denominator leaves
-    the quotient finite, so every head's is checked as well as the output.
-    """
-    batch, d = q.shape if q.data.ndim == 2 else (0, 0)
-    if (not batch or a.data.ndim != 4 or b.shape != q.shape or a.shape[0] != batch
-            or a.shape[1] * a.shape[2] != d):
-        raise ShapeError(_LINEAR_READOUT.name, q.shape, a.shape, b.shape)
-    n_heads = a.shape[1]
-    qh = _heads(q.data, n_heads)
+    a_all, b_all = np.empty_like(kd), np.empty_like(kd)
+    s0, start = 1, None
     with _quiet():
-        num = np.matmul(qh[:, :, None], a.data)[:, :, 0]
-        den = (qh * _heads(b.data, n_heads)).sum(axis=-1, keepdims=True)
-        data = (num / den).reshape((batch, -1))
-    out = Value(data, _LINEAR_READOUT, (q, a, b), (num, den))
-    if not np.isfinite(den).all():
+        z = np.exp(nl * -1.0)
+        ek = np.exp(kd)
+        finite = np.isfinite(ek[:-1]).all()
+        if prev is not None:
+            rows = _state_rows(prev, _RWKV_SCAN, b, d, 4 if prev._ctx[1] else 2)
+            ekp = np.exp(rows[-2])
+            if len(rows) == 4:
+                a_all[0], b_all[0] = z * rows[0] + ekp * rows[-1], z * rows[1] + ekp
+            else:
+                a_all[0], b_all[0] = ekp * rows[-1], ekp
+            s0, start, finite = 0, (rows, ekp), finite and np.isfinite(ekp).all()
+        elif n > 1:
+            a_all[1], b_all[1] = ek[0] * vd[0], ek[0]
+        for t in range(s0, n - 1):
+            a_all[t + 1], b_all[t + 1] = z * a_all[t] + ek[t] * vd[t], z * b_all[t] + ek[t]
+        qs = np.asarray(queries)
+        tl = qs[qs >= s0]
+        s = u.data + kd[tl]
+        bonus = np.exp(s)
+        num = a_all[tl] + bonus * vd[tl]
+        den = b_all[tl] + bonus
+        read = np.empty((len(qs), b, d))
+        read[qs >= s0] = num / den
+        read[qs < s0] = vd[qs[qs < s0]]
+    history = n - 1 >= s0
+    state = [a_all[-1], b_all[-1]] if history else []
+    finite = (finite and np.isfinite(a_all[s0:]).all() and np.isfinite(b_all[s0:]).all()
+              and np.isfinite(s).all() and np.isfinite(den).all())
+    updates = [t >= s0 for t in range(n - 1)] + ([] if prev is None else [len(start[0]) == 4])
+    ops = 9 * sum(updates) + 2 * updates.count(False) + 6 * len(tl)
+    flops = (9 * d + 9 * b * d) * sum(updates) + 5 * b * d * updates.count(False) \
+        + 9 * b * d * len(tl)
+    data = np.concatenate([read, np.stack(state + [kd[-1], vd[-1]])])
+    out = Value(data, _RWKV_SCAN, (w, u, k, v) + (() if prev is None else (prev,)),
+                (queries, history, z, nl, ek, (a_all, b_all), (bonus, num, den), start, ops,
+                 flops))
+    if not finite:
         _overflow(out)
     return out
+
+
+def _rwkv_scan_rows(v: Value, depths) -> np.ndarray:
+    # replays the chain's depths token by token: the decay is 3 ops past w;
+    # the read-out 5 past u and k, 3 past v and 2 past a and b; the update 2
+    # past z, a, e^k and v (e^k one past k), and b's 1 past e^k
+    dw, du, dk, dv, *dprev = depths
+    queries, history = v._ctx[:2]
+    n = v.parents[2].shape[0]
+    dk, dv = np.broadcast_to(dk, n), np.broadcast_to(dv, n)
+    dz, a, b = dw + 3, None, None
+
+    def update(a, b, dk_t, dv_t):
+        ek = dk_t + 1
+        if a is None:
+            return max(ek, dv_t) + 1, ek
+        return max(dz, a, ek, dv_t) + 2, max(dz + 2, b + 2, ek + 1)
+
+    if dprev:
+        rows = np.broadcast_to(dprev[0], v.parents[4].shape[0])
+        a, b = update(*((rows[-4], rows[-3]) if len(v._ctx[7][0]) == 4 else (None, None)),
+                      rows[-2], rows[-1])
+    read = []
+    for t in range(n):
+        if t in queries:
+            read.append(dv[t] if a is None else max(du + 5, dk[t] + 5, dv[t] + 3, a + 2, b + 2))
+        if t < n - 1:
+            a, b = update(a, b, dk[t], dv[t])
+    return np.array(read + ([a, b] if history else []) + [dk[-1], dv[-1]], dtype=np.float64)
+
+
+def _linear_scan_bwd(out):
+    # replays each token's chain from the last token to the first, every
+    # read-out at once: the read-out, b + k, the outer-product update, k's
+    # split and the feature maps of q and k; the state after a token takes
+    # the next update's gradient (or the next chunk's, through the state
+    # rows) first, then its read-out's; with heads, each split adds through
+    # a zero-filled buffer
+    q, k, v, *prev = out.parents
+    queries, n_heads, deriv, pq, pk, a_all, b_all, num, den = out._ctx[:9]
+    n, b, d = k.shape
+    qs, n_q = np.asarray(queries), len(queries)
+    g = out._grad
+    qh, bh, gh = _heads(pq, n_heads), _heads(b_all[qs], n_heads), _heads(g[:n_q], n_heads)
+    g_num = gh / den
+    g_p = np.broadcast_to((-gh * num / (den * den)).sum(axis=-1, keepdims=True), qh.shape)
+    g_m = g_num[..., None, :]
+    g_rq = np.matmul(g_m, np.swapaxes(a_all[qs], -1, -2))[..., 0, :]
+    read_a, read_b = np.full(a_all.shape, -0.0), np.full(k.shape, -0.0)
+    read_b[qs] = (g_p * qh).reshape((n_q, b, d))
+    read_a[qs] = np.matmul(qh[..., None], g_m)
+    g_q = (g_p * bh + g_rq).reshape(q.shape)
+    # the state's gradients, summed from the last token back
+    ga = np.cumsum(np.concatenate([_unpack(g[n_q:-1], a_all.shape[1:])[None], read_a[::-1]]),
+                   axis=0)[:0:-1]
+    gb = np.cumsum(np.concatenate([g[-1:], read_b[::-1]]), axis=0)[:0:-1]
+    kh, vh = _heads(pk, n_heads), _heads(v.data, n_heads)
+    g_v = np.matmul(np.swapaxes(kh[..., None], -1, -2), ga).reshape(k.shape)
+    g_k = gb + np.matmul(ga, np.swapaxes(vh[..., None, :], -1, -2)).reshape(k.shape)
+    if n_heads > 1:
+        g_q, g_k, g_v = g_q + 0.0, g_k + 0.0, g_v + 0.0
+    _accumulate(q, g_q * deriv(q.data, pq))
+    _accumulate(k, g_k * deriv(k.data, pk))
+    _accumulate(v, g_v)
+    if prev:
+        _rows_grad(prev[0])[-(d // n_heads + 1):] += np.concatenate([_pack(ga[0], d), gb[:1]])
+
+
+def _pack(a: np.ndarray, d: int) -> np.ndarray:
+    """A state ``a`` (B, ...) as rows of width ``d``: (a.size / (B·d), B, d)."""
+    return a.reshape((a.shape[0], -1, d)).transpose(1, 0, 2)
+
+
+def _unpack(rows: np.ndarray, shape: tuple) -> np.ndarray:
+    """``_pack``'s rows as a state of ``shape`` (B, ...) again."""
+    return rows.transpose(1, 0, 2).reshape(shape)
+
+
+def linear_scan(q: Value, k: Value, v: Value, prev: Value | None, queries, n_heads: int,
+                feature_map: str) -> Value:
+    """Linear attention over a chunk of n tokens for all ``n_heads`` heads:
+    the keys ``k`` and values ``v`` (n, B, d) of every token and the queries
+    ``q`` (len(queries), B, d) of the tokens ``queries`` (increasing
+    positions in [0, n)), all before the feature map ``feature_map``; one
+    node with parents (q, k, v) and ``prev``, the previous chunk's scan, if
+    any.
+
+    Per head of width dh = d / n_heads, the state after token t is a, the
+    sum of the outer products phi(k_i) (x) v_i, and b, the sum of phi(k_i),
+    over the tokens so far, and token t reads out (phi(q_t) a) / (phi(q_t)
+    . b).  The output stacks the read-outs, then the state after the last
+    token as rows: a's dh rows (a's (B, n_heads, dh, dh) array in rows of
+    width d), then b's.
+
+    One node for the chain that ran one token at a time: per token phi(k)
+    and, with heads, its n_heads splits; a's update (4 ops per head, 3 for
+    the first token, and v's splits) and b + phi(k) (an add per head, none
+    for the first token); per query phi(q) and the read-out (6 ops per
+    head, and with heads q's splits and the heads' concat).  Data and
+    gradients are byte-identical to that chain's.  The node raises
+    ``GraphOverflowError`` whenever a node of the chain would have: the
+    feature maps, every updated state and every read-out are checked, and
+    the denominators as well, since their infinities leave the read-out
+    finite.
+    """
+    n, b, d = k.shape if k.data.ndim == 3 else (0, 0, 0)
+    if (not n or n_heads < 1 or d % n_heads or v.shape != k.shape or q.data.ndim != 3
+            or q.shape[1:] != (b, d)):
+        raise ShapeError(_LINEAR_SCAN.name, q.shape, k.shape, v.shape, n_heads)
+    queries = _check_queries(queries, n, _LINEAR_SCAN, q.shape, k.shape)
+    if q.shape[0] != len(queries):
+        raise ShapeError(_LINEAR_SCAN.name, q.shape, k.shape, queries)
+    if feature_map not in NONLINEARITIES:
+        raise TensorError(f"unknown nonlinearity {feature_map!r}")
+    fwd, deriv = NONLINEARITIES[feature_map]
+    dh = d // n_heads
+    with _quiet():
+        pq, pk = fwd(q.data), fwd(k.data)
+        kh, vh = _heads(pk, n_heads), _heads(v.data, n_heads)
+        outer = np.matmul(kh[..., None], vh[..., None, :])             # (n, B, H, dh, dh)
+        if prev is not None:
+            if prev.op is _LINEAR_SCAN and prev._ctx[1] != n_heads:
+                raise ShapeError(_LINEAR_SCAN.name, prev.shape, k.shape, n_heads)
+            rows = _state_rows(prev, _LINEAR_SCAN, b, d, dh + 1)
+            outer = np.concatenate([_unpack(rows[:-1], outer.shape[1:])[None], outer])
+            pk_sum = np.concatenate([rows[-1:], pk])
+        else:
+            pk_sum = pk
+        a_all = np.cumsum(outer, axis=0)[-n:]
+        b_all = np.cumsum(pk_sum, axis=0)[-n:]
+        qs = np.asarray(queries)
+        qh = _heads(pq, n_heads)
+        num = np.matmul(qh[..., None, :], a_all[qs])[..., 0, :]
+        den = (qh * _heads(b_all[qs], n_heads)).sum(axis=-1, keepdims=True)
+        read = (num / den).reshape(q.shape)
+    finite = all(np.isfinite(x).all() for x in (pq, pk, a_all, b_all, den))
+    first = prev is None                     # token 0 updates an empty state
+    splits = _splits(n_heads)
+    ops = (n * (1 + splits + 5 * n_heads + splits) - first * 2 * n_heads
+           + len(qs) * (1 + 6 * n_heads + splits + (splits and 1)))
+    flops = (n * (4 * b * d + 3 * b * d * dh + b * d) - first * (b * d * dh + b * d)
+             + len(qs) * (4 * b * d + (2 * dh + 1) * b * d + 2 * b * d))
+    data = np.concatenate([read, _pack(a_all[-1], d), b_all[-1:]])
+    out = Value(data, _LINEAR_SCAN, (q, k, v) + (() if prev is None else (prev,)),
+                (queries, n_heads, deriv, pq, pk, a_all, b_all, num, den, ops, flops))
+    if not finite:
+        _overflow(out)
+    return out
+
+
+def _linear_scan_rows(v: Value, depths) -> np.ndarray:
+    # replays the chain's depths token by token: phi is 1 op past its
+    # projection and k's split 1 more with heads; a's update 1 past a and 3
+    # past k (one more from v with heads), b + k 1 past both; the read-out
+    # 4 past q (2 more with heads) and 3 past a and b (1 more with heads)
+    dq, dk, dv, *dprev = depths
+    queries, n_heads = v._ctx[:2]
+    n, _, d = v.parents[1].shape
+    m = n_heads > 1
+    dk, dv = np.broadcast_to(dk, n), np.broadcast_to(dv, n)
+    dq = np.broadcast_to(dq, len(queries))
+    a = b = None
+    if dprev:
+        rows = np.broadcast_to(dprev[0], v.parents[3].shape[0])
+        a, b = rows[-2], rows[-1]
+    read = []
+    for t in range(n):
+        kk = dk[t] + 1 + m
+        if a is None:
+            a, b = max(kk + 2, dv[t] + 2 + m), kk
+        else:
+            a, b = max(a + 1, kk + 3, dv[t] + 3 + m), max(b, kk) + 1
+        if t in queries:
+            read.append(max(dq[len(read)] + 5 + 2 * m, a + 3 + m, b + 3 + m))
+    return np.array(read + [a] * (d // n_heads) + [b], dtype=np.float64)
+
+
+def _scan_chains(v: Value) -> tuple:
+    """A scan's longest chain from each parent to a row of its output, 0
+    where none reaches: its ``rows`` with that parent at depth 0 and every
+    other out of reach."""
+    chains = []
+    for i in range(len(v.parents)):
+        depths = [0.0 if j == i else -np.inf for j in range(len(v.parents))]
+        longest = v.op.rows(v, depths).max()
+        chains.append(int(longest) if np.isfinite(longest) else 0)
+    return tuple(chains)
 
 
 def _concat_bwd(out):
@@ -1479,9 +1686,9 @@ def _copies(stacked) -> Callable[["Value"], int]:
 
 def _affine_chains(v: Value) -> tuple:
     # the first pair's operands k + 1 ops from the output, pair j's (j >= 2)
-    # k - j + 3 and the bias's 1
-    k = len(v.parents) // 2
-    return (k + 1, k + 1, *(k - j + 3 for j in range(2, k + 1) for _ in range(2)), 1)
+    # k - j + 3 and the bias's 1; one op less each without the bias
+    k, b = divmod(len(v.parents), 2)
+    return (k + b, k + b, *(k - j + 2 + b for j in range(2, k + 1) for _ in range(2)), *(1,) * b)
 
 
 _INPUT = Op("input", None, _per_out(0), ops=0)
@@ -1496,11 +1703,13 @@ _LOG = Op("log", _log_bwd, _per_out(4))
 _SOFTMAX = Op("softmax", _softmax_bwd, _per_out(4))
 _NONLINEARITY_OPS = {kind: Op(f"nonlinearity({kind})", _nonlinearity_bwd, _per_out(4))
                      for kind in NONLINEARITIES}
-# layer_norm's 13 ops, on chains 13, 2 and 1 long from x, gain and bias: 7
-# take a flop per scalar of x, and the 6 on the row statistics 12 per row
+# layer_norm's 13 ops per copy, on chains 13, 2 and 1 long from x, gain and
+# bias: 7 take a flop per scalar of x, and the 6 on the row statistics 12
+# per row
+_ln_copies = _copies(lambda v: v._ctx[4])
 _LAYER_NORM = Op("layer_norm", _layer_norm_bwd,
                  lambda v: 7 * v.data.size + 12 * (v.data.size // v.shape[-1]),
-                 ops=_always(13), chains=_always((13, 2, 1)))
+                 ops=lambda v: 13 * _ln_copies(v), chains=_always((13, 2, 1)), rowwise=True)
 # the FFN sublayer's 20 ops per copy: the first add, the layer norm's, then
 # per scalar of the pre-activation (f per row) 2·d + 1 for the first map and
 # 4 for the nonlinearity, and per output scalar 2·f + 1 for the second map
@@ -1511,13 +1720,16 @@ _FFN_SUBLAYER = Op("ffn_sublayer", _ffn_sublayer_bwd,
                    lambda v: _LAYER_NORM.flops(v) + (2 * v.shape[-1] + 5) * v._ctx[3].size
                    + (2 * v._ctx[3].shape[-1] + 3) * v.data.size,
                    ops=lambda v: 20 * _ffn_copies(v),
-                   chains=_always((20, 20, 8, 7, 6, 5, 3, 2)))
-# affine with k pairs: k products and k adds per copy; 2·m flops per output
-# scalar for a product over width m, 1 for each add
+                   chains=_always((20, 20, 8, 7, 6, 5, 3, 2)), rowwise=True)
+# affine with k pairs: k products and k adds per copy, one add less without
+# the bias; 2·m flops per output scalar for a product over width m, 1 for
+# each add
 _affine_copies = _copies(lambda v: v._ctx)
 _AFFINE = Op("affine", _affine_bwd,
-             lambda v: sum(2 * x.shape[-1] + 1 for x in v.parents[:-1:2]) * v.data.size,
-             ops=lambda v: (len(v.parents) - 1) * _affine_copies(v), chains=_affine_chains)
+             lambda v: (sum(2 * x.shape[-1] + 1 for x in v.parents[:-1:2]) - 1
+                        + len(v.parents) % 2) * v.data.size,
+             ops=lambda v: (len(v.parents) - 1) * _affine_copies(v), chains=_affine_chains,
+             rowwise=True)
 # the LSTM cell's c: 3 slices, 2 sigmoids, a tanh, 2 muls and an add; h: a
 # slice, a sigmoid, a tanh and a mul (flops per scalar of c or h)
 _LSTM_C = Op("lstm_c", _lstm_c_bwd, _per_out(15), ops=_always(9), chains=_always((4, 2)))
@@ -1617,54 +1829,20 @@ _POSITION_ROWS = Op("position_rows", _position_rows_bwd, _per_out(0),
                     ops=lambda v: v.shape[0], chains=_always((1,)))
 _STACK_ROWS = Op("stack_rows", _stack_rows_bwd, _per_out(0), ops=lambda v: v.shape[1] + 1,
                  chains=_always((2,)))
-_PICK = Op("pick", _pick_bwd, _per_out(0), ops=_always(0), chains=_always((0,)))
-# RWKV's decay: elu_plus_one (4 flops per scalar), the negation (1) and exp
-# (4); its output: u + k, exp, bonus * v, two adds and the divide (9 in all),
-# on chains 5 long from u and k, 3 from v and 2 from a and b; the decayed
-# sum: one or two muls and an add, on chains 2 long, or 1 from an x alone
-_RWKV_DECAY = Op("rwkv_decay", _rwkv_decay_bwd, _per_out(9), ops=_always(3),
-                 chains=_always((3,)))
-_RWKV_OUTPUT = Op("rwkv_output", _rwkv_output_bwd, _per_out(9), ops=_always(6),
-                  chains=_always((5, 5, 3, 2, 2)))
-_DECAYED_SUM = Op("decayed_sum", _decayed_sum_bwd, lambda v: (len(v.parents) - 1) * v.data.size,
-                  ops=lambda v: len(v.parents) - 1,
-                  chains=lambda v: (2, 2, 2, 2) if len(v.parents) == 4 else (2, 2, 1))
-
-
-def _outer_update_chains(v: Value) -> tuple:
-    # a's add; from k and v, each reshape, the matmul and the add (if any),
-    # and from v its split before them (with heads)
-    kv = len(v.parents)
-    chains = (kv, kv + (_splits(v._ctx) and 1))
-    return (1,) + chains if kv == 3 else chains
-
-
-def _linear_readout_chains(v: Value) -> tuple:
-    # 4 ops from q and 3 from a and b per head; with heads, the heads'
-    # concat, and q's split before them
-    m = _splits(v.parents[1].shape[1]) and 1
-    return (4 + 2 * m, 3 + m, 3 + m)
-
-
-# per head, a + k (x) v: two reshapes, a matmul of inner width 1 (2 flops per
-# output scalar) and the add (1), or 3 ops with no state; with heads, v's
-# splits (k's are its split_row's)
-_OUTER_UPDATE = Op("outer_update", _outer_update_bwd,
-                   lambda v: len(v.parents) * v.data.size,
-                   ops=lambda v: v._ctx * (len(v.parents) + 1) + _splits(v._ctx),
-                   chains=_outer_update_chains)
-# per head, b + k (one flop per scalar); its backward is add's
-_KEY_SUM = Op("key_sum", _add_bwd, _per_out(1), ops=lambda v: v._ctx,
-              chains=_always((1, 1)))
-# per head, (q a) / (q . b): q's reshape, a matmul over dh (2·dh per output
-# scalar), its reshape, q * b and the row sum (one flop per scalar of q
-# each) and the divide (1); with heads, q's splits and the heads' concat
-_LINEAR_READOUT = Op("linear_readout", _linear_readout_bwd,
-                     lambda v: (2 * v.parents[1].shape[2] + 1) * v.data.size
-                     + 2 * v.parents[0].data.size,
-                     ops=lambda v: 6 * v.parents[1].shape[1] + _splits(v.parents[1].shape[1])
-                     + (_splits(v.parents[1].shape[1]) and 1),
-                     chains=_linear_readout_chains)
+_PICK = Op("pick", _pick_bwd, _per_out(0), ops=_always(0), chains=_always((0,)),
+           rows=lambda v, depths: depths[0] if np.ndim(depths[0]) == 0 else depths[0][v._ctx])
+# an embedding row's gather, and its positional add (one flop per scalar)
+_EMBED_ROWS = Op("embed_rows", _embed_rows_bwd, lambda v: v._ctx[1] * v.data.size,
+                 ops=lambda v: v.shape[0] * (1 + v._ctx[1]), chains=lambda v: (1 + v._ctx[1],))
+# a scan's ops and flops are its chain's, counted as it runs; per token, the
+# decay is 9 flops per scalar of w, exp(k) 4 per scalar, the decayed sums 3
+# and 2, the first update's product 1, the read-out 9; phi 4, a's update 3
+# per scalar of a (2 for the first), b's 1, the read-out 2·dh + 1 per
+# output scalar and 2 per scalar of q
+_RWKV_SCAN = Op("rwkv_scan", _rwkv_scan_bwd, lambda v: v._ctx[9], ops=lambda v: v._ctx[8],
+                chains=_scan_chains, rows=_rwkv_scan_rows)
+_LINEAR_SCAN = Op("linear_scan", _linear_scan_bwd, lambda v: v._ctx[10],
+                  ops=lambda v: v._ctx[9], chains=_scan_chains, rows=_linear_scan_rows)
 _CONCAT = Op("concat", _concat_bwd, _per_out(0))
 _VIEW_SLICE = Op("slice", _slice_bwd, _per_out(0))
 _GATHER = Op("slice", _gather_bwd, _per_out(0))

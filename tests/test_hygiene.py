@@ -210,7 +210,7 @@ def test_every_fused_op_has_a_chain_case(monkeypatch):
         run(side)
     missing = [op.name for op in fused if id(op) not in seen]
     assert not missing, "fused kinds without a CHAIN_CASES case: " + ", ".join(missing)
-    assert {"attention", "split_row", "key_sum", "ffn_sublayer"} <= {op.name for op in fused}
+    assert {"attention", "split_row", "linear_scan", "ffn_sublayer"} <= {op.name for op in fused}
 
 
 def pending_list_users(source: str) -> set:

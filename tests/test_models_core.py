@@ -12,10 +12,13 @@ from recurlab.models import (ARCHS, STEP_CAPABLE, ModelConfig, ModelError,
                              ParamGraph, init_params, init_state,
                              load_checkpoint, model_forward, save_checkpoint,
                              step)
+from recurlab.models.config import ARCH_TABLE
 from recurlab.models.common import scale_for, sinusoidal_positions
 from recurlab.tasks import PAD_ID, TaskId, generate_with_length, task_vocab
 from recurlab.trainer import encode_batch
-from test_tensor import transformer_layers
+from test_tensor import (affine_chain, decayed_sum_chain, ffn_sublayer_chain, layer_norm_chain,
+                         linear_step_chain, rwkv_decay_chain, rwkv_output_chain,
+                         transformer_layers)
 
 VOCAB = 9
 
@@ -116,15 +119,17 @@ def test_one_position_builds_fewer_nodes_than_all(arch, mode):
 # heads, n = 16: the parallel Transformer's 25 parameters, embedding (3
 # nodes) and position rows, per layer 7 nodes (the rows' stack, LN1, three
 # projections, one attention node for every query and head, one FFN node
-# for every query), one readout and a pick per position; the recurrent
-# routes one attention node per step and layer for all heads, one node per
-# layer and step for both residual adds and the FFN, and per layer and step
-# one linear-attention key row (its heads' splits), update, key sum (none
-# at the first step) and read-out
+# for every query), one readout and a pick per position; the softmax
+# Transformer's recurrent route one attention node per step and layer for
+# all heads and one node per layer and step for both residual adds and the
+# FFN; RWKV's and the linear Transformer's recurrent routes their 27 and 25
+# parameters, the embedded rows, per layer LN1, the projections (two or
+# three), one scan, its read-outs' pick and one FFN node, then one readout
+# and a pick per position
 ROUTE_NODES = {
     ("transformer", "parallel"): 60, ("transformer", "recurrent"): 345,
-    ("rwkv", "parallel"): 91, ("rwkv", "recurrent"): 373,
-    ("linear-transformer", "parallel"): 107, ("linear-transformer", "recurrent"): 439,
+    ("rwkv", "parallel"): 91, ("rwkv", "recurrent"): 57,
+    ("linear-transformer", "parallel"): 107, ("linear-transformer", "recurrent"): 57,
 }
 
 
@@ -172,6 +177,106 @@ def test_parallel_transformer_matches_the_per_query_chain_byte_for_byte(length, 
         assert fused == chain, positions
 
 
+def scan_route_chain(cfg, p, toks, positions) -> dict:
+    """The recurrent route of RWKV or the linear Transformer as the
+    elementary chain the step cells built one token at a time: per token
+    the embedding row's gather and positional add, and per layer LN1, the
+    projections, the state's chain (RWKV's decay, read-out and update, or
+    the linear Transformer's feature maps and ``linear_step_chain``) and the
+    FFN sublayer, read out at ``positions``; {position: logits}."""
+    d = cfg.d_model
+    states, logits = [None] * cfg.n_layers, {}
+    for t in range(max(positions) + 1):
+        h = T.take_rows(p["embed"], toks[:, t]) + T.constant(sinusoidal_positions(1, d, t)[0])
+        for i in range(cfg.n_layers):
+            pre = f"l{i}."
+            x = layer_norm_chain(h, p[pre + "ln1_g"], p[pre + "ln1_b"])
+            if cfg.arch == "rwkv":
+                k, v = T.matmul(x, p[pre + "wk"]), T.matmul(x, p[pre + "wv"])
+                ab = states[i]
+                if ab is None:
+                    ek = T.exp(k)
+                    out, states[i] = v, (ek * v, ek)
+                else:
+                    z = rwkv_decay_chain(p[pre + "w_raw"])
+                    out = rwkv_output_chain(p[pre + "u"], k, v, *ab)
+                    ek = T.exp(k)
+                    states[i] = (decayed_sum_chain(z, ab[0], ek, v),
+                                 decayed_sum_chain(z, ab[1], ek))
+            else:
+                q, k = (T.nonlinearity(T.matmul(x, p[pre + w]), cfg.feature_map)
+                        for w in ("wq", "wk"))
+                out, states[i] = linear_step_chain(states[i], q, k, T.matmul(x, p[pre + "wv"]),
+                                                   cfg.n_heads)
+            h = ffn_sublayer_chain(h, out, (p[pre + "ln2_g"], p[pre + "ln2_b"]),
+                                   (p[pre + "ffn.w1"], p[pre + "ffn.b1"]),
+                                   (p[pre + "ffn.w2"], p[pre + "ffn.b2"]), cfg.nonlin)
+        if t in positions:
+            logits[t] = affine_chain([(h, p["out_w"])], p["out_b"])
+    return logits
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+@pytest.mark.parametrize("length", [17, 40])
+@pytest.mark.parametrize("arch", ["rwkv", "linear-transformer"])
+def test_scan_routes_match_the_per_token_chain_byte_for_byte(arch, length, n_heads):
+    """Logits and parameter gradients of the recurrent route equal those of
+    the elementary chain the step cells built one token at a time, at every
+    position, at three and at one, past numpy's 8-element pairwise-sum
+    block.  Under weights of -0.0 every gradient is a zero whose sign shows
+    how it was summed."""
+    cfg = ModelConfig(arch=arch, vocab_size=VOCAB, d_model=8, n_layers=2, n_heads=n_heads,
+                      seed=length + n_heads)
+    params = init_params(cfg)
+    toks = np.random.default_rng(length).integers(0, VOCAB, size=(3, length))
+    cases = [(list(range(length)), False), ([0, length // 2, length - 1], False),
+             ([length // 2], False), ([length // 2, length - 3], True)]
+    for positions, zero in cases:
+        rng = np.random.default_rng(1)
+        weights = [np.full((3, VOCAB), -0.0) if zero else rng.normal(size=(3, VOCAB))
+                   for _ in positions]
+
+        def run(logits, nodes):
+            terms = [(logits[t] * T.constant(w)).sum() for t, w in zip(positions, weights)]
+            T.backward(sum(terms[1:], terms[0]))
+            return ([logits[t].data.tobytes() for t in positions],
+                    [nodes[name].grad.tobytes() for name in sorted(params)])
+
+        res = model_forward(cfg, params, toks, mode="recurrent", positions=positions)
+        fused = run(dict(zip(positions, res.logits)), {name: res.pgraph[name] for name in params})
+        p = {name: T.parameter(a) for name, a in params.items()}
+        assert fused == run(scan_route_chain(cfg, p, toks, positions), p), (positions, zero)
+
+
+@pytest.mark.parametrize("arch", ["rwkv", "linear-transformer"])
+def test_a_state_kept_after_a_chunk_resumes_byte_for_byte(arch):
+    """A scan cell's state after a chunk of j tokens, continued by a chunk
+    of the other n - j, gives the logits of one chunk of all n tokens and
+    of n single steps, whatever j, the first chunk read at its last token
+    only."""
+    cfg = ModelConfig(arch=arch, vocab_size=VOCAB, d_model=8, n_layers=2, n_heads=2, seed=4)
+    pg = ParamGraph(init_params(cfg))
+    toks = np.random.default_rng(6).integers(0, VOCAB, size=(2, 11))
+    n = toks.shape[1]
+    init, cell = ARCH_TABLE[arch].step
+
+    def chunk(state, tokens, queries):
+        h, state = cell(cfg, pg, state, tokens, queries)
+        return [T.pick(T.affine([(h, pg["out_w"])], pg["out_b"], stacked=True), i).data
+                for i in range(len(queries))], state
+
+    whole, _ = chunk(init(cfg, 2), toks, list(range(n)))
+    state, stepped = init(cfg, 2), []
+    for t in range(n):
+        logits, state = step(cfg, pg, state, toks[:, t])
+        stepped.append(logits.data)
+    assert [a.tobytes() for a in whole] == [a.tobytes() for a in stepped]
+    for j in (1, 2, 5, n - 1):
+        _, kept = chunk(init(cfg, 2), toks[:, :j], [j - 1])
+        rest, _ = chunk(kept, toks[:, j:], list(range(n - j)))
+        assert [a.tobytes() for a in rest] == [a.tobytes() for a in whole[j:]], j
+
+
 @pytest.mark.parametrize("batch", [1, 2])
 def test_parallel_transformer_builds_only_reachable_nodes(batch):
     """At one position every node the parallel Transformer builds reaches
@@ -182,6 +287,21 @@ def test_parallel_transformer_builds_only_reachable_nodes(batch):
     toks = np.random.default_rng(5).integers(0, VOCAB, size=(batch, 16))
     start = T.constant(0.0).id
     res = model_forward(cfg, params, toks, positions=[3])
+    built = T.constant(0.0).id - start - 1
+    assert len(T.topo_nodes(*res.logits)) == built
+
+
+@pytest.mark.parametrize("arch", ["rwkv", "linear-transformer"])
+def test_recurrent_route_builds_only_reachable_nodes(arch):
+    """Read at one position, every node the recurrent route of RWKV or the
+    linear Transformer builds reaches the logits: no top-layer output at
+    the positions before it, and no state update after it, is left
+    unread."""
+    cfg = ModelConfig(arch=arch, vocab_size=VOCAB, d_model=16, n_layers=2, n_heads=2)
+    params = init_params(cfg)
+    toks = np.random.default_rng(5).integers(0, VOCAB, size=(2, 10))
+    start = T.constant(0.0).id
+    res = model_forward(cfg, params, toks, mode="recurrent", positions=[6])
     built = T.constant(0.0).id - start - 1
     assert len(T.topo_nodes(*res.logits)) == built
 

@@ -8,15 +8,13 @@ import pytest
 from recurlab import tensor as T
 from recurlab.automata import dfa_run, parity_dfa, machine_profile
 from recurlab.models import ARCHS, ModelConfig, init_params, model_forward
-from recurlab.models.linear import linear_attn_recurrent
 from recurlab.profiler import (DepthProfile, ProfilerError, fit_complexity,
                                graph_profile, profile, profile_table,
                                table_to_csv, table_to_markdown)
 from test_tensor import (affine_chain, cached_attention_chain, cross_entropy_chain,
-                         decayed_sum_chain, ffn_sublayer_chain, heads_chain,
-                         layer_attention_chain, layer_norm_chain, linear_readout_chain,
-                         linear_step_chain, lstm_chain, outer_update_chain, rwkv_decay_chain,
-                         rwkv_output_chain, split_chain, with_arrays)
+                         embed_rows_chain, ffn_sublayer_chain, heads_chain,
+                         layer_attention_chain, layer_norm_chain, linear_scan_chain, lstm_chain,
+                         rwkv_scan_chain, split_chain, with_arrays)
 
 VOCAB = 7
 
@@ -106,6 +104,30 @@ def _layer_attend(n_heads=1, scale=None, deep=None, queries=(0, 2)):
     ``deep`` maps an operand's index in (q, k, v) to the reshapes above it."""
     vs = [_deeper(_p(2, 3, 4), (deep or {}).get(i, 0)) for i in range(3)]
     return T.attention(*vs, n_heads, scale, queries)
+
+
+def _rwkv_scan(n, deep=None, resume=False):
+    """RWKV's scan over n tokens of (2, 3) rows, every token read; ``deep``
+    maps an operand's index in (w, u, k, v) to the reshapes above it; with
+    ``resume``, after a scan of two tokens that reads its second."""
+    w, u, k, v = (_deeper(_p(*shape), (deep or {}).get(i, 0))
+                  for i, shape in enumerate([(3,), (3,), (n, 2, 3), (n, 2, 3)]))
+    prev = T.rwkv_scan(w, u, _p(2, 2, 3), _p(2, 2, 3), None, (1,)) if resume else None
+    return T.rwkv_scan(w, u, k, v, prev, range(n))
+
+
+def _linear_scan(n, n_heads=1, queries=None, deep=None, resume=False):
+    """Linear attention's scan over n tokens of (2, 2·n_heads) rows, read at
+    ``queries`` (every token by default); ``deep`` maps an operand's index
+    in (q, k, v) to the reshapes above it; with ``resume``, after a scan of
+    two tokens that reads its second."""
+    queries = range(n) if queries is None else queries
+    d = 2 * n_heads
+    q, k, v = (_deeper(_p(*shape), (deep or {}).get(i, 0))
+               for i, shape in enumerate([(len(queries), 2, d), (n, 2, d), (n, 2, d)]))
+    prev = (T.linear_scan(_p(1, 2, d), _p(2, 2, d), _p(2, 2, d), None, (1,), n_heads,
+                          "elu_plus_one") if resume else None)
+    return T.linear_scan(q, k, v, prev, queries, n_heads, "elu_plus_one")
 
 
 # op kind -> (graph, (total_ops, depth, flops)); a (2, 3) operand has 6
@@ -213,44 +235,52 @@ OP_COSTS = {
     "stack-rows": (lambda: T.stack_rows(_p(3, 2, 4)), (4, 2, 0)),
     "pick": (lambda: T.pick(_deeper(_p(3, 2, 4), 2), 1), (2, 2, 0)),
     "pick-rows": (lambda: T.pick(_p(3, 2, 4), [0, 2]), (0, 0, 0)),
-    # exp(-elu_plus_one(w)): 3 ops on one chain, 9 flops per scalar
-    "rwkv-decay": (lambda: T.rwkv_decay(_p(3)), (3, 3, 27)),
-    # (a + e^(u+k) v) / (b + e^(u+k)): 6 ops on chains 5 long from u and k, 3
-    # from v and 2 from a and b, 9 flops per output scalar
-    "rwkv-output": (lambda: T.rwkv_output(_p(3), _p(2, 3), _p(2, 3), _p(2, 3), _p(2, 3)),
-                    (6, 5, 54)),
-    "rwkv-output-deep-v": (lambda: T.rwkv_output(_p(3), _p(2, 3), _deeper(_p(2, 3), 3),
-                                                 _p(2, 3), _p(2, 3)), (9, 6, 54)),
-    # z * a + x: 2 ops on chains 2 long from z and a and 1 from x; z * a +
-    # x * y: 3 ops on chains 2 long, 3 flops per output scalar
-    "decayed-sum": (lambda: T.decayed_sum(_p(3), _p(2, 3), _p(2, 3)), (2, 2, 12)),
-    "decayed-sum-deep-x": (lambda: T.decayed_sum(_p(3), _p(2, 3), _deeper(_p(2, 3), 2)),
-                           (4, 3, 12)),
-    "decayed-sum-weighted-deep-y": (
-        lambda: T.decayed_sum(_p(3), _p(2, 3), _p(2, 3), _deeper(_p(2, 3), 2)), (5, 4, 18)),
-    # a + k (x) v: 4 ops on chains 1 long from a and 3 from k and v, 3 flops
-    # per scalar of the (2, 3, 4) output; without a, 3 ops on chains 2 long
-    "outer-update": (lambda: T.outer_update(_p(2, 1, 3, 4), _p(2, 3), _p(2, 4), 1), (4, 3, 72)),
-    "outer-update-first": (lambda: T.outer_update(None, _p(2, 3), _p(2, 4), 1), (3, 2, 48)),
-    "outer-update-deep-state": (lambda: T.outer_update(_deeper(_p(2, 1, 3, 4), 3), _p(2, 3),
-                                                       _p(2, 4), 1), (7, 4, 72)),
-    # with two heads, 4 ops per head and v's two splits (k's are its
-    # split_row's), on chains 4 long from v and 3 from k
-    "outer-update-2-heads": (lambda: T.outer_update(_p(2, 2, 2, 3), _p(2, 4), _p(2, 6), 2),
-                             (10, 4, 72)),
-    "outer-update-2-heads-deep-key": (
-        lambda: T.outer_update(_p(2, 2, 2, 3), _deeper(_p(2, 4), 1), _p(2, 6), 2), (11, 4, 72)),
-    # b + k over two heads: two adds, on chains 1 long
-    "key-sum": (lambda: T.key_sum(_p(2, 4), _deeper(_p(2, 4), 2), 2), (4, 3, 8)),
-    # (q a) / (q . b): 6 ops on chains 4 long from q and 3 from a and b;
-    # 2·3 + 1 flops per scalar of the (2, 4) output and 2 per scalar of q
-    "linear-readout": (lambda: T.linear_readout(_p(2, 3), _p(2, 1, 3, 4), _p(2, 3)), (6, 4, 68)),
-    "linear-readout-deep-b": (lambda: T.linear_readout(_p(2, 3), _p(2, 1, 3, 4),
-                                                       _deeper(_p(2, 3), 2)), (8, 5, 68)),
-    # with two heads, 6 ops per head, q's two splits and the heads' concat,
-    # on chains 6 long from q and 4 from a and b
-    "linear-readout-2-heads": (lambda: T.linear_readout(_p(2, 4), _p(2, 2, 2, 3), _p(2, 4)),
-                               (15, 6, 76)),
+    # RWKV's scan over (2, 3) rows of every token; per token from the
+    # second, the decay (3 ops, 9 flops per scalar of w), the read-out (6,
+    # 9 per scalar) and but for the last the update (e^k, 2 decayed sums: 6
+    # ops and 4 + 3 + 2 flops per scalar); the first token's update e^k v,
+    # e^k (2 ops, 5 flops per scalar) and no read-out op; the read-out is 5
+    # ops past u and k, 3 past v and 2 past a and b
+    "rwkv-scan-two-tokens": (lambda: _rwkv_scan(2), (8, 5, 84)),
+    "rwkv-scan": (lambda: _rwkv_scan(3), (23, 7, 219)),
+    "rwkv-scan-deep-w": (lambda: _rwkv_scan(3, deep={0: 4}), (27, 11, 219)),
+    "rwkv-scan-deep-v": (lambda: _rwkv_scan(2, deep={3: 3}), (11, 6, 84)),
+    "rwkv-scan-deep-k": (lambda: _rwkv_scan(3, deep={2: 2}), (25, 8, 219)),
+    # two tokens read once, then two more, whose scan first builds the
+    # pending update of the first chunk's last token
+    "rwkv-scan-resumed": (lambda: _rwkv_scan(2, resume=True), (38, 9, 354)),
+    # linear attention over (2, 2·heads) rows, heads of width 2; per token
+    # phi(k) (1 op, 4 flops per scalar) and the update: 4 ops per head and
+    # b + k (an add per head), or 3 ops per head for the first token, 3
+    # flops per scalar of a (2 for the first) and 1 per scalar of b; per
+    # query phi(q) and the read-out (6 ops per head, 2·2 + 1 flops per output
+    # scalar and 2 per scalar of q); with heads, each split of k, v and q
+    # and the heads' concat; the read-out 5 ops past q and 3 past a and b
+    "linear-scan": (lambda: _linear_scan(2), (24, 7, 164)),
+    "linear-scan-one-token": (lambda: _linear_scan(1), (11, 6, 76)),
+    "linear-scan-resumed": (lambda: _linear_scan(2, resume=True), (43, 9, 296)),
+    "linear-scan-2-heads": (lambda: _linear_scan(2, n_heads=2), (58, 9, 328)),
+    "linear-scan-2-heads-deep-key": (lambda: _linear_scan(2, n_heads=2, deep={1: 3}),
+                                     (61, 12, 328)),
+    "linear-scan-4-heads": (lambda: _linear_scan(2, n_heads=4), (110, 9, 656)),
+    "linear-scan-queries": (lambda: _linear_scan(3, queries=(1,)), (23, 7, 164)),
+    "linear-scan-deep-query": (lambda: _linear_scan(3, queries=(0, 2), deep={0: 6}),
+                               (36, 11, 208)),
+    "linear-scan-2-heads-queries": (lambda: _linear_scan(3, n_heads=2, queries=(2,)),
+                                    (57, 10, 328)),
+    # 3 positions' gathers, on a chain 1 long; with the positional adds, 3
+    # more ops, 1 flop per output scalar, on a chain 2 long
+    "embed-rows": (lambda: T.embed_rows(_p(3, 4), np.array([[1, 0, 1], [2, 2, 0]])), (3, 1, 0)),
+    "embed-rows-positional-deep": (lambda: T.embed_rows(_deeper(_p(3, 4), 2),
+                                                        np.array([[1, 0, 1], [2, 2, 0]]),
+                                                        np.ones((3, 4))), (8, 4, 24)),
+    # a matmul per query and no add, on chains 1 long; 2·3 flops per output
+    # scalar
+    "affine-1-stacked-no-bias": (lambda: T.affine([(_p(3, 2, 3), _deeper(_p(3, 4), 2))], None,
+                                                  stacked=True), (5, 3, 144)),
+    # a layer norm per query over 3 queries' (2, 3) rows
+    "layer-norm-stacked": (lambda: T.layer_norm(_p(3, 2, 3), _p(3), _p(3), 1e-6, stacked=True),
+                           (39, 13, 198)),
 }
 
 
@@ -287,10 +317,27 @@ def test_layer_norm_counts_as_the_chain_it_fuses(shape):
     assert (fused.total_ops, fused.depth) == (15, 15)
 
 
-def _two_steps(step, vs, n_heads):
-    """The second read-out of ``step`` over (q, k, v) twice, from no state."""
-    _, ab = step(None, *vs[:3], n_heads)
-    return step(ab, *vs[3:], n_heads)[0]
+def _state_sinks(state) -> list:
+    """The nodes of the state a scan's chain hands on, as the scan's output
+    stacks them: the linear Transformer's per-head (a, b), or RWKV's (a,
+    b), if any, and its last k and v rows."""
+    if isinstance(state, list):
+        return [x for ab in state for x in ab]
+    return [*(state[0] or ()), *state[1:]]
+
+
+def _scan_sinks(scan_chain, vs, queries, *args):
+    """The sinks of a scan's chain over the operands ``vs``: its read-outs
+    and the state it hands on."""
+    outs, state = scan_chain(*vs, None, queries, *args)
+    return outs + _state_sinks(state)
+
+
+def _resumed_sinks(scan_chain, first_operands, operands, first, queries, *args):
+    """The same over two chunks, the second resuming the first's state."""
+    outs, state = scan_chain(*first_operands, None, first, *args)
+    more, state = scan_chain(*operands, state, queries, *args)
+    return outs + more + _state_sinks(state)
 
 
 # kind -> (fused, chain, operand shapes[, the chain's operand shapes where
@@ -346,31 +393,56 @@ FUSED_CHAINS = {
                    lambda vs: T.concat([T.pick(vs[0], t).reshape((2, 1, 4)) for t in range(3)],
                                        axis=1), [(3, 2, 4)]),
     "pick": (lambda vs: T.pick(vs[0], 1), lambda vs: vs[0], [(3, 2, 4)]),
-    "rwkv-decay": (lambda vs: T.rwkv_decay(*vs), lambda vs: rwkv_decay_chain(*vs), [(3,)]),
-    "rwkv-output": (lambda vs: T.rwkv_output(*vs), lambda vs: rwkv_output_chain(*vs),
-                    [(3,)] + [(2, 3)] * 4),
-    "decayed-sum": (lambda vs: T.decayed_sum(*vs), lambda vs: decayed_sum_chain(*vs),
-                    [(3,), (2, 3), (2, 3)]),
-    "decayed-sum-weighted": (lambda vs: T.decayed_sum(*vs), lambda vs: decayed_sum_chain(*vs),
-                             [(3,), (2, 3), (2, 3), (2, 3)]),
-    # at one head; the chain's state is the head's (B, dh, dv)
-    "outer-update": (lambda vs: T.outer_update(*vs, 1), lambda vs: outer_update_chain(*vs),
-                     [(2, 1, 3, 4), (2, 3), (2, 4)], [(2, 3, 4), (2, 3), (2, 4)]),
-    "outer-update-first": (lambda vs: T.outer_update(None, *vs, 1),
-                           lambda vs: outer_update_chain(None, *vs), [(2, 3), (2, 4)]),
-    "linear-readout": (lambda vs: T.linear_readout(*vs), lambda vs: linear_readout_chain(*vs),
-                       [(2, 3), (2, 1, 3, 4), (2, 3)], [(2, 3), (2, 3, 4), (2, 3)]),
-    # a step from no state, whose update and read-out share the splits of
-    # k; two steps, whose second also sums the keys
-    "linear-step-first-2-heads": (lambda vs: linear_attn_recurrent(None, *vs, 2)[0],
-                                  lambda vs: linear_step_chain(None, *vs, 2)[0],
-                                  [(2, 4), (2, 4), (2, 6)]),
-    "linear-step-first-4-heads": (lambda vs: linear_attn_recurrent(None, *vs, 4)[0],
-                                  lambda vs: linear_step_chain(None, *vs, 4)[0],
-                                  [(2, 8), (2, 8), (2, 4)]),
-    "linear-two-steps-2-heads": (lambda vs: _two_steps(linear_attn_recurrent, vs, 2),
-                                 lambda vs: _two_steps(linear_step_chain, vs, 2),
-                                 [(2, 4), (2, 4), (2, 6)] * 2),
+    # a scan's rows are picks of its operands' stacks, which stand for no
+    # op; its sinks are its read-outs and the state it hands on
+    "rwkv-scan": (lambda vs: T.rwkv_scan(*vs, None, range(4)),
+                  lambda vs: _scan_sinks(rwkv_scan_chain, vs, range(4)),
+                  [(3,), (3,), (4, 2, 3), (4, 2, 3)]),
+    "rwkv-scan-queries": (lambda vs: T.rwkv_scan(*vs, None, (1, 2)),
+                          lambda vs: _scan_sinks(rwkv_scan_chain, vs, (1, 2)),
+                          [(3,), (3,), (4, 2, 3), (4, 2, 3)]),
+    "rwkv-scan-first-token-read": (lambda vs: T.rwkv_scan(*vs, None, (0, 2)),
+                                   lambda vs: _scan_sinks(rwkv_scan_chain, vs, (0, 2)),
+                                   [(3,), (3,), (3, 2, 3), (3, 2, 3)]),
+    # (w, u, k, v, then the second chunk's k and v)
+    "rwkv-scan-resumed": (
+        lambda vs: T.rwkv_scan(*vs[:2], *vs[4:], T.rwkv_scan(*vs[:4], None, (0, 2)), (0, 1)),
+        lambda vs: _resumed_sinks(rwkv_scan_chain, vs[:4], vs[:2] + vs[4:], (0, 2), (0, 1)),
+        [(3,), (3,), (3, 2, 3), (3, 2, 3), (2, 2, 3), (2, 2, 3)]),
+    "linear-scan": (lambda vs: T.linear_scan(*vs, None, range(3), 1, "elu_plus_one"),
+                    lambda vs: _scan_sinks(linear_scan_chain, vs, range(3), 1, "elu_plus_one"),
+                    [(3, 2, 3), (3, 2, 3), (3, 2, 3)]),
+    "linear-scan-one-token": (lambda vs: T.linear_scan(*vs, None, (0,), 1, "tanh"),
+                              lambda vs: _scan_sinks(linear_scan_chain, vs, (0,), 1, "tanh"),
+                              [(1, 2, 3), (1, 2, 3), (1, 2, 3)]),
+    "linear-scan-queries": (lambda vs: T.linear_scan(*vs, None, (1,), 1, "elu_plus_one"),
+                            lambda vs: _scan_sinks(linear_scan_chain, vs, (1,), 1,
+                                                   "elu_plus_one"),
+                            [(1, 2, 3), (3, 2, 3), (3, 2, 3)]),
+    "linear-scan-2-heads": (lambda vs: T.linear_scan(*vs, None, (0, 2), 2, "elu_plus_one"),
+                            lambda vs: _scan_sinks(linear_scan_chain, vs, (0, 2), 2,
+                                                   "elu_plus_one"),
+                            [(2, 2, 4), (3, 2, 4), (3, 2, 4)]),
+    "linear-scan-4-heads": (lambda vs: T.linear_scan(*vs, None, (1,), 4, "elu_plus_one"),
+                            lambda vs: _scan_sinks(linear_scan_chain, vs, (1,), 4,
+                                                   "elu_plus_one"),
+                            [(1, 2, 8), (2, 2, 8), (2, 2, 8)]),
+    # (q, k, v of the first chunk, then of the second)
+    "linear-scan-resumed-2-heads": (
+        lambda vs: T.linear_scan(*vs[3:], T.linear_scan(*vs[:3], None, (1,), 2, "relu"), (0, 1),
+                                 2, "relu"),
+        lambda vs: _resumed_sinks(linear_scan_chain, vs[:3], vs[3:], (1,), (0, 1), 2, "relu"),
+        [(1, 2, 4), (2, 2, 4), (2, 2, 4), (2, 2, 4), (2, 2, 4), (2, 2, 4)]),
+    "embed-rows": (lambda vs: T.embed_rows(vs[0], np.array([[1, 0, 1], [2, 2, 0]]),
+                                           np.ones((3, 4))),
+                   lambda vs: embed_rows_chain(vs[0], np.array([[1, 0, 1], [2, 2, 0]]),
+                                               np.ones((3, 4))), [(3, 4)]),
+    "affine-stacked-no-bias": (lambda vs: T.affine([vs[:2]], None, stacked=True),
+                               lambda vs: [T.matmul(T.pick(vs[0], i), vs[1]) for i in range(3)],
+                               [(3, 2, 3), (3, 4)]),
+    "layer-norm-stacked": (lambda vs: T.layer_norm(*vs, 1e-6, stacked=True),
+                           lambda vs: [layer_norm_chain(T.pick(vs[0], i), *vs[1:])
+                                       for i in range(3)], [(3, 2, 3), (3,), (3,)]),
 }
 
 
@@ -402,6 +474,50 @@ def test_a_fused_node_whose_chains_miss_a_parent_raises():
     node = T.Value(np.ones(2), op, (_p(2), _p(2), _deeper(_p(2), 4)))
     with pytest.raises(ProfilerError, match="two-chains node .* 3 parents but 2 chain"):
         graph_profile([node], n=1, arch="hand")
+
+
+def _two_chunks(scan):
+    """A scan over 3 tokens, every one read, then one over 3 more that
+    resumes its state, with their chain's read-outs: (scan, chain) pairs."""
+    if scan == "rwkv":
+        w, u = _p(3), _p(3)
+        stacks = [_deeper(_p(3, 2, 3), i) for i in range(4)]
+        first = T.rwkv_scan(w, u, *stacks[:2], None, range(3))
+        second = T.rwkv_scan(w, u, *stacks[2:], first, range(3))
+        outs, state = rwkv_scan_chain(w, u, *stacks[:2], None, range(3))
+        more, _ = rwkv_scan_chain(w, u, *stacks[2:], state, range(3))
+    else:
+        stacks = [_deeper(_p(3, 2, 4), i) for i in range(6)]
+        first = T.linear_scan(*stacks[:3], None, range(3), 2, "elu_plus_one")
+        second = T.linear_scan(*stacks[3:], first, range(3), 2, "elu_plus_one")
+        outs, state = linear_scan_chain(*stacks[:3], None, range(3), 2, "elu_plus_one")
+        more, _ = linear_scan_chain(*stacks[3:], state, range(3), 2, "elu_plus_one")
+    return [(first, outs), (second, more)]
+
+
+@pytest.mark.parametrize("scan", ["rwkv", "linear"])
+def test_stacked_rows_keep_their_own_depths(scan):
+    """Each read-out row of a scan, through a stacked layer norm and a
+    stacked projection, is as deep as its own token's chain, not as the
+    deepest row, in a first chunk and in one that resumes it."""
+    gain, bias = _p(3 if scan == "rwkv" else 4), _p(3 if scan == "rwkv" else 4)
+    weight = _p(*gain.shape * 2)
+    for node, outs in _two_chunks(scan):
+        rows = T.layer_norm(T.pick(node, [0, 1, 2]), gain, bias, 1e-6, stacked=True)
+        projected = T.affine([(rows, weight)], None, stacked=True)
+        got = [graph_profile([T.pick(projected, t)], 1, "hand").depth for t in range(3)]
+        want = [graph_profile([T.matmul(layer_norm_chain(out, gain, bias), weight)], 1,
+                              "hand").depth for out in outs]
+        assert got == want and len(set(want)) == 3, (got, want)
+
+
+def test_a_kind_that_mixes_rows_it_does_not_place_raises():
+    """Only a kind that keeps rows apart carries per-row depths, and only
+    one that places them mixes them: stacking a scan's rows into a sequence
+    would give every position the deepest row's depth."""
+    (node, _), _ = _two_chunks("rwkv")
+    with pytest.raises(ProfilerError, match="stack_rows node .* one depth per row"):
+        graph_profile([T.stack_rows(T.pick(node, [0, 1, 2]))], n=1, arch="hand")
 
 
 @pytest.mark.parametrize("n_layers", [1, 2])
@@ -520,6 +636,26 @@ def test_recurrent_route_profile_is_pinned(arch, layers):
                               n, arch)
         got.append((p.total_ops, p.depth, p.flops))
     assert got == RECURRENT_PROFILES[arch, layers]
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("arch, slope", [("rwkv", 2), ("linear-transformer", 1)])
+def test_recurrent_route_depth_rises_by_a_fixed_step_per_token(arch, slope, layers):
+    """The recurrent route's depth rises by the same step per token at any
+    number of layers: 2 for RWKV's decayed sums and 1 for the linear
+    Transformer's running sums, whose chains run along the top layer.  A
+    stacked node that took its deepest row's depth for every row would
+    make the step grow with the layers."""
+    cfg = ModelConfig(arch=arch, vocab_size=8, d_model=16, n_layers=layers, n_heads=2, seed=3)
+    params = init_params(cfg)
+    ns = np.array([4, 8, 16, 32])
+    depths = []
+    for n in ns:
+        toks = np.random.default_rng(3).integers(0, 8, size=(1, n))
+        with T.graph_scope():
+            depths.append(graph_profile(model_forward(cfg, params, toks,
+                                                      mode="recurrent").logits, n, arch).depth)
+    assert list(np.diff(depths) / np.diff(ns)) == [slope] * 3, depths
 
 
 def test_ri_models_constant_depth_parallel():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from recurlab import tensor as T
 from recurlab.models import ModelConfig, ParamGraph, init_params, model_forward
-from recurlab.models.linear import linear_attn_recurrent
 
 
 def test_softmax_uniform_over_equal_logits():
@@ -1204,15 +1203,58 @@ def test_transformer_layers_match_the_chain_byte_for_byte(length, positions):
             _transformer_run(False, length, n_heads, 0.35, positions), n_heads
 
 
-# -- fused RWKV and linear-attention state updates ---------------------------
+# -- stacked embedding rows ---------------------------------------------------
+
+def embed_rows_chain(table, ids, positions=None):
+    """The per-position nodes that ``T.embed_rows`` fuses: each position's
+    gather and, with ``positions``, the add of its row; a list of rows."""
+    rows = [T.take_rows(table, ids[:, t]) for t in range(ids.shape[1])]
+    return rows if positions is None else [r + T.constant(p) for r, p in zip(rows, positions)]
+
+
+def _embed_run(fused, positional=True, length=11):
+    """Data of the embedded rows of a batch of 3 sequences of ``length``
+    tokens, whose ids repeat within and across positions, and the table's
+    gradient under a weighted-sum loss; the table is an inner node that also
+    feeds a node built after the rows."""
+    rng = np.random.default_rng(length)
+    src = T.parameter(rng.normal(size=(5, 4)))
+    table = src * T.constant(2.0)
+    ids = rng.integers(0, 5, size=(3, length))
+    positions = rng.normal(size=(length, 4)) if positional else None
+    if fused:
+        stack = T.embed_rows(table, ids, positions)
+        rows = [T.pick(stack, t) for t in range(length)]
+    else:
+        rows = embed_rows_chain(table, ids, positions)
+    T.backward(_weighted_loss(rows + [table * table], rng, False))
+    return [x.tobytes() for x in (*(r.data for r in rows), src.grad)]
+
+
+@pytest.mark.parametrize("length", [1, 9, 17])
+@pytest.mark.parametrize("positional", [False, True])
+def test_embed_rows_match_the_chain_byte_for_byte(positional, length):
+    assert _embed_run(True, positional, length) == _embed_run(False, positional, length)
+
+
+def test_embed_rows_reject_ids_or_positions_of_another_shape():
+    table = T.parameter(np.ones((5, 4)))
+    for ids, positions in ((np.zeros(3, dtype=int), None), (np.zeros((2, 3), dtype=int),
+                                                            np.ones((2, 4))),
+                           (np.full((2, 3), 5), None), (np.zeros((2, 3)), None)):
+        with pytest.raises(T.ShapeError, match="embed_rows"):
+            T.embed_rows(table, ids, positions)
+
+
+# -- the recurrent state scans -------------------------------------------------
 
 def rwkv_decay_chain(w_raw):
-    """The 3 elementary ops (and a constant) that ``T.rwkv_decay`` fuses."""
+    """The 3 elementary ops (and a constant) of RWKV's decay."""
     return T.exp(-T.nonlinearity(w_raw, "elu_plus_one"))
 
 
 def rwkv_output_chain(u, k, v, a, b):
-    """The 6 elementary ops that ``T.rwkv_output`` fuses."""
+    """The 6 elementary ops of RWKV's read-out."""
     bonus = T.exp(u + k)
     return (a + bonus * v) / (b + bonus)
 
@@ -1221,8 +1263,37 @@ def decayed_sum_chain(z, a, x, y=None):
     return z * a + (x if y is None else x * y)
 
 
+def rwkv_update_chain(w_raw, ab, k, v):
+    """RWKV's state after a token from ``ab``, the state before it (None
+    while empty): e^k v and e^k, or the decay and the two decayed sums."""
+    ek = T.exp(k)
+    if ab is None:
+        return ek * v, ek
+    z = rwkv_decay_chain(w_raw)
+    return decayed_sum_chain(z, ab[0], ek, v), decayed_sum_chain(z, ab[1], ek)
+
+
+def rwkv_scan_chain(w_raw, u, k, v, state, queries):
+    """The elementary chain that ``T.rwkv_scan`` fuses, one token at a time
+    over the rows of k and v (n, B, d), each a pick of its stack, which
+    stands for no op: per token its read-out if it is one of ``queries``
+    and, but for the last, the update after it.  ``state`` is an earlier
+    chunk's: (its state before its last token or None, that token's k and
+    v rows), whose update comes first.  Returns (the read-outs, the
+    state)."""
+    ab = None if state is None else rwkv_update_chain(w_raw, *state)
+    outs = []
+    for t in range(k.shape[0]):
+        k_t, v_t = T.pick(k, t), T.pick(v, t)
+        if t in queries:
+            outs.append(v_t if ab is None else rwkv_output_chain(u, k_t, v_t, *ab))
+        if t < k.shape[0] - 1:
+            ab = rwkv_update_chain(w_raw, ab, k_t, v_t)
+    return outs, (ab, k_t, v_t)
+
+
 def outer_update_chain(a, k, v):
-    """One head of the elementary ops that ``T.outer_update`` fuses: 3, or
+    """One head of the elementary ops of a linear-attention update: 3, or
     4 with the state ``a`` (B, dh, dv)."""
     (batch, dh), dv = k.shape, v.shape[-1]
     outer = T.matmul(k.reshape((batch, dh, 1)), v.reshape((batch, 1, dv)))
@@ -1230,171 +1301,263 @@ def outer_update_chain(a, k, v):
 
 
 def linear_readout_chain(q, a, b):
-    """One head of the 6 elementary ops that ``T.linear_readout`` fuses."""
+    """One head of the 6 elementary ops of a linear-attention read-out."""
     batch, dh = q.shape
     num = T.matmul(q.reshape((batch, 1, dh)), a).reshape((batch, a.shape[-1]))
     return num / (q * b).sum(axis=-1, keepdims=True)
 
 
 def linear_step_chain(ab, q, k, v, n_heads):
-    """One linear-attention step as the elementary nodes that
-    ``T.outer_update``, ``T.key_sum`` and ``T.linear_readout`` fuse: q, k
+    """One linear-attention step as elementary nodes: q (unless None), k
     and v split into heads, per head the state's update, b + k and the
-    read-out, and the heads' concat; ``ab`` is a list of per-head (a, b)."""
+    read-out, and the heads' concat; ``ab`` is a list of per-head (a, b).
+    Returns (the read-out or None, the state)."""
     outs, states = [], []
-    for i, (q_i, k_i, v_i) in enumerate(zip(split_chain(q, n_heads), split_chain(k, n_heads),
+    qs = [None] * n_heads if q is None else split_chain(q, n_heads)
+    for i, (q_i, k_i, v_i) in enumerate(zip(qs, split_chain(k, n_heads),
                                             split_chain(v, n_heads))):
         a, b = (None, None) if ab is None else ab[i]
         a = outer_update_chain(a, k_i, v_i)
         b = k_i if b is None else b + k_i
-        outs.append(linear_readout_chain(q_i, a, b))
+        if q_i is not None:
+            outs.append(linear_readout_chain(q_i, a, b))
         states.append((a, b))
-    return (outs[0] if n_heads == 1 else T.concat(outs, axis=-1)), states
+    out = None if q is None else outs[0] if n_heads == 1 else T.concat(outs, axis=-1)
+    return out, states
 
 
-def _state_arrays(ab):
-    """The fused state's (a, b) arrays, or the chain's per-head states
-    stacked and joined as the fused node holds them."""
-    if isinstance(ab, tuple):
-        return [x.data for x in ab]
-    return [np.stack([a.data for a, _ in ab], axis=1),
-            np.concatenate([b.data for _, b in ab], axis=-1)]
-
-
-FUSED_RWKV = (T.rwkv_decay, T.rwkv_output, T.decayed_sum)
-CHAIN_RWKV = (rwkv_decay_chain, rwkv_output_chain, decayed_sum_chain)
-
-
-def _rwkv_run(kinds, batch=3, d=4):
-    """Data of three RWKV recurrent steps, built as ``rwkv_attn_recurrent``
-    builds them from ``kinds`` (decay, output, decayed sum), and the
-    gradients of every source under a weighted-sum loss.  The first state
-    is made of inner nodes, each step's k and v are inner nodes that also
-    feed a node built after the step, and u broadcasts over the batch."""
-    decay, output, dsum = kinds
-    rng = np.random.default_rng(d)
-    w_raw, u = T.parameter(rng.normal(size=d)), T.parameter(rng.normal(size=d))
-    srcs = [T.parameter(rng.normal(size=(batch, d))) for _ in range(8)]
-    ab = (T.exp(srcs[0]) * srcs[1], T.exp(srcs[0]))
+def linear_scan_chain(q, k, v, state, queries, n_heads, feature_map):
+    """The elementary chain that ``T.linear_scan`` fuses, one token at a
+    time over the rows of k and v (n, B, d) and of q, one per query, each a
+    pick of its stack: per token the feature map of k and the update of
+    every head's state, and per query the feature map of q and the
+    read-out.  ``state`` is an earlier chunk's list of per-head (a, b).
+    Returns (the read-outs, the state)."""
     outs = []
-    for t in range(3):
-        k = T.nonlinearity(srcs[2 + 2 * t], "tanh") * T.constant(2.0)
-        v = srcs[3 + 2 * t] * T.constant(1.5)
-        a, b = ab
-        z = decay(w_raw)
-        h = output(u, k, v, a, b)
-        ek = T.exp(k)
-        ab = (dsum(z, a, ek, v), dsum(z, b, ek))
-        outs += [h, k * v]
-    outs += ab
-    T.backward(sum(((o * T.constant(rng.normal(size=o.shape))).sum() for o in outs[1:]),
-                   outs[0].sum()))
-    return [x.tobytes() for x in (*(o.data for o in outs),
+    for t in range(k.shape[0]):
+        q_t = (T.nonlinearity(T.pick(q, list(queries).index(t)), feature_map)
+               if t in queries else None)
+        out, state = linear_step_chain(state, q_t, T.nonlinearity(T.pick(k, t), feature_map),
+                                       T.pick(v, t), n_heads)
+        if out is not None:
+            outs.append(out)
+    return outs, state
+
+
+def _weighted_loss(terms, rng, zero):
+    """The sum of every term weighted by normal draws, or by -0.0 with
+    ``zero``, where every gradient is a zero whose sign shows how it was
+    summed."""
+    sums = [(x * T.constant(np.full(x.shape, -0.0) if zero else rng.normal(size=x.shape))).sum()
+            for x in terms]
+    return sum(sums[1:], sums[0])
+
+
+def _rwkv_scan_run(fused, chunks, zero=False, batch=3, d=4):
+    """Data of RWKV's recurrence over consecutive chunks of tokens, each
+    (length, queries), each chunk resuming the state the one before left,
+    built by ``T.rwkv_scan`` or as its chain, and the gradients of every
+    source under a weighted-sum loss of the read-outs and the last state.
+    Each chunk's k and v are inner stacks that also feed a node built after
+    the scans, and u broadcasts over the batch."""
+    rng = np.random.default_rng(d + len(chunks))
+    w_raw, u = T.parameter(rng.normal(size=d)), T.parameter(rng.normal(size=d))
+    srcs = [T.parameter(rng.normal(size=(n, batch, d))) for n, _ in chunks for _ in range(2)]
+    state, outs, later = None, [], []
+    for i, (_, queries) in enumerate(chunks):
+        k = T.nonlinearity(srcs[2 * i], "tanh") * T.constant(2.0)
+        v = srcs[2 * i + 1] * T.constant(1.5)
+        if fused:
+            state = T.rwkv_scan(w_raw, u, k, v, state, queries)
+            outs += [T.pick(state, j) for j in range(len(queries))]
+        else:
+            read, state = rwkv_scan_chain(w_raw, u, k, v, state, queries)
+            outs += read
+        later.append(k * v)
+    if fused:
+        last = [T.pick(state, j) for j in range(len(chunks[-1][1]), state.shape[0])]
+    else:
+        last = [*(state[0] or ()), *state[1:]]
+    T.backward(_weighted_loss(outs + last + later, rng, zero))
+    return [x.tobytes() for x in (*(o.data for o in outs + last),
                                   *(s.grad for s in [w_raw, u, *srcs]))]
 
 
-def _linear_run(step, n_heads, batch=3, dh=4):
-    """Data of three linear-attention recurrent steps over ``n_heads`` heads,
-    built by ``step`` (``linear_attn_recurrent`` or ``linear_step_chain``),
-    and the gradients of every source under a weighted-sum loss; each step's
-    q and k also feed a node built after the step, and the loss reads the
-    last state."""
-    rng = np.random.default_rng(dh + n_heads)
-    srcs = [T.parameter(rng.normal(size=(batch, n_heads * w)))
-            for _ in range(3) for w in (dh, dh, dh)]
-    ab, outs = None, []
-    for t in range(3):
-        q, k = (T.nonlinearity(s, "elu_plus_one") for s in srcs[3 * t:3 * t + 2])
-        v = srcs[3 * t + 2] * T.constant(1.5)
-        out, ab = step(ab, q, k, v, n_heads)
-        outs += [out, q * k]
-    states = _state_arrays(ab)
-    w_a, w_b = (rng.normal(size=x.shape) for x in states)
-    if isinstance(ab, tuple):
-        terms = [(ab[0] * T.constant(w_a)).sum(), (ab[1] * T.constant(w_b)).sum()]
+def _linear_scan_run(fused, chunks, n_heads, feature_map="elu_plus_one", zero=False, shift=0.0,
+                     batch=3, dh=4):
+    """Data of the linear Transformer's recurrence over consecutive chunks
+    of tokens, each (length, queries), each chunk resuming the state the one
+    before left, over ``n_heads`` heads, built by ``T.linear_scan`` or as its
+    chain, and the gradients of every source under a weighted-sum loss of
+    the read-outs and the last state.  Each chunk's q, k and v are inner
+    stacks, before the feature map, shifted by ``shift``, and k and v also
+    feed a node built after the scans."""
+    rng = np.random.default_rng(dh + n_heads + len(chunks))
+    d = n_heads * dh
+    srcs = [T.parameter(rng.normal(size=(len(queries) if j == 0 else n, batch, d)))
+            for n, queries in chunks for j in range(3)]
+    state, outs, later = None, [], []
+    for i, (_, queries) in enumerate(chunks):
+        q, k = (T.nonlinearity(s, "tanh") * T.constant(2.0) + T.constant(shift)
+                for s in srcs[3 * i:3 * i + 2])
+        v = srcs[3 * i + 2] * T.constant(1.5)
+        if fused:
+            state = T.linear_scan(q, k, v, state, queries, n_heads, feature_map)
+            outs += [T.pick(state, j) for j in range(len(queries))]
+        else:
+            read, state = linear_scan_chain(q, k, v, state, queries, n_heads, feature_map)
+            outs += read
+        later.append(k * v)
+    weights = [rng.normal(size=(batch, n_heads, dh, dh)), rng.normal(size=(batch, d))]
+    if zero:
+        weights = [np.full(w.shape, -0.0) for w in weights]
+    if fused:
+        nq = len(chunks[-1][1])
+        a_rows, b_row = T.pick(state, list(range(nq, nq + dh))), T.pick(state, nq + dh)
+        terms = [(a_rows * T.constant(T._pack(weights[0], d))).sum(),
+                 (b_row * T.constant(weights[1])).sum()]
+        last = [T._unpack(a_rows.data, weights[0].shape), b_row.data]
     else:
-        terms = [(x * T.constant(w)).sum() for i, (a, b) in enumerate(ab)
-                 for x, w in ((a, w_a[:, i]), (b, np.split(w_b, n_heads, axis=-1)[i]))]
-    T.backward(sum(((o * T.constant(rng.normal(size=o.shape))).sum() for o in outs[1:]),
-                   outs[0].sum()) + sum(terms[1:], terms[0]))
-    return [x.tobytes() for x in (*(o.data for o in outs), *states, *(s.grad for s in srcs))]
+        terms = [(x * T.constant(w)).sum() for i, (a, b) in enumerate(state)
+                 for x, w in ((a, weights[0][:, i]),
+                              (b, np.split(weights[1], n_heads, axis=-1)[i]))]
+        last = [np.stack([a.data for a, _ in state], axis=1),
+                np.concatenate([b.data for _, b in state], axis=-1)]
+    T.backward(_weighted_loss(outs + later, rng, zero) + sum(terms[1:], terms[0]))
+    return [x.tobytes() for x in (*(o.data for o in outs), *last, *(s.grad for s in srcs))]
 
 
-def test_rwkv_kinds_match_the_chain_byte_for_byte():
-    assert _rwkv_run(FUSED_RWKV) == _rwkv_run(CHAIN_RWKV)
-
-
-def test_linear_kinds_match_the_chain_byte_for_byte():
-    for n_heads in HEADS:
-        assert _linear_run(linear_attn_recurrent, n_heads) == \
-            _linear_run(linear_step_chain, n_heads), n_heads
-
-
-# kind -> (build it over these parameters, their shapes)
-STATE_KINDS = {
-    "rwkv_decay": (T.rwkv_decay, [(4,)]),
-    "rwkv_output": (T.rwkv_output, [(4,), (2, 4), (2, 4), (2, 4), (2, 4)]),
-    "decayed_sum": (T.decayed_sum, [(4,), (2, 4), (2, 4)]),
-    "decayed_sum-weighted": (T.decayed_sum, [(4,), (2, 4), (2, 4), (2, 4)]),
-    "outer_update": (lambda a, k, v: T.outer_update(a, k, v, 1), [(2, 1, 3, 4), (2, 3), (2, 4)]),
-    "outer_update-first": (lambda k, v: T.outer_update(None, k, v, 1), [(2, 3), (2, 4)]),
-    "outer_update-2-heads": (lambda a, k, v: T.outer_update(a, k, v, 2),
-                             [(2, 2, 2, 3), (2, 4), (2, 6)]),
-    "outer_update-4-heads": (lambda a, k, v: T.outer_update(a, k, v, 4),
-                             [(2, 4, 1, 2), (2, 4), (2, 8)]),
-    "key_sum": (lambda b, k: T.key_sum(b, k, 2), [(2, 4), (2, 4)]),
-    "key_sum-4-heads": (lambda b, k: T.key_sum(b, k, 4), [(2, 8), (2, 8)]),
-    "linear_readout": (T.linear_readout, [(2, 3), (2, 1, 3, 4), (2, 3)]),
-    "linear_readout-2-heads": (T.linear_readout, [(2, 4), (2, 2, 2, 3), (2, 4)]),
-    "linear_readout-4-heads": (T.linear_readout, [(2, 4), (2, 4, 1, 2), (2, 4)]),
+# case -> consecutive chunks of (length, queries): every token read, some,
+# the first token read with no state before it, one token alone, past
+# numpy's 8-element pairwise block, and chunks resumed after chunks of one
+# and more tokens
+SCAN_CHUNKS = {
+    "every-token": [(5, range(5))],
+    "some-queries": [(6, (1, 4))],
+    "first-token-read": [(4, (0, 3))],
+    "one-token": [(1, (0,))],
+    "long": [(17, range(0, 17, 2))],
+    "resumed": [(3, (0, 2)), (4, (0, 1, 3))],
+    "after-one-token": [(1, (0,)), (3, (1, 2))],
+    "steps": [(1, (0,))] * 4,
 }
 
 
-@pytest.mark.parametrize("kind", list(STATE_KINDS))
-def test_state_kinds_build_one_node_over_their_operands(kind):
-    fused, shapes = STATE_KINDS[kind]
+@pytest.mark.parametrize("zero", [False, True], ids=["weighted", "zero-signs"])
+@pytest.mark.parametrize("case", list(SCAN_CHUNKS))
+def test_rwkv_scan_matches_the_chain_byte_for_byte(case, zero):
+    chunks = SCAN_CHUNKS[case]
+    assert _rwkv_scan_run(True, chunks, zero) == _rwkv_scan_run(False, chunks, zero)
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["weighted", "zero-signs"])
+@pytest.mark.parametrize("case", list(SCAN_CHUNKS))
+def test_linear_scan_matches_the_chain_byte_for_byte(case, zero):
+    chunks = SCAN_CHUNKS[case]
+    for n_heads in HEADS:
+        assert _linear_scan_run(True, chunks, n_heads, zero=zero) == \
+            _linear_scan_run(False, chunks, n_heads, zero=zero), n_heads
+
+
+@pytest.mark.parametrize("feature_map", sorted(T.NONLINEARITIES))
+def test_linear_scan_matches_the_chain_under_every_feature_map(feature_map):
+    """Shifted past relu's zeros, which would leave a head's denominator 0."""
+    chunks = SCAN_CHUNKS["resumed"]
+    assert _linear_scan_run(True, chunks, 2, feature_map, shift=2.5) == \
+        _linear_scan_run(False, chunks, 2, feature_map, shift=2.5)
+
+
+def _rwkv_scan(w, u, k, v):
+    return T.rwkv_scan(w, u, k, v, None, (0, 2))
+
+
+def _rwkv_resumed(w, u, k, v, k2, v2):
+    """A scan of two tokens, then one of three that resumes its state."""
+    return T.rwkv_scan(w, u, k2, v2, T.rwkv_scan(w, u, k, v, None, (1,)), (0, 2))
+
+
+def _linear_scan(n_heads):
+    return lambda q, k, v: T.linear_scan(q, k, v, None, (1, 2), n_heads, "elu_plus_one")
+
+
+def _linear_resumed(q, k, v, q2, k2, v2):
+    first = T.linear_scan(q, k, v, None, (1,), 2, "relu")
+    return T.linear_scan(q2, k2, v2, first, (0, 2), 2, "relu")
+
+
+# kind -> (build it over these parameters, their shapes)
+SCAN_KINDS = {
+    "rwkv_scan": (_rwkv_scan, [(4,), (4,), (3, 2, 4), (3, 2, 4)]),
+    "rwkv_scan-resumed": (_rwkv_resumed, [(4,), (4,), (2, 2, 4), (2, 2, 4), (3, 2, 4),
+                                          (3, 2, 4)]),
+    "linear_scan": (_linear_scan(1), [(2, 2, 3), (3, 2, 3), (3, 2, 3)]),
+    "linear_scan-2-heads": (_linear_scan(2), [(2, 2, 4), (3, 2, 4), (3, 2, 4)]),
+    "linear_scan-resumed": (_linear_resumed, [(1, 2, 4), (2, 2, 4), (2, 2, 4), (2, 2, 4),
+                                              (3, 2, 4), (3, 2, 4)]),
+}
+
+
+@pytest.mark.parametrize("kind", list(SCAN_KINDS))
+def test_scan_kinds_build_one_node_over_their_operands(kind):
+    build, shapes = SCAN_KINDS[kind]
     parents = [T.parameter(np.ones(shape)) for shape in shapes]
     start = T.constant(0.0).id
-    out = fused(*parents)
-    assert (out.op_kind, out.id, out.parents) == (kind.split("-")[0], start + 1, tuple(parents))
+    out = build(*parents)
+    resumed = kind.endswith("resumed")
+    assert out.op_kind == kind.split("-")[0] and out.id == start + 1 + resumed
+    own = out.parents[:-1] if resumed else out.parents
+    assert all(any(p is x for x in parents) for p in own)
+    assert not resumed or out.parents[-1].op_kind == out.op_kind
 
 
-@pytest.mark.parametrize("kind", list(STATE_KINDS))
-def test_state_kinds_grad_check(kind):
-    fused, shapes = STATE_KINDS[kind]
+@pytest.mark.parametrize("kind", list(SCAN_KINDS))
+def test_scan_kinds_grad_check(kind):
+    build, shapes = SCAN_KINDS[kind]
     rng = np.random.default_rng(len(shapes))
     # positive operands keep the rwkv and linear denominators away from 0
     point = [rng.uniform(0.5, 1.5, size=shape) for shape in shapes]
-    weights = T.constant(rng.normal(size=fused(*map(T.constant, point)).shape))
-    report = T.grad_check(lambda vs: (fused(*vs) * weights).sum(), point)
+    weights = T.constant(rng.normal(size=build(*map(T.constant, point)).shape))
+    report = T.grad_check(lambda vs: (build(*vs) * weights).sum(), point)
     assert report.max_rel_err < 1e-6
 
 
-@pytest.mark.parametrize("kind, shapes", [
-    ("rwkv_output", [(4,), (2, 4), (2, 3), (2, 4), (2, 4)]),   # a value of another width
-    ("decayed_sum", [(4,), (2, 4), (2, 4), (3, 4)]),   # a weight of another batch
-    ("outer_update", [None, (2, 3, 1), (2, 4)]),       # a key with a third axis
-    ("outer_update", [None, (2, 3), (3, 4)]),          # values of another batch
-    ("outer_update", [(2, 4, 3), (2, 3), (2, 4)]),     # a state of another shape
-    ("linear_readout", [(3,), (1, 3, 4), (3,)]),       # no batch axis
-    ("linear_readout", [(2, 3), (2, 1, 4, 4), (2, 3)]),  # a state of another width
-    ("linear_readout", [(2, 3), (2, 1, 3, 4), (2, 4)]),  # a sum of another width
-    ("key_sum", [(2, 2), (2, 4)]),                     # a sum of another width
+@pytest.mark.parametrize("kind, shapes, queries", [
+    ("rwkv_scan", [(4,), (4,), (3, 2, 4), (3, 2, 3)], (0,)),      # a value of another width
+    ("rwkv_scan", [(3,), (4,), (3, 2, 4), (3, 2, 4)], (0,)),      # a decay of another width
+    ("rwkv_scan", [(4,), (4,), (2, 4), (2, 4)], (0,)),            # no token axis
+    ("rwkv_scan", [(4,), (4,), (3, 2, 4), (3, 2, 4)], (3,)),      # a query past the chunk
+    ("rwkv_scan", [(4,), (4,), (3, 2, 4), (3, 2, 4)], (2, 1)),    # queries out of order
+    ("rwkv_scan", [(4,), (4,), (3, 2, 4), (3, 2, 4)], ()),        # no query
+    ("linear_scan", [(1, 2, 4), (3, 2, 4), (3, 3, 4)], (0,)),     # values of another batch
+    ("linear_scan", [(2, 2, 4), (3, 2, 4), (3, 2, 4)], (0,)),     # a query row too many
+    ("linear_scan", [(1, 2, 3), (3, 2, 4), (3, 2, 4)], (0,)),     # a query of another width
+    ("linear_scan", [(1, 2, 4), (3, 2, 4), (3, 2, 4)], (1, 1)),   # a query twice
 ])
-def test_state_kinds_reject_operands_the_chain_would_not_combine(kind, shapes):
-    operands = [None if s is None else T.parameter(np.ones(s)) for s in shapes]
-    heads = (1,) if kind in ("outer_update", "key_sum") else ()
+def test_scan_kinds_reject_operands_the_chain_would_not_combine(kind, shapes, queries):
+    operands = [T.parameter(np.ones(s)) for s in shapes]
+    args = (None, queries) + ((1, "relu") if kind == "linear_scan" else ())
     with pytest.raises(T.ShapeError, match=kind):
-        getattr(T, kind)(*operands, *heads)
+        getattr(T, kind)(*operands, *args)
 
 
-@pytest.mark.parametrize("kind", ["outer_update", "key_sum"])
-def test_state_kinds_reject_a_key_not_split_evenly(kind):
-    k = T.parameter(np.ones((2, 3)))
-    first = None if kind == "outer_update" else k
-    with pytest.raises(T.ShapeError, match=kind):
-        getattr(T, kind)(first, k, *([T.parameter(np.ones((2, 4)))] if kind == "outer_update"
-                                     else []), 2)
+def test_scans_reject_a_state_of_another_kind_or_shape():
+    ones = [T.parameter(np.ones(shape)) for shape in ((4,), (4,), (2, 2, 4), (2, 2, 4))]
+    rwkv = T.rwkv_scan(*ones, None, (1,))
+    linear = T.linear_scan(ones[2], ones[2], ones[3], None, (0, 1), 2, "relu")
+    with pytest.raises(T.ShapeError, match="linear_scan"):
+        T.linear_scan(ones[2], ones[2], ones[3], rwkv, (0, 1), 2, "relu")
+    with pytest.raises(T.ShapeError, match="linear_scan"):
+        T.linear_scan(ones[2], ones[2], ones[3], linear, (0, 1), 1, "relu")   # other heads
+    wide = T.parameter(np.ones((2, 2, 8)))
+    with pytest.raises(T.ShapeError, match="rwkv_scan"):
+        T.rwkv_scan(T.parameter(np.ones(8)), T.parameter(np.ones(8)), wide, wide, rwkv, (0,))
+    assert linear.shape == (2 + 2 + 1, 2, 4)
+
+
+def test_linear_scan_rejects_a_width_not_split_evenly():
+    x = T.parameter(np.ones((2, 2, 3)))
+    with pytest.raises(T.ShapeError, match="linear_scan"):
+        T.linear_scan(x, x, x, None, (0, 1), 2, "relu")
 
 
 def _attention_builders(kind, n_heads):
@@ -1509,28 +1672,6 @@ FFN_OVERFLOWS = [
 ]
 
 
-def _one_head_state(a):
-    """The (B, dh, dv) state of a (B, 1, dh, dv) one, for a chain's head."""
-    return a.reshape((a.shape[0],) + a.shape[2:])
-
-
-def _outer_update_heads(a, k, v):
-    """outer_update's chain over the heads of k and v, each head's state
-    sliced out of ``a`` and the updates stacked again."""
-    n_heads = a.shape[1]
-    heads = [outer_update_chain(a.slice((slice(None), i)), k_i, v_i).reshape(
-        (a.shape[0], 1) + a.shape[2:])
-        for i, (k_i, v_i) in enumerate(zip(split_chain(k, n_heads), split_chain(v, n_heads)))]
-    return T.concat(heads, axis=1)
-
-
-def _linear_readout_heads(q, a, b):
-    """linear_readout's chain over the heads of q and b."""
-    n_heads = a.shape[1]
-    return T.concat([linear_readout_chain(q_i, a.slice((slice(None), i)), b_i) for i, (q_i, b_i)
-                     in enumerate(zip(split_chain(q, n_heads), split_chain(b, n_heads)))], axis=-1)
-
-
 # kind -> (fused builder, chain builder, input cases near the float64 limit
 # as (case id, input arrays, whether the chain raises))
 FUSED_OVERFLOWS = {
@@ -1572,70 +1713,64 @@ FUSED_OVERFLOWS = {
         lambda h, a, g, b, w1, b1, w2, b2, nonlin=nonlin: ffn_sublayer_chain(
             h, a, (g, b), (w1, b1), (w2, b2), nonlin), FFN_OVERFLOWS)
        for nonlin in T.NONLINEARITIES},
-    # elu_plus_one is finite and positive, so the decay is in (0, 1]
-    "rwkv_decay": (T.rwkv_decay, rwkv_decay_chain, [
-        ("huge-w", [np.array([1.7e308, -1.7e308])], False),
-    ]),
-    # (u, k, v, a, b); exp(709) is 8.2e307
-    "rwkv_output": (T.rwkv_output, rwkv_output_chain, [
-        ("bonus", _arrays([400.0], [[400.0]], [[1.0]], [[1.0]], [[1.0]]), True),
+    # (w, u, k, v) over three tokens of one row and width, every token read;
+    # the decay is in (0, 1], and exp(709) is 8.2e307
+    "rwkv_scan": (lambda w, u, k, v: T.rwkv_scan(w, u, k, v, None, range(3)),
+                  lambda w, u, k, v: rwkv_scan_chain(w, u, k, v, None, range(3))[0][-1], [
+        ("huge-w", _arrays([1.7e308], [0.0], [[[0.0]]] * 3, [[[1.0]]] * 3), False),
+        # the middle token's e^k, which its update reads
+        ("middle-exp", _arrays([0.0], [-2000.0], [[[0.0]], [[800.0]], [[0.0]]],
+                               [[[1.0]]] * 3), True),
+        # the first token's e^k v, which its update reads
+        ("first-product", _arrays([0.0], [0.0], [[[1.0]], [[0.0]], [[0.0]]],
+                                  [[[1e308]], [[1.0]], [[1.0]]]), True),
+        ("middle-decayed-sum", _arrays([0.0], [-2000.0], [[[700.0]], [[700.0]], [[0.0]]],
+                                       [[[1.5e4]], [[1.5e4]], [[1.0]]]), True),
+        ("middle-bonus", _arrays([400.0], [400.0], [[[0.0]], [[400.0]], [[0.0]]],
+                                 [[[1.0]]] * 3), True),
         # u + k = -inf gives a bonus of 0 and the quotient a / b
-        ("negative-sum", _arrays([-1e308], [[-1e308]], [[1.0]], [[1.0]], [[1.0]]), True),
+        ("negative-sum", _arrays([0.0], [-1e308], [[[0.0]], [[-1e308]], [[0.0]]],
+                                 [[[1.0]]] * 3), True),
         # b + bonus = inf gives a quotient of 0
-        ("denominator", _arrays([0.0], [[709.0]], [[1.0]], [[0.0]], [[1.7e308]]), True),
-        ("product", _arrays([0.0], [[700.0]], [[1e10]], [[0.0]], [[1.0]]), True),
-        ("huge-finite", _arrays([0.0], [[700.0]], [[1e3]], [[1e300]], [[1e300]]), False),
+        ("denominator", _arrays([0.0], [0.7], [[[709.0]], [[709.0]], [[709.0]]],
+                                [[[0.0]]] * 3), True),
+        ("huge-finite", _arrays([0.0], [0.0], [[[700.0]], [[0.0]], [[0.0]]],
+                                [[[1e3]], [[1.0]], [[1.0]]]), False),
+        # the last token's update is left to a next chunk, so its e^k
+        # is never built
+        ("last-exp", _arrays([0.0], [-2000.0], [[[0.0]], [[0.0]], [[800.0]]],
+                             [[[1.0]]] * 3), False),
     ]),
-    # (z, a, x) or (z, a, x, y)
-    "decayed_sum": (T.decayed_sum, decayed_sum_chain, [
-        ("product", _arrays([1e200], [[1e200]], [[0.0]]), True),
-        ("sum", _arrays([1.0], [[1.7e308]], [[1.7e308]]), True),
-        ("cancelling", _arrays([1.0], [[1.7e308]], [[-1.7e308]]), False),
-        ("weighted-product", _arrays([1.0], [[1.0]], [[1e200]], [[1e200]]), True),
-        ("opposite-products", _arrays([1e200], [[1e200]], [[-1e200]], [[1e200]]), True),
-        ("weighted-cancelling", _arrays([1.0], [[1.7e308]], [[-1.7e154]], [[1e154]]), False),
-    ]),
-    # (a, k, v), or (k, v) for the first step, at one head; the chain's
-    # state is the head's (B, dh, dv)
-    "outer_update": (lambda *vs: T.outer_update(vs[0] if len(vs) == 3 else None, *vs[-2:], 1),
-                     lambda *vs: outer_update_chain(_one_head_state(vs[0]) if len(vs) == 3
-                                                    else None, *vs[-2:]), [
-        ("product", _arrays([[[[0.0]]]], [[1e200]], [[1e200]]), True),
-        ("first-product", _arrays([[1e200]], [[1e200]]), True),
-        ("sum", _arrays([[[[1.7e308]]]], [[1e154]], [[1.7e154]]), True),
-        ("cancelling", _arrays([[[[-1.7e308]]]], [[1.3e154]], [[1.3e154]]), False),
-    ]),
-    # (a, k, v) at two heads of width 1: only the second head's product
-    # overflows
-    "outer_update/2-heads": (lambda a, k, v: T.outer_update(a, k, v, 2), _outer_update_heads, [
-        ("second-head-product", _arrays([[[[0.0]], [[0.0]]]], [[1.0, 1e200]], [[1.0, 1e200]]),
-         True),
-        ("second-head-cancelling", _arrays([[[[0.0]], [[-1.7e308]]]], [[1.0, 1.3e154]],
-                                           [[1.0, 1.3e154]]), False),
-    ]),
-    # (b, k)
-    "key_sum": (lambda b, k: T.key_sum(b, k, 1), lambda b, k: b + k, [
-        ("sum", _arrays([[1.7e308]], [[1.7e308]]), True),
-        ("cancelling", _arrays([[1.7e308]], [[-1.7e308]]), False),
-    ]),
-    # (q, a, b), a at one head
-    "linear_readout": (T.linear_readout,
-                       lambda q, a, b: linear_readout_chain(q, _one_head_state(a), b), [
+    # (q, k, v) before the feature map elu_plus_one (x + 1 for x >= 0) over
+    # three tokens of one row, every token read, at one head of width 1
+    "linear_scan": (lambda q, k, v: T.linear_scan(q, k, v, None, range(3), 1, "elu_plus_one"),
+                    lambda q, k, v: linear_scan_chain(q, k, v, None, range(3), 1,
+                                                      "elu_plus_one")[0][-1], [
+        ("middle-outer-product", _arrays([[[0.0]]] * 3, [[[0.0]], [[1e200]], [[0.0]]],
+                                         [[[1.0]], [[1e200]], [[1.0]]]), True),
+        ("first-outer-product", _arrays([[[0.0]]] * 3, [[[1e200]], [[0.0]], [[0.0]]],
+                                        [[[1e200]], [[1.0]], [[1.0]]]), True),
+        ("state-sum", _arrays([[[0.0]]] * 3, [[[1e154]], [[0.0]], [[0.0]]],
+                              [[[1.3e154]], [[1.7e308]], [[1.0]]]), True),
+        ("key-sum", _arrays([[[0.0]]] * 3, [[[1.7e308]], [[1.7e308]], [[0.0]]],
+                            [[[1e-300]]] * 3), True),
         # an infinite denominator gives a quotient of 0
-        ("denominator-product", _arrays([[1e200]], [[[[1.0]]]], [[1e200]]), True),
-        ("denominator-sum", _arrays([[1.0, 1.0]], [[[[1.0], [1.0]]]], [[1.7e308, 1.7e308]]),
-         True),
-        ("numerator", _arrays([[1e200]], [[[[1e200]]]], [[1.0]]), True),
-        ("zero-denominator", _arrays([[1.0, 1.0]], [[[[1.0], [1.0]]]], [[1.0, -1.0]]), True),
-        ("huge-finite", _arrays([[1e150]], [[[[1e150]]]], [[1e150]]), False),
+        ("denominator", _arrays([[[0.0]], [[1e200]], [[0.0]]], [[[1e200]], [[0.0]], [[0.0]]],
+                                [[[1e-300]]] * 3), True),
+        ("huge-finite", _arrays([[[1e100]]] * 3, [[[1e100]], [[0.0]], [[0.0]]],
+                                [[[1e100]], [[1.0]], [[1.0]]]), False),
     ]),
-    # (q, a, b) at two heads of width 1: only the second head is out of range
-    "linear_readout/2-heads": (T.linear_readout, _linear_readout_heads, [
-        ("second-head-denominator", _arrays([[1.0, 1e200]], [[[[1.0]], [[1.0]]]],
-                                            [[1.0, 1e200]]), True),
-        ("second-head-huge-finite", _arrays([[1.0, 1e150]], [[[[1.0]], [[1e150]]]],
-                                            [[1.0, 1e150]]), False),
-    ]),
+    # the same at two heads of width 1: only the second head is out of range
+    "linear_scan/2-heads": (
+        lambda q, k, v: T.linear_scan(q, k, v, None, range(2), 2, "elu_plus_one"),
+        lambda q, k, v: linear_scan_chain(q, k, v, None, range(2), 2, "elu_plus_one")[0][-1], [
+            ("second-head-outer-product", _arrays([[[0.0, 0.0]]] * 2,
+                                                  [[[0.0, 0.0]], [[0.0, 1e200]]],
+                                                  [[[1.0, 1.0]], [[1.0, 1e200]]]), True),
+            ("second-head-huge-finite", _arrays([[[0.0, 1e100]]] * 2,
+                                                [[[0.0, 1e100]], [[0.0, 0.0]]],
+                                                [[[1.0, 1e100]], [[1.0, 1.0]]]), False),
+        ]),
 }
 OVERFLOW_CASES = [(kind, *case) for kind, (_, _, cases) in FUSED_OVERFLOWS.items()
                   for case in cases]
@@ -1696,9 +1831,11 @@ CHAIN_CASES = {
        for kind in ["attention", *ATTENTION_KINDS] for n_heads in HEADS},
     "transformer-layers": (lambda fused: _transformer_run(fused, 9, 2, 0.35, [0, 4, 8]), True,
                            False),
-    "rwkv": (_rwkv_run, FUSED_RWKV, CHAIN_RWKV),
-    **{f"linear-{n_heads}-heads": (lambda step, n_heads=n_heads: _linear_run(step, n_heads),
-                                   linear_attn_recurrent, linear_step_chain) for n_heads in HEADS},
+    "embed_rows": (_embed_run, True, False),
+    "rwkv_scan": (lambda fused: _rwkv_scan_run(fused, SCAN_CHUNKS["resumed"]), True, False),
+    **{f"linear_scan-{n_heads}-heads": (
+        lambda fused, n_heads=n_heads: _linear_scan_run(fused, SCAN_CHUNKS["resumed"], n_heads),
+        True, False) for n_heads in HEADS},
 }
 
 
