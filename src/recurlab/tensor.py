@@ -297,7 +297,9 @@ class Op:
     each stacked parent, so a row's depth is its parents' rows' depths
     plus the ``chains``; a kind that mixes or picks rows places them
     itself: ``rows(node, depths)`` maps its parents' depths, each an int
-    or a float array of one depth per row, to its own."""
+    or a float array of one depth per row, to its own.  Such a kind is
+    fused too, and needs no ``chains``: the profiler reads ``rows``
+    first."""
 
     __slots__ = ("name", "backward", "flops", "ops", "chains", "rowwise", "rows")
 
@@ -970,7 +972,7 @@ def stack_rows(h: Value) -> Value:
 def _pick_bwd(out):
     # a buffer of -0.0, the one exact identity of addition, leaves every
     # row's gradient as the chain's node held it, zero signs included
-    _rows_grad(out.parents[0])[out._ctx] += out._grad
+    _add_rows(out.parents[0], out._ctx, out._grad)
 
 
 def pick(stack: Value, index) -> Value:
@@ -1231,22 +1233,40 @@ def embed_rows(table: Value, ids, positions=None) -> Value:
 # A scan runs one layer's state recurrence over a chunk of n tokens, token by
 # token inside one node, and reads out only at its ``queries``, since the
 # chain's read-outs elsewhere reached no logit.  Its output stacks the
-# read-outs, (len(queries), B, d), then the state a next chunk starts from,
-# as rows of that width.  A next chunk's scan takes this one as its last
-# parent and adds its gradient into those rows, through a buffer of -0.0 as
+# read-outs, (len(queries), B, d), then the state after the last token, as
+# rows of that width.  A next chunk's scan takes this one as its last
+# parent and adds its gradient into those rows through ``_add_rows``, as
 # ``pick`` does, so that rows nothing reads leave every gradient as the
 # chain's nodes left it.  Each token's k, v and q rows sum what the token's
 # chain adds into them before they add it into their stack, as the token's
 # own node did.  ``rows`` replays the chain's depths token by token, so each
 # read-out row has its own token's depth.
 
+# the rows of each stack that a reader reached in the running ``backward``,
+# by the stack's id
+_rows_read: dict[int, np.ndarray] = {}
 
-def _rows_grad(stack: Value) -> np.ndarray:
-    """``stack``'s gradient array, filled with -0.0 on first use, for adds
-    into some of its rows."""
+
+def _add_rows(stack: Value, index, g) -> None:
+    """Add ``g`` into rows ``index`` of ``stack``'s gradient, filled with
+    -0.0 on first use, and note that a reader reached those rows."""
     if stack._grad is None:
         stack._grad = np.full_like(stack.data, -0.0)
-    return stack._grad
+    stack._grad[index] += g
+    seen = _rows_read.get(stack.id)
+    if seen is None:
+        seen = _rows_read[stack.id] = np.zeros(stack.shape[0], dtype=bool)
+    seen[index] = True
+
+
+def _rows_reached(stack: Value, index) -> bool:
+    """Whether a reader reached rows ``index`` of ``stack`` in the running
+    ``backward``: one that noted them, one that read the whole node (and
+    noted nothing), or one that left their gradient other than the -0.0
+    ``_add_rows`` starts from."""
+    seen = _rows_read.get(stack.id)
+    g = stack._grad[index]
+    return seen is None or seen[index].any() or not (np.signbit(g).all() and not g.any())
 
 
 def _state_rows(prev: Value, op: "Op", b: int, d: int, count: int) -> np.ndarray:
@@ -1270,58 +1290,51 @@ def _rwkv_scan_bwd(out):
     # replays each token's chain from the last token to the first: the
     # update after it (b', a', then exp(k)), its output and the decay; the
     # state before a token, and its k and v rows, take its update's
-    # gradient first (the last token's from the next chunk, through the
-    # state rows), then its output's; each row then adds its sum into k
-    # or v, as the token's own node passed its gradient on
+    # gradient first, then its output's; each row then adds its sum into k
+    # or v, as the token's own node passed its gradient on.  The chain built
+    # every token's update, but those after the last read-out only a
+    # reader of the state reached, so their backward runs only if a reader
+    # reached the state rows: from -0.0, it would turn the sign of some
+    # zeros
     w, u, k, v, *prev = out.parents
-    queries, history, z, nl, ek, states, outputs, start = out._ctx[:8]
-    bonus, num, den = outputs
-    a_all, b_all = states
-    n, b, d = k.shape
+    queries, _, z, nl, ek, a_all, b_all, (bonus, num, den) = out._ctx[:8]
+    n = k.shape[0]
     s0 = 0 if prev else 1
-    kd, vd = k.data, v.data
+    vd = v.data
     qs = np.asarray(queries)
+    n_q = len(qs)
     live = qs >= s0
     tl = qs[live]
     g = out._grad
-    g_out, g_state = g[:len(qs)], g[len(qs):]
-    go = g_out[live]
+    go = g[:n_q][live]
     g_num = go / den
     g_den = -go * num / (den * den)
     g_s = (g_den + g_num * vd[tl]) * bonus
     out_k, out_v, out_a, out_b = (np.full(k.shape, -0.0) for _ in range(4))
     out_a[tl], out_b[tl], out_k[tl], out_v[tl] = g_num, g_den, g_s, g_num * bonus
-    upd_k, upd_v = np.full(k.shape, -0.0), np.full(k.shape, -0.0)
-    upd_k[-1], upd_v[-1] = g_state[-2], g_state[-1]
-    ga, gb = np.full(k.shape, -0.0), np.full(k.shape, -0.0)
-    if history:
-        ga[-1], gb[-1] = g_state[0] + out_a[-1], g_state[1] + out_b[-1]
-    for t in range(n - 2, s0 - 1, -1):
+    ga, gb = np.full(a_all.shape, -0.0), np.full(a_all.shape, -0.0)
+    last = n if _rows_reached(out, slice(n_q, None)) else queries[-1]    # the updates reached
+    if last == n:
+        ga[n], gb[n] = g[n_q:]
+    for t in range(n - 1, s0 - 1, -1):
         ga[t], gb[t] = ga[t + 1] * z + out_a[t], gb[t + 1] * z + out_b[t]
-    g_ek = gb[1:] + ga[1:] * vd[:-1]
-    upd_v[:-1] = ga[1:] * ek[:-1]
-    upd_k[:-1] = g_ek * ek[:-1]
+    upd_k, upd_v = np.full(k.shape, -0.0), np.full(k.shape, -0.0)
+    g_ek = gb[1:last + 1] + ga[1:last + 1] * vd[:last]
+    upd_v[:last] = ga[1:last + 1] * ek[:last]
+    upd_k[:last] = g_ek * ek[:last]
     if not prev and queries[0] == 0:
-        out_v[0] = g_out[0]             # token 0, with no state, reads out its value row
+        out_v[0] = g[0]                 # token 0, with no state, reads out its value row
     _accumulate(k, upd_k + out_k)
     _accumulate(v, upd_v + out_v)
     for g_row in g_s[::-1]:
         _accumulate(u, _unbroadcast(g_row, u.shape))
     deriv = _elu1_deriv(w.data, nl)
-    for t in range(n - 2, s0 - 1, -1):
+    for t in range(last - 1, s0 - 1, -1):
         g_z = _unbroadcast(gb[t + 1] * b_all[t], z.shape) + _unbroadcast(ga[t + 1] * a_all[t],
                                                                           z.shape)
         _accumulate(w, g_z * z * -1.0 * deriv)
     if prev:
-        # the update after the previous chunk's last token
-        rows, ekp = start
-        g_ekp = gb[0] + ga[0] * rows[-1]
-        parts = [g_ekp * ekp, ga[0] * ekp]
-        if len(rows) == 4:
-            g_z = _unbroadcast(gb[0] * rows[1], z.shape) + _unbroadcast(ga[0] * rows[0], z.shape)
-            parts = [ga[0] * z, gb[0] * z, *parts]
-            _accumulate(w, g_z * z * -1.0 * deriv)
-        _rows_grad(prev[0])[-len(rows):] += parts
+        _add_rows(prev[0], slice(-2, None), np.stack([ga[0], gb[0]]))
 
 
 def rwkv_scan(w: Value, u: Value, k: Value, v: Value, prev: Value | None, queries) -> Value:
@@ -1333,20 +1346,19 @@ def rwkv_scan(w: Value, u: Value, k: Value, v: Value, prev: Value | None, querie
     The state before token t is the decayed sums (a, b) of the tokens
     before it, with decay z = exp(-elu_plus_one(w)), and token t reads out
     (a + e^(u + k_t) v_t) / (b + e^(u + k_t)), or its value row when no
-    token came before.  The output stacks the read-outs, then the state the
-    next chunk starts from: (a, b) before the last token, if any token came
-    before it, and the last token's k and v rows, since that token's update
-    is only built when a next chunk reads it.
+    token came before.  The output stacks the read-outs, then (a, b) after
+    the last token, the state the next chunk starts from.
 
     One node for the chain that ran one token at a time: per token from the
-    second on, the decay (3 ops), the read-out (6) and, but for the last,
-    the update (exp(k), z * a + e^k * v and z * b + e^k, 6); for the first,
-    its update e^k * v, e^k (2); the previous chunk's pending update comes
-    first.  Data and gradients are byte-identical to that chain's.  The
-    node raises ``GraphOverflowError`` whenever a node of the chain would
-    have: every e^k, updated state and read-out is checked, and u + k and
-    the denominator as well, since their infinities leave the read-out
-    finite.
+    second on, the decay (3 ops), the read-out (6) and the update (exp(k),
+    z * a + e^k * v and z * b + e^k, 6); for the first, its update e^k *
+    v, e^k (2).  The last token's update reached no logit of the chain
+    unless a next chunk read the state, so the scan that resumes this one
+    counts its ops, flops and depth, first among its own.  Data and
+    gradients are byte-identical to that chain's.  The node raises
+    ``GraphOverflowError`` whenever a node of the chain would have: every
+    e^k, updated state and read-out is checked, and u + k and the
+    denominator as well, since their infinities leave the read-out finite.
     """
     n, b, d = k.shape if k.data.ndim == 3 else (0, 0, 0)
     if not n or v.shape != k.shape or w.shape != (d,) or u.shape != (d,):
@@ -1354,23 +1366,18 @@ def rwkv_scan(w: Value, u: Value, k: Value, v: Value, prev: Value | None, querie
     queries = _check_queries(queries, n, _RWKV_SCAN, k.shape)
     kd, vd = k.data, v.data
     nl = _elu1(w.data)
-    a_all, b_all = np.empty_like(kd), np.empty_like(kd)
-    s0, start = 1, None
+    # the state before each token, then after the last; s0 is the first
+    # token with a state before it
+    a_all, b_all = np.empty((n + 1, b, d)), np.empty((n + 1, b, d))
+    s0 = 1 if prev is None else 0
     with _quiet():
         z = np.exp(nl * -1.0)
         ek = np.exp(kd)
-        finite = np.isfinite(ek[:-1]).all()
-        if prev is not None:
-            rows = _state_rows(prev, _RWKV_SCAN, b, d, 4 if prev._ctx[1] else 2)
-            ekp = np.exp(rows[-2])
-            if len(rows) == 4:
-                a_all[0], b_all[0] = z * rows[0] + ekp * rows[-1], z * rows[1] + ekp
-            else:
-                a_all[0], b_all[0] = ekp * rows[-1], ekp
-            s0, start, finite = 0, (rows, ekp), finite and np.isfinite(ekp).all()
-        elif n > 1:
+        if prev is None:
             a_all[1], b_all[1] = ek[0] * vd[0], ek[0]
-        for t in range(s0, n - 1):
+        else:
+            a_all[0], b_all[0] = _state_rows(prev, _RWKV_SCAN, b, d, 2)
+        for t in range(s0, n):
             a_all[t + 1], b_all[t + 1] = z * a_all[t] + ek[t] * vd[t], z * b_all[t] + ek[t]
         qs = np.asarray(queries)
         tl = qs[qs >= s0]
@@ -1381,18 +1388,19 @@ def rwkv_scan(w: Value, u: Value, k: Value, v: Value, prev: Value | None, querie
         read = np.empty((len(qs), b, d))
         read[qs >= s0] = num / den
         read[qs < s0] = vd[qs[qs < s0]]
-    history = n - 1 >= s0
-    state = [a_all[-1], b_all[-1]] if history else []
-    finite = (finite and np.isfinite(a_all[s0:]).all() and np.isfinite(b_all[s0:]).all()
-              and np.isfinite(s).all() and np.isfinite(den).all())
-    updates = [t >= s0 for t in range(n - 1)] + ([] if prev is None else [len(start[0]) == 4])
+    finite = (np.isfinite(ek).all() and np.isfinite(a_all[s0:]).all()
+              and np.isfinite(b_all[s0:]).all() and np.isfinite(s).all()
+              and np.isfinite(den).all())
+    # the updates counted here, True for one with a state before it: each
+    # token's but the last, and the previous chunk's last
+    updates = [t >= s0 for t in range(n - 1)] + ([] if prev is None else [not prev._ctx[1]])
     ops = 9 * sum(updates) + 2 * updates.count(False) + 6 * len(tl)
     flops = (9 * d + 9 * b * d) * sum(updates) + 5 * b * d * updates.count(False) \
         + 9 * b * d * len(tl)
-    data = np.concatenate([read, np.stack(state + [kd[-1], vd[-1]])])
-    out = Value(data, _RWKV_SCAN, (w, u, k, v) + (() if prev is None else (prev,)),
-                (queries, history, z, nl, ek, (a_all, b_all), (bonus, num, den), start, ops,
-                 flops))
+    first = prev is None and n == 1      # the state it hands on is the first update
+    out = Value(np.concatenate([read, a_all[-1:], b_all[-1:]]), _RWKV_SCAN,
+                (w, u, k, v) + (() if prev is None else (prev,)),
+                (queries, first, z, nl, ek, a_all, b_all, (bonus, num, den), ops, flops))
     if not finite:
         _overflow(out)
     return out
@@ -1400,31 +1408,38 @@ def rwkv_scan(w: Value, u: Value, k: Value, v: Value, prev: Value | None, querie
 
 def _rwkv_scan_rows(v: Value, depths) -> np.ndarray:
     # replays the chain's depths token by token: the decay is 3 ops past w;
-    # the read-out 5 past u and k, 3 past v and 2 past a and b; the update 2
-    # past z, a, e^k and v (e^k one past k), and b's 1 past e^k
+    # the read-out 5 past u and k, 3 past v and 2 past a and b; the update
+    # starts from a, e^k (one past k) and v for a, and from b and e^k for
+    # b, and ends 2 past those and the decay, or 1 for the first update.
+    # The state rows hold where the last token's update starts, a's deepest
+    # of a, e^k and v and b's of b and k; the scan that resumes this one
+    # ends it, as it counts its ops
     dw, du, dk, dv, *dprev = depths
-    queries, history = v._ctx[:2]
+    queries = v._ctx[0]
     n = v.parents[2].shape[0]
     dk, dv = np.broadcast_to(dk, n), np.broadcast_to(dv, n)
-    dz, a, b = dw + 3, None, None
+    dz = dw + 3
 
-    def update(a, b, dk_t, dv_t):
-        ek = dk_t + 1
+    def start(a, b, t):
         if a is None:
-            return max(ek, dv_t) + 1, ek
-        return max(dz, a, ek, dv_t) + 2, max(dz + 2, b + 2, ek + 1)
+            return max(dk[t] + 1, dv[t]), dk[t]
+        return max(a, dk[t] + 1, dv[t]), max(b, dk[t])
 
+    def end(a, b, first):
+        return (a + 1, b + 1) if first else (max(dz, a) + 2, max(dz, b) + 2)
+
+    a = b = None
     if dprev:
-        rows = np.broadcast_to(dprev[0], v.parents[4].shape[0])
-        a, b = update(*((rows[-4], rows[-3]) if len(v._ctx[7][0]) == 4 else (None, None)),
-                      rows[-2], rows[-1])
+        prev = v.parents[4]
+        rows = np.broadcast_to(dprev[0], prev.shape[0])
+        a, b = end(rows[-2], rows[-1], prev._ctx[1])
     read = []
     for t in range(n):
         if t in queries:
             read.append(dv[t] if a is None else max(du + 5, dk[t] + 5, dv[t] + 3, a + 2, b + 2))
         if t < n - 1:
-            a, b = update(a, b, dk[t], dv[t])
-    return np.array(read + ([a, b] if history else []) + [dk[-1], dv[-1]], dtype=np.float64)
+            a, b = end(*start(a, b, t), a is None)
+    return np.array(read + list(start(a, b, n - 1)), dtype=np.float64)
 
 
 def _linear_scan_bwd(out):
@@ -1457,11 +1472,16 @@ def _linear_scan_bwd(out):
     g_k = gb + np.matmul(ga, np.swapaxes(vh[..., None, :], -1, -2)).reshape(k.shape)
     if n_heads > 1:
         g_q, g_k, g_v = g_q + 0.0, g_k + 0.0, g_v + 0.0
+    if not _rows_reached(out, slice(n_q, None)):
+        # the tokens after the last read-out fed only the state, which no
+        # reader reached, nor any of their chain's nodes
+        g_k[queries[-1] + 1:] = g_v[queries[-1] + 1:] = -0.0
     _accumulate(q, g_q * deriv(q.data, pq))
     _accumulate(k, g_k * deriv(k.data, pk))
     _accumulate(v, g_v)
     if prev:
-        _rows_grad(prev[0])[-(d // n_heads + 1):] += np.concatenate([_pack(ga[0], d), gb[:1]])
+        _add_rows(prev[0], slice(-(d // n_heads + 1), None),
+                  np.concatenate([_pack(ga[0], d), gb[:1]]))
 
 
 def _pack(a: np.ndarray, d: int) -> np.ndarray:
@@ -1571,18 +1591,6 @@ def _linear_scan_rows(v: Value, depths) -> np.ndarray:
         if t in queries:
             read.append(max(dq[len(read)] + 5 + 2 * m, a + 3 + m, b + 3 + m))
     return np.array(read + [a] * (d // n_heads) + [b], dtype=np.float64)
-
-
-def _scan_chains(v: Value) -> tuple:
-    """A scan's longest chain from each parent to a row of its output, 0
-    where none reaches: its ``rows`` with that parent at depth 0 and every
-    other out of reach."""
-    chains = []
-    for i in range(len(v.parents)):
-        depths = [0.0 if j == i else -np.inf for j in range(len(v.parents))]
-        longest = v.op.rows(v, depths).max()
-        chains.append(int(longest) if np.isfinite(longest) else 0)
-    return tuple(chains)
 
 
 def _concat_bwd(out):
@@ -1829,7 +1837,7 @@ _POSITION_ROWS = Op("position_rows", _position_rows_bwd, _per_out(0),
                     ops=lambda v: v.shape[0], chains=_always((1,)))
 _STACK_ROWS = Op("stack_rows", _stack_rows_bwd, _per_out(0), ops=lambda v: v.shape[1] + 1,
                  chains=_always((2,)))
-_PICK = Op("pick", _pick_bwd, _per_out(0), ops=_always(0), chains=_always((0,)),
+_PICK = Op("pick", _pick_bwd, _per_out(0), ops=_always(0),
            rows=lambda v, depths: depths[0] if np.ndim(depths[0]) == 0 else depths[0][v._ctx])
 # an embedding row's gather, and its positional add (one flop per scalar)
 _EMBED_ROWS = Op("embed_rows", _embed_rows_bwd, lambda v: v._ctx[1] * v.data.size,
@@ -1840,9 +1848,9 @@ _EMBED_ROWS = Op("embed_rows", _embed_rows_bwd, lambda v: v._ctx[1] * v.data.siz
 # per scalar of a (2 for the first), b's 1, the read-out 2·dh + 1 per
 # output scalar and 2 per scalar of q
 _RWKV_SCAN = Op("rwkv_scan", _rwkv_scan_bwd, lambda v: v._ctx[9], ops=lambda v: v._ctx[8],
-                chains=_scan_chains, rows=_rwkv_scan_rows)
+                rows=_rwkv_scan_rows)
 _LINEAR_SCAN = Op("linear_scan", _linear_scan_bwd, lambda v: v._ctx[10],
-                  ops=lambda v: v._ctx[9], chains=_scan_chains, rows=_linear_scan_rows)
+                  ops=lambda v: v._ctx[9], rows=_linear_scan_rows)
 _CONCAT = Op("concat", _concat_bwd, _per_out(0))
 _VIEW_SLICE = Op("slice", _slice_bwd, _per_out(0))
 _GATHER = Op("slice", _gather_bwd, _per_out(0))
@@ -1879,10 +1887,14 @@ def backward(root: Value) -> None:
     for node, _ in held:
         node._grad = None
     root._grad = np.ones(())
-    for node in reversed(order):
-        bwd = node.op.backward
-        if bwd is not None:
-            bwd(node)
+    _rows_read.clear()
+    try:
+        for node in reversed(order):
+            bwd = node.op.backward
+            if bwd is not None:
+                bwd(node)
+    finally:
+        _rows_read.clear()
     # every node reachable from root received an adjoint above
     for node, prior in held:
         node._grad += prior

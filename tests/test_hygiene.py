@@ -196,10 +196,11 @@ def test_every_op_kind_has_a_profile_cost_case():
 
 
 def test_every_fused_op_has_a_chain_case(monkeypatch):
-    """Each declared ``Op`` with ``chains`` (a fused kind) is differentiated
-    by the fused side of at least one ``test_tensor.CHAIN_CASES`` run, so no
-    fused kind ships without a byte-equality check against its chain."""
-    fused = [op for op in declared_ops() if op.chains is not None]
+    """Each declared ``Op`` with ``chains`` or ``rows`` (a fused kind) is
+    differentiated by the fused side of at least one
+    ``test_tensor.CHAIN_CASES`` run, so no fused kind ships without a
+    byte-equality check against its chain."""
+    fused = [op for op in declared_ops() if op.chains is not None or op.rows is not None]
     seen = set()
     for op in fused:
         def recording(node, op=op, backward=op.backward):

@@ -246,8 +246,8 @@ OP_COSTS = {
     "rwkv-scan-deep-w": (lambda: _rwkv_scan(3, deep={0: 4}), (27, 11, 219)),
     "rwkv-scan-deep-v": (lambda: _rwkv_scan(2, deep={3: 3}), (11, 6, 84)),
     "rwkv-scan-deep-k": (lambda: _rwkv_scan(3, deep={2: 2}), (25, 8, 219)),
-    # two tokens read once, then two more, whose scan first builds the
-    # pending update of the first chunk's last token
+    # two tokens read once, then two more, whose scan first counts the
+    # update after the first chunk's last token
     "rwkv-scan-resumed": (lambda: _rwkv_scan(2, resume=True), (38, 9, 354)),
     # linear attention over (2, 2·heads) rows, heads of width 2; per token
     # phi(k) (1 op, 4 flops per scalar) and the update: 4 ops per head and
@@ -317,27 +317,29 @@ def test_layer_norm_counts_as_the_chain_it_fuses(shape):
     assert (fused.total_ops, fused.depth) == (15, 15)
 
 
-def _state_sinks(state) -> list:
-    """The nodes of the state a scan's chain hands on, as the scan's output
-    stacks them: the linear Transformer's per-head (a, b), or RWKV's (a,
-    b), if any, and its last k and v rows."""
-    if isinstance(state, list):
+def _state_sinks(state, last=None) -> list:
+    """The nodes of a scan's chain that its output rows past the read-outs
+    stand for: the linear Transformer's per-head (a, b) after the last
+    token, or the operands of RWKV's last update (``last``): (a, b) before
+    it, if any, and the last k and v rows, since the scan that resumes
+    RWKV's counts that update."""
+    if last is None:
         return [x for ab in state for x in ab]
-    return [*(state[0] or ()), *state[1:]]
+    return [*(last[0] or ()), *last[1:]]
 
 
 def _scan_sinks(scan_chain, vs, queries, *args):
     """The sinks of a scan's chain over the operands ``vs``: its read-outs
     and the state it hands on."""
-    outs, state = scan_chain(*vs, None, queries, *args)
-    return outs + _state_sinks(state)
+    outs, *state = scan_chain(*vs, None, queries, *args)
+    return outs + _state_sinks(*state)
 
 
 def _resumed_sinks(scan_chain, first_operands, operands, first, queries, *args):
     """The same over two chunks, the second resuming the first's state."""
-    outs, state = scan_chain(*first_operands, None, first, *args)
-    more, state = scan_chain(*operands, state, queries, *args)
-    return outs + more + _state_sinks(state)
+    outs, state, *_ = scan_chain(*first_operands, None, first, *args)
+    more, *state = scan_chain(*operands, state, queries, *args)
+    return outs + more + _state_sinks(*state)
 
 
 # kind -> (fused, chain, operand shapes[, the chain's operand shapes where
@@ -484,8 +486,8 @@ def _two_chunks(scan):
         stacks = [_deeper(_p(3, 2, 3), i) for i in range(4)]
         first = T.rwkv_scan(w, u, *stacks[:2], None, range(3))
         second = T.rwkv_scan(w, u, *stacks[2:], first, range(3))
-        outs, state = rwkv_scan_chain(w, u, *stacks[:2], None, range(3))
-        more, _ = rwkv_scan_chain(w, u, *stacks[2:], state, range(3))
+        outs, state, _ = rwkv_scan_chain(w, u, *stacks[:2], None, range(3))
+        more, *_ = rwkv_scan_chain(w, u, *stacks[2:], state, range(3))
     else:
         stacks = [_deeper(_p(3, 2, 4), i) for i in range(6)]
         first = T.linear_scan(*stacks[:3], None, range(3), 2, "elu_plus_one")

@@ -1276,20 +1276,17 @@ def rwkv_update_chain(w_raw, ab, k, v):
 def rwkv_scan_chain(w_raw, u, k, v, state, queries):
     """The elementary chain that ``T.rwkv_scan`` fuses, one token at a time
     over the rows of k and v (n, B, d), each a pick of its stack, which
-    stands for no op: per token its read-out if it is one of ``queries``
-    and, but for the last, the update after it.  ``state`` is an earlier
-    chunk's: (its state before its last token or None, that token's k and
-    v rows), whose update comes first.  Returns (the read-outs, the
-    state)."""
-    ab = None if state is None else rwkv_update_chain(w_raw, *state)
-    outs = []
+    stands for no op: per token its read-out if it is one of ``queries``,
+    then the update after it.  ``state`` is an earlier chunk's (a, b), or
+    None.  Returns (the read-outs, the state, the last update's operands:
+    the state before it or None, and the last k and v rows)."""
+    ab, outs = state, []
     for t in range(k.shape[0]):
         k_t, v_t = T.pick(k, t), T.pick(v, t)
         if t in queries:
             outs.append(v_t if ab is None else rwkv_output_chain(u, k_t, v_t, *ab))
-        if t < k.shape[0] - 1:
-            ab = rwkv_update_chain(w_raw, ab, k_t, v_t)
-    return outs, (ab, k_t, v_t)
+        before, ab = ab, rwkv_update_chain(w_raw, ab, k_t, v_t)
+    return outs, ab, (before, k_t, v_t)
 
 
 def outer_update_chain(a, k, v):
@@ -1371,13 +1368,13 @@ def _rwkv_scan_run(fused, chunks, zero=False, batch=3, d=4):
             state = T.rwkv_scan(w_raw, u, k, v, state, queries)
             outs += [T.pick(state, j) for j in range(len(queries))]
         else:
-            read, state = rwkv_scan_chain(w_raw, u, k, v, state, queries)
+            read, state, _ = rwkv_scan_chain(w_raw, u, k, v, state, queries)
             outs += read
         later.append(k * v)
     if fused:
         last = [T.pick(state, j) for j in range(len(chunks[-1][1]), state.shape[0])]
     else:
-        last = [*(state[0] or ()), *state[1:]]
+        last = list(state)
     T.backward(_weighted_loss(outs + last + later, rng, zero))
     return [x.tobytes() for x in (*(o.data for o in outs + last),
                                   *(s.grad for s in [w_raw, u, *srcs]))]
@@ -1450,6 +1447,46 @@ def test_rwkv_scan_matches_the_chain_byte_for_byte(case, zero):
     assert _rwkv_scan_run(True, chunks, zero) == _rwkv_scan_run(False, chunks, zero)
 
 
+def _unread_state_grads(scan, fused, chunks):
+    """The gradients of every source of the ``scan`` ("rwkv" or "linear",
+    at two heads) under -0.0 weights on the read-outs alone, over chunks of
+    (length, queries) that resume each other, the last chunk's state read
+    by nothing."""
+    rng = np.random.default_rng(5)
+    srcs, state, outs = [], None, []
+    for n, queries in chunks:
+        if scan == "rwkv":
+            if not srcs:
+                srcs = [T.parameter(rng.normal(size=4)) for _ in range(2)]
+            ops = [*srcs[:2], *(T.parameter(rng.normal(size=(n, 3, 4))) for _ in range(2))]
+            srcs += ops[2:]
+        else:
+            ops = [T.parameter(rng.normal(size=(m, 3, 4))) for m in (len(queries), n, n)]
+            srcs += ops
+        if fused:
+            state = (T.rwkv_scan(*ops, state, queries) if scan == "rwkv" else
+                     T.linear_scan(*ops, state, queries, 2, "elu_plus_one"))
+            outs += [T.pick(state, j) for j in range(len(queries))]
+        else:
+            read, state, *_ = (rwkv_scan_chain(*ops, state, queries) if scan == "rwkv" else
+                               linear_scan_chain(*ops, state, queries, 2, "elu_plus_one"))
+            outs += read
+    T.backward(_weighted_loss(outs, rng, True))
+    return [x.grad.tobytes() for x in srcs]
+
+
+@pytest.mark.parametrize("chunks", [[(5, (1, 2))], [(3, (0, 2)), (5, (0, 1))]],
+                         ids=["one-chunk", "resumed"])
+@pytest.mark.parametrize("scan", ["rwkv", "linear"])
+def test_a_scan_runs_no_update_that_no_reader_reached(scan, chunks):
+    """The chain built every token's update, but those after the last
+    read-out only a reader of the state reached.  From the -0.0 gradient
+    of a state nothing read, their backward would add +0.0 into k and v
+    rows that nothing else reached, where a factor is negative, and into
+    w."""
+    assert _unread_state_grads(scan, True, chunks) == _unread_state_grads(scan, False, chunks)
+
+
 @pytest.mark.parametrize("zero", [False, True], ids=["weighted", "zero-signs"])
 @pytest.mark.parametrize("case", list(SCAN_CHUNKS))
 def test_linear_scan_matches_the_chain_byte_for_byte(case, zero):
@@ -1510,15 +1547,23 @@ def test_scan_kinds_build_one_node_over_their_operands(kind):
     assert not resumed or out.parents[-1].op_kind == out.op_kind
 
 
+@pytest.mark.parametrize("picked", [False, True], ids=["whole", "pick-and-whole"])
 @pytest.mark.parametrize("kind", list(SCAN_KINDS))
-def test_scan_kinds_grad_check(kind):
+def test_scan_kinds_grad_check(kind, picked):
+    """Read as a whole, and also through a pick of the first read-out,
+    which notes the rows it reads: the whole reader, which notes none,
+    still reaches the state rows."""
     build, shapes = SCAN_KINDS[kind]
     rng = np.random.default_rng(len(shapes))
     # positive operands keep the rwkv and linear denominators away from 0
     point = [rng.uniform(0.5, 1.5, size=shape) for shape in shapes]
     weights = T.constant(rng.normal(size=build(*map(T.constant, point)).shape))
-    report = T.grad_check(lambda vs: (build(*vs) * weights).sum(), point)
-    assert report.max_rel_err < 1e-6
+
+    def loss(vs):
+        out = build(*vs)
+        return (T.pick(out, 0).sum() if picked else T.constant(0.0)) + (out * weights).sum()
+
+    assert T.grad_check(loss, point).max_rel_err < 1e-6
 
 
 @pytest.mark.parametrize("kind, shapes, queries", [
@@ -1736,10 +1781,22 @@ FUSED_OVERFLOWS = {
                                 [[[0.0]]] * 3), True),
         ("huge-finite", _arrays([0.0], [0.0], [[[700.0]], [[0.0]], [[0.0]]],
                                 [[[1e3]], [[1.0]], [[1.0]]]), False),
-        # the last token's update is left to a next chunk, so its e^k
-        # is never built
+        # the last token's e^k, which its update reads
         ("last-exp", _arrays([0.0], [-2000.0], [[[0.0]], [[0.0]], [[800.0]]],
-                             [[[1.0]]] * 3), False),
+                             [[[1.0]]] * 3), True),
+        # the middle token's e^k v, which its update reads, to inf or -inf;
+        # its bonus is 0, and z a, with z <= 1, cannot overflow
+        ("middle-product", _arrays([0.0], [-2000.0], [[[0.0]], [[700.0]], [[0.0]]],
+                                   [[[1.0]], [[1e10]], [[1.0]]]), True),
+        ("middle-negative-product", _arrays([0.0], [-2000.0], [[[0.0]], [[700.0]], [[0.0]]],
+                                            [[[1.0]], [[-1e10]], [[1.0]]]), True),
+        # a decay of 1 keeps a = 1.7e308 whole, and e^k v cancels it
+        ("middle-cancelling-sum", _arrays([-1e308], [-2000.0], [[[700.0]], [[700.0]], [[0.0]]],
+                                          [[[1.68e4]], [[-1.68e4]], [[1.0]]]), False),
+        # the middle token's bonus e^705 is finite, its product with v is
+        # not; e^k v, with e^690, is
+        ("middle-readout-product", _arrays([0.0], [15.0], [[[0.0]], [[690.0]], [[0.0]]],
+                                           [[[1.0]], [[1e5]], [[1.0]]]), True),
     ]),
     # (q, k, v) before the feature map elu_plus_one (x + 1 for x >= 0) over
     # three tokens of one row, every token read, at one head of width 1
@@ -1759,6 +1816,19 @@ FUSED_OVERFLOWS = {
                                 [[[1e-300]]] * 3), True),
         ("huge-finite", _arrays([[[1e100]]] * 3, [[[1e100]], [[0.0]], [[0.0]]],
                                 [[[1e100]], [[1.0]], [[1.0]]]), False),
+        # the middle token's outer product cancels a = -1.7e308
+        ("cancelling-state-sum", _arrays([[[0.0]]] * 3, [[[0.0]], [[1.3e154]], [[0.0]]],
+                                         [[[-1.7e308]], [[1.3e154]], [[1.0]]]), False),
+        # phi(q) = e^-1000 = 0 at the middle token gives 0 / 0
+        ("zero-denominator", _arrays([[[0.0]], [[-1000.0]], [[0.0]]], [[[0.0]]] * 3,
+                                     [[[1.0]]] * 3), True),
+        ("numerator", _arrays([[[0.0]], [[1e200]], [[0.0]]], [[[0.0]]] * 3,
+                              [[[1e200]], [[1.0]], [[1.0]]]), True),
+        # a head of width 2: the middle token's b and phi(q) are finite,
+        # their dot product is not
+        ("denominator-sum", _arrays([[[0.0, 0.0]]] * 3,
+                                    [[[0.0, 0.0]], [[1.7e308, 1.7e308]], [[0.0, 0.0]]],
+                                    [[[1e-300, 1e-300]]] * 3), True),
     ]),
     # the same at two heads of width 1: only the second head is out of range
     "linear_scan/2-heads": (
@@ -1770,6 +1840,12 @@ FUSED_OVERFLOWS = {
             ("second-head-huge-finite", _arrays([[[0.0, 1e100]]] * 2,
                                                 [[[0.0, 1e100]], [[0.0, 0.0]]],
                                                 [[[1.0, 1e100]], [[1.0, 1.0]]]), False),
+            ("second-head-cancelling", _arrays([[[0.0, 0.0]]] * 2,
+                                               [[[0.0, 0.0]], [[0.0, 1.3e154]]],
+                                               [[[1.0, -1.7e308]], [[1.0, 1.3e154]]]), False),
+            ("second-head-denominator", _arrays([[[0.0, 0.0]], [[0.0, 1e200]]],
+                                                [[[0.0, 1e200]], [[0.0, 0.0]]],
+                                                [[[1.0, 1e-300]]] * 2), True),
         ]),
 }
 OVERFLOW_CASES = [(kind, *case) for kind, (_, _, cases) in FUSED_OVERFLOWS.items()
