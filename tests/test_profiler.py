@@ -411,6 +411,11 @@ FUSED_CHAINS = {
         lambda vs: T.rwkv_scan(*vs[:2], *vs[4:], T.rwkv_scan(*vs[:4], None, (0, 2)), (0, 1)),
         lambda vs: _resumed_sinks(rwkv_scan_chain, vs[:4], vs[:2] + vs[4:], (0, 2), (0, 1)),
         [(3,), (3,), (3, 2, 3), (3, 2, 3), (2, 2, 3), (2, 2, 3)]),
+    # the same after a chunk of one token, whose update is the first
+    "rwkv-scan-resumed-after-one-token": (
+        lambda vs: T.rwkv_scan(*vs[:2], *vs[4:], T.rwkv_scan(*vs[:4], None, (0,)), (0, 1)),
+        lambda vs: _resumed_sinks(rwkv_scan_chain, vs[:4], vs[:2] + vs[4:], (0,), (0, 1)),
+        [(3,), (3,), (1, 2, 3), (1, 2, 3), (2, 2, 3), (2, 2, 3)]),
     "linear-scan": (lambda vs: T.linear_scan(*vs, None, range(3), 1, "elu_plus_one"),
                     lambda vs: _scan_sinks(linear_scan_chain, vs, range(3), 1, "elu_plus_one"),
                     [(3, 2, 3), (3, 2, 3), (3, 2, 3)]),
